@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-json bench-all chaos wire coord coord-drain replay record-corpus verify
+.PHONY: build test vet race bench bench-json bench-all chaos wire coord coord-drain replay record-corpus latency verify
 
 build:
 	$(GO) build ./...
@@ -111,7 +111,18 @@ coord-drain:
 	$(GO) run ./cmd/cloudfog-coordinator -demo -drain -lease 1s \
 		-workers 3 -players 6 -duration 4s -report coord_drain_report.json
 
+# latency puts the response-path number one command away: the frame-clock
+# and first-frame tests uncached, then the repo benchmark's live-steady
+# workload (BENCHMARK.json), whose op_ms is action-to-frame response latency
+# with no network. Only the run is wired here, not `cd bench && go test`:
+# bench/probe asserts a stamp reaches the stream after an observer beside
+# the supernode, which rendering on the delta's arrival turns into a race
+# between two sockets (DESIGN.md §17).
+latency:
+	$(GO) test -count=1 -run 'FrameClock|FramesFollowUpdates|FirstFrameAtJoin' ./internal/live/
+	bash bench/run.sh --workload live-steady --seed 2026 --seconds 20 --trace 0
+
 # verify is the CI gate: static checks, the race-enabled suite, the chaos
-# smoke, the wire smoke, the coordinator smokes (kill and drain), and the
-# flight-recorder replay gate.
-verify: vet race chaos wire coord coord-drain replay
+# smoke, the wire smoke, the coordinator smokes (kill and drain), the
+# flight-recorder replay gate, and the response-latency run.
+verify: vet race chaos wire coord coord-drain replay latency

@@ -464,8 +464,13 @@ func (c *Cloud) tickOnce() {
 		}
 		d := c.w.DeltaSince(sub.version)
 		c.deltaScratch = proto.AppendDelta(c.deltaScratch[:0], d)
-		sub.link.Send(proto.TDelta, c.deltaScratch)
-		sub.version = d.ToVersion
+		// A delta the link refused (send queue full, loss process) never
+		// reaches the replica: leave the version where it is, so the next
+		// tick's delta covers the gap (minVersion below keeps the journal
+		// that far back).
+		if sub.link.Send(proto.TDelta, c.deltaScratch) {
+			sub.version = d.ToVersion
+		}
 		if sub.version < minVersion {
 			minVersion = sub.version
 		}

@@ -123,8 +123,25 @@ type Supernode struct {
 	deltas     int64
 	deltaBytes int64
 
+	// updated tells the render loop a delta was applied. Capacity 1 and
+	// never blocked on: the loop needs to know the replica moved, not how
+	// many times.
+	updated chan struct{}
+	frames  *obs.FrameStats
+
 	wg   sync.WaitGroup
 	stop chan struct{}
+}
+
+// FrameStats reports the frames rendered so far by what triggered them:
+// update and deadline are render passes over every stream (on a delta's
+// arrival, or on the frame clock's fallback deadline), join is first frames
+// rendered for one new stream at its join. A supernode whose cloud ticks at
+// the frame rate should show almost only update frames; deadline frames there
+// mean deltas arrived late or not at all. A frame is counted before it is
+// sent, so a peer holding a segment finds it counted.
+func (sn *Supernode) FrameStats() (update, deadline, join int64) {
+	return sn.frames.Update.Load(), sn.frames.Deadline.Load(), sn.frames.Join.Load()
 }
 
 // SessionCount reports the number of live player streams — the occupancy a
@@ -212,6 +229,11 @@ func StartSupernode(cfg SupernodeConfig) (*Supernode, error) {
 			return nil, fmt.Errorf("live: listen %s: %w", cfg.Addr, err)
 		}
 	}
+	// Without a registry the frame counters still back FrameStats.
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	sn := &Supernode{
 		cfg:       cfg,
 		cloudLink: cloudLink,
@@ -220,6 +242,8 @@ func StartSupernode(cfg SupernodeConfig) (*Supernode, error) {
 		replica:   world.NewReplica(),
 		stamps:    make(map[int64]time.Duration),
 		players:   make(map[int64]*playerStream),
+		updated:   make(chan struct{}, 1),
+		frames:    obs.FrameStatsIn(reg, fmt.Sprint(cfg.ID)),
 		stop:      make(chan struct{}),
 	}
 	sn.wg.Add(3)
@@ -296,15 +320,21 @@ func (sn *Supernode) consumeUpdates() {
 			}
 			sn.mu.Lock()
 			if applyErr := sn.replica.Apply(d); applyErr != nil {
-				// Version gap: wait for the next snapshot. (The cloud
-				// sends a snapshot on subscribe; gaps only arise from
-				// dropped frames on a congested link.)
+				// Version gap. The cloud advances a subscription's version
+				// only past deltas its link accepted, so a delta shed by a
+				// congested link is covered by the next one and this is
+				// not expected; skip the delta rather than corrupt the
+				// replica.
 				sn.mu.Unlock()
 				continue
 			}
 			sn.deltas++
 			sn.deltaBytes += int64(len(payload))
 			sn.mu.Unlock()
+			select {
+			case sn.updated <- struct{}{}:
+			default:
+			}
 		case proto.TAction:
 			a, err := proto.UnmarshalAction(payload)
 			if err != nil {
@@ -400,12 +430,13 @@ func (sn *Supernode) joinDatagram(raddr *net.UDPAddr, payload []byte) {
 	}
 	link := NewDatagramLink(&addrConn{sock: sn.udp, raddr: raddr}, LinkOptions{Delay: delay, Stats: stats})
 	link.Impair(sn.impExtra, sn.impLoss)
-	sn.players[join.Player] = &playerStream{link: link, join: join, g: g, raddr: addr, lastSeen: now}
+	ps := &playerStream{link: link, join: join, g: g, raddr: addr, lastSeen: now}
+	sn.players[join.Player] = ps
+	sn.admit(join.Player, ps)
 	sn.mu.Unlock()
 	if replaced != nil {
 		replaced.Close()
 	}
-	link.Send(proto.TAck, proto.MarshalAck(proto.Ack{}))
 }
 
 // servePlayer registers a player's stream subscription. Segments are pushed
@@ -451,10 +482,11 @@ func (sn *Supernode) servePlayer(conn net.Conn) {
 		link.Close()
 		return
 	}
-	sn.players[join.Player] = &playerStream{link: link, join: join, g: g}
 	link.Impair(sn.impExtra, sn.impLoss)
+	ps := &playerStream{link: link, join: join, g: g}
+	sn.players[join.Player] = ps
+	sn.admit(join.Player, ps)
 	sn.mu.Unlock()
-	link.Send(proto.TAck, proto.MarshalAck(proto.Ack{}))
 
 	var buf [1]byte
 	for {
@@ -483,59 +515,97 @@ func (sn *Supernode) ImpairStreams(extra time.Duration, lossFrac float64) {
 	}
 }
 
-// renderLoop produces one segment per frame interval for every player:
-// select the entities visible from the player's avatar, size the payload by
-// the game's ladder level, stamp the freshest covered action, send.
+// admit acknowledges a new stream's join and renders its first frame at once:
+// a new subscriber needs a frame before it can show anything, and the next
+// frame of the clock is up to a whole period away. The caller holds sn.mu
+// and has just registered ps, so the ack is queued ahead of any segment and
+// the stream's Seq stays strictly increasing against the render loop.
+func (sn *Supernode) admit(pid int64, ps *playerStream) {
+	sn.frames.Join.Inc()
+	ps.link.Send(proto.TAck, proto.MarshalAck(proto.Ack{}))
+	sn.renderOne(pid, ps)
+}
+
+// renderLoop renders a frame for every player whenever the frame clock says
+// so: on the arrival of a delta while the cloud ticks at the frame rate, on
+// the clock's deadline otherwise (see frameClock).
 func (sn *Supernode) renderLoop() {
 	defer sn.wg.Done()
-	ticker := time.NewTicker(time.Second / time.Duration(sn.cfg.FPS))
-	defer ticker.Stop()
-	segBytes := func(g game.Game) int {
-		return int(g.Quality().Bitrate) / sn.cfg.FPS / 8
-	}
-	var expired []*playerStream
+	clock := newFrameClock(sn.cfg.FPS, time.Now())
+	timer := time.NewTimer(time.Until(clock.Deadline()))
+	defer timer.Stop()
 	for {
 		select {
 		case <-sn.stop:
 			return
-		case <-ticker.C:
+		case <-sn.updated:
 			now := time.Now()
-			expired = expired[:0]
-			sn.mu.Lock()
-			for pid, ps := range sn.players {
-				if sn.udp != nil && now.Sub(ps.lastSeen) > udpExpiry {
-					// Datagram player went silent: reclaim the stream.
-					delete(sn.players, pid)
-					expired = append(expired, ps)
-					continue
-				}
-				center := world.Vec2{X: ps.join.ViewX, Y: ps.join.ViewY}
-				// Follow the player's avatar once it exists in the replica.
-				if av, ok := sn.replica.Avatar(pid); ok {
-					center = av.Pos
-				}
-				visible := sn.replica.Visible(world.Viewport{Center: center, Radius: ps.join.ViewR})
-				n := renderSize(segBytes(ps.g))
-				seg := proto.Segment{
-					Player:       pid,
-					Seq:          ps.seq,
-					Level:        uint8(ps.g.StartLevel),
-					ActionIssued: sn.stamps[pid],
-				}
-				ps.seq++
-				// Render straight into a pooled wire frame: header, segment
-				// fields, then the payload bytes in place — no Marshal copy.
-				frame := ps.link.AcquireFrame(proto.TSegment)
-				frame = proto.AppendSegmentHeader(frame, seg, n)
-				frame = appendRenderPayload(frame, n, visible)
-				ps.link.SendFrame(frame)
+			if !clock.OnUpdate(now) {
+				continue
 			}
-			sn.mu.Unlock()
-			for _, ps := range expired {
-				ps.link.Close()
+			sn.frames.Update.Inc()
+			sn.renderFrame(now)
+			if !timer.Stop() {
+				// Fired while the frame was rendering; the frame just
+				// rendered stands in for that deadline.
+				select {
+				case <-timer.C:
+				default:
+				}
 			}
+		case <-timer.C:
+			now := time.Now()
+			clock.OnDeadline(now)
+			sn.frames.Deadline.Inc()
+			sn.renderFrame(now)
 		}
+		timer.Reset(time.Until(clock.Deadline()))
 	}
+}
+
+// renderFrame renders one segment for every player stream, and reclaims the
+// datagram streams whose keepalives stopped.
+func (sn *Supernode) renderFrame(now time.Time) {
+	var expired []*playerStream
+	sn.mu.Lock()
+	for pid, ps := range sn.players {
+		if sn.udp != nil && now.Sub(ps.lastSeen) > udpExpiry {
+			delete(sn.players, pid)
+			expired = append(expired, ps)
+			continue
+		}
+		sn.renderOne(pid, ps)
+	}
+	sn.mu.Unlock()
+	for _, ps := range expired {
+		ps.link.Close()
+	}
+}
+
+// renderOne renders and sends one player's next segment: select the entities
+// visible from the player's avatar, size the payload by the game's ladder
+// level, stamp the freshest covered action. The caller holds sn.mu.
+func (sn *Supernode) renderOne(pid int64, ps *playerStream) {
+	center := world.Vec2{X: ps.join.ViewX, Y: ps.join.ViewY}
+	// Follow the player's avatar once it exists in the replica.
+	if av, ok := sn.replica.Avatar(pid); ok {
+		center = av.Pos
+	}
+	visible := sn.replica.Visible(world.Viewport{Center: center, Radius: ps.join.ViewR})
+	n := renderSize(int(ps.g.Quality().Bitrate) / sn.cfg.FPS / 8)
+	seg := proto.Segment{
+		Player:       pid,
+		Seq:          ps.seq,
+		Level:        uint8(ps.g.StartLevel),
+		ActionIssued: sn.stamps[pid],
+	}
+	ps.seq++
+	// Render straight into a pooled wire frame: header, segment fields, then
+	// the payload bytes in place — no Marshal copy.
+	frame := ps.link.AcquireFrame(proto.TSegment)
+	frame = proto.AppendSegmentHeader(frame, seg, n)
+	frame = appendRenderPayload(frame, n, visible)
+	ps.link.SendFrame(frame)
 }
 
 // renderSize floors a segment's byte size (a degenerate ladder level still

@@ -95,6 +95,9 @@ func TestLinkBatchesUnderSaturation(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	// The writer counts a batch after writing it, so the reader can hold all
+	// n frames before the last batch is counted; Close joins the writer.
+	link.Close()
 	if batched := stats.BatchedFrames.Load(); batched == 0 {
 		t.Fatal("no frames were coalesced under saturation")
 	}

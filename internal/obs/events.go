@@ -406,3 +406,22 @@ func LinkStatsIn(r *Registry, link string) *LinkStats {
 		SendDelayNs:   r.Histogram("cloudfog_link_send_delay_ns"+lbl, "sender-side frame holding delay (queue wait + injected propagation)", LatencyBucketsNs()),
 	}
 }
+
+// FrameStats counts a live supernode's rendered frames by what triggered
+// them: a delta's arrival, the frame clock's fallback deadline, or a new
+// stream's join (its first frame).
+type FrameStats struct {
+	Update   *Counter
+	Deadline *Counter
+	Join     *Counter
+}
+
+// FrameStatsIn binds a supernode's frame counters in a registry under the
+// given supernode label (e.g. "7").
+func FrameStatsIn(r *Registry, sn string) *FrameStats {
+	counter := func(trigger string) *Counter {
+		return r.Counter(`cloudfog_supernode_frames_total{sn="`+sn+`",trigger="`+trigger+`"}`,
+			"frames rendered, by what triggered them (update arrival, frame-clock deadline, stream join)")
+	}
+	return &FrameStats{Update: counter("update"), Deadline: counter("deadline"), Join: counter("join")}
+}
