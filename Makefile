@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-json bench-all chaos wire coord coord-drain replay record-corpus latency verify
+.PHONY: build test vet race bench bench-all loc chaos wire coord coord-drain replay record-corpus latency verify
 
 build:
 	$(GO) build ./...
@@ -17,21 +17,23 @@ vet:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# bench runs the headline benchmarks (engine, QoE node with and without
-# observability, Fig 9-11 sweeps) and writes them machine-readably so perf
-# PRs commit their before/after numbers.
+# bench runs the repo benchmark (BENCHMARK.json): the four bench/run.sh
+# workloads, 20 s each, one JSON line of end-to-end and per-layer metrics per
+# workload. bench/README.md has the protocol for a before/after claim
+# (paired runs, `bench compare`).
 bench:
-	$(GO) run ./cmd/cloudfog-bench
-
-# bench-json records this PR's numbers as BENCH_PR9.json (same schema as
-# BENCH_PR8.json, plus the flight-recorder benches) and prints the
-# recorded-vs-live comparison against the previous PR's file.
-bench-json:
-	$(GO) run ./cmd/cloudfog-bench -out BENCH_PR9.json -baseline BENCH_PR8.json
+	for w in live-steady live-churn sim-figures sim-scale; do \
+		bash bench/run.sh --workload $$w --seed 2026 --seconds 20 --trace 0 || exit 1; \
+	done
 
 # bench-all runs the full per-figure benchmark suite.
 bench-all:
 	$(GO) test -run XXX -bench . -benchmem .
+
+# loc prints the tracked size of the codebase: non-test Go lines outside
+# bench/. Record it per PR in CHANGES.md.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 # chaos is the resilience smoke: the fault and health suites under the
 # race detector, a seeded chaos sim whose -report reconciles both the
@@ -52,12 +54,11 @@ chaos:
 		-horizon 30s -epoch 10s -detector phi -overload
 
 # wire is the zero-copy wire-path smoke: the live and proto suites under
-# the race detector, a saturation run that fails unless the coalescing
-# counters prove frames were actually batched, and a UDP-transport live run
-# whose detector ledgers must reconcile.
+# the race detector (TestLinkBatchesUnderSaturation fails unless the
+# coalescing counters prove frames were actually batched), and a
+# UDP-transport live run whose detector ledgers must reconcile.
 wire:
 	$(GO) test -race -count=1 ./internal/live/ ./internal/proto/
-	$(GO) run ./cmd/cloudfog-bench -wire-smoke
 	$(GO) run ./cmd/cloudfog-live -players 4 -supernodes 3 -duration 5s \
 		-transport udp -detector phi -heartbeat 200ms -chaos default
 

@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -60,18 +59,7 @@ func main() {
 
 func coordinatorConfig() (live.Config, error) {
 	if *configFlag != "" {
-		blob, err := os.ReadFile(*configFlag)
-		if err != nil {
-			return live.Config{}, err
-		}
-		var cfg live.Config
-		if err := json.Unmarshal(blob, &cfg); err != nil {
-			return live.Config{}, fmt.Errorf("config %s: %w", *configFlag, err)
-		}
-		if cfg.Role == "" {
-			cfg.Role = live.RoleCoordinator
-		}
-		return cfg, cfg.Validate()
+		return live.LoadConfig(*configFlag, live.RoleCoordinator)
 	}
 	cfg := live.Config{
 		Role:      live.RoleCoordinator,

@@ -150,10 +150,10 @@ func run() error {
 	}
 
 	tick := time.Second / time.Duration(*fpsFlag)
-	cloud, err := live.StartCloud(live.CloudConfig{
-		Addr:  "127.0.0.1:0",
-		World: world.DefaultConfig(),
-		Tick:  tick,
+	cloud, err := live.NewCloud(live.Config{
+		Role: live.RoleCloud,
+		Addr: "127.0.0.1:0",
+		Tick: tick,
 		Detector: health.DetectorConfig{
 			Mode:     detMode,
 			Interval: *heartbeatFlag,
@@ -161,16 +161,14 @@ func run() error {
 		// The cloud always offers direct streaming so a player whose whole
 		// backup ring is down degrades to the cloud instead of going dark.
 		DirectFPS: *fpsFlag,
-		DelayFor: func(snID int64) time.Duration {
-			for _, ep := range snEPs {
-				if int64(ep.ID) == snID {
-					return model.OneWay(dcEP, ep)
-				}
+	}, live.WithObs(reg), live.WithDelayFor(func(snID int64) time.Duration {
+		for _, ep := range snEPs {
+			if int64(ep.ID) == snID {
+				return model.OneWay(dcEP, ep)
 			}
-			return 0
-		},
-		Obs: reg,
-	})
+		}
+		return 0
+	}))
 	if err != nil {
 		return err
 	}
@@ -192,8 +190,9 @@ func run() error {
 	if detMode != health.ModeOracle {
 		heartbeatEvery = *heartbeatFlag
 	}
-	snConfig := func(ep trace.Endpoint, addr string) live.SupernodeConfig {
-		return live.SupernodeConfig{
+	startSupernode := func(ep trace.Endpoint, addr string) (*live.Supernode, error) {
+		return live.NewSupernode(live.Config{
+			Role:           live.RoleSupernode,
 			ID:             int64(ep.ID),
 			CloudAddr:      cloud.Addr(),
 			Addr:           addr,
@@ -201,19 +200,17 @@ func run() error {
 			DelayToCloud:   model.OneWay(ep, dcEP),
 			FPS:            *fpsFlag,
 			HeartbeatEvery: heartbeatEvery,
-			DelayFor: func(playerID int64) time.Duration {
-				for _, pe := range playerEPs {
-					if int64(pe.ID) == playerID {
-						return model.OneWay(ep, pe)
-					}
+		}, live.WithObs(reg), live.WithDelayFor(func(playerID int64) time.Duration {
+			for _, pe := range playerEPs {
+				if int64(pe.ID) == playerID {
+					return model.OneWay(ep, pe)
 				}
-				return 0
-			},
-			Obs: reg,
-		}
+			}
+			return 0
+		}))
 	}
 	for i, ep := range snEPs {
-		sn, err := live.StartSupernode(snConfig(ep, "127.0.0.1:0"))
+		sn, err := startSupernode(ep, "127.0.0.1:0")
 		if err != nil {
 			return err
 		}
@@ -273,7 +270,7 @@ func run() error {
 						break
 					}
 				}
-				sn, err := live.StartSupernode(snConfig(ep, addr))
+				sn, err := startSupernode(ep, addr)
 				if err != nil {
 					fmt.Printf("chaos: supernode %d failed to respawn on %s: %v\n", id, addr, err)
 					return
@@ -335,7 +332,8 @@ func run() error {
 		go func(i, snIdx int) {
 			defer wg.Done()
 			up := model.OneWay(playerEPs[i], dcEP)
-			reports[i], errs[i] = live.RunPlayer(live.PlayerConfig{
+			p, err := live.NewPlayer(live.Config{
+				Role:            live.RolePlayer,
 				ID:              int64(playerEPs[i].ID),
 				GameID:          gameIDs[i],
 				CloudAddr:       cloud.Addr(),
@@ -346,8 +344,12 @@ func run() error {
 				ActionEvery:     200 * time.Millisecond,
 				UploadAllowance: up,
 				ViewRadius:      live.DefaultViewRadius,
-				Obs:             reg,
-			}, *durationFlag)
+			}, live.WithObs(reg))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			reports[i], errs[i] = p.Run(*durationFlag)
 		}(i, order[0])
 	}
 	wg.Wait()

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -65,7 +64,10 @@ func runRole(role live.RoleKind, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg, err := loadConfig(*configPath, role)
+	if *configPath == "" {
+		return fmt.Errorf("-config is required (JSON path, or \"-\" for stdin)")
+	}
+	cfg, err := live.LoadConfig(*configPath, role)
 	if err != nil {
 		return err
 	}
@@ -135,10 +137,6 @@ func runPlayerRole(cfg live.Config, duration time.Duration, opts []live.Option) 
 	if cfg.CoordAddr != "" {
 		rep, _, err = coord.RunSession(signalContext(), cfg, duration, opts...)
 	} else {
-		cfg, err = live.DefaultedPlayer(cfg)
-		if err != nil {
-			return err
-		}
 		var p *live.Player
 		if p, err = live.NewPlayer(cfg, opts...); err == nil {
 			rep, err = p.Run(duration)
@@ -150,47 +148,6 @@ func runPlayerRole(cfg live.Config, duration time.Duration, opts []live.Option) 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// loadConfig reads and validates a role-tagged live.Config. An untagged
-// config inherits the subcommand's role; a mismatched tag is an error.
-func loadConfig(path string, role live.RoleKind) (live.Config, error) {
-	var cfg live.Config
-	if path == "" {
-		return cfg, fmt.Errorf("-config is required (JSON path, or \"-\" for stdin)")
-	}
-	var (
-		blob []byte
-		err  error
-	)
-	if path == "-" {
-		blob, err = io.ReadAll(os.Stdin)
-	} else {
-		blob, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return cfg, err
-	}
-	if err := json.Unmarshal(blob, &cfg); err != nil {
-		return cfg, fmt.Errorf("config %s: %w", path, err)
-	}
-	if cfg.Role == "" {
-		cfg.Role = role
-	}
-	if cfg.Role != role {
-		return cfg, fmt.Errorf("config role %q does not match subcommand %q", cfg.Role, role)
-	}
-	if role == live.RolePlayer {
-		// Fill player defaults (action cadence, view radius) before the
-		// strict validation pass so minimal configs work from the CLI.
-		if cfg, err = live.DefaultedPlayer(cfg); err != nil {
-			return cfg, err
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
 }
 
 func waitSignal() {

@@ -44,14 +44,12 @@ func StartCoordinator(cfg live.Config, opts ...live.Option) (*Coordinator, error
 	if cfg.Role != live.RoleCoordinator {
 		return nil, fmt.Errorf("coord: StartCoordinator on Config.Role %q", cfg.Role)
 	}
-	o := live.BuildOptions(opts...)
-	cfg = cfg.Applied(o)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	stats := obs.NewCoordStats()
-	if o.Obs != nil {
-		stats = obs.CoordStatsIn(o.Obs)
+	if reg := live.BuildOptions(opts...).Obs; reg != nil {
+		stats = obs.CoordStatsIn(reg)
 	}
 	bounds := cfg.WorldConfig().Bounds
 	placer, err := NewPlacer(PlacerConfig{

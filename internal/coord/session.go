@@ -39,12 +39,7 @@ func OpenSession(ctx context.Context, cfg live.Config, opts ...live.Option) (*Se
 		return nil, fmt.Errorf("coord: OpenSession needs Role %q with CoordAddr set, got %q/%q",
 			live.RolePlayer, cfg.Role, cfg.CoordAddr)
 	}
-	o := live.BuildOptions(opts...)
-	cfg = cfg.Applied(o)
-	cfg, err := live.DefaultedPlayer(cfg)
-	if err != nil {
-		return nil, err
-	}
+	cfg = live.DefaultedPlayer(cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -198,18 +193,6 @@ func (s *Session) Ticket() proto.Ticket {
 // channel closes when the control link dies.
 func (s *Session) Updates() <-chan proto.Ticket { return s.updates }
 
-// PlayerConfig resolves the session's current ticket into a runnable player
-// config: the ticket's worker address as StreamAddr, its ring as the
-// failover backups, and its transport as the stream transport.
-func (s *Session) PlayerConfig() (live.Config, error) {
-	t := s.Ticket()
-	cfg := s.cfg
-	cfg.StreamAddr = t.Addr
-	cfg.BackupAddrs = t.Backups
-	cfg.Transport = streamName(t.Transport)
-	return live.DefaultedPlayer(cfg)
-}
-
 // Run drives the placed player for the given wall-clock duration. Sudden
 // worker death is absorbed by the player's own failover ring — the ring is
 // the ticket's backups — while pushed replacement tickets that move the
@@ -218,11 +201,14 @@ func (s *Session) PlayerConfig() (live.Config, error) {
 // handoff with zero visible interruption. The player carries the session's
 // ticket bytes so lease-enforcing workers can admit it.
 func (s *Session) Run(duration time.Duration, opts ...live.Option) (live.PlayerReport, error) {
-	cfg, err := s.PlayerConfig()
-	if err != nil {
-		return live.PlayerReport{}, err
-	}
+	// Resolve the current ticket into a runnable player config: its worker
+	// address as StreamAddr, its ring as the failover backups, its transport
+	// as the stream transport. s.cfg was defaulted by OpenSession.
 	cur := s.Ticket()
+	cfg := s.cfg
+	cfg.StreamAddr = cur.Addr
+	cfg.BackupAddrs = cur.Backups
+	cfg.Transport = streamName(cur.Transport)
 	retarget := make(chan live.StreamTarget, 1)
 	done := make(chan struct{})
 	var fwg sync.WaitGroup

@@ -25,7 +25,6 @@ type Worker struct {
 	sn   *live.Supernode
 	cfg  live.Config
 	opts []live.Option
-	occ  func() int
 
 	start time.Time
 
@@ -54,8 +53,6 @@ func StartWorker(cfg live.Config, opts ...live.Option) (*Worker, error) {
 		return nil, fmt.Errorf("coord: StartWorker needs Role %q with CoordAddr set, got %q/%q",
 			live.RoleSupernode, cfg.Role, cfg.CoordAddr)
 	}
-	o := live.BuildOptions(opts...)
-	cfg = cfg.Applied(o)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -66,7 +63,6 @@ func StartWorker(cfg live.Config, opts ...live.Option) (*Worker, error) {
 	w := &Worker{
 		cfg:      cfg,
 		opts:     opts,
-		occ:      o.Occupancy,
 		start:    time.Now(),
 		ladder:   ladder,
 		coordDet: health.NewDetector(cfg.Detector),
@@ -80,9 +76,6 @@ func StartWorker(cfg live.Config, opts ...live.Option) (*Worker, error) {
 		return nil, err
 	}
 	w.sn = sn
-	if w.occ == nil {
-		w.occ = sn.SessionCount
-	}
 	w.coordDet.Reset(w.lnow())
 	link, err := w.connect()
 	if err != nil {
@@ -126,7 +119,7 @@ func (w *Worker) connect() (live.Transport, error) {
 	reg := proto.Register{
 		Worker:    w.cfg.ID,
 		Capacity:  int32(w.cfg.Capacity),
-		Load:      int32(w.occ()),
+		Load:      int32(w.sn.SessionCount()),
 		X:         w.cfg.X,
 		Y:         w.cfg.Y,
 		Transport: streamCode(w.cfg.Transport),
@@ -216,7 +209,7 @@ func (w *Worker) reportLoop() {
 // reportMsg snapshots the worker's beacon: occupancy, the local overload
 // ladder's verdict on it, and the drain flag.
 func (w *Worker) reportMsg(seq uint64) proto.Report {
-	load := w.occ()
+	load := w.sn.SessionCount()
 	w.mu.Lock()
 	w.ladder.Observe(w.cfg.ID, load, w.cfg.Capacity)
 	level := w.ladder.State(w.cfg.ID)

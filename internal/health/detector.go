@@ -77,6 +77,22 @@ type DetectorConfig struct {
 	CheckEvery time.Duration
 }
 
+// Validate reports configuration errors. Zero fields are valid (Defaulted
+// fills them); a Mode outside the three known ones is not — Suspect would
+// silently fall back to the MaxSilence cap alone.
+func (c DetectorConfig) Validate() error {
+	switch c.Mode {
+	case ModeOracle, ModeTimeout, ModePhi:
+	default:
+		return fmt.Errorf("health: DetectorConfig.Mode %d is not oracle (%d), timeout (%d) or phi (%d)",
+			int(c.Mode), int(ModeOracle), int(ModeTimeout), int(ModePhi))
+	}
+	if c.Interval < 0 {
+		return fmt.Errorf("health: DetectorConfig.Interval %v is negative", c.Interval)
+	}
+	return nil
+}
+
 // sigmaFloorFrac keeps the phi denominator meaningful when heartbeats arrive
 // with (near-)zero jitter, as deterministic sim heartbeats do: the standard
 // deviation never drops below this fraction of the mean interval. The floor

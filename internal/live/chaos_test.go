@@ -19,7 +19,7 @@ func TestLinkImpairLoss(t *testing.T) {
 	r := obs.NewRegistry()
 	stats := obs.LinkStatsIn(r, "lossy")
 	a, b := net.Pipe()
-	link := NewLinkObs(a, 0, stats)
+	link := NewLinkOpts(a, LinkOptions{Stats: stats})
 	defer link.Close()
 	defer b.Close()
 
@@ -160,7 +160,8 @@ func TestDialBackoffCancelMidSleep(t *testing.T) {
 // backup: the player must land on the cloud's direct stream, keep receiving
 // segments, and its error list must name the dead supernodes it tried.
 func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{
+	cloud, err := NewCloud(Config{
+		Role:      RoleCloud,
 		Addr:      "127.0.0.1:0",
 		World:     world.DefaultConfig(),
 		Tick:      33 * time.Millisecond,
@@ -171,11 +172,11 @@ func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 	}
 	defer cloud.Close()
 
-	sn1, err := StartSupernode(SupernodeConfig{ID: 1, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn1, err := NewSupernode(Config{Role: RoleSupernode, ID: 1, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn2, err := StartSupernode(SupernodeConfig{ID: 2, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn2, err := NewSupernode(Config{Role: RoleSupernode, ID: 2, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,8 @@ func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		report, err := RunPlayer(PlayerConfig{
+		report, err := runPlayer(Config{
+			Role:        RolePlayer,
 			ID:          1,
 			GameID:      4,
 			CloudAddr:   cloud.Addr(),
@@ -231,7 +233,8 @@ func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 // TCP link: while the supernode beats, no suspicion; once it dies, the
 // cloud's detector flags it from the silence alone.
 func TestCloudDetectsSupernodeSilence(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{
+	cloud, err := NewCloud(Config{
+		Role:  RoleCloud,
 		Addr:  "127.0.0.1:0",
 		World: world.DefaultConfig(),
 		Tick:  20 * time.Millisecond,
@@ -245,8 +248,9 @@ func TestCloudDetectsSupernodeSilence(t *testing.T) {
 	}
 	defer cloud.Close()
 
-	sn, err := StartSupernode(SupernodeConfig{
-		ID: 7, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0",
+	sn, err := NewSupernode(Config{
+		Role: RoleSupernode,
+		ID:   7, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0",
 		FPS: 30, HeartbeatEvery: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -281,7 +285,8 @@ func TestCloudDetectsSupernodeSilence(t *testing.T) {
 // TestPlayerStreamFailover kills the serving supernode mid-run and checks
 // the player reattaches to its backup and keeps receiving segments.
 func TestPlayerStreamFailover(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{
+	cloud, err := NewCloud(Config{
+		Role:  RoleCloud,
 		Addr:  "127.0.0.1:0",
 		World: world.DefaultConfig(),
 		Tick:  33 * time.Millisecond,
@@ -291,11 +296,11 @@ func TestPlayerStreamFailover(t *testing.T) {
 	}
 	defer cloud.Close()
 
-	sn1, err := StartSupernode(SupernodeConfig{ID: 1, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn1, err := NewSupernode(Config{Role: RoleSupernode, ID: 1, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn2, err := StartSupernode(SupernodeConfig{ID: 2, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn2, err := NewSupernode(Config{Role: RoleSupernode, ID: 2, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +312,8 @@ func TestPlayerStreamFailover(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		report, err := RunPlayer(PlayerConfig{
+		report, err := runPlayer(Config{
+			Role:        RolePlayer,
 			ID:          1,
 			GameID:      4,
 			CloudAddr:   cloud.Addr(),

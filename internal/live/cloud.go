@@ -9,65 +9,21 @@ import (
 
 	"cloudfog/internal/game"
 	"cloudfog/internal/health"
-	"cloudfog/internal/obs"
 	"cloudfog/internal/proto"
 	"cloudfog/internal/world"
 )
-
-// CloudConfig parameterizes the live cloud server. Validate rejects
-// incomplete configurations instead of papering over them with defaults.
-//
-// Deprecated: new code should build a role-tagged Config (Role: RoleCloud)
-// and use NewCloud; CloudConfig remains as the internal view the unified
-// config projects onto.
-type CloudConfig struct {
-	// Addr is the listen address ("127.0.0.1:0" for an ephemeral port).
-	Addr string
-	// World configures the authoritative virtual world.
-	World world.Config
-	// Tick is the world update cadence.
-	Tick time.Duration
-	// DelayFor, when non-nil, returns the one-way delay the cloud injects
-	// toward a subscribing supernode (keyed by the supernode's hello ID).
-	DelayFor func(snID int64) time.Duration
-	// Detector, when Mode != health.ModeOracle, runs heartbeat failure
-	// detection over supernode subscriptions: supernodes send THeartbeat
-	// frames and the cloud times the gaps. Detector state survives a
-	// dropped connection, so a vanished supernode is detected by its
-	// silence rather than forgotten. Zero fields use the health defaults.
-	Detector health.DetectorConfig
-	// DirectFPS, when positive, lets the cloud stream segments directly to
-	// players that connect with a TJoinStream first frame — the last-resort
-	// fallback when no supernode will serve them. Zero disables it.
-	DirectFPS int
-	// Obs, when non-nil, registers per-supernode update-link metrics
-	// (cloudfog_link_*{link="cloud_to_sn<ID>"}).
-	Obs *obs.Registry
-}
-
-// Validate reports configuration errors.
-func (c CloudConfig) Validate() error {
-	switch {
-	case c.Addr == "":
-		return fmt.Errorf("live: CloudConfig.Addr is empty (use \"127.0.0.1:0\" for an ephemeral port)")
-	case c.Tick <= 0:
-		return fmt.Errorf("live: CloudConfig.Tick %v is not positive", c.Tick)
-	case c.DirectFPS < 0:
-		return fmt.Errorf("live: CloudConfig.DirectFPS %d is negative", c.DirectFPS)
-	}
-	return nil
-}
 
 // Cloud is the live authoritative game server: it accepts player action
 // connections and supernode update subscriptions, ticks the virtual world
 // at a fixed rate, and ships deltas (plus the freshest action stamp per
 // player) to every subscribed supernode.
 type Cloud struct {
-	cfg CloudConfig
+	cfg  Config // World resolved through WorldConfig
+	opts Options
 
 	ln net.Listener
 	// start anchors the wall-clock offsets fed to the failure detectors;
-	// immutable after StartCloud.
+	// immutable after NewCloud.
 	start time.Time
 
 	mu      sync.Mutex
@@ -110,19 +66,25 @@ type snHealth struct {
 	suspected bool
 }
 
-// StartCloud launches the cloud server described by cfg.
-//
-// Deprecated: prefer NewCloud(Config{Role: RoleCloud, ...}, opts...).
-func StartCloud(cfg CloudConfig) (*Cloud, error) {
+// NewCloud starts the cloud server described by cfg (Role must be RoleCloud)
+// plus runtime options: DelayFor injects the one-way delay toward each
+// subscribing supernode (keyed by its hello ID), Obs registers per-supernode
+// update-link metrics (cloudfog_link_*{link="cloud_to_sn<ID>"}).
+func NewCloud(cfg Config, opts ...Option) (*Cloud, error) {
+	if cfg.Role != RoleCloud {
+		return nil, fmt.Errorf("live: NewCloud on Config.Role %q", cfg.Role)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.World = cfg.WorldConfig()
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("live: listen %s: %w", cfg.Addr, err)
 	}
 	c := &Cloud{
 		cfg:       cfg,
+		opts:      BuildOptions(opts...),
 		ln:        ln,
 		start:     time.Now(),
 		w:         world.New(cfg.World),
@@ -236,15 +198,7 @@ func (c *Cloud) servePlayer(conn net.Conn, playerID int64) {
 // serveSupernode registers an update subscription; deltas are pushed from
 // the tick loop, so this goroutine just waits for disconnect.
 func (c *Cloud) serveSupernode(conn net.Conn, snID int64) {
-	var delay time.Duration
-	if c.cfg.DelayFor != nil {
-		delay = c.cfg.DelayFor(snID)
-	}
-	var stats *obs.LinkStats
-	if c.cfg.Obs != nil {
-		stats = obs.LinkStatsIn(c.cfg.Obs, fmt.Sprintf("cloud_to_sn%d", snID))
-	}
-	link := NewLinkObs(conn, delay, stats)
+	link := NewLinkOpts(conn, c.opts.link(c.opts.delayFor(snID), fmt.Sprintf("cloud_to_sn%d", snID)))
 
 	c.mu.Lock()
 	if c.closed {
@@ -321,7 +275,7 @@ func (c *Cloud) serveDirectStream(conn net.Conn, payload []byte) {
 		conn.Close()
 		return
 	}
-	link := NewLinkObs(conn, 0, nil)
+	link := NewLink(conn, 0)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

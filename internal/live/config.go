@@ -1,7 +1,9 @@
 package live
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"time"
 
 	"cloudfog/internal/game"
@@ -36,7 +38,7 @@ func ParseRole(s string) (RoleKind, error) {
 // and Validate checks exactly the fields the tagged role requires, so a
 // coordinator — or an operator's config file — can spawn any role from the
 // same schema. Runtime-only knobs that cannot serialize (injected delay
-// functions, metric registries, detector overrides) attach through the
+// functions, metric registries, admission hooks) attach through the
 // functional options accepted by NewCloud / NewSupernode / NewPlayer.
 //
 // Durations marshal as integer nanoseconds (Go's time.Duration JSON form).
@@ -58,23 +60,35 @@ type Config struct {
 	// StreamAddr.
 	CoordAddr string `json:"coord_addr,omitempty"`
 	// StreamAddr pins a player's serving supernode directly (no
-	// coordinator); BackupAddrs is its static failover ring.
+	// coordinator); BackupAddrs is its static failover ring, tried in order
+	// (wrapping) when the serving stream dies mid-run — the live analogue of
+	// the fog's backup-failover list.
 	StreamAddr  string   `json:"stream_addr,omitempty"`
 	BackupAddrs []string `json:"backup_addrs,omitempty"`
 
-	// Transport selects the stream transport: TransportTCP (default when
-	// empty) or TransportUDP. Control links (cloud, coordinator TCP mode)
-	// stay reliable regardless.
+	// Transport selects the supernode→player stream transport: TransportTCP
+	// (default when empty) or TransportUDP; a player's must match its
+	// supernodes'. Control links (cloud update and action links, the cloud's
+	// direct-stream fallback, coordinator TCP mode) stay reliable regardless.
 	Transport string `json:"transport,omitempty"`
 
-	// Cloud fields. A zero World means world.DefaultConfig().
-	World     world.Config  `json:"world,omitempty"`
-	Tick      time.Duration `json:"tick,omitempty"`
-	DirectFPS int           `json:"direct_fps,omitempty"`
+	// Cloud fields. A zero World means world.DefaultConfig(); Tick is the
+	// world update cadence.
+	World world.Config  `json:"world,omitempty"`
+	Tick  time.Duration `json:"tick,omitempty"`
+	// DirectFPS, when positive, lets the cloud stream segments directly to
+	// players that connect with a TJoinStream first frame — the last-resort
+	// fallback when no supernode will serve them. Zero disables it.
+	DirectFPS int `json:"direct_fps,omitempty"`
 
-	// Supernode / worker fields.
-	FPS            int           `json:"fps,omitempty"`
-	DelayToCloud   time.Duration `json:"delay_to_cloud,omitempty"`
+	// Supernode / worker fields. FPS is the per-player segment rate.
+	FPS int `json:"fps,omitempty"`
+	// DelayToCloud is injected on the supernode's outbound hello/heartbeat
+	// path; the cloud injects the update-path delay via its own DelayFor.
+	DelayToCloud time.Duration `json:"delay_to_cloud,omitempty"`
+	// HeartbeatEvery, when positive, sends THeartbeat liveness beacons on
+	// the cloud link at this period — the cloud's failure detector times
+	// the gaps between arrivals.
 	HeartbeatEvery time.Duration `json:"heartbeat_every,omitempty"`
 	// X, Y locate a worker for the coordinator's spatial shortlist (and a
 	// player's placement request).
@@ -93,12 +107,18 @@ type Config struct {
 	// means DefaultDrainTimeout).
 	DrainTimeout time.Duration `json:"drain_timeout,omitempty"`
 
-	// Player fields.
-	GameID          int           `json:"game_id,omitempty"`
-	ActionDelay     time.Duration `json:"action_delay,omitempty"`
-	ActionEvery     time.Duration `json:"action_every,omitempty"`
+	// Player fields. ActionDelay is the injected one-way player→cloud
+	// latency; ActionEvery is the input cadence and ViewRadius the visible
+	// range in world units (see DefaultActionEvery, DefaultViewRadius).
+	GameID      int           `json:"game_id,omitempty"`
+	ActionDelay time.Duration `json:"action_delay,omitempty"`
+	ActionEvery time.Duration `json:"action_every,omitempty"`
+	ViewRadius  float64       `json:"view_radius,omitempty"`
+	// UploadAllowance is subtracted from each response sample before the
+	// budget check: the paper's latency budget covers the downstream path
+	// (upload "does not seriously affect the response latency", §III-A),
+	// while a player necessarily measures the full action→video loop.
 	UploadAllowance time.Duration `json:"upload_allowance,omitempty"`
-	ViewRadius      float64       `json:"view_radius,omitempty"`
 
 	// Coordinator fields. ShortlistK is how many nearest admitting workers
 	// a placement considers (serving pick plus ring candidates); Backups is
@@ -114,8 +134,12 @@ type Config struct {
 	// half-life. Zero disables leases (tickets never expire).
 	LeaseTTL time.Duration `json:"lease_ttl,omitempty"`
 
-	// Detector configures heartbeat failure detection (cloud over supernode
-	// heartbeats, coordinator over worker reports).
+	// Detector configures heartbeat failure detection: the cloud over
+	// supernode heartbeats (any Mode but health.ModeOracle; detector state
+	// survives a dropped connection, so a vanished supernode is detected by
+	// its silence rather than forgotten), the coordinator over worker
+	// reports, a worker over coordinator beacons. Zero fields use the health
+	// defaults.
 	Detector health.DetectorConfig `json:"detector,omitempty"`
 	// Overload configures the coordinator's placement admission ladder; the
 	// zero value means health.DefaultOverloadConfig().
@@ -132,40 +156,70 @@ const (
 	DefaultDrainTimeout = 5 * time.Second
 )
 
-// Validate reports configuration errors for the tagged role.
+// Validate reports configuration errors for the tagged role. It rejects
+// incomplete configurations instead of papering over them with defaults.
 func (c Config) Validate() error {
 	if !validTransport(c.Transport) {
 		return fmt.Errorf("live: Config.Transport %q is not %q or %q", c.Transport, TransportTCP, TransportUDP)
 	}
 	switch c.Role {
 	case RoleCloud:
-		return c.cloudView().Validate()
-	case RoleSupernode:
-		if err := c.supernodeView().Validate(); err != nil {
-			return err
+		switch {
+		case c.Addr == "":
+			return fmt.Errorf("live: cloud Config.Addr is empty (use \"127.0.0.1:0\" for an ephemeral port)")
+		case c.Tick <= 0:
+			return fmt.Errorf("live: cloud Config.Tick %v is not positive", c.Tick)
+		case c.DirectFPS < 0:
+			return fmt.Errorf("live: cloud Config.DirectFPS %d is negative", c.DirectFPS)
 		}
-		if c.CoordAddr != "" {
-			switch {
-			case c.Capacity <= 0:
-				return fmt.Errorf("live: worker Config.Capacity %d is not positive", c.Capacity)
-			case c.ReportEvery <= 0:
-				return fmt.Errorf("live: worker Config.ReportEvery %v is not positive", c.ReportEvery)
-			case c.SkewTolerance < 0:
-				return fmt.Errorf("live: worker Config.SkewTolerance %v is negative", c.SkewTolerance)
-			case c.DrainTimeout < 0:
-				return fmt.Errorf("live: worker Config.DrainTimeout %v is negative", c.DrainTimeout)
-			}
+		return c.validateDetector()
+	case RoleSupernode:
+		switch {
+		case c.CloudAddr == "":
+			return fmt.Errorf("live: supernode Config.CloudAddr is empty")
+		case c.Addr == "":
+			return fmt.Errorf("live: supernode Config.Addr is empty (use \"127.0.0.1:0\" for an ephemeral port)")
+		case c.DelayToCloud < 0:
+			return fmt.Errorf("live: supernode Config.DelayToCloud %v is negative", c.DelayToCloud)
+		case c.FPS <= 0:
+			return fmt.Errorf("live: supernode Config.FPS %d is not positive", c.FPS)
+		case c.HeartbeatEvery < 0:
+			return fmt.Errorf("live: supernode Config.HeartbeatEvery %v is negative", c.HeartbeatEvery)
+		}
+		if c.CoordAddr == "" {
+			return nil
+		}
+		switch {
+		case c.Capacity <= 0:
+			return fmt.Errorf("live: worker Config.Capacity %d is not positive", c.Capacity)
+		case c.ReportEvery <= 0:
+			return fmt.Errorf("live: worker Config.ReportEvery %v is not positive", c.ReportEvery)
+		case c.SkewTolerance < 0:
+			return fmt.Errorf("live: worker Config.SkewTolerance %v is negative", c.SkewTolerance)
+		case c.DrainTimeout < 0:
+			return fmt.Errorf("live: worker Config.DrainTimeout %v is negative", c.DrainTimeout)
+		}
+		return c.validateDetector()
+	case RolePlayer:
+		switch {
+		case c.CloudAddr == "":
+			return fmt.Errorf("live: player Config.CloudAddr is empty")
+		case c.StreamAddr == "" && c.CoordAddr == "":
+			// A coordinator-placed player gets StreamAddr from its ticket.
+			return fmt.Errorf("live: player Config.StreamAddr and Config.CoordAddr are both empty")
+		case c.ActionDelay < 0:
+			return fmt.Errorf("live: player Config.ActionDelay %v is negative", c.ActionDelay)
+		case c.ActionEvery <= 0:
+			return fmt.Errorf("live: player Config.ActionEvery %v is not positive (DefaultActionEvery is %v)",
+				c.ActionEvery, DefaultActionEvery)
+		case c.ViewRadius <= 0:
+			return fmt.Errorf("live: player Config.ViewRadius %v is not positive (DefaultViewRadius is %v)",
+				c.ViewRadius, DefaultViewRadius)
+		}
+		if _, err := game.ByID(c.GameID); err != nil {
+			return fmt.Errorf("live: player Config.GameID %d: %w", c.GameID, err)
 		}
 		return nil
-	case RolePlayer:
-		if c.CoordAddr == "" {
-			return c.playerView().Validate()
-		}
-		// A coordinator-placed player gets StreamAddr from its ticket;
-		// validate everything else through the classic view.
-		v := c.playerView()
-		v.StreamAddr = "ticket"
-		return v.Validate()
 	case RoleCoordinator:
 		switch {
 		case c.Addr == "":
@@ -182,10 +236,19 @@ func (c Config) Validate() error {
 				return err
 			}
 		}
-		return nil
+		return c.validateDetector()
 	default:
 		return fmt.Errorf("live: Config.Role %q is not a known role (cloud|supernode|player|coordinator)", c.Role)
 	}
+}
+
+// validateDetector checks the detector of a role that runs one (cloud,
+// worker, coordinator); a JSON config carries its Mode as a bare integer.
+func (c Config) validateDetector() error {
+	if err := c.Detector.Validate(); err != nil {
+		return fmt.Errorf("live: %s Config.Detector: %w", c.Role, err)
+	}
+	return nil
 }
 
 // WorldConfig returns the cloud world configuration, substituting
@@ -198,49 +261,42 @@ func (c Config) WorldConfig() world.Config {
 	return c.World
 }
 
-// cloudView projects the role-tagged config onto the legacy cloud struct.
-func (c Config) cloudView() CloudConfig {
-	return CloudConfig{
-		Addr:      c.Addr,
-		World:     c.WorldConfig(),
-		Tick:      c.Tick,
-		Detector:  c.Detector,
-		DirectFPS: c.DirectFPS,
+// LoadConfig reads, defaults and validates the role-tagged JSON config at
+// path ("-" reads stdin). An untagged config inherits role; a mismatched tag
+// is an error, and so is a key Config does not have — a typo'd key would
+// otherwise decode to a zero value and fail validation under the wrong name.
+func LoadConfig(path string, role RoleKind) (Config, error) {
+	var cfg Config
+	in := os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return cfg, err
+		}
+		defer f.Close()
+		in = f
 	}
-}
-
-// supernodeView projects the role-tagged config onto the legacy supernode
-// struct.
-func (c Config) supernodeView() SupernodeConfig {
-	return SupernodeConfig{
-		ID:             c.ID,
-		CloudAddr:      c.CloudAddr,
-		Addr:           c.Addr,
-		Transport:      c.Transport,
-		DelayToCloud:   c.DelayToCloud,
-		FPS:            c.FPS,
-		HeartbeatEvery: c.HeartbeatEvery,
+	dec := json.NewDecoder(in)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, fmt.Errorf("live: config %s: %w", path, err)
 	}
-}
-
-// playerView projects the role-tagged config onto the legacy player struct.
-func (c Config) playerView() PlayerConfig {
-	return PlayerConfig{
-		ID:              c.ID,
-		GameID:          c.GameID,
-		CloudAddr:       c.CloudAddr,
-		StreamAddr:      c.StreamAddr,
-		BackupAddrs:     c.BackupAddrs,
-		Transport:       c.Transport,
-		ActionDelay:     c.ActionDelay,
-		ActionEvery:     c.ActionEvery,
-		UploadAllowance: c.UploadAllowance,
-		ViewRadius:      c.ViewRadius,
+	if cfg.Role == "" {
+		cfg.Role = role
 	}
+	if cfg.Role != role {
+		return cfg, fmt.Errorf("live: config %s: role %q does not match %q", path, cfg.Role, role)
+	}
+	if role == RolePlayer {
+		// Fill the cadence and view radius before the strict validation pass
+		// so minimal player configs work from a file.
+		cfg = DefaultedPlayer(cfg)
+	}
+	return cfg, cfg.Validate()
 }
 
 // Options carries the runtime-only attachments a serializable Config cannot:
-// injected per-peer delays, metric registries, and late overrides. Build one
+// injected per-peer delays, metric registries, admission hooks. Build one
 // with the With* functional options.
 type Options struct {
 	// Obs, when non-nil, registers the role's link (and coordinator)
@@ -250,21 +306,22 @@ type Options struct {
 	// identified peer (the cloud keys it by supernode ID, a supernode by
 	// player ID).
 	DelayFor func(peerID int64) time.Duration
-	// Detector, when non-nil, overrides the config's detector.
-	Detector *health.DetectorConfig
-	// Transport, when non-empty, overrides the config's stream transport.
-	Transport string
-	// Occupancy, when non-nil, overrides a worker's reported load (defaults
-	// to the supernode's live session count).
-	Occupancy func() int
-	// JoinGate, when non-nil, vets every player join at a supernode (see
-	// SupernodeConfig.JoinGate) — the hook a lease-enforcing worker uses to
-	// reject expired tickets and refuse new placements in safe mode.
+	// JoinGate, when non-nil, vets every join at a supernode — the initial
+	// subscription and every datagram keepalive re-join — and returns an Ack
+	// code: proto.AckOK admits, anything else refuses the join and the code
+	// is reported to the player. known is true when the player already has a
+	// live stream here (a lease-enforcing worker in partition safe mode keeps
+	// serving known players but refuses new placements).
 	JoinGate func(join proto.JoinStream, known bool) uint32
-	// Ticket is a player's encoded session ticket, embedded in its joins.
+	// Ticket is a player's encoded session ticket; when non-empty it rides
+	// inside every join so lease-enforcing workers can verify the placement
+	// and its expiry.
 	Ticket []byte
 	// Retarget, when non-nil, delivers replacement stream targets to a
-	// running player (coordinator-driven drain handoffs).
+	// running player (a coordinator draining the serving worker pushes one).
+	// The player performs a make-before-break handoff: subscribe to the new
+	// target first, then drop the old stream — zero interruptions, counted
+	// as a Handoff rather than a Failover.
 	Retarget <-chan StreamTarget
 }
 
@@ -278,17 +335,6 @@ func WithObs(r *obs.Registry) Option { return func(o *Options) { o.Obs = r } }
 func WithDelayFor(f func(peerID int64) time.Duration) Option {
 	return func(o *Options) { o.DelayFor = f }
 }
-
-// WithDetector overrides the failure-detector configuration.
-func WithDetector(d health.DetectorConfig) Option {
-	return func(o *Options) { o.Detector = &d }
-}
-
-// WithTransport overrides the stream transport (TransportTCP/TransportUDP).
-func WithTransport(t string) Option { return func(o *Options) { o.Transport = t } }
-
-// WithOccupancy overrides the load a worker reports to the coordinator.
-func WithOccupancy(f func() int) Option { return func(o *Options) { o.Occupancy = f } }
 
 // WithJoinGate installs a join admission hook at a supernode.
 func WithJoinGate(f func(join proto.JoinStream, known bool) uint32) Option {
@@ -312,93 +358,32 @@ func BuildOptions(opts ...Option) Options {
 	return o
 }
 
-// Applied folds the runtime option overrides (transport, detector) into the
-// serializable config, returning the effective config — for packages
-// layering on top of live (the coordinator) that accept the same options.
-func (c Config) Applied(o Options) Config { return c.apply(o) }
-
-// apply folds the runtime options into the serializable config, returning
-// the effective config.
-func (c Config) apply(o Options) Config {
-	if o.Transport != "" {
-		c.Transport = o.Transport
+// link builds the options of a link toward peer: the injected delay and,
+// when a registry is attached, the link's metrics under the given label.
+func (o Options) link(delay time.Duration, label string) LinkOptions {
+	lo := LinkOptions{Delay: delay}
+	if o.Obs != nil {
+		lo.Stats = obs.LinkStatsIn(o.Obs, label)
 	}
-	if o.Detector != nil {
-		c.Detector = *o.Detector
-	}
-	return c
+	return lo
 }
 
-// NewCloud starts a cloud server from a role-tagged config plus runtime
-// options. The config's Role must be RoleCloud.
-func NewCloud(cfg Config, opts ...Option) (*Cloud, error) {
-	if cfg.Role != RoleCloud {
-		return nil, fmt.Errorf("live: NewCloud on Config.Role %q", cfg.Role)
+// delayFor is the injected one-way delay toward peer (zero without DelayFor).
+func (o Options) delayFor(peer int64) time.Duration {
+	if o.DelayFor == nil {
+		return 0
 	}
-	o := BuildOptions(opts...)
-	cc := cfg.apply(o).cloudView()
-	cc.DelayFor = o.DelayFor
-	cc.Obs = o.Obs
-	return StartCloud(cc)
-}
-
-// NewSupernode starts a supernode from a role-tagged config plus runtime
-// options. The config's Role must be RoleSupernode. (A config with CoordAddr
-// set describes a coordinator-registered worker; start it through
-// coord.StartWorker, which calls back into this constructor.)
-func NewSupernode(cfg Config, opts ...Option) (*Supernode, error) {
-	if cfg.Role != RoleSupernode {
-		return nil, fmt.Errorf("live: NewSupernode on Config.Role %q", cfg.Role)
-	}
-	o := BuildOptions(opts...)
-	sc := cfg.apply(o).supernodeView()
-	sc.DelayFor = o.DelayFor
-	sc.Obs = o.Obs
-	sc.JoinGate = o.JoinGate
-	return StartSupernode(sc)
-}
-
-// Player is a constructed-but-not-yet-run player session; Run drives it for
-// a wall-clock duration and returns the report.
-type Player struct {
-	cfg PlayerConfig
-}
-
-// NewPlayer builds a player from a role-tagged config plus runtime options.
-// The config's Role must be RolePlayer and StreamAddr must be resolved (a
-// coordinator-placed player resolves it from its ticket first).
-func NewPlayer(cfg Config, opts ...Option) (*Player, error) {
-	if cfg.Role != RolePlayer {
-		return nil, fmt.Errorf("live: NewPlayer on Config.Role %q", cfg.Role)
-	}
-	o := BuildOptions(opts...)
-	pc := cfg.apply(o).playerView()
-	pc.Obs = o.Obs
-	pc.Ticket = o.Ticket
-	pc.Retarget = o.Retarget
-	if err := pc.Validate(); err != nil {
-		return nil, err
-	}
-	return &Player{cfg: pc}, nil
-}
-
-// Run drives the player for the given wall-clock duration.
-func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
-	return RunPlayer(p.cfg, duration)
+	return o.DelayFor(peer)
 }
 
 // DefaultedPlayer fills a player config's unset cadence and radius with the
-// suggested defaults and resolves the game, so callers assembling configs
-// from tickets don't repeat the boilerplate.
-func DefaultedPlayer(cfg Config) (Config, error) {
+// suggested defaults, so minimal configs pass Validate.
+func DefaultedPlayer(cfg Config) Config {
 	if cfg.ActionEvery == 0 {
 		cfg.ActionEvery = DefaultActionEvery
 	}
 	if cfg.ViewRadius == 0 {
 		cfg.ViewRadius = DefaultViewRadius
 	}
-	if _, err := game.ByID(cfg.GameID); err != nil {
-		return cfg, fmt.Errorf("live: Config.GameID %d: %w", cfg.GameID, err)
-	}
-	return cfg, nil
+	return cfg
 }

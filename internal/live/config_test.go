@@ -2,7 +2,11 @@ package live
 
 import (
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,6 +92,20 @@ func TestUnifiedConfigValidation(t *testing.T) {
 		{"coordinator no addr", Config{Role: RoleCoordinator}},
 		{"coordinator negative shortlist", Config{Role: RoleCoordinator, Addr: "x:1", ShortlistK: -1}},
 		{"coordinator negative backups", Config{Role: RoleCoordinator, Addr: "x:1", Backups: -1}},
+		{"cloud unknown detector mode", Config{Role: RoleCloud, Addr: "x:1", Tick: time.Millisecond,
+			Detector: health.DetectorConfig{Mode: 7}}},
+		{"cloud negative detector interval", Config{Role: RoleCloud, Addr: "x:1", Tick: time.Millisecond,
+			Detector: health.DetectorConfig{Mode: health.ModePhi, Interval: -time.Second}}},
+		{"worker unknown detector mode", Config{Role: RoleSupernode, ID: 1, Addr: "x:1", CloudAddr: "x:2",
+			FPS: 30, CoordAddr: "x:3", Capacity: 8, ReportEvery: time.Millisecond,
+			Detector: health.DetectorConfig{Mode: -1}}},
+		{"worker negative detector interval", Config{Role: RoleSupernode, ID: 1, Addr: "x:1", CloudAddr: "x:2",
+			FPS: 30, CoordAddr: "x:3", Capacity: 8, ReportEvery: time.Millisecond,
+			Detector: health.DetectorConfig{Interval: -time.Second}}},
+		{"coordinator unknown detector mode", Config{Role: RoleCoordinator, Addr: "x:1",
+			Detector: health.DetectorConfig{Mode: 3}}},
+		{"coordinator negative detector interval", Config{Role: RoleCoordinator, Addr: "x:1",
+			Detector: health.DetectorConfig{Mode: health.ModeTimeout, Interval: -time.Second}}},
 	}
 	for _, tc := range cases {
 		if err := tc.cfg.Validate(); err == nil {
@@ -110,7 +128,8 @@ func TestConfigConstructors(t *testing.T) {
 	cloud, err := NewCloud(Config{
 		Role: RoleCloud, Addr: "127.0.0.1:0",
 		Tick: 20 * time.Millisecond, DirectFPS: 10,
-	}, WithDetector(health.DetectorConfig{Mode: health.ModeTimeout, Interval: 100 * time.Millisecond}))
+		Detector: health.DetectorConfig{Mode: health.ModeTimeout, Interval: 100 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatalf("NewCloud: %v", err)
 	}
@@ -118,8 +137,8 @@ func TestConfigConstructors(t *testing.T) {
 
 	sn, err := NewSupernode(Config{
 		Role: RoleSupernode, ID: 1, Addr: "127.0.0.1:0",
-		CloudAddr: cloud.Addr(), FPS: 60,
-	}, WithTransport(TransportTCP))
+		CloudAddr: cloud.Addr(), FPS: 60, Transport: TransportTCP,
+	})
 	if err != nil {
 		t.Fatalf("NewSupernode: %v", err)
 	}
@@ -128,14 +147,10 @@ func TestConfigConstructors(t *testing.T) {
 		t.Fatalf("fresh supernode SessionCount = %d, want 0", got)
 	}
 
-	pcfg, err := DefaultedPlayer(Config{
+	p, err := NewPlayer(DefaultedPlayer(Config{
 		Role: RolePlayer, ID: 7, GameID: 1,
 		CloudAddr: cloud.Addr(), StreamAddr: sn.Addr(),
-	})
-	if err != nil {
-		t.Fatalf("DefaultedPlayer: %v", err)
-	}
-	p, err := NewPlayer(pcfg)
+	}))
 	if err != nil {
 		t.Fatalf("NewPlayer: %v", err)
 	}
@@ -145,5 +160,50 @@ func TestConfigConstructors(t *testing.T) {
 	}
 	if rep.Segments == 0 {
 		t.Fatal("constructor-built player streamed zero segments")
+	}
+}
+
+// TestLoadConfig drives the one config loader: an untagged file inherits the
+// caller's role, a player file gets its cadence defaults, and a mismatched
+// role, an unknown key or an invalid field is an error that names it.
+func TestLoadConfig(t *testing.T) {
+	write := func(body string) string {
+		path := filepath.Join(t.TempDir(), "cfg.json")
+		if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cfg, err := LoadConfig(write(`{"id":4,"game_id":1,"cloud_addr":"x:1","stream_addr":"x:2"}`), RolePlayer)
+	if err != nil {
+		t.Fatalf("minimal player config: %v", err)
+	}
+	if cfg.Role != RolePlayer || cfg.ActionEvery != DefaultActionEvery || cfg.ViewRadius != DefaultViewRadius {
+		t.Fatalf("player config not tagged and defaulted: %+v", cfg)
+	}
+	if _, err := LoadConfig(write(`{"role":"coordinator","addr":"x:1","detector":{"Mode":2,"Interval":100000000}}`), RoleCoordinator); err != nil {
+		t.Fatalf("coordinator config: %v", err)
+	}
+
+	cases := []struct {
+		name, body string
+		role       RoleKind
+		want       string
+	}{
+		{"role mismatch", `{"role":"cloud","addr":"x:1","tick":1000000}`, RoleSupernode, `role "cloud" does not match "supernode"`},
+		{"unknown key", `{"id":1,"addr":"x:1","cloud_adr":"x:2","fps":30}`, RoleSupernode, `"cloud_adr"`},
+		{"unknown nested key", `{"addr":"x:1","detector":{"Mood":2}}`, RoleCoordinator, `"Mood"`},
+		{"unknown detector mode", `{"addr":"x:1","detector":{"Mode":7}}`, RoleCoordinator, "Detector: health: DetectorConfig.Mode 7"},
+		{"invalid field", `{"addr":"x:1"}`, RoleCloud, "Tick"},
+		{"malformed", `{"addr":`, RoleCloud, "cfg.json"},
+	}
+	for _, tc := range cases {
+		_, err := LoadConfig(write(tc.body), tc.role)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v does not mention %s", tc.name, err, tc.want)
+		}
+	}
+	if _, err := LoadConfig(filepath.Join(t.TempDir(), "absent.json"), RoleCloud); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: %v", err)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-
-	"cloudfog/internal/obs"
 )
 
 // Dial opens the Transport a role uses to reach its upstream, putting the
@@ -23,8 +21,6 @@ import (
 // delay (DelayFor keyed by cfg.ID) and link stats via WithObs/WithDelayFor.
 func Dial(ctx context.Context, role RoleKind, cfg Config, opts ...Option) (Transport, error) {
 	o := BuildOptions(opts...)
-	cfg = cfg.apply(o)
-
 	var addr string
 	udp := false
 	switch role {
@@ -45,13 +41,7 @@ func Dial(ctx context.Context, role RoleKind, cfg Config, opts ...Option) (Trans
 		return nil, fmt.Errorf("live: Dial(%s): no upstream address in config", role)
 	}
 
-	var lo LinkOptions
-	if o.DelayFor != nil {
-		lo.Delay = o.DelayFor(cfg.ID)
-	}
-	if o.Obs != nil {
-		lo.Stats = obs.LinkStatsIn(o.Obs, fmt.Sprintf("%s%d_dial", role, cfg.ID))
-	}
+	lo := o.link(o.delayFor(cfg.ID), fmt.Sprintf("%s%d_dial", role, cfg.ID))
 	return dialTransport(ctx, addr, cfg.ID, udp, lo)
 }
 
@@ -77,8 +67,3 @@ func dialTransport(ctx context.Context, addr string, id int64, udp bool, lo Link
 	}
 	return NewLinkOpts(conn, lo), nil
 }
-
-var (
-	_ Transport = (*Link)(nil)
-	_ Transport = (*DatagramLink)(nil)
-)

@@ -86,8 +86,7 @@ type LinkOptions struct {
 	// no per-frame cost beyond one nil-check).
 	Stats *obs.LinkStats
 	// FlushDeadline is the coalescing window: 0 means DefaultFlushDeadline,
-	// negative disables coalescing entirely (one write per frame — the
-	// benchmark baseline).
+	// negative disables coalescing entirely (one write per frame).
 	FlushDeadline time.Duration
 	// MaxBatch caps frames per coalesced write (0 means defaultMaxBatch).
 	MaxBatch int
@@ -165,11 +164,6 @@ type queued struct {
 // the conn) when done.
 func NewLink(conn net.Conn, delay time.Duration) *Link {
 	return NewLinkOpts(conn, LinkOptions{Delay: delay})
-}
-
-// NewLinkObs is NewLink with an optional stats bundle.
-func NewLinkObs(conn net.Conn, delay time.Duration, stats *obs.LinkStats) *Link {
-	return NewLinkOpts(conn, LinkOptions{Delay: delay, Stats: stats})
 }
 
 // NewLinkOpts wraps a stream conn with full options.

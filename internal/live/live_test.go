@@ -77,26 +77,26 @@ func TestLinkPeerGoneSetsErr(t *testing.T) {
 // the injected path delay.
 func TestEndToEndPipeline(t *testing.T) {
 	const updateDelay = 10 * time.Millisecond
-	cloud, err := StartCloud(CloudConfig{
-		Addr:     "127.0.0.1:0",
-		World:    world.DefaultConfig(),
-		Tick:     33 * time.Millisecond,
-		DelayFor: func(int64) time.Duration { return updateDelay },
-	})
+	cloud, err := NewCloud(Config{
+		Role:  RoleCloud,
+		Addr:  "127.0.0.1:0",
+		World: world.DefaultConfig(),
+		Tick:  33 * time.Millisecond,
+	}, WithDelayFor(func(int64) time.Duration { return updateDelay }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cloud.Close()
 
 	const streamDelay = 8 * time.Millisecond
-	sn, err := StartSupernode(SupernodeConfig{
+	sn, err := NewSupernode(Config{
+		Role:         RoleSupernode,
 		ID:           1_000_000,
 		CloudAddr:    cloud.Addr(),
 		Addr:         "127.0.0.1:0",
 		DelayToCloud: 5 * time.Millisecond,
 		FPS:          30,
-		DelayFor:     func(int64) time.Duration { return streamDelay },
-	})
+	}, WithDelayFor(func(int64) time.Duration { return streamDelay }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reports[i], errs[i] = RunPlayer(PlayerConfig{
+			reports[i], errs[i] = runPlayer(Config{
+				Role:        RolePlayer,
 				ID:          int64(i + 1),
 				GameID:      4,
 				CloudAddr:   cloud.Addr(),
@@ -175,7 +176,7 @@ func TestEndToEndPipeline(t *testing.T) {
 }
 
 func TestCloudRejectsBadHello(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{Addr: "127.0.0.1:0", World: world.DefaultConfig(), Tick: 33 * time.Millisecond})
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", World: world.DefaultConfig(), Tick: 33 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +197,12 @@ func TestCloudRejectsBadHello(t *testing.T) {
 }
 
 func TestSupernodeRejectsBadJoin(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{Addr: "127.0.0.1:0", World: world.DefaultConfig(), Tick: 33 * time.Millisecond})
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", World: world.DefaultConfig(), Tick: 33 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cloud.Close()
-	sn, err := StartSupernode(SupernodeConfig{ID: 5, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn, err := NewSupernode(Config{Role: RoleSupernode, ID: 5, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +232,11 @@ func TestSupernodeRejectsBadJoin(t *testing.T) {
 }
 
 func TestCloudCloseIsClean(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{Addr: "127.0.0.1:0", World: world.DefaultConfig(), Tick: 10 * time.Millisecond})
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", World: world.DefaultConfig(), Tick: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := StartSupernode(SupernodeConfig{ID: 9, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn, err := NewSupernode(Config{Role: RoleSupernode, ID: 9, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,50 +247,83 @@ func TestCloudCloseIsClean(t *testing.T) {
 	sn.Close()
 }
 
+// runPlayer builds and runs one player session.
+func runPlayer(cfg Config, duration time.Duration) (PlayerReport, error) {
+	p, err := NewPlayer(cfg)
+	if err != nil {
+		return PlayerReport{}, err
+	}
+	return p.Run(duration)
+}
+
+// TestConfigValidation pins that each incomplete role config is rejected
+// with an error naming the offending field.
 func TestConfigValidation(t *testing.T) {
+	player := Config{Role: RolePlayer, CloudAddr: "x", StreamAddr: "y", GameID: 1,
+		ActionEvery: DefaultActionEvery, ViewRadius: DefaultViewRadius}
+	if err := player.Validate(); err != nil {
+		t.Errorf("complete player config rejected: %v", err)
+	}
+	with := func(edit func(*Config)) Config {
+		c := player
+		edit(&c)
+		return c
+	}
 	cases := []struct {
 		name string
-		err  error
+		cfg  Config
 		want string
 	}{
-		{"cloud empty addr", CloudConfig{Tick: time.Second}.Validate(), "Addr is empty"},
-		{"cloud zero tick", CloudConfig{Addr: "127.0.0.1:0"}.Validate(), "Tick"},
-		{"sn empty cloud addr", SupernodeConfig{Addr: "127.0.0.1:0", FPS: 30}.Validate(), "CloudAddr is empty"},
-		{"sn empty addr", SupernodeConfig{CloudAddr: "x", FPS: 30}.Validate(), "Addr is empty"},
-		{"sn zero fps", SupernodeConfig{CloudAddr: "x", Addr: "127.0.0.1:0"}.Validate(), "FPS"},
-		{"sn negative delay", SupernodeConfig{CloudAddr: "x", Addr: "y", FPS: 30, DelayToCloud: -time.Second}.Validate(), "DelayToCloud"},
-		{"player empty cloud addr", PlayerConfig{StreamAddr: "y", GameID: 1, ActionEvery: time.Second, ViewRadius: 1}.Validate(), "CloudAddr is empty"},
-		{"player zero cadence", PlayerConfig{CloudAddr: "x", StreamAddr: "y", GameID: 1, ViewRadius: 1}.Validate(), "ActionEvery"},
-		{"player zero radius", PlayerConfig{CloudAddr: "x", StreamAddr: "y", GameID: 1, ActionEvery: time.Second}.Validate(), "ViewRadius"},
-		{"player bad game", PlayerConfig{CloudAddr: "x", StreamAddr: "y", GameID: 99, ActionEvery: time.Second, ViewRadius: 1}.Validate(), "GameID"},
+		{"cloud empty addr", Config{Role: RoleCloud, Tick: time.Second}, "Addr is empty"},
+		{"cloud zero tick", Config{Role: RoleCloud, Addr: "127.0.0.1:0"}, "Tick"},
+		{"cloud negative direct fps", Config{Role: RoleCloud, Addr: "x", Tick: time.Second, DirectFPS: -1}, "DirectFPS"},
+		{"sn empty cloud addr", Config{Role: RoleSupernode, Addr: "127.0.0.1:0", FPS: 30}, "CloudAddr is empty"},
+		{"sn empty addr", Config{Role: RoleSupernode, CloudAddr: "x", FPS: 30}, "Addr is empty"},
+		{"sn zero fps", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "127.0.0.1:0"}, "FPS"},
+		{"sn negative delay", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "y", FPS: 30, DelayToCloud: -time.Second}, "DelayToCloud"},
+		{"sn negative heartbeat", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "y", FPS: 30, HeartbeatEvery: -time.Second}, "HeartbeatEvery"},
+		{"sn bad transport", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "y", FPS: 30, Transport: "sctp"}, "Transport"},
+		{"player empty cloud addr", with(func(c *Config) { c.CloudAddr = "" }), "CloudAddr is empty"},
+		{"player empty stream addr", with(func(c *Config) { c.StreamAddr = "" }), "StreamAddr"},
+		{"player negative action delay", with(func(c *Config) { c.ActionDelay = -time.Second }), "ActionDelay"},
+		{"player zero cadence", with(func(c *Config) { c.ActionEvery = 0 }), "ActionEvery"},
+		{"player zero radius", with(func(c *Config) { c.ViewRadius = 0 }), "ViewRadius"},
+		{"player bad game", with(func(c *Config) { c.GameID = 99 }), "GameID"},
+		{"player bad transport", with(func(c *Config) { c.Transport = "sctp" }), "Transport"},
 	}
 	for _, c := range cases {
-		if c.err == nil {
+		err := c.cfg.Validate()
+		if err == nil {
 			t.Errorf("%s: no error", c.name)
 			continue
 		}
-		if !strings.Contains(c.err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, c.err, c.want)
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
-	}
-	ok := PlayerConfig{
-		CloudAddr: "x", StreamAddr: "y", GameID: 1,
-		ActionEvery: DefaultActionEvery, ViewRadius: DefaultViewRadius,
-	}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("complete player config rejected: %v", err)
 	}
 }
 
 func TestStartRejectsInvalidConfig(t *testing.T) {
-	if _, err := StartCloud(CloudConfig{}); err == nil {
-		t.Error("StartCloud accepted an empty config")
+	if _, err := NewCloud(Config{Role: RoleCloud}); err == nil {
+		t.Error("NewCloud accepted an empty config")
 	}
-	if _, err := StartSupernode(SupernodeConfig{}); err == nil {
-		t.Error("StartSupernode accepted an empty config")
+	if _, err := NewSupernode(Config{Role: RoleSupernode}); err == nil {
+		t.Error("NewSupernode accepted an empty config")
 	}
-	if _, err := RunPlayer(PlayerConfig{}, time.Second); err == nil {
-		t.Error("RunPlayer accepted an empty config")
+	if _, err := NewPlayer(Config{Role: RolePlayer}); err == nil {
+		t.Error("NewPlayer accepted an empty config")
+	}
+	// A coordinator-placed config validates without a StreamAddr, but a
+	// player cannot run until its ticket has resolved one.
+	placed := Config{Role: RolePlayer, GameID: 1, CloudAddr: "x", CoordAddr: "y",
+		ActionEvery: DefaultActionEvery, ViewRadius: DefaultViewRadius}
+	if _, err := NewPlayer(placed); err == nil || !strings.Contains(err.Error(), "StreamAddr is empty") {
+		t.Errorf("NewPlayer on an unresolved StreamAddr: %v", err)
+	}
+	for _, role := range []RoleKind{RoleSupernode, RolePlayer, RoleCoordinator} {
+		if _, err := NewCloud(Config{Role: role}); err == nil {
+			t.Errorf("NewCloud accepted Role %q", role)
+		}
 	}
 }
 
@@ -301,7 +335,7 @@ func TestLinkMidStreamDisconnect(t *testing.T) {
 	r := obs.NewRegistry()
 	stats := obs.LinkStatsIn(r, "test")
 	a, b := net.Pipe()
-	link := NewLinkObs(a, 0, stats)
+	link := NewLinkOpts(a, LinkOptions{Stats: stats})
 	defer link.Close()
 
 	// Receive a few frames, then vanish mid-stream.
@@ -350,7 +384,7 @@ func TestLinkRecvAfterPeerClose(t *testing.T) {
 	r := obs.NewRegistry()
 	stats := obs.LinkStatsIn(r, "recv")
 	a, b := net.Pipe()
-	link := NewLinkObs(b, 0, stats)
+	link := NewLinkOpts(b, LinkOptions{Stats: stats})
 	defer link.Close()
 
 	go func() {
@@ -375,8 +409,8 @@ func TestLinkStatsCountTraffic(t *testing.T) {
 	sendStats := obs.LinkStatsIn(r, "s")
 	recvStats := obs.LinkStatsIn(r, "r")
 	a, b := net.Pipe()
-	sender := NewLinkObs(a, 3*time.Millisecond, sendStats)
-	receiver := NewLinkObs(b, 0, recvStats)
+	sender := NewLinkOpts(a, LinkOptions{Delay: 3 * time.Millisecond, Stats: sendStats})
+	receiver := NewLinkOpts(b, LinkOptions{Stats: recvStats})
 	defer sender.Close()
 	defer receiver.Close()
 

@@ -342,7 +342,8 @@ func TestPipeTransport(t *testing.T) {
 // transport: cloud (always TCP), one UDP supernode, one UDP player. Segments
 // must flow and response latency must still clear the injected path delay.
 func TestEndToEndPipelineUDP(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{
+	cloud, err := NewCloud(Config{
+		Role:  RoleCloud,
 		Addr:  "127.0.0.1:0",
 		World: world.DefaultConfig(),
 		Tick:  33 * time.Millisecond,
@@ -352,15 +353,15 @@ func TestEndToEndPipelineUDP(t *testing.T) {
 	}
 	defer cloud.Close()
 
-	sn, err := StartSupernode(SupernodeConfig{
+	sn, err := NewSupernode(Config{
+		Role:         RoleSupernode,
 		ID:           1_000_000,
 		CloudAddr:    cloud.Addr(),
 		Addr:         "127.0.0.1:0",
 		DelayToCloud: 2 * time.Millisecond,
 		FPS:          30,
 		Transport:    TransportUDP,
-		DelayFor:     func(int64) time.Duration { return 4 * time.Millisecond },
-	})
+	}, WithDelayFor(func(int64) time.Duration { return 4 * time.Millisecond }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +373,8 @@ func TestEndToEndPipelineUDP(t *testing.T) {
 		}
 	})
 
-	report, err := RunPlayer(PlayerConfig{
+	report, err := runPlayer(Config{
+		Role:        RolePlayer,
 		ID:          1,
 		GameID:      4,
 		CloudAddr:   cloud.Addr(),

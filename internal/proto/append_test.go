@@ -174,6 +174,27 @@ func TestBeginFinishFrameMatchesAppendFrame(t *testing.T) {
 	}
 }
 
+// TestSegmentEncodeAllocs holds the render path's encode-in-place floor:
+// once the buffer has grown to a frame, BeginFrame + AppendSegmentHeader +
+// payload + FinishFrame allocates nothing.
+func TestSegmentEncodeAllocs(t *testing.T) {
+	payload := make([]byte, 4096)
+	seg := Segment{Player: 42, Level: 3, ActionIssued: 123456}
+	var buf []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		seg.Seq++
+		buf = BeginFrame(buf[:0], TSegment)
+		buf = AppendSegmentHeader(buf, seg, len(payload))
+		buf = append(buf, payload...)
+		if err := FinishFrame(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("segment encode: %v allocs per frame, want 0", allocs)
+	}
+}
+
 func TestFinishFrameRejectsBadOffset(t *testing.T) {
 	b := BeginFrame(nil, TSegment)
 	if err := FinishFrame(b, -1); err == nil {
