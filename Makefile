@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-all loc chaos wire coord coord-drain replay record-corpus latency verify
+.PHONY: build test vet race bench bench-all loc chaos wire coord replay record-corpus latency verify
 
 build:
 	$(GO) build ./...
@@ -56,11 +56,12 @@ chaos:
 # wire is the zero-copy wire-path smoke: the live and proto suites under
 # the race detector (TestLinkBatchesUnderSaturation fails unless the
 # coalescing counters prove frames were actually batched), and a
-# UDP-transport live run whose detector ledgers must reconcile.
+# UDP-transport live run under the default chaos profile, which exits
+# non-zero if any player session fails.
 wire:
 	$(GO) test -race -count=1 ./internal/live/ ./internal/proto/
 	$(GO) run ./cmd/cloudfog-live -players 4 -supernodes 3 -duration 5s \
-		-transport udp -detector phi -heartbeat 200ms -chaos default
+		-transport udp -chaos default
 
 # replay is the flight-recorder regression gate: the committed corpus
 # recordings must replay bit-identically (figure bytes, observability
@@ -91,26 +92,15 @@ record-corpus:
 		-shards 4 -detector phi -overload \
 		-record examples/flight/sharded.flight
 
-# coord is the control-plane smoke: the coordinator suite (placement,
-# churn property test, and the multi-process kill test) under the race
-# detector, then the one-process churn demo — cloud, coordinator, three
-# workers, six players, one worker killed mid-stream — which fails unless
-# every stranded session re-places and the session ledger reconciles.
+# coord is the control-plane gate: the coordinator suite under the race
+# detector — placement, the churn property test, the UDP-stream worker
+# registering over TCP, and the three multi-process tests on real worker
+# processes: SIGKILL mid-stream (every stranded session re-placed within
+# the detector Bound()), SIGTERM drain with leases on (make-before-break
+# handoffs, zero visible interruptions) and a coordinator partition — each
+# of which fails unless the session ledger reconciles.
 coord:
 	$(GO) test -race -count=1 ./internal/coord/
-	$(GO) run ./cmd/cloudfog-coordinator -demo -workers 3 -players 6 \
-		-duration 4s -report coord_report.json
-
-# coord-drain is the graceful-distress smoke: the same deployment with
-# ticket leases on, but the victim worker is SIGTERM-drained instead of
-# killed. The run fails unless the drain completes within the detector
-# Bound(), every drained session hands off make-before-break (zero
-# visible stream interruptions), and the extended session ledger —
-# placements = active + departed + expired, tickets = placements +
-# replacements + renewals — reconciles.
-coord-drain:
-	$(GO) run ./cmd/cloudfog-coordinator -demo -drain -lease 1s \
-		-workers 3 -players 6 -duration 4s -report coord_drain_report.json
 
 # latency puts the response-path number one command away: the frame-clock
 # and first-frame tests uncached, then the repo benchmark's live-steady
@@ -124,6 +114,6 @@ latency:
 	bash bench/run.sh --workload live-steady --seed 2026 --seconds 20 --trace 0
 
 # verify is the CI gate: static checks, the race-enabled suite, the chaos
-# smoke, the wire smoke, the coordinator smokes (kill and drain), the
-# flight-recorder replay gate, and the response-latency run.
-verify: vet race chaos wire coord coord-drain replay latency
+# smoke, the wire smoke, the coordinator suite (kill, drain, partition),
+# the flight-recorder replay gate, and the response-latency run.
+verify: vet race chaos wire coord replay latency

@@ -16,16 +16,17 @@
 // subcommands run a single role from a serializable live.Config, so the same
 // binary deploys each process of a real multi-machine topology:
 //
-//	cloudfog-live cloud     -config cloud.json
-//	cloudfog-live supernode -config worker.json   (coord_addr ⇒ worker mode)
-//	cloudfog-live player    -config player.json -duration 10s
+//	cloudfog-live cloud       -config cloud.json
+//	cloudfog-live coordinator -config coordinator.json -report ledger.json
+//	cloudfog-live supernode   -config worker.json   (coord_addr ⇒ worker mode)
+//	cloudfog-live player      -config player.json -duration 10s
 //
 // Usage:
 //
 //	cloudfog-live
 //	cloudfog-live -players 8 -supernodes 2 -duration 5s
 //	cloudfog-live -metrics-addr 127.0.0.1:9100
-//	cloudfog-live <cloud|supernode|player> -config <json>
+//	cloudfog-live <cloud|coordinator|supernode|player> -config <json>
 package main
 
 import (
@@ -43,7 +44,6 @@ import (
 	"cloudfog/internal/fault"
 	"cloudfog/internal/game"
 	"cloudfog/internal/geo"
-	"cloudfog/internal/health"
 	"cloudfog/internal/live"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/sim"
@@ -79,8 +79,6 @@ var (
 	fpsFlag        = flag.Int("fps", 30, "video frame rate")
 	metricsFlag    = flag.String("metrics-addr", "", "serve Prometheus text metrics on this address (e.g. 127.0.0.1:9100; empty = disabled)")
 	chaosFlag      = flag.String("chaos", "", "chaos mode: fault profile JSON path, or \"default\" for a built-in profile scaled to -duration")
-	detectorFlag   = flag.String("detector", "", "cloud-side failure detector fed by supernode heartbeats: timeout or phi (empty = disabled)")
-	heartbeatFlag  = flag.Duration("heartbeat", 250*time.Millisecond, "supernode heartbeat period when -detector is set")
 	transportFlag  = flag.String("transport", live.TransportTCP, "supernode→player stream transport: tcp (reliable, coalesced writes) or udp (datagrams, stale frames dropped)")
 )
 
@@ -88,7 +86,7 @@ func main() {
 	// Role subcommands first; anything else is the legacy flat-flag demo.
 	if len(os.Args) > 1 {
 		if role, err := live.ParseRole(os.Args[1]); err == nil {
-			if err := runRole(role, os.Args[2:]); err != nil {
+			if err := runRole(signalContext(), role, os.Args[2:]); err != nil {
 				fmt.Fprintf(os.Stderr, "cloudfog-live %s: %v\n", role, err)
 				os.Exit(1)
 			}
@@ -144,20 +142,11 @@ func run() error {
 		playerEPs[i] = trace.Endpoint{ID: trace.NodeID(i + 1), Pos: placer.Place(rng), Class: trace.ClassNode}
 	}
 
-	detMode, err := health.ParseMode(*detectorFlag)
-	if err != nil {
-		return err
-	}
-
 	tick := time.Second / time.Duration(*fpsFlag)
 	cloud, err := live.NewCloud(live.Config{
 		Role: live.RoleCloud,
 		Addr: "127.0.0.1:0",
 		Tick: tick,
-		Detector: health.DetectorConfig{
-			Mode:     detMode,
-			Interval: *heartbeatFlag,
-		},
 		// The cloud always offers direct streaming so a player whose whole
 		// backup ring is down degrades to the cloud instead of going dark.
 		DirectFPS: *fpsFlag,
@@ -186,20 +175,14 @@ func run() error {
 	var snMu sync.Mutex
 	snLive := make(map[int64]*live.Supernode, len(snEPs))
 	snAddrs := make([]string, len(snEPs))
-	heartbeatEvery := time.Duration(0)
-	if detMode != health.ModeOracle {
-		heartbeatEvery = *heartbeatFlag
-	}
 	startSupernode := func(ep trace.Endpoint, addr string) (*live.Supernode, error) {
 		return live.NewSupernode(live.Config{
-			Role:           live.RoleSupernode,
-			ID:             int64(ep.ID),
-			CloudAddr:      cloud.Addr(),
-			Addr:           addr,
-			Transport:      *transportFlag,
-			DelayToCloud:   model.OneWay(ep, dcEP),
-			FPS:            *fpsFlag,
-			HeartbeatEvery: heartbeatEvery,
+			Role:      live.RoleSupernode,
+			ID:        int64(ep.ID),
+			CloudAddr: cloud.Addr(),
+			Addr:      addr,
+			Transport: *transportFlag,
+			FPS:       *fpsFlag,
 		}, live.WithObs(reg), live.WithDelayFor(func(playerID int64) time.Duration {
 			for _, pe := range playerEPs {
 				if int64(pe.ID) == playerID {
@@ -391,12 +374,6 @@ func run() error {
 		fmt.Printf("chaos ledger: %d kills, %d recoveries, %d link windows, %d player failovers (%d to the cloud)\n",
 			faultStats.Kills.Load(), faultStats.Recoveries.Load(),
 			faultStats.LinkWindows.Load(), failovers, cloudFallbacks)
-	}
-	if detMode != health.ModeOracle {
-		detections, falsePos := cloud.FailureDetections()
-		fmt.Printf("detector ledger (%s, heartbeat %v): %d heartbeats received, %d failures detected, %d false positives, down now: %v\n",
-			detMode, *heartbeatFlag, cloud.HeartbeatsReceived(), detections,
-			falsePos, cloud.DetectedFailures())
 	}
 
 	if len(failed) > 0 {

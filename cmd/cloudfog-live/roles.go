@@ -20,19 +20,31 @@ var roleUsage = map[live.RoleKind]string{
 	live.RoleCloud: `cloudfog-live cloud -config <json>
 
 Runs the cloud server: the authoritative world, the supernode update
-stream, heartbeat failure detection, and the direct-stream fallback.
-Config fields: addr (listen), tick, direct_fps, world, detector.
+stream, and the direct-stream fallback. It holds no opinion on supernode
+liveness — that is the coordinator's — and rejects a detector field.
+Config fields: addr (listen), tick, direct_fps, world.
 Runs until SIGINT/SIGTERM.`,
+	live.RoleCoordinator: `cloudfog-live coordinator -config <json> [-report ledger.json]
+
+Runs the control plane: workers register and stream occupancy reports over
+TCP, players ask for placement and get signed session tickets naming the
+serving worker and its backup ring. Worker deaths are detected from report
+silence; stranded sessions are re-placed and fresh tickets pushed. On
+SIGINT/SIGTERM it writes the session-ledger reconciliation to -report
+("-" = stdout).
+Config fields: addr (listen), cloud_addr (cloud-direct fallback tickets),
+ticket_key, lease_ttl, shortlist_k, backups, detector, overload, world.`,
 	live.RoleSupernode: `cloudfog-live supernode -config <json>
 
 Runs a fog supernode: subscribes to the cloud's update stream and serves
 rendered segments to players on addr over tcp or udp. With coord_addr set
 it runs as a coordinator-registered worker instead: it announces itself
 (position x/y, capacity) and streams occupancy reports every report_every.
-Config fields: id, addr, cloud_addr, fps, transport, heartbeat_every
-[, coord_addr, x, y, capacity, report_every, drain_timeout,
-skew_tolerance]. Runs until SIGINT (abrupt) or SIGTERM (worker mode drains
-every session onto other workers before exiting).`,
+Config fields: id, addr, cloud_addr, fps, transport (the player stream
+only; the coordinator link is always TCP) [, coord_addr, x, y, capacity,
+report_every, drain_timeout, skew_tolerance, detector]. Runs until SIGINT
+(abrupt) or SIGTERM (worker mode drains every session onto other workers
+before exiting).`,
 	live.RolePlayer: `cloudfog-live player -config <json> [-duration 4s]
 
 Runs one player session: actions to the cloud, a rendered stream from a
@@ -46,16 +58,14 @@ ticket_key].`,
 }
 
 // runRole is the subcommand entry: parse the role's flags, load the
-// serializable live.Config, and run the role until it finishes or a signal
-// arrives.
-func runRole(role live.RoleKind, args []string) error {
-	if role == live.RoleCoordinator {
-		return fmt.Errorf("the coordinator runs as its own binary: cloudfog-coordinator")
-	}
+// serializable live.Config, and run the role until it finishes or ctx is
+// cancelled (main cancels it on SIGINT/SIGTERM).
+func runRole(ctx context.Context, role live.RoleKind, args []string) error {
 	fs := flag.NewFlagSet("cloudfog-live "+string(role), flag.ExitOnError)
 	configPath := fs.String("config", "", "role config JSON path (\"-\" reads stdin)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus text metrics on this address")
 	duration := fs.Duration("duration", 4*time.Second, "player session length (player role only)")
+	report := fs.String("report", "", "write the ledger reconciliation JSON here on exit, \"-\" = stdout (coordinator role only)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, roleUsage[role])
 		fmt.Fprintln(os.Stderr, "\nFlags:")
@@ -89,8 +99,17 @@ func runRole(role live.RoleKind, args []string) error {
 		}
 		defer cloud.Close()
 		fmt.Printf("cloud on %s\n", cloud.Addr())
-		waitSignal()
+		<-ctx.Done()
 		return nil
+	case live.RoleCoordinator:
+		c, err := coord.StartCoordinator(cfg, opts...)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		fmt.Printf("coordinator on %s (detector bound %v)\n", c.Addr(), c.Bound())
+		<-ctx.Done()
+		return writeReport(c, *report)
 	case live.RoleSupernode:
 		if cfg.CoordAddr != "" {
 			w, err := coord.StartWorker(cfg, opts...)
@@ -121,21 +140,21 @@ func runRole(role live.RoleKind, args []string) error {
 		}
 		defer sn.Close()
 		fmt.Printf("supernode %d on %s\n", cfg.ID, sn.Addr())
-		waitSignal()
+		<-ctx.Done()
 		return nil
 	case live.RolePlayer:
-		return runPlayerRole(cfg, *duration, opts)
+		return runPlayerRole(ctx, cfg, *duration, opts)
 	}
 	return fmt.Errorf("unhandled role %q", role)
 }
 
-func runPlayerRole(cfg live.Config, duration time.Duration, opts []live.Option) error {
+func runPlayerRole(ctx context.Context, cfg live.Config, duration time.Duration, opts []live.Option) error {
 	var (
 		rep live.PlayerReport
 		err error
 	)
 	if cfg.CoordAddr != "" {
-		rep, _, err = coord.RunSession(signalContext(), cfg, duration, opts...)
+		rep, _, err = coord.RunSession(ctx, cfg, duration, opts...)
 	} else {
 		var p *live.Player
 		if p, err = live.NewPlayer(cfg, opts...); err == nil {
@@ -150,10 +169,24 @@ func runPlayerRole(cfg live.Config, duration time.Duration, opts []live.Option) 
 	return enc.Encode(rep)
 }
 
-func waitSignal() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
+// writeReport writes the coordinator's ledger reconciliation to path ("-" is
+// stdout, empty writes nothing).
+func writeReport(c *coord.Coordinator, path string) error {
+	switch path {
+	case "":
+		return nil
+	case "-":
+		return c.WriteReport(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := c.WriteReport(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // signalContext returns a context cancelled by SIGINT/SIGTERM.

@@ -14,6 +14,7 @@ import (
 
 	"cloudfog/internal/health"
 	"cloudfog/internal/live"
+	"cloudfog/internal/proto"
 )
 
 // workerConfigEnv carries a JSON live.Config to the re-executed test binary
@@ -245,5 +246,74 @@ func TestCoordinatorChurnMultiProcess(t *testing.T) {
 	}
 	if l.WorkersLost != 1 {
 		t.Fatalf("WorkersLost %d, want 1 (the SIGKILLed worker)", l.WorkersLost)
+	}
+}
+
+// TestUDPStreamWorkerRegistersOverTCP pins that Config.Transport selects the
+// supernode→player stream and nothing else: a worker streaming over UDP
+// still registers with a default coordinator, because every control link is
+// TCP. The placed player's ticket names the UDP stream and segments flow.
+func TestUDPStreamWorkerRegistersOverTCP(t *testing.T) {
+	cloud, err := live.NewCloud(live.Config{
+		Role: live.RoleCloud, Addr: "127.0.0.1:0", Tick: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("cloud: %v", err)
+	}
+	defer cloud.Close()
+	c, err := StartCoordinator(live.Config{
+		Role: live.RoleCoordinator, Addr: "127.0.0.1:0", CloudAddr: cloud.Addr(),
+	})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer c.Close()
+	w, err := StartWorker(live.Config{
+		Role: live.RoleSupernode, ID: 1, Addr: "127.0.0.1:0",
+		CloudAddr: cloud.Addr(), CoordAddr: c.Addr(), Transport: live.TransportUDP,
+		FPS: 30, X: 5000, Y: 5000, Capacity: 4, ReportEvery: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	defer w.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for c.WorkersAlive() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the UDP-stream worker never registered with the coordinator")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	s, err := OpenSession(context.Background(), live.Config{
+		Role: live.RolePlayer, ID: 700, GameID: 1,
+		CloudAddr: cloud.Addr(), CoordAddr: c.Addr(), X: 5000, Y: 5000,
+	})
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	defer s.Close()
+	if tk := s.Ticket(); tk.Worker != 1 || tk.Transport != proto.StreamUDP {
+		t.Fatalf("ticket names worker %d over transport %d, want worker 1 over StreamUDP", tk.Worker, tk.Transport)
+	}
+	rep, err := s.Run(500 * time.Millisecond)
+	if err != nil {
+		t.Fatalf("player run: %v", err)
+	}
+	if rep.Segments == 0 {
+		t.Fatal("no segments arrived over the UDP stream")
+	}
+	s.Close()
+
+	deadline = time.Now().Add(5 * time.Second)
+	for c.Ledger().Departed < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("session never departed: %+v", c.Ledger())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if l := c.Ledger(); !l.Balanced() || l.Placements != 1 {
+		t.Fatalf("ledger %+v, want 1 placement and balanced", l)
 	}
 }

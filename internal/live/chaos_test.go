@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"cloudfog/internal/health"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/proto"
 	"cloudfog/internal/world"
@@ -226,59 +225,6 @@ func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 	if !mentioned[sn1Addr] || !mentioned[sn2Addr] {
 		t.Fatalf("FailoverErrors %v does not name both dead supernodes %s and %s",
 			res.report.FailoverErrors, sn1Addr, sn2Addr)
-	}
-}
-
-// TestCloudDetectsSupernodeSilence runs a real heartbeat detector over the
-// TCP link: while the supernode beats, no suspicion; once it dies, the
-// cloud's detector flags it from the silence alone.
-func TestCloudDetectsSupernodeSilence(t *testing.T) {
-	cloud, err := NewCloud(Config{
-		Role:  RoleCloud,
-		Addr:  "127.0.0.1:0",
-		World: world.DefaultConfig(),
-		Tick:  20 * time.Millisecond,
-		Detector: health.DetectorConfig{
-			Mode:     health.ModeTimeout,
-			Interval: 50 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cloud.Close()
-
-	sn, err := NewSupernode(Config{
-		Role: RoleSupernode,
-		ID:   7, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0",
-		FPS: 30, HeartbeatEvery: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Alive and beating: no suspicion accrues.
-	time.Sleep(600 * time.Millisecond)
-	if dets, fps := cloud.FailureDetections(); dets != 0 || fps != 0 {
-		t.Fatalf("detections=%d falsePositives=%d while the supernode was beating", dets, fps)
-	}
-	if cloud.HeartbeatsReceived() == 0 {
-		t.Fatal("cloud received no heartbeats from a live supernode")
-	}
-
-	sn.Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if ids := cloud.DetectedFailures(); len(ids) == 1 && ids[0] == 7 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cloud never detected the dead supernode; suspected=%v", cloud.DetectedFailures())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if _, fps := cloud.FailureDetections(); fps != 0 {
-		t.Fatalf("detector logged %d false positives on a clean link", fps)
 	}
 }
 

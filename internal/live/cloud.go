@@ -3,12 +3,10 @@ package live
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"cloudfog/internal/game"
-	"cloudfog/internal/health"
 	"cloudfog/internal/proto"
 	"cloudfog/internal/world"
 )
@@ -22,9 +20,6 @@ type Cloud struct {
 	opts Options
 
 	ln net.Listener
-	// start anchors the wall-clock offsets fed to the failure detectors;
-	// immutable after NewCloud.
-	start time.Time
 
 	mu      sync.Mutex
 	w       *world.World
@@ -34,14 +29,8 @@ type Cloud struct {
 	// direct-stream fallback to echo.
 	lastStamp map[int64]time.Duration
 	subs      map[int64]*cloudSub
-	// dets holds per-supernode failure detectors; entries survive dropped
-	// connections so silence keeps accruing after a crash.
-	dets       map[int64]*snHealth
-	directs    map[*Link]struct{} // live direct player streams
-	hbRecv     int64
-	detections int64
-	falsePos   int64
-	closed     bool
+	directs   map[*Link]struct{} // live direct player streams
+	closed    bool
 	// tickOnce encode arenas (mu-guarded): stamp frames are appended
 	// back-to-back into encScratch with stampOffs marking boundaries, and
 	// each delta is encoded once into deltaScratch. Send copies payloads
@@ -58,12 +47,6 @@ type Cloud struct {
 type cloudSub struct {
 	link    *Link
 	version uint64
-}
-
-// snHealth is one supernode's cloud-side liveness state.
-type snHealth struct {
-	det       *health.Detector
-	suspected bool
 }
 
 // NewCloud starts the cloud server described by cfg (Role must be RoleCloud)
@@ -86,12 +69,10 @@ func NewCloud(cfg Config, opts ...Option) (*Cloud, error) {
 		cfg:       cfg,
 		opts:      BuildOptions(opts...),
 		ln:        ln,
-		start:     time.Now(),
 		w:         world.New(cfg.World),
 		stamps:    make(map[int64]time.Duration),
 		lastStamp: make(map[int64]time.Duration),
 		subs:      make(map[int64]*cloudSub),
-		dets:      make(map[int64]*snHealth),
 		directs:   make(map[*Link]struct{}),
 		stop:      make(chan struct{}),
 	}
@@ -196,7 +177,9 @@ func (c *Cloud) servePlayer(conn net.Conn, playerID int64) {
 }
 
 // serveSupernode registers an update subscription; deltas are pushed from
-// the tick loop, so this goroutine just waits for disconnect.
+// the tick loop, so this goroutine just waits for disconnect. The cloud
+// holds no opinion on a supernode's liveness: that is the coordinator's, over
+// worker reports.
 func (c *Cloud) serveSupernode(conn net.Conn, snID int64) {
 	link := NewLinkOpts(conn, c.opts.link(c.opts.delayFor(snID), fmt.Sprintf("cloud_to_sn%d", snID)))
 
@@ -209,42 +192,14 @@ func (c *Cloud) serveSupernode(conn net.Conn, snID int64) {
 	// A new subscription starts from a snapshot.
 	link.Send(proto.TDelta, proto.MarshalDelta(c.w.Snapshot()))
 	c.subs[snID] = &cloudSub{link: link, version: c.w.Version()}
-	var hd *snHealth
-	if c.cfg.Detector.Mode != health.ModeOracle {
-		hd = c.dets[snID]
-		if hd == nil {
-			hd = &snHealth{det: health.NewDetector(c.cfg.Detector)}
-			c.dets[snID] = hd
-		}
-		// A (re)subscribing supernode is a fresh instance: re-base its
-		// silence clock and clear any standing suspicion.
-		hd.det.Reset(time.Since(c.start))
-		hd.suspected = false
-	}
 	c.mu.Unlock()
 
-	// Consume the peer's frames (heartbeats) until it goes away. Its
-	// detector entry survives the disconnect: silence keeps accruing.
+	// The peer sends nothing after its hello; the read returns when it goes
+	// away.
 	for {
-		typ, payload, err := link.Recv()
-		if err != nil {
+		if _, _, err := link.Recv(); err != nil {
 			break
 		}
-		if typ != proto.THeartbeat || hd == nil {
-			continue
-		}
-		hb, err := proto.UnmarshalHeartbeat(payload)
-		if err != nil || hb.ID != snID {
-			continue
-		}
-		c.mu.Lock()
-		c.hbRecv++
-		hd.det.Heartbeat(time.Since(c.start))
-		if hd.suspected {
-			hd.suspected = false
-			c.falsePos++
-		}
-		c.mu.Unlock()
 	}
 	c.mu.Lock()
 	if sub, ok := c.subs[snID]; ok && sub.link == link {
@@ -328,38 +283,6 @@ done:
 	link.Close()
 }
 
-// HeartbeatsReceived returns how many supernode heartbeats the cloud's
-// detector has ingested.
-func (c *Cloud) HeartbeatsReceived() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hbRecv
-}
-
-// DetectedFailures returns the IDs of supernodes currently suspected dead,
-// sorted.
-func (c *Cloud) DetectedFailures() []int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var ids []int64
-	for id, hd := range c.dets {
-		if hd.suspected {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// FailureDetections returns the cumulative detection and false-positive
-// counts (a false positive is a suspicion cleared by a later heartbeat on
-// the same connection).
-func (c *Cloud) FailureDetections() (detections, falsePositives int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.detections, c.falsePos
-}
-
 // loop ticks the world at the configured rate and fans deltas out.
 func (c *Cloud) loop() {
 	defer c.wg.Done()
@@ -378,19 +301,6 @@ func (c *Cloud) loop() {
 func (c *Cloud) tickOnce() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Evaluate the failure detectors before the world step: a supernode
-	// whose silence crossed the threshold is flagged exactly once until a
-	// fresh heartbeat (a false positive) or a re-subscribe clears it.
-	if len(c.dets) > 0 {
-		now := time.Since(c.start)
-		for _, hd := range c.dets {
-			if hd.suspected || !hd.det.Suspect(now) {
-				continue
-			}
-			hd.suspected = true
-			c.detections++
-		}
-	}
 	c.w.Apply(c.pending)
 	c.pending = c.pending[:0]
 	c.w.Step(c.cfg.Tick.Seconds())

@@ -66,10 +66,11 @@ type Config struct {
 	StreamAddr  string   `json:"stream_addr,omitempty"`
 	BackupAddrs []string `json:"backup_addrs,omitempty"`
 
-	// Transport selects the supernode→player stream transport: TransportTCP
-	// (default when empty) or TransportUDP; a player's must match its
-	// supernodes'. Control links (cloud update and action links, the cloud's
-	// direct-stream fallback, coordinator TCP mode) stay reliable regardless.
+	// Transport selects the supernode→player stream transport, and nothing
+	// else: TransportTCP (default when empty) or TransportUDP; a player's
+	// must match its supernodes'. Every control link (cloud update and action
+	// links, the cloud's direct-stream fallback, worker and player links to
+	// the coordinator) is TCP regardless.
 	Transport string `json:"transport,omitempty"`
 
 	// Cloud fields. A zero World means world.DefaultConfig(); Tick is the
@@ -83,13 +84,6 @@ type Config struct {
 
 	// Supernode / worker fields. FPS is the per-player segment rate.
 	FPS int `json:"fps,omitempty"`
-	// DelayToCloud is injected on the supernode's outbound hello/heartbeat
-	// path; the cloud injects the update-path delay via its own DelayFor.
-	DelayToCloud time.Duration `json:"delay_to_cloud,omitempty"`
-	// HeartbeatEvery, when positive, sends THeartbeat liveness beacons on
-	// the cloud link at this period — the cloud's failure detector times
-	// the gaps between arrivals.
-	HeartbeatEvery time.Duration `json:"heartbeat_every,omitempty"`
 	// X, Y locate a worker for the coordinator's spatial shortlist (and a
 	// player's placement request).
 	X float64 `json:"x,omitempty"`
@@ -134,12 +128,10 @@ type Config struct {
 	// half-life. Zero disables leases (tickets never expire).
 	LeaseTTL time.Duration `json:"lease_ttl,omitempty"`
 
-	// Detector configures heartbeat failure detection: the cloud over
-	// supernode heartbeats (any Mode but health.ModeOracle; detector state
-	// survives a dropped connection, so a vanished supernode is detected by
-	// its silence rather than forgotten), the coordinator over worker
-	// reports, a worker over coordinator beacons. Zero fields use the health
-	// defaults.
+	// Detector configures failure detection on the control plane: the
+	// coordinator over worker reports, a worker over coordinator beacons.
+	// Zero fields use the health defaults. The cloud runs no detector and
+	// rejects a non-zero value.
 	Detector health.DetectorConfig `json:"detector,omitempty"`
 	// Overload configures the coordinator's placement admission ladder; the
 	// zero value means health.DefaultOverloadConfig().
@@ -171,20 +163,18 @@ func (c Config) Validate() error {
 			return fmt.Errorf("live: cloud Config.Tick %v is not positive", c.Tick)
 		case c.DirectFPS < 0:
 			return fmt.Errorf("live: cloud Config.DirectFPS %d is negative", c.DirectFPS)
+		case c.Detector != (health.DetectorConfig{}):
+			return fmt.Errorf("live: cloud Config.Detector is set: the cloud runs no failure detector; liveness is the coordinator's")
 		}
-		return c.validateDetector()
+		return nil
 	case RoleSupernode:
 		switch {
 		case c.CloudAddr == "":
 			return fmt.Errorf("live: supernode Config.CloudAddr is empty")
 		case c.Addr == "":
 			return fmt.Errorf("live: supernode Config.Addr is empty (use \"127.0.0.1:0\" for an ephemeral port)")
-		case c.DelayToCloud < 0:
-			return fmt.Errorf("live: supernode Config.DelayToCloud %v is negative", c.DelayToCloud)
 		case c.FPS <= 0:
 			return fmt.Errorf("live: supernode Config.FPS %d is not positive", c.FPS)
-		case c.HeartbeatEvery < 0:
-			return fmt.Errorf("live: supernode Config.HeartbeatEvery %v is negative", c.HeartbeatEvery)
 		}
 		if c.CoordAddr == "" {
 			return nil
@@ -230,6 +220,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("live: coordinator Config.Backups %d is negative", c.Backups)
 		case c.LeaseTTL < 0:
 			return fmt.Errorf("live: coordinator Config.LeaseTTL %v is negative", c.LeaseTTL)
+		case c.Transport == TransportUDP:
+			return fmt.Errorf("live: coordinator Config.Transport %q: control links are TCP", c.Transport)
 		}
 		if c.Overload != (health.OverloadConfig{}) {
 			if err := c.Overload.Validate(); err != nil {
@@ -242,8 +234,8 @@ func (c Config) Validate() error {
 	}
 }
 
-// validateDetector checks the detector of a role that runs one (cloud,
-// worker, coordinator); a JSON config carries its Mode as a bare integer.
+// validateDetector checks the detector of a role that runs one (worker,
+// coordinator); a JSON config carries its Mode as a bare integer.
 func (c Config) validateDetector() error {
 	if err := c.Detector.Validate(); err != nil {
 		return fmt.Errorf("live: %s Config.Detector: %w", c.Role, err)

@@ -22,7 +22,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			Role: RoleCloud, Addr: "127.0.0.1:0",
 			World: world.DefaultConfig(), Tick: 50 * time.Millisecond,
 			DirectFPS: 10,
-			Detector:  health.DetectorConfig{Mode: health.ModePhi, Interval: 100 * time.Millisecond},
 		},
 		{
 			Role: RoleSupernode, ID: 3, Addr: "127.0.0.1:0",
@@ -39,6 +38,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 		{
 			Role: RoleCoordinator, Addr: "127.0.0.1:0",
 			ShortlistK: 4, Backups: 2, TicketKey: "secret",
+			Detector: health.DetectorConfig{Mode: health.ModePhi, Interval: 100 * time.Millisecond},
 			Overload: health.DefaultOverloadConfig(),
 		},
 	}
@@ -92,10 +92,6 @@ func TestUnifiedConfigValidation(t *testing.T) {
 		{"coordinator no addr", Config{Role: RoleCoordinator}},
 		{"coordinator negative shortlist", Config{Role: RoleCoordinator, Addr: "x:1", ShortlistK: -1}},
 		{"coordinator negative backups", Config{Role: RoleCoordinator, Addr: "x:1", Backups: -1}},
-		{"cloud unknown detector mode", Config{Role: RoleCloud, Addr: "x:1", Tick: time.Millisecond,
-			Detector: health.DetectorConfig{Mode: 7}}},
-		{"cloud negative detector interval", Config{Role: RoleCloud, Addr: "x:1", Tick: time.Millisecond,
-			Detector: health.DetectorConfig{Mode: health.ModePhi, Interval: -time.Second}}},
 		{"worker unknown detector mode", Config{Role: RoleSupernode, ID: 1, Addr: "x:1", CloudAddr: "x:2",
 			FPS: 30, CoordAddr: "x:3", Capacity: 8, ReportEvery: time.Millisecond,
 			Detector: health.DetectorConfig{Mode: -1}}},
@@ -128,7 +124,6 @@ func TestConfigConstructors(t *testing.T) {
 	cloud, err := NewCloud(Config{
 		Role: RoleCloud, Addr: "127.0.0.1:0",
 		Tick: 20 * time.Millisecond, DirectFPS: 10,
-		Detector: health.DetectorConfig{Mode: health.ModeTimeout, Interval: 100 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("NewCloud: %v", err)
@@ -192,6 +187,8 @@ func TestLoadConfig(t *testing.T) {
 	}{
 		{"role mismatch", `{"role":"cloud","addr":"x:1","tick":1000000}`, RoleSupernode, `role "cloud" does not match "supernode"`},
 		{"unknown key", `{"id":1,"addr":"x:1","cloud_adr":"x:2","fps":30}`, RoleSupernode, `"cloud_adr"`},
+		{"retired heartbeat key", `{"id":1,"addr":"x:1","cloud_addr":"x:2","fps":30,"heartbeat_every":1000000}`, RoleSupernode, `"heartbeat_every"`},
+		{"retired delay key", `{"id":1,"addr":"x:1","cloud_addr":"x:2","fps":30,"delay_to_cloud":1000000}`, RoleSupernode, `"delay_to_cloud"`},
 		{"unknown nested key", `{"addr":"x:1","detector":{"Mood":2}}`, RoleCoordinator, `"Mood"`},
 		{"unknown detector mode", `{"addr":"x:1","detector":{"Mode":7}}`, RoleCoordinator, "Detector: health: DetectorConfig.Mode 7"},
 		{"invalid field", `{"addr":"x:1"}`, RoleCloud, "Tick"},

@@ -14,24 +14,22 @@ import (
 //     TCP, world updates must not be dropped.
 //   - RolePlayer dials the serving stream at cfg.StreamAddr over
 //     cfg.Transport.
-//   - RoleCoordinator dials the coordinator at cfg.CoordAddr over
-//     cfg.Transport (workers registering, players requesting placement).
+//   - RoleCoordinator dials the coordinator at cfg.CoordAddr — always TCP,
+//     whatever cfg.Transport says about the stream (workers registering,
+//     players requesting placement).
 //
 // RoleCloud is listen-only and is rejected. Runtime options attach injected
 // delay (DelayFor keyed by cfg.ID) and link stats via WithObs/WithDelayFor.
 func Dial(ctx context.Context, role RoleKind, cfg Config, opts ...Option) (Transport, error) {
 	o := BuildOptions(opts...)
 	var addr string
-	udp := false
 	switch role {
 	case RoleSupernode:
 		addr = cfg.CloudAddr
 	case RolePlayer:
 		addr = cfg.StreamAddr
-		udp = cfg.Transport == TransportUDP
 	case RoleCoordinator:
 		addr = cfg.CoordAddr
-		udp = cfg.Transport == TransportUDP
 	case RoleCloud:
 		return nil, fmt.Errorf("live: Dial(RoleCloud): the cloud listens, it does not dial")
 	default:
@@ -42,6 +40,8 @@ func Dial(ctx context.Context, role RoleKind, cfg Config, opts ...Option) (Trans
 	}
 
 	lo := o.link(o.delayFor(cfg.ID), fmt.Sprintf("%s%d_dial", role, cfg.ID))
+	// Only the player's stream may be a datagram link.
+	udp := role == RolePlayer && cfg.Transport == TransportUDP
 	return dialTransport(ctx, addr, cfg.ID, udp, lo)
 }
 

@@ -65,8 +65,8 @@ const (
 	// first frame of a batch while gathering more. ~2 ms trades a bounded,
 	// sub-frame-interval latency cost for an order-of-magnitude reduction
 	// in write syscalls at segment-throughput saturation. Frames whose
-	// type is urgent (heartbeats, acks, hellos) always flush immediately,
-	// so failure detectors see no added jitter.
+	// type is urgent (acks, hellos, coordinator control frames) always flush
+	// immediately, so failure detectors see no added jitter.
 	DefaultFlushDeadline = 2 * time.Millisecond
 
 	defaultMaxBatch = 256  // frames per coalesced writev
@@ -86,10 +86,11 @@ type LinkOptions struct {
 	// no per-frame cost beyond one nil-check).
 	Stats *obs.LinkStats
 	// FlushDeadline is the coalescing window: 0 means DefaultFlushDeadline,
-	// negative disables coalescing entirely (one write per frame).
+	// negative disables coalescing entirely (one write per frame). No
+	// deployment sets it; it is an option only because the per-frame mode is
+	// the reference path TestLinkPerFrameModeDisablesBatching compares the
+	// coalescing writer against.
 	FlushDeadline time.Duration
-	// MaxBatch caps frames per coalesced write (0 means defaultMaxBatch).
-	MaxBatch int
 }
 
 // Link wraps a stream connection (TCP, net.Pipe) with sender-side one-way
@@ -115,7 +116,6 @@ type linkCore struct {
 	conn          net.Conn
 	delay         time.Duration
 	flushDeadline time.Duration // <0: per-frame writes (no coalescing)
-	maxBatch      int
 	dgram         bool
 	stats         *obs.LinkStats
 
@@ -198,14 +198,9 @@ func (l *linkCore) init(conn net.Conn, opts LinkOptions, dgram bool) {
 	if fd == 0 {
 		fd = DefaultFlushDeadline
 	}
-	mb := opts.MaxBatch
-	if mb <= 0 {
-		mb = defaultMaxBatch
-	}
 	l.conn = conn
 	l.delay = opts.Delay
 	l.flushDeadline = fd
-	l.maxBatch = mb
 	l.dgram = dgram
 	l.stats = opts.Stats
 	l.cond = sync.NewCond(&l.mu)
@@ -216,12 +211,12 @@ func (l *linkCore) init(conn net.Conn, opts LinkOptions, dgram bool) {
 }
 
 // urgentType reports whether frames of type t must flush immediately:
-// heartbeats, acks, and the coordinator control frames feed failure
-// detectors and handshakes, so coalescing jitter on them would show up as
-// detector noise.
+// acks, hellos and the coordinator control frames feed handshakes and the
+// coordinator's failure detectors, so coalescing jitter on them would show
+// up as detector noise.
 func urgentType(t proto.MsgType) bool {
 	switch t {
-	case proto.THeartbeat, proto.TAck, proto.THello,
+	case proto.TAck, proto.THello,
 		proto.TRegister, proto.TReport, proto.TTicket, proto.TSync:
 		return true
 	}
@@ -235,7 +230,7 @@ func frameUrgent(frame []byte) bool {
 // writer drains the send queue: it sleeps (one reused timer, not one
 // time.Sleep per frame) until the head frame's release time, gathers every
 // further queued frame releasing within flushDeadline of it (stopping at
-// urgent frames, maxBatch, or an empty queue — an empty queue flushes
+// urgent frames, defaultMaxBatch, or an empty queue — an empty queue flushes
 // immediately, so an idle link adds zero latency), and issues one batched
 // write. Close lets it flush everything already queued before it exits.
 func (l *linkCore) writer() {
@@ -269,7 +264,7 @@ func (l *linkCore) writer() {
 		if l.flushDeadline >= 0 && !first.urgent {
 			deadline := first.release.Add(l.flushDeadline)
 			l.mu.Lock()
-			for len(l.batch) < l.maxBatch && l.qhead < len(l.q) {
+			for len(l.batch) < defaultMaxBatch && l.qhead < len(l.q) {
 				q := l.q[l.qhead]
 				if q.release.After(deadline) {
 					// Holding the batch open for it would blow the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudfog/internal/health"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/proto"
 	"cloudfog/internal/world"
@@ -90,12 +91,11 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	const streamDelay = 8 * time.Millisecond
 	sn, err := NewSupernode(Config{
-		Role:         RoleSupernode,
-		ID:           1_000_000,
-		CloudAddr:    cloud.Addr(),
-		Addr:         "127.0.0.1:0",
-		DelayToCloud: 5 * time.Millisecond,
-		FPS:          30,
+		Role:      RoleSupernode,
+		ID:        1_000_000,
+		CloudAddr: cloud.Addr(),
+		Addr:      "127.0.0.1:0",
+		FPS:       30,
 	}, WithDelayFor(func(int64) time.Duration { return streamDelay }))
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +280,9 @@ func TestConfigValidation(t *testing.T) {
 		{"sn empty cloud addr", Config{Role: RoleSupernode, Addr: "127.0.0.1:0", FPS: 30}, "CloudAddr is empty"},
 		{"sn empty addr", Config{Role: RoleSupernode, CloudAddr: "x", FPS: 30}, "Addr is empty"},
 		{"sn zero fps", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "127.0.0.1:0"}, "FPS"},
-		{"sn negative delay", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "y", FPS: 30, DelayToCloud: -time.Second}, "DelayToCloud"},
-		{"sn negative heartbeat", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "y", FPS: 30, HeartbeatEvery: -time.Second}, "HeartbeatEvery"},
+		{"cloud with a detector", Config{Role: RoleCloud, Addr: "x", Tick: time.Second,
+			Detector: health.DetectorConfig{Mode: health.ModePhi}}, "the cloud runs no failure detector"},
+		{"coordinator over udp", Config{Role: RoleCoordinator, Addr: "x", Transport: TransportUDP}, "control links are TCP"},
 		{"sn bad transport", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "y", FPS: 30, Transport: "sctp"}, "Transport"},
 		{"player empty cloud addr", with(func(c *Config) { c.CloudAddr = "" }), "CloudAddr is empty"},
 		{"player empty stream addr", with(func(c *Config) { c.StreamAddr = "" }), "StreamAddr"},

@@ -146,7 +146,7 @@ func NewSupernode(cfg Config, opts ...Option) (*Supernode, error) {
 	if err != nil {
 		return nil, err
 	}
-	cloudLink := NewLinkOpts(conn, o.link(cfg.DelayToCloud, fmt.Sprintf("sn%d_to_cloud", cfg.ID)))
+	cloudLink := NewLinkOpts(conn, o.link(0, fmt.Sprintf("sn%d_to_cloud", cfg.ID)))
 	if !cloudLink.Send(proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RoleSupernode, ID: cfg.ID})) {
 		cloudLink.Close()
 		return nil, fmt.Errorf("live: hello to cloud failed")
@@ -198,31 +198,7 @@ func NewSupernode(cfg Config, opts ...Option) (*Supernode, error) {
 		go sn.accept()
 	}
 	go sn.renderLoop()
-	if cfg.HeartbeatEvery > 0 {
-		sn.wg.Add(1)
-		go sn.heartbeatLoop()
-	}
 	return sn, nil
-}
-
-// heartbeatLoop sends periodic liveness beacons on the cloud link. When the
-// supernode dies (or its link is chaos-killed), the beacons stop and the
-// cloud's detector notices the silence.
-func (sn *Supernode) heartbeatLoop() {
-	defer sn.wg.Done()
-	ticker := time.NewTicker(sn.cfg.HeartbeatEvery)
-	defer ticker.Stop()
-	var seq uint64
-	for {
-		select {
-		case <-sn.stop:
-			return
-		case <-ticker.C:
-			seq++
-			sn.cloudLink.Send(proto.THeartbeat,
-				proto.MarshalHeartbeat(proto.Heartbeat{ID: sn.cfg.ID, Seq: seq}))
-		}
-	}
 }
 
 // Addr returns the supernode's player-facing listen address.

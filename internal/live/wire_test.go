@@ -326,15 +326,15 @@ func TestPipeTransport(t *testing.T) {
 		t.Fatalf("decode a->b: %+v %v", ack, err)
 	}
 
-	if !b.Send(proto.THeartbeat, proto.MarshalHeartbeat(proto.Heartbeat{ID: 1, Seq: 9})) {
+	if !b.Send(proto.TSync, proto.MarshalSync(proto.Sync{Now: 1, LeaseTTL: 9})) {
 		t.Fatal("send b->a failed")
 	}
 	typ, payload, err = a.Recv()
-	if err != nil || typ != proto.THeartbeat {
+	if err != nil || typ != proto.TSync {
 		t.Fatalf("recv b->a: %v %v", typ, err)
 	}
-	if hb, err := proto.UnmarshalHeartbeat(payload); err != nil || hb.Seq != 9 {
-		t.Fatalf("decode b->a: %+v %v", hb, err)
+	if sy, err := proto.UnmarshalSync(payload); err != nil || sy.LeaseTTL != 9 {
+		t.Fatalf("decode b->a: %+v %v", sy, err)
 	}
 }
 
@@ -354,13 +354,12 @@ func TestEndToEndPipelineUDP(t *testing.T) {
 	defer cloud.Close()
 
 	sn, err := NewSupernode(Config{
-		Role:         RoleSupernode,
-		ID:           1_000_000,
-		CloudAddr:    cloud.Addr(),
-		Addr:         "127.0.0.1:0",
-		DelayToCloud: 2 * time.Millisecond,
-		FPS:          30,
-		Transport:    TransportUDP,
+		Role:      RoleSupernode,
+		ID:        1_000_000,
+		CloudAddr: cloud.Addr(),
+		Addr:      "127.0.0.1:0",
+		FPS:       30,
+		Transport: TransportUDP,
 	}, WithDelayFor(func(int64) time.Duration { return 4 * time.Millisecond }))
 	if err != nil {
 		t.Fatal(err)

@@ -45,9 +45,6 @@ func TestAppendMatchesMarshal(t *testing.T) {
 	h := Hello{Role: RolePlayerActions, ID: 77}
 	check("hello", AppendHello(append([]byte(nil), prefix...), h), MarshalHello(h))
 
-	hb := Heartbeat{ID: 3, Seq: 44}
-	check("heartbeat", AppendHeartbeat(append([]byte(nil), prefix...), hb), MarshalHeartbeat(hb))
-
 	check("ack", AppendAck(append([]byte(nil), prefix...), Ack{Code: 6}), MarshalAck(Ack{Code: 6}))
 
 	reg := Register{Worker: 1_000_007, Capacity: 16, Load: 3, X: 120.5, Y: -88.25,

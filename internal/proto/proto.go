@@ -40,8 +40,9 @@ const (
 	TAck
 	// THello identifies a connecting peer's role.
 	THello
-	// THeartbeat is a supernode's periodic liveness beacon to the cloud.
-	THeartbeat
+	// Wire value 7 is reserved (a retired supernode→cloud liveness beacon);
+	// the blank keeps TRegister…TSync at their wire values.
+	_
 	// TRegister announces a supernode worker to the coordinator: identity,
 	// player-facing address, position, and capacity.
 	TRegister
@@ -531,30 +532,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 func UnmarshalHello(p []byte) (Hello, error) {
 	b := buffer{b: p}
 	h := Hello{Role: Role(b.ru8()), ID: b.ri64()}
-	return h, b.finish()
-}
-
-// Heartbeat is a supernode's periodic liveness beacon: the cloud's failure
-// detector times the gaps between arrivals.
-type Heartbeat struct {
-	ID  int64
-	Seq uint64
-}
-
-// MarshalHeartbeat encodes a heartbeat.
-func MarshalHeartbeat(h Heartbeat) []byte { return AppendHeartbeat(nil, h) }
-
-// AppendHeartbeat marshals a heartbeat into dst and returns the extended
-// slice — the allocation-free form of MarshalHeartbeat.
-func AppendHeartbeat(dst []byte, h Heartbeat) []byte {
-	dst = appendI64(dst, h.ID)
-	return appendU64(dst, h.Seq)
-}
-
-// UnmarshalHeartbeat decodes a heartbeat.
-func UnmarshalHeartbeat(p []byte) (Heartbeat, error) {
-	b := buffer{b: p}
-	h := Heartbeat{ID: b.ri64(), Seq: b.ru64()}
 	return h, b.finish()
 }
 

@@ -26,6 +26,33 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMsgTypeWireValues pins every frame type to its number on the wire. 7 is
+// absent on purpose: it is reserved (a retired liveness beacon), and a type
+// taking it would renumber nothing but would collide with old peers.
+func TestMsgTypeWireValues(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		typ  MsgType
+		want uint8
+	}{
+		{"TAction", TAction, 1},
+		{"TDelta", TDelta, 2},
+		{"TSegment", TSegment, 3},
+		{"TJoinStream", TJoinStream, 4},
+		{"TAck", TAck, 5},
+		{"THello", THello, 6},
+		{"TRegister", TRegister, 8},
+		{"TReport", TReport, 9},
+		{"TPlace", TPlace, 10},
+		{"TTicket", TTicket, 11},
+		{"TSync", TSync, 12},
+	} {
+		if uint8(c.typ) != c.want {
+			t.Errorf("%s = %d on the wire, want %d", c.name, c.typ, c.want)
+		}
+	}
+}
+
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, TAck, nil); err != nil {
