@@ -92,14 +92,18 @@ record-corpus:
 		-shards 4 -detector phi -overload \
 		-record examples/flight/sharded.flight
 
-# coord is the control-plane gate: the coordinator suite under the race
-# detector — placement, the churn property test, the UDP-stream worker
-# registering over TCP, and the three multi-process tests on real worker
-# processes: SIGKILL mid-stream (every stranded session re-placed within
-# the detector Bound()), SIGTERM drain with leases on (make-before-break
-# handoffs, zero visible interruptions) and a coordinator partition — each
-# of which fails unless the session ledger reconciles.
+# coord is the control-plane gate. First the passive placer, lease and
+# ticket tests twenty times over (milliseconds each): the placer promises to
+# be a function of its inputs, so a dependence on map order fails here
+# outright instead of flaking once in a while. Then the whole coordinator
+# suite under the race detector — placement, the churn property test, the
+# UDP-stream worker registering over TCP, and the three multi-process tests
+# on real worker processes: SIGKILL mid-stream (every stranded session
+# re-placed within the detector Bound()), SIGTERM drain with leases on
+# (make-before-break handoffs, zero visible interruptions) and a coordinator
+# partition — each of which fails unless the session ledger reconciles.
 coord:
+	$(GO) test -race -count=20 -run 'Placer|Lease|Ticket|Renewal' ./internal/coord/
 	$(GO) test -race -count=1 ./internal/coord/
 
 # latency puts the response-path number one command away: the frame-clock

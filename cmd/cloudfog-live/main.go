@@ -212,10 +212,11 @@ func run() error {
 
 	// Chaos: replay the fault profile in wall-clock time against the
 	// running deployment.
-	faultStats := obs.NewFaultStats()
-	if reg != nil {
-		faultStats = obs.FaultStatsIn(reg)
+	faultReg := reg
+	if faultReg == nil {
+		faultReg = obs.NewRegistry() // no -metrics-addr: the exit ledger still reads these
 	}
+	faultStats := obs.FaultStatsIn(faultReg)
 	if *chaosFlag != "" {
 		profile := defaultLiveChaos(*seedFlag, *durationFlag)
 		if *chaosFlag != "default" {

@@ -21,10 +21,9 @@
 //
 // -record captures the run as a flight recording: the launch spec, the
 // compiled fault schedules, canonical figure bytes, per-figure
-// observability deltas, and the sharded data plane's RNG witness. -replay
-// re-runs a recording and verifies it bit-identically (-replay-from starts
-// at a recorded figure checkpoint), and -whatif re-runs it with exactly one
-// knob overridden and prints the ledger-reconciled QoE diff.
+// observability deltas, and the sharded data plane's RNG witness.
+// cloudfog-replay re-runs a recording and verifies it bit-identically, or
+// re-runs it with one knob overridden and prints the QoE diff.
 //
 // Usage:
 //
@@ -35,9 +34,6 @@
 //	cloudfog-sim -figures figdetect -report detect.json
 //	cloudfog-sim -figures figchurn -detector phi -overload -breaker
 //	cloudfog-sim -figures figscale -detector timeout -record incident.flight
-//	cloudfog-sim -replay incident.flight
-//	cloudfog-sim -replay incident.flight -replay-from figscale
-//	cloudfog-sim -replay incident.flight -whatif detector=phi -expect-diff
 package main
 
 import (
@@ -78,10 +74,6 @@ var (
 	nodeBudgetFlag = flag.Int("scale-nodes", 0, "sharded scaling run: supernodes sampled for segment-level QoE per epoch (0 = 32 default, negative = all)")
 	scaleFlag      = flag.Bool("scale", false, "run only the sharded scaling experiment (figscale) and print its timing and shard diagnostics")
 	recordFlag     = flag.String("record", "", "run the selected figures under the flight recorder and write the recording to this file")
-	replayFlag     = flag.String("replay", "", "replay a flight recording and verify it bit-identically (figure flags are ignored; the recording's spec drives the run)")
-	replayFromFlag = flag.String("replay-from", "", "start the replay at this recorded figure checkpoint, skipping (and trusting) earlier figures")
-	whatifFlag     = flag.String("whatif", "", "with -replay: re-run the recording with one knob overridden (key=value, e.g. detector=phi) and print the QoE diff")
-	expectDiffFlag = flag.Bool("expect-diff", false, "with -whatif: exit non-zero if the override changes nothing observable")
 	cpuProfFlag    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 )
@@ -126,9 +118,6 @@ func withProfiles(fn func() error) error {
 }
 
 func run() error {
-	if *replayFlag != "" {
-		return runReplay()
-	}
 	if *recordFlag != "" {
 		return runRecord()
 	}
@@ -288,53 +277,6 @@ func runRecord() error {
 		*recordFlag, len(data), len(rec.Figures), len(rec.Schedules), rec.WorldFP)
 	if *reportFlag != "" {
 		return writeReport(*reportFlag, rec.Final)
-	}
-	return nil
-}
-
-// runReplay verifies a recording (or, with -whatif, diffs a counterfactual
-// against it). A divergent replay and an unexpectedly empty what-if diff
-// both exit non-zero.
-func runReplay() error {
-	rec, err := flight.Load(*replayFlag)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("flight recording %s — %s\n", *replayFlag, rec.Spec.Summary())
-	if *whatifFlag != "" {
-		d, err := rec.WhatIf(*whatifFlag, "")
-		if err != nil {
-			return err
-		}
-		d.WriteText(os.Stdout)
-		if *expectDiffFlag && d.Empty() {
-			return fmt.Errorf("what-if %s changed nothing observable", *whatifFlag)
-		}
-		if *reportFlag != "" {
-			f, err := os.Create(*reportFlag)
-			if err != nil {
-				return err
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(d); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("what-if diff written to %s\n", *reportFlag)
-		}
-		return nil
-	}
-	rep, err := rec.Replay(*replayFromFlag)
-	if err != nil {
-		return err
-	}
-	rep.WriteText(os.Stdout)
-	if !rep.Identical() {
-		return fmt.Errorf("replay of %s diverged from the recording", *replayFlag)
 	}
 	return nil
 }

@@ -136,9 +136,6 @@ func NewEdgeCloud(cfg core.Config, dcs, servers []*core.Datacenter, rng *sim.Ran
 // Name identifies the system in experiment output.
 func (e *EdgeCloud) Name() string { return "EdgeCloud" }
 
-// Servers returns the deployed edge servers.
-func (e *EdgeCloud) Servers() []*core.Datacenter { return e.servers }
-
 // OnlinePlayers returns the number of players currently served.
 func (e *EdgeCloud) OnlinePlayers() int { return len(e.online) }
 

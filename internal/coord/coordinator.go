@@ -19,8 +19,7 @@ import (
 // control link is a TCP stream — a lost register or ticket would strand a
 // worker or a player.
 type Coordinator struct {
-	cfg   live.Config
-	stats *obs.CoordStats
+	cfg live.Config
 
 	ln    net.Listener
 	start time.Time
@@ -44,7 +43,7 @@ func StartCoordinator(cfg live.Config, opts ...live.Option) (*Coordinator, error
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	stats := obs.NewCoordStats()
+	var stats *obs.CoordStats // nil: the placer keeps its books in a private registry
 	if reg := live.BuildOptions(opts...).Obs; reg != nil {
 		stats = obs.CoordStatsIn(reg)
 	}
@@ -70,7 +69,6 @@ func StartCoordinator(cfg live.Config, opts ...live.Option) (*Coordinator, error
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		stats:   stats,
 		ln:      ln,
 		start:   time.Now(),
 		placer:  placer,
@@ -180,7 +178,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 				c.players[player] = link
 			}
 			c.mu.Unlock()
-			c.stats.PlacementNs.Observe(int64(time.Since(began)))
+			c.placer.stats.PlacementNs.Observe(int64(time.Since(began)))
 			if !ok {
 				// Rejection: a ticket with no address. The empty Addr is
 				// the signal; no signature covers a non-placement.
@@ -242,7 +240,7 @@ func (c *Coordinator) deliver(began time.Time, reps []Replacement) {
 			continue
 		}
 		c.pushTicket(links[i], r.Ticket)
-		c.stats.ReplaceNs.Observe(int64(time.Since(began)))
+		c.placer.stats.ReplaceNs.Observe(int64(time.Since(began)))
 	}
 }
 

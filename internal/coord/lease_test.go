@@ -196,9 +196,10 @@ func gateWorker(key string, tol time.Duration) *Worker {
 // ticketFor signs a ticket for player 42 on worker 3 whose expiry sits
 // offset away from the worker's current estimate of the coordinator clock.
 func ticketFor(w *Worker, key string, player int64, offset time.Duration) []byte {
+	skew, _ := w.Skew()
 	t := proto.Ticket{
 		Player: player, Worker: 3, Epoch: 1,
-		Expiry: int64(w.lnow()) + w.skew + int64(offset),
+		Expiry: int64(w.lnow() + skew + offset),
 	}
 	SignTicket([]byte(key), &t)
 	return proto.MarshalTicket(t)

@@ -1,8 +1,9 @@
 package coord
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"cloudfog/internal/health"
@@ -47,7 +48,10 @@ type PlacerConfig struct {
 	// Sweep retires sessions whose lease has lapsed a full TTL past expiry
 	// without renewal. Zero disables leases.
 	LeaseTTL time.Duration
-	// Stats, when non-nil, mirrors the placer's ledger into metrics.
+	// Stats holds the counters that are the placer's ledger — each event is
+	// counted once, there, and Ledger reads them back. Nil means a bundle in
+	// a private registry; pass obs.CoordStatsIn(reg) to have /metrics show
+	// the same numbers.
 	Stats *obs.CoordStats
 }
 
@@ -108,6 +112,7 @@ func (l Ledger) Balanced() bool {
 }
 
 type workerState struct {
+	id       int64
 	reg      proto.Register
 	det      *health.Detector
 	alive    bool
@@ -133,8 +138,8 @@ type sessionState struct {
 	worker   int64 // zero: cloud-direct
 	epoch    uint64
 	replaced bool
-	// attachSeq orders sessions by their most recent attachment; drains
-	// move the newest attachments first (the RelieveOverloaded discipline).
+	// attachSeq is the session's most recent attachment, unique across the
+	// placer: the one order a worker's sessions are walked in.
 	attachSeq uint64
 	// expiry is the session's current lease deadline (zero without leases).
 	expiry time.Duration
@@ -143,45 +148,31 @@ type sessionState struct {
 // Placer is the coordinator's placement state machine: worker liveness and
 // occupancy, the spatial shortlist, the overload admission ladder, and the
 // session ledger. It is a passive value fed explicit timestamps — no clocks,
-// no goroutines — so the churn property tests drive it deterministically.
-// Not safe for concurrent use; the Coordinator serializes access.
+// no goroutines — and a deterministic function of its inputs: workers are
+// walked in first-registration order, a worker's sessions in attachment
+// order, never in map order. Not safe for concurrent use; the Coordinator
+// serializes access.
 type Placer struct {
-	cfg PlacerConfig
+	cfg   PlacerConfig
+	stats *obs.CoordStats
 	// olCfg is the defaulted overload config, consulted directly when drain
 	// admissibility needs thresholds (WouldMigrate, partial-drain target).
 	olCfg   health.OverloadConfig
 	grid    *spatial.Grid
 	ladder  *health.Overload
 	workers map[int64]*workerState
-	// sessions maps player → session; sweep iterates workers' sessions via
-	// this map (worker counts stay small next to session counts).
+	order   []*workerState // first-registration order
+	// sessions maps player → session; sessionsOn scans it per worker (worker
+	// counts stay small next to session counts).
 	sessions  map[int64]*sessionState
 	epoch     uint64
 	attachSeq uint64
-	scratch   []spatial.Neighbor
-	// drainScratch orders a distressed worker's sessions newest-first.
-	drainScratch []drainCandidate
-
-	placements    uint64
-	replacements  uint64
-	renewals      uint64
-	ticketsIssued uint64
-	rejected      uint64
-	departed      uint64
-	expired       uint64
-	drainWorkers  uint64
-	drainSessions uint64
-	drainStranded uint64
-	rebases       uint64
-	reconciled    uint64
-	wRegistered   uint64
-	wLost         uint64
-	wReturned     uint64
-}
-
-type drainCandidate struct {
-	player int64
-	s      *sessionState
+	// serves is the one shortlist filter, bound once; leaving is its
+	// per-query argument (the worker the session is moving off, or zero).
+	serves      func(id int64) bool
+	leaving     int64
+	scratch     []spatial.Neighbor
+	sessScratch []*sessionState
 }
 
 // NewPlacer builds a placement state machine; zero config fields default.
@@ -201,6 +192,10 @@ func NewPlacer(cfg PlacerConfig) (*Placer, error) {
 	if cfg.Backups == 0 {
 		cfg.Backups = DefaultBackups
 	}
+	stats := cfg.Stats
+	if stats == nil {
+		stats = obs.CoordStatsIn(obs.NewRegistry())
+	}
 	ladder, err := health.NewOverload(cfg.Overload, nil, nil)
 	if err != nil {
 		return nil, err
@@ -209,14 +204,22 @@ func NewPlacer(cfg PlacerConfig) (*Placer, error) {
 	if olCfg == (health.OverloadConfig{}) {
 		olCfg = health.DefaultOverloadConfig()
 	}
-	return &Placer{
+	p := &Placer{
 		cfg:      cfg,
+		stats:    stats,
 		olCfg:    olCfg,
 		grid:     spatial.NewGrid(cfg.Width, cfg.Height),
 		ladder:   ladder,
 		workers:  make(map[int64]*workerState),
 		sessions: make(map[int64]*sessionState),
-	}, nil
+	}
+	// A worker serves a session iff it is alive, has not announced a drain,
+	// and is not the worker the session is leaving.
+	p.serves = func(id int64) bool {
+		w := p.workers[id]
+		return w != nil && w.alive && !w.draining && id != p.leaving
+	}
+	return p, nil
 }
 
 // Bound returns the provable worker-death detection latency: no session
@@ -234,18 +237,13 @@ func (p *Placer) Register(now time.Duration, r proto.Register) (returned bool, r
 	w := p.workers[r.Worker]
 	preexisting := w != nil && w.alive
 	if w == nil {
-		w = &workerState{det: health.NewDetector(p.cfg.Detector)}
+		w = &workerState{id: r.Worker, det: health.NewDetector(p.cfg.Detector)}
 		p.workers[r.Worker] = w
-		p.wRegistered++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.WorkersRegistered.Inc()
-		}
+		p.order = append(p.order, w)
+		p.stats.WorkersRegistered.Inc()
 	} else if !w.alive {
 		returned = true
-		p.wReturned++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.WorkersReturned.Inc()
-		}
+		p.stats.WorkersReturned.Inc()
 	}
 	w.reg = r
 	w.alive = true
@@ -275,37 +273,17 @@ func (p *Placer) reconcile(now time.Duration, worker int64, live []int64) []Repl
 		serving[pid] = struct{}{}
 	}
 	var out []Replacement
-	for player, s := range p.sessions {
-		if s.worker != worker {
-			continue
-		}
-		if _, ok := serving[player]; ok {
+	for _, s := range p.sessionsOn(worker) {
+		if _, ok := serving[s.place.Player]; ok {
 			continue
 		}
 		// The register's load already excludes dropped sessions, so no
 		// detach here — only the new attachment is counted.
-		wid, ok := p.choose(s.place.X, s.place.Y)
-		if !ok {
-			delete(p.sessions, player)
-			p.departed++
-			if p.cfg.Stats != nil {
-				p.cfg.Stats.Departed.Inc()
-			}
-			out = append(out, Replacement{Player: player, Dropped: true})
-			continue
+		to, ok := p.choose(s.place.X, s.place.Y, 0)
+		if ok {
+			p.stats.Reconciled.Inc()
 		}
-		s.worker = wid
-		s.replaced = true
-		p.attachSeq++
-		s.attachSeq = p.attachSeq
-		p.attach(wid)
-		p.replacements++
-		p.reconciled++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.Replacements.Inc()
-			p.cfg.Stats.Reconciled.Inc()
-		}
-		out = append(out, Replacement{Player: player, Ticket: p.issue(now, player, s)})
+		out = append(out, p.move(now, s, to, ok))
 	}
 	return out
 }
@@ -334,43 +312,29 @@ func (p *Placer) Report(now time.Duration, r proto.Report) bool {
 		w.drainCounted = false
 	}
 	p.ladder.Observe(r.Worker, w.load, w.capacity)
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.ReportsReceived.Inc()
-	}
+	p.stats.ReportsReceived.Inc()
 	return true
 }
 
-// Place answers a join: shortlist the nearest alive workers, pick the first
-// the ladder admits, ring the next backup-eligible ones, and issue a signed
-// ticket. With no admitting worker the session falls back to the cloud's
-// direct stream when configured, otherwise the join is rejected (ok=false).
-// A repeated Place for a live session re-issues its current ticket (counted
-// as a renewal so the ticket identity stays balanced).
+// Place answers a join: the nearest serving worker below Rejecting, a ring of
+// the next backup-eligible ones, and a signed ticket. With no admitting
+// worker the session falls back to the cloud's direct stream when configured,
+// otherwise the join is rejected (ok=false). A repeated Place for a live
+// session re-issues its current ticket (counted as a renewal so the ticket
+// identity stays balanced).
 func (p *Placer) Place(now time.Duration, req proto.Place) (proto.Ticket, bool) {
-	if s := p.sessions[req.Player]; s != nil {
-		p.renewals++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.LeaseRenewed.Inc()
-		}
-		return p.issue(now, req.Player, s), true
+	if t, ok := p.Renew(now, req.Player); ok {
+		return t, true
 	}
-	wid, ok := p.choose(req.X, req.Y)
+	wid, ok := p.choose(req.X, req.Y, 0)
 	if !ok {
-		p.rejected++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.Rejected.Inc()
-		}
+		p.stats.Rejected.Inc()
 		return proto.Ticket{}, false
 	}
-	p.attachSeq++
-	s := &sessionState{place: req, worker: wid, attachSeq: p.attachSeq}
+	s := &sessionState{place: req}
 	p.sessions[req.Player] = s
-	p.placements++
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.Placements.Inc()
-	}
-	p.attach(wid)
-	return p.issue(now, req.Player, s), true
+	p.stats.Placements.Inc()
+	return p.seat(now, s, wid), true
 }
 
 // Renew extends a player's lease: a fresh ticket for its current worker with
@@ -383,41 +347,81 @@ func (p *Placer) Renew(now time.Duration, player int64) (proto.Ticket, bool) {
 	if s == nil {
 		return proto.Ticket{}, false
 	}
-	p.renewals++
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.LeaseRenewed.Inc()
-	}
-	return p.issue(now, player, s), true
+	p.stats.LeaseRenewed.Inc()
+	return p.issue(now, s), true
 }
 
-// choose runs the placement policy at (x, y): the nearest alive worker the
-// ladder admits, or the cloud fallback (wid 0) when nothing admits.
-func (p *Placer) choose(x, y float64) (wid int64, ok bool) {
-	p.scratch = p.grid.NearestInto(p.scratch, x, y, p.cfg.ShortlistK,
-		func(id int64) bool {
-			w := p.workers[id]
-			return w != nil && w.alive
-		})
-	for _, nb := range p.scratch {
-		if p.ladder.Admit(nb.ID) {
+// shortlist is the one candidate query: the ShortlistK workers nearest to
+// (x, y) that serve a session leaving worker `leaving` (zero: none), nearest
+// first. Every destination — join, re-placement, backup ring, drain target —
+// is a threshold on rung over this list.
+func (p *Placer) shortlist(x, y float64, leaving int64) []spatial.Neighbor {
+	p.leaving = leaving
+	p.scratch = p.grid.NearestInto(p.scratch, x, y, p.cfg.ShortlistK, p.serves)
+	return p.scratch
+}
+
+// rung is a worker's effective overload-ladder state: the worse of what the
+// placer derives from occupancy and what the worker reports of itself.
+func (p *Placer) rung(id int64) health.OverloadState {
+	return max(p.ladder.State(id), p.workers[id].level)
+}
+
+// choose picks where a join or re-placement goes: the nearest candidate
+// below Rejecting, or the cloud fallback (wid 0) when nothing admits.
+func (p *Placer) choose(x, y float64, leaving int64) (wid int64, ok bool) {
+	for _, nb := range p.shortlist(x, y, leaving) {
+		if p.rung(nb.ID) < health.StateRejecting {
 			return nb.ID, true
 		}
 	}
-	if p.cfg.CloudAddr == "" {
-		return 0, false
-	}
-	return 0, true // cloud-direct
+	return 0, p.cfg.CloudAddr != ""
 }
 
-// attach counts a placed session against the worker's occupancy until its
-// next report supersedes the estimate.
-func (p *Placer) attach(wid int64) {
+// ring is a session's backup ring: the nearest candidates below Shedding,
+// its serving worker excluded.
+func (p *Placer) ring(s *sessionState) []string {
+	var backups []string
+	for _, nb := range p.shortlist(s.place.X, s.place.Y, s.worker) {
+		if len(backups) >= p.cfg.Backups {
+			break
+		}
+		if p.rung(nb.ID) < health.StateShedding {
+			backups = append(backups, p.workers[nb.ID].reg.Addr)
+		}
+	}
+	return backups
+}
+
+// drainTarget picks where a session on a distressed worker moves: the
+// nearest candidate below Shedding that one more session would not push
+// across the migration threshold. No cloud fallback here — drainWorker
+// decides whether a session without a target stays or goes.
+func (p *Placer) drainTarget(s *sessionState) (int64, bool) {
+	for _, nb := range p.shortlist(s.place.X, s.place.Y, s.worker) {
+		w := p.workers[nb.ID]
+		if p.rung(nb.ID) < health.StateShedding && !p.ladder.WouldMigrate(w.load+1, w.capacity) {
+			return nb.ID, true
+		}
+	}
+	return 0, false
+}
+
+// seat makes wid (zero: cloud-direct) the session's newest attachment —
+// counted against the worker's occupancy until its next report supersedes
+// the estimate — and issues the ticket that says so.
+func (p *Placer) seat(now time.Duration, s *sessionState, wid int64) proto.Ticket {
+	s.worker = wid
+	p.attachSeq++
+	s.attachSeq = p.attachSeq
 	if w := p.workers[wid]; w != nil {
 		w.load++
 		p.ladder.Observe(wid, w.load, w.capacity)
 	}
+	return p.issue(now, s)
 }
 
+// detach gives a session's seat on a live worker back.
 func (p *Placer) detach(wid int64) {
 	if w := p.workers[wid]; w != nil && w.load > 0 {
 		w.load--
@@ -425,16 +429,36 @@ func (p *Placer) detach(wid int64) {
 	}
 }
 
+// move is the one re-placement: the session re-seats on `to` with a fresh
+// ticket, or — nowhere to go — is retired as a forced departure, which keeps
+// the ledger balanced. Giving up the old seat is the caller's business: only
+// a drain leaves a worker that still counts it.
+func (p *Placer) move(now time.Duration, s *sessionState, to int64, ok bool) Replacement {
+	if !ok {
+		p.retire(s, p.stats.Departed)
+		return Replacement{Player: s.place.Player, Dropped: true}
+	}
+	s.replaced = true
+	p.stats.Replacements.Inc()
+	return Replacement{Player: s.place.Player, Ticket: p.seat(now, s, to)}
+}
+
+// retire ends a session, counted under how it ended.
+func (p *Placer) retire(s *sessionState, how *obs.Counter) {
+	delete(p.sessions, s.place.Player)
+	how.Inc()
+}
+
 // issue builds and signs the session's current ticket, advancing the global
 // epoch so every ticket supersedes all earlier ones for that player. With
 // leases enabled the expiry is stamped into the signed body and the session's
 // renewal deadline moves forward.
-func (p *Placer) issue(now time.Duration, player int64, s *sessionState) proto.Ticket {
+func (p *Placer) issue(now time.Duration, s *sessionState) proto.Ticket {
 	p.epoch++
 	s.epoch = p.epoch
-	p.ticketsIssued++
+	p.stats.TicketsIssued.Inc()
 	t := proto.Ticket{
-		Player: player,
+		Player: s.place.Player,
 		Worker: s.worker,
 		Epoch:  s.epoch,
 		Issued: int64(now),
@@ -442,9 +466,7 @@ func (p *Placer) issue(now time.Duration, player int64, s *sessionState) proto.T
 	if p.cfg.LeaseTTL > 0 {
 		s.expiry = now + p.cfg.LeaseTTL
 		t.Expiry = int64(s.expiry)
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.LeaseIssued.Inc()
-		}
+		p.stats.LeaseIssued.Inc()
 	}
 	if w := p.workers[s.worker]; s.worker != 0 && w != nil {
 		t.Transport = w.reg.Transport
@@ -458,24 +480,27 @@ func (p *Placer) issue(now time.Duration, player int64, s *sessionState) proto.T
 	return t
 }
 
-// ring computes the backup ring around a session's position: the nearest
-// backup-eligible alive workers, excluding its serving worker.
-func (p *Placer) ring(s *sessionState) []string {
-	p.scratch = p.grid.NearestInto(p.scratch, s.place.X, s.place.Y, p.cfg.ShortlistK,
-		func(id int64) bool {
-			w := p.workers[id]
-			return w != nil && w.alive && id != s.worker
-		})
-	var backups []string
-	for _, nb := range p.scratch {
-		if len(backups) >= p.cfg.Backups {
-			break
-		}
-		if p.ladder.AllowBackup(nb.ID) {
-			backups = append(backups, p.workers[nb.ID].reg.Addr)
+// sessionsOn returns the sessions attached to worker, oldest attachment
+// first; the slice is scratch, valid until the next call.
+func (p *Placer) sessionsOn(worker int64) []*sessionState {
+	return p.oldestFirst(func(s *sessionState) bool { return s.worker == worker })
+}
+
+// oldestFirst collects the sessions keep accepts in attachment order. Burial
+// and reconciliation walk it forward, so when survivors cannot seat everyone
+// the sessions dropped are the newest; a drain walks it backward — the same
+// newest sessions move first, having the least state to lose.
+func (p *Placer) oldestFirst(keep func(*sessionState) bool) []*sessionState {
+	p.sessScratch = p.sessScratch[:0]
+	for _, s := range p.sessions {
+		if keep(s) {
+			p.sessScratch = append(p.sessScratch, s)
 		}
 	}
-	return backups
+	slices.SortFunc(p.sessScratch, func(a, b *sessionState) int {
+		return cmp.Compare(a.attachSeq, b.attachSeq)
+	})
+	return p.sessScratch
 }
 
 // Depart retires a player's session (its control link closed).
@@ -484,12 +509,8 @@ func (p *Placer) Depart(player int64) bool {
 	if s == nil {
 		return false
 	}
-	delete(p.sessions, player)
 	p.detach(s.worker)
-	p.departed++
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.Departed.Inc()
-	}
+	p.retire(s, p.stats.Departed)
 	return true
 }
 
@@ -501,48 +522,35 @@ func (p *Placer) Deregister(now time.Duration, worker int64) []Replacement {
 	if w == nil || !w.alive {
 		return nil
 	}
-	return p.bury(now, worker, w)
+	return p.bury(now, w)
 }
 
 // Sweep evaluates every alive worker's detector at now and re-places the
 // sessions of any declared dead; then drains distressed workers (proactive
-// migration) and, with leases enabled, retires sessions whose lease lapsed a
-// full TTL past expiry without renewal. Call it at least every
-// Detector.CheckEvery to keep Bound() honest.
+// migration: a full drain hands off every session, a worker self-reporting
+// Shedding or worse sheds down to the hysteresis re-entry load) and, with
+// leases enabled, retires sessions whose lease lapsed a full TTL past expiry
+// without renewal. Call it at least every Detector.CheckEvery to keep Bound()
+// honest.
 func (p *Placer) Sweep(now time.Duration) []Replacement {
 	var out []Replacement
-	for id, w := range p.workers {
+	for _, w := range p.order {
 		if w.alive && w.det.Suspect(now) {
-			out = append(out, p.bury(now, id, w)...)
+			out = append(out, p.bury(now, w)...)
 		}
 	}
-	out = append(out, p.drainDistressed(now)...)
-	if p.cfg.LeaseTTL > 0 {
-		for player, s := range p.sessions {
-			if s.expiry > 0 && now >= s.expiry+p.cfg.LeaseTTL {
-				delete(p.sessions, player)
-				p.detach(s.worker)
-				p.expired++
-				if p.cfg.Stats != nil {
-					p.cfg.Stats.LeaseExpired.Inc()
-				}
-				out = append(out, Replacement{Player: player, Expired: true})
-			}
+	for _, w := range p.order {
+		if w.alive && w.distressed() {
+			out = append(out, p.drainWorker(now, w)...)
 		}
 	}
-	return out
-}
-
-// drainDistressed runs the proactive-migration pass: every alive worker that
-// asked for a full drain hands off all sessions; every worker self-reporting
-// Shedding or worse sheds newest-first down to the hysteresis re-entry load.
-func (p *Placer) drainDistressed(now time.Duration) []Replacement {
-	var out []Replacement
-	for id, w := range p.workers {
-		if !w.alive || !w.distressed() {
-			continue
+	if ttl := p.cfg.LeaseTTL; ttl > 0 {
+		lapsed := func(s *sessionState) bool { return s.expiry > 0 && now >= s.expiry+ttl }
+		for _, s := range p.oldestFirst(lapsed) {
+			p.detach(s.worker)
+			p.retire(s, p.stats.LeaseExpired)
+			out = append(out, Replacement{Player: s.place.Player, Expired: true})
 		}
-		out = append(out, p.drainWorker(now, id, w)...)
 	}
 	return out
 }
@@ -552,86 +560,38 @@ func (p *Placer) drainDistressed(now time.Duration) []Replacement {
 // least session state to lose. A full drain (w.draining) targets zero load; a
 // ladder-level drain stops at (ShedAt − Hysteresis) × capacity so the worker
 // re-enters the ladder below Shedding without oscillating. Sessions with no
-// ladder-admissible target stay put (counted stranded) — better a distressed
-// worker than an interrupted stream — except a full drain falls back to the
-// cloud when configured.
-func (p *Placer) drainWorker(now time.Duration, worker int64, w *workerState) []Replacement {
-	p.drainScratch = p.drainScratch[:0]
-	for player, s := range p.sessions {
-		if s.worker == worker {
-			p.drainScratch = append(p.drainScratch, drainCandidate{player, s})
-		}
-	}
-	if len(p.drainScratch) == 0 {
+// drain target stay put (counted stranded) — better a distressed worker than
+// an interrupted stream — except a full drain falls back to the cloud when
+// configured.
+func (p *Placer) drainWorker(now time.Duration, w *workerState) []Replacement {
+	sessions := p.sessionsOn(w.id)
+	if len(sessions) == 0 {
 		return nil
 	}
-	sort.Slice(p.drainScratch, func(i, j int) bool {
-		return p.drainScratch[i].s.attachSeq > p.drainScratch[j].s.attachSeq
-	})
 	target := 0
 	if !w.draining {
 		target = int((p.olCfg.ShedAt - p.olCfg.Hysteresis) * float64(w.capacity))
 	}
 	if !w.drainCounted {
 		w.drainCounted = true
-		p.drainWorkers++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.DrainWorkers.Inc()
-		}
+		p.stats.DrainWorkers.Inc()
 	}
 	var out []Replacement
-	for _, c := range p.drainScratch {
-		if w.load <= target {
-			break
+	for i := len(sessions) - 1; i >= 0 && w.load > target; i-- {
+		s := sessions[i]
+		to, ok := p.drainTarget(s)
+		if !ok && w.draining && p.cfg.CloudAddr != "" {
+			to, ok = 0, true // cloud-direct absorbs a full drain
 		}
-		nid, ok := p.drainTargetFor(c.s, worker)
 		if !ok {
-			if w.draining && p.cfg.CloudAddr != "" {
-				nid = 0 // cloud-direct absorbs a full drain
-			} else {
-				p.drainStranded++
-				if p.cfg.Stats != nil {
-					p.cfg.Stats.DrainStranded.Inc()
-				}
-				continue
-			}
+			p.stats.DrainStranded.Inc()
+			continue
 		}
-		p.detach(worker)
-		c.s.worker = nid
-		c.s.replaced = true
-		p.attachSeq++
-		c.s.attachSeq = p.attachSeq
-		p.attach(nid)
-		p.replacements++
-		p.drainSessions++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.Replacements.Inc()
-			p.cfg.Stats.DrainSessions.Inc()
-		}
-		out = append(out, Replacement{Player: c.player, Ticket: p.issue(now, c.player, c.s)})
+		p.detach(w.id)
+		p.stats.DrainSessions.Inc()
+		out = append(out, p.move(now, s, to, ok))
 	}
 	return out
-}
-
-// drainTargetFor picks a ladder-admissible alternative for one draining
-// session: the nearest alive, non-draining worker that still accepts backup
-// duty, would not itself cross the migration threshold by taking one more
-// session, and self-reports below Shedding.
-func (p *Placer) drainTargetFor(s *sessionState, exclude int64) (int64, bool) {
-	p.scratch = p.grid.NearestInto(p.scratch, s.place.X, s.place.Y, p.cfg.ShortlistK,
-		func(id int64) bool {
-			w := p.workers[id]
-			return w != nil && w.alive && !w.draining && id != exclude
-		})
-	for _, nb := range p.scratch {
-		w := p.workers[nb.ID]
-		if w.level < health.StateShedding &&
-			p.ladder.AllowBackup(nb.ID) &&
-			!p.ladder.WouldMigrate(w.load+1, w.capacity) {
-			return nb.ID, true
-		}
-	}
-	return 0, false
 }
 
 // Rebase recovers from a coordinator pause (the process was stopped, not the
@@ -640,7 +600,7 @@ func (p *Placer) drainTargetFor(s *sessionState, exclude int64) (int64, bool) {
 // from now — the pause was the coordinator's fault, so no lease may lapse
 // because renewals couldn't land.
 func (p *Placer) Rebase(now time.Duration) {
-	for _, w := range p.workers {
+	for _, w := range p.order {
 		if w.alive {
 			w.det.Reset(now)
 		}
@@ -652,47 +612,20 @@ func (p *Placer) Rebase(now time.Duration) {
 			}
 		}
 	}
-	p.rebases++
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.Rebases.Inc()
-	}
+	p.stats.Rebases.Inc()
 }
 
-// bury marks a worker dead and re-places every session it was serving.
-func (p *Placer) bury(now time.Duration, worker int64, w *workerState) []Replacement {
+// bury marks a worker dead and re-places every session it was serving,
+// oldest attachment first.
+func (p *Placer) bury(now time.Duration, w *workerState) []Replacement {
 	w.alive = false
-	p.grid.Remove(worker)
-	p.ladder.Forget(worker)
-	p.wLost++
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.WorkersLost.Inc()
-	}
+	p.grid.Remove(w.id)
+	p.ladder.Forget(w.id)
+	p.stats.WorkersLost.Inc()
 	var out []Replacement
-	for player, s := range p.sessions {
-		if s.worker != worker {
-			continue
-		}
-		wid, ok := p.choose(s.place.X, s.place.Y)
-		if !ok {
-			// Nowhere to go: forced departure keeps the ledger balanced.
-			delete(p.sessions, player)
-			p.departed++
-			if p.cfg.Stats != nil {
-				p.cfg.Stats.Departed.Inc()
-			}
-			out = append(out, Replacement{Player: player, Dropped: true})
-			continue
-		}
-		s.worker = wid
-		s.replaced = true
-		p.attachSeq++
-		s.attachSeq = p.attachSeq
-		p.attach(wid)
-		p.replacements++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.Replacements.Inc()
-		}
-		out = append(out, Replacement{Player: player, Ticket: p.issue(now, player, s)})
+	for _, s := range p.sessionsOn(w.id) {
+		to, ok := p.choose(s.place.X, s.place.Y, w.id)
+		out = append(out, p.move(now, s, to, ok))
 	}
 	return out
 }
@@ -707,7 +640,7 @@ func (p *Placer) WorkerAlive(id int64) bool {
 // WorkersAlive counts registered, not-dead workers.
 func (p *Placer) WorkersAlive() int {
 	n := 0
-	for _, w := range p.workers {
+	for _, w := range p.order {
 		if w.alive {
 			n++
 		}
@@ -725,25 +658,27 @@ func (p *Placer) SessionWorker(player int64) (int64, bool) {
 	return s.worker, true
 }
 
-// Ledger snapshots the session accounting.
+// Ledger snapshots the session accounting: the counters read back, plus the
+// live sessions split by whether churn ever moved them.
 func (p *Placer) Ledger() Ledger {
+	n := func(c *obs.Counter) uint64 { return uint64(c.Load()) }
 	l := Ledger{
-		Placements:        p.placements,
-		Replacements:      p.replacements,
-		Renewals:          p.renewals,
-		TicketsIssued:     p.ticketsIssued,
-		Rejected:          p.rejected,
-		Departed:          p.departed,
-		Expired:           p.expired,
-		DrainWorkers:      p.drainWorkers,
-		DrainSessions:     p.drainSessions,
-		DrainStranded:     p.drainStranded,
-		Rebases:           p.rebases,
-		Reconciled:        p.reconciled,
+		Placements:        n(p.stats.Placements),
+		Replacements:      n(p.stats.Replacements),
+		Renewals:          n(p.stats.LeaseRenewed),
+		TicketsIssued:     n(p.stats.TicketsIssued),
+		Rejected:          n(p.stats.Rejected),
+		Departed:          n(p.stats.Departed),
+		Expired:           n(p.stats.LeaseExpired),
+		DrainWorkers:      n(p.stats.DrainWorkers),
+		DrainSessions:     n(p.stats.DrainSessions),
+		DrainStranded:     n(p.stats.DrainStranded),
+		Rebases:           n(p.stats.Rebases),
+		Reconciled:        n(p.stats.Reconciled),
 		WorkersAlive:      p.WorkersAlive(),
-		WorkersRegistered: p.wRegistered,
-		WorkersLost:       p.wLost,
-		WorkersReturned:   p.wReturned,
+		WorkersRegistered: n(p.stats.WorkersRegistered),
+		WorkersLost:       n(p.stats.WorkersLost),
+		WorkersReturned:   n(p.stats.WorkersReturned),
 	}
 	for _, s := range p.sessions {
 		if s.replaced {

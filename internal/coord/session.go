@@ -11,16 +11,19 @@ import (
 )
 
 // Session is a player's placement client: it asks the coordinator for a
-// ticket and keeps the control link open so re-placement tickets pushed
-// after worker deaths arrive on Updates. The coordinator counts the link
-// closing as the player's departure.
+// ticket and keeps the control link open so the tickets pushed after it —
+// replacements and lease renewals — reach the running player. The
+// coordinator counts the link closing as the player's departure.
 type Session struct {
-	cfg     live.Config
-	link    live.Transport
+	cfg  live.Config
+	link live.Transport
+	// targets is the one path from a pushed ticket to the stream: each
+	// fresher ticket, as the player's next stream target. One slot,
+	// drop-oldest — only the freshest placement matters. updates is a tap on
+	// the same tickets for callers timing re-placements; it keeps the last
+	// eight so a reader may look away across a burst of renewals.
+	targets chan live.StreamTarget
 	updates chan proto.Ticket
-	// retargets is the internal twin of updates feeding Run's live-retarget
-	// forwarder, so consuming Updates() externally never races Run.
-	retargets chan proto.Ticket
 
 	mu     sync.Mutex
 	ticket proto.Ticket
@@ -76,9 +79,9 @@ func OpenSession(ctx context.Context, cfg live.Config, opts ...live.Option) (*Se
 	}
 	s := &Session{
 		cfg: cfg, link: link, ticket: t,
-		updates:   make(chan proto.Ticket, 8),
-		retargets: make(chan proto.Ticket, 8),
-		stop:      make(chan struct{}),
+		targets: make(chan live.StreamTarget, 1),
+		updates: make(chan proto.Ticket, 8),
+		stop:    make(chan struct{}),
 	}
 	s.wg.Add(1)
 	go s.watch()
@@ -135,13 +138,12 @@ func (s *Session) renewLoop() {
 	}
 }
 
-// watch forwards pushed re-placement tickets (signature-checked) to Updates
-// until the link dies. A full updates channel drops the oldest ticket —
-// only the freshest placement matters.
+// watch turns every pushed ticket that verifies and is strictly fresher than
+// the one held into the player's next stream target, until the link dies.
 func (s *Session) watch() {
 	defer s.wg.Done()
 	defer close(s.updates)
-	defer close(s.retargets)
+	defer close(s.targets)
 	for {
 		typ, payload, err := s.link.Recv()
 		if err != nil {
@@ -155,21 +157,29 @@ func (s *Session) watch() {
 			continue
 		}
 		s.mu.Lock()
-		if t.Epoch > s.ticket.Epoch {
+		fresher := t.Epoch > s.ticket.Epoch
+		if fresher {
 			s.ticket = t
 		}
 		s.mu.Unlock()
+		if !fresher {
+			continue
+		}
 		pushLatest(s.updates, t)
-		pushLatest(s.retargets, t)
+		pushLatest(s.targets, live.StreamTarget{
+			Addr:      t.Addr,
+			Backups:   t.Backups,
+			Transport: streamName(t.Transport),
+			Ticket:    proto.MarshalTicket(t),
+		})
 	}
 }
 
-// pushLatest enqueues t, evicting the oldest entry when the channel is full —
-// only the freshest placement matters.
-func pushLatest(ch chan proto.Ticket, t proto.Ticket) {
+// pushLatest enqueues v, evicting the oldest entry when the channel is full.
+func pushLatest[T any](ch chan T, v T) {
 	for {
 		select {
-		case ch <- t:
+		case ch <- v:
 			return
 		default:
 			select {
@@ -193,11 +203,12 @@ func (s *Session) Updates() <-chan proto.Ticket { return s.updates }
 
 // Run drives the placed player for the given wall-clock duration. Sudden
 // worker death is absorbed by the player's own failover ring — the ring is
-// the ticket's backups — while pushed replacement tickets that move the
-// session to a *different* address retarget the running player make-before-
-// break: subscribe to the new worker first, then drop the old stream, a
-// handoff with zero visible interruption. The player carries the session's
-// ticket bytes so lease-enforcing workers can admit it.
+// the ticket's backups — while every fresher ticket the coordinator pushes
+// reaches the running player as a stream target: one naming a *different*
+// address is a make-before-break handoff (subscribe to the new worker first,
+// then drop the old stream — zero visible interruption), one naming the same
+// address is a lease renewal and re-keys the stream's join, so the ring stays
+// usable however long the session runs.
 func (s *Session) Run(duration time.Duration, opts ...live.Option) (live.PlayerReport, error) {
 	// Resolve the current ticket into a runnable player config: its worker
 	// address as StreamAddr, its ring as the failover backups, its transport
@@ -207,59 +218,13 @@ func (s *Session) Run(duration time.Duration, opts ...live.Option) (live.PlayerR
 	cfg.StreamAddr = cur.Addr
 	cfg.BackupAddrs = cur.Backups
 	cfg.Transport = streamName(cur.Transport)
-	retarget := make(chan live.StreamTarget, 1)
-	done := make(chan struct{})
-	var fwg sync.WaitGroup
-	fwg.Add(1)
-	go func() {
-		defer fwg.Done()
-		addr := cur.Addr
-		for {
-			select {
-			case <-done:
-				return
-			case nt, ok := <-s.retargets:
-				if !ok {
-					return
-				}
-				if nt.Addr == "" || nt.Addr == addr {
-					continue // renewal or re-issue in place: no retarget
-				}
-				addr = nt.Addr
-				tgt := live.StreamTarget{
-					Addr:      nt.Addr,
-					Backups:   nt.Backups,
-					Transport: streamName(nt.Transport),
-					Ticket:    proto.MarshalTicket(nt),
-				}
-				for {
-					select {
-					case retarget <- tgt:
-					default:
-						// Full: drop the stale target, keep the freshest.
-						select {
-						case <-retarget:
-						default:
-						}
-						continue
-					}
-					break
-				}
-			}
-		}
-	}()
 	opts = append(append([]live.Option{}, opts...),
-		live.WithTicket(proto.MarshalTicket(cur)), live.WithRetarget(retarget))
+		live.WithTicket(proto.MarshalTicket(cur)), live.WithRetarget(s.targets))
 	p, err := live.NewPlayer(cfg, opts...)
 	if err != nil {
-		close(done)
-		fwg.Wait()
 		return live.PlayerReport{}, err
 	}
-	rep, err := p.Run(duration)
-	close(done)
-	fwg.Wait()
-	return rep, err
+	return p.Run(duration)
 }
 
 // Close ends the session; the coordinator records the departure.

@@ -56,6 +56,9 @@ func StartWorker(cfg live.Config, opts ...live.Option) (*Worker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.SkewTolerance == 0 {
+		cfg.SkewTolerance = live.DefaultSkewTolerance
+	}
 	ladder, err := health.NewOverload(cfg.Overload, nil, nil)
 	if err != nil {
 		return nil, err

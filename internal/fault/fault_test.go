@@ -255,7 +255,7 @@ func TestInjectorOrphanBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := sim.New()
-	stats := obs.NewFaultStats()
+	stats := obs.FaultStatsIn(obs.NewRegistry())
 	specs := make(map[int64]snSpec, len(tg.Supernodes))
 	for _, sn := range f.Supernodes() {
 		specs[sn.ID] = snSpec{pos: sn.Pos, capacity: sn.Capacity, uplink: sn.Uplink}
@@ -355,7 +355,7 @@ func TestRunWallReplaysSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	var kills, recovers []int64
-	stats := obs.NewFaultStats()
+	stats := obs.FaultStatsIn(obs.NewRegistry())
 	err = RunWall(context.Background(), sched, WallHooks{
 		Kill:    func(id int64) { kills = append(kills, id) },
 		Recover: func(id int64) { recovers = append(recovers, id) },

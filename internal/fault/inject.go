@@ -355,13 +355,3 @@ func (in *Injector) MeanDetectionLatency() time.Duration {
 	}
 	return in.oracleDelaySum / time.Duration(in.oracleDelays)
 }
-
-// Downtime reports how long the supernode has been down at now, and whether
-// it is down at all.
-func (in *Injector) Downtime(id int64, now time.Duration) (time.Duration, bool) {
-	at, ok := in.downSince[id]
-	if !ok {
-		return 0, false
-	}
-	return now - at, true
-}

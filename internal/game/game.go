@@ -57,9 +57,6 @@ func Ladder() []QualityLevel {
 	return out
 }
 
-// Levels is the number of quality levels Q.
-func Levels() int { return len(ladder) }
-
 // LevelAt returns the quality level with the given 1-based level number.
 func LevelAt(level int) (QualityLevel, error) {
 	if level < 1 || level > len(ladder) {

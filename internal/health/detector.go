@@ -248,14 +248,6 @@ func (d *Detector) Phi(now time.Duration) float64 {
 	return -math.Log10(tail)
 }
 
-// Silence returns how long the node has been quiet at now.
-func (d *Detector) Silence(now time.Duration) time.Duration {
-	if !d.seen {
-		return 0
-	}
-	return now - d.last
-}
-
 // Suspect reports whether the detector considers the node failed at now.
 func (d *Detector) Suspect(now time.Duration) bool {
 	if !d.seen {

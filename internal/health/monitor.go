@@ -41,8 +41,6 @@ type Monitor struct {
 	hbFn func(any) // pre-bound payload callback: no closure per heartbeat
 
 	// Plain tallies (the figure accessors): per-world, never shared.
-	heartbeats    int64
-	lost          int64
 	detected      int64
 	falsePos      int64
 	detLatencySum time.Duration
@@ -158,7 +156,6 @@ func (m *Monitor) heartbeat(arg any) {
 	n := arg.(*monNode)
 	now := m.engine.Now()
 	if n.alive {
-		m.heartbeats++
 		if m.stats != nil {
 			m.stats.HeartbeatsSent.Inc()
 		}
@@ -175,7 +172,6 @@ func (m *Monitor) heartbeat(arg any) {
 			}
 		}
 		if dropped {
-			m.lost++
 			if m.stats != nil {
 				m.stats.HeartbeatsLost.Inc()
 			}
@@ -251,9 +247,6 @@ func (m *Monitor) evaluate() {
 // Stats returns the monitor's obs bundle, or nil.
 func (m *Monitor) Stats() *obs.HealthStats { return m.stats }
 
-// Heartbeats returns sent and loss-dropped heartbeat counts.
-func (m *Monitor) Heartbeats() (sent, lost int64) { return m.heartbeats, m.lost }
-
 // Detected returns how many down-transitions the monitor detected.
 func (m *Monitor) Detected() int64 { return m.detected }
 
@@ -272,17 +265,3 @@ func (m *Monitor) MeanDetectionLatency() time.Duration {
 // MaxDetectionLatency returns the worst down-to-detection latency observed —
 // the quantity DetectorConfig.Bound bounds.
 func (m *Monitor) MaxDetectionLatency() time.Duration { return m.detLatencyMax }
-
-// MaxObservedAlive exposes the worst live-node silence across tracked nodes
-// at now — a test hook for bounding false-positive margins.
-func (m *Monitor) MaxObservedAlive(now time.Duration) time.Duration {
-	var worst time.Duration
-	for _, n := range m.sorted() {
-		if n.alive {
-			if s := n.det.Silence(now); s > worst {
-				worst = s
-			}
-		}
-	}
-	return worst
-}

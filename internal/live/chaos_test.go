@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,5 +284,78 @@ func TestPlayerStreamFailover(t *testing.T) {
 	}
 	if res.report.Segments < 30 {
 		t.Fatalf("player received only %d segments across the failover", res.report.Segments)
+	}
+}
+
+// TestPlayerRekeysOnSameAddressTarget pins the renewal half of the retarget
+// path: a target naming the address the player's ticket already names swaps
+// the ticket inside the join without touching the stream — no reconnect, no
+// handoff — so the join a backup sees on the next failover carries it.
+func TestPlayerRekeysOnSameAddressTarget(t *testing.T) {
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+
+	// Each supernode's join gate records the tickets presented to it.
+	var mu sync.Mutex
+	seen := map[int64][]string{}
+	start := func(id int64) *Supernode {
+		sn, err := NewSupernode(
+			Config{Role: RoleSupernode, ID: id, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30},
+			WithJoinGate(func(join proto.JoinStream, known bool) uint32 {
+				mu.Lock()
+				seen[id] = append(seen[id], string(join.Ticket))
+				mu.Unlock()
+				return proto.AckOK
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sn
+	}
+	sn1, sn2 := start(1), start(2)
+	defer sn2.Close()
+
+	targets := make(chan StreamTarget, 1)
+	p, err := NewPlayer(Config{
+		Role: RolePlayer, ID: 1, GameID: 4, CloudAddr: cloud.Addr(),
+		StreamAddr: sn1.Addr(), BackupAddrs: []string{sn2.Addr()},
+		ActionEvery: 100 * time.Millisecond, ViewRadius: DefaultViewRadius,
+	}, WithTicket([]byte("issued")), WithRetarget(targets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan PlayerReport, 1)
+	go func() {
+		rep, err := p.Run(1200 * time.Millisecond)
+		if err != nil {
+			t.Errorf("player run: %v", err)
+		}
+		done <- rep
+	}()
+
+	time.Sleep(300 * time.Millisecond)
+	targets <- StreamTarget{Addr: sn1.Addr(), Backups: []string{sn2.Addr()}, Ticket: []byte("renewed")}
+	for deadline := time.Now().Add(2 * time.Second); len(targets) > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the streaming player never took the target")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	sn1.Close() // the serving supernode dies; the ring takes over
+
+	rep := <-done
+	if rep.Handoffs != 0 || rep.Failovers != 1 {
+		t.Fatalf("handoffs %d, failovers %d; want a re-key (no handoff) and then one failover", rep.Handoffs, rep.Failovers)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := seen[1]; len(got) != 1 || got[0] != "issued" {
+		t.Fatalf("serving supernode saw joins %q, want only the original", got)
+	}
+	if got := seen[2]; len(got) != 1 || got[0] != "renewed" {
+		t.Fatalf("backup saw joins %q, want one carrying the renewed ticket", got)
 	}
 }

@@ -309,11 +309,12 @@ type Options struct {
 	// inside every join so lease-enforcing workers can verify the placement
 	// and its expiry.
 	Ticket []byte
-	// Retarget, when non-nil, delivers replacement stream targets to a
-	// running player (a coordinator draining the serving worker pushes one).
-	// The player performs a make-before-break handoff: subscribe to the new
+	// Retarget, when non-nil, delivers fresher stream targets to a running
+	// player. One naming a new address (a coordinator draining the serving
+	// worker pushes one) is a make-before-break handoff: subscribe to the new
 	// target first, then drop the old stream — zero interruptions, counted
-	// as a Handoff rather than a Failover.
+	// as a Handoff rather than a Failover. One naming the same address is a
+	// lease renewal: the player swaps the ticket in its join and streams on.
 	Retarget <-chan StreamTarget
 }
 

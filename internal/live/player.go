@@ -21,9 +21,10 @@ const (
 	DefaultViewRadius  = 600.0
 )
 
-// StreamTarget names a replacement stream destination pushed mid-session:
-// the new serving address, its failover ring, the stream transport, and the
-// re-signed ticket that authorizes the player there.
+// StreamTarget is a fresher placement pushed mid-session: the serving
+// address, its failover ring, the stream transport, and the re-signed ticket
+// that authorizes the player there. One naming the address the previous
+// ticket named is a lease renewal; any other address is a replacement.
 type StreamTarget struct {
 	Addr      string
 	Backups   []string
@@ -122,6 +123,9 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 		Ticket:   p.opts.Ticket,
 	}
 	addrs := append([]string{cfg.StreamAddr}, cfg.BackupAddrs...)
+	// ticketAddr is the address the ticket inside joinFrame names — not
+	// necessarily where the stream is: a failover moves through the ring.
+	ticketAddr := cfg.StreamAddr
 	// The join frame is encoded once per ticket: the TCP path writes it as
 	// the connection's first frame, the datagram path re-sends the identical
 	// bytes as its keepalive beacon; a retarget re-encodes it with the
@@ -245,6 +249,16 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 					retarget = nil
 					break
 				}
+				njoin := join
+				njoin.Ticket = tgt.Ticket
+				nframe := proto.AppendFrame(nil, proto.TJoinStream, proto.MarshalJoinStream(njoin))
+				if tgt.Addr == ticketAddr {
+					// Same placement, renewed lease: re-key the join and keep
+					// streaming, wherever the ring has taken the stream, so
+					// the next failover presents an unexpired ticket.
+					joinFrame = nframe
+					break
+				}
 				// Make-before-break: subscribe to the replacement worker
 				// first; only a successful join drops the old stream, so a
 				// failed retarget costs nothing.
@@ -252,9 +266,6 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 				if tgt.Transport != "" {
 					newDgram = tgt.Transport == TransportUDP
 				}
-				njoin := join
-				njoin.Ticket = tgt.Ticket
-				nframe := proto.AppendFrame(nil, proto.TJoinStream, proto.MarshalJoinStream(njoin))
 				conn, serr := subscribe(tgt.Addr, failoverDialDeadline, newDgram, nframe)
 				if serr != nil {
 					mu.Lock()
@@ -265,7 +276,7 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 				}
 				old := strConn
 				strConn, strDgram, dgramMode = conn, newDgram, newDgram
-				joinFrame = nframe
+				joinFrame, ticketAddr = nframe, tgt.Addr
 				addrs = append([]string{tgt.Addr}, tgt.Backups...)
 				addrIdx = 0
 				if !strDgram {

@@ -1,21 +1,26 @@
 package obs
 
 // CoordStats instruments the coordinator control plane: worker registration
-// churn, placement outcomes, and churn-driven re-placements. The session
-// ledger identity the reconciliation checks is
+// churn, placement outcomes, churn-driven re-placements and leases. The
+// counters are the placer's ledger — coord.Placer counts each event once,
+// here, and reads its Ledger back from them — so both reconciliation
+// identities can be checked from a scrape:
 //
-//	Placements == ActiveOriginal + ActiveReplaced + Departed
+//	placements     == active_original + active_replaced + departed + lease_expired
+//	tickets_issued == placements + replacements + lease_renewed
 //
-// where Placements counts first-time tickets only (re-placements increment
-// Replacements, not Placements), ActiveOriginal/ActiveReplaced split live
-// sessions by whether churn ever moved them, and Departed counts sessions
-// that ended — voluntarily or because no worker (and no cloud fallback)
-// could take them after a death.
+// Placements counts first-time tickets only (a re-placement increments
+// Replacements, and a twice-moved session is still one session), Departed
+// counts sessions that ended — voluntarily or because no worker (and no
+// cloud fallback) could take them after a death — and the two active terms,
+// live sessions split by whether churn ever moved them, are gauges the
+// ledger report carries: on a drained coordinator they are zero.
 type CoordStats struct {
-	Placements   *Counter // first-time session placements ticketed
-	Replacements *Counter // sessions re-placed after a worker death
-	Rejected     *Counter // joins refused (no admitting worker, no fallback)
-	Departed     *Counter // sessions ended and retired from the ledger
+	Placements    *Counter // first-time session placements ticketed
+	Replacements  *Counter // sessions re-placed after a worker death or drain
+	TicketsIssued *Counter // every ticket signed: placement, replacement or renewal
+	Rejected      *Counter // joins refused (no admitting worker, no fallback)
+	Departed      *Counter // sessions ended and retired from the ledger
 
 	WorkersRegistered *Counter // workers registered (first contact)
 	WorkersLost       *Counter // workers declared dead by the detector
@@ -35,33 +40,6 @@ type CoordStats struct {
 
 	PlacementNs *Histogram // per-placement decision latency
 	ReplaceNs   *Histogram // worker death to last session re-placed
-
-	// Sink, when non-nil, receives placement and churn events.
-	Sink EventSink
-}
-
-// NewCoordStats returns a standalone bundle (not registry-backed).
-func NewCoordStats() *CoordStats {
-	return &CoordStats{
-		Placements:        new(Counter),
-		Replacements:      new(Counter),
-		Rejected:          new(Counter),
-		Departed:          new(Counter),
-		WorkersRegistered: new(Counter),
-		WorkersLost:       new(Counter),
-		WorkersReturned:   new(Counter),
-		ReportsReceived:   new(Counter),
-		DrainWorkers:      new(Counter),
-		DrainSessions:     new(Counter),
-		DrainStranded:     new(Counter),
-		LeaseIssued:       new(Counter),
-		LeaseRenewed:      new(Counter),
-		LeaseExpired:      new(Counter),
-		Rebases:           new(Counter),
-		Reconciled:        new(Counter),
-		PlacementNs:       NewHistogram(LatencyBucketsNs()),
-		ReplaceNs:         NewHistogram(LatencyBucketsNs()),
-	}
 }
 
 // CoordStatsIn binds the canonical coordinator metrics in a registry. Like
@@ -70,6 +48,7 @@ func CoordStatsIn(r *Registry) *CoordStats {
 	return &CoordStats{
 		Placements:        r.Counter("cloudfog_coord_placements_total", "first-time session placements ticketed"),
 		Replacements:      r.Counter("cloudfog_coord_replacements_total", "sessions re-placed after worker death"),
+		TicketsIssued:     r.Counter("cloudfog_coord_tickets_issued_total", "tickets signed: placements, replacements and renewals"),
 		Rejected:          r.Counter("cloudfog_coord_rejected_joins_total", "joins refused by admission control"),
 		Departed:          r.Counter("cloudfog_coord_departed_total", "sessions retired from the ledger"),
 		WorkersRegistered: r.Counter("cloudfog_coord_workers_registered_total", "workers registered (first contact)"),

@@ -166,11 +166,6 @@ type EngineStats struct {
 	Canceled  *Counter
 }
 
-// NewEngineStats returns a standalone bundle (not registry-backed).
-func NewEngineStats() *EngineStats {
-	return &EngineStats{Scheduled: new(Counter), Executed: new(Counter), Canceled: new(Counter)}
-}
-
 // EngineStatsIn binds the canonical engine metrics in a registry.
 func EngineStatsIn(r *Registry) *EngineStats {
 	return &EngineStats{
@@ -270,21 +265,6 @@ type FaultStats struct {
 	Sink EventSink
 }
 
-// NewFaultStats returns a standalone bundle (not registry-backed).
-func NewFaultStats() *FaultStats {
-	return &FaultStats{
-		Kills:          new(Counter),
-		Recoveries:     new(Counter),
-		Orphaned:       new(Counter),
-		Lapsed:         new(Counter),
-		PendingEnd:     new(Counter),
-		LinkWindows:    new(Counter),
-		StormJoins:     new(Counter),
-		MTTRNs:         NewHistogram(LatencyBucketsNs()),
-		InterruptionNs: NewHistogram(LatencyBucketsNs()),
-	}
-}
-
 // FaultStatsIn binds the canonical fault metrics in a registry.
 func FaultStatsIn(r *Registry) *FaultStats {
 	return &FaultStats{
@@ -329,27 +309,6 @@ type HealthStats struct {
 
 	// Sink, when non-nil, receives detect/overload/breaker events.
 	Sink EventSink
-}
-
-// NewHealthStats returns a standalone bundle (not registry-backed).
-func NewHealthStats() *HealthStats {
-	return &HealthStats{
-		HeartbeatsSent: new(Counter),
-		HeartbeatsLost: new(Counter),
-		Detected:       new(Counter),
-		FalsePositives: new(Counter),
-		KillsObserved:  new(Counter),
-		DetectPending:  new(Counter),
-		DetectionNs:    NewHistogram(LatencyBucketsNs()),
-		Degraded:       new(Counter),
-		Restored:       new(Counter),
-		JoinsRejected:  new(Counter),
-		Migrations:     new(Counter),
-		TimeDegradedNs: NewHistogram(LatencyBucketsNs()),
-		BreakerOpens:   new(Counter),
-		BreakerProbes:  new(Counter),
-		BreakerRejects: new(Counter),
-	}
 }
 
 // HealthStatsIn binds the canonical health metrics in a registry. Like the

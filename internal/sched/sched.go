@@ -210,28 +210,18 @@ func (b *Buffer) recomputeQueuedBytes() int {
 func (b *Buffer) TailDropped() int64 { return b.tailDropped }
 
 // Evicted returns the segments shed by the queue bound since the last
-// ClearEvicted (or TakeEvicted), so callers can account their packets as
+// ClearEvicted, so callers can account their packets as
 // lost. The returned slice is owned by the buffer; callers must finish with
 // it before the next Enqueue and then call ClearEvicted.
 func (b *Buffer) Evicted() []*stream.Segment { return b.evicted }
 
 // ClearEvicted forgets the evicted segments while keeping the backing array
-// for reuse — the allocation-free counterpart of TakeEvicted.
+// for reuse.
 func (b *Buffer) ClearEvicted() {
 	for i := range b.evicted {
 		b.evicted[i] = nil
 	}
 	b.evicted = b.evicted[:0]
-}
-
-// TakeEvicted returns the segments shed by the queue bound since the last
-// call and detaches them from the buffer. Prefer Evicted+ClearEvicted in hot
-// loops: TakeEvicted hands over the backing array, so the next eviction
-// allocates a fresh one.
-func (b *Buffer) TakeEvicted() []*stream.Segment {
-	out := b.evicted
-	b.evicted = nil
-	return out
 }
 
 // Bandwidth returns the uplink rate λ_r in bits per second.
@@ -277,7 +267,7 @@ func (b *Buffer) ForgetPlayer(playerID int64) { delete(b.prop, playerID) }
 // deadline anyway), which may or may not include the arriving segment.
 // Enqueue reports whether the arriving segment was accepted; evicted
 // segments (including a rejected arrival) are retrievable via
-// Evicted/TakeEvicted so callers can account their packets as lost.
+// Evicted so callers can account their packets as lost.
 func (b *Buffer) Enqueue(now time.Duration, seg *stream.Segment) bool {
 	seg.Enqueued = now
 	b.enqueued++
@@ -367,14 +357,6 @@ func (b *Buffer) DequeueAny(now time.Duration) *stream.Segment {
 		b.sentSegments++
 	}
 	return seg
-}
-
-// Peek returns the head segment without removing it, or nil.
-func (b *Buffer) Peek() *stream.Segment {
-	if b.head >= len(b.queue) {
-		return nil
-	}
-	return b.queue[b.head]
 }
 
 // TransmissionTime returns l_t for a segment at the buffer's uplink rate:

@@ -231,9 +231,6 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 	return r
 }
 
-// OwnerOf returns the shard owning a supernode (test hook).
-func (r *Runner) OwnerOf(id int64) int { return r.ownerOf[id] }
-
 // Plan returns the partition plan (test hook).
 func (r *Runner) Plan() *Plan { return r.plan }
 

@@ -87,12 +87,6 @@ func NewPlan(width, height float64, pts []world.Vec2, shards int) *Plan {
 // Shards returns the shard count the plan was built for.
 func (p *Plan) Shards() int { return p.shards }
 
-// Regions returns the kd-tree leaves (shared storage; do not mutate).
-func (p *Plan) Regions() []world.Region { return p.regions }
-
-// RegionOwner returns the shard owning region index i.
-func (p *Plan) RegionOwner(i int) int { return p.assign[i] }
-
 // Owner returns the shard owning position (x, y). Regions tile the bounds
 // half-open (max-exclusive), so points on the outer max edges fall back to
 // a closed-bounds scan; points outside the bounds entirely are clamped.

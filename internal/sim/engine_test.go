@@ -242,7 +242,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestEngineStatsCountLifecycle(t *testing.T) {
 	e := New()
-	stats := obs.NewEngineStats()
+	stats := obs.EngineStatsIn(obs.NewRegistry())
 	e.SetStats(stats)
 	ran := 0
 	for i := 0; i < 5; i++ {

@@ -67,13 +67,6 @@ func Start(model trace.Model, endpoints []trace.Endpoint) (*Cluster, error) {
 	return c, nil
 }
 
-// Nodes returns the number of live nodes.
-func (c *Cluster) Nodes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.nodes)
-}
-
 // Probes returns how many TCP probes have completed.
 func (c *Cluster) Probes() int64 {
 	c.mu.Lock()
