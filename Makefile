@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-all loc chaos wire coord replay record-corpus latency verify
+.PHONY: build test vet race bench bench-all loc chaos wire coord replay record-corpus latency scale verify
 
 build:
 	$(GO) build ./...
@@ -117,7 +117,21 @@ latency:
 	$(GO) test -count=1 -run 'FrameClock|FramesFollowUpdates|FirstFrameAtJoin' ./internal/live/
 	bash bench/run.sh --workload live-steady --seed 2026 --seconds 20 --trace 0
 
+# scale is the sim-side twin of latency: the shortlist and index property
+# tests uncached (the indexed shortlist against the scan-and-sort oracle, the
+# index invariant after every operation of the random-ops and storm tests,
+# the grid's traversal and retune contracts), then the repo benchmark's
+# sim-scale workload, whose op_ms is the wall time of one 50 000-player
+# sharded run. run.sh builds bench/ against this tree — bench is its own
+# module, so an API break there is invisible to `go build ./...` — and the
+# run fails if the pinned figure hash moves.
+scale:
+	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm' ./internal/core/
+	$(GO) test -count=1 ./internal/spatial/
+	bash bench/run.sh --workload sim-scale --seed 2026 --seconds 20 --trace 0
+
 # verify is the CI gate: static checks, the race-enabled suite, the chaos
 # smoke, the wire smoke, the coordinator suite (kill, drain, partition),
-# the flight-recorder replay gate, and the response-latency run.
-verify: vet race chaos wire coord replay latency
+# the flight-recorder replay gate, the response-latency run, and the
+# placement-scale run.
+verify: vet race chaos wire coord replay latency scale

@@ -33,13 +33,15 @@ type Fog struct {
 
 	// snIdx spatially indexes the geolocated supernode table so the
 	// shortlist step is an expanding-ring k-nearest query instead of a
-	// scan-and-sort over every registered supernode. The index holds all
-	// registered supernodes regardless of load: capacity and blacklist
-	// filtering happen during query traversal, so attach/detach never
-	// touch the index.
+	// scan-and-sort over every registered supernode. It holds exactly the
+	// supernodes a join could use — registered, Available() > 0 and, with a
+	// ladder configured, Overload.Admit — so a query on a saturated fog walks
+	// only the nodes with room. reindex keeps that invariant; it is reached
+	// from every membership change (observeOccupancy) and from registration.
 	snIdx *spatial.Grid
-	// shortlistOK is the query-time filter, bound once so the hot path
-	// does not allocate a closure per shortlist.
+	// shortlistOK is the one per-query filter, cfg.Exclude negated into the
+	// index's accept form; bound once so the hot path does not allocate a
+	// closure per shortlist.
 	shortlistOK func(id int64) bool
 
 	players map[int64]*Player
@@ -96,18 +98,7 @@ func BuildFog(cfg Config, dcs []*Datacenter, sns []*Supernode, rng *sim.Rand) (*
 		snIdx:    spatial.NewGrid(cfg.Region.Width, cfg.Region.Height),
 		players:  make(map[int64]*Player),
 	}
-	f.shortlistOK = func(id int64) bool {
-		if f.cfg.Exclude != nil && f.cfg.Exclude(id) {
-			return false
-		}
-		if f.cfg.Overload != nil && !f.cfg.Overload.Admit(id) {
-			if f.cfg.Health != nil {
-				f.cfg.Health.JoinsRejected.Inc()
-			}
-			return false
-		}
-		return f.sns[id].Available() > 0
-	}
+	f.shortlistOK = func(id int64) bool { return !f.cfg.Exclude(id) }
 	for _, sn := range sns {
 		if err := f.RegisterSupernode(sn); err != nil {
 			return nil, err
@@ -163,7 +154,7 @@ func (f *Fog) RegisterSupernode(sn *Supernode) error {
 	f.snOrder = append(f.snOrder, sn)
 	est := f.cfg.Locator.Locate(sn.Pos, f.rng)
 	f.snEstPos[sn.ID] = struct{ x, y float64 }{est.X, est.Y}
-	f.snIdx.Insert(sn.ID, est.X, est.Y)
+	f.reindex(sn)
 	return nil
 }
 
@@ -190,6 +181,7 @@ func (f *Fog) FailSupernode(id int64) []*Player {
 	delete(f.sns, id)
 	delete(f.snEstPos, id)
 	f.snIdx.Remove(id)
+	sn.indexed = false
 	for i, s := range f.snOrder {
 		if s.ID == id {
 			f.snOrder = append(f.snOrder[:i], f.snOrder[i+1:]...)
@@ -264,11 +256,34 @@ func (f *Fog) detach(p *Player) {
 	p.Attached = Attachment{}
 }
 
-// observeOccupancy feeds a supernode's post-change slot occupancy into the
-// overload ladder. One nil-check when the ladder is off.
+// observeOccupancy follows one membership change on a supernode: it feeds
+// the post-change slot occupancy into the overload ladder (one nil-check when
+// the ladder is off) and reconciles the shortlist index. A node's ladder
+// state moves only inside this Observe, so no other site can change whether
+// the node is admissible.
 func (f *Fog) observeOccupancy(sn *Supernode) {
 	if f.cfg.Overload != nil {
 		f.cfg.Overload.Observe(sn.ID, sn.Load(), sn.Capacity)
+	}
+	f.reindex(sn)
+}
+
+// reindex makes snIdx agree with whether a join could use sn: it is indexed
+// exactly while it has a free slot and the ladder admits it. A re-insert goes
+// back to the position geolocated at registration (no new Locate draw). An
+// instance that is no longer the one registered under its ID is never
+// indexed — the ID may by now belong to a fresh machine.
+func (f *Fog) reindex(sn *Supernode) {
+	want := sn.Available() > 0 && (f.cfg.Overload == nil || f.cfg.Overload.Admit(sn.ID))
+	if want == sn.indexed || f.sns[sn.ID] != sn {
+		return
+	}
+	sn.indexed = want
+	if want {
+		est := f.snEstPos[sn.ID]
+		f.snIdx.Insert(sn.ID, est.x, est.y)
+	} else {
+		f.snIdx.Remove(sn.ID)
 	}
 }
 
@@ -589,13 +604,18 @@ func (f *Fog) attachCloud(p *Player, estX, estY float64) {
 
 // shortlist returns the k supernodes with available capacity closest to the
 // estimated position, using the cloud's geolocated supernode table. The
-// spatial index answers in O(k log k + cells visited) and skips
-// zero-capacity and blacklisted supernodes during traversal; equal
+// spatial index holds only supernodes with a free slot that the ladder
+// admits, so the query answers in O(k log k + cells visited) and the only
+// filter left to the traversal is the blacklist, when one is set; equal
 // distances break on supernode ID, so the shortlist is a deterministic
-// function of the registered set alone. The returned slice is scratch
+// function of the admissible set alone. The returned slice is scratch
 // owned by the Fog, valid until the next shortlist call.
 func (f *Fog) shortlist(x, y float64, k int) []*Supernode {
-	f.nbrScratch = f.snIdx.NearestInto(f.nbrScratch[:0], x, y, k, f.shortlistOK)
+	accept := f.shortlistOK
+	if f.cfg.Exclude == nil {
+		accept = nil
+	}
+	f.nbrScratch = f.snIdx.NearestInto(f.nbrScratch[:0], x, y, k, accept)
 	out := f.candScratch[:0]
 	for _, nb := range f.nbrScratch {
 		out = append(out, f.sns[nb.ID])

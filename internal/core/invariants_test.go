@@ -6,12 +6,51 @@ import (
 
 	"cloudfog/internal/game"
 	"cloudfog/internal/geo"
+	"cloudfog/internal/health"
 	"cloudfog/internal/sim"
 )
 
-// TestFogInvariantsUnderRandomOps drives a fog through random join, leave,
-// supernode-departure and supernode-return operations and checks the
-// structural invariants after every step:
+// checkIndex asserts the shortlist index invariant: snIdx holds exactly the
+// registered supernodes a join could use — a free slot and, with a ladder
+// configured, Overload.Admit — each at the position geolocated when it
+// registered.
+func checkIndex(t testing.TB, f *Fog) {
+	t.Helper()
+	want := make(map[int64]bool)
+	for _, sn := range f.snOrder {
+		if sn.Available() > 0 && (f.cfg.Overload == nil || f.cfg.Overload.Admit(sn.ID)) {
+			want[sn.ID] = true
+		}
+	}
+	if f.snIdx.Len() != len(want) {
+		t.Fatalf("index holds %d supernodes, %d of %d registered are admissible",
+			f.snIdx.Len(), len(want), len(f.snOrder))
+	}
+	for _, nb := range f.snIdx.Nearest(0, 0, len(f.snOrder)+1, nil) {
+		if !want[nb.ID] {
+			t.Fatalf("index holds supernode %d, which is full, rejecting or gone", nb.ID)
+		}
+		if est := f.snEstPos[nb.ID]; nb.Dist2 != dist2(0, 0, est.x, est.y) {
+			t.Fatalf("supernode %d indexed away from its registered estimate", nb.ID)
+		}
+	}
+}
+
+// newLadder returns a default overload ladder for a test fog.
+func newLadder(t testing.TB) *health.Overload {
+	t.Helper()
+	ol, err := health.NewOverload(health.OverloadConfig{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ol
+}
+
+// TestFogInvariantsUnderRandomOps drives a fog — without and with the
+// overload ladder — through random join, leave, supernode-departure,
+// supernode-return, reassignment and overload-relief operations. The
+// shortlist index invariant (checkIndex) is checked after every step, the
+// structural invariants every 50:
 //
 //   - a supernode's load never exceeds its capacity;
 //   - every online player is served (supernode or cloud), every offline
@@ -20,7 +59,15 @@ import (
 //   - backups never include the serving supernode or departed supernodes'
 //     stale capacity.
 func TestFogInvariantsUnderRandomOps(t *testing.T) {
+	t.Run("ladder=off", func(t *testing.T) { fogInvariantsUnderRandomOps(t, false) })
+	t.Run("ladder=on", func(t *testing.T) { fogInvariantsUnderRandomOps(t, true) })
+}
+
+func fogInvariantsUnderRandomOps(t *testing.T, ladder bool) {
 	cfg := testConfig()
+	if ladder {
+		cfg.Overload = newLadder(t)
+	}
 	rng := sim.NewRand(20260705)
 	placer := geo.DefaultUSPlacer()
 
@@ -106,7 +153,7 @@ func TestFogInvariantsUnderRandomOps(t *testing.T) {
 	}
 
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(12); {
 		case op < 5: // join a random offline player
 			p := players[rng.Intn(nPlayers)]
 			if !p.Online {
@@ -124,7 +171,7 @@ func TestFogInvariantsUnderRandomOps(t *testing.T) {
 				delete(registered, sn.ID)
 				fog.DeregisterSupernode(sn.ID)
 			}
-		default: // a departed supernode returns as a fresh machine
+		case op < 10: // a departed supernode returns as a fresh machine
 			for _, spec := range specs {
 				if _, live := registered[spec.ID]; !live {
 					fresh := NewSupernode(spec.ID, spec.Pos, spec.Capacity, spec.Uplink)
@@ -135,7 +182,12 @@ func TestFogInvariantsUnderRandomOps(t *testing.T) {
 					break
 				}
 			}
+		case op < 11: // cooperation: move a player to a strictly better home
+			fog.TryReassign(players[rng.Intn(nPlayers)], nil)
+		default: // the relief tick (a no-op without a ladder)
+			fog.RelieveOverloaded()
 		}
+		checkIndex(t, fog)
 		if step%50 == 0 {
 			check(step)
 		}

@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"cloudfog/internal/geo"
+	"cloudfog/internal/obs"
 	"cloudfog/internal/sim"
 )
 
 // shortlistReference is the pre-index shortlist kept as the oracle: a full
-// scan over the geolocated supernode table plus a sort. Ties break on
+// scan over the geolocated supernode table — capacity, the ladder's Admit
+// and the blacklist checked per node, per query — plus a sort. Ties break on
 // supernode ID, matching the spatial index's determinism contract.
 func shortlistReference(f *Fog, x, y float64, k int) []*Supernode {
 	type entry struct {
@@ -20,6 +22,9 @@ func shortlistReference(f *Fog, x, y float64, k int) []*Supernode {
 	entries := make([]entry, 0, len(f.snOrder))
 	for _, sn := range f.snOrder {
 		if sn.Available() <= 0 {
+			continue
+		}
+		if f.cfg.Overload != nil && !f.cfg.Overload.Admit(sn.ID) {
 			continue
 		}
 		if f.cfg.Exclude != nil && f.cfg.Exclude(sn.ID) {
@@ -75,11 +80,26 @@ func buildRandomFog(t testing.TB, cfg Config, s int, rng *sim.Rand) *Fog {
 	return f
 }
 
-// TestShortlistMatchesReference is the property test for the tentpole: on
+// occupy fills sn with fresh players through the Fog's own attach path, so
+// the shortlist index follows every capacity change the way it does for a
+// real join. The players come back online and attached, ready for Leave.
+func occupy(f *Fog, sn *Supernode, nextID *int64) []*Player {
+	var ps []*Player
+	for sn.Available() > 0 {
+		p := &Player{ID: *nextID, Online: true}
+		*nextID++
+		f.players[p.ID] = p
+		f.attachSN(p, sn, 0)
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// TestShortlistMatchesReference is the property test for the shortlist: on
 // randomized instances — varying supernode counts, k, capacity exhaustion,
-// Exclude blacklists, churned registrations — the spatial-indexed shortlist
-// must return exactly the same supernodes in the same order as the naive
-// scan-and-sort reference.
+// the overload ladder, Exclude blacklists, churned registrations — the
+// spatial-indexed shortlist must return exactly the same supernodes in the
+// same order as the naive scan-and-sort reference.
 func TestShortlistMatchesReference(t *testing.T) {
 	rng := sim.NewRand(20260805)
 	for trial := 0; trial < 40; trial++ {
@@ -89,6 +109,9 @@ func TestShortlistMatchesReference(t *testing.T) {
 		}
 		if trial%5 == 2 {
 			cfg.Exclude = func(id int64) bool { return id%4 == 0 }
+		}
+		if trial%3 == 1 {
+			cfg.Overload = newLadder(t)
 		}
 		s := 1 + rng.Intn(300)
 		f := buildRandomFog(t, cfg, s, rng)
@@ -107,17 +130,22 @@ func TestShortlistMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		// Exhaust a random subset of supernode capacity so the filter has
-		// zero-capacity nodes to skip mid-traversal.
+		// Exhaust a random subset of supernode capacity, then free a slot or
+		// two on some of the full ones: without a ladder those are
+		// admissible again, with one they sit in Rejecting on hysteresis —
+		// a free slot the shortlist must still pass over.
 		pid := int64(1)
 		for _, sn := range f.snOrder {
 			if rng.Float64() < 0.3 {
-				for sn.Available() > 0 {
-					sn.players[pid] = &Player{ID: pid}
-					pid++
+				ps := occupy(f, sn, &pid)
+				if rng.Float64() < 0.4 {
+					for _, p := range ps[:1+rng.Intn(len(ps))] {
+						f.Leave(p)
+					}
 				}
 			}
 		}
+		checkIndex(t, f)
 
 		for q := 0; q < 25; q++ {
 			x := rng.Float64() * cfg.Region.Width
@@ -139,16 +167,17 @@ func TestShortlistMatchesReference(t *testing.T) {
 	}
 }
 
-// TestShortlistSkipsExhaustedAndExcluded pins the two traversal filters.
+// TestShortlistSkipsExhaustedAndExcluded pins the two ways a registered
+// supernode stays off a shortlist: a full one is out of the index until a
+// slot frees, a blacklisted one is filtered per query.
 func TestShortlistSkipsExhaustedAndExcluded(t *testing.T) {
 	cfg := testConfig()
 	cfg.Exclude = func(id int64) bool { return id == 1_000_003 }
 	f := buildTestFog(t, cfg, 10)
-	full := f.sns[1_000_001]
-	for full.Available() > 0 {
-		full.players[int64(1000+full.Load())] = &Player{}
-	}
-	got := f.shortlist(cfg.Region.Center().X, cfg.Region.Center().Y, 10)
+	center := cfg.Region.Center()
+	pid := int64(1000)
+	ps := occupy(f, f.sns[1_000_001], &pid)
+	got := f.shortlist(center.X, center.Y, 10)
 	if len(got) != 8 {
 		t.Fatalf("shortlist returned %d of 10 supernodes, want 8 (one full, one excluded)", len(got))
 	}
@@ -157,6 +186,95 @@ func TestShortlistSkipsExhaustedAndExcluded(t *testing.T) {
 			t.Fatalf("shortlist returned filtered supernode %d", sn.ID)
 		}
 	}
+	checkIndex(t, f)
+
+	f.Leave(ps[0])
+	if got := f.shortlist(center.X, center.Y, 10); len(got) != 9 {
+		t.Fatalf("shortlist returned %d of 10 supernodes after a slot freed, want 9 (one excluded)", len(got))
+	}
+	checkIndex(t, f)
+}
+
+// TestShortlistPassesOverRejectingNode: with a ladder configured, a node
+// that filled up and then lost one player has a free slot but still sits in
+// Rejecting on hysteresis — off the shortlist until the ladder lets go.
+func TestShortlistPassesOverRejectingNode(t *testing.T) {
+	cfg := testConfig()
+	ol := newLadder(t)
+	cfg.Overload = ol
+	f := buildTestFog(t, cfg, 3)
+	center := cfg.Region.Center()
+	hot := f.sns[1_000_000]
+	pid := int64(1000)
+	ps := occupy(f, hot, &pid)
+	heldBack := false
+	for i, p := range ps {
+		f.Leave(p)
+		listed := false
+		for _, sn := range f.shortlist(center.X, center.Y, 3) {
+			listed = listed || sn == hot
+		}
+		if want := ol.Admit(hot.ID); listed != want {
+			t.Fatalf("after %d of %d players left (ladder %v): on the shortlist = %v, Admit = %v",
+				i+1, len(ps), ol.State(hot.ID), listed, want)
+		}
+		heldBack = heldBack || !listed
+		checkIndex(t, f)
+	}
+	if !heldBack {
+		t.Fatal("the node was never held back with a slot free: the test did not reach Rejecting-on-hysteresis")
+	}
+	if !ol.Admit(hot.ID) {
+		t.Fatalf("emptied supernode still %v", ol.State(hot.ID))
+	}
+}
+
+// TestJoinsRejectedCountsNamedBackupsOnly: joins_rejected counts a failover
+// whose recorded backup refuses the player, never how many rejecting nodes a
+// shortlist happened to pass — those are not in the index to be passed.
+func TestJoinsRejectedCountsNamedBackupsOnly(t *testing.T) {
+	cfg := testConfig()
+	cfg.Latency = benignModel(cfg)
+	ol := newLadder(t)
+	cfg.Overload = ol
+	cfg.Health = obs.HealthStatsIn(obs.NewRegistry())
+	f := buildTestFog(t, cfg, 4)
+	center := cfg.Region.Center()
+
+	p := testPlayer(1, center, mustGame(t, 5))
+	f.Join(p)
+	if len(p.Backups) == 0 {
+		t.Fatal("no backups recorded")
+	}
+	// The first backup fills up and loses one player: a slot is free, the
+	// ladder still refuses.
+	backup := p.Backups[0]
+	pid := int64(1000)
+	f.Leave(occupy(f, backup, &pid)[0])
+	if backup.Available() == 0 || ol.Admit(backup.ID) {
+		t.Fatalf("backup has %d free slots in state %v, want a free slot held in Rejecting",
+			backup.Available(), ol.State(backup.ID))
+	}
+	// Joins beside a rejecting node count nothing.
+	for i := int64(0); i < 5; i++ {
+		q := testPlayer(10+i, center, mustGame(t, 5))
+		f.Join(q)
+		f.Leave(q)
+	}
+	if n := cfg.Health.JoinsRejected.Load(); n != 0 {
+		t.Fatalf("joins_rejected = %d after plain joins, want 0", n)
+	}
+	// The player's serving node dies; its named backup refuses it, once.
+	for _, orphan := range f.FailSupernode(p.Attached.SN.ID) {
+		f.Failover(orphan)
+	}
+	if !p.Attached.Served() || p.Attached.SN == backup {
+		t.Fatalf("failover left the player on %+v, want service off the rejecting backup", p.Attached)
+	}
+	if n := cfg.Health.JoinsRejected.Load(); n != 1 {
+		t.Fatalf("joins_rejected = %d after one refused backup, want 1", n)
+	}
+	checkIndex(t, f)
 }
 
 // --- Shortlist microbenchmarks: the scaling curve toward millions of

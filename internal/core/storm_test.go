@@ -41,10 +41,14 @@ func stormInvariants(t *testing.T, f *Fog, players []*Player) {
 }
 
 // runStorm drives one fog through a randomized Register/Deregister/Join/
-// Leave storm, checking invariants after every step.
-func runStorm(t *testing.T, seed int64, steps int) {
+// Leave/TryReassign/RelieveOverloaded storm, checking the failover invariants
+// and the shortlist index invariant after every step.
+func runStorm(t *testing.T, seed int64, steps int, ladder bool) {
 	cfg := testConfig()
 	cfg.Latency = benignModel(cfg)
+	if ladder {
+		cfg.Overload = newLadder(t)
+	}
 	f := buildTestFog(t, cfg, 30)
 	center := cfg.Region.Center()
 	g := mustGame(t, 5)
@@ -71,7 +75,7 @@ func runStorm(t *testing.T, seed int64, steps int) {
 
 	rng := sim.NewRand(seed)
 	for step := 0; step < steps; step++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(6) {
 		case 0: // kill a supernode and repair every orphan
 			id := ids[rng.Intn(len(ids))]
 			if _, up := f.Supernode(id); !up {
@@ -99,22 +103,49 @@ func runStorm(t *testing.T, seed int64, steps int) {
 			if !p.Online {
 				f.Join(p)
 			}
+		case 4: // cooperation moves a player to a strictly better home
+			f.TryReassign(players[rng.Intn(len(players))], nil)
+		case 5: // the relief tick (a no-op without a ladder)
+			f.RelieveOverloaded()
 		}
 		stormInvariants(t, f, players)
+		checkIndex(t, f)
 	}
 }
 
 // TestRegisterDeregisterStorm hammers the fog with randomized supernode
 // kills, re-registrations, and player churn, holding the failover
 // invariants after every single step. Four storms run concurrently on
-// independent fogs so the race detector sweeps the shared read-only state
-// (trace model, game ladder, region) while each fog mutates.
+// independent fogs — the odd ones with the overload ladder on — so the race
+// detector sweeps the shared read-only state (trace model, game ladder,
+// region) while each fog mutates.
 func TestRegisterDeregisterStorm(t *testing.T) {
 	for i := 0; i < 4; i++ {
-		seed := int64(9000 + i*17)
+		seed, ladder := int64(9000+i*17), i%2 == 1
 		t.Run(fmt.Sprintf("storm-%d", i), func(t *testing.T) {
 			t.Parallel()
-			runStorm(t, seed, 600)
+			runStorm(t, seed, 600, ladder)
 		})
 	}
+}
+
+// TestReindexIgnoresDepartedInstance: an occupancy change on a supernode
+// instance that is no longer the one registered under its ID must not put
+// the ID (back) into the index — the ID is gone, or belongs to a fresh
+// machine that may itself be full.
+func TestReindexIgnoresDepartedInstance(t *testing.T) {
+	f := buildTestFog(t, testConfig(), 3)
+	old := f.sns[1_000_000]
+	f.FailSupernode(old.ID)
+	f.observeOccupancy(old) // has free slots, but is not registered
+	checkIndex(t, f)
+
+	fresh := NewSupernode(old.ID, old.Pos, old.Capacity, old.Uplink)
+	if err := f.RegisterSupernode(fresh); err != nil {
+		t.Fatal(err)
+	}
+	pid := int64(1000)
+	occupy(f, fresh, &pid) // the fresh machine fills up and leaves the index
+	f.observeOccupancy(old)
+	checkIndex(t, f)
 }

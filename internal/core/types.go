@@ -101,6 +101,9 @@ type Supernode struct {
 	UpdateLatency time.Duration
 
 	players map[int64]*Player
+	// indexed mirrors this supernode's membership of its Fog's shortlist
+	// index, so Fog.reindex touches the grid only on a transition.
+	indexed bool
 }
 
 // NewSupernode returns a supernode with the given capacity and uplink.

@@ -299,7 +299,7 @@ type HealthStats struct {
 
 	Degraded       *Counter // ladder transitions upward (toward Migrating)
 	Restored       *Counter // ladder transitions back down (toward Normal)
-	JoinsRejected  *Counter // supernode candidacies refused by admission control
+	JoinsRejected  *Counter // failovers whose recorded backup refused the player (ladder at Rejecting)
 	Migrations     *Counter // players migrated off overloaded supernodes
 	TimeDegradedNs *Histogram
 
@@ -324,7 +324,7 @@ func HealthStatsIn(r *Registry) *HealthStats {
 		DetectionNs:    r.Histogram("cloudfog_health_detection_latency_ns", "node death to detection latency", LatencyBucketsNs()),
 		Degraded:       r.Counter("cloudfog_health_degraded_total", "overload ladder transitions toward degradation"),
 		Restored:       r.Counter("cloudfog_health_restored_total", "overload ladder transitions back toward normal"),
-		JoinsRejected:  r.Counter("cloudfog_health_joins_rejected_total", "supernode candidacies refused by overload admission control"),
+		JoinsRejected:  r.Counter("cloudfog_health_joins_rejected_total", "failovers refused by a recorded backup whose overload ladder is rejecting joins"),
 		Migrations:     r.Counter("cloudfog_health_migrations_total", "players migrated off overloaded supernodes"),
 		TimeDegradedNs: r.Histogram("cloudfog_health_time_degraded_ns", "time supernodes spent degraded before returning to normal", LatencyBucketsNs()),
 		BreakerOpens:   r.Counter("cloudfog_health_breaker_opens_total", "cloud-fallback circuit breaker trips"),

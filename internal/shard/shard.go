@@ -54,8 +54,8 @@ func (c *Clock) advance(t time.Duration) {
 
 // Plan is a geographic partition of the world into shard-owned regions: a
 // kd-tree over avatar positions (balanced load), with every cut snapped to
-// the spatial index's grid-cell geometry so no shortlist cell straddles two
-// shards, and leaves assigned to shards balancing total avatar load.
+// the cell geometry of a spatial index tuned for that many points, and
+// leaves assigned to shards balancing total avatar load.
 type Plan struct {
 	regions []world.Region
 	assign  []int // region index -> shard
@@ -64,8 +64,11 @@ type Plan struct {
 
 // NewPlan partitions a width×height world carrying the given avatar
 // positions into (at least) `shards` kd regions and assigns them to shards.
-// Cuts snap to the uniform-grid cell geometry the spatial index would use
-// for n = len(pts) points.
+// Cuts snap to the uniform-grid cell geometry a spatial index holding all
+// n = len(pts) points would use. That is a layout hint, not a coupling: the
+// fog's live shortlist grid follows the count of supernodes that can take a
+// player, retuning as the fog fills and drains, and neither ownership nor any
+// shortlist ever depended on the two geometries agreeing.
 func NewPlan(width, height float64, pts []world.Vec2, shards int) *Plan {
 	if shards < 1 {
 		shards = 1

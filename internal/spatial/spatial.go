@@ -109,9 +109,12 @@ func gridShape(width, height float64, want int) (cols, rows int) {
 // plane uses once it has been tuned for n points (want = n/targetPerCell,
 // floored at the minimum cell count) — the same arithmetic rebucket runs.
 // The shard planner snaps kd-tree partition cuts to multiples of these
-// dimensions: a cut landing on a cell boundary means no shortlist cell ever
-// straddles two shards. Cells are anchored at the plane origin, so any
-// multiple of cellW (cellH) is a vertical (horizontal) cell edge.
+// dimensions, computed for the population it partitions: a layout hint that
+// keeps cuts on a regular lattice. The fog's live shortlist index follows the
+// count of supernodes that can take a player and retunes as that moves, so
+// its cells need not line up with the cuts; query results never depend on
+// cell geometry. Cells are anchored at the plane origin, so any multiple of
+// cellW (cellH) is a vertical (horizontal) cell edge.
 func CellGeometry(width, height float64, n int) (cellW, cellH float64) {
 	if width <= 0 {
 		width = 1
@@ -203,7 +206,8 @@ func (g *Grid) Remove(id int64) bool {
 }
 
 // Nearest returns up to k accepted points closest to (x, y), ordered by
-// (squared distance, ID) ascending. A nil accept admits every point.
+// (squared distance, ID) ascending. A nil accept admits every point; accept
+// must be pure, see NearestInto.
 func (g *Grid) Nearest(x, y float64, k int, accept func(id int64) bool) []Neighbor {
 	return g.NearestInto(nil, x, y, k, accept)
 }
@@ -217,6 +221,10 @@ func (g *Grid) Nearest(x, y float64, k int, accept func(id int64) bool) []Neighb
 // whose lower bound strictly exceeds the worst retained distance —
 // strictly, because an equal distance with a smaller ID must still be
 // admitted for the ordering to stay total.
+//
+// accept must be pure: it is consulted only for a point that would enter the
+// result as it stands (nearer than the current k-th, or fewer than k held),
+// so which points it sees, and how often, depends on the bucket layout.
 func (g *Grid) NearestInto(buf []Neighbor, x, y float64, k int, accept func(id int64) bool) []Neighbor {
 	h := buf[:0]
 	if k <= 0 || g.n == 0 {
@@ -248,15 +256,18 @@ func (g *Grid) NearestInto(buf []Neighbor, x, y float64, k int, accept func(id i
 				bucket := g.cells[iy*g.cols+ix]
 				for i := range bucket {
 					e := &bucket[i]
+					dx, dy := e.x-x, e.y-y
+					cand := Neighbor{ID: e.id, Dist2: dx*dx + dy*dy}
+					if len(h) == k && !worse(h[0], cand) {
+						continue
+					}
 					if accept != nil && !accept(e.id) {
 						continue
 					}
-					dx, dy := e.x-x, e.y-y
-					cand := Neighbor{ID: e.id, Dist2: dx*dx + dy*dy}
 					if len(h) < k {
 						h = append(h, cand)
 						siftUp(h)
-					} else if worse(h[0], cand) {
+					} else {
 						h[0] = cand
 						siftDown(h, 0)
 					}

@@ -207,3 +207,135 @@ func TestNearestIntoReusesBuffer(t *testing.T) {
 		t.Fatalf("NearestInto allocates %v per query with a warm buffer", allocs)
 	}
 }
+
+// TestNearestConsultsAcceptOnlyForEntrants pins the traversal contract with
+// an accept that watches its own calls: results equal the brute-force
+// reference, and accept is only ever asked about a point that would enter
+// the result as it stands — while fewer than k are held, or when it ranks
+// before the current k-th. A regression to filter-first (accept for every
+// entry of every visited cell) fails here on the first far point it asks
+// about, not as a timing.
+func TestNearestConsultsAcceptOnlyForEntrants(t *testing.T) {
+	rng := sim.NewRand(99)
+	const width, height = 4500.0, 2900.0
+	g := NewGrid(width, height)
+	pts := make(map[int64][2]float64)
+	for i := 0; i < 3000; i++ {
+		x, y := rng.Float64()*width, rng.Float64()*height
+		g.Insert(int64(i), x, y)
+		pts[int64(i)] = [2]float64{x, y}
+	}
+	pure := func(id int64) bool { return id%4 != 0 }
+	for q := 0; q < 200; q++ {
+		x, y := rng.Float64()*width, rng.Float64()*height
+		k := 1 + rng.Intn(20)
+		var held []Neighbor // mirrors the search: the k best accepted so far, best first
+		accept := func(id int64) bool {
+			p := pts[id]
+			dx, dy := p[0]-x, p[1]-y
+			cand := Neighbor{ID: id, Dist2: dx*dx + dy*dy}
+			if len(held) == k && !worse(held[k-1], cand) {
+				t.Fatalf("query %d (k=%d): accept asked about %v, which ranks after the current k-th %v",
+					q, k, cand, held[k-1])
+			}
+			if !pure(id) {
+				return false
+			}
+			if len(held) == k {
+				held = held[:k-1]
+			}
+			held = append(held, cand)
+			sort.Slice(held, func(i, j int) bool { return worse(held[j], held[i]) })
+			return true
+		}
+		got := g.Nearest(x, y, k, accept)
+		if want := bruteNearest(pts, x, y, k, pure); !sameNeighbors(got, want) {
+			t.Fatalf("query %d: grid %v != brute force %v", q, got, want)
+		}
+	}
+}
+
+// TestRetuneThroughDrainAndRefill drives the grid the way the fog's
+// admissible set does on every JoinAll/LeaveAll: drained to empty and
+// refilled, repeatedly. Len and query results hold throughout, a whole cycle
+// costs only a logarithmic number of rebuckets, and hovering at the point
+// count that just triggered one (the 0.5x shrink and 6x grow thresholds)
+// triggers no other.
+func TestRetuneThroughDrainAndRefill(t *testing.T) {
+	rng := sim.NewRand(13)
+	const width, height = 4500.0, 2900.0
+	const n = 3125
+	type pt struct{ x, y float64 }
+	all := make([]pt, n)
+	for i := range all {
+		all[i] = pt{rng.Float64() * width, rng.Float64() * height}
+	}
+	g := NewGrid(width, height)
+	pts := make(map[int64][2]float64)
+
+	rebuckets := 0
+	// step applies one insert or remove, keeps the mirror, and — when the
+	// grid rebucketed — hovers at that count to show the new geometry is
+	// stable there.
+	var step func(id int64, insert, hover bool)
+	step = func(id int64, insert, hover bool) {
+		before := len(g.cells)
+		if insert {
+			g.Insert(id, all[id].x, all[id].y)
+			pts[id] = [2]float64{all[id].x, all[id].y}
+		} else {
+			if !g.Remove(id) {
+				t.Fatalf("Remove(%d) reported absent", id)
+			}
+			delete(pts, id)
+		}
+		if g.Len() != len(pts) {
+			t.Fatalf("Len = %d, want %d", g.Len(), len(pts))
+		}
+		if len(g.cells) == before {
+			return
+		}
+		rebuckets++
+		if !hover {
+			t.Fatalf("rebucket thrash: %d → %d cells while hovering at %d points", before, len(g.cells), g.Len())
+		}
+		for i := 0; i < 20; i++ {
+			step(id, !insert, false)
+			step(id, insert, false)
+		}
+	}
+	check := func() {
+		t.Helper()
+		for q := 0; q < 5; q++ {
+			x, y := rng.Float64()*width, rng.Float64()*height
+			if got, want := g.Nearest(x, y, 15, nil), bruteNearest(pts, x, y, 15, nil); !sameNeighbors(got, want) {
+				t.Fatalf("at %d points: grid %v != brute force %v", g.Len(), got, want)
+			}
+		}
+	}
+
+	for cycle := 0; cycle < 3; cycle++ {
+		order := rng.Perm(n)
+		for i, id := range order {
+			step(int64(id), true, true)
+			if i%97 == 0 {
+				check()
+			}
+		}
+		check()
+		order = rng.Perm(n)
+		for i, id := range order {
+			step(int64(id), false, true)
+			if i%97 == 0 {
+				check()
+			}
+		}
+		if g.Len() != 0 || len(g.Nearest(1, 1, 3, nil)) != 0 {
+			t.Fatalf("cycle %d: drained grid still holds %d points", cycle, g.Len())
+		}
+	}
+	// 16 → 1296 cells by 3x steps and back by 4x steps: about four each way.
+	if max := 3 * 2 * 4; rebuckets == 0 || rebuckets > max {
+		t.Fatalf("%d rebuckets over 3 fill/drain cycles of %d points, want 1..%d", rebuckets, n, max)
+	}
+}

@@ -16,9 +16,10 @@ func PartitionKD(bounds Rect, avatars []Vec2, depth int) []Region {
 
 // PartitionKDSnap is PartitionKD with every cut snapped to the nearest
 // multiple of snapX (vertical cuts) or snapY (horizontal cuts), both
-// anchored at the plane origin. The shard planner passes the spatial grid's
-// cell dimensions here so partition boundaries land on cell edges and no
-// shortlist cell straddles two shards. A snap of zero leaves that axis
+// anchored at the plane origin. The shard planner passes spatial.CellGeometry
+// for the partitioned population here, so partition boundaries land on a
+// regular lattice (a layout hint: the fog's live shortlist grid retunes with
+// the admissible supernode count). A snap of zero leaves that axis
 // unsnapped; a cut is also left unsnapped when its slab is narrower than
 // one cell (no interior multiple exists).
 func PartitionKDSnap(bounds Rect, avatars []Vec2, depth int, snapX, snapY float64) []Region {
