@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-all loc chaos wire coord replay record-corpus latency scale verify
+.PHONY: build test vet race bench bench-all loc chaos wire coord replay record-corpus latency scale reach verify
 
 build:
 	$(GO) build ./...
@@ -129,6 +129,19 @@ scale:
 	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm' ./internal/core/
 	$(GO) test -count=1 ./internal/spatial/
 	bash bench/run.sh --workload sim-scale --seed 2026 --seconds 20 --trace 0
+
+# reach measures which functions of cloudfog/internal/... the product ever
+# enters, so a deletion pass starts from traffic instead of guesses: every
+# binary under cmd/, examples/ and bench/ built with -cover
+# -coverpkg=cloudfog/... into .reach/, driven through the invocations the
+# targets above, the verify skill and the README recipes use (including a
+# cloud + coordinator + three workers + four players role deployment with a
+# SIGTERM drain and a SIGKILL), counters merged, the never-entered functions
+# and the statement total printed. It is a report with one hard check — it
+# fails if an internal package is linked by no binary — not a coverage gate,
+# so it is not part of verify. DESIGN.md §18 says what the list may contain.
+reach:
+	bash scripts/reach.sh
 
 # verify is the CI gate: static checks, the race-enabled suite, the chaos
 # smoke, the wire smoke, the coordinator suite (kill, drain, partition),

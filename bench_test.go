@@ -12,14 +12,12 @@ import (
 	"time"
 
 	"cloudfog/internal/adapt"
-	"cloudfog/internal/coop"
 	"cloudfog/internal/core"
 	"cloudfog/internal/econ"
 	"cloudfog/internal/experiment"
 	"cloudfog/internal/game"
 	"cloudfog/internal/geo"
 	"cloudfog/internal/metrics"
-	"cloudfog/internal/proto"
 	"cloudfog/internal/qoe"
 	"cloudfog/internal/sched"
 	"cloudfog/internal/sim"
@@ -553,54 +551,7 @@ func BenchmarkAblationBackups(b *testing.B) {
 	}
 }
 
-// --- Substrate microbenchmarks ---
-
-func BenchmarkEngineEvents(b *testing.B) {
-	engine := sim.New()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			engine.Schedule(time.Millisecond, tick)
-		}
-	}
-	engine.Schedule(time.Millisecond, tick)
-	b.ResetTimer()
-	engine.Run()
-}
-
-func BenchmarkTraceOneWay(b *testing.B) {
-	m := trace.DefaultModel(1)
-	a := trace.Endpoint{ID: 1, Pos: geo.Point{X: 100, Y: 200}, Class: trace.ClassNode}
-	c := trace.Endpoint{ID: 2, Pos: geo.Point{X: 3000, Y: 1500}, Class: trace.ClassDatacenter}
-	var d time.Duration
-	for i := 0; i < b.N; i++ {
-		a.ID = trace.NodeID(i)
-		d = m.OneWay(a, c)
-	}
-	_ = d
-}
-
-// BenchmarkAssignmentJoin measures one join/leave round trip of the
-// assignment protocol against a paper-scale fog (600 supernodes).
-func BenchmarkAssignmentJoin(b *testing.B) {
-	w := paperWorld(b)
-	fog, err := w.NewFog(w.Cfg.Datacenters, w.Cfg.Supernodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, _ := game.ByID(4)
-	players := w.Pop.Players
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := players[i%len(players)]
-		p.Game = g
-		fog.Join(p)
-		fog.Leave(p)
-	}
-}
+// --- Substrate microbenchmarks bench/layers.go has no probe for ---
 
 func BenchmarkAllocateDrops(b *testing.B) {
 	weights := make([]float64, 64)
@@ -611,23 +562,6 @@ func BenchmarkAllocateDrops(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		sched.AllocateDrops(weights, budgets, 50)
-	}
-}
-
-func BenchmarkQoENode(b *testing.B) {
-	g, _ := game.ByID(4)
-	specs := make([]qoe.PlayerSpec, 10)
-	for i := range specs {
-		specs[i] = qoe.PlayerSpec{
-			ID: int64(i), Game: g,
-			Latency:      20 * time.Millisecond,
-			InboundDelay: 20 * time.Millisecond,
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := qoe.RunNode(qoe.DefaultOptions(), 20_000_000, specs, 10*time.Second); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -659,94 +593,6 @@ func BenchmarkChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSerial/BenchmarkSweepParallel time one coverage figure on
-// one worker versus the full pool — the parallel-sweep half of the
-// tentpole. On a single-CPU host the two coincide.
-func benchSweep(b *testing.B, workers int) {
-	b.Helper()
-	cfg := experiment.Default(2028)
-	cfg.Players = 2500
-	cfg.Supernodes = 200
-	cfg.EdgeServers = 20
-	cfg.SweepWorkers = workers
-	w, err := experiment.NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.CoverageVsSupernodes(w, []int{0, 100, 200}, benchReqs()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSweepSerial(b *testing.B)   { benchSweep(b, 1) }
-func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
-
-// --- Game-state substrate benchmarks ---
-
-func BenchmarkWorldTick(b *testing.B) {
-	w := world.New(world.DefaultConfig())
-	rng := sim.NewRand(5)
-	for i := int64(1); i <= 500; i++ {
-		w.SpawnAvatar(i, world.Vec2{X: rng.Float64() * 10000, Y: rng.Float64() * 10000})
-	}
-	actions := make([]world.Action, 50)
-	for i := range actions {
-		actions[i] = world.Action{
-			Player: int64(1 + rng.Intn(500)),
-			Kind:   world.ActionMove,
-			Target: world.Vec2{X: rng.Float64() * 10000, Y: rng.Float64() * 10000},
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Apply(actions)
-		w.Step(1.0 / 30)
-	}
-}
-
-func BenchmarkWorldDelta(b *testing.B) {
-	w := world.New(world.DefaultConfig())
-	rng := sim.NewRand(6)
-	for i := int64(1); i <= 500; i++ {
-		w.SpawnAvatar(i, world.Vec2{X: rng.Float64() * 10000, Y: rng.Float64() * 10000})
-		w.Apply([]world.Action{{Player: i, Kind: world.ActionMove,
-			Target: world.Vec2{X: rng.Float64() * 10000, Y: rng.Float64() * 10000}}})
-	}
-	r := world.NewReplica()
-	if err := r.Apply(w.Snapshot()); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Step(1.0 / 30)
-		d := w.DeltaSince(r.Version())
-		if err := r.Apply(d); err != nil {
-			b.Fatal(err)
-		}
-		w.Compact(r.Version())
-	}
-}
-
-func BenchmarkProtoDeltaRoundTrip(b *testing.B) {
-	d := world.Delta{FromVersion: 1, ToVersion: 2}
-	for i := 0; i < 100; i++ {
-		d.Updated = append(d.Updated, world.Entity{
-			ID: world.EntityID(i), Kind: world.KindAvatar, Owner: int64(i),
-			Pos: world.Vec2{X: float64(i), Y: float64(i)}, HP: 100, Version: 2,
-		})
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		enc := proto.MarshalDelta(d)
-		if _, err := proto.UnmarshalDelta(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPartitionKD(b *testing.B) {
 	rng := sim.NewRand(7)
 	avatars := make([]world.Vec2, 2000)
@@ -760,63 +606,4 @@ func BenchmarkPartitionKD(b *testing.B) {
 	}
 	assign := world.AssignRegions(regions, 5)
 	b.ReportMetric(world.LoadImbalance(regions, assign, 5), "imbalance")
-}
-
-// BenchmarkAblationCooperation measures the §V future-work extension: mean
-// fog latency before and after a supernode-cooperation rebalancing pass on
-// a churn-scattered deployment.
-func BenchmarkAblationCooperation(b *testing.B) {
-	cfg := core.DefaultConfig(31)
-	cfg.Locator.ErrorSigma = 0
-	placer := geo.DefaultUSPlacer()
-	g, _ := game.ByID(5)
-
-	var before, after float64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		rng := sim.NewRand(32)
-		dcs := []*core.Datacenter{core.NewDatacenter(2_000_000, cfg.Region.Center(), cfg.DCEgress)}
-		sns := make([]*core.Supernode, 40)
-		for j := range sns {
-			sns[j] = core.NewSupernode(1_000_000+int64(j), placer.Place(rng), 6, 6*cfg.UplinkPerSlot)
-		}
-		fog, err := core.BuildFog(cfg, dcs, sns, rng.Fork())
-		if err != nil {
-			b.Fatal(err)
-		}
-		players := make([]*core.Player, 150)
-		for j := range players {
-			players[j] = &core.Player{ID: int64(j), Pos: placer.Place(rng), Game: g, Downlink: 20_000_000}
-			fog.Join(players[j])
-		}
-		for round := 0; round < 3; round++ {
-			var busiest *core.Supernode
-			for _, sn := range fog.Supernodes() {
-				if busiest == nil || sn.Load() > busiest.Load() {
-					busiest = sn
-				}
-			}
-			spec := *busiest
-			fog.DeregisterSupernode(busiest.ID)
-			fog.RegisterSupernode(core.NewSupernode(spec.ID, spec.Pos, spec.Capacity, spec.Uplink))
-		}
-		mean := func() float64 {
-			var sum time.Duration
-			n := 0
-			for _, p := range players {
-				if p.Attached.Kind == core.AttachSupernode {
-					sum += p.Attached.StreamLatency + p.Attached.UpdateLatency
-					n++
-				}
-			}
-			return float64(sum.Milliseconds()) / float64(n)
-		}
-		before = mean()
-		b.StartTimer()
-		coop.Rebalance(fog, coop.DefaultConfig())
-		b.StopTimer()
-		after = mean()
-	}
-	b.ReportMetric(before, "ms-before")
-	b.ReportMetric(after, "ms-after")
 }

@@ -40,11 +40,14 @@ Runs a fog supernode: subscribes to the cloud's update stream and serves
 rendered segments to players on addr over tcp or udp. With coord_addr set
 it runs as a coordinator-registered worker instead: it announces itself
 (position x/y, capacity) and streams occupancy reports every report_every.
+When the coordinator runs leases (lease_ttl) a worker verifies every new
+join's ticket under ticket_key: it must be the coordinator's, or the worker
+refuses every player and they all end up streaming from the cloud.
 Config fields: id, addr, cloud_addr, fps, transport (the player stream
 only; the coordinator link is always TCP) [, coord_addr, x, y, capacity,
-report_every, drain_timeout, skew_tolerance, detector]. Runs until SIGINT
-(abrupt) or SIGTERM (worker mode drains every session onto other workers
-before exiting).`,
+report_every, ticket_key, drain_timeout, skew_tolerance, detector]. Runs
+until SIGINT (abrupt) or SIGTERM (worker mode drains every session onto
+other workers before exiting).`,
 	live.RolePlayer: `cloudfog-live player -config <json> [-duration 4s]
 
 Runs one player session: actions to the cloud, a rendered stream from a

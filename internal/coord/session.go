@@ -46,7 +46,7 @@ func OpenSession(ctx context.Context, cfg live.Config, opts ...live.Option) (*Se
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	link, err := live.Dial(ctx, live.RoleCoordinator, cfg, opts...)
+	link, err := live.Dial(ctx, cfg, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -115,7 +115,7 @@ func (w *Worker) dialCtx() (context.Context, context.CancelFunc) {
 func (w *Worker) connect() (live.Transport, error) {
 	ctx, cancel := w.dialCtx()
 	defer cancel()
-	link, err := live.Dial(ctx, live.RoleCoordinator, w.cfg, w.opts...)
+	link, err := live.Dial(ctx, w.cfg, w.opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -355,9 +355,6 @@ func (w *Worker) Addr() string { return w.sn.Addr() }
 
 // ID returns the worker's identity.
 func (w *Worker) ID() int64 { return w.cfg.ID }
-
-// Supernode exposes the serving supernode (for chaos hooks and counters).
-func (w *Worker) Supernode() *live.Supernode { return w.sn }
 
 // Close stops reporting and shuts the supernode down. Safe to call twice.
 func (w *Worker) Close() {

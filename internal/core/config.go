@@ -45,13 +45,10 @@ type Config struct {
 	// StreamOverhead multiplies video bitrate into wire bandwidth
 	// (packetization, retransmission).
 	StreamOverhead float64
-	// Exclude, when non-nil, removes supernodes from every assignment
-	// shortlist (e.g. a trust blacklist of misbehaving supernodes).
-	Exclude func(snID int64) bool
 	// Obs, when non-nil, counts assignment-protocol outcomes (join kind,
-	// failover repair kind, cooperative reassignments) and emits assign /
-	// failover events. The protocol pays one nil-check per outcome when
-	// disabled; counters never influence assignment decisions.
+	// failover repair kind) and emits assign / failover events. The
+	// protocol pays one nil-check per outcome when disabled; counters never
+	// influence assignment decisions.
 	Obs *obs.AssignStats
 
 	// Overload, when non-nil, runs the supernode degradation ladder: the

@@ -39,10 +39,12 @@ type Fog struct {
 	// only the nodes with room. reindex keeps that invariant; it is reached
 	// from every membership change (observeOccupancy) and from registration.
 	snIdx *spatial.Grid
-	// shortlistOK is the one per-query filter, cfg.Exclude negated into the
-	// index's accept form; bound once so the hot path does not allocate a
-	// closure per shortlist.
-	shortlistOK func(id int64) bool
+	// relieving is the supernode RelieveOverloaded is re-placing an evictee
+	// of, nil at every other time; reliefOK is the one query-time filter,
+	// which shortlist applies only while relieving is set. It is the method
+	// value of admitsEvictee, bound once so relief allocates no closure.
+	relieving *Supernode
+	reliefOK  func(id int64) bool
 
 	players map[int64]*Player
 
@@ -98,7 +100,7 @@ func BuildFog(cfg Config, dcs []*Datacenter, sns []*Supernode, rng *sim.Rand) (*
 		snIdx:    spatial.NewGrid(cfg.Region.Width, cfg.Region.Height),
 		players:  make(map[int64]*Player),
 	}
-	f.shortlistOK = func(id int64) bool { return !f.cfg.Exclude(id) }
+	f.reliefOK = f.admitsEvictee
 	for _, sn := range sns {
 		if err := f.RegisterSupernode(sn); err != nil {
 			return nil, err
@@ -215,12 +217,6 @@ func (f *Fog) Failover(p *Player) bool {
 	f.failover(p)
 	return true
 }
-
-// SetExclude replaces the supernode blacklist filter applied by shortlists
-// and failovers. The fault injector uses it to keep crashed-but-undetected
-// supernodes assignable (the cloud has not noticed yet) or not, depending on
-// the experiment.
-func (f *Fog) SetExclude(fn func(snID int64) bool) { f.cfg.Exclude = fn }
 
 // Join runs the supernode assignment protocol of §III-A3 for a player and
 // returns the resulting attachment.
@@ -396,9 +392,6 @@ func (f *Fog) failover(p *Player) {
 		if live, ok := f.sns[sn.ID]; !ok || live != sn || sn.Available() <= 0 {
 			continue
 		}
-		if f.cfg.Exclude != nil && f.cfg.Exclude(sn.ID) {
-			continue
-		}
 		if f.cfg.Overload != nil && !f.cfg.Overload.Admit(sn.ID) {
 			if f.cfg.Health != nil {
 				f.cfg.Health.JoinsRejected.Inc()
@@ -425,56 +418,6 @@ func (f *Fog) failover(p *Player) {
 	f.assign(p)
 }
 
-// TryReassign attempts to move a fog-served player to a different qualified
-// supernode with a strictly better total serving path (stream + update
-// hops), optionally avoiding supernodes for which avoid returns true. The
-// player keeps its current attachment unless a strictly better one commits,
-// so the call never makes a player worse.
-//
-// This is the primitive behind supernode cooperation (the paper's §V future
-// work): after churn and failovers scatter players onto second-best
-// supernodes, cooperating supernodes shed them back to better homes.
-func (f *Fog) TryReassign(p *Player, avoid func(*Supernode) bool) bool {
-	if !p.Online || p.Attached.Kind != AttachSupernode {
-		return false
-	}
-	cur := p.Attached.SN
-	curTotal := p.Attached.StreamLatency + p.Attached.UpdateLatency
-
-	est := f.cfg.Locator.Locate(p.Pos, f.rng)
-	cands := f.shortlist(est.X, est.Y, f.cfg.Candidates)
-	lmax := f.cfg.Lmax(p.Game.NetworkBudget())
-	budget := p.Game.NetworkBudget()
-	segBits := float64(f.cfg.Stream.SegmentBytes(p.Game.Quality().Bitrate)) * 8
-	minTrans := time.Duration(segBits / float64(f.cfg.UplinkPerSlot) * float64(time.Second))
-
-	var best *Supernode
-	var bestStream time.Duration
-	bestTotal := curTotal
-	for _, sn := range cands {
-		if sn == cur || sn.Available() <= 0 || (avoid != nil && avoid(sn)) {
-			continue
-		}
-		d := f.cfg.Latency.OneWay(p.Endpoint(), sn.Endpoint())
-		if d > lmax || d+sn.UpdateLatency+minTrans > budget {
-			continue
-		}
-		if total := d + sn.UpdateLatency; total < bestTotal {
-			best, bestStream, bestTotal = sn, d, total
-		}
-	}
-	if best == nil {
-		return false
-	}
-	delete(cur.players, p.ID)
-	f.observeOccupancy(cur)
-	f.attachSN(p, best, bestStream)
-	if o := f.cfg.Obs; o != nil {
-		o.Reassigned.Inc()
-	}
-	return true
-}
-
 // RelieveOverloaded migrates players off every supernode whose degradation
 // ladder reached the Migrating rung: newest attachments leave first (they
 // have the least session investment on the node) and rejoin through the full
@@ -486,24 +429,6 @@ func (f *Fog) RelieveOverloaded() int {
 	if o == nil {
 		return 0
 	}
-	prev := f.cfg.Exclude
-	// While a node drains, it must not re-admit its own evictees: shedding
-	// relaxes the shedder's ladder mid-loop, so without the draining-ID
-	// exclusion a small node takes the migrated player straight back and
-	// ping-pongs forever. Evictees are also kept off any node that one more
-	// admit would tip into Migrating — otherwise relief just moves the
-	// overflow sideways (a two-slot node jumps Normal→Migrating on a single
-	// join) and the sweep chases it around the fog.
-	draining := int64(-1)
-	f.cfg.Exclude = func(x int64) bool {
-		if x == draining || (prev != nil && prev(x)) {
-			return true
-		}
-		if sn := f.sns[x]; sn != nil && o.WouldMigrate(sn.Load()+1, sn.Capacity) {
-			return true
-		}
-		return false
-	}
 	moved := 0
 	// Draining one node can tip a smaller one into Migrating after its
 	// turn, so passes repeat until one moves nobody — with a hard cap so
@@ -512,7 +437,6 @@ func (f *Fog) RelieveOverloaded() int {
 	for pass := 0; pass < 8; pass++ {
 		movedThisPass := 0
 		for _, sn := range f.snOrder {
-			draining = sn.ID
 			for o.ShouldMigrate(sn.ID) && sn.Load() > 0 {
 				var newest *Player
 				for _, p := range sn.players {
@@ -526,7 +450,9 @@ func (f *Fog) RelieveOverloaded() int {
 				f.observeOccupancy(sn)
 				newest.Attached = Attachment{}
 				newest.Backups = nil
+				f.relieving = sn
 				f.assign(newest)
+				f.relieving = nil
 				movedThisPass++
 				if f.cfg.Health != nil {
 					f.cfg.Health.Migrations.Inc()
@@ -538,8 +464,20 @@ func (f *Fog) RelieveOverloaded() int {
 			break
 		}
 	}
-	f.cfg.Exclude = prev
 	return moved
+}
+
+// admitsEvictee is the shortlist filter while relief re-places an evictee.
+// The node being drained must not re-admit its own evictee: shedding relaxes
+// the shedder's ladder mid-loop, so a small node would take the migrated
+// player straight back and ping-pong forever. And the evictee is kept off any
+// node that one more admit would tip into Migrating — otherwise relief just
+// moves the overflow sideways (a two-slot node jumps Normal→Migrating on a
+// single join) and the sweep chases it around the fog. Pure, as NearestInto
+// requires: it reads occupancy and moves no ladder state.
+func (f *Fog) admitsEvictee(id int64) bool {
+	sn := f.sns[id]
+	return sn != f.relieving && !f.cfg.Overload.WouldMigrate(sn.Load()+1, sn.Capacity)
 }
 
 // SupernodeLevelCap returns the encoding-ladder cap the overload ladder
@@ -605,15 +543,16 @@ func (f *Fog) attachCloud(p *Player, estX, estY float64) {
 // shortlist returns the k supernodes with available capacity closest to the
 // estimated position, using the cloud's geolocated supernode table. The
 // spatial index holds only supernodes with a free slot that the ladder
-// admits, so the query answers in O(k log k + cells visited) and the only
-// filter left to the traversal is the blacklist, when one is set; equal
-// distances break on supernode ID, so the shortlist is a deterministic
-// function of the admissible set alone. The returned slice is scratch
-// owned by the Fog, valid until the next shortlist call.
+// admits, so the query answers in O(k log k + cells visited) and the
+// traversal filters nothing — except while relief re-places an evictee, when
+// admitsEvictee applies; equal distances break on supernode ID, so the
+// shortlist is a deterministic function of the admissible set alone. The
+// returned slice is scratch owned by the Fog, valid until the next shortlist
+// call.
 func (f *Fog) shortlist(x, y float64, k int) []*Supernode {
-	accept := f.shortlistOK
-	if f.cfg.Exclude == nil {
-		accept = nil
+	var accept func(id int64) bool
+	if f.relieving != nil {
+		accept = f.reliefOK
 	}
 	f.nbrScratch = f.snIdx.NearestInto(f.nbrScratch[:0], x, y, k, accept)
 	out := f.candScratch[:0]

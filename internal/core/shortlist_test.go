@@ -4,16 +4,21 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
+	"cloudfog/internal/game"
 	"cloudfog/internal/geo"
+	"cloudfog/internal/health"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/sim"
+	"cloudfog/internal/trace"
 )
 
 // shortlistReference is the pre-index shortlist kept as the oracle: a full
-// scan over the geolocated supernode table — capacity, the ladder's Admit
-// and the blacklist checked per node, per query — plus a sort. Ties break on
-// supernode ID, matching the spatial index's determinism contract.
+// scan over the geolocated supernode table — capacity and the ladder's Admit
+// checked per node, per query, and while relief re-places an evictee the node
+// being drained and any node one admit from Migrating — plus a sort. Ties
+// break on supernode ID, matching the spatial index's determinism contract.
 func shortlistReference(f *Fog, x, y float64, k int) []*Supernode {
 	type entry struct {
 		sn *Supernode
@@ -27,7 +32,7 @@ func shortlistReference(f *Fog, x, y float64, k int) []*Supernode {
 		if f.cfg.Overload != nil && !f.cfg.Overload.Admit(sn.ID) {
 			continue
 		}
-		if f.cfg.Exclude != nil && f.cfg.Exclude(sn.ID) {
+		if f.relieving != nil && (sn == f.relieving || f.cfg.Overload.WouldMigrate(sn.Load()+1, sn.Capacity)) {
 			continue
 		}
 		est := f.snEstPos[sn.ID]
@@ -80,26 +85,33 @@ func buildRandomFog(t testing.TB, cfg Config, s int, rng *sim.Rand) *Fog {
 	return f
 }
 
-// occupy fills sn with fresh players through the Fog's own attach path, so
-// the shortlist index follows every capacity change the way it does for a
-// real join. The players come back online and attached, ready for Leave.
-func occupy(f *Fog, sn *Supernode, nextID *int64) []*Player {
-	var ps []*Player
-	for sn.Available() > 0 {
-		p := &Player{ID: *nextID, Online: true}
+// seat puts n fresh players standing at sn onto it through the Fog's own
+// attach path, so the shortlist index follows every capacity change the way
+// it does for a real join. The players come back online and attached, ready
+// for Leave or for relief to evict and re-place.
+func seat(f *Fog, sn *Supernode, n int, nextID *int64) []*Player {
+	g, _ := game.ByID(5)
+	ps := make([]*Player, n)
+	for i := range ps {
+		ps[i] = testPlayer(*nextID, sn.Pos, g)
+		ps[i].Online = true
 		*nextID++
-		f.players[p.ID] = p
-		f.attachSN(p, sn, 0)
-		ps = append(ps, p)
+		f.players[ps[i].ID] = ps[i]
+		f.attachSN(ps[i], sn, 0)
 	}
 	return ps
 }
 
+// occupy fills sn to capacity.
+func occupy(f *Fog, sn *Supernode, nextID *int64) []*Player {
+	return seat(f, sn, sn.Available(), nextID)
+}
+
 // TestShortlistMatchesReference is the property test for the shortlist: on
 // randomized instances — varying supernode counts, k, capacity exhaustion,
-// the overload ladder, Exclude blacklists, churned registrations — the
-// spatial-indexed shortlist must return exactly the same supernodes in the
-// same order as the naive scan-and-sort reference.
+// the overload ladder, a relief sweep in progress, churned registrations —
+// the spatial-indexed shortlist must return exactly the same supernodes in
+// the same order as the naive scan-and-sort reference.
 func TestShortlistMatchesReference(t *testing.T) {
 	rng := sim.NewRand(20260805)
 	for trial := 0; trial < 40; trial++ {
@@ -107,10 +119,8 @@ func TestShortlistMatchesReference(t *testing.T) {
 		if trial%2 == 1 {
 			cfg.Locator.ErrorSigma = 120 // noisy geolocation; clamped estimates
 		}
-		if trial%5 == 2 {
-			cfg.Exclude = func(id int64) bool { return id%4 == 0 }
-		}
-		if trial%3 == 1 {
+		inRelief := trial%5 == 2
+		if trial%3 == 1 || inRelief {
 			cfg.Overload = newLadder(t)
 		}
 		s := 1 + rng.Intn(300)
@@ -146,6 +156,10 @@ func TestShortlistMatchesReference(t *testing.T) {
 			}
 		}
 		checkIndex(t, f)
+		if inRelief && len(f.snOrder) > 0 {
+			// As while RelieveOverloaded re-places an evictee of this node.
+			f.relieving = f.snOrder[rng.Intn(len(f.snOrder))]
+		}
 
 		for q := 0; q < 25; q++ {
 			x := rng.Float64() * cfg.Region.Width
@@ -168,31 +182,234 @@ func TestShortlistMatchesReference(t *testing.T) {
 }
 
 // TestShortlistSkipsExhaustedAndExcluded pins the two ways a registered
-// supernode stays off a shortlist: a full one is out of the index until a
-// slot frees, a blacklisted one is filtered per query.
+// supernode stays off a shortlist: a full one is out of the index until the
+// ladder admits it again, the one relief is draining is filtered per query
+// while its evictee is re-placed — and only then.
 func TestShortlistSkipsExhaustedAndExcluded(t *testing.T) {
 	cfg := testConfig()
-	cfg.Exclude = func(id int64) bool { return id == 1_000_003 }
+	ol := newLadder(t)
+	cfg.Overload = ol
 	f := buildTestFog(t, cfg, 10)
 	center := cfg.Region.Center()
 	pid := int64(1000)
-	ps := occupy(f, f.sns[1_000_001], &pid)
+	full := f.sns[1_000_001]
+	ps := occupy(f, full, &pid)
+
+	f.relieving = f.sns[1_000_003]
 	got := f.shortlist(center.X, center.Y, 10)
+	f.relieving = nil
 	if len(got) != 8 {
-		t.Fatalf("shortlist returned %d of 10 supernodes, want 8 (one full, one excluded)", len(got))
+		t.Fatalf("shortlist returned %d of 10 supernodes, want 8 (one full, one being drained)", len(got))
 	}
 	for _, sn := range got {
 		if sn.ID == 1_000_001 || sn.ID == 1_000_003 {
 			t.Fatalf("shortlist returned filtered supernode %d", sn.ID)
 		}
 	}
-	checkIndex(t, f)
-
-	f.Leave(ps[0])
 	if got := f.shortlist(center.X, center.Y, 10); len(got) != 9 {
-		t.Fatalf("shortlist returned %d of 10 supernodes after a slot freed, want 9 (one excluded)", len(got))
+		t.Fatalf("shortlist returned %d of 10 supernodes outside relief, want 9 (one full)", len(got))
 	}
 	checkIndex(t, f)
+
+	for _, p := range ps {
+		if ol.Admit(full.ID) {
+			break
+		}
+		f.Leave(p)
+	}
+	if got := f.shortlist(center.X, center.Y, 10); len(got) != 10 {
+		t.Fatalf("shortlist returned %d of 10 supernodes after the full one let go, want 10", len(got))
+	}
+	checkIndex(t, f)
+}
+
+// reliefSpy is a latency source that watches the relief filter from inside
+// the assignment protocol. A join's probes follow its shortlist with nothing
+// in between, so the binding a probe sees is the one its shortlist ran under.
+type reliefSpy struct {
+	trace.Source
+	f       *Fog
+	inSweep bool               // the test is inside RelieveOverloaded
+	leaked  *Supernode         // a binding seen outside a sweep
+	unbound int                // probes inside a sweep that saw no binding
+	bound   map[*Supernode]int // probes per bound node inside a sweep
+	onProbe func()             // runs once per probe inside a sweep
+}
+
+func (s *reliefSpy) OneWay(a, b trace.Endpoint) time.Duration {
+	switch {
+	case s.f == nil: // BuildFog registering the initial supernodes
+	case !s.inSweep:
+		if s.f.relieving != nil {
+			s.leaked = s.f.relieving
+		}
+	case s.f.relieving == nil:
+		s.unbound++
+	default:
+		s.bound[s.f.relieving]++
+		if s.onProbe != nil {
+			s.onProbe()
+		}
+	}
+	return s.Source.OneWay(a, b)
+}
+
+// TestShortlistFilterOnlyInsideRelief: the shortlist filter is bound to the
+// node being drained on every probe RelieveOverloaded causes and to nothing on
+// every other probe — joins, failovers, registrations — including right after
+// a sweep that moved nobody, one that moved somebody, and one that ran into
+// the pass cap.
+func TestShortlistFilterOnlyInsideRelief(t *testing.T) {
+	cfg := testConfig()
+	spy := &reliefSpy{Source: benignModel(cfg), bound: make(map[*Supernode]int)}
+	cfg.Latency = spy
+	cfg.Overload = newLadder(t)
+	f := buildTestFog(t, cfg, 10)
+	spy.f = f
+	sweep := func() int {
+		spy.inSweep = true
+		defer func() { spy.inSweep = false }()
+		return f.RelieveOverloaded()
+	}
+	// outside exercises every probing path that is not relief, then reports
+	// any binding a probe saw.
+	g := mustGame(t, 5)
+	next := int64(1)
+	outside := func(when string) {
+		t.Helper()
+		p := testPlayer(next, cfg.Region.Center(), g)
+		next++
+		f.Join(p)
+		if p.Attached.Kind != AttachSupernode {
+			t.Fatalf("%s: join attached to %v, want a supernode", when, p.Attached.Kind)
+		}
+		spec := *p.Attached.SN
+		f.DeregisterSupernode(spec.ID)
+		if err := f.RegisterSupernode(NewSupernode(spec.ID, spec.Pos, spec.Capacity, spec.Uplink)); err != nil {
+			t.Fatal(err)
+		}
+		f.Leave(p)
+		if f.relieving != nil || spy.leaked != nil {
+			t.Fatalf("%s: relief filter bound outside RelieveOverloaded (now %v, seen by a probe %v)",
+				when, f.relieving, spy.leaked)
+		}
+		checkIndex(t, f)
+	}
+	outside("on a fresh fog")
+
+	if n := sweep(); n != 0 || len(spy.bound) != 0 {
+		t.Fatalf("idle sweep moved %d players under %d bindings, want none", n, len(spy.bound))
+	}
+	outside("after a sweep that moved nobody")
+
+	sns := f.Supernodes()
+	last := sns[len(sns)-1]
+	pid := int64(1000)
+	occupy(f, last, &pid)
+	if n := sweep(); n != 1 || len(spy.bound) != 1 || spy.bound[last] == 0 || spy.unbound != 0 {
+		t.Fatalf("sweep over one full node moved %d players, bindings %v, %d unbound probes; want 1 move probed under that node's binding",
+			n, spy.bound, spy.unbound)
+	}
+	outside("after a sweep that moved somebody")
+
+	// The pass cap is a termination guarantee no sequence of the Fog's own
+	// operations reaches — an evictee never lands on a node it would tip into
+	// Migrating — so the test tips one from inside the probe: each evictee's
+	// first probe fills the node before the one being drained, which the
+	// sweep has already passed and finds Migrating on its next pass.
+	sns = f.Supernodes()
+	order := make(map[*Supernode]int, len(sns))
+	for i, sn := range sns {
+		order[sn] = i
+	}
+	var tipped *Supernode
+	spy.onProbe = func() {
+		if i := order[f.relieving]; i > 0 && tipped != f.relieving {
+			tipped = f.relieving
+			occupy(f, sns[i-1], &pid)
+		}
+	}
+	occupy(f, sns[len(sns)-1], &pid)
+	spy.bound = make(map[*Supernode]int)
+	if n := sweep(); n != 8 || len(spy.bound) != 8 || spy.unbound != 0 {
+		t.Fatalf("cascading sweep moved %d players under %d bindings (%d unbound probes), want 8 and 8: one per pass up to the cap",
+			n, len(spy.bound), spy.unbound)
+	}
+	if straggler := sns[len(sns)-9]; !f.cfg.Overload.ShouldMigrate(straggler.ID) {
+		t.Fatalf("supernode %d is not Migrating: the sweep stopped for some reason other than its pass cap", straggler.ID)
+	}
+	spy.onProbe = nil
+	outside("after a sweep that hit the pass cap")
+}
+
+// TestShortlistInReliefKeepsEvicteeOffDrainedAndBrimmingNodes pins what the
+// relief filter is for, by where evictees end up. Under the default ladder a
+// full node's evictee must pass over a nearer node with one slot left (one
+// admit from Migrating: relief would only move the overflow sideways). Under
+// a ladder whose Migrating rung sits below full, a drained node drops back to
+// an admitting rung with slots to spare, and must still not take its own
+// evictee back.
+func TestShortlistInReliefKeepsEvicteeOffDrainedAndBrimmingNodes(t *testing.T) {
+	// Latency by distance alone and the drained node the one nearest the
+	// datacenter: an evictee standing on it ranks it first, its neighbour
+	// second, whenever the shortlist offers them.
+	build := func(t *testing.T, ol *health.Overload) (f *Fog, hot, neighbour *Supernode) {
+		cfg := testConfig()
+		cfg.Latency = byDistance{}
+		cfg.Overload = ol
+		f = buildTestFog(t, cfg, 4)
+		sns := f.Supernodes()
+		return f, sns[3], sns[2]
+	}
+	t.Run("brimming", func(t *testing.T) {
+		f, hot, brimming := build(t, newLadder(t))
+		pid := int64(1000)
+		seat(f, brimming, brimming.Capacity-1, &pid)
+		ps := occupy(f, hot, &pid)
+		evictee := ps[len(ps)-1]
+		if n := f.RelieveOverloaded(); n != 1 {
+			t.Fatalf("relief moved %d players, want 1 — more means the overflow went sideways and was chased", n)
+		}
+		if to := evictee.Attached.SN; to == nil || to == hot || to == brimming {
+			t.Fatalf("evictee re-placed on %+v, want a supernode other than the drained %d and the brimming %d",
+				evictee.Attached, hot.ID, brimming.ID)
+		}
+		if brimming.Available() != 1 {
+			t.Fatalf("brimming node has %d free slots after relief, want its 1 untouched", brimming.Available())
+		}
+		checkIndex(t, f)
+	})
+	t.Run("drained", func(t *testing.T) {
+		ol, err := health.NewOverload(health.OverloadConfig{
+			DegradeAt: 0.3, ShedAt: 0.4, RejectAt: 0.5, MigrateAt: 0.5, Hysteresis: 0.2,
+		}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, hot, _ := build(t, ol)
+		pid := int64(1000)
+		ps := seat(f, hot, 3, &pid) // 3 of 5: Migrating
+		if n := f.RelieveOverloaded(); n != 2 {
+			t.Fatalf("relief moved %d players, want 2 (3 of 5 → 1 of 5 lets go of Migrating)", n)
+		}
+		if !ol.Admit(hot.ID) || hot.Load() != 1 {
+			t.Fatalf("drained node in state %v with %d players; the case needs it admitting again with 1",
+				ol.State(hot.ID), hot.Load())
+		}
+		for _, p := range ps[1:] {
+			if to := p.Attached.SN; to == nil || to == hot {
+				t.Fatalf("evictee %d re-placed on %+v, want another supernode than the drained %d", p.ID, p.Attached, hot.ID)
+			}
+		}
+		checkIndex(t, f)
+	})
+}
+
+// byDistance is a noise-free latency source: 1 ms plus 10 µs per km.
+type byDistance struct{}
+
+func (byDistance) OneWay(a, b trace.Endpoint) time.Duration {
+	return time.Millisecond + time.Duration(a.Pos.DistanceTo(b.Pos)*float64(10*time.Microsecond))
 }
 
 // TestShortlistPassesOverRejectingNode: with a ladder configured, a node

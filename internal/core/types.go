@@ -127,18 +127,6 @@ func (s *Supernode) Available() int { return s.Capacity - len(s.players) }
 // Load returns the number of players currently supported.
 func (s *Supernode) Load() int { return len(s.players) }
 
-// Member returns the attached player with the given ID, or nil.
-func (s *Supernode) Member(id int64) *Player { return s.players[id] }
-
-// Players returns the IDs of the currently supported players.
-func (s *Supernode) Players() []int64 {
-	out := make([]int64, 0, len(s.players))
-	for id := range s.players {
-		out = append(out, id)
-	}
-	return out
-}
-
 // Share returns the uplink bandwidth share (bits/second) available to one
 // supported player at the supernode's current load.
 func (s *Supernode) Share() int64 {

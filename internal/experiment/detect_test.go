@@ -165,8 +165,8 @@ func TestOverloadKeepsFlashCrowdStreaming(t *testing.T) {
 	w.LeaveAll(fog, players)
 }
 
-// TestBreakerGuardsDegradedCloud starves the cloud fallback (tiny egress, all
-// supernodes excluded) behind a circuit breaker: after FailureThreshold
+// TestBreakerGuardsDegradedCloud starves the cloud fallback (tiny egress, no
+// supernodes) behind a circuit breaker: after FailureThreshold
 // failed probes the breaker opens and joins are left unserved rather than
 // piled onto the degraded cloud, and each half-open window re-admits exactly
 // one probe.
@@ -186,12 +186,12 @@ func TestBreakerGuardsDegradedCloud(t *testing.T) {
 	cc := w.Cfg.Core
 	cc.Now = engine.Now
 	cc.Breaker = br
-	fog, err := core.BuildFog(cc, w.Datacenters(w.Cfg.Datacenters), w.SupernodeSet(w.Cfg.Supernodes),
+	// No supernodes: every join takes the cloud path.
+	fog, err := core.BuildFog(cc, w.Datacenters(w.Cfg.Datacenters), w.SupernodeSet(0),
 		sim.NewRand(w.Cfg.Seed+200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fog.SetExclude(func(int64) bool { return true }) // force the cloud path
 	for _, dc := range fog.Datacenters() {
 		dc.Egress = 1000 // a degraded cloud: no player fits its budget
 	}

@@ -231,7 +231,6 @@ func newAssignStats() *obs.AssignStats {
 		JoinsCloud:         new(obs.Counter),
 		FailoverBackupHits: new(obs.Counter),
 		FailoverReassigns:  new(obs.Counter),
-		Reassigned:         new(obs.Counter),
 	}
 }
 

@@ -7,27 +7,7 @@ import (
 	"cloudfog/internal/health"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/sim"
-	"cloudfog/internal/trace"
 )
-
-// NetState overlays a compiled schedule's latency impairment on a base
-// latency source: every one-way latency gains the extra latency active at
-// the engine's current virtual time. Deterministic because the schedule
-// lookup is pure and the clock is the single-threaded engine's.
-type NetState struct {
-	Base  trace.Source
-	Sched *Schedule
-	Now   func() time.Duration
-}
-
-// OneWay returns the impaired one-way latency from a to b.
-func (n *NetState) OneWay(a, b trace.Endpoint) time.Duration {
-	d := n.Base.OneWay(a, b)
-	if n.Sched != nil && n.Now != nil {
-		d += n.Sched.ExtraLatency(n.Now())
-	}
-	return d
-}
 
 // SimHooks are the experiment-supplied callbacks the injector drives.
 // Respawn is required for recoveries; the rest are optional.

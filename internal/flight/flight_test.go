@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cloudfog/internal/obs"
 )
 
 // testSpec is a small world the record/replay tests can afford dozens of
@@ -317,6 +319,55 @@ func TestSnapshotDelta(t *testing.T) {
 		}
 		if rec.Final.Counters[name] != v {
 			t.Fatalf("%s: single-figure delta %d != final %d", name, v, rec.Final.Counters[name])
+		}
+	}
+}
+
+// TestFirstCounterDiff: the divergence message must tell a counter one side
+// never registered from one both sides hold at the same value, and blame the
+// histograms only when one of them differs.
+func TestFirstCounterDiff(t *testing.T) {
+	hist := func(count int64) map[string]obs.HistogramSnapshot {
+		return map[string]obs.HistogramSnapshot{
+			"h_ns": {Bounds: []int64{10, 100}, Counts: []int64{count, 0, 0}, Sum: 5 * count, Count: count},
+		}
+	}
+	snap := func(c map[string]int64, h map[string]obs.HistogramSnapshot) obs.Snapshot {
+		return obs.Snapshot{Counters: c, Histograms: h}
+	}
+	cases := []struct {
+		name      string
+		want, got obs.Snapshot
+		expect    string
+	}{
+		{"value differs",
+			snap(map[string]int64{"a_total": 1, "b_total": 2}, nil),
+			snap(map[string]int64{"a_total": 1, "b_total": 3}, nil),
+			"first at b_total: live 3, recorded 2"},
+		{"recorded zero, live absent",
+			snap(map[string]int64{"a_total": 1, "gone_total": 0}, hist(4)),
+			snap(map[string]int64{"a_total": 1}, hist(4)),
+			"first at gone_total: recorded 0, live absent"},
+		{"live zero, recorded absent",
+			snap(map[string]int64{"a_total": 1}, nil),
+			snap(map[string]int64{"a_total": 1, "new_total": 0}, nil),
+			"first at new_total: live 0, recorded absent"},
+		{"only a histogram differs",
+			snap(map[string]int64{"a_total": 1}, hist(4)),
+			snap(map[string]int64{"a_total": 1}, hist(5)),
+			"counters agree; histogram h_ns: live count 5 sum 25, recorded count 4 sum 20"},
+		{"histogram absent live",
+			snap(map[string]int64{"a_total": 1}, hist(4)),
+			snap(map[string]int64{"a_total": 1}, nil),
+			"counters agree; histogram h_ns: recorded count 4, live absent"},
+		{"nothing differs",
+			snap(map[string]int64{"a_total": 1}, hist(4)),
+			snap(map[string]int64{"a_total": 1}, hist(4)),
+			"encodings differ but decoded snapshots agree (encoding drift)"},
+	}
+	for _, c := range cases {
+		if got := firstCounterDiff(c.want, c.got); got != c.expect {
+			t.Errorf("%s:\n got  %q\n want %q", c.name, got, c.expect)
 		}
 	}
 }

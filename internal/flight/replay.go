@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+
+	"cloudfog/internal/obs"
 )
 
 // Divergence is one replay mismatch, localized to the stage that produced
@@ -115,7 +118,7 @@ func (rec *Recording) Replay(from string) (*ReplayReport, error) {
 		liveFinal := appendSnapshot(nil, out.final)
 		if !bytes.Equal(liveFinal, rec.FinalBytes) {
 			rep.add("final", "cumulative obs snapshot differs (%s)",
-				firstCounterDiff(rec.Final.Counters, out.final.Counters))
+				firstCounterDiff(rec.Final, out.final))
 		}
 	}
 	return rep, nil
@@ -130,7 +133,7 @@ func compareFigure(rep *ReplayReport, want, got *FigureCapture) {
 	}
 	if !bytes.Equal(got.ObsBytes, want.ObsBytes) {
 		rep.add("obs", "%s: observability delta differs (%s)",
-			want.Name, firstCounterDiff(want.ObsDelta.Counters, got.ObsDelta.Counters))
+			want.Name, firstCounterDiff(want.ObsDelta, got.ObsDelta))
 	}
 	if len(got.RNG) != len(want.RNG) {
 		rep.add("rng", "%s: %d live streams, %d recorded", want.Name, len(got.RNG), len(want.RNG))
@@ -181,22 +184,51 @@ func firstSeriesDiff(want, got *FigureCapture) string {
 	return "encodings differ but decoded structs agree (encoding drift)"
 }
 
-// firstCounterDiff names the first counter (sorted) whose value differs.
-func firstCounterDiff(want, got map[string]int64) string {
-	var names []string
-	for n := range want {
+// firstCounterDiff names the first counter (sorted) that one side lacks or
+// whose value differs; a counter recorded as 0 and absent live is a
+// difference, not an agreement. With every counter equal it names the first
+// histogram that differs the same way.
+func firstCounterDiff(want, got obs.Snapshot) string {
+	for _, n := range unionNames(want.Counters, got.Counters) {
+		w, recorded := want.Counters[n]
+		g, live := got.Counters[n]
+		switch {
+		case !live:
+			return fmt.Sprintf("first at %s: recorded %d, live absent", n, w)
+		case !recorded:
+			return fmt.Sprintf("first at %s: live %d, recorded absent", n, g)
+		case w != g:
+			return fmt.Sprintf("first at %s: live %d, recorded %d", n, g, w)
+		}
+	}
+	for _, n := range unionNames(want.Histograms, got.Histograms) {
+		w, recorded := want.Histograms[n]
+		g, live := got.Histograms[n]
+		switch {
+		case !live:
+			return fmt.Sprintf("counters agree; histogram %s: recorded count %d, live absent", n, w.Count)
+		case !recorded:
+			return fmt.Sprintf("counters agree; histogram %s: live count %d, recorded absent", n, g.Count)
+		case w.Sum != g.Sum || w.Count != g.Count ||
+			!slices.Equal(w.Counts, g.Counts) || !slices.Equal(w.Bounds, g.Bounds):
+			return fmt.Sprintf("counters agree; histogram %s: live count %d sum %d, recorded count %d sum %d",
+				n, g.Count, g.Sum, w.Count, w.Sum)
+		}
+	}
+	return "encodings differ but decoded snapshots agree (encoding drift)"
+}
+
+// unionNames returns the keys of both maps, sorted.
+func unionNames[V any](a, b map[string]V) []string {
+	names := make([]string, 0, len(a))
+	for n := range a {
 		names = append(names, n)
 	}
-	for n := range got {
-		if _, ok := want[n]; !ok {
+	for n := range b {
+		if _, ok := a[n]; !ok {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
-	for _, n := range names {
-		if want[n] != got[n] {
-			return fmt.Sprintf("first at %s: live %d, recorded %d", n, got[n], want[n])
-		}
-	}
-	return "counters agree; histograms differ"
+	return names
 }

@@ -218,20 +218,12 @@ func diffFigure(base, got *FigureCapture) FigureDiff {
 
 // diffCounters returns every counter whose end-of-run value moved, sorted.
 func diffCounters(base, now map[string]int64) []CounterDelta {
-	names := map[string]bool{}
-	for n := range base {
-		names[n] = true
-	}
-	for n := range now {
-		names[n] = true
-	}
 	var out []CounterDelta
-	for n := range names {
+	for _, n := range unionNames(base, now) {
 		if base[n] != now[n] {
 			out = append(out, CounterDelta{Name: n, Base: base[n], New: now[n]})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

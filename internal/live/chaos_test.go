@@ -229,6 +229,54 @@ func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 	}
 }
 
+// TestPlayerReportNamesRefusalAck: a ring whose every member turns the join
+// away leaves the player on the cloud, and the report must say why each one
+// did — the ack by name, not an integer to look up in the proto package.
+func TestPlayerReportNamesRefusalAck(t *testing.T) {
+	for _, transport := range []string{TransportTCP, TransportUDP} {
+		t.Run(transport, func(t *testing.T) {
+			cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond, DirectFPS: 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cloud.Close()
+			acks := []struct {
+				code uint32
+				name string
+			}{{proto.AckRefused, "(refused)"}, {proto.AckExpired, "(expired)"}, {proto.AckSafeMode, "(safe-mode)"}}
+			var ring []string
+			for i, a := range acks {
+				code := a.code
+				sn, err := NewSupernode(
+					Config{Role: RoleSupernode, ID: int64(i + 1), CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30, Transport: transport},
+					WithJoinGate(func(proto.JoinStream, bool) uint32 { return code }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sn.Close()
+				ring = append(ring, sn.Addr())
+			}
+			rep, err := runPlayer(Config{
+				Role: RolePlayer, ID: 1, GameID: 4, CloudAddr: cloud.Addr(), Transport: transport,
+				StreamAddr: ring[0], BackupAddrs: ring[1:],
+				ActionEvery: 100 * time.Millisecond, ViewRadius: DefaultViewRadius,
+			}, 200*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.CloudFallback || len(rep.FailoverErrors) != len(acks) {
+				t.Fatalf("cloud fallback %v with errors %q, want the fallback and one error per ring member",
+					rep.CloudFallback, rep.FailoverErrors)
+			}
+			for i, a := range acks {
+				if e := rep.FailoverErrors[i]; !strings.Contains(e, ring[i]) || !strings.Contains(e, a.name) {
+					t.Errorf("error %d is %q, want supernode %s and the ack name %s", i, e, ring[i], a.name)
+				}
+			}
+		})
+	}
+}
+
 // TestPlayerStreamFailover kills the serving supernode mid-run and checks
 // the player reattaches to its backup and keeps receiving segments.
 func TestPlayerStreamFailover(t *testing.T) {

@@ -120,7 +120,10 @@ type Config struct {
 	ShortlistK int `json:"shortlist_k,omitempty"`
 	Backups    int `json:"backups,omitempty"`
 	// TicketKey is the shared HMAC key tickets are signed under (empty
-	// disables signing — fine for local smoke runs, not deployments).
+	// disables signing — fine for local smoke runs, not deployments). The
+	// coordinator signs with it, a player verifies its ticket with it, and
+	// under leases a worker verifies every new join with it: all three
+	// must agree.
 	TicketKey string `json:"ticket_key,omitempty"`
 	// LeaseTTL, when positive, turns tickets into leases: every ticket the
 	// coordinator issues expires LeaseTTL after issue (signed into the HMAC

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"context"
 	"net"
 	"sort"
 	"sync"
@@ -203,9 +202,15 @@ func TestFirstFrameAtJoin(t *testing.T) {
 			}
 			defer sn.Close()
 
-			link, err := Dial(context.Background(), RolePlayer, Config{Transport: transport, StreamAddr: sn.Addr()})
+			conn, err := net.Dial(transport, sn.Addr())
 			if err != nil {
 				t.Fatal(err)
+			}
+			var link Transport
+			if transport == TransportUDP {
+				link = NewDatagramLink(conn, LinkOptions{})
+			} else {
+				link = NewLinkOpts(conn, LinkOptions{})
 			}
 			defer link.Close()
 			// A frame that never comes fails the Recv waiting for it.

@@ -154,7 +154,7 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 		}
 		if ack, aerr := proto.UnmarshalAck(payload); aerr == nil && ack.Code != proto.AckOK {
 			conn.Close()
-			return nil, fmt.Errorf("live: supernode %s refused join (code %d)", addr, ack.Code)
+			return nil, refusedJoin(addr, ack.Code)
 		}
 		return conn, nil
 	}
@@ -433,6 +433,25 @@ func readStreamFrame(conn net.Conn, dgram bool, buf *[]byte) (proto.MsgType, []b
 	return proto.ParseDatagram(b[:n])
 }
 
+// refusedJoin is the error for a join answered with a non-OK ack. It names
+// the ack, so a session report that ends on the cloud says why each supernode
+// turned the player away: "refused" (no ticket, or one this worker cannot
+// verify — check ticket_key on both sides), "expired", "safe-mode".
+func refusedJoin(addr string, code uint32) error {
+	var name string
+	switch code {
+	case proto.AckRefused:
+		name = "refused"
+	case proto.AckExpired:
+		name = "expired"
+	case proto.AckSafeMode:
+		name = "safe-mode"
+	default:
+		name = fmt.Sprintf("code %d", code)
+	}
+	return fmt.Errorf("live: supernode %s refused join (%s)", addr, name)
+}
+
 // subscribeDatagram joins a datagram supernode stream: it sends the join
 // frame and retries on short read deadlines until the supernode acks (joins
 // and acks are datagrams — either can be lost). A non-zero ack code is a
@@ -471,9 +490,9 @@ func subscribeDatagram(addr string, joinFrame []byte, timeout time.Duration) (ne
 			if aerr != nil {
 				continue
 			}
-			if ack.Code != 0 {
+			if ack.Code != proto.AckOK {
 				conn.Close()
-				return nil, fmt.Errorf("live: supernode %s rejected join (code %d)", addr, ack.Code)
+				return nil, refusedJoin(addr, ack.Code)
 			}
 			conn.SetReadDeadline(time.Time{})
 			return conn, nil

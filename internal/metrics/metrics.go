@@ -109,14 +109,6 @@ func (c *Coverage) Observe(latency, threshold time.Duration) {
 	}
 }
 
-// Add merges a pre-counted pair.
-func (c *Coverage) Add(within bool) {
-	c.total++
-	if within {
-		c.within++
-	}
-}
-
 // Fraction returns the covered fraction (0 when empty).
 func (c *Coverage) Fraction() float64 {
 	if c.total == 0 {

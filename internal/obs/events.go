@@ -216,14 +216,13 @@ func NodeStatsIn(r *Registry) *NodeStats {
 	}
 }
 
-// AssignStats instruments the assignment protocol: join outcomes, failover
-// repairs, and cooperative reassignments.
+// AssignStats instruments the assignment protocol: join outcomes and
+// failover repairs.
 type AssignStats struct {
 	JoinsFog           *Counter // joins attached to a supernode
 	JoinsCloud         *Counter // joins that fell back to a direct cloud connection
 	FailoverBackupHits *Counter // orphans absorbed by a recorded backup
 	FailoverReassigns  *Counter // orphans that reran the full protocol
-	Reassigned         *Counter // cooperative TryReassign moves committed
 
 	// Sink, when non-nil, receives assign/failover events.
 	Sink EventSink
@@ -236,7 +235,6 @@ func AssignStatsIn(r *Registry) *AssignStats {
 		JoinsCloud:         r.Counter("cloudfog_assign_joins_cloud_total", "joins that fell back to the cloud"),
 		FailoverBackupHits: r.Counter("cloudfog_assign_failover_backup_total", "failovers absorbed by a recorded backup"),
 		FailoverReassigns:  r.Counter("cloudfog_assign_failover_rerun_total", "failovers that reran the full protocol"),
-		Reassigned:         r.Counter("cloudfog_assign_reassigned_total", "cooperative reassignments committed"),
 	}
 }
 

@@ -456,3 +456,30 @@ func TestPoolAllocFloor(t *testing.T) {
 		t.Fatalf("warm pool run allocates %.0f, want <= %d", allocs, floor)
 	}
 }
+
+// TestRunNodeAllocFloor holds the unpooled floor the deletion contract
+// (ROADMAP item 5) used to read by hand off BenchmarkQoENode: ten players on
+// one node for ten seconds, a fresh engine and fresh sessions each run.
+func TestRunNodeAllocFloor(t *testing.T) {
+	g, err := game.ByID(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]PlayerSpec, 10)
+	for i := range specs {
+		specs[i] = PlayerSpec{
+			ID: int64(i), Game: g,
+			Latency:      20 * time.Millisecond,
+			InboundDelay: 20 * time.Millisecond,
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := RunNode(DefaultOptions(), 20_000_000, specs, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const floor = 83
+	if allocs > floor {
+		t.Fatalf("RunNode allocates %.0f, want <= %d", allocs, floor)
+	}
+}

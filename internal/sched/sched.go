@@ -224,9 +224,6 @@ func (b *Buffer) ClearEvicted() {
 	b.evicted = b.evicted[:0]
 }
 
-// Bandwidth returns the uplink rate λ_r in bits per second.
-func (b *Buffer) Bandwidth() int64 { return int64(b.bandwidth) }
-
 // Stats reports scheduler counters: segments enqueued and sent, packets
 // dropped by the deadline policy, segments whose packets were all dropped,
 // and how many deadline-violation repairs ran.
@@ -253,9 +250,6 @@ func (b *Buffer) PropagationEstimate(playerID int64) time.Duration {
 	}
 	return 0
 }
-
-// ForgetPlayer discards the propagation history of a departed player.
-func (b *Buffer) ForgetPlayer(playerID int64) { delete(b.prop, playerID) }
 
 // Enqueue inserts a segment (EDF by expected arrival time, or FIFO when the
 // ablation switch is off) and, if dropping is enabled, repairs any deadline

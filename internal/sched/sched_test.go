@@ -121,10 +121,6 @@ func TestPropagationEstimatorWindow(t *testing.T) {
 	if got := b.PropagationEstimate(9); got != 20*time.Millisecond {
 		t.Fatalf("mean after window rollover = %v, want 20ms", got)
 	}
-	b.ForgetPlayer(9)
-	if b.PropagationEstimate(9) != 0 {
-		t.Fatal("ForgetPlayer did not clear history")
-	}
 }
 
 func TestPropagationPartialWindow(t *testing.T) {

@@ -231,9 +231,6 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 	return r
 }
 
-// Plan returns the partition plan (test hook).
-func (r *Runner) Plan() *Plan { return r.plan }
-
 // nodeTask is one supernode's segment-simulation slice of an epoch.
 type nodeTask struct {
 	node   int64

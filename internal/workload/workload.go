@@ -161,26 +161,6 @@ func (pop *Population) BuildSupernodes(n int, uplinkPerSlot int64, rng *sim.Rand
 	return sns, nil
 }
 
-// BuildDatacenters places n datacenters spread over the region.
-func BuildDatacenters(region geo.Region, n int, egress int64, rng *sim.Rand) []*core.Datacenter {
-	pts := geo.SpreadPoints(region, n, rng)
-	dcs := make([]*core.Datacenter, n)
-	for i, pt := range pts {
-		dcs[i] = core.NewDatacenter(DatacenterIDBase+int64(i), pt, egress)
-	}
-	return dcs
-}
-
-// BuildEdgeServers places n EdgeCloud servers spread over the region.
-func BuildEdgeServers(region geo.Region, n int, egress int64, capacity int, rng *sim.Rand) []*core.Datacenter {
-	pts := geo.SpreadPoints(region, n, rng)
-	servers := make([]*core.Datacenter, n)
-	for i, pt := range pts {
-		servers[i] = core.NewEdgeServer(EdgeServerIDBase+int64(i), pt, egress, capacity)
-	}
-	return servers
-}
-
 // Churn drives session dynamics on a System: players join following a
 // Poisson process, play for a session drawn from the daily play-time
 // mixture, leave, and later rejoin for their next session.

@@ -181,28 +181,6 @@ func TestBuildSupernodesTooMany(t *testing.T) {
 	}
 }
 
-func TestBuildDatacentersAndEdgeServers(t *testing.T) {
-	rng := sim.NewRand(8)
-	dcs := BuildDatacenters(geo.USRegion(), 5, 400_000_000, rng)
-	if len(dcs) != 5 {
-		t.Fatal("wrong datacenter count")
-	}
-	for i, dc := range dcs {
-		if dc.ID != DatacenterIDBase+int64(i) || dc.Edge || dc.Capacity != 0 {
-			t.Fatalf("datacenter %d misconfigured: %+v", i, dc)
-		}
-	}
-	servers := BuildEdgeServers(geo.USRegion(), 45, 100_000_000, 40, rng)
-	if len(servers) != 45 {
-		t.Fatal("wrong server count")
-	}
-	for i, s := range servers {
-		if s.ID != EdgeServerIDBase+int64(i) || !s.Edge || s.Capacity != 40 {
-			t.Fatalf("server %d misconfigured: %+v", i, s)
-		}
-	}
-}
-
 // fakeSystem counts joins/leaves for churn tests.
 type fakeSystem struct {
 	online map[int64]*core.Player
