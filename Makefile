@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-all loc chaos wire coord replay record-corpus latency scale reach verify
+.PHONY: build test vet race bench bench-all loc chaos wire coord replay record-corpus latency scale figures reach verify
 
 build:
 	$(GO) build ./...
@@ -130,6 +130,18 @@ scale:
 	$(GO) test -count=1 ./internal/spatial/
 	bash bench/run.sh --workload sim-scale --seed 2026 --seconds 20 --trace 0
 
+# figures is the QoE-side twin of latency and scale: the node simulation's
+# order tests uncached (the golden digest over 240 runs and the forced-tie
+# digest, both recorded on the event-engine-backed simulation, and the bound
+# on what a player holds in flight), the sender buffer and stream suites,
+# then the repo benchmark's sim-figures workload, whose op_ms is the wall time
+# of Figures 9(a), 10(a) and 11(a) on the quarter-scale world. The run builds
+# bench/ against this tree and fails if the pinned figure hash moves.
+figures:
+	$(GO) test -count=1 -run 'Golden|Ties|InFlight' ./internal/qoe/
+	$(GO) test -count=1 ./internal/sched/ ./internal/stream/
+	bash bench/run.sh --workload sim-figures --seed 2026 --seconds 20 --trace 0
+
 # reach measures which functions of cloudfog/internal/... the product ever
 # enters, so a deletion pass starts from traffic instead of guesses: every
 # binary under cmd/, examples/ and bench/ built with -cover
@@ -145,6 +157,6 @@ reach:
 
 # verify is the CI gate: static checks, the race-enabled suite, the chaos
 # smoke, the wire smoke, the coordinator suite (kill, drain, partition),
-# the flight-recorder replay gate, the response-latency run, and the
-# placement-scale run.
-verify: vet race chaos wire coord replay latency scale
+# the flight-recorder replay gate, the response-latency run, the
+# placement-scale run, and the QoE-figures run.
+verify: vet race chaos wire coord replay latency scale figures

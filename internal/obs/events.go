@@ -193,7 +193,9 @@ type NodeStats struct {
 
 	// Sink, when non-nil, receives per-segment lifecycle events.
 	Sink EventSink
-	// Engine, when non-nil, is attached to each node's event engine.
+	// Engine, when non-nil, receives each node's event counts with the
+	// other per-run tallies: events scheduled and events fired, as an
+	// engine running the node would have counted them.
 	Engine *EngineStats
 }
 

@@ -52,7 +52,8 @@ type Options struct {
 	// EstimationInterval is the receiver's occupancy-calculation cadence
 	// (§III-B does not fix one; estimating every video frame makes the
 	// h₁/h₂ streaks elapse in seconds and synchronizes bitrate
-	// oscillation across players). Default: 10 frame intervals.
+	// oscillation across players). Default: 10 frame intervals; an interval
+	// shorter than one frame is an error.
 	EstimationInterval time.Duration
 	// Warmup excludes the startup transient from the meters.
 	Warmup time.Duration
@@ -72,12 +73,12 @@ type Options struct {
 	Impair Impairment
 
 	// Obs, when non-nil, receives the node's observability: segment
-	// lifecycle counters and delivery-latency histogram (folded from
-	// always-on per-run tallies at Results), per-event emission through
-	// Obs.Sink, and engine counters through Obs.Engine. Counter updates
-	// are atomic, so one bundle can aggregate parallel sweep workers. Obs
-	// never influences simulation control flow: results are bit-identical
-	// with it on or off.
+	// lifecycle counters, the delivery-latency histogram and, through
+	// Obs.Engine, the event counters (all folded from always-on per-run
+	// tallies at Results), and per-event emission through Obs.Sink. Counter
+	// updates are atomic, so one bundle can aggregate parallel sweep
+	// workers. Obs never influences simulation control flow: results are
+	// bit-identical with it on or off.
 	Obs *obs.NodeStats
 }
 
@@ -144,31 +145,50 @@ type PlayerResult struct {
 
 // ServerSim simulates one serving node streaming to its players.
 //
-// The per-segment path (generate → enqueue → pump → transmit → deliver, one
-// cycle per player per frame) is allocation-free in steady state: events ride
-// the engine's payload variant through callbacks bound once at construction
-// instead of per-event closures, and segments are recycled through a
-// per-run pool once the buffer or receiver is done with them.
+// It keeps its own virtual clock and needs no event queue, because its events
+// come from sources that are each already in time order. Generation visits
+// the players in one permanent cyclic order: their phases within the frame
+// never decrease with the player index, all are shorter than the frame, and
+// all repeat with the frame as their period. Estimation does the same over
+// its interval, which is why that may not be shorter than a frame. The uplink
+// has at most one transmission pending. So the next event is the least of two
+// cursors and one slot under (at, stamp), where stamp counts scheduling acts
+// in program order exactly as the event engine's seq would — RunUntil computes
+// that engine's (at, seq) total order without a heap. Arrivals take no part in
+// that order: landing a segment touches only its own player's receiver and
+// meters (and commutative node tallies), which only that player's estimate
+// and the results read, so each player holds its arrivals in a sorted
+// in-flight list and lands them at its own next event (DESIGN.md §8).
+//
+// The per-segment path (generate → enqueue → pump → transmit → land, one
+// cycle per player per frame) is allocation-free in steady state: segments
+// are recycled through a per-run pool once the buffer or receiver is done
+// with them.
 type ServerSim struct {
-	engine *sim.Engine
 	opts   Options
 	buffer *sched.Buffer
-	uplink int64
 
 	sessions  []*session
 	sessionBy map[int64]*session
 	sessArena []session // backing store for sessions; pool-recycled
 	rng       *sim.Rand
-	busy      bool
 	started   bool
-	halted    bool
 
-	// Pre-bound payload callbacks: binding a method value once here keeps
-	// SchedulePayload from allocating a fresh closure per event.
-	generateFn func(any)
-	estimateFn func(any)
-	transmitFn func(any)
-	deliverFn  func(any)
+	now time.Duration
+	// stamp is the next scheduling stamp (nextStamp), so it also counts
+	// events scheduled; fired counts merge events fired plus arrivals landed.
+	stamp, fired uint64
+	// genCur and estCur index the session whose generation / estimate is
+	// next in its stream; interval separates one player's estimates.
+	genCur, estCur int
+	interval       time.Duration
+	// The uplink's one pending completion: while busy, txSeg leaves the wire
+	// for player txTo at (txAt, txStamp).
+	busy    bool
+	txAt    time.Duration
+	txStamp uint64
+	txSeg   *stream.Segment
+	txTo    *session
 
 	segPool []*stream.Segment
 	// segAll tracks every segment this sim ever allocated, including ones
@@ -187,17 +207,36 @@ type ServerSim struct {
 	obsFolded                       bool
 }
 
+// arrival is one segment on the wire to its player, landing at (at, stamp).
+type arrival struct {
+	at    time.Duration
+	stamp uint64
+	seg   *stream.Segment
+}
+
+// before reports whether (at, stamp) sorts ahead of (at2, stamp2): earlier
+// first, same-instant events in the order they were scheduled.
+func before(at time.Duration, stamp uint64, at2 time.Duration, stamp2 uint64) bool {
+	return at < at2 || at == at2 && stamp < stamp2
+}
+
 // session holds one player's per-run state. Every component is embedded by
 // value — the encoder, controller, receiver buffer, meter, and estimator
 // are all flat structs — so a session is a single contiguous record and the
-// arena behind sessions is the only allocation the player set needs.
+// arena behind sessions is the only allocation the player set needs beyond
+// each player's in-flight list.
 type session struct {
-	spec     PlayerSpec
-	encoder  stream.Encoder
-	ctrl     adapt.Controller
-	adapting bool
-	recv     stream.ReceiverBuffer
-	meter    stream.ContinuityMeter
+	spec    PlayerSpec
+	encoder stream.Encoder
+	ctrl    adapt.Controller
+	recv    stream.ReceiverBuffer
+	meter   stream.ContinuityMeter
+
+	// When this player's next generation and estimate fire.
+	genAt, estAt       time.Duration
+	genStamp, estStamp uint64
+	// inflight is sorted by (at, stamp); land takes from its front.
+	inflight []arrival
 
 	// est is the Eq. 7 buffered-size estimator driving adaptation; the
 	// receiver measures its download rate over each estimation interval.
@@ -210,47 +249,46 @@ type session struct {
 	levelMoves int
 }
 
-// NewServerSim builds a serving-node simulation on the engine with the
-// given uplink bandwidth (bits/second).
-func NewServerSim(engine *sim.Engine, opts Options, uplink int64) (*ServerSim, error) {
-	return newServerSimIn(engine, opts, uplink, nil)
+// NewServerSim builds a serving-node simulation with the given uplink
+// bandwidth (bits/second).
+func NewServerSim(opts Options, uplink int64) (*ServerSim, error) {
+	return newServerSimIn(opts, uplink, nil)
 }
 
 // newServerSimIn is NewServerSim reusing a pooled sender buffer when one is
 // supplied (Reset makes it indistinguishable from a fresh buffer).
-func newServerSimIn(engine *sim.Engine, opts Options, uplink int64, buf *sched.Buffer) (*ServerSim, error) {
+func newServerSimIn(opts Options, uplink int64, buf *sched.Buffer) (*ServerSim, error) {
 	if uplink <= 0 {
 		return nil, fmt.Errorf("qoe: non-positive uplink %d", uplink)
 	}
 	if err := opts.Stream.Validate(); err != nil {
 		return nil, err
 	}
+	interval := opts.EstimationInterval
+	if interval <= 0 {
+		interval = 10 * opts.Stream.SegmentDuration
+	}
+	if interval < opts.Stream.SegmentDuration {
+		return nil, fmt.Errorf("qoe: estimation interval %v shorter than a %v frame",
+			interval, opts.Stream.SegmentDuration)
+	}
 	schedCfg := opts.Sched
 	schedCfg.EDF = opts.Scheduling
 	schedCfg.DropEnabled = opts.Scheduling
 	if opts.Obs != nil {
 		schedCfg.Sink = opts.Obs.Sink
-		if opts.Obs.Engine != nil {
-			engine.SetStats(opts.Obs.Engine)
-		}
 	}
 	if buf == nil {
 		buf = sched.NewBuffer(schedCfg, opts.Stream, uplink)
 	} else {
 		buf.Reset(schedCfg, opts.Stream, uplink)
 	}
-	s := &ServerSim{
-		engine: engine,
-		opts:   opts,
-		buffer: buf,
-		uplink: uplink,
-		rng:    sim.NewRand(opts.Seed),
-	}
-	s.generateFn = s.generate
-	s.estimateFn = s.estimate
-	s.transmitFn = s.transmitted
-	s.deliverFn = s.deliver
-	return s, nil
+	return &ServerSim{
+		opts:     opts,
+		buffer:   buf,
+		rng:      sim.NewRand(opts.Seed),
+		interval: interval,
+	}, nil
 }
 
 // getSegment takes a segment from the per-run pool (or allocates the pool's
@@ -306,8 +344,9 @@ func (s *ServerSim) AddPlayer(spec PlayerSpec) error {
 	}
 	// Take the session from the arena while spare capacity remains (the
 	// pool pre-sizes it); the assignment overwrites every field of a
-	// recycled slot. Growing the arena would move live sessions, so past
-	// its capacity each session allocates individually.
+	// recycled slot but keeps its in-flight list's storage. Growing the
+	// arena would move live sessions, so past its capacity each session
+	// allocates individually.
 	var ss *session
 	if len(s.sessArena) < cap(s.sessArena) {
 		s.sessArena = s.sessArena[:len(s.sessArena)+1]
@@ -316,13 +355,13 @@ func (s *ServerSim) AddPlayer(spec PlayerSpec) error {
 		ss = new(session)
 	}
 	*ss = session{
-		spec:    spec,
-		encoder: *stream.NewEncoder(s.opts.Stream, spec.ID, start),
-		recv:    *stream.NewReceiverBuffer(s.opts.Stream, start.Bitrate),
+		spec:     spec,
+		encoder:  *stream.NewEncoder(s.opts.Stream, spec.ID, start),
+		recv:     *stream.NewReceiverBuffer(s.opts.Stream, start.Bitrate),
+		inflight: ss.inflight[:0],
 	}
 	if s.opts.Adaptation {
 		ss.ctrl.Init(s.opts.Adapt, spec.Game)
-		ss.adapting = true
 		if spec.LevelCap > 0 {
 			ss.ctrl.SetMaxLevel(spec.LevelCap)
 		}
@@ -343,18 +382,85 @@ func (s *ServerSim) Start() {
 	}
 	s.started = true
 	n := len(s.sessions)
-	if n == 0 {
-		return
-	}
-	period := s.opts.Stream.SegmentDuration
+	frame := s.opts.Stream.SegmentDuration
 	for i, ss := range s.sessions {
-		offset := time.Duration(int64(period) * int64(i) / int64(n))
-		s.engine.SchedulePayload(offset, s.generateFn, ss)
-		if ss.adapting {
+		offset := time.Duration(int64(frame) * int64(i) / int64(n))
+		ss.genAt, ss.genStamp = s.now+offset, s.nextStamp()
+		if s.opts.Adaptation {
 			// Periodic receiver-side occupancy estimation (§III-B: the
 			// client calculates r a number of times consecutively).
-			s.engine.SchedulePayload(offset, s.estimateFn, ss)
+			ss.estAt, ss.estStamp = s.now+offset, s.nextStamp()
 		}
+	}
+}
+
+// RunUntil fires every event due at or before deadline in (at, stamp) order,
+// advances the clock to deadline, and lands every arrival due by then.
+func (s *ServerSim) RunUntil(deadline time.Duration) {
+	const (
+		generation = iota
+		estimation
+		transmission
+	)
+	for s.started && len(s.sessions) > 0 {
+		ss := s.sessions[s.genCur]
+		at, stamp, source := ss.genAt, ss.genStamp, generation
+		if s.opts.Adaptation {
+			if es := s.sessions[s.estCur]; before(es.estAt, es.estStamp, at, stamp) {
+				ss, at, stamp, source = es, es.estAt, es.estStamp, estimation
+			}
+		}
+		if s.busy && before(s.txAt, s.txStamp, at, stamp) {
+			ss, at, source = s.txTo, s.txAt, transmission
+		}
+		if at > deadline {
+			break
+		}
+		s.now = at
+		s.fired++
+		switch source {
+		case generation:
+			s.generate(ss)
+		case estimation:
+			s.estimate(ss)
+		case transmission:
+			s.transmitted(ss)
+		}
+	}
+	if s.now < deadline {
+		s.now = deadline
+	}
+	for _, ss := range s.sessions {
+		s.land(ss, s.now, s.stamp)
+	}
+}
+
+// nextStamp stamps one scheduling act: the two in Start, the re-arm in
+// generate and in estimate, the transmission in pump, the arrival in
+// transmitted — where the engine-backed simulation scheduled an event.
+func (s *ServerSim) nextStamp() uint64 {
+	s.stamp++
+	return s.stamp - 1
+}
+
+// next advances a stream's cursor to the following player.
+func (s *ServerSim) next(cur int) int {
+	if cur++; cur == len(s.sessions) {
+		return 0
+	}
+	return cur
+}
+
+// land delivers the player's arrivals that sort ahead of (at, stamp).
+func (s *ServerSim) land(ss *session, at time.Duration, stamp uint64) {
+	q := ss.inflight
+	k := 0
+	for k < len(q) && before(q[k].at, q[k].stamp, at, stamp) {
+		s.deliver(ss, q[k].at, q[k].seg)
+		k++
+	}
+	if k > 0 {
+		ss.inflight = q[:copy(q, q[k:])]
 	}
 }
 
@@ -362,12 +468,9 @@ func (s *ServerSim) Start() {
 // buffered-size estimate integrates download rate minus playback rate) and
 // applies any resulting encoding-level change, then schedules the next
 // calculation.
-func (s *ServerSim) estimate(arg any) {
-	if s.halted {
-		return
-	}
-	ss := arg.(*session)
-	now := s.engine.Now()
+func (s *ServerSim) estimate(ss *session) {
+	now := s.now
+	s.land(ss, now, ss.estStamp)
 	ss.recv.Advance(now)
 	dt := (now - ss.lastTick).Seconds()
 	ss.lastTick = now
@@ -398,24 +501,17 @@ func (s *ServerSim) estimate(arg any) {
 		s.levelDownCount++
 		s.emit(obs.EventLevelChange, now, ss.spec.ID, int64(lvl.Level), -1)
 	}
-	s.engine.SchedulePayload(s.estimationInterval(), s.estimateFn, ss)
-}
-
-func (s *ServerSim) estimationInterval() time.Duration {
-	if s.opts.EstimationInterval > 0 {
-		return s.opts.EstimationInterval
-	}
-	return 10 * s.opts.Stream.SegmentDuration
+	ss.estAt, ss.estStamp = now+s.interval, s.nextStamp()
+	s.estCur = s.next(s.estCur)
 }
 
 // generate produces the next segment of a session and schedules the
-// following one a frame interval later.
-func (s *ServerSim) generate(arg any) {
-	if s.halted {
-		return
-	}
-	ss := arg.(*session)
-	now := s.engine.Now()
+// following one a frame interval later. It lands the player's due arrivals
+// first — nothing here reads them, but a player without adaptation has no
+// other event of its own, and would otherwise hold every segment of the run.
+func (s *ServerSim) generate(ss *session) {
+	now := s.now
+	s.land(ss, now, ss.genStamp)
 	actionTime := now - ss.spec.InboundDelay
 	seg := s.getSegment()
 	ss.encoder.EncodeInto(seg, actionTime, now, ss.spec.Game)
@@ -436,9 +532,7 @@ func (s *ServerSim) generate(arg any) {
 	if evicted := s.buffer.Evicted(); len(evicted) > 0 {
 		for _, ev := range evicted {
 			if now >= s.opts.Warmup {
-				if owner := s.sessionFor(ev.PlayerID); owner != nil {
-					owner.meter.RecordSegment(ev, false)
-				}
+				s.sessionBy[ev.PlayerID].meter.RecordSegment(ev, false)
 			}
 			s.dropSegment(now, ev)
 			s.putSegment(ev)
@@ -446,7 +540,8 @@ func (s *ServerSim) generate(arg any) {
 		s.buffer.ClearEvicted()
 	}
 	s.pump()
-	s.engine.SchedulePayload(s.opts.Stream.SegmentDuration, s.generateFn, ss)
+	ss.genAt, ss.genStamp = now+s.opts.Stream.SegmentDuration, s.nextStamp()
+	s.genCur = s.next(s.genCur)
 }
 
 // pump starts a transmission if the uplink is idle and segments are queued.
@@ -456,90 +551,84 @@ func (s *ServerSim) pump() {
 	if s.busy {
 		return
 	}
-	now := s.engine.Now()
+	now := s.now
 	for {
 		seg := s.buffer.DequeueAny(now)
 		if seg == nil {
 			return
 		}
+		// The one lookup a segment costs: the uplink slot and the in-flight
+		// list carry the owner from here on.
+		ss := s.sessionBy[seg.PlayerID]
 		if seg.RemainingPackets() == 0 {
-			if ss := s.sessionFor(seg.PlayerID); ss != nil && now >= s.opts.Warmup {
+			if now >= s.opts.Warmup {
 				ss.meter.RecordSegment(seg, false)
 			}
 			s.dropSegment(now, seg)
 			s.putSegment(seg)
 			continue
 		}
-		s.busy = true
 		if imp := s.opts.Impair; imp != nil {
 			// Bandwidth collapse: rescale the uplink for this transmission
 			// from the impairment window active right now.
 			s.buffer.SetBandwidthScale(imp.BandwidthScale(now))
 		}
-		tx := s.buffer.TransmissionTime(seg)
-		s.engine.SchedulePayload(tx, s.transmitFn, seg)
+		s.busy, s.txSeg, s.txTo = true, seg, ss
+		s.txAt, s.txStamp = now+max(s.buffer.TransmissionTime(seg), 0), s.nextStamp()
 		return
 	}
 }
 
-// transmitted completes a segment's uplink transmission: it is delivered to
-// the player after its propagation latency, and the uplink moves on.
-func (s *ServerSim) transmitted(arg any) {
-	if s.halted {
-		return
-	}
-	seg := arg.(*stream.Segment)
+// transmitted completes the pending uplink transmission: the segment reaches
+// its player after the propagation latency, and the uplink moves on.
+func (s *ServerSim) transmitted(ss *session) {
+	seg := s.txSeg
 	s.busy = false
-	now := s.engine.Now()
-	ss := s.sessionFor(seg.PlayerID)
-	if ss != nil {
-		if imp := s.opts.Impair; imp != nil {
-			// Wire loss: the fraction of the segment's surviving packets
-			// shed by the loss window active when it leaves the uplink.
-			// Deterministic rounding, no runtime randomness.
-			if lf := imp.LossFrac(now); lf > 0 {
-				rem := seg.RemainingPackets()
-				lost := int(float64(rem)*lf + 0.5)
-				if lost >= rem {
-					// The whole segment died on the wire.
-					if now >= s.opts.Warmup {
-						ss.meter.RecordSegment(seg, false)
-					}
-					s.dropSegment(now, seg)
-					s.putSegment(seg)
-					s.pump()
-					return
+	now := s.now
+	prop := ss.spec.Latency
+	if imp := s.opts.Impair; imp != nil {
+		// Wire loss: the fraction of the segment's surviving packets
+		// shed by the loss window active when it leaves the uplink.
+		// Deterministic rounding, no runtime randomness.
+		if lf := imp.LossFrac(now); lf > 0 {
+			rem := seg.RemainingPackets()
+			lost := int(float64(rem)*lf + 0.5)
+			if lost >= rem {
+				// The whole segment died on the wire.
+				if now >= s.opts.Warmup {
+					ss.meter.RecordSegment(seg, false)
 				}
-				seg.Dropped += lost
+				s.dropSegment(now, seg)
+				s.putSegment(seg)
+				s.pump()
+				return
 			}
+			seg.Dropped += lost
 		}
-		prop := ss.spec.Latency
-		if imp := s.opts.Impair; imp != nil {
-			prop += imp.ExtraLatency(now)
-		}
-		s.buffer.RecordPropagation(seg.PlayerID, prop)
-		s.emit(obs.EventSegmentTransmitted, now, seg.PlayerID,
-			int64(seg.RemainingBytes(s.opts.Stream.PacketSize)), 0)
-		s.engine.SchedulePayload(prop, s.deliverFn, seg)
-	} else {
-		s.dropSegment(now, seg)
-		s.putSegment(seg)
+		prop += imp.ExtraLatency(now)
 	}
+	s.buffer.RecordPropagation(seg.PlayerID, prop)
+	s.emit(obs.EventSegmentTransmitted, now, seg.PlayerID,
+		int64(seg.RemainingBytes(s.opts.Stream.PacketSize)), 0)
+	// The list is already sorted unless the wire's extra latency fell between
+	// two transmissions: insert from the tail.
+	a := arrival{at: now + max(prop, 0), stamp: s.nextStamp(), seg: seg}
+	q := append(ss.inflight, a)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].at > a.at; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = a
+	ss.inflight = q
 	s.pump()
 }
 
-// deliver lands a segment at the player: meters record on-time packets and
-// the receiver buffer absorbs the bytes; the adaptation controller observes
-// the new occupancy. The deliver event fires exactly at the arrival time the
-// transmission computed, so arrival is the engine clock here.
-func (s *ServerSim) deliver(arg any) {
-	if s.halted {
-		return
-	}
-	seg := arg.(*stream.Segment)
-	ss := s.sessionFor(seg.PlayerID)
-	arrival := s.engine.Now()
-	onTime := arrival <= seg.ExpectedArrival()
+// deliver lands a segment at its player at its arrival time at: meters record
+// on-time packets and the receiver buffer absorbs the bytes, which the
+// player's next estimate turns into its download rate.
+func (s *ServerSim) deliver(ss *session, at time.Duration, seg *stream.Segment) {
+	s.fired++
+	onTime := at <= seg.ExpectedArrival()
 	s.delivCount++
 	if onTime {
 		s.onTimeCount++
@@ -548,38 +637,27 @@ func (s *ServerSim) deliver(arg any) {
 	}
 	if o := s.opts.Obs; o != nil {
 		if o.DeliveryLatencyNs != nil {
-			o.DeliveryLatencyNs.Observe(int64(arrival - seg.ActionTime))
+			o.DeliveryLatencyNs.Observe(int64(at - seg.ActionTime))
 		}
 		if o.Sink != nil {
 			b := int64(0)
 			if onTime {
 				b = 1
 			}
-			o.Sink(obs.Event{Kind: obs.EventSegmentDelivered, At: arrival,
-				Player: seg.PlayerID, A: int64(arrival - seg.ActionTime), B: b})
+			o.Sink(obs.Event{Kind: obs.EventSegmentDelivered, At: at,
+				Player: seg.PlayerID, A: int64(at - seg.ActionTime), B: b})
 		}
 	}
-	if arrival >= s.opts.Warmup {
+	if at >= s.opts.Warmup {
 		ss.meter.RecordSegment(seg, onTime)
-		ss.latSum += arrival - seg.ActionTime
+		ss.latSum += at - seg.ActionTime
 		ss.delivered++
 	}
 	n := seg.RemainingBytes(s.opts.Stream.PacketSize)
-	ss.recv.OnArrival(arrival, n)
+	ss.recv.OnArrival(at, n)
 	ss.bytesSinceTick += n
 	s.putSegment(seg)
 }
-
-func (s *ServerSim) sessionFor(id int64) *session { return s.sessionBy[id] }
-
-// Halt freezes the simulation permanently: every callback that fires after
-// Halt returns immediately without acting or rescheduling, so the node's
-// remaining queued events decay into no-ops. The shard runner halts a
-// node's data plane at its kill time (mid-epoch, via a scheduled event that
-// sorts before the node's own same-timestamp events) and halts every node
-// sim at an epoch barrier before collecting results. Results of everything
-// that happened before the halt remain readable.
-func (s *ServerSim) Halt() { s.halted = true }
 
 // Lifecycle returns the always-on per-run segment tallies. The identity
 // generated == delivered + dropped + inFlight holds at any stopping point:
@@ -612,9 +690,13 @@ func (s *ServerSim) FlushObs() {
 	for _, ss := range s.sessions {
 		o.Stalls.Add(int64(ss.recv.StallCount()))
 	}
+	if o.Engine != nil {
+		o.Engine.Scheduled.Add(int64(s.stamp))
+		o.Engine.Executed.Add(int64(s.fired))
+	}
 }
 
-// Results summarizes every player after the engine has run.
+// Results summarizes every player as of the last RunUntil.
 func (s *ServerSim) Results() []PlayerResult {
 	return s.AppendResults(make([]PlayerResult, 0, len(s.sessions)))
 }
@@ -681,8 +763,7 @@ func Summarize(results []PlayerResult) Summary {
 // RunNode is the one-call entry: simulate a serving node with the given
 // uplink and players for the duration and return the per-player results.
 func RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Duration) ([]PlayerResult, error) {
-	engine := sim.New()
-	srv, err := NewServerSim(engine, opts, uplink)
+	srv, err := NewServerSim(opts, uplink)
 	if err != nil {
 		return nil, err
 	}
@@ -692,20 +773,18 @@ func RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Dur
 		}
 	}
 	srv.Start()
-	engine.RunUntil(duration)
+	srv.RunUntil(duration)
 	return srv.Results(), nil
 }
 
 // Pool recycles the allocation-heavy state of back-to-back node runs: the
-// engine (event heap and slot arena), the session arena, the session index,
-// the segment pool, and the result slice. A figure that simulates hundreds
-// of serving nodes per sweep point pays the setup allocations once instead
-// of per node. A Pool serves one goroutine; results are bit-identical to
-// RunNode — a reset engine restarts at sequence zero, recycled sessions and
-// segments are overwritten in full before use, and the per-run rng is
-// always fresh.
+// sender buffer, the session arena with each session's in-flight list, the
+// session index, the segment pool, and the result slice. A figure that
+// simulates hundreds of serving nodes per sweep point pays the setup
+// allocations once instead of per node. A Pool serves one goroutine; results
+// are bit-identical to RunNode — recycled sessions and segments are
+// overwritten in full before use, and the per-run rng is always fresh.
 type Pool struct {
-	engine   *sim.Engine
 	buf      *sched.Buffer
 	arena    []session
 	ptrs     []*session
@@ -720,17 +799,16 @@ type Pool struct {
 // the flight recorder's per-shard data-plane witness.
 func (p *Pool) Draws() uint64 { return p.draws }
 
-// NewPool returns an empty pool with its own engine.
+// NewPool returns an empty pool.
 func NewPool() *Pool {
-	return &Pool{engine: sim.New(), index: make(map[int64]*session)}
+	return &Pool{index: make(map[int64]*session)}
 }
 
 // RunNode is qoe.RunNode against the pool's reusable state. The returned
 // slice is valid until the next RunNode call on this pool; callers that
 // keep results across calls must copy them out.
 func (p *Pool) RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Duration) ([]PlayerResult, error) {
-	p.engine.Reset()
-	srv, err := newServerSimIn(p.engine, opts, uplink, p.buf)
+	srv, err := newServerSimIn(opts, uplink, p.buf)
 	if err != nil {
 		return nil, err
 	}
@@ -750,7 +828,7 @@ func (p *Pool) RunNode(opts Options, uplink int64, players []PlayerSpec, duratio
 		}
 	}
 	srv.Start()
-	p.engine.RunUntil(duration)
+	srv.RunUntil(duration)
 	p.results = srv.AppendResults(p.results[:0])
 	p.draws += srv.rng.Draws()
 	p.arena = srv.sessArena

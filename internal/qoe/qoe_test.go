@@ -199,16 +199,26 @@ func TestLightLoadAllVariantsAgree(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	engine := sim.New()
-	if _, err := NewServerSim(engine, DefaultOptions(), 0); err == nil {
+	if _, err := NewServerSim(DefaultOptions(), 0); err == nil {
 		t.Fatal("zero uplink accepted")
 	}
 	bad := DefaultOptions()
 	bad.Stream.PacketSize = 0
-	if _, err := NewServerSim(engine, bad, 1_000_000); err == nil {
+	if _, err := NewServerSim(bad, 1_000_000); err == nil {
 		t.Fatal("invalid stream config accepted")
 	}
-	srv, err := NewServerSim(engine, DefaultOptions(), 1_000_000)
+	// The estimation stream keeps its cyclic player order only while every
+	// phase is shorter than the interval, so a frame is the shortest one.
+	short := DefaultOptions()
+	short.EstimationInterval = short.Stream.SegmentDuration - 1
+	if _, err := NewServerSim(short, 1_000_000); err == nil {
+		t.Fatal("estimation interval shorter than a frame accepted")
+	}
+	short.EstimationInterval = short.Stream.SegmentDuration
+	if _, err := NewServerSim(short, 1_000_000); err != nil {
+		t.Fatalf("one-frame estimation interval refused: %v", err)
+	}
+	srv, err := NewServerSim(DefaultOptions(), 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +236,12 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestEmptyServerRuns(t *testing.T) {
-	engine := sim.New()
-	srv, err := NewServerSim(engine, DefaultOptions(), 1_000_000)
+	srv, err := NewServerSim(DefaultOptions(), 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Start()
-	engine.RunUntil(time.Second)
+	srv.RunUntil(time.Second)
 	if len(srv.Results()) != 0 {
 		t.Fatal("empty server produced results")
 	}
@@ -335,37 +344,53 @@ func TestObsDoesNotChangeResults(t *testing.T) {
 }
 
 func TestObsFoldsOnce(t *testing.T) {
-	// Calling Results twice must not double-count the lifecycle tallies.
+	// Calling Results twice must not double-count the per-run tallies.
 	reg := obs.NewRegistry()
-	engine := sim.New()
-	opts := noJitter(BasicOptions())
+	opts := noJitter(DefaultOptions())
 	opts.Obs = obs.NodeStatsIn(reg)
-	p := PlayerSpec{ID: 1, Game: mustGame(t, 4), Latency: 15 * time.Millisecond}
-	srv, err := NewServerSim(engine, opts, 25_000_000)
-	if err != nil {
-		t.Fatal(err)
+	opts.Obs.Engine = obs.EngineStatsIn(reg)
+	// 50 ms paths: every player has a segment or two past the horizon.
+	players := mixedPlayers(t, 6, 5)
+	for i := range players {
+		players[i].Latency += 40 * time.Millisecond
 	}
-	if err := srv.AddPlayer(p); err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	engine.RunUntil(10 * time.Second)
+	srv := startSim(t, opts, 25_000_000, players)
+	srv.RunUntil(10 * time.Second)
 	srv.Results()
-	first := reg.Snapshot().Counters["cloudfog_qoe_segments_generated_total"]
+	first := reg.Snapshot().Counters
 	srv.Results()
-	second := reg.Snapshot().Counters["cloudfog_qoe_segments_generated_total"]
-	if first == 0 || first != second {
-		t.Fatalf("lifecycle tallies folded more than once: %d then %d", first, second)
+	second := reg.Snapshot().Counters
+	if first["cloudfog_qoe_segments_generated_total"] == 0 || !reflect.DeepEqual(first, second) {
+		t.Fatalf("per-run tallies folded more than once:\n%v\n%v", first, second)
 	}
 	gen, del, drop, inflight := srv.Lifecycle()
 	if gen != del+drop+inflight {
 		t.Fatalf("Lifecycle does not balance: %d vs %d+%d+%d", gen, del, drop, inflight)
 	}
+	// The event counters are what an engine would have counted: everything
+	// scheduled and not yet executed is still pending at the horizon — one
+	// generation and one estimate per player, the uplink's transmission if
+	// one is on the wire, and the arrivals past the horizon.
+	pending := int64(2 * len(players))
+	if srv.busy {
+		pending++
+	}
+	for _, ss := range srv.sessions {
+		if len(ss.inflight) == 0 {
+			t.Fatalf("player %d has nothing past the horizon", ss.spec.ID)
+		}
+		pending += int64(len(ss.inflight))
+	}
+	scheduled := first["cloudfog_engine_events_scheduled_total"]
+	executed := first["cloudfog_engine_events_executed_total"]
+	if executed == 0 || scheduled-executed != pending {
+		t.Fatalf("scheduled %d - executed %d != %d pending", scheduled, executed, pending)
+	}
 }
 
 // TestPoolMatchesRunNode pins the pooled-run equivalence contract: a Pool
 // run is bit-identical to a fresh RunNode, even back-to-back across nodes
-// with different options, loads, and recycled sessions/segments/engine.
+// with different options, loads, and recycled sessions/segments.
 func TestPoolMatchesRunNode(t *testing.T) {
 	pool := NewPool()
 	cases := []struct {
@@ -398,44 +423,10 @@ func TestPoolMatchesRunNode(t *testing.T) {
 	}
 }
 
-// TestHaltFreezesSim verifies Halt: no segments are generated or delivered
-// after the halt point, and queued events decay into no-ops.
-func TestHaltFreezesSim(t *testing.T) {
-	engine := sim.New()
-	opts := DefaultOptions()
-	srv, err := NewServerSim(engine, opts, 120_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range mixedPlayers(t, 8, 21) {
-		if err := srv.AddPlayer(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.Start()
-	engine.RunUntil(6 * time.Second)
-	srv.Halt()
-	gen0, del0, drop0, _ := srv.Lifecycle()
-	if gen0 == 0 || del0 == 0 {
-		t.Fatalf("no traffic before halt: gen=%d del=%d", gen0, del0)
-	}
-	engine.RunUntil(12 * time.Second)
-	gen1, del1, drop1, _ := srv.Lifecycle()
-	if gen1 != gen0 || del1 != del0 || drop1 != drop0 {
-		t.Fatalf("tallies moved after Halt: gen %d→%d del %d→%d drop %d→%d",
-			gen0, gen1, del0, del1, drop0, drop1)
-	}
-	if pending := engine.Pending(); pending != 0 {
-		// Stale events fire as no-ops; after a long-enough run-out only
-		// self-rescheduling chains could remain, and Halt cuts those.
-		t.Fatalf("%d events still pending after halted run-out", pending)
-	}
-}
-
 // TestPoolAllocFloor records the satellite alloc floor: a warm pool runs a
 // node with amortized near-zero per-player allocations — the per-run
-// overhead is the sim struct, buffer, rng, and a handful of engine/map
-// internals, regardless of the player count.
+// overhead is the sim struct, rng, and a handful of map internals,
+// regardless of the player count.
 func TestPoolAllocFloor(t *testing.T) {
 	pool := NewPool()
 	opts := DefaultOptions()
@@ -459,7 +450,7 @@ func TestPoolAllocFloor(t *testing.T) {
 
 // TestRunNodeAllocFloor holds the unpooled floor the deletion contract
 // (ROADMAP item 5) used to read by hand off BenchmarkQoENode: ten players on
-// one node for ten seconds, a fresh engine and fresh sessions each run.
+// one node for ten seconds, fresh sessions each run.
 func TestRunNodeAllocFloor(t *testing.T) {
 	g, err := game.ByID(4)
 	if err != nil {

@@ -114,19 +114,28 @@ type Encoder struct {
 	cfg      Config
 	playerID int64
 	level    game.QualityLevel
-	nextID   int64
+	// bytes and packets are a segment's size at level, worked out when the
+	// level is set instead of once per frame.
+	bytes, packets int
+	nextID         int64
 }
 
 // NewEncoder returns an encoder starting at the given ladder level.
 func NewEncoder(cfg Config, playerID int64, start game.QualityLevel) *Encoder {
-	return &Encoder{cfg: cfg, playerID: playerID, level: start}
+	e := &Encoder{cfg: cfg, playerID: playerID}
+	e.SetLevel(start)
+	return e
 }
 
 // Level returns the current encoding operating point.
 func (e *Encoder) Level() game.QualityLevel { return e.level }
 
 // SetLevel changes the encoding operating point for subsequent segments.
-func (e *Encoder) SetLevel(q game.QualityLevel) { e.level = q }
+func (e *Encoder) SetLevel(q game.QualityLevel) {
+	e.level = q
+	e.bytes = e.cfg.SegmentBytes(q.Bitrate)
+	e.packets = e.cfg.PacketsPerSegment(q.Bitrate)
+}
 
 // Encode produces the next segment for an action issued at actionTime, for a
 // game with the given tolerances.
@@ -135,8 +144,8 @@ func (e *Encoder) Encode(actionTime, enqueued time.Duration, g game.Game) *Segme
 		ID:            e.nextID,
 		PlayerID:      e.playerID,
 		Level:         e.level,
-		Bytes:         e.cfg.SegmentBytes(e.level.Bitrate),
-		Packets:       e.cfg.PacketsPerSegment(e.level.Bitrate),
+		Bytes:         e.bytes,
+		Packets:       e.packets,
 		ActionTime:    actionTime,
 		LatencyReq:    g.NetworkBudget(),
 		LossTolerance: g.LossTolerance,
@@ -155,8 +164,8 @@ func (e *Encoder) EncodeInto(s *Segment, actionTime, enqueued time.Duration, g g
 		ID:            e.nextID,
 		PlayerID:      e.playerID,
 		Level:         e.level,
-		Bytes:         e.cfg.SegmentBytes(e.level.Bitrate),
-		Packets:       e.cfg.PacketsPerSegment(e.level.Bitrate),
+		Bytes:         e.bytes,
+		Packets:       e.packets,
 		ActionTime:    actionTime,
 		LatencyReq:    g.NetworkBudget(),
 		LossTolerance: g.LossTolerance,

@@ -87,6 +87,31 @@ func TestEncoderSetLevelChangesSize(t *testing.T) {
 	}
 }
 
+// TestEncoderSizesMatchConfig holds the encoder's cached segment size to the
+// config's arithmetic at every ladder level, whether the level came from
+// NewEncoder or SetLevel, through Encode and EncodeInto.
+func TestEncoderSizesMatchConfig(t *testing.T) {
+	g, _ := game.ByID(3)
+	for _, cfg := range []Config{DefaultConfig(), cfg100(), {SegmentDuration: 40 * time.Millisecond, PacketSize: 1200}} {
+		moved := NewEncoder(cfg, 1, game.MustLevelAt(1))
+		for _, q := range game.Ladder() {
+			fresh := NewEncoder(cfg, 1, q)
+			moved.SetLevel(q)
+			wantBytes, wantPackets := cfg.SegmentBytes(q.Bitrate), cfg.PacketsPerSegment(q.Bitrate)
+			var into Segment
+			moved.EncodeInto(&into, 0, 0, g)
+			for name, s := range map[string]*Segment{
+				"NewEncoder": fresh.Encode(0, 0, g), "SetLevel": moved.Encode(0, 0, g), "EncodeInto": &into,
+			} {
+				if s.Level != q || s.Bytes != wantBytes || s.Packets != wantPackets {
+					t.Fatalf("%s at level %d: %d bytes in %d packets, config says %d in %d",
+						name, q.Level, s.Bytes, s.Packets, wantBytes, wantPackets)
+				}
+			}
+		}
+	}
+}
+
 func TestSegmentDropAccounting(t *testing.T) {
 	cfg := cfg100()
 	g, _ := game.ByID(5) // loss tolerance 0.40
