@@ -119,15 +119,16 @@ latency:
 
 # scale is the sim-side twin of latency: the shortlist and index property
 # tests uncached (the indexed shortlist against the scan-and-sort oracle, the
-# index invariant after every operation of the random-ops and storm tests,
-# the grid's traversal and retune contracts), then the repo benchmark's
-# sim-scale workload, whose op_ms is the wall time of one 50 000-player
-# sharded run. run.sh builds bench/ against this tree — bench is its own
-# module, so an API break there is invisible to `go build ./...` — and the
-# run fails if the pinned figure hash moves.
+# shortlist- and relief-index invariants after every operation of the
+# random-ops and storm tests, the one limit a probe is held to, the grid's
+# traversal and retune contracts, the latency model's resolved-endpoint and
+# Within properties and its OneWay golden), then the repo benchmark's sim-scale workload, whose op_ms is the
+# wall time of one 50 000-player sharded run. run.sh builds bench/ against
+# this tree — bench is its own module, so an API break there is invisible to
+# `go build ./...` — and the run fails if the pinned figure hash moves.
 scale:
-	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm' ./internal/core/
-	$(GO) test -count=1 ./internal/spatial/
+	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Relief|Reindex|[Pp]robe' ./internal/core/
+	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/
 	bash bench/run.sh --workload sim-scale --seed 2026 --seconds 20 --trace 0
 
 # figures is the QoE-side twin of latency and scale: the node simulation's

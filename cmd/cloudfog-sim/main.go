@@ -154,10 +154,12 @@ func run() error {
 		fmt.Printf("latency model saved to %s\n\n", *traceOutFlag)
 	}
 
+	worldStart := time.Now()
 	w, err := experiment.NewWorld(cfg)
 	if err != nil {
 		return err
 	}
+	worldBuild := time.Since(worldStart)
 
 	opts := experiment.DefaultRunOptions()
 	opts.Horizon = *horizonFlag
@@ -177,7 +179,7 @@ func run() error {
 	}
 
 	if *scaleFlag {
-		return runScale(w, opts)
+		return runScale(w, opts, worldBuild)
 	}
 
 	for _, fig := range figs {
@@ -282,8 +284,9 @@ func runRecord() error {
 }
 
 // runScale executes only the sharded scaling experiment and prints its wall
-// time and shard diagnostics — the -scale demo path for million-player runs.
-func runScale(w *experiment.World, opts experiment.RunOptions) error {
+// time, beside the time the world took to generate, and shard diagnostics —
+// the -scale demo path for million-player runs.
+func runScale(w *experiment.World, opts experiment.RunOptions, worldBuild time.Duration) error {
 	start := time.Now()
 	res, fig, err := experiment.ScaleRun(w, opts)
 	if err != nil {
@@ -292,7 +295,8 @@ func runScale(w *experiment.World, opts experiment.RunOptions) error {
 	wall := time.Since(start)
 	fmt.Println(fig.Title)
 	fmt.Println(metrics.Table(fig.XLabel, fig.Series))
-	fmt.Printf("shards=%d epochs=%d wall=%v\n", res.Shards, res.Epochs, wall.Round(time.Millisecond))
+	fmt.Printf("shards=%d epochs=%d wall=%v world=%v\n", res.Shards, res.Epochs,
+		wall.Round(time.Millisecond), worldBuild.Round(time.Millisecond))
 	fmt.Printf("kills=%d recoveries=%d detections=%d (mean %.2fs) repairs=%d lapsed=%d cloud_hops=%d moved=%d pending_end=%d\n",
 		res.Kills, res.Recoveries, res.Detections, res.MeanDetectionLatency().Seconds(),
 		res.Repairs, res.Lapsed, res.CloudHops, res.Moved, res.PendingEnd)

@@ -10,6 +10,7 @@ import (
 	"cloudfog/internal/obs"
 	"cloudfog/internal/sim"
 	"cloudfog/internal/spatial"
+	"cloudfog/internal/trace"
 )
 
 // Fog is the CloudFog system: a cloud of datacenters plus a fog of
@@ -22,6 +23,9 @@ import (
 type Fog struct {
 	cfg Config
 	rng *sim.Rand
+	// latency is cfg.Latency as the probe loop asks it: bound once, so a
+	// probe makes no type assertion and has one path whatever the source.
+	latency trace.Prober
 
 	dcs     []*Datacenter
 	sns     map[int64]*Supernode
@@ -39,12 +43,19 @@ type Fog struct {
 	// only the nodes with room. reindex keeps that invariant; it is reached
 	// from every membership change (observeOccupancy) and from registration.
 	snIdx *spatial.Grid
+	// roomIdx is the index relief queries: the members of snIdx that one more
+	// player would not tip into Migrating. An evictee landing anywhere else
+	// only moves the overflow sideways (a two-slot node jumps Normal→Migrating
+	// on a single join) and the sweep chases it around the fog. reindex keeps
+	// it beside snIdx; without a ladder nothing is ever roomy and it stays
+	// empty.
+	roomIdx *spatial.Grid
 	// relieving is the supernode RelieveOverloaded is re-placing an evictee
-	// of, nil at every other time; reliefOK is the one query-time filter,
-	// which shortlist applies only while relieving is set. It is the method
-	// value of admitsEvictee, bound once so relief allocates no closure.
-	relieving *Supernode
-	reliefOK  func(id int64) bool
+	// of, nil at every other time. While it is set shortlist queries roomIdx
+	// and passes notRelieving — the method value, bound once so relief
+	// allocates no closure — as the one query-time filter.
+	relieving    *Supernode
+	notRelieving func(id int64) bool
 
 	players map[int64]*Player
 
@@ -97,10 +108,12 @@ func BuildFog(cfg Config, dcs []*Datacenter, sns []*Supernode, rng *sim.Rand) (*
 		dcs:      dcs,
 		sns:      make(map[int64]*Supernode, len(sns)),
 		snEstPos: make(map[int64]struct{ x, y float64 }, len(sns)),
+		latency:  trace.AsProber(cfg.Latency),
 		snIdx:    spatial.NewGrid(cfg.Region.Width, cfg.Region.Height),
+		roomIdx:  spatial.NewGrid(cfg.Region.Width, cfg.Region.Height),
 		players:  make(map[int64]*Player),
 	}
-	f.reliefOK = f.admitsEvictee
+	f.notRelieving = f.isNotRelieving
 	for _, sn := range sns {
 		if err := f.RegisterSupernode(sn); err != nil {
 			return nil, err
@@ -138,15 +151,19 @@ func (f *Fog) OnlinePlayers() int { return len(f.players) }
 
 // RegisterSupernode adds a supernode to the fog. The supernode probes all
 // datacenters and attaches to the minimum-latency one for state updates;
-// the cloud records its geolocated position for future shortlists.
+// the cloud records its geolocated position for future shortlists, and the
+// supernode's last-mile delay is resolved here, once, for every player that
+// will ever probe it.
 func (f *Fog) RegisterSupernode(sn *Supernode) error {
 	if _, dup := f.sns[sn.ID]; dup {
 		return fmt.Errorf("core: supernode %d already registered", sn.ID)
 	}
+	ep := f.latency.Resolve(sn.Endpoint())
+	sn.access = ep.Access
 	best := f.dcs[0]
-	bestLat := f.cfg.Latency.OneWay(best.Endpoint(), sn.Endpoint())
+	bestLat := f.latency.OneWay(best.Endpoint(), ep)
 	for _, dc := range f.dcs[1:] {
-		if l := f.cfg.Latency.OneWay(dc.Endpoint(), sn.Endpoint()); l < bestLat {
+		if l := f.latency.OneWay(dc.Endpoint(), ep); l < bestLat {
 			best, bestLat = dc, l
 		}
 	}
@@ -183,7 +200,8 @@ func (f *Fog) FailSupernode(id int64) []*Player {
 	delete(f.sns, id)
 	delete(f.snEstPos, id)
 	f.snIdx.Remove(id)
-	sn.indexed = false
+	f.roomIdx.Remove(id)
+	sn.indexed, sn.roomy = false, false
 	for i, s := range f.snOrder {
 		if s.ID == id {
 			f.snOrder = append(f.snOrder[:i], f.snOrder[i+1:]...)
@@ -264,22 +282,35 @@ func (f *Fog) observeOccupancy(sn *Supernode) {
 	f.reindex(sn)
 }
 
-// reindex makes snIdx agree with whether a join could use sn: it is indexed
-// exactly while it has a free slot and the ladder admits it. A re-insert goes
-// back to the position geolocated at registration (no new Locate draw). An
-// instance that is no longer the one registered under its ID is never
-// indexed — the ID may by now belong to a fresh machine.
+// reindex makes both indexes agree with what sn could take: it is in snIdx
+// exactly while it has a free slot and the ladder admits it, and in roomIdx
+// exactly while it is in snIdx and one more player would leave it short of
+// Migrating. A re-insert goes back to the position geolocated at registration
+// (no new Locate draw). An instance that is no longer the one registered
+// under its ID is never indexed — the ID may by now belong to a fresh machine.
 func (f *Fog) reindex(sn *Supernode) {
-	want := sn.Available() > 0 && (f.cfg.Overload == nil || f.cfg.Overload.Admit(sn.ID))
-	if want == sn.indexed || f.sns[sn.ID] != sn {
+	ol := f.cfg.Overload
+	indexed := sn.Available() > 0 && (ol == nil || ol.Admit(sn.ID))
+	roomy := indexed && ol != nil && !ol.WouldMigrate(sn.Load()+1, sn.Capacity)
+	if (indexed == sn.indexed && roomy == sn.roomy) || f.sns[sn.ID] != sn {
 		return
 	}
-	sn.indexed = want
+	est := f.snEstPos[sn.ID]
+	setMember(f.snIdx, &sn.indexed, indexed, sn.ID, est.x, est.y)
+	setMember(f.roomIdx, &sn.roomy, roomy, sn.ID, est.x, est.y)
+}
+
+// setMember puts id into g or takes it out so that membership equals want,
+// touching the grid only when *member says that is a change.
+func setMember(g *spatial.Grid, member *bool, want bool, id int64, x, y float64) {
+	if want == *member {
+		return
+	}
+	*member = want
 	if want {
-		est := f.snEstPos[sn.ID]
-		f.snIdx.Insert(sn.ID, est.x, est.y)
+		g.Insert(id, x, y)
 	} else {
-		f.snIdx.Remove(sn.ID)
+		g.Remove(id)
 	}
 }
 
@@ -311,8 +342,11 @@ func (f *Fog) now() time.Duration {
 // geographically closest supernodes with available capacity, the player
 // probes their transmission delay, drops candidates above its L_max
 // threshold, attaches to the fastest and records the rest as backups; a
-// player with no qualified supernode connects directly to the cloud.
+// player with no qualified supernode connects directly to the cloud. One
+// player probes the whole shortlist, so its endpoint is resolved here, once:
+// its own last-mile delay is derived per call, not per candidate.
 func (f *Fog) assign(p *Player) {
+	pe := f.latency.Resolve(p.Endpoint())
 	est := f.cfg.Locator.Locate(p.Pos, f.rng)
 	cands := f.shortlist(est.X, est.Y, f.cfg.Candidates)
 	lmax := f.cfg.Lmax(p.Game.NetworkBudget())
@@ -325,14 +359,16 @@ func (f *Fog) assign(p *Player) {
 	minTrans := time.Duration(segBits / float64(f.cfg.UplinkPerSlot) * float64(time.Second))
 	probes := f.probeScratch[:0]
 	for _, sn := range cands {
-		d := f.cfg.Latency.OneWay(p.Endpoint(), sn.Endpoint())
 		// A candidate qualifies when the probed streaming hop fits the
 		// player's L_max threshold and the full serving path — update hop
 		// and per-slot transmission floor included — fits the game's
 		// network budget; otherwise streaming from this supernode could
 		// not possibly satisfy the player and the direct cloud connection
-		// is the better fallback.
-		if d <= lmax && d+sn.UpdateLatency+minTrans <= budget {
+		// is the better fallback. Both are ceilings on the one probed hop,
+		// so the tighter is the candidate's limit and the source may stop at
+		// the first term that exceeds it.
+		limit := min(lmax, budget-sn.UpdateLatency-minTrans)
+		if d, ok := f.latency.Within(pe, sn.Endpoint(), limit); ok {
 			probes = append(probes, probe{sn, d})
 		}
 	}
@@ -376,7 +412,7 @@ func (f *Fog) assign(p *Player) {
 		}
 		return
 	}
-	f.attachCloud(p, est.X, est.Y)
+	f.attachCloud(p, pe, est.X, est.Y)
 }
 
 // failover reattaches an orphaned player, preferring its recorded backups
@@ -384,6 +420,7 @@ func (f *Fog) assign(p *Player) {
 // protocol.
 func (f *Fog) failover(p *Player) {
 	lmax := f.cfg.Lmax(p.Game.NetworkBudget())
+	pe := f.latency.Resolve(p.Endpoint())
 	for i, sn := range p.Backups {
 		// The backup must still be the registered machine: a departed
 		// supernode whose contributor later re-registers under the same
@@ -398,8 +435,8 @@ func (f *Fog) failover(p *Player) {
 			}
 			continue
 		}
-		d := f.cfg.Latency.OneWay(p.Endpoint(), sn.Endpoint())
-		if d > lmax {
+		d, ok := f.latency.Within(pe, sn.Endpoint(), lmax)
+		if !ok {
 			continue
 		}
 		f.attachSN(p, sn, d)
@@ -421,9 +458,10 @@ func (f *Fog) failover(p *Player) {
 // RelieveOverloaded migrates players off every supernode whose degradation
 // ladder reached the Migrating rung: newest attachments leave first (they
 // have the least session investment on the node) and rejoin through the full
-// assignment protocol, whose admission control keeps them off still-rejecting
-// nodes. The sweep repeats per node until its ladder retreats below
-// Migrating or it has no players left. Returns how many players moved.
+// assignment protocol, shortlisted from roomIdx: nodes the ladder admits and
+// the evictee would not itself overfill. The sweep repeats per node until its
+// ladder retreats below Migrating or it has no players left. Returns how many
+// players moved.
 func (f *Fog) RelieveOverloaded() int {
 	o := f.cfg.Overload
 	if o == nil {
@@ -467,18 +505,14 @@ func (f *Fog) RelieveOverloaded() int {
 	return moved
 }
 
-// admitsEvictee is the shortlist filter while relief re-places an evictee.
-// The node being drained must not re-admit its own evictee: shedding relaxes
-// the shedder's ladder mid-loop, so a small node would take the migrated
-// player straight back and ping-pong forever. And the evictee is kept off any
-// node that one more admit would tip into Migrating — otherwise relief just
-// moves the overflow sideways (a two-slot node jumps Normal→Migrating on a
-// single join) and the sweep chases it around the fog. Pure, as NearestInto
-// requires: it reads occupancy and moves no ladder state.
-func (f *Fog) admitsEvictee(id int64) bool {
-	sn := f.sns[id]
-	return sn != f.relieving && !f.cfg.Overload.WouldMigrate(sn.Load()+1, sn.Capacity)
-}
+// isNotRelieving is the shortlist filter while relief re-places an evictee:
+// the node being drained must not re-admit its own evictee. Shedding relaxes
+// the shedder's ladder mid-loop: the eviction that takes it below Migrating
+// can leave it admitting with two slots free — roomy again while its last
+// evictee is still being placed — and it would take the player straight back.
+// That is about the sweep, not about the node, so no index invariant can say
+// it. Pure, as NearestInto requires.
+func (f *Fog) isNotRelieving(id int64) bool { return id != f.relieving.ID }
 
 // SupernodeLevelCap returns the encoding-ladder cap the overload ladder
 // currently imposes on one supernode's players, given a player's preferred
@@ -498,7 +532,7 @@ func (f *Fog) Overload() *health.Overload { return f.cfg.Overload }
 // circuit breaker guards the fallback, a degraded cloud is probed on the
 // breaker's schedule instead of absorbing every failover: a denied attach
 // leaves the player unserved until the next probe window.
-func (f *Fog) attachCloud(p *Player, estX, estY float64) {
+func (f *Fog) attachCloud(p *Player, pe trace.Endpoint, estX, estY float64) {
 	b := f.cfg.Breaker
 	var now time.Duration
 	if b != nil {
@@ -518,7 +552,7 @@ func (f *Fog) attachCloud(p *Player, estX, estY float64) {
 	p.Attached = Attachment{
 		Kind:          AttachCloud,
 		DC:            best,
-		StreamLatency: f.cfg.Latency.OneWay(p.Endpoint(), best.Endpoint()),
+		StreamLatency: f.latency.OneWay(pe, best.Endpoint()),
 	}
 	if b != nil {
 		// The probe's verdict is whether the cloud's egress can sustain the
@@ -544,17 +578,18 @@ func (f *Fog) attachCloud(p *Player, estX, estY float64) {
 // estimated position, using the cloud's geolocated supernode table. The
 // spatial index holds only supernodes with a free slot that the ladder
 // admits, so the query answers in O(k log k + cells visited) and the
-// traversal filters nothing — except while relief re-places an evictee, when
-// admitsEvictee applies; equal distances break on supernode ID, so the
-// shortlist is a deterministic function of the admissible set alone. The
-// returned slice is scratch owned by the Fog, valid until the next shortlist
-// call.
+// traversal filters nothing; while relief re-places an evictee the query goes
+// to the stricter roomIdx instead and passes over one node, the one being
+// drained. Equal distances break on supernode ID, so the shortlist is a
+// deterministic function of the index's contents alone. The returned slice is
+// scratch owned by the Fog, valid until the next shortlist call.
 func (f *Fog) shortlist(x, y float64, k int) []*Supernode {
+	idx := f.snIdx
 	var accept func(id int64) bool
 	if f.relieving != nil {
-		accept = f.reliefOK
+		idx, accept = f.roomIdx, f.notRelieving
 	}
-	f.nbrScratch = f.snIdx.NearestInto(f.nbrScratch[:0], x, y, k, accept)
+	f.nbrScratch = idx.NearestInto(f.nbrScratch[:0], x, y, k, accept)
 	out := f.candScratch[:0]
 	for _, nb := range f.nbrScratch {
 		out = append(out, f.sns[nb.ID])

@@ -175,6 +175,90 @@ func TestJoinFallsBackToCloudWhenNoSupernodeQualifies(t *testing.T) {
 	}
 }
 
+// twoHop is a latency source with one figure for every path that touches a
+// datacenter and another for every path that does not.
+type twoHop struct{ update, stream time.Duration }
+
+func (s *twoHop) OneWay(a, b trace.Endpoint) time.Duration {
+	if a.Class == trace.ClassDatacenter || b.Class == trace.ClassDatacenter {
+		return s.update
+	}
+	return s.stream
+}
+
+// TestProbeLimitIsTheTighterOfLmaxAndBudget pins the one limit a candidate's
+// probed hop is held to: L_max, or what the game's budget leaves after the
+// supernode's update hop and the per-slot transmission floor, whichever is
+// less. A hop exactly at the limit qualifies, a nanosecond over sends the
+// player to the cloud — once with L_max the tighter of the two, once with
+// the budget.
+func TestProbeLimitIsTheTighterOfLmaxAndBudget(t *testing.T) {
+	g := mustGame(t, 5)
+	for _, tc := range []struct {
+		name       string
+		lmaxFactor float64
+		lmaxBinds  bool
+	}{{"lmax", 0.5, true}, {"budget", 1.0, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.LmaxFactor = tc.lmaxFactor
+			src := &twoHop{update: 2 * time.Millisecond}
+			cfg.Latency = src
+			f := buildTestFog(t, cfg, 3)
+
+			segBits := float64(cfg.Stream.SegmentBytes(g.Quality().Bitrate)) * 8
+			minTrans := time.Duration(segBits / float64(cfg.UplinkPerSlot) * float64(time.Second))
+			lmax, rest := cfg.Lmax(g.NetworkBudget()), g.NetworkBudget()-src.update-minTrans
+			if (lmax < rest) != tc.lmaxBinds || lmax == rest {
+				t.Fatalf("L_max %v against %v left of the budget: the case does not make the intended one the tighter", lmax, rest)
+			}
+			limit := rest
+			if tc.lmaxBinds {
+				limit = lmax
+			}
+			p := testPlayer(1, cfg.Region.Center(), g)
+			src.stream = limit
+			if a := f.Join(p); a.Kind != AttachSupernode || a.StreamLatency != limit {
+				t.Fatalf("hop at the limit %v: attached %v with stream latency %v, want a supernode at the limit", limit, a.Kind, a.StreamLatency)
+			}
+			f.Leave(p)
+			src.stream = limit + 1
+			if a := f.Join(p); a.Kind != AttachCloud {
+				t.Fatalf("hop a nanosecond over the limit %v: attached %v, want the cloud", limit, a.Kind)
+			}
+		})
+	}
+}
+
+// TestFailoverReprobesBackupDelay: a recorded backup is probed again when it
+// is called on, and held to L_max like any candidate — a backup whose path has
+// degraded past it since the join is passed over.
+func TestFailoverReprobesBackupDelay(t *testing.T) {
+	g := mustGame(t, 5)
+	cfg := testConfig()
+	src := &twoHop{update: 2 * time.Millisecond, stream: 5 * time.Millisecond}
+	cfg.Latency = src
+	f := buildTestFog(t, cfg, 3)
+	lmax := cfg.Lmax(g.NetworkBudget())
+
+	p := testPlayer(1, cfg.Region.Center(), g)
+	f.Join(p)
+	if p.Attached.Kind != AttachSupernode || len(p.Backups) != 2 {
+		t.Fatalf("join attached %v with %d backups, want a supernode and 2", p.Attached.Kind, len(p.Backups))
+	}
+	src.stream = lmax
+	backup := p.Backups[0]
+	f.DeregisterSupernode(p.Attached.SN.ID)
+	if p.Attached.SN != backup || p.Attached.StreamLatency != lmax {
+		t.Fatalf("backup at L_max: player on %+v, want backup %d at %v", p.Attached, backup.ID, lmax)
+	}
+	src.stream = lmax + 1
+	f.DeregisterSupernode(backup.ID)
+	if p.Attached.Kind != AttachCloud {
+		t.Fatalf("backup a nanosecond past L_max: player attached %v, want the cloud", p.Attached.Kind)
+	}
+}
+
 func TestJoinRespectsCapacity(t *testing.T) {
 	cfg := testConfig()
 	// A benign latency landscape (tiny pair noise) keeps every probe well

@@ -8,30 +8,49 @@ import (
 	"cloudfog/internal/geo"
 	"cloudfog/internal/health"
 	"cloudfog/internal/sim"
+	"cloudfog/internal/spatial"
 )
 
-// checkIndex asserts the shortlist index invariant: snIdx holds exactly the
-// registered supernodes a join could use — a free slot and, with a ladder
-// configured, Overload.Admit — each at the position geolocated when it
-// registered.
+// checkIndex asserts both index invariants. snIdx holds exactly the registered
+// supernodes a join could use — a free slot and, with a ladder configured,
+// Overload.Admit; roomIdx holds exactly those of them that one more player
+// would leave short of Migrating, so none without a ladder. Every entry sits
+// at the position geolocated when its supernode registered, and each
+// supernode's transition flags say what the grids hold.
 func checkIndex(t testing.TB, f *Fog) {
 	t.Helper()
-	want := make(map[int64]bool)
+	ol := f.cfg.Overload
+	indexed, roomy := make(map[int64]bool), make(map[int64]bool)
 	for _, sn := range f.snOrder {
-		if sn.Available() > 0 && (f.cfg.Overload == nil || f.cfg.Overload.Admit(sn.ID)) {
-			want[sn.ID] = true
+		if sn.Available() > 0 && (ol == nil || ol.Admit(sn.ID)) {
+			indexed[sn.ID] = true
+			if ol != nil && !ol.WouldMigrate(sn.Load()+1, sn.Capacity) {
+				roomy[sn.ID] = true
+			}
+		}
+		if sn.indexed != indexed[sn.ID] || sn.roomy != roomy[sn.ID] {
+			t.Fatalf("supernode %d (%d of %d slots taken) is flagged indexed=%v roomy=%v, want %v and %v",
+				sn.ID, sn.Load(), sn.Capacity, sn.indexed, sn.roomy, indexed[sn.ID], roomy[sn.ID])
 		}
 	}
-	if f.snIdx.Len() != len(want) {
-		t.Fatalf("index holds %d supernodes, %d of %d registered are admissible",
-			f.snIdx.Len(), len(want), len(f.snOrder))
+	checkGrid(t, f, "shortlist", f.snIdx, indexed)
+	checkGrid(t, f, "relief", f.roomIdx, roomy)
+}
+
+// checkGrid asserts that one of the Fog's indexes holds exactly the
+// supernodes in want, each at its registered estimate.
+func checkGrid(t testing.TB, f *Fog, name string, g *spatial.Grid, want map[int64]bool) {
+	t.Helper()
+	if g.Len() != len(want) {
+		t.Fatalf("%s index holds %d supernodes, %d of %d registered belong in it",
+			name, g.Len(), len(want), len(f.snOrder))
 	}
-	for _, nb := range f.snIdx.Nearest(0, 0, len(f.snOrder)+1, nil) {
+	for _, nb := range g.Nearest(0, 0, len(f.snOrder)+1, nil) {
 		if !want[nb.ID] {
-			t.Fatalf("index holds supernode %d, which is full, rejecting or gone", nb.ID)
+			t.Fatalf("%s index holds supernode %d, which is full, rejecting, brimming or gone", name, nb.ID)
 		}
 		if est := f.snEstPos[nb.ID]; nb.Dist2 != dist2(0, 0, est.x, est.y) {
-			t.Fatalf("supernode %d indexed away from its registered estimate", nb.ID)
+			t.Fatalf("%s index holds supernode %d away from its registered estimate", name, nb.ID)
 		}
 	}
 }
@@ -39,18 +58,35 @@ func checkIndex(t testing.TB, f *Fog) {
 // newLadder returns a default overload ladder for a test fog.
 func newLadder(t testing.TB) *health.Overload {
 	t.Helper()
-	ol, err := health.NewOverload(health.OverloadConfig{}, nil, nil)
+	return ladderOf(t, health.OverloadConfig{})
+}
+
+// earlyLadder returns a ladder whose Migrating rung sits at half full. Under
+// the default MigrateAt of 1.0 "one more player would not tip it into
+// Migrating" is just "two slots free", and a node relief has shed one player
+// from has exactly one; under this ladder neither holds, so the relief index
+// and the drained-node filter each have to be right on their own.
+func earlyLadder(t testing.TB) *health.Overload {
+	t.Helper()
+	return ladderOf(t, health.OverloadConfig{
+		DegradeAt: 0.3, ShedAt: 0.4, RejectAt: 0.5, MigrateAt: 0.5, Hysteresis: 0.2,
+	})
+}
+
+func ladderOf(t testing.TB, cfg health.OverloadConfig) *health.Overload {
+	t.Helper()
+	ol, err := health.NewOverload(cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ol
 }
 
-// TestFogInvariantsUnderRandomOps drives a fog — without and with the
-// overload ladder — through random join, leave, supernode-departure,
-// supernode-return and overload-relief operations. The shortlist index
-// invariant (checkIndex) is checked after every step, the
-// structural invariants every 50:
+// TestFogInvariantsUnderRandomOps drives a fog — without the overload ladder,
+// with the default one and with one that migrates at half full — through
+// random join, leave, supernode-departure, supernode-return and
+// overload-relief operations. The two index invariants (checkIndex) are
+// checked after every step, the structural invariants every 50:
 //
 //   - a supernode's load never exceeds its capacity;
 //   - every online player is served (supernode or cloud), every offline
@@ -59,15 +95,14 @@ func newLadder(t testing.TB) *health.Overload {
 //   - backups never include the serving supernode or departed supernodes'
 //     stale capacity.
 func TestFogInvariantsUnderRandomOps(t *testing.T) {
-	t.Run("ladder=off", func(t *testing.T) { fogInvariantsUnderRandomOps(t, false) })
-	t.Run("ladder=on", func(t *testing.T) { fogInvariantsUnderRandomOps(t, true) })
+	t.Run("ladder=off", func(t *testing.T) { fogInvariantsUnderRandomOps(t, nil) })
+	t.Run("ladder=on", func(t *testing.T) { fogInvariantsUnderRandomOps(t, newLadder(t)) })
+	t.Run("ladder=early", func(t *testing.T) { fogInvariantsUnderRandomOps(t, earlyLadder(t)) })
 }
 
-func fogInvariantsUnderRandomOps(t *testing.T, ladder bool) {
+func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 	cfg := testConfig()
-	if ladder {
-		cfg.Overload = newLadder(t)
-	}
+	cfg.Overload = ladder
 	rng := sim.NewRand(20260705)
 	placer := geo.DefaultUSPlacer()
 
@@ -146,6 +181,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder bool) {
 		}
 	}
 
+	moved := 0
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(11); {
 		case op < 5: // join a random offline player
@@ -177,7 +213,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder bool) {
 				}
 			}
 		default: // the relief tick (a no-op without a ladder)
-			fog.RelieveOverloaded()
+			moved += fog.RelieveOverloaded()
 		}
 		checkIndex(t, fog)
 		if step%50 == 0 {
@@ -185,6 +221,9 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder bool) {
 		}
 	}
 	check(steps)
+	if (moved > 0) != (ladder != nil) {
+		t.Fatalf("relief moved %d players over %d steps with ladder %v", moved, steps, ladder != nil)
+	}
 }
 
 // TestFlowLatencyMonotoneInBitrate: a higher encoding bitrate can never

@@ -14,11 +14,12 @@ import (
 	"cloudfog/internal/trace"
 )
 
-// shortlistReference is the pre-index shortlist kept as the oracle: a full
-// scan over the geolocated supernode table — capacity and the ladder's Admit
-// checked per node, per query, and while relief re-places an evictee the node
-// being drained and any node one admit from Migrating — plus a sort. Ties
-// break on supernode ID, matching the spatial index's determinism contract.
+// shortlistReference is the pre-index shortlist kept as the oracle for both
+// indexes: a full scan over the geolocated supernode table — capacity and the
+// ladder's Admit checked per node, per query, and while relief re-places an
+// evictee the node being drained and any node one admit from Migrating — plus
+// a sort. Ties break on supernode ID, matching the spatial index's determinism
+// contract.
 func shortlistReference(f *Fog, x, y float64, k int) []*Supernode {
 	type entry struct {
 		sn *Supernode
@@ -122,6 +123,11 @@ func TestShortlistMatchesReference(t *testing.T) {
 		inRelief := trial%5 == 2
 		if trial%3 == 1 || inRelief {
 			cfg.Overload = newLadder(t)
+		}
+		if trial%10 == 7 {
+			// Every other sweep runs under a ladder that migrates at half
+			// full, where the relief index is not just "two slots free".
+			cfg.Overload = earlyLadder(t)
 		}
 		s := 1 + rng.Intn(300)
 		f := buildRandomFog(t, cfg, s, rng)
@@ -380,12 +386,7 @@ func TestShortlistInReliefKeepsEvicteeOffDrainedAndBrimmingNodes(t *testing.T) {
 		checkIndex(t, f)
 	})
 	t.Run("drained", func(t *testing.T) {
-		ol, err := health.NewOverload(health.OverloadConfig{
-			DegradeAt: 0.3, ShedAt: 0.4, RejectAt: 0.5, MigrateAt: 0.5, Hysteresis: 0.2,
-		}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ol := earlyLadder(t)
 		f, hot, _ := build(t, ol)
 		pid := int64(1000)
 		ps := seat(f, hot, 3, &pid) // 3 of 5: Migrating

@@ -6,6 +6,7 @@ import (
 
 	"cloudfog/internal/geo"
 	"cloudfog/internal/sim"
+	"cloudfog/internal/trace"
 )
 
 // stormInvariants checks the fog's structural invariants after each storm
@@ -146,4 +147,64 @@ func TestReindexIgnoresDepartedInstance(t *testing.T) {
 	occupy(f, fresh, &pid) // the fresh machine fills up and leaves the index
 	f.observeOccupancy(old)
 	checkIndex(t, f)
+}
+
+// TestReliefIndexAndAccessFollowTheRegisteredInstance: everything the Fog keeps about
+// a supernode per instance — its entries in both indexes, its resolved
+// last-mile delay — goes with the instance that fails and is made again for
+// the one that registers under the same ID, from that Fog's own latency source.
+func TestReliefIndexAndAccessFollowTheRegisteredInstance(t *testing.T) {
+	cfg := testConfig()
+	cfg.Overload = newLadder(t)
+	f := buildTestFog(t, cfg, 3)
+	old := f.sns[1_000_000]
+	want := cfg.Latency.(trace.Model).Access(trace.NodeID(old.ID), trace.ClassSupernode)
+	if got := old.Endpoint().Access; got != want || got == 0 {
+		t.Fatalf("registered supernode's endpoint carries access %v, the model says %v", got, want)
+	}
+	if !old.indexed || !old.roomy {
+		t.Fatalf("empty registered supernode flagged indexed=%v roomy=%v", old.indexed, old.roomy)
+	}
+
+	f.FailSupernode(old.ID)
+	if old.indexed || old.roomy {
+		t.Fatalf("failed supernode still flagged indexed=%v roomy=%v", old.indexed, old.roomy)
+	}
+	checkIndex(t, f) // neither grid holds the ID any more
+
+	fresh := NewSupernode(old.ID, old.Pos, old.Capacity, old.Uplink)
+	if got := fresh.Endpoint().Access; got != 0 {
+		t.Fatalf("supernode that never registered is resolved to %v", got)
+	}
+	if err := f.RegisterSupernode(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Endpoint().Access; got != want {
+		t.Fatalf("re-registered supernode resolved to %v, want %v", got, want)
+	}
+	checkIndex(t, f)
+	// The fresh machine fills to one short of full — in the shortlist index,
+	// out of the relief index — and an occupancy change on the departed
+	// instance, which has every slot free, must put the ID back in neither.
+	pid := int64(1000)
+	seat(f, fresh, fresh.Capacity-1, &pid)
+	f.observeOccupancy(old)
+	if !fresh.indexed || fresh.roomy || old.indexed || old.roomy {
+		t.Fatalf("fresh instance indexed=%v roomy=%v, departed instance indexed=%v roomy=%v; want true false false false",
+			fresh.indexed, fresh.roomy, old.indexed, old.roomy)
+	}
+	checkIndex(t, f)
+
+	// Registered next with a fog whose source keeps no per-node terms, the
+	// instance must not carry the old fog's term into the new one's probes.
+	f.FailSupernode(fresh.ID)
+	plain := testConfig()
+	plain.Latency = byDistance{}
+	f2 := buildTestFog(t, plain, 0)
+	if err := f2.RegisterSupernode(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Endpoint().Access; got != 0 {
+		t.Fatalf("supernode registered with a plain source still carries access %v", got)
+	}
 }

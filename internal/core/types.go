@@ -99,11 +99,16 @@ type Supernode struct {
 	DC *Datacenter
 	// UpdateLatency is the one-way cloud→supernode latency on that path.
 	UpdateLatency time.Duration
+	// access is the supernode's own last-mile delay as the latency source of
+	// the Fog it last registered with resolved it; Endpoint carries it, so a
+	// probe against this supernode does not derive it again.
+	access time.Duration
 
 	players map[int64]*Player
-	// indexed mirrors this supernode's membership of its Fog's shortlist
-	// index, so Fog.reindex touches the grid only on a transition.
-	indexed bool
+	// indexed and roomy mirror this supernode's membership of its Fog's
+	// shortlist index and relief index, so Fog.reindex touches a grid only
+	// on a transition.
+	indexed, roomy bool
 }
 
 // NewSupernode returns a supernode with the given capacity and uplink.
@@ -115,10 +120,11 @@ func NewSupernode(id int64, pos geo.Point, capacity int, uplink int64) *Supernod
 		players: make(map[int64]*Player)}
 }
 
-// Endpoint returns the supernode's latency-trace endpoint. Supernodes are
-// end hosts, but vetted for stable, well-provisioned connectivity.
+// Endpoint returns the supernode's latency-trace endpoint, resolved once it
+// has registered with a Fog. Supernodes are end hosts, but vetted for stable,
+// well-provisioned connectivity.
 func (s *Supernode) Endpoint() trace.Endpoint {
-	return trace.Endpoint{ID: trace.NodeID(s.ID), Pos: s.Pos, Class: trace.ClassSupernode}
+	return trace.Endpoint{ID: trace.NodeID(s.ID), Pos: s.Pos, Class: trace.ClassSupernode, Access: s.access}
 }
 
 // Available returns the remaining player slots (C_j minus current load).

@@ -92,7 +92,10 @@ func (c Config) Validate() error {
 	if err := c.Core.Validate(); err != nil {
 		return err
 	}
-	return c.Workload.Validate()
+	// The population NewWorld generates is Workload at this Config's size.
+	wl := c.Workload
+	wl.Players = c.Players
+	return wl.Validate()
 }
 
 // World holds the generated population and infrastructure specifications.

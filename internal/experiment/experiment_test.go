@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"cloudfog/internal/metrics"
+	"cloudfog/internal/workload"
 )
 
 // testWorld builds a scaled-down world: 1,500 players, 100 supernodes,
@@ -51,6 +54,27 @@ func TestConfigValidation(t *testing.T) {
 	bad.Supernodes = 100_000
 	if _, err := NewWorld(bad); err == nil {
 		t.Fatal("more supernodes than capable players accepted")
+	}
+}
+
+// TestConfigRefusesAliasedNodeIDs: a supernode's ID is SupernodeIDBase plus
+// its player's, so one player past workload.MaxPlayers a player and a
+// supernode would be one trace.NodeID and the run would measure a landscape
+// nobody configured. The README's million-player run sits exactly on the
+// limit and stays legal; the error names the limit.
+func TestConfigRefusesAliasedNodeIDs(t *testing.T) {
+	cfg := Default(1)
+	cfg.Players = workload.MaxPlayers
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("%d players refused: %v", cfg.Players, err)
+	}
+	cfg.Players++
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(workload.MaxPlayers)) {
+		t.Fatalf("%d players: error %v, want one naming the limit %d", cfg.Players, err, workload.MaxPlayers)
+	}
+	if _, err := NewWorld(cfg); err == nil {
+		t.Fatalf("NewWorld built a world of %d players", cfg.Players)
 	}
 }
 

@@ -1,7 +1,11 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -59,6 +63,56 @@ func TestFigscaleShardInvariance(t *testing.T) {
 				t.Fatalf("seed %d: figscale output diverges at %d shards:\n  1 shard: %s\n  %d shards: %s",
 					seed, shards, want, shards, got)
 			}
+		}
+	}
+}
+
+// TestScaleRunGolden pins one ladder-on scaling run — title, every series
+// point and the fog's geolocation draw count — to what the placement path
+// produced when every probe drew all three of its lognormals and relief
+// filtered its shortlist candidate by candidate (recorded at PR 20), at 1 and
+// at 4 shards. The world fills its fog, so joins fall through to the cloud,
+// kills orphan players onto backups and relief re-places evictees: a probe
+// that qualifies differently, a shortlist that differs by one supernode or an
+// extra Locate draw moves one of the three.
+func TestScaleRunGolden(t *testing.T) {
+	const (
+		wantHash  = "201f17558ff5beaed836556d8be44dbda43dc3b84832b96b231a6785bd5fe556"
+		wantDraws = 4722
+	)
+	for _, shards := range []int{1, 4} {
+		cfg := scaleTestConfig(2026, shards)
+		cfg.Players = 2000
+		cfg.Supernodes = 125
+		w, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, fig, err := ScaleRun(w, RunOptions{
+			Horizon: 60 * time.Second, ScaleEpoch: 15 * time.Second,
+			Detector: "phi", Overload: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Moved == 0 || res.Repairs == 0 || res.CloudHops == 0 {
+			t.Fatalf("shards %d: the run never reached relief, failover or the cloud fallback: %+v", shards, res)
+		}
+		h := sha256.New()
+		h.Write([]byte(fig.Title))
+		var b [8]byte
+		for _, s := range fig.Series {
+			h.Write([]byte(s.Label))
+			for _, p := range s.Points {
+				binary.BigEndian.PutUint64(b[:], math.Float64bits(p.X))
+				h.Write(b[:])
+				binary.BigEndian.PutUint64(b[:], math.Float64bits(p.Y))
+				h.Write(b[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != wantHash || res.FogDraws != wantDraws {
+			t.Fatalf("shards %d: figure hash %s with %d fog draws, want %s with %d (%q, moved %d)",
+				shards, got, res.FogDraws, wantHash, wantDraws, fig.Title, res.Moved)
 		}
 	}
 }

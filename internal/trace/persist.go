@@ -65,7 +65,8 @@ func Load(r io.Reader) (Model, error) {
 		NoiseSigma:              j.NoiseSigma,
 		SupernodeBackboneFactor: j.SupernodeBackboneFactor,
 	}
-	if m.PerKm < 0 || m.AccessSigma < 0 || m.NoiseSigma < 0 {
+	if m.Base < 0 || m.PerKm < 0 || m.AccessMedian < 0 || m.SupernodeAccessMedian < 0 ||
+		m.ProvisionedAccess < 0 || m.NoiseMedian < 0 || m.AccessSigma < 0 || m.NoiseSigma < 0 {
 		return Model{}, fmt.Errorf("trace: load model: negative parameters")
 	}
 	return m, nil

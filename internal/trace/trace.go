@@ -18,6 +18,14 @@
 // "trace" can drive both the simulator and the loopback-TCP testbed, and a
 // run is reproducible without storing an O(n²) matrix.
 //
+// Two of the four terms belong to a node, not to a pair: access(a) and
+// access(b) depend on (Seed, ID, Class) alone, so a caller that probes one
+// node against many resolves it once (Model.Resolve fills Endpoint.Access)
+// and every later probe reads the term instead of redrawing it. The distance
+// and noise terms are per pair and are computed per probe; Model.Within skips
+// the noise draw for a pair whose other three terms already exceed the limit
+// the caller would hold the sum to.
+//
 // Calibration targets (see trace_test.go): with 13 provisioned datacenters
 // spread over the US and metro-clustered players, fewer than ~70% of players
 // see one-way latency <= 80 ms to their closest datacenter — the Choy et al.
@@ -138,6 +146,12 @@ type Endpoint struct {
 	ID    NodeID
 	Pos   geo.Point
 	Class Class
+	// Access is the node's last-mile delay as Prober.Resolve filled it in.
+	// Zero means unresolved: the model then derives the term per probe, so an
+	// endpoint built from ID, Pos and Class alone measures the same as a
+	// resolved one. A resolved endpoint is only good for the source that
+	// resolved it.
+	Access time.Duration
 }
 
 // Source supplies one-way latencies between endpoints. The synthetic Model
@@ -148,24 +162,87 @@ type Source interface {
 	OneWay(a, b Endpoint) time.Duration
 }
 
-var _ Source = Model{}
+// Prober is a Source that answers the assignment protocol's question — is
+// this candidate within the player's limit, and if so how far — without
+// recomputing what a probe does not need. Model implements it natively;
+// AsProber adapts any other Source.
+type Prober interface {
+	Source
+	// Resolve returns e with Access set to this source's per-node term for
+	// it, replacing whatever e carried: zero when the source keeps none.
+	Resolve(e Endpoint) Endpoint
+	// Within reports whether OneWay(a, b) <= limit, and returns that latency
+	// when it is; the duration beside a false is not the latency.
+	Within(a, b Endpoint, limit time.Duration) (time.Duration, bool)
+}
 
-// OneWay returns the one-way latency from a to b. It is symmetric and
-// deterministic for a given model seed.
-func (m Model) OneWay(a, b Endpoint) time.Duration {
-	if a.ID == b.ID {
-		return m.Base
+var _ Prober = Model{}
+
+// AsProber returns src itself when it is a Prober, and otherwise a Prober
+// that resolves nothing and answers Within by measuring and comparing.
+func AsProber(src Source) Prober {
+	if p, ok := src.(Prober); ok {
+		return p
 	}
-	dist := a.Pos.DistanceTo(b.Pos)
+	return measured{src}
+}
+
+// measured adapts a Source with no per-node terms of its own: a test double,
+// or the testbed's measured latencies.
+type measured struct{ Source }
+
+func (measured) Resolve(e Endpoint) Endpoint {
+	e.Access = 0
+	return e
+}
+
+func (s measured) Within(a, b Endpoint, limit time.Duration) (time.Duration, bool) {
+	d := s.OneWay(a, b)
+	return d, d <= limit
+}
+
+// Resolve fills in the endpoint's last-mile delay, the one term of a probe
+// that hashes and draws a lognormal yet depends on the node alone.
+func (m Model) Resolve(e Endpoint) Endpoint {
+	e.Access = m.Access(e.ID, e.Class)
+	return e
+}
+
+// OneWay returns the one-way latency from a to b: Within, with no limit to
+// stop at. It is symmetric and deterministic for a given model seed.
+func (m Model) OneWay(a, b Endpoint) time.Duration {
+	d, _ := m.Within(a, b, math.MaxInt64)
+	return d
+}
+
+// Within is OneWay held to a limit. Every term of the sum is a non-negative
+// whole number of nanoseconds, so the part that needs no per-pair draw —
+// base, both access terms, propagation — is an exact lower bound: a pair
+// already past the limit on it is rejected without the draw.
+func (m Model) Within(a, b Endpoint, limit time.Duration) (time.Duration, bool) {
+	if a.ID == b.ID {
+		return m.Base, m.Base <= limit
+	}
+	d := m.Base + m.access(a) + m.access(b) +
+		time.Duration(a.Pos.DistanceTo(b.Pos)*float64(m.PerKm))
+	if d > limit {
+		return d, false
+	}
 	noise := m.PairNoise(a.ID, b.ID)
 	if m.SupernodeBackboneFactor > 0 && supernodeBackbone(a.Class, b.Class) {
 		noise = time.Duration(float64(noise) * m.SupernodeBackboneFactor)
 	}
-	return m.Base +
-		m.Access(a.ID, a.Class) +
-		m.Access(b.ID, b.Class) +
-		time.Duration(dist*float64(m.PerKm)) +
-		noise
+	d += noise
+	return d, d <= limit
+}
+
+// access reads a resolved endpoint's last-mile delay and derives an
+// unresolved one's.
+func (m Model) access(e Endpoint) time.Duration {
+	if e.Access != 0 {
+		return e.Access
+	}
+	return m.Access(e.ID, e.Class)
 }
 
 // supernodeBackbone reports whether the pair is a supernode talking to
@@ -179,22 +256,6 @@ func supernodeBackbone(a, b Class) bool {
 // latency; the synthetic landscape is symmetric).
 func (m Model) RTT(a, b Endpoint) time.Duration {
 	return 2 * m.OneWay(a, b)
-}
-
-// Matrix materializes the full pairwise one-way latency matrix for a small
-// node set — used to configure the loopback-TCP testbed, where delays must
-// be known up front.
-func (m Model) Matrix(nodes []Endpoint) [][]time.Duration {
-	n := len(nodes)
-	mat := make([][]time.Duration, n)
-	flat := make([]time.Duration, n*n)
-	for i := range mat {
-		mat[i], flat = flat[:n], flat[n:]
-		for j := range nodes {
-			mat[i][j] = m.OneWay(nodes[i], nodes[j])
-		}
-	}
-	return mat
 }
 
 // splitmix64 is the SplitMix64 mixing function: a fast, high-quality

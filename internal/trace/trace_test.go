@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
@@ -148,27 +151,6 @@ func TestRTTIsTwiceOneWay(t *testing.T) {
 	}
 }
 
-func TestMatrixMatchesOneWay(t *testing.T) {
-	m := DefaultModel(3)
-	r := sim.NewRand(4)
-	placer := geo.DefaultUSPlacer()
-	nodes := make([]Endpoint, 20)
-	for i := range nodes {
-		nodes[i] = Endpoint{ID: NodeID(i), Pos: placer.Place(r), Class: ClassNode}
-	}
-	mat := m.Matrix(nodes)
-	for i := range nodes {
-		for j := range nodes {
-			if mat[i][j] != m.OneWay(nodes[i], nodes[j]) {
-				t.Fatalf("matrix[%d][%d] mismatch", i, j)
-			}
-			if mat[i][j] != mat[j][i] {
-				t.Fatalf("matrix not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestLatenciesArePositive(t *testing.T) {
 	m := DefaultModel(5)
 	r := sim.NewRand(6)
@@ -253,6 +235,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"seed":1,"noise_sigma":-3}`)); err == nil {
 		t.Fatal("negative sigma accepted")
 	}
+	if _, err := Load(strings.NewReader(`{"seed":1,"noise_median_ns":-3}`)); err == nil {
+		t.Fatal("negative noise median accepted: Within's lower bound needs every term non-negative")
+	}
 }
 
 func TestSaveLoadPreservesPairwiseLatencies(t *testing.T) {
@@ -278,14 +263,144 @@ func TestSaveLoadPreservesPairwiseLatencies(t *testing.T) {
 			Class: classes[i%len(classes)],
 		}
 	}
-	want := m.Matrix(eps)
-	have := got.Matrix(eps)
-	for i := range want {
-		for j := range want[i] {
-			if want[i][j] != have[i][j] {
-				t.Fatalf("latency [%d][%d] diverged after reload: %v vs %v",
-					i, j, want[i][j], have[i][j])
+	for i, a := range eps {
+		for j, b := range eps {
+			if want, have := m.OneWay(a, b), got.OneWay(a, b); want != have {
+				t.Fatalf("latency [%d][%d] diverged after reload: %v vs %v", i, j, want, have)
 			}
 		}
 	}
 }
+
+// probeCase is one randomly drawn probe: a model and the two ends of a path.
+type probeCase struct {
+	m    Model
+	a, b Endpoint
+}
+
+// probeCases draws n probes over random model seeds, IDs from the player,
+// supernode and datacenter ranges, positions across the US region and all
+// four classes — every endpoint a plain literal, Access unset. One probe in
+// sixteen is a node against itself.
+func probeCases(n int) []probeCase {
+	rng := sim.NewRand(20261002)
+	region := geo.USRegion()
+	end := func() Endpoint {
+		return Endpoint{
+			ID:    NodeID(rng.Intn(3_000_000)),
+			Pos:   geo.Point{X: rng.Float64() * region.Width, Y: rng.Float64() * region.Height},
+			Class: Class(rng.Intn(4)),
+		}
+	}
+	cases := make([]probeCase, n)
+	for i := range cases {
+		c := probeCase{m: DefaultModel(rng.Int63()), a: end(), b: end()}
+		if rng.Intn(16) == 0 {
+			c.b.ID = c.a.ID
+		}
+		cases[i] = c
+	}
+	return cases
+}
+
+// TestOneWayGolden pins what an endpoint literal without Access measures to
+// what it measured before Endpoint had the field: the digest was recorded at
+// PR 20, when OneWay drew both access terms and the pair noise on every call.
+func TestOneWayGolden(t *testing.T) {
+	const want = "2fc47fac99240dc3152c6b0c4bead0c3a82989f6388200b38d915d4cc3ccec0d"
+	h := sha256.New()
+	var b [8]byte
+	for _, c := range probeCases(4000) {
+		binary.BigEndian.PutUint64(b[:], uint64(c.m.OneWay(c.a, c.b)))
+		h.Write(b[:])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("OneWay digest over 4000 random probes = %s, want %s", got, want)
+	}
+}
+
+// TestResolvedEndpointsMeasureAlike: resolving an endpoint changes what a
+// probe costs, never what it measures — resolved, half-resolved and
+// unresolved pairs agree in both argument orders — and resolving twice is
+// resolving once. What a resolved endpoint carries is what the probe reads: a
+// term moved by a millisecond moves the latency by a millisecond.
+func TestResolvedEndpointsMeasureAlike(t *testing.T) {
+	for i, c := range probeCases(4000) {
+		ra, rb := c.m.Resolve(c.a), c.m.Resolve(c.b)
+		if ra.Access != c.m.Access(c.a.ID, c.a.Class) || c.m.Resolve(ra) != ra {
+			t.Fatalf("case %d: Resolve(%+v) = %+v, resolved again %+v", i, c.a, ra, c.m.Resolve(ra))
+		}
+		// A term resolved under some other model is replaced, not kept.
+		stale := c.a
+		stale.Access = time.Hour
+		if c.m.Resolve(stale) != ra {
+			t.Fatalf("case %d: Resolve kept a stale access term: %+v", i, c.m.Resolve(stale))
+		}
+		want := c.m.OneWay(c.a, c.b)
+		for _, pair := range [][2]Endpoint{{ra, rb}, {ra, c.b}, {c.a, rb}, {c.a, c.b}} {
+			if got, rev := c.m.OneWay(pair[0], pair[1]), c.m.OneWay(pair[1], pair[0]); got != want || rev != want {
+				t.Fatalf("case %d: OneWay(%+v, %+v) = %v, reversed %v, unresolved %v",
+					i, pair[0], pair[1], got, rev, want)
+			}
+		}
+		moved := ra
+		moved.Access += time.Millisecond
+		if got := c.m.OneWay(moved, c.b); c.a.ID != c.b.ID && got != want+time.Millisecond {
+			t.Fatalf("case %d: OneWay = %v with the resolved term a millisecond up, %v without: the term was derived again, not read",
+				i, got, want)
+		}
+	}
+}
+
+// TestWithinAgreesWithOneWay: Within(a, b, limit) answers OneWay(a, b) <=
+// limit and returns that latency whenever the answer is yes — at limits either
+// side of the latency itself, either side of its noise-free part (where the
+// native arm stops before the pair draw), zero and negative — natively, through
+// AsProber over a Source that is only a Source, and for resolved and
+// unresolved endpoints alike. One model in eight has no pair noise, so the
+// latency is its noise-free part and a limit equal to it must still admit.
+func TestWithinAgreesWithOneWay(t *testing.T) {
+	if p, ok := AsProber(DefaultModel(1)).(Model); !ok || p != DefaultModel(1) {
+		t.Fatalf("AsProber wrapped a Model that already is a Prober: %T", AsProber(DefaultModel(1)))
+	}
+	for i, c := range probeCases(4000) {
+		if i%8 == 0 {
+			c.m.NoiseMedian = 0
+		}
+		ra, rb := c.m.Resolve(c.a), c.m.Resolve(c.b)
+		plain := AsProber(sourceOnly{c.m})
+		if _, native := plain.(Model); native {
+			t.Fatal("AsProber saw through a plain Source")
+		}
+		if stale := ra; plain.Resolve(stale) != c.a {
+			t.Fatalf("case %d: a source with no per-node terms resolved %+v to %+v, want the term cleared",
+				i, stale, plain.Resolve(stale))
+		}
+		d := c.m.OneWay(c.a, c.b)
+		// The noise-free part is what the same path measures with the pair
+		// term switched off.
+		quiet := c.m
+		quiet.NoiseMedian = 0
+		floor := quiet.OneWay(c.a, c.b)
+		if floor > d {
+			t.Fatalf("case %d: noise-free part %v above OneWay %v", i, floor, d)
+		}
+		for _, limit := range []time.Duration{d - 1, d, d + 1, floor - 1, floor, floor + 1, 0, -1, -time.Hour} {
+			for _, pr := range []Prober{c.m, plain} {
+				for _, pair := range [][2]Endpoint{{ra, rb}, {c.a, rb}, {c.a, c.b}, {rb, ra}} {
+					got, ok := pr.Within(pair[0], pair[1], limit)
+					if ok != (d <= limit) || (ok && got != d) {
+						t.Fatalf("case %d: %T.Within(%+v, %+v, %v) = (%v, %v), OneWay = %v",
+							i, pr, pair[0], pair[1], limit, got, ok, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sourceOnly hides a Model's Prober methods, the way a test double or the
+// testbed's measured source has none.
+type sourceOnly struct{ m Model }
+
+func (s sourceOnly) OneWay(a, b Endpoint) time.Duration { return s.m.OneWay(a, b) }

@@ -23,6 +23,13 @@ const (
 	SupernodeIDBase  = 1_000_000
 	DatacenterIDBase = 2_000_000
 	EdgeServerIDBase = 3_000_000
+
+	// MaxPlayers is the largest population the bases keep disjoint: a
+	// supernode is SupernodeIDBase plus the ID of the player whose machine it
+	// is, so one player more and that player and a supernode are one
+	// trace.NodeID — the pair measures Base, and both draw their last-mile
+	// delay from the same variate.
+	MaxPlayers = SupernodeIDBase - PlayerIDBase
 )
 
 // Config parameterizes population generation.
@@ -60,6 +67,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Players < 1:
 		return fmt.Errorf("workload: Players %d < 1", c.Players)
+	case c.Players > MaxPlayers:
+		return fmt.Errorf("workload: Players %d > %d: player IDs would run into the supernode ID range", c.Players, MaxPlayers)
 	case c.SupernodeFraction < 0 || c.SupernodeFraction > 1:
 		return fmt.Errorf("workload: SupernodeFraction %v outside [0,1]", c.SupernodeFraction)
 	case c.Placer == nil:
