@@ -117,18 +117,34 @@ latency:
 	$(GO) test -count=1 -run 'FrameClock|FramesFollowUpdates|FirstFrameAtJoin' ./internal/live/
 	bash bench/run.sh --workload live-steady --seed 2026 --seconds 20 --trace 0
 
-# scale is the sim-side twin of latency: the shortlist and index property
-# tests uncached (the indexed shortlist against the scan-and-sort oracle, the
-# shortlist- and relief-index invariants after every operation of the
-# random-ops and storm tests, the one limit a probe is held to, the grid's
-# traversal and retune contracts, the latency model's resolved-endpoint and
-# Within properties and its OneWay golden), then the repo benchmark's sim-scale workload, whose op_ms is the
+# scale is the sim-side twin of latency: the placement and scale-path property
+# tests uncached (the indexed shortlist against the scan-and-sort oracle; the
+# shortlist-, relief-index and registration-order invariants and Supernodes()
+# against a plain slice after every operation of the random-ops, storm and
+# fleet-wide-failure tests; the one limit a probe is held to; the scaling run's
+# golden, its bytes-allocated-per-player ceiling and the friend graph built
+# late or on a clone; the grid's traversal and retune contracts; the latency
+# model's resolved-endpoint and Within properties and its OneWay golden; the
+# population golden; the two-pass node sample and the in-place kd partition
+# against their one-pass and sort-and-copy references), then a 200 000-player
+# cloudfog-sim -scale run at 1 and at 8 shards, whose output must be the same
+# bytes once what describes the run and not the result is masked (the shard
+# count, the timing and memory fields, the cross-shard diagnostic line), then
+# the repo benchmark's sim-scale workload, whose op_ms is the
 # wall time of one 50 000-player sharded run. run.sh builds bench/ against
 # this tree — bench is its own module, so an API break there is invisible to
 # `go build ./...` — and the run fails if the pinned figure hash moves.
+SCALE_SMOKE = -scale -players 200000 -supernodes 12500 -detector phi -overload -horizon 20s -epoch 10s
 scale:
-	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Relief|Reindex|[Pp]robe' ./internal/core/
-	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/
+	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Supernodes|Relief|Reindex|[Pp]robe' ./internal/core/
+	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|FriendGraph|AliasedNodeIDs' ./internal/experiment/
+	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/world/
+	mkdir -p .bench_build
+	for s in 1 8; do \
+		$(GO) run ./cmd/cloudfog-sim $(SCALE_SMOKE) -shards $$s > .bench_build/scale-$$s.raw || exit 1; \
+		sed -E -e 's/(shards|wall|world|mem)=[^ ]+//g' -e '/^cross-shard:/d' .bench_build/scale-$$s.raw > .bench_build/scale-$$s.txt; \
+	done
+	diff .bench_build/scale-1.txt .bench_build/scale-8.txt
 	bash bench/run.sh --workload sim-scale --seed 2026 --seconds 20 --trace 0
 
 # figures is the QoE-side twin of latency and scale: the node simulation's

@@ -284,8 +284,9 @@ func runRecord() error {
 }
 
 // runScale executes only the sharded scaling experiment and prints its wall
-// time, beside the time the world took to generate, and shard diagnostics —
-// the -scale demo path for million-player runs.
+// time, beside the time the world took to generate and the memory the process
+// has obtained from the operating system by the end of the run, and shard
+// diagnostics — the -scale demo path for million-player runs.
 func runScale(w *experiment.World, opts experiment.RunOptions, worldBuild time.Duration) error {
 	start := time.Now()
 	res, fig, err := experiment.ScaleRun(w, opts)
@@ -293,10 +294,12 @@ func runScale(w *experiment.World, opts experiment.RunOptions, worldBuild time.D
 		return err
 	}
 	wall := time.Since(start)
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
 	fmt.Println(fig.Title)
 	fmt.Println(metrics.Table(fig.XLabel, fig.Series))
-	fmt.Printf("shards=%d epochs=%d wall=%v world=%v\n", res.Shards, res.Epochs,
-		wall.Round(time.Millisecond), worldBuild.Round(time.Millisecond))
+	fmt.Printf("shards=%d epochs=%d wall=%v world=%v mem=%dMiB\n", res.Shards, res.Epochs,
+		wall.Round(time.Millisecond), worldBuild.Round(time.Millisecond), mem.Sys>>20)
 	fmt.Printf("kills=%d recoveries=%d detections=%d (mean %.2fs) repairs=%d lapsed=%d cloud_hops=%d moved=%d pending_end=%d\n",
 		res.Kills, res.Recoveries, res.Detections, res.MeanDetectionLatency().Seconds(),
 		res.Repairs, res.Lapsed, res.CloudHops, res.Moved, res.PendingEnd)

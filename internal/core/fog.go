@@ -27,9 +27,16 @@ type Fog struct {
 	// probe makes no type assertion and has one path whatever the source.
 	latency trace.Prober
 
-	dcs     []*Datacenter
-	sns     map[int64]*Supernode
-	snOrder []*Supernode // registration order, for deterministic iteration
+	dcs []*Datacenter
+	sns map[int64]*Supernode
+	// snOrder holds the registered supernodes in registration order, for
+	// deterministic iteration, each at index Supernode.slot. A supernode that
+	// fails leaves a nil behind instead of closing the gap, so a failure costs
+	// the same at any fleet size; snDead counts the nils. compactOrder squeezes
+	// them out before anyone reads the order (Supernodes) and as soon as they
+	// outnumber the living, so the slice never holds more than twice the fleet.
+	snOrder []*Supernode
+	snDead  int
 
 	// snEstPos is the cloud's geolocated view of each supernode's
 	// position (paper §III-A3: coordinates determined from IP addresses).
@@ -128,8 +135,28 @@ func (f *Fog) Name() string { return "CloudFog" }
 // Datacenters returns the fog's datacenters.
 func (f *Fog) Datacenters() []*Datacenter { return f.dcs }
 
-// Supernodes returns the registered supernodes in registration order.
-func (f *Fog) Supernodes() []*Supernode { return f.snOrder }
+// Supernodes returns the registered supernodes in registration order. The
+// slice is the Fog's own: a caller that fails or registers supernodes while
+// walking it copies it first.
+func (f *Fog) Supernodes() []*Supernode {
+	if f.snDead > 0 {
+		f.compactOrder()
+	}
+	return f.snOrder
+}
+
+// compactOrder closes the gaps failed supernodes left in snOrder.
+func (f *Fog) compactOrder() {
+	live := f.snOrder[:0]
+	for _, sn := range f.snOrder {
+		if sn != nil {
+			sn.slot = len(live)
+			live = append(live, sn)
+		}
+	}
+	clear(f.snOrder[len(live):])
+	f.snOrder, f.snDead = live, 0
+}
 
 // Supernode returns the registered supernode with the given ID, if any.
 func (f *Fog) Supernode(id int64) (*Supernode, bool) {
@@ -170,6 +197,7 @@ func (f *Fog) RegisterSupernode(sn *Supernode) error {
 	sn.DC = best
 	sn.UpdateLatency = bestLat
 	f.sns[sn.ID] = sn
+	sn.slot = len(f.snOrder)
 	f.snOrder = append(f.snOrder, sn)
 	est := f.cfg.Locator.Locate(sn.Pos, f.rng)
 	f.snEstPos[sn.ID] = struct{ x, y float64 }{est.X, est.Y}
@@ -202,11 +230,9 @@ func (f *Fog) FailSupernode(id int64) []*Player {
 	f.snIdx.Remove(id)
 	f.roomIdx.Remove(id)
 	sn.indexed, sn.roomy = false, false
-	for i, s := range f.snOrder {
-		if s.ID == id {
-			f.snOrder = append(f.snOrder[:i], f.snOrder[i+1:]...)
-			break
-		}
+	f.snOrder[sn.slot] = nil
+	if f.snDead++; 2*f.snDead > len(f.snOrder) {
+		f.compactOrder()
 	}
 	orphans := make([]*Player, 0, len(sn.players))
 	for _, p := range sn.players {
@@ -474,7 +500,7 @@ func (f *Fog) RelieveOverloaded() int {
 	// tick).
 	for pass := 0; pass < 8; pass++ {
 		movedThisPass := 0
-		for _, sn := range f.snOrder {
+		for _, sn := range f.Supernodes() {
 			for o.ShouldMigrate(sn.ID) && sn.Load() > 0 {
 				var newest *Player
 				for _, p := range sn.players {
@@ -616,7 +642,7 @@ func (f *Fog) NetworkLatency(p *Player) time.Duration {
 // plus full stream bandwidth for each directly-connected player.
 func (f *Fog) CloudBandwidth() int64 {
 	var total int64
-	for _, sn := range f.snOrder {
+	for _, sn := range f.Supernodes() {
 		if sn.Load() > 0 {
 			total += f.cfg.UpdateBandwidth
 		}
@@ -633,8 +659,9 @@ func (f *Fog) CloudBandwidth() int64 {
 // u_j (served stream bandwidth over uplink), keyed by supernode ID — the
 // input to the incentive model of Eq. 1.
 func (f *Fog) SupernodeUtilizations() map[int64]float64 {
-	out := make(map[int64]float64, len(f.snOrder))
-	for _, sn := range f.snOrder {
+	sns := f.Supernodes()
+	out := make(map[int64]float64, len(sns))
+	for _, sn := range sns {
 		var used int64
 		for _, p := range sn.players {
 			used += f.cfg.WireRate(p.Game.Quality().Bitrate)

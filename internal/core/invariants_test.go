@@ -11,17 +11,29 @@ import (
 	"cloudfog/internal/spatial"
 )
 
-// checkIndex asserts both index invariants. snIdx holds exactly the registered
-// supernodes a join could use — a free slot and, with a ladder configured,
-// Overload.Admit; roomIdx holds exactly those of them that one more player
-// would leave short of Migrating, so none without a ladder. Every entry sits
-// at the position geolocated when its supernode registered, and each
-// supernode's transition flags say what the grids hold.
+// checkIndex asserts the Fog's three bookkeeping invariants. snIdx holds
+// exactly the registered supernodes a join could use — a free slot and, with a
+// ladder configured, Overload.Admit; roomIdx holds exactly those of them that
+// one more player would leave short of Migrating, so none without a ladder.
+// Every entry sits at the position geolocated when its supernode registered,
+// and each supernode's transition flags say what the grids hold. snOrder holds
+// every registered instance once, at its own slot, and snDead nils that never
+// outnumber the living. It reads snOrder as it lies — Supernodes() would
+// compact it first.
 func checkIndex(t testing.TB, f *Fog) {
 	t.Helper()
 	ol := f.cfg.Overload
 	indexed, roomy := make(map[int64]bool), make(map[int64]bool)
-	for _, sn := range f.snOrder {
+	dead := 0
+	for i, sn := range f.snOrder {
+		if sn == nil {
+			dead++
+			continue
+		}
+		if sn.slot != i || f.sns[sn.ID] != sn {
+			t.Fatalf("registration order holds supernode %d (slot %d) at %d; registered under that ID: %v",
+				sn.ID, sn.slot, i, f.sns[sn.ID] == sn)
+		}
 		if sn.Available() > 0 && (ol == nil || ol.Admit(sn.ID)) {
 			indexed[sn.ID] = true
 			if ol != nil && !ol.WouldMigrate(sn.Load()+1, sn.Capacity) {
@@ -33,8 +45,38 @@ func checkIndex(t testing.TB, f *Fog) {
 				sn.ID, sn.Load(), sn.Capacity, sn.indexed, sn.roomy, indexed[sn.ID], roomy[sn.ID])
 		}
 	}
+	if live := len(f.snOrder) - dead; dead != f.snDead || dead > live || live != len(f.sns) {
+		t.Fatalf("registration order holds %d supernodes and %d gaps; the fog counts %d gaps and %d registered",
+			live, dead, f.snDead, len(f.sns))
+	}
 	checkGrid(t, f, "shortlist", f.snIdx, indexed)
 	checkGrid(t, f, "relief", f.roomIdx, roomy)
+}
+
+// checkOrder asserts that Supernodes() is the reference: dense, in
+// registration order, each entry the instance now registered under its ID.
+func checkOrder(t testing.TB, f *Fog, want []*Supernode) {
+	t.Helper()
+	got := f.Supernodes()
+	if len(got) != len(want) {
+		t.Fatalf("Supernodes() lists %d supernodes, %d are registered", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Supernodes()[%d] is not the %d-th registered instance (want supernode %d)", i, i, want[i].ID)
+		}
+	}
+}
+
+// withoutID returns the reference order after the supernode registered under
+// id left it — the plain scan and shift FailSupernode no longer does.
+func withoutID(order []*Supernode, id int64) []*Supernode {
+	for i, sn := range order {
+		if sn.ID == id {
+			return append(order[:i], order[i+1:]...)
+		}
+	}
+	return order
 }
 
 // checkGrid asserts that one of the Fog's indexes holds exactly the
@@ -43,9 +85,9 @@ func checkGrid(t testing.TB, f *Fog, name string, g *spatial.Grid, want map[int6
 	t.Helper()
 	if g.Len() != len(want) {
 		t.Fatalf("%s index holds %d supernodes, %d of %d registered belong in it",
-			name, g.Len(), len(want), len(f.snOrder))
+			name, g.Len(), len(want), len(f.sns))
 	}
-	for _, nb := range g.Nearest(0, 0, len(f.snOrder)+1, nil) {
+	for _, nb := range g.Nearest(0, 0, len(f.sns)+1, nil) {
 		if !want[nb.ID] {
 			t.Fatalf("%s index holds supernode %d, which is full, rejecting, brimming or gone", name, nb.ID)
 		}
@@ -85,8 +127,9 @@ func ladderOf(t testing.TB, cfg health.OverloadConfig) *health.Overload {
 // TestFogInvariantsUnderRandomOps drives a fog — without the overload ladder,
 // with the default one and with one that migrates at half full — through
 // random join, leave, supernode-departure, supernode-return and
-// overload-relief operations. The two index invariants (checkIndex) are
-// checked after every step, the structural invariants every 50:
+// overload-relief operations. The index and registration-order invariants
+// (checkIndex) and Supernodes() against a plain reference slice (checkOrder)
+// are checked after every step, the structural invariants every 50:
 //
 //   - a supernode's load never exceeds its capacity;
 //   - every online player is served (supernode or cloud), every offline
@@ -135,6 +178,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 	for _, sn := range specs {
 		registered[sn.ID] = sn
 	}
+	order := append([]*Supernode(nil), specs...) // what Supernodes() must list
 
 	check := func(step int) {
 		t.Helper()
@@ -199,6 +243,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 			if len(sns) > 0 {
 				sn := sns[rng.Intn(len(sns))]
 				delete(registered, sn.ID)
+				order = withoutID(order, sn.ID)
 				fog.DeregisterSupernode(sn.ID)
 			}
 		case op < 10: // a departed supernode returns as a fresh machine
@@ -209,6 +254,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 						t.Fatalf("step %d: re-register: %v", step, err)
 					}
 					registered[spec.ID] = fresh
+					order = append(order, fresh)
 					break
 				}
 			}
@@ -216,6 +262,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 			moved += fog.RelieveOverloaded()
 		}
 		checkIndex(t, fog)
+		checkOrder(t, fog, order)
 		if step%50 == 0 {
 			check(step)
 		}

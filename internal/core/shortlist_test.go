@@ -25,8 +25,8 @@ func shortlistReference(f *Fog, x, y float64, k int) []*Supernode {
 		sn *Supernode
 		d  float64
 	}
-	entries := make([]entry, 0, len(f.snOrder))
-	for _, sn := range f.snOrder {
+	entries := make([]entry, 0, len(f.sns))
+	for _, sn := range f.Supernodes() {
 		if sn.Available() <= 0 {
 			continue
 		}
@@ -134,7 +134,7 @@ func TestShortlistMatchesReference(t *testing.T) {
 
 		// Churn the registration set: deregister a few, re-register fresh
 		// instances, so the index has seen removes as well as inserts.
-		for _, sn := range append([]*Supernode(nil), f.snOrder...) {
+		for _, sn := range append([]*Supernode(nil), f.Supernodes()...) {
 			if rng.Float64() < 0.15 {
 				spec := *sn
 				f.DeregisterSupernode(sn.ID)
@@ -151,7 +151,7 @@ func TestShortlistMatchesReference(t *testing.T) {
 		// admissible again, with one they sit in Rejecting on hysteresis —
 		// a free slot the shortlist must still pass over.
 		pid := int64(1)
-		for _, sn := range f.snOrder {
+		for _, sn := range f.Supernodes() {
 			if rng.Float64() < 0.3 {
 				ps := occupy(f, sn, &pid)
 				if rng.Float64() < 0.4 {
@@ -162,9 +162,9 @@ func TestShortlistMatchesReference(t *testing.T) {
 			}
 		}
 		checkIndex(t, f)
-		if inRelief && len(f.snOrder) > 0 {
+		if sns := f.Supernodes(); inRelief && len(sns) > 0 {
 			// As while RelieveOverloaded re-places an evictee of this node.
-			f.relieving = f.snOrder[rng.Intn(len(f.snOrder))]
+			f.relieving = sns[rng.Intn(len(sns))]
 		}
 
 		for q := 0; q < 25; q++ {

@@ -42,8 +42,9 @@ func stormInvariants(t *testing.T, f *Fog, players []*Player) {
 }
 
 // runStorm drives one fog through a randomized Register/Deregister/Join/
-// Leave/RelieveOverloaded storm, checking the failover invariants
-// and the shortlist index invariant after every step.
+// Leave/RelieveOverloaded storm, checking the failover invariants, the index
+// and registration-order invariants and Supernodes() against a plain
+// reference slice after every step.
 func runStorm(t *testing.T, seed int64, steps int, ladder bool) {
 	cfg := testConfig()
 	cfg.Latency = benignModel(cfg)
@@ -73,6 +74,7 @@ func runStorm(t *testing.T, seed int64, steps int, ladder bool) {
 		specs[sn.ID] = spec{pos: sn.Pos, capacity: sn.Capacity, uplink: sn.Uplink}
 		ids = append(ids, sn.ID)
 	}
+	order := append([]*Supernode(nil), f.Supernodes()...) // what Supernodes() must list
 
 	rng := sim.NewRand(seed)
 	for step := 0; step < steps; step++ {
@@ -82,6 +84,7 @@ func runStorm(t *testing.T, seed int64, steps int, ladder bool) {
 			if _, up := f.Supernode(id); !up {
 				continue
 			}
+			order = withoutID(order, id)
 			for _, orphan := range f.FailSupernode(id) {
 				f.Failover(orphan)
 			}
@@ -91,9 +94,11 @@ func runStorm(t *testing.T, seed int64, steps int, ladder bool) {
 				continue
 			}
 			sp := specs[id]
-			if err := f.RegisterSupernode(NewSupernode(id, sp.pos, sp.capacity, sp.uplink)); err != nil {
+			fresh := NewSupernode(id, sp.pos, sp.capacity, sp.uplink)
+			if err := f.RegisterSupernode(fresh); err != nil {
 				t.Fatal(err)
 			}
+			order = append(order, fresh)
 		case 2: // a player leaves
 			p := players[rng.Intn(len(players))]
 			if p.Online {
@@ -109,6 +114,7 @@ func runStorm(t *testing.T, seed int64, steps int, ladder bool) {
 		}
 		stormInvariants(t, f, players)
 		checkIndex(t, f)
+		checkOrder(t, f, order)
 	}
 }
 
@@ -125,6 +131,56 @@ func TestRegisterDeregisterStorm(t *testing.T) {
 			t.Parallel()
 			runStorm(t, seed, 600, ladder)
 		})
+	}
+}
+
+// TestSupernodesAfterFleetWideFailure: a 20 000-node fog that fails and
+// re-registers every node, twice over and out of registration order, with
+// nobody reading the order in between — so gaps pile up until they outnumber
+// the living, again and again — still lists exactly the reference, and never
+// holds more than twice the fleet.
+func TestSupernodesAfterFleetWideFailure(t *testing.T) {
+	const fleet = 20_000
+	cfg := testConfig()
+	rng := sim.NewRand(4)
+	placer := geo.DefaultUSPlacer()
+	sns := make([]*Supernode, fleet)
+	for i := range sns {
+		sns[i] = NewSupernode(1_000_000+int64(i), placer.Place(rng), 2, 2*cfg.UplinkPerSlot)
+	}
+	dc := NewDatacenter(2_000_000, cfg.Region.Center(), cfg.DCEgress)
+	f, err := BuildFog(cfg, []*Datacenter{dc}, sns, rng.Fork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := append([]*Supernode(nil), sns...)
+	for round := 0; round < 2; round++ {
+		for n, i := range rng.Perm(fleet) {
+			old := sns[i]
+			order = withoutID(order, old.ID)
+			f.FailSupernode(old.ID)
+			if n%3 != 0 || round == 1 { // some return at once, the rest below
+				sns[i] = NewSupernode(old.ID, old.Pos, old.Capacity, old.Uplink)
+				if err := f.RegisterSupernode(sns[i]); err != nil {
+					t.Fatal(err)
+				}
+				order = append(order, sns[i])
+			}
+			if len(f.snOrder) > 2*len(f.sns)+1 {
+				t.Fatalf("round %d: registration order holds %d entries for %d registered supernodes", round, len(f.snOrder), len(f.sns))
+			}
+		}
+		checkIndex(t, f)
+		for _, sn := range sns {
+			if _, up := f.Supernode(sn.ID); !up {
+				if err := f.RegisterSupernode(sn); err != nil {
+					t.Fatal(err)
+				}
+				order = append(order, sn)
+			}
+		}
+		checkIndex(t, f)
+		checkOrder(t, f, order)
 	}
 }
 

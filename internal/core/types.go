@@ -105,6 +105,8 @@ type Supernode struct {
 	access time.Duration
 
 	players map[int64]*Player
+	// slot is this supernode's index in its Fog's registration order.
+	slot int
 	// indexed and roomy mirror this supernode's membership of its Fog's
 	// shortlist index and relief index, so Fog.reindex touches a grid only
 	// on a transition.

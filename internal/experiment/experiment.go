@@ -192,6 +192,11 @@ func (w *World) Fingerprint() uint32 {
 	return recfmt.Checksum(b)
 }
 
+// dcID and edgeID mint the node ID of the i-th datacenter site and edge server
+// from the bases this world's population puts them at.
+func (w *World) dcID(i int) int64   { return workload.DatacenterIDBase(len(w.Pop.Players)) + int64(i) }
+func (w *World) edgeID(i int) int64 { return workload.EdgeServerIDBase(len(w.Pop.Players)) + int64(i) }
+
 // Datacenters mints n fresh datacenter instances.
 func (w *World) Datacenters(n int) []*core.Datacenter {
 	if n > len(w.dcPts) {
@@ -199,7 +204,7 @@ func (w *World) Datacenters(n int) []*core.Datacenter {
 	}
 	dcs := make([]*core.Datacenter, n)
 	for i := 0; i < n; i++ {
-		dcs[i] = core.NewDatacenter(workload.DatacenterIDBase+int64(i), w.dcPts[i], w.Cfg.Core.DCEgress)
+		dcs[i] = core.NewDatacenter(w.dcID(i), w.dcPts[i], w.Cfg.Core.DCEgress)
 	}
 	return dcs
 }
@@ -208,7 +213,7 @@ func (w *World) Datacenters(n int) []*core.Datacenter {
 func (w *World) EdgeServers() []*core.Datacenter {
 	servers := make([]*core.Datacenter, len(w.srvPts))
 	for i, pt := range w.srvPts {
-		servers[i] = core.NewEdgeServer(workload.EdgeServerIDBase+int64(i), pt,
+		servers[i] = core.NewEdgeServer(w.edgeID(i), pt,
 			w.Cfg.EdgeServerEgress, w.Cfg.EdgeServerCapacity)
 	}
 	return servers
@@ -306,10 +311,10 @@ func (w *World) Endpoints() []trace.Endpoint {
 		out = append(out, trace.Endpoint{ID: trace.NodeID(sp.id), Pos: sp.pos, Class: trace.ClassSupernode})
 	}
 	for i, pt := range w.dcPts {
-		out = append(out, trace.Endpoint{ID: trace.NodeID(workload.DatacenterIDBase + int64(i)), Pos: pt, Class: trace.ClassDatacenter})
+		out = append(out, trace.Endpoint{ID: trace.NodeID(w.dcID(i)), Pos: pt, Class: trace.ClassDatacenter})
 	}
 	for i, pt := range w.srvPts {
-		out = append(out, trace.Endpoint{ID: trace.NodeID(workload.EdgeServerIDBase + int64(i)), Pos: pt, Class: trace.ClassServer})
+		out = append(out, trace.Endpoint{ID: trace.NodeID(w.edgeID(i)), Pos: pt, Class: trace.ClassServer})
 	}
 	return out
 }
@@ -326,11 +331,11 @@ func (w *World) ProbePairs(k int) [][2]trace.Endpoint {
 	}
 	dcs := make([]trace.Endpoint, len(w.dcPts))
 	for i, pt := range w.dcPts {
-		dcs[i] = trace.Endpoint{ID: trace.NodeID(workload.DatacenterIDBase + int64(i)), Pos: pt, Class: trace.ClassDatacenter}
+		dcs[i] = trace.Endpoint{ID: trace.NodeID(w.dcID(i)), Pos: pt, Class: trace.ClassDatacenter}
 	}
 	srvs := make([]trace.Endpoint, len(w.srvPts))
 	for i, pt := range w.srvPts {
-		srvs[i] = trace.Endpoint{ID: trace.NodeID(workload.EdgeServerIDBase + int64(i)), Pos: pt, Class: trace.ClassServer}
+		srvs[i] = trace.Endpoint{ID: trace.NodeID(w.edgeID(i)), Pos: pt, Class: trace.ClassServer}
 	}
 	for _, p := range w.Pop.Players {
 		pe := p.Endpoint()

@@ -57,21 +57,37 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestConfigRefusesAliasedNodeIDs: a supernode's ID is SupernodeIDBase plus
-// its player's, so one player past workload.MaxPlayers a player and a
-// supernode would be one trace.NodeID and the run would measure a landscape
-// nobody configured. The README's million-player run sits exactly on the
-// limit and stays legal; the error names the limit.
+// TestConfigRefusesAliasedNodeIDs: a supernode's ID is its population's
+// supernode base plus its player's, so the four ID ranges have to stay apart
+// at every population Validate lets through — a player and a supernode sharing
+// one trace.NodeID would measure a landscape nobody configured. Up to a
+// million players the bases are what they always were (every latency draw,
+// golden and recording keyed by them stands); above it they widen; Validate
+// refuses only where the widening itself runs out of int64.
 func TestConfigRefusesAliasedNodeIDs(t *testing.T) {
-	cfg := Default(1)
-	cfg.Players = workload.MaxPlayers
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("%d players refused: %v", cfg.Players, err)
+	for _, players := range []int{1_000_000, 1_000_001, 10_000_000} {
+		cfg := Default(1)
+		cfg.Players = players
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%d players refused: %v", players, err)
+		}
+		sn, dc, edge := workload.SupernodeIDBase(players), workload.DatacenterIDBase(players), workload.EdgeServerIDBase(players)
+		lastPlayer := workload.PlayerIDBase + int64(players) - 1
+		// NewWorld places at most max(Datacenters, 25) datacenter sites.
+		if lastPlayer >= sn || sn+lastPlayer >= dc || dc+25 > edge || edge+int64(cfg.EdgeServers) < edge {
+			t.Fatalf("%d players: ID ranges overlap: last player %d, supernodes from %d, datacenters from %d, edge servers from %d",
+				players, lastPlayer, sn, dc, edge)
+		}
+		if players == 1_000_000 && (sn != 1_000_000 || dc != 2_000_000 || edge != 3_000_000) {
+			t.Fatalf("a million players moved the bases to %d, %d, %d", sn, dc, edge)
+		}
 	}
-	cfg.Players++
+	cfg := Default(1)
+	limit := workload.MaxPlayers
+	cfg.Players = int(limit) + 1
 	err := cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(workload.MaxPlayers)) {
-		t.Fatalf("%d players: error %v, want one naming the limit %d", cfg.Players, err, workload.MaxPlayers)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(limit)) {
+		t.Fatalf("%d players: error %v, want one naming the limit %d", cfg.Players, err, limit)
 	}
 	if _, err := NewWorld(cfg); err == nil {
 		t.Fatalf("NewWorld built a world of %d players", cfg.Players)

@@ -14,7 +14,6 @@ import (
 	"cloudfog/internal/shard"
 	"cloudfog/internal/sim"
 	"cloudfog/internal/trace"
-	"cloudfog/internal/workload"
 	"cloudfog/internal/world"
 )
 
@@ -233,7 +232,7 @@ func (w *World) SupernodeScenario(k int) (uplink int64, specs []qoe.PlayerSpec) 
 		best := time.Duration(1<<62 - 1)
 		for i := 0; i < w.Cfg.Datacenters && i < len(w.dcPts); i++ {
 			dcEP := trace.Endpoint{
-				ID:    trace.NodeID(workload.DatacenterIDBase + int64(i)),
+				ID:    trace.NodeID(w.dcID(i)),
 				Pos:   w.dcPts[i],
 				Class: trace.ClassDatacenter,
 			}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -252,5 +253,51 @@ func TestCrossShardBackupRingFailover(t *testing.T) {
 	if inv(oneShard) != inv(twoShard) {
 		t.Fatalf("invariant outputs diverge across shard counts:\n 1: %s\n 2: %s",
 			inv(oneShard), inv(twoShard))
+	}
+}
+
+// TestScaleRunAllocBudget holds what the scale path allocates per player —
+// all of it, freed or not — under a ceiling, so that the next structure the
+// run builds and never reads shows up as a failure instead of as a profile
+// somebody has to think of taking (make reach counts functions entered; a
+// write-only field lives inside one that is). Measured on this world, bytes
+// per player, NewWorld / one ScaleRun: 218 / 397 at this PR, 3 027 / 606 at
+// its parent (the friend graph; a spec list for every serving supernode, a
+// map of every player, a map of every fog-served player per epoch). The
+// ceilings sit about a quarter above the measurement; the same figures under
+// the race detector are within 1 %.
+func TestScaleRunAllocBudget(t *testing.T) {
+	const (
+		players          = 20_000
+		worldBytesPerOne = 275
+		runBytesPerOne   = 500
+	)
+	cfg := Default(2026)
+	cfg.Players = players
+	cfg.Supernodes = 1_250
+	cfg.Shards = 2
+	allocated := func() uint64 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.TotalAlloc
+	}
+	start := allocated()
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := allocated()
+	if _, _, err := ScaleRun(w, RunOptions{
+		Horizon: 20 * time.Second, ScaleEpoch: 10 * time.Second,
+		Detector: "phi", Overload: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ran := allocated()
+	if got := (built - start) / players; got > worldBytesPerOne {
+		t.Errorf("NewWorld allocated %d bytes per player, budget %d", got, worldBytesPerOne)
+	}
+	if got := (ran - built) / players; got > runBytesPerOne {
+		t.Errorf("ScaleRun allocated %d bytes per player, budget %d", got, runBytesPerOne)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"cloudfog/internal/core"
-	"cloudfog/internal/workload"
 )
 
 // Clone returns a world whose players are fresh copies of this world's, so
@@ -14,13 +13,13 @@ import (
 // worker's state. Immutable data — the config, infrastructure placements,
 // supernode specs, friend lists — is shared; only the mutable per-player
 // runtime state (Online, Game, Attached, Backups) is duplicated, reset to
-// the never-joined state every sweep point starts from.
+// the never-joined state every sweep point starts from. The Population is
+// copied whole, so a clone taken before the friend graph exists carries the
+// graph's seed and builds the same one.
 func (w *World) Clone() *World {
 	cw := *w
-	pop := &workload.Population{
-		Players: make([]*core.Player, len(w.Pop.Players)),
-		Capable: w.Pop.Capable,
-	}
+	pop := *w.Pop
+	pop.Players = make([]*core.Player, len(w.Pop.Players))
 	for i, p := range w.Pop.Players {
 		cp := *p
 		cp.Online = false
@@ -28,7 +27,7 @@ func (w *World) Clone() *World {
 		cp.Backups = nil
 		pop.Players[i] = &cp
 	}
-	cw.Pop = pop
+	cw.Pop = &pop
 	return &cw
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -129,9 +130,13 @@ type Runner struct {
 	ownerOf map[int64]int
 	shards  []*shardState
 
-	playerIdx map[int64]int
-	onTime    []int64 // per-player packet tallies, index-aligned with players
-	total     []int64
+	// What the runner keeps per player, all index-aligned with players: the
+	// packet tallies and, with the ladder on, who served the player before the
+	// barrier's relief step. Nothing else needs a player's index — the node
+	// tasks carry the indices of the players they simulate.
+	onTime []int64
+	total  []int64
+	before []int64 // serving supernode ID, or notFogServed
 
 	nextEvent int // cursor into sched.Events
 	downPred  map[int64]bool
@@ -141,6 +146,10 @@ type Runner struct {
 
 	res Result
 }
+
+// notFogServed is no supernode's ID: the before entry of a player the cloud,
+// an edge server or nobody served.
+const notFogServed = math.MinInt64
 
 type pendingOrphan struct {
 	p      *core.Player
@@ -171,15 +180,14 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 		clk:       clk,
 		plan:      NewPlan(cfg.Width, cfg.Height, pts, cfg.Shards),
 		ownerOf:   make(map[int64]int),
-		playerIdx: make(map[int64]int, len(players)),
 		onTime:    make([]int64, len(players)),
 		total:     make([]int64, len(players)),
 		downPred:  make(map[int64]bool),
 		downSince: make(map[int64]time.Duration),
 		pending:   make(map[int64][]pendingOrphan),
 	}
-	for i, p := range players {
-		r.playerIdx[p.ID] = i
+	if cfg.Overload && fog.Overload() != nil {
+		r.before = make([]int64, len(players))
 	}
 	// Ownership freezes at t=0 from the cloud's estimated positions, so a
 	// node's heartbeat chain never migrates between engines (its detector
@@ -231,14 +239,20 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 	return r
 }
 
-// nodeTask is one supernode's segment-simulation slice of an epoch.
-type nodeTask struct {
+// nodeRun is one serving supernode's claim on an epoch's segment simulation:
+// pointer-free, because every serving node gets one before the budget cuts.
+type nodeRun struct {
 	node   int64
 	uplink int64
 	owner  int
 	dur    time.Duration
-	specs  []qoe.PlayerSpec
-	idx    []int // player indices aligned with specs
+}
+
+// nodeTask is one supernode's segment-simulation slice of an epoch.
+type nodeTask struct {
+	nodeRun
+	specs []qoe.PlayerSpec
+	idx   []int // player indices aligned with specs
 }
 
 // Run executes the full horizon and returns the aggregated result.
@@ -341,31 +355,61 @@ func (r *Runner) prologue(epoch int, t0, t1 time.Duration) (killsAt map[int64]ti
 	return killsAt, msgs
 }
 
-// buildTasks groups the fog-served players by serving supernode (canonical
-// player order) and selects which nodes run the segment simulation this
-// epoch. A node killed mid-epoch serves until its kill time. Cloud- and
-// edge-served players are tracked flow-level only.
+// buildTasks selects which serving supernodes run the segment simulation
+// this epoch and groups their players under them (canonical player order). A
+// node killed mid-epoch serves until its kill time. Cloud- and edge-served
+// players are tracked flow-level only. Two passes over the players: the first
+// only names the serving nodes, so a player spec is built for a node the
+// budget keeps and for no other.
 func (r *Runner) buildTasks(killsAt map[int64]time.Duration, t0, t1 time.Duration) []nodeTask {
+	seen := make(map[int64]struct{})
+	var runs []nodeRun // in first-seen player order
+	for _, p := range r.players {
+		a := p.Attached
+		if a.Kind != core.AttachSupernode {
+			continue
+		}
+		if _, dup := seen[a.SN.ID]; dup {
+			continue
+		}
+		seen[a.SN.ID] = struct{}{}
+		dur := t1 - t0
+		if killAt, dead := killsAt[a.SN.ID]; dead {
+			dur = killAt - t0
+		}
+		if dur > 0 {
+			runs = append(runs, nodeRun{node: a.SN.ID, uplink: a.SN.Uplink, owner: r.ownerOf[a.SN.ID], dur: dur})
+		}
+	}
+	if b := r.cfg.QoENodeBudget; b > 0 && len(runs) > b {
+		// Partition-invariant sample: rank nodes by a pure hash of
+		// (seed, epoch, node) and keep the b smallest.
+		epoch := int64(t0 / r.cfg.Epoch)
+		rank := func(id int64) uint64 {
+			return hash64(uint64(sim.SplitSeed(r.cfg.Seed, epoch)) ^ hash64(uint64(id)))
+		}
+		sortRunsByRank(runs, rank)
+		runs = runs[:b]
+	}
+
 	var capOf func(snID int64, startLevel int) int
 	if r.cfg.Overload && r.fog.Overload() != nil {
 		capOf = r.fog.SupernodeLevelCap
 	}
-	byNode := make(map[int64]*nodeTask)
-	order := make([]int64, 0, 64)
+	tasks := make([]nodeTask, len(runs))
+	taskOf := make(map[int64]*nodeTask, len(runs))
+	for i, run := range runs {
+		tasks[i].nodeRun = run
+		taskOf[run.node] = &tasks[i]
+	}
 	for i, p := range r.players {
 		a := p.Attached
 		if a.Kind != core.AttachSupernode {
 			continue
 		}
-		t := byNode[a.SN.ID]
+		t := taskOf[a.SN.ID]
 		if t == nil {
-			dur := t1 - t0
-			if killAt, dead := killsAt[a.SN.ID]; dead {
-				dur = killAt - t0
-			}
-			t = &nodeTask{node: a.SN.ID, uplink: a.SN.Uplink, owner: r.ownerOf[a.SN.ID], dur: dur}
-			byNode[a.SN.ID] = t
-			order = append(order, a.SN.ID)
+			continue
 		}
 		levelCap := 0
 		if capOf != nil {
@@ -379,23 +423,6 @@ func (r *Runner) buildTasks(killsAt map[int64]time.Duration, t0, t1 time.Duratio
 			LevelCap:     levelCap,
 		})
 		t.idx = append(t.idx, i)
-	}
-	tasks := make([]nodeTask, 0, len(order))
-	for _, id := range order {
-		t := byNode[id]
-		if t.dur > 0 {
-			tasks = append(tasks, *t)
-		}
-	}
-	if b := r.cfg.QoENodeBudget; b > 0 && len(tasks) > b {
-		// Partition-invariant sample: rank nodes by a pure hash of
-		// (seed, epoch, node) and keep the b smallest.
-		epoch := int64(t0 / r.cfg.Epoch)
-		rank := func(id int64) uint64 {
-			return hash64(uint64(sim.SplitSeed(r.cfg.Seed, epoch)) ^ hash64(uint64(id)))
-		}
-		sortTasksByRank(tasks, rank)
-		tasks = tasks[:b]
 	}
 	return tasks
 }
@@ -518,22 +545,22 @@ func (r *Runner) barrier(epoch int, t1 time.Duration, msgs []Msg) {
 		}
 	}
 	r.clk.advance(t1)
-	if r.cfg.Overload && r.fog.Overload() != nil {
-		before := make(map[int64]int64)
-		for _, p := range r.players {
+	if r.before != nil {
+		for i, p := range r.players {
+			r.before[i] = notFogServed
 			if p.Attached.Kind == core.AttachSupernode {
-				before[p.ID] = p.Attached.SN.ID
+				r.before[i] = p.Attached.SN.ID
 			}
 		}
 		moved := r.fog.RelieveOverloaded()
 		r.res.Moved += int64(moved)
 		if moved > 0 {
-			for _, p := range r.players {
+			for i, p := range r.players {
 				if p.Attached.Kind != core.AttachSupernode {
 					continue
 				}
-				old, had := before[p.ID]
-				if had && old != p.Attached.SN.ID &&
+				old := r.before[i]
+				if old != notFogServed && old != p.Attached.SN.ID &&
 					r.ownerOf[old] != r.ownerOf[p.Attached.SN.ID] {
 					r.res.CrossShardMigrations++
 				}
@@ -593,14 +620,14 @@ func (o *offsetImpair) BandwidthScale(now time.Duration) float64 {
 	return o.base.BandwidthScale(o.off + now)
 }
 
-// sortTasksByRank orders tasks by (hash rank, node id) ascending — a strict
+// sortRunsByRank orders runs by (hash rank, node id) ascending — a strict
 // total order, so the budgeted sample is deterministic.
-func sortTasksByRank(tasks []nodeTask, rank func(int64) uint64) {
-	sort.Slice(tasks, func(a, b int) bool {
-		ra, rb := rank(tasks[a].node), rank(tasks[b].node)
+func sortRunsByRank(runs []nodeRun, rank func(int64) uint64) {
+	sort.Slice(runs, func(a, b int) bool {
+		ra, rb := rank(runs[a].node), rank(runs[b].node)
 		if ra != rb {
 			return ra < rb
 		}
-		return tasks[a].node < tasks[b].node
+		return runs[a].node < runs[b].node
 	})
 }

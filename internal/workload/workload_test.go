@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"time"
@@ -40,6 +43,7 @@ func TestGeneratePopulationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pop.BuildFriends()
 	if len(pop.Players) != 1000 {
 		t.Fatalf("players = %d, want 1000", len(pop.Players))
 	}
@@ -70,6 +74,8 @@ func TestGeneratePopulationShape(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	a, _ := Generate(smallConfig(5))
 	b, _ := Generate(smallConfig(5))
+	a.BuildFriends()
+	b.BuildFriends()
 	for i := range a.Players {
 		if a.Players[i].Pos != b.Players[i].Pos ||
 			a.Players[i].Downlink != b.Players[i].Downlink ||
@@ -81,6 +87,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestFriendsAreValidAndDistinct(t *testing.T) {
 	pop, _ := Generate(smallConfig(2))
+	pop.BuildFriends()
 	for _, p := range pop.Players {
 		seen := map[int64]bool{}
 		for _, f := range p.Friends {
@@ -100,6 +107,7 @@ func TestFriendsAreValidAndDistinct(t *testing.T) {
 
 func TestFriendCountsSkewed(t *testing.T) {
 	pop, _ := Generate(smallConfig(3))
+	pop.BuildFriends()
 	// For a power law with skew 0.5 on [1,100]: P(k<=10) ~= 0.26 while
 	// P(k>=91) ~= 0.06 — the bottom decile is ~4x more likely than the top.
 	few, many := 0, 0
@@ -153,7 +161,7 @@ func TestBuildSupernodes(t *testing.T) {
 			t.Fatalf("duplicate supernode id %d", sn.ID)
 		}
 		ids[sn.ID] = true
-		if sn.ID < SupernodeIDBase {
+		if sn.ID < SupernodeIDBase(len(pop.Players)) {
 			t.Fatalf("supernode id %d below base", sn.ID)
 		}
 		capSum += float64(sn.Capacity)
@@ -286,6 +294,83 @@ func TestChooseGameRandomWithoutFriendsOnline(t *testing.T) {
 	for id := 1; id <= 5; id++ {
 		if counts[id] < 100 {
 			t.Fatalf("game %d chosen %d/1000 times; random fallback not uniform", id, counts[id])
+		}
+	}
+}
+
+// populationDigest hashes everything Generate and BuildFriends decide: each
+// player's ID, position bits, downlink and capable flag, the Capable order,
+// and every friend list in order.
+func populationDigest(pop *Population) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.BigEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(len(pop.Players)))
+	for _, p := range pop.Players {
+		put(uint64(p.ID))
+		put(math.Float64bits(p.Pos.X))
+		put(math.Float64bits(p.Pos.Y))
+		put(uint64(p.Downlink))
+		if p.SupernodeCapable {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	put(uint64(len(pop.Capable)))
+	for _, i := range pop.Capable {
+		put(uint64(i))
+	}
+	for _, p := range pop.Players {
+		put(uint64(len(p.Friends)))
+		for _, f := range p.Friends {
+			put(uint64(f))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPopulationGolden pins the population — friend graph included — to the
+// digests recorded when Generate built the graph itself, in its own loop with
+// a set per player (PR 21). The graph built on demand must be that graph:
+// whenever it is asked for, and once.
+func TestPopulationGolden(t *testing.T) {
+	for _, tc := range []struct {
+		players int
+		seed    int64
+		want    string
+	}{
+		{2500, 2027, "b31fe27984248141840de58359f199b1d2b89de9ca4e2956851334582fbee57b"},
+		{2500, 8, "4c4b0059f9e37e48e03551614a18d27f8cdd3053054d8a85185d1e340f472d61"},
+		{20000, 2027, "82b937a9fa7b9d2e2243f17900f0770c3b35c66828e03af405c629cf1a82b02c"},
+		{20000, 8, "02d3bbe3452696f5db8493bdc140849441179646504e141b3bb8494b0960125a"},
+	} {
+		cfg := DefaultConfig(tc.seed)
+		cfg.Players = tc.players
+		pop, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pop.Players {
+			if p.Friends != nil {
+				t.Fatalf("%d players, seed %d: Generate gave player %d friends", tc.players, tc.seed, p.ID)
+			}
+		}
+		// Another consumer of the population draws from its own stream first.
+		if _, err := pop.BuildSupernodes(tc.players/16, 2_500_000, sim.NewRand(tc.seed)); err != nil {
+			t.Fatal(err)
+		}
+		pop.BuildFriends()
+		if got := populationDigest(pop); got != tc.want {
+			t.Fatalf("%d players, seed %d: population digest %s, want %s", tc.players, tc.seed, got, tc.want)
+		}
+		first := pop.Players[0].Friends
+		pop.BuildFriends()
+		if again := pop.Players[0].Friends; &again[0] != &first[0] || populationDigest(pop) != tc.want {
+			t.Fatalf("%d players, seed %d: a second BuildFriends rebuilt the graph", tc.players, tc.seed)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package world
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -26,8 +27,13 @@ func PartitionKDSnap(bounds Rect, avatars []Vec2, depth int, snapX, snapY float6
 	if depth < 0 {
 		depth = 0
 	}
+	// One copy of the points, partitioned in place level by level: a node's
+	// two children are the two halves of its own sub-slice. keys is scratch
+	// every node fills with its points' coordinates on the split axis — a
+	// node is done with it before its children start.
 	pts := make([]Vec2, len(avatars))
 	copy(pts, avatars)
+	keys := make([]float64, len(pts))
 	var out []Region
 	var split func(r Rect, pts []Vec2, d int, axis int)
 	split = func(r Rect, pts []Vec2, d int, axis int) {
@@ -35,92 +41,68 @@ func PartitionKDSnap(bounds Rect, avatars []Vec2, depth int, snapX, snapY float6
 			out = append(out, Region{Bounds: r, Avatars: len(pts)})
 			return
 		}
-		if axis == 0 {
-			sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
-		} else {
-			sort.Slice(pts, func(i, j int) bool { return pts[i].Y < pts[j].Y })
+		lo, hi, snap := r.Min.X, r.Max.X, snapX
+		if axis != 0 {
+			lo, hi, snap = r.Min.Y, r.Max.Y, snapY
 		}
-		mid := len(pts) / 2
-		var cut float64
-		switch {
-		case len(pts) == 0:
-			// No load information: cut geometrically.
-			if axis == 0 {
-				cut = (r.Min.X + r.Max.X) / 2
-			} else {
-				cut = (r.Min.Y + r.Max.Y) / 2
+		sorted := keys[:len(pts)]
+		for i, p := range pts {
+			sorted[i] = p.X
+			if axis != 0 {
+				sorted[i] = p.Y
 			}
-		case axis == 0:
-			cut = pts[mid].X
-			if pts[0].X == cut {
+		}
+		slices.Sort(sorted)
+		// No load information: cut geometrically.
+		cut := (lo + hi) / 2
+		if mid := len(sorted) / 2; len(sorted) > 0 {
+			cut = sorted[mid]
+			if sorted[0] == cut {
 				// Every coordinate below the median duplicates it. Contains
 				// is max-exclusive, so cutting at the median would hand the
 				// whole stack to the right child and leave the left region
 				// holding avatars it cannot contain (a zero-load slab).
 				// Advance the cut past the duplicate run instead, keeping
 				// the stack — and a balanced split — on the left.
-				cut = advanceCut(pts, mid, axis)
-			}
-		default:
-			cut = pts[mid].Y
-			if pts[0].Y == cut {
-				cut = advanceCut(pts, mid, axis)
+				cut = advanceCut(sorted, mid)
 			}
 		}
 		// Out-of-range cuts (duplicate stacks spanning the whole slab, or
 		// median points on the boundary) fall back to a geometric cut so
 		// regions keep positive area.
-		lo, hi := r.Min, r.Max
-		if axis == 0 {
-			cut = snapCut(cut, lo.X, hi.X, snapX)
-			if cut <= lo.X || cut >= hi.X {
-				cut = (lo.X + hi.X) / 2
-			}
-		} else {
-			cut = snapCut(cut, lo.Y, hi.Y, snapY)
-			if cut <= lo.Y || cut >= hi.Y {
-				cut = (lo.Y + hi.Y) / 2
-			}
+		cut = snapCut(cut, lo, hi, snap)
+		if cut <= lo || cut >= hi {
+			cut = (lo + hi) / 2
 		}
-		var left, right Rect
+		left, right := r, r
 		if axis == 0 {
-			left = Rect{Min: lo, Max: Vec2{cut, hi.Y}}
-			right = Rect{Min: Vec2{cut, lo.Y}, Max: hi}
+			left.Max.X, right.Min.X = cut, cut
 		} else {
-			left = Rect{Min: lo, Max: Vec2{hi.X, cut}}
-			right = Rect{Min: Vec2{lo.X, cut}, Max: hi}
+			left.Max.Y, right.Min.Y = cut, cut
 		}
-		var lp, rp []Vec2
-		for _, p := range pts {
+		// The left child takes what it contains, the right child the rest —
+		// points outside this node's own bounds included.
+		n := 0
+		for i, p := range pts {
 			if left.Contains(p) {
-				lp = append(lp, p)
-			} else {
-				rp = append(rp, p)
+				pts[i], pts[n] = pts[n], p
+				n++
 			}
 		}
-		split(left, lp, d-1, 1-axis)
-		split(right, rp, d-1, 1-axis)
+		split(left, pts[:n], d-1, 1-axis)
+		split(right, pts[n:], d-1, 1-axis)
 	}
 	split(bounds, pts, depth, 0)
 	return out
 }
 
 // advanceCut returns the first coordinate strictly greater than the median
-// value on the given axis (pts are sorted on that axis), or NaN-free +Inf
-// semantics via the caller's boundary guard when every point shares the
-// value: math.Inf pushes the cut out of range, triggering the geometric
+// value sorted[mid], or +Inf when every point from the median up shares it:
+// that pushes the cut out of range, triggering the caller's geometric
 // fallback.
-func advanceCut(pts []Vec2, mid, axis int) float64 {
-	v := pts[mid].X
-	if axis != 0 {
-		v = pts[mid].Y
-	}
-	for _, p := range pts[mid:] {
-		c := p.X
-		if axis != 0 {
-			c = p.Y
-		}
-		if c > v {
+func advanceCut(sorted []float64, mid int) float64 {
+	for _, c := range sorted[mid:] {
+		if c > sorted[mid] {
 			return c
 		}
 	}

@@ -2,6 +2,9 @@ package world
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -267,5 +270,204 @@ func TestRectContainsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// partitionReference is PartitionKDSnap as it was while it fully sorted the
+// points at every level and copied them into two grown halves (PR 21), kept
+// verbatim as the oracle for the version that partitions one copy in place.
+func partitionReference(bounds Rect, avatars []Vec2, depth int, snapX, snapY float64) []Region {
+	if depth < 0 {
+		depth = 0
+	}
+	pts := make([]Vec2, len(avatars))
+	copy(pts, avatars)
+	var out []Region
+	var split func(r Rect, pts []Vec2, d int, axis int)
+	split = func(r Rect, pts []Vec2, d int, axis int) {
+		if d == 0 {
+			out = append(out, Region{Bounds: r, Avatars: len(pts)})
+			return
+		}
+		if axis == 0 {
+			sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
+		} else {
+			sort.Slice(pts, func(i, j int) bool { return pts[i].Y < pts[j].Y })
+		}
+		mid := len(pts) / 2
+		var cut float64
+		switch {
+		case len(pts) == 0:
+			// No load information: cut geometrically.
+			if axis == 0 {
+				cut = (r.Min.X + r.Max.X) / 2
+			} else {
+				cut = (r.Min.Y + r.Max.Y) / 2
+			}
+		case axis == 0:
+			cut = pts[mid].X
+			if pts[0].X == cut {
+				// Every coordinate below the median duplicates it. Contains
+				// is max-exclusive, so cutting at the median would hand the
+				// whole stack to the right child and leave the left region
+				// holding avatars it cannot contain (a zero-load slab).
+				// Advance the cut past the duplicate run instead, keeping
+				// the stack — and a balanced split — on the left.
+				cut = advanceCutReference(pts, mid, axis)
+			}
+		default:
+			cut = pts[mid].Y
+			if pts[0].Y == cut {
+				cut = advanceCutReference(pts, mid, axis)
+			}
+		}
+		// Out-of-range cuts (duplicate stacks spanning the whole slab, or
+		// median points on the boundary) fall back to a geometric cut so
+		// regions keep positive area.
+		lo, hi := r.Min, r.Max
+		if axis == 0 {
+			cut = snapCut(cut, lo.X, hi.X, snapX)
+			if cut <= lo.X || cut >= hi.X {
+				cut = (lo.X + hi.X) / 2
+			}
+		} else {
+			cut = snapCut(cut, lo.Y, hi.Y, snapY)
+			if cut <= lo.Y || cut >= hi.Y {
+				cut = (lo.Y + hi.Y) / 2
+			}
+		}
+		var left, right Rect
+		if axis == 0 {
+			left = Rect{Min: lo, Max: Vec2{cut, hi.Y}}
+			right = Rect{Min: Vec2{cut, lo.Y}, Max: hi}
+		} else {
+			left = Rect{Min: lo, Max: Vec2{hi.X, cut}}
+			right = Rect{Min: Vec2{lo.X, cut}, Max: hi}
+		}
+		var lp, rp []Vec2
+		for _, p := range pts {
+			if left.Contains(p) {
+				lp = append(lp, p)
+			} else {
+				rp = append(rp, p)
+			}
+		}
+		split(left, lp, d-1, 1-axis)
+		split(right, rp, d-1, 1-axis)
+	}
+	split(bounds, pts, depth, 0)
+	return out
+}
+
+// advanceCutReference returns the first coordinate strictly greater than the median
+// value on the given axis (pts are sorted on that axis), or NaN-free +Inf
+// semantics via the caller's boundary guard when every point shares the
+// value: math.Inf pushes the cut out of range, triggering the geometric
+// fallback.
+func advanceCutReference(pts []Vec2, mid, axis int) float64 {
+	v := pts[mid].X
+	if axis != 0 {
+		v = pts[mid].Y
+	}
+	for _, p := range pts[mid:] {
+		c := p.X
+		if axis != 0 {
+			c = p.Y
+		}
+		if c > v {
+			return c
+		}
+	}
+	return math.Inf(1)
+}
+
+// TestPartitionMatchesReference: the in-place partition returns the
+// reference's regions — bounds bit for bit, avatar counts exactly — over
+// random clouds, coincident stacks, axes every point shares, points on and
+// outside the bounds, with and without a snap lattice, at depth 0 to 6, down
+// to one point and none.
+func TestPartitionMatchesReference(t *testing.T) {
+	rng := sim.NewRand(20261002)
+	bounds := Rect{Min: Vec2{0, 0}, Max: Vec2{1000, 600}}
+	type cloud struct {
+		name string
+		gen  func(n int) []Vec2
+	}
+	clouds := []cloud{ // a slice, so the shared rng is consumed in one order
+		{"uniform", func(n int) []Vec2 {
+			pts := make([]Vec2, n)
+			for i := range pts {
+				pts[i] = Vec2{rng.Float64() * 1000, rng.Float64() * 600}
+			}
+			return pts
+		}},
+		{"clustered", func(n int) []Vec2 {
+			pts := clusteredAvatars(rng, n) // hotspots beyond these bounds too
+			for i := range pts {
+				pts[i] = Vec2{pts[i].X / 8, pts[i].Y / 8}
+			}
+			return pts
+		}},
+		{"stacks", func(n int) []Vec2 { // a few coincident piles
+			piles := []Vec2{{250, 300}, {250, 100}, {700, 300}, {999, 599}}
+			pts := make([]Vec2, n)
+			for i := range pts {
+				pts[i] = piles[rng.Intn(len(piles))]
+			}
+			return pts
+		}},
+		{"one-column", func(n int) []Vec2 { // every X equal
+			pts := make([]Vec2, n)
+			for i := range pts {
+				pts[i] = Vec2{400, rng.Float64() * 600}
+			}
+			return pts
+		}},
+		{"one-point", func(n int) []Vec2 { // every X and Y equal
+			pts := make([]Vec2, n)
+			for i := range pts {
+				pts[i] = Vec2{125, 250}
+			}
+			return pts
+		}},
+		{"edges-and-outside", func(n int) []Vec2 { // on every edge, past every edge
+			pts := make([]Vec2, n)
+			for i := range pts {
+				switch rng.Intn(6) {
+				case 0:
+					pts[i] = Vec2{0, rng.Float64() * 600}
+				case 1:
+					pts[i] = Vec2{1000, rng.Float64() * 600}
+				case 2:
+					pts[i] = Vec2{rng.Float64() * 1000, 600}
+				case 3:
+					pts[i] = Vec2{-50 + rng.Float64()*1100, -40 + rng.Float64()*680}
+				case 4:
+					pts[i] = Vec2{1000, 600}
+				default:
+					pts[i] = Vec2{rng.Float64() * 1000, rng.Float64() * 600}
+				}
+			}
+			return pts
+		}},
+	}
+	for _, c := range clouds {
+		for _, n := range []int{0, 1, 2, 3, 17, 64, 500} {
+			for depth := 0; depth <= 6; depth++ {
+				for _, snap := range [][2]float64{{0, 0}, {125, 50}, {0, 75}, {2000, 2000}} {
+					pts := c.gen(n)
+					given := append([]Vec2(nil), pts...)
+					want := partitionReference(bounds, pts, depth, snap[0], snap[1])
+					got := PartitionKDSnap(bounds, pts, depth, snap[0], snap[1])
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, %d points, depth %d, snap %v: regions differ from the reference\n got: %+v\nwant: %+v",
+							c.name, n, depth, snap, got, want)
+					}
+					if !slices.Equal(pts, given) {
+						t.Fatalf("%s, %d points, depth %d: the caller's points were reordered", c.name, n, depth)
+					}
+				}
+			}
+		}
 	}
 }
