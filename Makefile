@@ -123,10 +123,14 @@ latency:
 # against a plain slice after every operation of the random-ops, storm and
 # fleet-wide-failure tests; the one limit a probe is held to; the scaling run's
 # golden, its bytes-allocated-per-player ceiling and the friend graph built
-# late or on a clone; the grid's traversal and retune contracts; the latency
-# model's resolved-endpoint and Within properties and its OneWay golden; the
-# population golden; the two-pass node sample and the in-place kd partition
-# against their one-pass and sort-and-copy references), then a 200 000-player
+# late or on a clone; the grid's sorted k-best against brute force, its
+# tie-break on ID, accept asked about entrants only, the reused buffer, and the
+# retune contracts; the latency model's resolved-endpoint and Within properties
+# and its OneWay golden; the population golden; the two-pass node sample and
+# the in-place kd partition against their one-pass and sort-and-copy
+# references; the event engine — the one this run's heartbeats and ticks are
+# queued on — against its container/heap reference, its stale-handle and
+# lazy-cancel contracts and its zero-allocation floors), then a 200 000-player
 # cloudfog-sim -scale run at 1 and at 8 shards, whose output must be the same
 # bytes once what describes the run and not the result is masked (the shard
 # count, the timing and memory fields, the cross-shard diagnostic line), then
@@ -138,7 +142,7 @@ SCALE_SMOKE = -scale -players 200000 -supernodes 12500 -detector phi -overload -
 scale:
 	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Supernodes|Relief|Reindex|[Pp]robe' ./internal/core/
 	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|FriendGraph|AliasedNodeIDs' ./internal/experiment/
-	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/world/
+	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/world/ ./internal/sim/
 	mkdir -p .bench_build
 	for s in 1 8; do \
 		$(GO) run ./cmd/cloudfog-sim $(SCALE_SMOKE) -shards $$s > .bench_build/scale-$$s.raw || exit 1; \
@@ -166,9 +170,11 @@ figures:
 # targets above, the verify skill and the README recipes use (including a
 # cloud + coordinator + three workers + four players role deployment with a
 # SIGTERM drain and a SIGKILL), counters merged, the never-entered functions
-# and the statement total printed. It is a report with one hard check — it
-# fails if an internal package is linked by no binary — not a coverage gate,
-# so it is not part of verify. DESIGN.md §18 says what the list may contain.
+# and the statement total printed. Not a coverage gate, and at ~4 min not part
+# of verify, but it has two hard checks: it fails if an internal package is
+# linked by no binary, and if the never-entered list is not exactly
+# scripts/reach-allow.txt — a new name is new dead code, a missing one is now
+# entered or gone. DESIGN.md §18 gives every name on the list its reason.
 reach:
 	bash scripts/reach.sh
 

@@ -72,7 +72,7 @@ var (
 	shardsFlag     = flag.Int("shards", 1, "partition a single run's world into this many geographic shards run in parallel between epoch barriers (figure output is byte-identical at any value)")
 	epochFlag      = flag.Duration("epoch", 0, "sharded-run barrier interval (0 = 15s default)")
 	nodeBudgetFlag = flag.Int("scale-nodes", 0, "sharded scaling run: supernodes sampled for segment-level QoE per epoch (0 = 32 default, negative = all)")
-	scaleFlag      = flag.Bool("scale", false, "run only the sharded scaling experiment (figscale) and print its timing and shard diagnostics")
+	scaleFlag      = flag.Bool("scale", false, "run only the sharded scaling experiment (figscale) and print its timing and shard diagnostics (to record it, use -figures figscale -record)")
 	recordFlag     = flag.String("record", "", "run the selected figures under the flight recorder and write the recording to this file")
 	cpuProfFlag    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -119,6 +119,9 @@ func withProfiles(fn func() error) error {
 
 func run() error {
 	if *recordFlag != "" {
+		if *scaleFlag {
+			return fmt.Errorf("-scale cannot be recorded; use -figures figscale -record %s", *recordFlag)
+		}
 		return runRecord()
 	}
 	figs, err := experiment.SelectFigures(*figuresFlag)
@@ -179,15 +182,17 @@ func run() error {
 	}
 
 	if *scaleFlag {
-		return runScale(w, opts, worldBuild)
-	}
-
-	for _, fig := range figs {
-		res, err := fig.Run(w, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", fig.Name, err)
+		if err := runScale(w, opts, worldBuild); err != nil {
+			return err
 		}
-		printFigure(fig, res)
+	} else {
+		for _, fig := range figs {
+			res, err := fig.Run(w, opts)
+			if err != nil {
+				return fmt.Errorf("%s: %w", fig.Name, err)
+			}
+			printFigure(fig, res)
+		}
 	}
 
 	if *reportFlag != "" {
@@ -214,12 +219,16 @@ func printFigure(fig experiment.Figure, res experiment.FigureResult) {
 		}
 		fmt.Println()
 	default:
-		if *csvFlag {
-			fmt.Println(csvTable(fig.XLabel, res.Series))
-		} else {
-			fmt.Println(metrics.Table(fig.XLabel, res.Series))
-		}
+		fmt.Println(table(fig.XLabel, res.Series))
 	}
+}
+
+// table renders series as -csv asks: comma-separated, or aligned text.
+func table(xLabel string, series []metrics.Series) string {
+	if *csvFlag {
+		return csvTable(xLabel, series)
+	}
+	return metrics.Table(xLabel, series)
 }
 
 // specFromFlags lifts the CLI invocation into a flight.RunSpec — the
@@ -297,7 +306,7 @@ func runScale(w *experiment.World, opts experiment.RunOptions, worldBuild time.D
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	fmt.Println(fig.Title)
-	fmt.Println(metrics.Table(fig.XLabel, fig.Series))
+	fmt.Println(table(fig.XLabel, fig.Series))
 	fmt.Printf("shards=%d epochs=%d wall=%v world=%v mem=%dMiB\n", res.Shards, res.Epochs,
 		wall.Round(time.Millisecond), worldBuild.Round(time.Millisecond), mem.Sys>>20)
 	fmt.Printf("kills=%d recoveries=%d detections=%d (mean %.2fs) repairs=%d lapsed=%d cloud_hops=%d moved=%d pending_end=%d\n",

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -10,8 +11,19 @@ import (
 )
 
 // runWith runs the simulator in-process under the given flags and returns
-// what it printed. Flags go back to their defaults when the test ends.
+// what it printed; a run that fails fails the test.
 func runWith(t *testing.T, flags map[string]string) string {
+	t.Helper()
+	printed, err := runSim(t, flags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return printed
+}
+
+// runSim is runWith handing back run's error. Flags go back to their defaults
+// when the test ends.
+func runSim(t *testing.T, flags map[string]string) (string, error) {
 	t.Helper()
 	for name, value := range flags {
 		f := flag.Lookup(name)
@@ -30,16 +42,25 @@ func runWith(t *testing.T, flags map[string]string) string {
 	defer out.Close()
 	stdout := os.Stdout
 	os.Stdout = out
-	err = run()
+	runErr := run()
 	os.Stdout = stdout
-	if err != nil {
-		t.Fatal(err)
-	}
 	printed, err := os.ReadFile(out.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(printed)
+	return string(printed), runErr
+}
+
+// scaleSmoke is the -scale run `make chaos` makes, less its shard count.
+func scaleSmoke(extra map[string]string) map[string]string {
+	flags := map[string]string{
+		"scale": "true", "players": "1500", "supernodes": "100",
+		"detector": "phi", "overload": "true", "horizon": "20s", "epoch": "10s",
+	}
+	for name, value := range extra {
+		flags[name] = value
+	}
+	return flags
 }
 
 // TestScaleOutputIsShardInvariant is the binary's smoke test: the -scale run
@@ -51,10 +72,7 @@ func TestScaleOutputIsShardInvariant(t *testing.T) {
 	perRun := regexp.MustCompile(`(shards|wall|world|mem)=\S+`)
 	var want string
 	for _, shards := range []string{"1", "4"} {
-		printed := runWith(t, map[string]string{
-			"scale": "true", "players": "1500", "supernodes": "100", "shards": shards,
-			"detector": "phi", "overload": "true", "horizon": "20s", "epoch": "10s",
-		})
+		printed := runWith(t, scaleSmoke(map[string]string{"shards": shards}))
 		for _, field := range []string{"shards=" + shards + " epochs=2 wall=", " world=", " mem=", "kills=", "sampled continuity: "} {
 			if !strings.Contains(printed, field) {
 				t.Fatalf("-shards %s: output lacks %q:\n%s", shards, field, printed)
@@ -71,5 +89,47 @@ func TestScaleOutputIsShardInvariant(t *testing.T) {
 		} else if got != want {
 			t.Fatalf("-shards %s prints\n%s\n-shards 1 printed\n%s", shards, got, want)
 		}
+	}
+}
+
+// TestScaleWritesReport: -scale ends in the same -report the figure loop
+// writes — run fails on an unbalanced ledger — not in an early return.
+func TestScaleWritesReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.json")
+	printed := runWith(t, scaleSmoke(map[string]string{"shards": "2", "report": path}))
+	if !strings.Contains(printed, "observability report written to "+path) {
+		t.Fatalf("-scale -report did not announce its report:\n%s", printed)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep runReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Snapshot.Counters["cloudfog_assign_joins_fog_total"] == 0 {
+		t.Fatalf("report carries no fog joins: %v", rep.Snapshot.Counters)
+	}
+}
+
+func TestScaleHonoursCSV(t *testing.T) {
+	printed := runWith(t, scaleSmoke(map[string]string{"csv": "true"}))
+	if !strings.Contains(printed, "t (s),served,fog-served,unserved,coverage\n10,") {
+		t.Fatalf("-scale -csv printed no comma-separated table:\n%s", printed)
+	}
+}
+
+// TestScaleRefusesRecord: run tests -record before -scale, and a recording
+// takes its figures from -figures alone, so the pair would record every figure
+// and no scaling run; it is an error that names the invocation that records one.
+func TestScaleRefusesRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scale.flight")
+	_, err := runSim(t, scaleSmoke(map[string]string{"record": path}))
+	if err == nil || !strings.Contains(err.Error(), "-figures figscale -record") {
+		t.Fatalf("-scale -record: err = %v, want one naming -figures figscale -record", err)
+	}
+	if _, statErr := os.Stat(path); statErr == nil {
+		t.Fatal("-scale -record wrote a recording")
 	}
 }

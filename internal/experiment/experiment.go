@@ -131,7 +131,7 @@ func NewWorld(cfg Config) (*World, error) {
 	w := &World{Cfg: cfg, Pop: pop}
 
 	rng := sim.NewRand(cfg.Seed + 100)
-	w.dcPts = geo.SpreadPoints(cfg.Core.Region, maxInt(cfg.Datacenters, 25), rng.Fork())
+	w.dcPts = geo.SpreadPoints(cfg.Core.Region, max(cfg.Datacenters, 25), rng.Fork())
 	w.srvPts = geo.SpreadPoints(cfg.Core.Region, cfg.EdgeServers, rng.Fork())
 
 	sns, err := pop.BuildSupernodes(cfg.Supernodes, cfg.Core.UplinkPerSlot, rng.Fork())
@@ -143,13 +143,6 @@ func NewWorld(cfg Config) (*World, error) {
 		w.snSpec[i] = snSpec{id: sn.ID, pos: sn.Pos, capacity: sn.Capacity, uplink: sn.Uplink}
 	}
 	return w, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Fingerprint digests the generated world — every player's identity,

@@ -267,7 +267,7 @@ var figures = []Figure{
 			if err != nil {
 				return FigureResult{}, err
 			}
-			s, err := QoEVsChurn(w, o.ChurnRates, resilienceProfile(w, o).Duration.Duration, ho)
+			s, err := QoEVsChurn(w, o.ChurnRates, ResilienceProfile(w, o).Duration.Duration, ho)
 			return FigureResult{Series: s}, err
 		},
 	},
@@ -281,7 +281,7 @@ var figures = []Figure{
 			if err != nil {
 				return FigureResult{}, err
 			}
-			s, title, err := RecoveryTimeline(w, resilienceProfile(w, o), o.Horizon, ho)
+			s, title, err := RecoveryTimeline(w, ResilienceProfile(w, o), o.Horizon, ho)
 			return FigureResult{Title: title, Series: s}, err
 		},
 	},

@@ -7,14 +7,11 @@ import (
 
 	"cloudfog/internal/core"
 	"cloudfog/internal/game"
-	"cloudfog/internal/geo"
 	"cloudfog/internal/metrics"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/qoe"
-	"cloudfog/internal/shard"
 	"cloudfog/internal/sim"
 	"cloudfog/internal/trace"
-	"cloudfog/internal/world"
 )
 
 // nodeStatsFor binds the canonical QoE metrics in the world's registry and
@@ -42,12 +39,10 @@ type nodeKey struct {
 // attached players inherit their node's current encoding-level cap.
 //
 // Per-node simulations are pure in (opts, uplink, specs, horizon), so the
-// node runs parallelize freely: with Cfg.Shards > 1 the nodes are
-// partitioned geographically and each shard runs its slice on its own
-// qoe.Pool, with results landing in per-node slots and concatenating in the
-// canonical node order — byte-identical to the serial path at any shard
-// count. The serial path reuses one pool across all nodes, which is what
-// cut Figure 9(a)'s per-run allocations to the pooled floor.
+// node runs parallelize freely: Cfg.Shards workers (one when unset, never
+// more than there are nodes) each take every workers-th node on a qoe.Pool
+// of their own, with results landing in per-node slots and concatenating in
+// the canonical node order — the same bytes at any shard count.
 func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Options, horizon time.Duration) (qoe.Summary, error) {
 	if w.Cfg.Obs != nil && opts.Obs == nil {
 		opts.Obs = nodeStatsFor(w)
@@ -58,7 +53,6 @@ func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Option
 	}
 	type group struct {
 		uplink int64
-		pos    geo.Point
 		specs  []qoe.PlayerSpec
 	}
 	groups := make(map[nodeKey]*group)
@@ -70,23 +64,20 @@ func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Option
 		var key nodeKey
 		var uplink int64
 		var levelCap int
-		var pos geo.Point
 		switch a.Kind {
 		case core.AttachSupernode:
 			key = nodeKey{kind: 1, id: a.SN.ID}
 			uplink = a.SN.Uplink
-			pos = a.SN.Pos
 			if capOf != nil {
 				levelCap = capOf(a.SN.ID, p.Game.StartLevel)
 			}
 		case core.AttachCloud, core.AttachEdge:
 			key = nodeKey{kind: 0, id: a.DC.ID}
 			uplink = a.DC.Egress
-			pos = a.DC.Pos
 		}
 		g := groups[key]
 		if g == nil {
-			g = &group{uplink: uplink, pos: pos}
+			g = &group{uplink: uplink}
 			groups[key] = g
 		}
 		g.specs = append(g.specs, qoe.PlayerSpec{
@@ -108,61 +99,38 @@ func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Option
 		return keys[a].id < keys[b].id
 	})
 
-	var all []qoe.PlayerResult
-	if w.Cfg.Shards <= 1 {
+	workers := min(max(w.Cfg.Shards, 1), len(keys))
+	slots := make([][]qoe.PlayerResult, len(keys))
+	errs := make([]error, workers)
+	run := func(wk int) {
 		pool := qoe.NewPool()
-		for _, k := range keys {
-			g := groups[k]
+		for i := wk; i < len(keys); i += workers {
+			g := groups[keys[i]]
 			res, err := pool.RunNode(opts, g.uplink, g.specs, horizon)
 			if err != nil {
-				return qoe.Summary{}, err
+				errs[wk] = err
+				return
 			}
-			all = append(all, res...)
+			// Pool results are reused on the next RunNode: copy out.
+			slots[i] = append(make([]qoe.PlayerResult, 0, len(res)), res...)
 		}
-		return qoe.Summarize(all), nil
 	}
-
-	// Sharded: partition the serving nodes geographically and run each
-	// shard's slice on its own pool and goroutine.
-	region := w.Cfg.Core.Region
-	pts := make([]world.Vec2, len(keys))
-	for i, k := range keys {
-		pts[i] = world.Vec2{X: groups[k].pos.X, Y: groups[k].pos.Y}
-	}
-	plan := shard.NewPlan(region.Width, region.Height, pts, w.Cfg.Shards)
-	owner := make([]int, len(keys))
-	for i := range keys {
-		owner[i] = plan.Owner(pts[i].X, pts[i].Y)
-	}
-	slots := make([][]qoe.PlayerResult, len(keys))
-	errs := make([]error, plan.Shards())
 	var wg sync.WaitGroup
-	for s := 0; s < plan.Shards(); s++ {
+	for wk := 1; wk < workers; wk++ {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			pool := qoe.NewPool()
-			for i, k := range keys {
-				if owner[i] != s {
-					continue
-				}
-				g := groups[k]
-				res, err := pool.RunNode(opts, g.uplink, g.specs, horizon)
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				// Pool results are reused on the next RunNode: copy out.
-				slots[i] = append(make([]qoe.PlayerResult, 0, len(res)), res...)
-			}
-		}(s)
+			run(wk)
+		}()
 	}
+	run(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return qoe.Summary{}, err
 		}
 	}
+	var all []qoe.PlayerResult
 	for _, res := range slots {
 		all = append(all, res...)
 	}

@@ -130,11 +130,6 @@ func ResilienceProfile(w *World, o RunOptions) *fault.Profile {
 	return DefaultChaosProfile(w.Cfg.Seed + 600)
 }
 
-// resilienceProfile is the internal alias of ResilienceProfile.
-func resilienceProfile(w *World, o RunOptions) *fault.Profile {
-	return ResilienceProfile(w, o)
-}
-
 // churnRateProfile is one figchurn point: rate supernode kills per minute at
 // a fixed repair time and detection heartbeat.
 func churnRateProfile(seed int64, duration time.Duration, rate float64) *fault.Profile {

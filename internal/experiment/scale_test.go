@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudfog/internal/core"
 	"cloudfog/internal/fault"
 	"cloudfog/internal/qoe"
 	"cloudfog/internal/shard"
@@ -152,14 +153,16 @@ func TestScaleRunProgress(t *testing.T) {
 	}
 }
 
-// TestGroupRunShardedMatchesSerial asserts the sharded group-run path (the
-// QoE figures' node-level parallelism) reproduces the serial bytes: Figure
-// 9(a) computed at Shards=4 equals Shards=1.
+// TestGroupRunShardedMatchesSerial asserts groupRun (the QoE figures'
+// node-level parallelism) produces the same bytes however many workers share
+// the nodes: Figure 9(a) at every shard count — including one that does not
+// divide the node count and one above it — equals Shards=1, and a run over
+// no served player is the empty summary at each.
 func TestGroupRunShardedMatchesSerial(t *testing.T) {
 	counts := []int{60, 120}
 	horizon := 6 * time.Second
 	var want string
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 2, 3, 4, 1000} {
 		w, err := NewWorld(scaleTestConfig(11, shards))
 		if err != nil {
 			t.Fatal(err)
@@ -171,10 +174,16 @@ func TestGroupRunShardedMatchesSerial(t *testing.T) {
 		got := fmt.Sprintf("%#v", s)
 		if shards == 1 {
 			want = got
-			continue
 		}
 		if got != want {
-			t.Fatalf("sharded groupRun diverges from serial:\n serial: %s\n sharded: %s", want, got)
+			t.Fatalf("groupRun at %d shards diverges from serial:\n serial: %s\n sharded: %s", shards, want, got)
+		}
+		unserved := []*core.Player{{ID: 1}}
+		for _, players := range [][]*core.Player{nil, unserved} {
+			sum, err := groupRun(w, nil, players, qoe.BasicOptions(), horizon)
+			if err != nil || sum != (qoe.Summary{}) {
+				t.Fatalf("groupRun over no served player at %d shards = %+v, %v; want the empty summary", shards, sum, err)
+			}
 		}
 	}
 }

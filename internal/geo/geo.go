@@ -68,16 +68,6 @@ type Placer interface {
 	Place(r *sim.Rand) Point
 }
 
-// UniformPlacer spreads nodes uniformly over a region.
-type UniformPlacer struct {
-	Region Region
-}
-
-// Place draws a uniform position in the region.
-func (u UniformPlacer) Place(r *sim.Rand) Point {
-	return Point{X: r.Float64() * u.Region.Width, Y: r.Float64() * u.Region.Height}
-}
-
 // Cluster is one population center: nodes placed from it are normally
 // distributed around Center with standard deviation Sigma kilometers.
 type Cluster struct {

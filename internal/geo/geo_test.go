@@ -53,17 +53,6 @@ func TestRegionContainsAndClamp(t *testing.T) {
 	}
 }
 
-func TestUniformPlacerStaysInRegion(t *testing.T) {
-	r := sim.NewRand(1)
-	rg := USRegion()
-	up := UniformPlacer{Region: rg}
-	for i := 0; i < 10000; i++ {
-		if p := up.Place(r); !rg.Contains(p) {
-			t.Fatalf("uniform placement outside region: %v", p)
-		}
-	}
-}
-
 func TestClusterPlacerStaysInRegion(t *testing.T) {
 	r := sim.NewRand(2)
 	cp := DefaultUSPlacer()

@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics toolkit the experiment
-// harness aggregates results with: streaming mean/variance, duration
-// samples with percentiles, and coverage counters.
+// harness aggregates results with: duration samples with percentiles,
+// coverage counters and figure series tables.
 package metrics
 
 import (
@@ -9,38 +9,6 @@ import (
 	"sort"
 	"time"
 )
-
-// Welford accumulates mean and variance in one pass.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add accumulates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean (0 with no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the sample variance (0 with fewer than two observations).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // DurationSample collects durations for mean/percentile reporting.
 type DurationSample struct {

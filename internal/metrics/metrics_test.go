@@ -1,71 +1,10 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestWelfordMeanStd(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("n = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v, want 5", w.Mean())
-	}
-	// Sample variance of that classic set is 32/7.
-	if math.Abs(w.Var()-32.0/7.0) > 1e-12 {
-		t.Fatalf("var = %v, want %v", w.Var(), 32.0/7.0)
-	}
-}
-
-func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.Std() != 0 {
-		t.Fatal("empty accumulator not zero")
-	}
-	w.Add(3)
-	if w.Mean() != 3 || w.Var() != 0 {
-		t.Fatal("single observation wrong")
-	}
-}
-
-func TestWelfordMatchesNaive(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) < 2 {
-			return true
-		}
-		var w Welford
-		sum := 0.0
-		for _, x := range clean {
-			w.Add(x)
-			sum += x
-		}
-		mean := sum / float64(len(clean))
-		ss := 0.0
-		for _, x := range clean {
-			ss += (x - mean) * (x - mean)
-		}
-		naiveVar := ss / float64(len(clean)-1)
-		scale := math.Max(1, math.Abs(naiveVar))
-		return math.Abs(w.Mean()-mean) < 1e-6 && math.Abs(w.Var()-naiveVar)/scale < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestDurationSamplePercentiles(t *testing.T) {
 	var d DurationSample

@@ -158,8 +158,8 @@ func (l *EventLog) Events() []Event {
 	return out
 }
 
-// EngineStats instruments the discrete-event engine. The engine holds a
-// nilable pointer and pays one nil-check per site when disabled.
+// EngineStats counts discrete events. The node simulation reports each run's
+// tallies through NodeStats.Engine; sim.Engine itself carries no counters.
 type EngineStats struct {
 	Scheduled *Counter
 	Executed  *Counter

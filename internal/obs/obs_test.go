@@ -123,12 +123,12 @@ func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("gen_total", "").Add(7)
 	r.Histogram("lat_ns", "", []int64{10}).Observe(3)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	raw, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Counters["gen_total"] != 7 {

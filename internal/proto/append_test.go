@@ -288,22 +288,6 @@ func TestUnmarshalSegmentIntoBorrows(t *testing.T) {
 	}
 }
 
-func TestBufferPoolRecycles(t *testing.T) {
-	var bp BufferPool
-	b := bp.Get(64)
-	if len(b) != 0 || cap(b) < 64 {
-		t.Fatalf("Get(64) = len %d cap %d", len(b), cap(b))
-	}
-	b = append(b, bytes.Repeat([]byte{9}, 1024)...)
-	bp.Put(b)
-	got := bp.Get(512)
-	if len(got) != 0 {
-		t.Fatalf("recycled buffer not reset: len %d", len(got))
-	}
-	// Oversize buffers must be dropped, not pinned.
-	bp.Put(make([]byte, maxPooledBuf+1))
-}
-
 // chunkReader yields its underlying bytes in caller-chosen chunk sizes,
 // modelling TCP segmentation of a batched writev.
 type chunkReader struct {

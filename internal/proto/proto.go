@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"cloudfog/internal/world"
@@ -176,39 +175,6 @@ func ParseDatagram(p []byte) (MsgType, []byte, error) {
 			len(p)-FrameHeaderLen, n)
 	}
 	return MsgType(p[0]), p[FrameHeaderLen:], nil
-}
-
-// BufferPool recycles payload and frame buffers across encodes and decodes.
-// The zero value is ready to use. Buffers above maxPooledBuf are dropped on
-// Put so one giant frame cannot pin memory for the pool's lifetime.
-type BufferPool struct {
-	p sync.Pool
-}
-
-// maxPooledBuf bounds the capacity of buffers the pool retains.
-const maxPooledBuf = 1 << 20
-
-// Get returns a zero-length buffer with at least capHint capacity.
-func (bp *BufferPool) Get(capHint int) []byte {
-	if v := bp.p.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= capHint {
-			return b[:0]
-		}
-	}
-	if capHint < 512 {
-		capHint = 512
-	}
-	return make([]byte, 0, capHint)
-}
-
-// Put returns a buffer to the pool. The caller must not use b afterward.
-func (bp *BufferPool) Put(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
-		return
-	}
-	b = b[:0]
-	bp.p.Put(&b)
 }
 
 // Append-side primitives: each writes one big-endian field and returns the

@@ -141,7 +141,7 @@ type Runner struct {
 	nextEvent int // cursor into sched.Events
 	downPred  map[int64]bool
 	downSince map[int64]time.Duration
-	pending   map[int64][]pendingOrphan
+	pending   map[int64][]*core.Player
 	future    []Msg // oracle detects beyond the current epoch
 
 	res Result
@@ -150,11 +150,6 @@ type Runner struct {
 // notFogServed is no supernode's ID: the before entry of a player the cloud,
 // an edge server or nobody served.
 const notFogServed = math.MinInt64
-
-type pendingOrphan struct {
-	p      *core.Player
-	killAt time.Duration
-}
 
 // NewRunner plans the partition and builds the per-shard machinery. The fog
 // must have been built with the Clock's Now as its time source and have the
@@ -184,7 +179,7 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 		total:     make([]int64, len(players)),
 		downPred:  make(map[int64]bool),
 		downSince: make(map[int64]time.Duration),
-		pending:   make(map[int64][]pendingOrphan),
+		pending:   make(map[int64][]*core.Player),
 	}
 	if cfg.Overload && fog.Overload() != nil {
 		r.before = make([]int64, len(players))
@@ -317,7 +312,7 @@ func (r *Runner) prologue(epoch int, t0, t1 time.Duration) (killsAt map[int64]ti
 			}
 			r.downPred[ev.Node] = true
 			killsAt[ev.Node] = ev.At
-			msgs = append(msgs, Msg{Epoch: epoch, At: ev.At, Kind: MsgKill, Node: ev.Node, Shard: -1, D: ev.D})
+			msgs = append(msgs, Msg{Epoch: epoch, At: ev.At, Kind: MsgKill, Node: ev.Node, Shard: -1})
 			if monitored {
 				s := r.shards[r.ownerOf[ev.Node]]
 				node, at := ev.Node, ev.At
@@ -497,9 +492,7 @@ func (r *Runner) barrier(epoch int, t1 time.Duration, msgs []Msg) {
 			if _, down := r.downSince[m.Node]; !down {
 				r.downSince[m.Node] = m.At
 			}
-			for _, p := range orphans {
-				r.pending[m.Node] = append(r.pending[m.Node], pendingOrphan{p: p, killAt: m.At})
-			}
+			r.pending[m.Node] = append(r.pending[m.Node], orphans...)
 		case MsgRecover:
 			if _, ok := r.downSince[m.Node]; !ok {
 				continue
@@ -527,15 +520,15 @@ func (r *Runner) barrier(epoch int, t1 time.Duration, msgs []Msg) {
 			}
 			delete(r.pending, m.Node)
 			from := r.ownerOf[m.Node]
-			for _, po := range pend {
-				if !r.fog.Failover(po.p) {
+			for _, p := range pend {
+				if !r.fog.Failover(p) {
 					r.res.Lapsed++
 					continue
 				}
 				r.res.Repairs++
-				switch po.p.Attached.Kind {
+				switch p.Attached.Kind {
 				case core.AttachSupernode:
-					if r.ownerOf[po.p.Attached.SN.ID] != from {
+					if r.ownerOf[p.Attached.SN.ID] != from {
 						r.res.CrossShardRepairs++
 					}
 				case core.AttachCloud, core.AttachEdge:

@@ -59,7 +59,6 @@ func (c *Clock) advance(t time.Duration) {
 type Plan struct {
 	regions []world.Region
 	assign  []int // region index -> shard
-	shards  int
 }
 
 // NewPlan partitions a width×height world carrying the given avatar
@@ -83,12 +82,8 @@ func NewPlan(width, height float64, pts []world.Vec2, shards int) *Plan {
 	return &Plan{
 		regions: regions,
 		assign:  world.AssignRegions(regions, shards),
-		shards:  shards,
 	}
 }
-
-// Shards returns the shard count the plan was built for.
-func (p *Plan) Shards() int { return p.shards }
 
 // Owner returns the shard owning position (x, y). Regions tile the bounds
 // half-open (max-exclusive), so points on the outer max edges fall back to
@@ -158,9 +153,6 @@ type Msg struct {
 	Node  int64
 	Shard int
 	Seq   int64
-	// D carries the kill's detection window (oracle mode draws the
-	// synthetic detection delay from it).
-	D time.Duration
 }
 
 // sortMsgs orders messages canonically: (Epoch, At, Kind, Node, Shard, Seq)

@@ -23,9 +23,6 @@ func TestPlanOwnerTotal(t *testing.T) {
 	pts := testPoints(500, 1)
 	for _, shards := range []int{1, 2, 4, 8} {
 		p := NewPlan(4500, 2900, pts, shards)
-		if p.Shards() != shards {
-			t.Fatalf("Shards() = %d, want %d", p.Shards(), shards)
-		}
 		probe := append(testPoints(200, 2),
 			world.Vec2{X: 4500, Y: 2900}, // outer max corner (half-open miss)
 			world.Vec2{X: 0, Y: 0},

@@ -5,29 +5,25 @@
 // executes events in time order. Ties are broken by scheduling order, so a
 // run with a fixed seed is fully reproducible.
 //
-// The event queue is a 4-ary min-heap of small event-entry values ordered by
-// (time, sequence) — no per-event heap allocation and no interface boxing.
-// Callbacks live in a slot arena recycled through a free list; handles carry
-// a generation counter so Cancel on a stale handle can never touch a slot
-// that has been reused for a later event. Steady-state Schedule+Step is
-// allocation-free (see TestScheduleStepZeroAllocs).
+// The event queue is a binary min-heap of callback values ordered by
+// (time, sequence) — no per-event heap allocation and no interface boxing,
+// so steady-state Schedule+Step is allocation-free (see
+// TestScheduleStepZeroAllocs). It is sized to its traffic (DESIGN.md §8):
+// the heaviest run in the repo spends under 1 % of its time here, and nothing
+// the product runs cancels an event, so the queue keeps no index for Cancel.
 package sim
 
 import (
 	"fmt"
 	"time"
-
-	"cloudfog/internal/obs"
 )
 
-// Event is a generation-counted handle to a scheduled callback, returned by
-// the scheduling methods so callers can cancel the event before it fires.
-// The zero value is an inert handle: Cancel and Canceled work but refer to
-// no event.
+// Event is a handle to a scheduled callback, returned by the scheduling
+// methods so callers can cancel the event before it fires. The zero value
+// is an inert handle: Cancel and Canceled work but refer to no event.
 type Event struct {
 	e        *Engine
-	slot     int32
-	gen      uint64
+	seq      uint64
 	at       time.Duration
 	canceled bool
 }
@@ -36,90 +32,58 @@ type Event struct {
 func (ev *Event) At() time.Duration { return ev.at }
 
 // Cancel prevents the event from firing. Canceling an event that already
-// fired or was already canceled is a no-op: the generation check makes sure
-// a stale handle cannot cancel an unrelated event that reused the slot.
+// fired, was already canceled, or was queued before a Reset is a no-op:
+// sequence numbers are never reused, so a stale handle matches nothing.
 func (ev *Event) Cancel() {
 	ev.canceled = true
 	if ev.e != nil {
-		ev.e.cancel(ev.slot, ev.gen)
+		ev.e.cancel(ev.seq)
 	}
 }
 
 // Canceled reports whether Cancel was called on this handle.
 func (ev *Event) Canceled() bool { return ev.canceled }
 
-// eventEntry is one heap element: the firing time and tie-breaking sequence
-// plus the index of the slot holding the callback. Entries are plain values;
-// the heap never stores pointers or interfaces.
-type eventEntry struct {
-	at   time.Duration
-	seq  uint64
-	slot int32
+// event is one queue element: the firing time, the tie-breaking sequence
+// number and the callback with its payload. A nil fn marks a canceled event,
+// discarded when it reaches the root.
+type event struct {
+	at  time.Duration
+	seq uint64
+	fn  func(any)
+	arg any
 }
 
-func entryLess(a, b eventEntry) bool {
+func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// eventSlot holds a pending callback. Exactly one of fn/pfn is set. While
-// queued, the slot is owned by its heap entry; Cancel only marks it, and the
-// slot returns to the free list when the entry is popped.
-type eventSlot struct {
-	fn       func()
-	pfn      func(any)
-	arg      any
-	gen      uint64
-	next     int32 // free-list link while free
-	canceled bool
-}
-
 // Engine is a single-threaded discrete-event scheduler with a virtual clock.
-// The zero value is not ready to use; call New.
+// The zero value is an engine with the clock at zero and an empty queue.
 type Engine struct {
 	now      time.Duration
-	heap     []eventEntry
-	slots    []eventSlot
-	free     int32 // head of the slot free list; -1 when empty
+	queue    []event
 	seq      uint64
 	executed uint64
 	stopped  bool
-
-	// stats, when non-nil, counts scheduled/executed/canceled events. The
-	// hot paths pay one nil-check when disabled; counters never influence
-	// control flow, so instrumented runs stay deterministic.
-	stats *obs.EngineStats
 }
 
 // New returns an engine with the clock at zero and an empty event queue.
-func New() *Engine {
-	return &Engine{free: -1}
-}
-
-// SetStats attaches (or, with nil, detaches) an observability bundle.
-func (e *Engine) SetStats(s *obs.EngineStats) { e.stats = s }
+func New() *Engine { return &Engine{} }
 
 // Reset returns the engine to its post-New state — clock at zero, queue
-// empty, sequence counter rewound — while keeping the heap and slot arena
-// capacity, so back-to-back runs reuse one engine without reallocating.
-// Every slot generation is bumped, invalidating all outstanding Event
-// handles from the previous run. A reset engine behaves bit-identically to
-// a fresh one: scheduling order restarts from sequence zero.
+// empty — while keeping the queue's capacity, so back-to-back runs reuse one
+// engine without reallocating. The sequence counter keeps counting, which is
+// what makes every outstanding Event handle stale; only the order of
+// sequence numbers is ever compared, so a reset engine fires exactly like a
+// fresh one.
 func (e *Engine) Reset() {
-	e.heap = e.heap[:0]
-	e.free = -1
-	for i := len(e.slots) - 1; i >= 0; i-- {
-		sl := &e.slots[i]
-		sl.fn, sl.pfn, sl.arg = nil, nil, nil
-		sl.canceled = false
-		sl.gen++
-		sl.next = e.free
-		e.free = int32(i)
-	}
+	clear(e.queue)
+	e.queue = e.queue[:0]
 	e.now = 0
-	e.seq = 0
 	e.executed = 0
 	e.stopped = false
 }
@@ -129,10 +93,14 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending returns the number of events still queued (including canceled
 // events that have not yet been discarded).
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Executed returns the number of events that have fired so far.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// call adapts a plain callback to the payload form every event is stored
+// in: a func value in an any does not allocate.
+func call(fn any) { fn.(func())() }
 
 // Schedule queues fn to run after delay from the current virtual time.
 // A negative delay is treated as zero. It panics if fn is nil.
@@ -140,10 +108,7 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) Event {
 	if fn == nil {
 		panic("sim: Schedule called with nil fn")
 	}
-	if delay < 0 {
-		delay = 0
-	}
-	return e.schedule(e.now+delay, fn, nil, nil)
+	return e.SchedulePayload(delay, call, fn)
 }
 
 // ScheduleAt queues fn to run at absolute virtual time t. Times in the past
@@ -152,7 +117,7 @@ func (e *Engine) ScheduleAt(t time.Duration, fn func()) Event {
 	if fn == nil {
 		panic("sim: ScheduleAt called with nil fn")
 	}
-	return e.schedule(t, fn, nil, nil)
+	return e.SchedulePayloadAt(t, call, fn)
 }
 
 // SchedulePayload queues fn(arg) to run after delay from the current
@@ -162,70 +127,36 @@ func (e *Engine) ScheduleAt(t time.Duration, fn func()) Event {
 // in the any payload does not allocate. A negative delay is treated as
 // zero. It panics if fn is nil.
 func (e *Engine) SchedulePayload(delay time.Duration, fn func(any), arg any) Event {
-	if fn == nil {
-		panic("sim: SchedulePayload called with nil fn")
-	}
 	if delay < 0 {
 		delay = 0
 	}
-	return e.schedule(e.now+delay, nil, fn, arg)
+	return e.SchedulePayloadAt(e.now+delay, fn, arg)
 }
 
 // SchedulePayloadAt is SchedulePayload at an absolute virtual time. Times in
 // the past are clamped to the current time. It panics if fn is nil.
 func (e *Engine) SchedulePayloadAt(t time.Duration, fn func(any), arg any) Event {
 	if fn == nil {
-		panic("sim: SchedulePayloadAt called with nil fn")
+		panic("sim: SchedulePayload called with nil fn")
 	}
-	return e.schedule(t, nil, fn, arg)
-}
-
-func (e *Engine) schedule(t time.Duration, fn func(), pfn func(any), arg any) Event {
 	if t < e.now {
 		t = e.now
 	}
-	slot := e.allocSlot()
-	sl := &e.slots[slot]
-	sl.fn, sl.pfn, sl.arg = fn, pfn, arg
-	e.push(eventEntry{at: t, seq: e.seq, slot: slot})
+	ev := Event{e: e, seq: e.seq, at: t}
 	e.seq++
-	if e.stats != nil {
-		e.stats.Scheduled.Inc()
-	}
-	return Event{e: e, slot: slot, gen: sl.gen, at: t}
+	e.push(event{at: t, seq: ev.seq, fn: fn, arg: arg})
+	return ev
 }
 
-func (e *Engine) allocSlot() int32 {
-	if e.free >= 0 {
-		s := e.free
-		e.free = e.slots[s].next
-		return s
-	}
-	e.slots = append(e.slots, eventSlot{})
-	return int32(len(e.slots) - 1)
-}
-
-// freeSlot recycles a slot whose heap entry was popped. Bumping the
-// generation invalidates every outstanding handle to the old event.
-func (e *Engine) freeSlot(slot int32) {
-	sl := &e.slots[slot]
-	sl.fn, sl.pfn, sl.arg = nil, nil, nil
-	sl.canceled = false
-	sl.gen++
-	sl.next = e.free
-	e.free = slot
-}
-
-// cancel marks the slot's event canceled if the handle's generation still
-// matches; the slot itself is reclaimed lazily when its entry is popped.
-func (e *Engine) cancel(slot int32, gen uint64) {
-	if slot < 0 || int(slot) >= len(e.slots) {
-		return
-	}
-	if sl := &e.slots[slot]; sl.gen == gen && !sl.canceled {
-		sl.canceled = true
-		if e.stats != nil {
-			e.stats.Canceled.Inc()
+// cancel blanks the queued event with the given sequence number, if there is
+// one; its entry is discarded when it reaches the root. The walk is
+// deliberate: nothing the product runs cancels an event (DESIGN.md §8), so
+// the queue carries no index from handle to position.
+func (e *Engine) cancel(seq uint64) {
+	for i := range e.queue {
+		if e.queue[i].seq == seq {
+			e.queue[i].fn, e.queue[i].arg = nil, nil
+			return
 		}
 	}
 }
@@ -233,25 +164,15 @@ func (e *Engine) cancel(slot int32, gen uint64) {
 // Step executes the next event, advancing the clock to its timestamp.
 // It returns false when the queue holds no runnable events.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ent := e.pop()
-		sl := &e.slots[ent.slot]
-		if sl.canceled {
-			e.freeSlot(ent.slot)
+	for len(e.queue) > 0 {
+		at, fn, arg := e.queue[0].at, e.queue[0].fn, e.queue[0].arg
+		e.pop()
+		if fn == nil {
 			continue
 		}
-		fn, pfn, arg := sl.fn, sl.pfn, sl.arg
-		e.freeSlot(ent.slot)
-		e.now = ent.at
+		e.now = at
 		e.executed++
-		if e.stats != nil {
-			e.stats.Executed.Inc()
-		}
-		if fn != nil {
-			fn()
-		} else {
-			pfn(arg)
-		}
+		fn(arg)
 		return true
 	}
 	return false
@@ -281,15 +202,13 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 }
 
 // peek returns the firing time of the earliest runnable event, discarding
-// canceled events found at the heap root along the way.
+// canceled events found at the root along the way.
 func (e *Engine) peek() (time.Duration, bool) {
-	for len(e.heap) > 0 {
-		ent := e.heap[0]
-		if !e.slots[ent.slot].canceled {
-			return ent.at, true
+	for len(e.queue) > 0 {
+		if e.queue[0].fn != nil {
+			return e.queue[0].at, true
 		}
 		e.pop()
-		e.freeSlot(ent.slot)
 	}
 	return 0, false
 }
@@ -297,56 +216,46 @@ func (e *Engine) peek() (time.Duration, bool) {
 // Stop makes the active Run or RunUntil return after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// The heap is 4-ary: children of i are 4i+1..4i+4. A wider node roughly
-// halves the tree depth versus a binary heap, trading a few extra sibling
-// comparisons (cheap: entries are 24-byte values in one cache line) for
-// fewer swap levels on every push and pop.
-
-func (e *Engine) push(ent eventEntry) {
-	h := append(e.heap, ent)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !entryLess(h[i], h[parent]) {
+func (e *Engine) push(ev event) {
+	q := append(e.queue, ev)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
-	e.heap = h
+	e.queue = q
 }
 
-func (e *Engine) pop() eventEntry {
-	h := e.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	e.heap = h
-	n := len(h)
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if entryLess(h[j], h[best]) {
-				best = j
+// pop discards the root: callers read what they need of it first, which
+// spares copying a 40-byte entry out of the slice and back through a return.
+func (e *Engine) pop() {
+	q := e.queue
+	n := len(q) - 1
+	if n > 0 {
+		// Sift the hole at the root down to where the last entry belongs.
+		last := q[n]
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
 			}
+			if c+1 < n && q[c+1].before(&q[c]) {
+				c++
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
 		}
-		if !entryLess(h[best], h[i]) {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
+		q[i] = last
 	}
-	return top
+	q[n] = event{} // drop the callback and payload references
+	e.queue = q[:n]
 }
 
 // Every schedules fn to run repeatedly with the given period, starting one

@@ -9,9 +9,9 @@ import (
 // --- Reference implementation: the pre-rewrite container/heap engine. ---
 //
 // The equivalence test drives this oracle and the production engine with the
-// same randomized schedule/cancel/Every workload and asserts identical
-// firing order and clocks, so the 4-ary value heap, free list, and payload
-// events cannot drift from the documented (at, seq) total order.
+// same randomized schedule/cancel/Every/Reset workload and asserts identical
+// firing order and clocks, so the value heap, its blanked cancels and the
+// payload adapters cannot drift from the documented (at, seq) total order.
 
 type refEvent struct {
 	at       time.Duration
@@ -59,6 +59,13 @@ func (e *refEngine) Schedule(delay time.Duration, fn func()) *refEvent {
 	return ev
 }
 
+// Reset empties the queue and rewinds the clock. Handles to the dropped
+// events stay valid pointers to events nothing will ever pop.
+func (e *refEngine) Reset() {
+	e.queue = nil
+	e.now = 0
+}
+
 func (e *refEngine) Step() bool {
 	for e.queue.Len() > 0 {
 		ev := heap.Pop(&e.queue).(*refEvent)
@@ -100,6 +107,7 @@ type driver struct {
 	schedule func(delay time.Duration, fn func()) (cancel func())
 	every    func(period time.Duration, fn func()) (stop func())
 	runUntil func(deadline time.Duration)
+	reset    func()
 }
 
 func newEngineDriver(e *Engine) driver {
@@ -114,6 +122,7 @@ func newEngineDriver(e *Engine) driver {
 			return tk.Stop
 		},
 		runUntil: e.RunUntil,
+		reset:    e.Reset,
 	}
 }
 
@@ -147,6 +156,7 @@ func newRefDriver(e *refEngine) driver {
 			}
 		},
 		runUntil: e.RunUntil,
+		reset:    e.Reset,
 	}
 }
 
@@ -161,13 +171,16 @@ func runWorkload(t *testing.T, d driver, seed int64) ([]firing, time.Duration) {
 	var cancels []func()
 	var tickerStops []func()
 	nextID := 0
+	// Firings after which events stop spawning, and tickers ever started;
+	// both are raised after the Reset.
+	limit, maxTickers := 400, 8
 	var spawn func(id int)
 	spawn = func(id int) {
 		log = append(log, firing{id, d.now()})
-		if len(log) >= 600 {
+		if len(log) >= limit {
 			return
 		}
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0, 1, 2, 3: // schedule one successor
 			id := nextID
 			nextID++
@@ -187,7 +200,7 @@ func runWorkload(t *testing.T, d driver, seed int64) ([]firing, time.Duration) {
 			nextID++
 			cancels = append(cancels, d.schedule(time.Duration(rng.Intn(2_000_000)), func() { spawn(id) }))
 		case 6: // start a ticker
-			if len(tickerStops) < 8 {
+			if len(tickerStops) < maxTickers {
 				id := nextID
 				nextID++
 				tickerStops = append(tickerStops, d.every(time.Duration(1+rng.Intn(4))*time.Millisecond, func() { spawn(id) }))
@@ -204,16 +217,45 @@ func runWorkload(t *testing.T, d driver, seed int64) ([]firing, time.Duration) {
 			id := nextID
 			nextID++
 			cancels = append(cancels, d.schedule(-time.Millisecond, func() { spawn(id) }))
+		case 10: // cancel-after-fire: the event cancels its own handle, then spawns at the same instant
+			id := nextID
+			nextID++
+			var self func()
+			self = d.schedule(time.Duration(rng.Intn(2_000_000)), func() {
+				self()
+				spawn(id)
+			})
+			cancels = append(cancels, self)
 		}
 	}
-	for i := 0; i < 25; i++ {
-		id := nextID
-		nextID++
-		cancels = append(cancels, d.schedule(time.Duration(rng.Intn(1_000_000)), func() { spawn(id) }))
+	plant := func() {
+		for i := 0; i < 25; i++ {
+			id := nextID
+			nextID++
+			cancels = append(cancels, d.schedule(time.Duration(rng.Intn(1_000_000)), func() { spawn(id) }))
+		}
 	}
 	// Alternate RunUntil horizons so deadline clamping is exercised too.
-	for h := 5 * time.Millisecond; h <= 400*time.Millisecond; h += 5 * time.Millisecond {
-		d.runUntil(h)
+	sweep := func() {
+		for h := 5 * time.Millisecond; h <= 200*time.Millisecond; h += 5 * time.Millisecond {
+			d.runUntil(h)
+		}
+	}
+	plant()
+	sweep()
+	// Mid-run Reset: the clock rewinds with events and tickers still queued,
+	// and every handle in cancels and tickerStops goes stale — cases 5 and 7
+	// keep drawing from them.
+	beforeReset := len(log)
+	d.reset()
+	if now := d.now(); now != 0 {
+		t.Fatalf("clock after Reset = %v, want 0", now)
+	}
+	limit, maxTickers = 800, 16
+	plant()
+	sweep()
+	if after := len(log) - beforeReset; beforeReset < 150 || after < 150 {
+		t.Fatalf("seed %d: %d firings before the Reset and %d after; want 150 on each side", seed, beforeReset, after)
 	}
 	for _, stop := range tickerStops {
 		stop()
@@ -237,37 +279,70 @@ func TestEngineMatchesHeapReference(t *testing.T) {
 				t.Fatalf("seed %d: firing %d = %+v, reference %+v", seed, i, gotLog[i], wantLog[i])
 			}
 		}
-		if len(gotLog) < 200 {
+		if len(gotLog) < 400 {
 			t.Fatalf("seed %d: workload fired only %d events; raise the horizon", seed, len(gotLog))
 		}
 	}
 }
 
-// TestCancelSafeAfterSlotReuse pins the generation scheme: a handle kept
-// past its event's firing must not cancel an unrelated event that happens to
-// reuse the freed slot.
+// TestCancelSafeAfterSlotReuse pins what a stale handle is promised: one
+// whose event already fired, and one from before a Reset, cancel nothing —
+// also when later events are queued for the very instant the stale one held.
 func TestCancelSafeAfterSlotReuse(t *testing.T) {
 	e := New()
-	stale := e.Schedule(time.Millisecond, func() {})
-	e.Run() // fires; the slot returns to the free list
-	ran := false
-	fresh := e.Schedule(time.Millisecond, func() { ran = true })
-	stale.Cancel() // must be a no-op on the reused slot
+	fired := e.Schedule(time.Millisecond, func() {})
 	e.Run()
-	if !ran {
-		t.Fatal("stale Cancel killed an event that reused the slot")
+	ran := 0
+	fresh := e.ScheduleAt(fired.At(), func() { ran++ })
+	fired.Cancel()
+	e.Run()
+	if ran != 1 || fresh.Canceled() {
+		t.Fatalf("Cancel on a fired handle: later event ran %d times, canceled=%v", ran, fresh.Canceled())
 	}
-	if fresh.Canceled() {
-		t.Fatal("fresh handle reports canceled")
+
+	dropped := e.Schedule(time.Millisecond, func() { t.Fatal("event queued before Reset ran") })
+	e.Reset()
+	// Enough events that a sequence counter rewound by Reset would hand one
+	// of them the dropped event's number.
+	ran = 0
+	for i := 0; i < 4; i++ {
+		e.ScheduleAt(dropped.At(), func() { ran++ })
+	}
+	dropped.Cancel()
+	e.Run()
+	if ran != 4 {
+		t.Fatalf("Cancel on a pre-Reset handle: %d of 4 later events ran", ran)
+	}
+}
+
+// TestPendingCountsCanceledUntilPopped pins the lazy discard: Cancel blanks
+// the queued entry where it lies, and the entry leaves the queue only when
+// it reaches the root.
+func TestPendingCountsCanceledUntilPopped(t *testing.T) {
+	e := New()
+	e.Schedule(time.Millisecond, func() {})
+	ev := e.Schedule(2*time.Millisecond, func() { t.Fatal("canceled event ran") })
+	e.Schedule(3*time.Millisecond, func() {})
+	ev.Cancel()
+	if e.Pending() != 3 {
+		t.Fatalf("pending after Cancel = %d, want 3", e.Pending())
+	}
+	e.Step()
+	if e.Pending() != 2 {
+		t.Fatalf("pending after first event = %d, want 2", e.Pending())
+	}
+	e.Step() // pops the canceled entry, then fires the third event
+	if e.Pending() != 0 || e.Executed() != 2 {
+		t.Fatalf("pending = %d, executed = %d; want 0, 2", e.Pending(), e.Executed())
 	}
 }
 
 // TestScheduleStepZeroAllocs pins the tentpole contract: steady-state
-// Schedule+Step allocates nothing once the heap and slot arena are warm.
+// Schedule+Step allocates nothing once the queue is warm.
 func TestScheduleStepZeroAllocs(t *testing.T) {
 	e := New()
 	fn := func() {}
-	e.Schedule(time.Millisecond, fn) // warm the arena and heap
+	e.Schedule(time.Millisecond, fn) // warm the queue
 	e.Step()
 	if avg := testing.AllocsPerRun(200, func() {
 		e.Schedule(time.Millisecond, fn)
@@ -278,7 +353,7 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 }
 
 // TestSchedulePayloadZeroAllocs additionally checks that a pointer payload
-// does not box: the payload path is what the QoE hot loop rides.
+// does not box: the payload path is what the monitor's heartbeats ride.
 func TestSchedulePayloadZeroAllocs(t *testing.T) {
 	e := New()
 	type payload struct{ n int }

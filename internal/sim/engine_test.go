@@ -3,8 +3,6 @@ package sim
 import (
 	"testing"
 	"time"
-
-	"cloudfog/internal/obs"
 )
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
@@ -240,28 +238,35 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestEngineStatsCountLifecycle(t *testing.T) {
+// BenchmarkEngineChain is a chain of events, each scheduling the next: one
+// push and one pop on a queue of one (EXPERIMENTS.md, PR 23).
+func BenchmarkEngineChain(b *testing.B) {
 	e := New()
-	stats := obs.EngineStatsIn(obs.NewRegistry())
-	e.SetStats(stats)
-	ran := 0
-	for i := 0; i < 5; i++ {
-		e.Schedule(time.Duration(i+1)*time.Millisecond, func() { ran++ })
+	fired := 0
+	var next func()
+	next = func() {
+		if fired++; fired < b.N {
+			e.Schedule(time.Millisecond, next)
+		}
 	}
-	ev := e.Schedule(10*time.Millisecond, func() { ran++ })
-	ev.Cancel()
-	ev.Cancel() // double-cancel must not double-count
-	e.Run()
-	if ran != 5 {
-		t.Fatalf("ran %d events, want 5", ran)
+	e.Schedule(time.Millisecond, next)
+	b.ResetTimer()
+	for e.Step() {
 	}
-	if got := stats.Scheduled.Load(); got != 6 {
-		t.Fatalf("scheduled = %d, want 6", got)
+}
+
+// BenchmarkEnginePending2000 keeps 2 000 payload events queued, each
+// re-arming itself one period on — a health.Monitor's heartbeats.
+func BenchmarkEnginePending2000(b *testing.B) {
+	const pending = 2000
+	e := New()
+	var beat func(any)
+	beat = func(arg any) { e.SchedulePayload(time.Second, beat, arg) }
+	for i := 0; i < pending; i++ {
+		e.SchedulePayload(time.Duration(i)*time.Second/pending, beat, e)
 	}
-	if got := stats.Executed.Load(); got != 5 {
-		t.Fatalf("executed = %d, want 5", got)
-	}
-	if got := stats.Canceled.Load(); got != 1 {
-		t.Fatalf("canceled = %d, want 1", got)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }

@@ -8,7 +8,7 @@
 // every figure, and on every failover; a full scan-and-sort over all
 // registered supernodes is the dominant cost of the whole evaluation. The
 // grid turns that into an expanding-ring search over the few cells around
-// the query point, with a bounded max-heap in place of a full sort.
+// the query point, keeping the k best seen so far in a sorted slice.
 //
 // Determinism contract: neighbors are ordered by squared distance with
 // ties broken on ascending ID. The ordering is a strict total order over
@@ -28,8 +28,7 @@ type Neighbor struct {
 }
 
 // worse reports whether a ranks strictly after b in query order
-// (farther, or equally far with the larger ID). It is the max-heap
-// ordering: the heap root is the worst retained candidate.
+// (farther, or equally far with the larger ID).
 func worse(a, b Neighbor) bool {
 	if a.Dist2 != b.Dist2 {
 		return a.Dist2 > b.Dist2
@@ -226,16 +225,16 @@ func (g *Grid) Nearest(x, y float64, k int, accept func(id int64) bool) []Neighb
 // result as it stands (nearer than the current k-th, or fewer than k held),
 // so which points it sees, and how often, depends on the bucket layout.
 func (g *Grid) NearestInto(buf []Neighbor, x, y float64, k int, accept func(id int64) bool) []Neighbor {
-	h := buf[:0]
+	h := buf[:0] // the best seen so far, in result order; h[k-1] is the worst kept
 	if k <= 0 || g.n == 0 {
 		return h
 	}
 	cx, cy := g.cellCoords(x, y)
-	maxR := maxInt(maxInt(cx, g.cols-1-cx), maxInt(cy, g.rows-1-cy))
+	maxR := max(cx, g.cols-1-cx, cy, g.rows-1-cy)
 	for r := 0; r <= maxR; r++ {
 		if len(h) == k && r >= 2 {
 			lb := float64(r-1) * g.minCell
-			if lb*lb > h[0].Dist2 {
+			if lb*lb > h[k-1].Dist2 {
 				break
 			}
 		}
@@ -258,67 +257,25 @@ func (g *Grid) NearestInto(buf []Neighbor, x, y float64, k int, accept func(id i
 					e := &bucket[i]
 					dx, dy := e.x-x, e.y-y
 					cand := Neighbor{ID: e.id, Dist2: dx*dx + dy*dy}
-					if len(h) == k && !worse(h[0], cand) {
+					if len(h) == k && !worse(h[k-1], cand) {
 						continue
 					}
 					if accept != nil && !accept(e.id) {
 						continue
 					}
+					// Sorted insert, the k-th falling off the end: k is 15 at
+					// most everywhere, so the shift is a few words.
 					if len(h) < k {
 						h = append(h, cand)
-						siftUp(h)
-					} else {
-						h[0] = cand
-						siftDown(h, 0)
 					}
+					j := len(h) - 1
+					for ; j > 0 && worse(h[j-1], cand); j-- {
+						h[j] = h[j-1]
+					}
+					h[j] = cand
 				}
 			}
 		}
 	}
-	// Heap-sort in place: repeatedly move the worst candidate to the end,
-	// yielding (distance, ID)-ascending order without allocating.
-	for end := len(h) - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftDown(h[:end], 0)
-	}
 	return h
-}
-
-// siftUp restores the max-heap property after appending to h.
-func siftUp(h []Neighbor) {
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !worse(h[i], h[parent]) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// siftDown restores the max-heap property after replacing h[i].
-func siftDown(h []Neighbor, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < len(h) && worse(h[l], h[worst]) {
-			worst = l
-		}
-		if r < len(h) && worse(h[r], h[worst]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

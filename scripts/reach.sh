@@ -5,8 +5,11 @@
 # smokes, the verify skill and the README recipes drive it — including a
 # multi-process role deployment with a SIGTERM drain and a SIGKILL — merges
 # the counters, and prints the functions no run entered plus the statement
-# total. A report, not a coverage gate, with one hard check: an internal
-# package that no binary links fails the run.
+# total. Not a coverage gate, but it has two hard checks: an internal package
+# that no binary links fails the run, and so does a never-entered list that
+# differs from scripts/reach-allow.txt — a name outside the file is new dead
+# code (wire it, delete it, or add it with its reason to DESIGN.md §18), a
+# name only in the file is now entered or gone (take it out).
 #
 # Everything it writes goes under .reach/ (git-ignored). Set REACH_PORT to
 # move the role deployment off 127.0.0.1:19700-19706.
@@ -47,7 +50,7 @@ quiet "$bin/cloudfog-sim" -figures figchurn,figrecovery -faults examples/chaos/p
 quiet "$bin/cloudfog-sim" -figures figdetect -players 1500 -supernodes 100 \
 	-report "$run/detect_report.json"
 quiet "$bin/cloudfog-sim" -scale -players 1500 -supernodes 100 -shards 4 \
-	-horizon 30s -epoch 10s -detector phi -overload
+	-horizon 30s -epoch 10s -detector phi -overload -report "$run/scale_report.json" -csv
 quiet "$bin/cloudfog-sim" -figures figchurn,figrecovery -players 400 -supernodes 25 -datacenters 3 \
 	-horizon 60s -detector timeout -overload -breaker -faults examples/flight/profile.json \
 	-record "$run/chaos.flight" -csv
@@ -162,3 +165,19 @@ if [ -s "$out/unlinked.txt" ]; then
 	exit 1
 fi
 echo "reach: every internal package ($(wc -l <"$out/packages.txt")) is linked by a binary"
+
+# --- The allow-list: the never-entered list is scripts/reach-allow.txt, no
+# more and no less. Names are "file function" without line numbers, so moving
+# code does not move the list; comm pairs repeated lines (two methods of one
+# name in one file) one for one. ---
+sed -E 's/:[0-9]+:\t/ /' "$out/never-entered.txt" | sort >"$out/never-names.txt"
+grep -v '^#' scripts/reach-allow.txt | sort >"$out/allowed.txt"
+comm -23 "$out/never-names.txt" "$out/allowed.txt" >"$out/unlisted.txt"
+comm -13 "$out/never-names.txt" "$out/allowed.txt" >"$out/stale.txt"
+if [ -s "$out/unlisted.txt" ] || [ -s "$out/stale.txt" ]; then
+	echo "reach: FAIL — the never-entered list is not scripts/reach-allow.txt (DESIGN.md §18)" >&2
+	sed 's/^/  never entered, not in the file: /' "$out/unlisted.txt" >&2
+	sed 's/^/  in the file, now entered or gone: /' "$out/stale.txt" >&2
+	exit 1
+fi
+echo "reach: the never-entered list is scripts/reach-allow.txt ($never names)"
