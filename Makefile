@@ -119,9 +119,10 @@ latency:
 
 # scale is the sim-side twin of latency: the placement and scale-path property
 # tests uncached (the indexed shortlist against the scan-and-sort oracle; the
-# shortlist-, relief-index and registration-order invariants and Supernodes()
-# against a plain slice after every operation of the random-ops, storm and
-# fleet-wide-failure tests; the one limit a probe is held to; the scaling run's
+# shortlist-, relief-index, registration-order and member-list invariants and
+# Supernodes() against a plain slice after every operation of the random-ops,
+# storm and fleet-wide-failure tests; the member lists' swap-remove cases and
+# what a warm join allocates; the one limit a probe is held to; the scaling run's
 # golden, its bytes-allocated-per-player ceiling and the friend graph built
 # late or on a clone; the grid's sorted k-best against brute force, its
 # tie-break on ID, accept asked about entrants only, the reused buffer, and the
@@ -130,7 +131,10 @@ latency:
 # the in-place kd partition against their one-pass and sort-and-copy
 # references; the event engine — the one this run's heartbeats and ticks are
 # queued on — against its container/heap reference, its stale-handle and
-# lazy-cancel contracts and its zero-allocation floors), then a 200 000-player
+# lazy-cancel contracts and its zero-allocation floors; the phi detector's early
+# answer against Phi itself and the monitor's allocation floors — sim-scale is
+# the one workload that runs that detector; the baselines, which share the
+# datacenter member list), then a 200 000-player
 # cloudfog-sim -scale run at 1 and at 8 shards, whose output must be the same
 # bytes once what describes the run and not the result is masked (the shard
 # count, the timing and memory fields, the cross-shard diagnostic line), then
@@ -140,9 +144,9 @@ latency:
 # `go build ./...` — and the run fails if the pinned figure hash moves.
 SCALE_SMOKE = -scale -players 200000 -supernodes 12500 -detector phi -overload -horizon 20s -epoch 10s
 scale:
-	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Supernodes|Relief|Reindex|[Pp]robe' ./internal/core/
+	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Supernodes|Relief|Reindex|[Pp]robe|Membership|WarmJoin' ./internal/core/
 	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|FriendGraph|AliasedNodeIDs' ./internal/experiment/
-	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/world/ ./internal/sim/
+	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/world/ ./internal/sim/ ./internal/health/ ./internal/baseline/
 	mkdir -p .bench_build
 	for s in 1 8; do \
 		$(GO) run ./cmd/cloudfog-sim $(SCALE_SMOKE) -shards $$s > .bench_build/scale-$$s.raw || exit 1; \

@@ -82,7 +82,7 @@ func (c *Cloud) Leave(p *core.Player) {
 	p.Online = false
 	delete(c.online, p.ID)
 	if p.Attached.Kind == core.AttachCloud && p.Attached.DC != nil {
-		p.Attached.DC.RemoveDirect(p.ID)
+		p.Attached.DC.RemoveDirect(p)
 	}
 	p.Attached = core.Attachment{}
 }
@@ -188,7 +188,7 @@ func (e *EdgeCloud) Leave(p *core.Player) {
 	p.Online = false
 	delete(e.online, p.ID)
 	if p.Attached.DC != nil {
-		p.Attached.DC.RemoveDirect(p.ID)
+		p.Attached.DC.RemoveDirect(p)
 	}
 	p.Attached = core.Attachment{}
 }

@@ -64,7 +64,8 @@ type Fog struct {
 	relieving    *Supernode
 	notRelieving func(id int64) bool
 
-	players map[int64]*Player
+	// online counts the players that have joined and not left, served or not.
+	online int
 
 	// attachCounter stamps every supernode attachment so overload
 	// migration can evict newest-first (the players with the least
@@ -118,7 +119,6 @@ func BuildFog(cfg Config, dcs []*Datacenter, sns []*Supernode, rng *sim.Rand) (*
 		latency:  trace.AsProber(cfg.Latency),
 		snIdx:    spatial.NewGrid(cfg.Region.Width, cfg.Region.Height),
 		roomIdx:  spatial.NewGrid(cfg.Region.Width, cfg.Region.Height),
-		players:  make(map[int64]*Player),
 	}
 	f.notRelieving = f.isNotRelieving
 	for _, sn := range sns {
@@ -174,7 +174,7 @@ func (f *Fog) EstimatedPos(id int64) (x, y float64, ok bool) {
 }
 
 // OnlinePlayers returns the number of players currently served.
-func (f *Fog) OnlinePlayers() int { return len(f.players) }
+func (f *Fog) OnlinePlayers() int { return f.online }
 
 // RegisterSupernode adds a supernode to the fog. The supernode probes all
 // datacenters and attaches to the minimum-latency one for state updates;
@@ -234,12 +234,11 @@ func (f *Fog) FailSupernode(id int64) []*Player {
 	if f.snDead++; 2*f.snDead > len(f.snOrder) {
 		f.compactOrder()
 	}
-	orphans := make([]*Player, 0, len(sn.players))
-	for _, p := range sn.players {
-		orphans = append(orphans, p)
-	}
+	// The departed instance's member list is the answer: the instance keeps
+	// none of it, so nothing that still points at it finds a player there.
+	orphans := []*Player(sn.players)
+	sn.players = nil
 	sort.Slice(orphans, func(i, j int) bool { return orphans[i].ID < orphans[j].ID })
-	sn.players = make(map[int64]*Player)
 	for _, p := range orphans {
 		p.Attached = Attachment{}
 	}
@@ -269,7 +268,7 @@ func (f *Fog) Join(p *Player) Attachment {
 		return p.Attached
 	}
 	p.Online = true
-	f.players[p.ID] = p
+	f.online++
 	f.assign(p)
 	return p.Attached
 }
@@ -280,7 +279,7 @@ func (f *Fog) Leave(p *Player) {
 		return
 	}
 	p.Online = false
-	delete(f.players, p.ID)
+	f.online--
 	f.detach(p)
 	p.Backups = nil
 }
@@ -288,10 +287,10 @@ func (f *Fog) Leave(p *Player) {
 func (f *Fog) detach(p *Player) {
 	switch p.Attached.Kind {
 	case AttachSupernode:
-		delete(p.Attached.SN.players, p.ID)
+		p.Attached.SN.players.remove(p)
 		f.observeOccupancy(p.Attached.SN)
 	case AttachCloud, AttachEdge:
-		p.Attached.DC.RemoveDirect(p.ID)
+		p.Attached.DC.RemoveDirect(p)
 	}
 	p.Attached = Attachment{}
 }
@@ -343,7 +342,7 @@ func setMember(g *spatial.Grid, member *bool, want bool, id int64, x, y float64)
 // attachSN commits a supernode attachment: membership, the attachment
 // record, the migration-order stamp, and the ladder observation.
 func (f *Fog) attachSN(p *Player, sn *Supernode, streamLat time.Duration) {
-	sn.players[p.ID] = p
+	sn.players.add(p)
 	p.Attached = Attachment{
 		Kind:          AttachSupernode,
 		DC:            sn.DC,
@@ -504,13 +503,13 @@ func (f *Fog) RelieveOverloaded() int {
 			for o.ShouldMigrate(sn.ID) && sn.Load() > 0 {
 				var newest *Player
 				for _, p := range sn.players {
-					// attachSeq is unique, so the scan is deterministic
-					// even over map order.
+					// attachSeq is unique, so the scan finds the same player
+					// whatever order removals left the list in.
 					if newest == nil || p.attachSeq > newest.attachSeq {
 						newest = p
 					}
 				}
-				delete(sn.players, newest.ID)
+				sn.players.remove(newest)
 				f.observeOccupancy(sn)
 				newest.Attached = Attachment{}
 				newest.Backups = nil

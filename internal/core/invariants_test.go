@@ -11,7 +11,7 @@ import (
 	"cloudfog/internal/spatial"
 )
 
-// checkIndex asserts the Fog's three bookkeeping invariants. snIdx holds
+// checkIndex asserts the Fog's four bookkeeping invariants. snIdx holds
 // exactly the registered supernodes a join could use — a free slot and, with a
 // ladder configured, Overload.Admit; roomIdx holds exactly those of them that
 // one more player would leave short of Migrating, so none without a ladder.
@@ -19,17 +19,40 @@ import (
 // and each supernode's transition flags say what the grids hold. snOrder holds
 // every registered instance once, at its own slot, and snDead nils that never
 // outnumber the living. It reads snOrder as it lies — Supernodes() would
-// compact it first.
+// compact it first. Every member list — each registered supernode's, each
+// datacenter's — holds each member at the index the player records and points
+// back at the node through its attachment, no player is on two lists, and the
+// lists together hold no more players than are online (checkCensus makes that
+// an equality for a test that knows who is online and unserved).
 func checkIndex(t testing.TB, f *Fog) {
 	t.Helper()
 	ol := f.cfg.Overload
 	indexed, roomy := make(map[int64]bool), make(map[int64]bool)
+	listed := make(map[*Player]bool)
+	checkList := func(node string, id int64, list members, kind AttachKind, sn *Supernode, dc *Datacenter) {
+		t.Helper()
+		for i, p := range list {
+			switch a := p.Attached; {
+			case int(p.slot) != i:
+				t.Fatalf("%s %d lists player %d at %d, the player records slot %d", node, id, p.ID, i, p.slot)
+			case listed[p]:
+				t.Fatalf("player %d is on two member lists, one of them %s %d's", p.ID, node, id)
+			case !p.Online || a.Kind != kind || a.SN != sn || a.DC != dc:
+				t.Fatalf("%s %d lists player %d (online=%v), whose attachment is %+v", node, id, p.ID, p.Online, a)
+			}
+			listed[p] = true
+		}
+	}
+	for _, dc := range f.dcs {
+		checkList("datacenter", dc.ID, dc.direct, AttachCloud, nil, dc)
+	}
 	dead := 0
 	for i, sn := range f.snOrder {
 		if sn == nil {
 			dead++
 			continue
 		}
+		checkList("supernode", sn.ID, sn.players, AttachSupernode, sn, sn.DC)
 		if sn.slot != i || f.sns[sn.ID] != sn {
 			t.Fatalf("registration order holds supernode %d (slot %d) at %d; registered under that ID: %v",
 				sn.ID, sn.slot, i, f.sns[sn.ID] == sn)
@@ -49,8 +72,35 @@ func checkIndex(t testing.TB, f *Fog) {
 		t.Fatalf("registration order holds %d supernodes and %d gaps; the fog counts %d gaps and %d registered",
 			live, dead, f.snDead, len(f.sns))
 	}
+	if len(listed) > f.OnlinePlayers() {
+		t.Fatalf("member lists hold %d players, the fog counts %d online", len(listed), f.OnlinePlayers())
+	}
 	checkGrid(t, f, "shortlist", f.snIdx, indexed)
 	checkGrid(t, f, "relief", f.roomIdx, roomy)
+}
+
+// checkCensus asserts that the Fog's count of online players is the players
+// its nodes list plus the online ones nothing serves — given players, everyone
+// who ever joined f.
+func checkCensus(t testing.TB, f *Fog, players []*Player) {
+	t.Helper()
+	n := 0
+	for _, sn := range f.Supernodes() {
+		n += sn.Load()
+	}
+	for _, dc := range f.dcs {
+		n += dc.DirectPlayers()
+	}
+	served := n
+	for _, p := range players {
+		if p.Online && !p.Attached.Served() {
+			n++
+		}
+	}
+	if n != f.OnlinePlayers() {
+		t.Fatalf("nodes list %d players and %d more are online unserved; the fog counts %d online",
+			served, n-served, f.OnlinePlayers())
+	}
 }
 
 // checkOrder asserts that Supernodes() is the reference: dense, in
@@ -196,7 +246,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 						t.Fatalf("step %d: player %d attached to departed supernode %d", step, p.ID, sn.ID)
 					}
 					attachedCount[sn.ID]++
-					if sn.players[p.ID] != p {
+					if int(p.slot) >= sn.Load() || sn.players[p.slot] != p {
 						t.Fatalf("step %d: supernode %d does not list its player %d", step, sn.ID, p.ID)
 					}
 				case AttachCloud:
@@ -262,6 +312,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 			moved += fog.RelieveOverloaded()
 		}
 		checkIndex(t, fog)
+		checkCensus(t, fog, players)
 		checkOrder(t, fog, order)
 		if step%50 == 0 {
 			check(step)

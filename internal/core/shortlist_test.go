@@ -97,7 +97,7 @@ func seat(f *Fog, sn *Supernode, n int, nextID *int64) []*Player {
 		ps[i] = testPlayer(*nextID, sn.Pos, g)
 		ps[i].Online = true
 		*nextID++
-		f.players[ps[i].ID] = ps[i]
+		f.online++
 		f.attachSN(ps[i], sn, 0)
 	}
 	return ps

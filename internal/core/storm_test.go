@@ -12,9 +12,10 @@ import (
 // stormInvariants checks the fog's structural invariants after each storm
 // step: every online player is served, no player is served by a departed
 // supernode, and no player's serving supernode also appears in its backup
-// list.
+// list; and the fog's online count is its member lists plus the unserved.
 func stormInvariants(t *testing.T, f *Fog, players []*Player) {
 	t.Helper()
+	checkCensus(t, f, players)
 	for _, p := range players {
 		if !p.Online {
 			if p.Attached.Served() {

@@ -31,12 +31,12 @@ type Datacenter struct {
 	// Edge marks an EdgeCloud-style deployed server.
 	Edge bool
 
-	direct map[int64]*Player // players streamed directly from this DC
+	direct members // players streamed directly from this DC
 }
 
 // NewDatacenter returns a datacenter with the given egress capacity.
 func NewDatacenter(id int64, pos geo.Point, egress int64) *Datacenter {
-	return &Datacenter{ID: id, Pos: pos, Egress: egress, direct: make(map[int64]*Player)}
+	return &Datacenter{ID: id, Pos: pos, Egress: egress}
 }
 
 // NewEdgeServer returns an EdgeCloud deployed server: provisioned like a
@@ -69,11 +69,12 @@ func (d *Datacenter) Available() int {
 // DirectPlayers returns how many players this datacenter streams directly.
 func (d *Datacenter) DirectPlayers() int { return len(d.direct) }
 
-// AddDirect registers a directly-streamed player.
-func (d *Datacenter) AddDirect(p *Player) { d.direct[p.ID] = p }
+// AddDirect registers a directly-streamed player, one no serving node lists.
+func (d *Datacenter) AddDirect(p *Player) { d.direct.add(p) }
 
-// RemoveDirect detaches a directly-streamed player.
-func (d *Datacenter) RemoveDirect(id int64) { delete(d.direct, id) }
+// RemoveDirect detaches a directly-streamed player; a player this datacenter
+// does not stream to is left alone.
+func (d *Datacenter) RemoveDirect(p *Player) { d.direct.remove(p) }
 
 // Share returns the egress bandwidth share (bits/second) available to one
 // directly-streamed player at the datacenter's current load.
@@ -104,7 +105,7 @@ type Supernode struct {
 	// probe against this supernode does not derive it again.
 	access time.Duration
 
-	players map[int64]*Player
+	players members
 	// slot is this supernode's index in its Fog's registration order.
 	slot int
 	// indexed and roomy mirror this supernode's membership of its Fog's
@@ -118,8 +119,7 @@ func NewSupernode(id int64, pos geo.Point, capacity int, uplink int64) *Supernod
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Supernode{ID: id, Pos: pos, Capacity: capacity, Uplink: uplink,
-		players: make(map[int64]*Player)}
+	return &Supernode{ID: id, Pos: pos, Capacity: capacity, Uplink: uplink}
 }
 
 // Endpoint returns the supernode's latency-trace endpoint, resolved once it
@@ -158,7 +158,10 @@ type Player struct {
 	// supernode (10% of the population in the paper's evaluation).
 	SupernodeCapable bool
 
-	Online   bool
+	Online bool
+	// slot is the player's index in its serving node's member list while one
+	// lists it (it sits in the padding the two flags leave).
+	slot     int32
 	Attached Attachment
 	// Backups are fallback supernodes recorded at assignment time
 	// (paper §III-A3), nearest-first.
@@ -167,6 +170,34 @@ type Player struct {
 	// attachSeq orders supernode attachments fog-wide; overload migration
 	// evicts the highest stamp (newest attachment) first.
 	attachSeq int64
+}
+
+// members is the set of players one serving node streams to, as a list each
+// member knows its place in: a player is on at most one node's list, so
+// Player.slot is enough to find it, and membership costs no hashing. Order is
+// attach order disturbed by removals; nothing that reads a list depends on it.
+type members []*Player
+
+// add appends p, which no list holds, and records where.
+func (m *members) add(p *Player) {
+	p.slot = int32(len(*m))
+	*m = append(*m, p)
+}
+
+// remove takes p out by moving the last member into its place. A player this
+// list does not hold at p.slot — one that is on another node's list, or on
+// none — is not a member, and the list stays as it is.
+func (m *members) remove(p *Player) {
+	l := *m
+	i := int(p.slot)
+	if i >= len(l) || l[i] != p {
+		return
+	}
+	last := len(l) - 1
+	l[i] = l[last]
+	l[i].slot = p.slot
+	l[last] = nil
+	*m = l[:last]
 }
 
 // Endpoint returns the player's latency-trace endpoint.

@@ -270,16 +270,18 @@ func TestCrossShardBackupRingFailover(t *testing.T) {
 // run builds and never reads shows up as a failure instead of as a profile
 // somebody has to think of taking (make reach counts functions entered; a
 // write-only field lives inside one that is). Measured on this world, bytes
-// per player, NewWorld / one ScaleRun: 218 / 397 at this PR, 3 027 / 606 at
-// its parent (the friend graph; a spec list for every serving supernode, a
-// map of every player, a map of every fog-served player per epoch). The
-// ceilings sit about a quarter above the measurement; the same figures under
-// the race detector are within 1 %.
+// per player, NewWorld / one ScaleRun: 216 / 270 since PR 25 (the Fog's map of
+// every player, and the map of members on every serving node, became a
+// counter and lists), 218 / 374 at its parent, 3 027 / 606 before PR 22 (the
+// friend graph; a spec list for every serving supernode, a map of every
+// player, a map of every fog-served player per epoch). The ceilings sit about
+// a quarter above the measurement; the same figures under the race detector
+// are within 1 %.
 func TestScaleRunAllocBudget(t *testing.T) {
 	const (
 		players          = 20_000
 		worldBytesPerOne = 275
-		runBytesPerOne   = 500
+		runBytesPerOne   = 340
 	)
 	cfg := Default(2026)
 	cfg.Players = players

@@ -101,6 +101,10 @@ func (c DetectorConfig) Validate() error {
 // while still clearing the 2-interval silence a single lost heartbeat causes.
 const sigmaFloorFrac = 0.35
 
+// phiAtMeanGap is log₁₀2 = 0.30103 rounded up: the most Phi can say of a
+// silence that has not outlasted the mean gap.
+const phiAtMeanGap = 0.302
+
 // Defaulted fills zero fields with the canonical values.
 func (c DetectorConfig) Defaulted() DetectorConfig {
 	if c.Interval <= 0 {
@@ -261,6 +265,14 @@ func (d *Detector) Suspect(now time.Duration) bool {
 	case ModeTimeout:
 		return silence.Seconds() >= d.cfg.TimeoutFactor*d.cfg.Interval.Seconds()
 	case ModePhi:
+		// A silence no longer than the mean gap puts z at or below 0, so
+		// Erfc(z/√2) ≥ 1, the tail is ≥ ½ and φ ≤ log₁₀2: under any threshold
+		// above that the answer is no, and nearly every detector of a sweep
+		// is asked inside one gap of its last heartbeat. A threshold the bound
+		// does not clear takes the arithmetic.
+		if d.cfg.PhiThreshold > phiAtMeanGap && silence.Seconds() <= d.mean() {
+			return false
+		}
 		return d.Phi(now) >= d.cfg.PhiThreshold
 	default:
 		return false

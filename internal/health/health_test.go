@@ -3,6 +3,8 @@ package health
 import (
 	"testing"
 	"time"
+
+	"cloudfog/internal/sim"
 )
 
 func TestParseMode(t *testing.T) {
@@ -98,6 +100,68 @@ func TestDetectorMaxSilenceCap(t *testing.T) {
 	}
 	if cfg.Bound() != cfg.MaxSilence+cfg.CheckEvery {
 		t.Fatalf("Bound() = %v, want MaxSilence+CheckEvery = %v", cfg.Bound(), cfg.MaxSilence+cfg.CheckEvery)
+	}
+}
+
+// TestSuspectMatchesPhi holds Suspect's early "no" — a silence that has not
+// outlasted the mean gap cannot reach a threshold above log₁₀2 — to the long
+// way round: the MaxSilence cap, or Phi compared with the threshold. A few
+// thousand seeded histories (regular, jittered, lossy, re-based by a Reset
+// part-way), each asked after every arrival at silences either side of the
+// mean gap. Thresholds 0.1 and 0.302 are ones the bound does not clear and
+// must take the arithmetic: under 0.1 a silence short of the mean gap is
+// already suspect, which is what fails a shortcut taken without looking at the
+// threshold.
+func TestSuspectMatchesPhi(t *testing.T) {
+	long := func(d *Detector, now time.Duration) bool {
+		return d.seen && (now-d.last >= d.cfg.MaxSilence || d.Phi(now) >= d.cfg.PhiThreshold)
+	}
+	rng := sim.NewRand(20261005)
+	thresholds := []float64{0.1, 0.302, 0.31, 1, 0} // 0 is the default, 6
+	fracs := []float64{0, 0.05, 0.5, 0.9, 0.999, 1, 1.001, 1.1, 1.5, 2, 2.7, 3.5, 6, 7}
+	asked, suspectInsideGap := 0, 0
+	for trial := 0; trial < 4000; trial++ {
+		interval := time.Duration(1+rng.Intn(2000)) * time.Millisecond
+		d := NewDetector(DetectorConfig{
+			Mode: ModePhi, Interval: interval, Window: 1 + rng.Intn(20),
+			PhiThreshold: thresholds[trial%len(thresholds)],
+		})
+		if d.Suspect(time.Hour) {
+			t.Fatalf("trial %d: suspected a node that never spoke", trial)
+		}
+		kind, now := trial/len(thresholds)%4, time.Duration(0)
+		for beatNo, beats := 0, 1+rng.Intn(40); beatNo < beats; beatNo++ {
+			gap := interval
+			switch kind {
+			case 1: // jittered
+				gap = time.Duration(float64(interval) * (0.5 + rng.Float64()))
+			case 2: // lossy: whole intervals go missing
+				gap = interval * time.Duration(1+rng.Intn(4))
+			case 3: // a recovered node re-registers part-way through its phase
+				if rng.Intn(8) == 0 {
+					now += time.Duration(rng.Float64() * float64(interval))
+					d.Reset(now)
+				}
+			}
+			now += gap
+			d.Heartbeat(now)
+			mean := d.mean()
+			for _, f := range fracs {
+				at := d.last + time.Duration(f*mean*float64(time.Second))
+				got, want := d.Suspect(at), long(d, at)
+				if got != want {
+					t.Fatalf("trial %d (kind %d, threshold %v) beat %d: Suspect at %.3f mean gaps of silence = %v, the long way says %v (phi %v)",
+						trial, kind, d.cfg.PhiThreshold, beatNo, f, got, want, d.Phi(at))
+				}
+				asked++
+				if want && (at-d.last).Seconds() <= mean {
+					suspectInsideGap++
+				}
+			}
+		}
+	}
+	if suspectInsideGap == 0 {
+		t.Fatalf("none of %d evaluations was suspect inside the mean gap: the low thresholds never reached the case the guard is for", asked)
 	}
 }
 

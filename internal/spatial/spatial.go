@@ -30,10 +30,7 @@ type Neighbor struct {
 // worse reports whether a ranks strictly after b in query order
 // (farther, or equally far with the larger ID).
 func worse(a, b Neighbor) bool {
-	if a.Dist2 != b.Dist2 {
-		return a.Dist2 > b.Dist2
-	}
-	return a.ID > b.ID
+	return a.Dist2 > b.Dist2 || (a.Dist2 == b.Dist2 && a.ID > b.ID)
 }
 
 type entry struct {
@@ -225,16 +222,20 @@ func (g *Grid) Nearest(x, y float64, k int, accept func(id int64) bool) []Neighb
 // result as it stands (nearer than the current k-th, or fewer than k held),
 // so which points it sees, and how often, depends on the bucket layout.
 func (g *Grid) NearestInto(buf []Neighbor, x, y float64, k int, accept func(id int64) bool) []Neighbor {
-	h := buf[:0] // the best seen so far, in result order; h[k-1] is the worst kept
+	h := buf[:0] // the best seen so far, in result order
 	if k <= 0 || g.n == 0 {
 		return h
 	}
+	// Once k are held, worst is h[k-1], the k-th best: nearly every point a
+	// query examines is only compared with it, so it is kept in a local (two
+	// registers) where the comparison needs no load.
+	var worst Neighbor
 	cx, cy := g.cellCoords(x, y)
 	maxR := max(cx, g.cols-1-cx, cy, g.rows-1-cy)
 	for r := 0; r <= maxR; r++ {
 		if len(h) == k && r >= 2 {
 			lb := float64(r-1) * g.minCell
-			if lb*lb > h[k-1].Dist2 {
+			if lb*lb > worst.Dist2 {
 				break
 			}
 		}
@@ -257,7 +258,7 @@ func (g *Grid) NearestInto(buf []Neighbor, x, y float64, k int, accept func(id i
 					e := &bucket[i]
 					dx, dy := e.x-x, e.y-y
 					cand := Neighbor{ID: e.id, Dist2: dx*dx + dy*dy}
-					if len(h) == k && !worse(h[k-1], cand) {
+					if len(h) == k && !worse(worst, cand) {
 						continue
 					}
 					if accept != nil && !accept(e.id) {
@@ -273,6 +274,9 @@ func (g *Grid) NearestInto(buf []Neighbor, x, y float64, k int, accept func(id i
 						h[j] = h[j-1]
 					}
 					h[j] = cand
+					if len(h) == k {
+						worst = h[k-1]
+					}
 				}
 			}
 		}

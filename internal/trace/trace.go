@@ -115,8 +115,19 @@ func DefaultModel(seed int64) Model {
 	}
 }
 
+// bound is a Model read through a pointer: the form a probe loop holds, and
+// the one place the model's arithmetic lives. Model is thirteen words; a
+// method with a value receiver copies them per call, and one probe made four
+// such calls or more. Every exported Model method forwards here, on its own
+// copy.
+type bound Model
+
 // Access returns the deterministic last-mile delay of a node.
 func (m Model) Access(id NodeID, class Class) time.Duration {
+	return (*bound)(&m).accessOf(id, class)
+}
+
+func (m *bound) accessOf(id NodeID, class Class) time.Duration {
 	switch class {
 	case ClassDatacenter, ClassServer:
 		return m.ProvisionedAccess
@@ -132,6 +143,10 @@ func (m Model) Access(id NodeID, class Class) time.Duration {
 // PairNoise returns the deterministic routing-quality component for the
 // unordered pair (a, b). It is symmetric: PairNoise(a,b) == PairNoise(b,a).
 func (m Model) PairNoise(a, b NodeID) time.Duration {
+	return (*bound)(&m).pairNoise(a, b)
+}
+
+func (m *bound) pairNoise(a, b NodeID) time.Duration {
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
@@ -165,7 +180,8 @@ type Source interface {
 // Prober is a Source that answers the assignment protocol's question — is
 // this candidate within the player's limit, and if so how far — without
 // recomputing what a probe does not need. Model implements it natively;
-// AsProber adapts any other Source.
+// AsProber adapts any other Source, and is how a caller with many probes to
+// make should hold a Model too.
 type Prober interface {
 	Source
 	// Resolve returns e with Access set to this source's per-node term for
@@ -178,10 +194,15 @@ type Prober interface {
 
 var _ Prober = Model{}
 
-// AsProber returns src itself when it is a Prober, and otherwise a Prober
-// that resolves nothing and answers Within by measuring and comparing.
+// AsProber returns a Prober for src to be bound once and asked many times: a
+// private copy of a Model, read through a pointer; src itself when it is some
+// other Prober; and otherwise one that resolves nothing and answers Within by
+// measuring and comparing.
 func AsProber(src Source) Prober {
-	if p, ok := src.(Prober); ok {
+	switch p := src.(type) {
+	case Model:
+		return (*bound)(&p)
+	case Prober:
 		return p
 	}
 	return measured{src}
@@ -203,14 +224,18 @@ func (s measured) Within(a, b Endpoint, limit time.Duration) (time.Duration, boo
 
 // Resolve fills in the endpoint's last-mile delay, the one term of a probe
 // that hashes and draws a lognormal yet depends on the node alone.
-func (m Model) Resolve(e Endpoint) Endpoint {
-	e.Access = m.Access(e.ID, e.Class)
+func (m Model) Resolve(e Endpoint) Endpoint { return (*bound)(&m).Resolve(e) }
+
+func (m *bound) Resolve(e Endpoint) Endpoint {
+	e.Access = m.accessOf(e.ID, e.Class)
 	return e
 }
 
 // OneWay returns the one-way latency from a to b: Within, with no limit to
 // stop at. It is symmetric and deterministic for a given model seed.
-func (m Model) OneWay(a, b Endpoint) time.Duration {
+func (m Model) OneWay(a, b Endpoint) time.Duration { return (*bound)(&m).OneWay(a, b) }
+
+func (m *bound) OneWay(a, b Endpoint) time.Duration {
 	d, _ := m.Within(a, b, math.MaxInt64)
 	return d
 }
@@ -220,6 +245,10 @@ func (m Model) OneWay(a, b Endpoint) time.Duration {
 // base, both access terms, propagation — is an exact lower bound: a pair
 // already past the limit on it is rejected without the draw.
 func (m Model) Within(a, b Endpoint, limit time.Duration) (time.Duration, bool) {
+	return (*bound)(&m).Within(a, b, limit)
+}
+
+func (m *bound) Within(a, b Endpoint, limit time.Duration) (time.Duration, bool) {
 	if a.ID == b.ID {
 		return m.Base, m.Base <= limit
 	}
@@ -228,7 +257,7 @@ func (m Model) Within(a, b Endpoint, limit time.Duration) (time.Duration, bool) 
 	if d > limit {
 		return d, false
 	}
-	noise := m.PairNoise(a.ID, b.ID)
+	noise := m.pairNoise(a.ID, b.ID)
 	if m.SupernodeBackboneFactor > 0 && supernodeBackbone(a.Class, b.Class) {
 		noise = time.Duration(float64(noise) * m.SupernodeBackboneFactor)
 	}
@@ -238,11 +267,11 @@ func (m Model) Within(a, b Endpoint, limit time.Duration) (time.Duration, bool) 
 
 // access reads a resolved endpoint's last-mile delay and derives an
 // unresolved one's.
-func (m Model) access(e Endpoint) time.Duration {
+func (m *bound) access(e Endpoint) time.Duration {
 	if e.Access != 0 {
 		return e.Access
 	}
-	return m.Access(e.ID, e.Class)
+	return m.accessOf(e.ID, e.Class)
 }
 
 // supernodeBackbone reports whether the pair is a supernode talking to

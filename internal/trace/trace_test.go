@@ -355,13 +355,13 @@ func TestResolvedEndpointsMeasureAlike(t *testing.T) {
 // TestWithinAgreesWithOneWay: Within(a, b, limit) answers OneWay(a, b) <=
 // limit and returns that latency whenever the answer is yes — at limits either
 // side of the latency itself, either side of its noise-free part (where the
-// native arm stops before the pair draw), zero and negative — natively, through
-// AsProber over a Source that is only a Source, and for resolved and
-// unresolved endpoints alike. One model in eight has no pair noise, so the
+// native arm stops before the pair draw), zero and negative — natively, by
+// value and as AsProber binds a Model, through AsProber over a Source that is
+// only a Source, and for resolved and unresolved endpoints alike. One model in eight has no pair noise, so the
 // latency is its noise-free part and a limit equal to it must still admit.
 func TestWithinAgreesWithOneWay(t *testing.T) {
-	if p, ok := AsProber(DefaultModel(1)).(Model); !ok || p != DefaultModel(1) {
-		t.Fatalf("AsProber wrapped a Model that already is a Prober: %T", AsProber(DefaultModel(1)))
+	if p, ok := AsProber(DefaultModel(1)).(*bound); !ok || Model(*p) != DefaultModel(1) {
+		t.Fatalf("AsProber(Model) = %T, want an equal model behind a pointer and nothing wrapped around it", AsProber(DefaultModel(1)))
 	}
 	for i, c := range probeCases(4000) {
 		if i%8 == 0 {
@@ -369,7 +369,7 @@ func TestWithinAgreesWithOneWay(t *testing.T) {
 		}
 		ra, rb := c.m.Resolve(c.a), c.m.Resolve(c.b)
 		plain := AsProber(sourceOnly{c.m})
-		if _, native := plain.(Model); native {
+		if _, adapted := plain.(measured); !adapted {
 			t.Fatal("AsProber saw through a plain Source")
 		}
 		if stale := ra; plain.Resolve(stale) != c.a {
@@ -386,7 +386,7 @@ func TestWithinAgreesWithOneWay(t *testing.T) {
 			t.Fatalf("case %d: noise-free part %v above OneWay %v", i, floor, d)
 		}
 		for _, limit := range []time.Duration{d - 1, d, d + 1, floor - 1, floor, floor + 1, 0, -1, -time.Hour} {
-			for _, pr := range []Prober{c.m, plain} {
+			for _, pr := range []Prober{c.m, AsProber(c.m), plain} {
 				for _, pair := range [][2]Endpoint{{ra, rb}, {c.a, rb}, {c.a, c.b}, {rb, ra}} {
 					got, ok := pr.Within(pair[0], pair[1], limit)
 					if ok != (d <= limit) || (ok && got != d) {
