@@ -127,9 +127,9 @@ latency:
 # late or on a clone; the grid's sorted k-best against brute force, its
 # tie-break on ID, accept asked about entrants only, the reused buffer, and the
 # retune contracts; the latency model's resolved-endpoint and Within properties
-# and its OneWay golden; the population golden; the two-pass node sample and
-# the in-place kd partition against their one-pass and sort-and-copy
-# references; the event engine — the one this run's heartbeats and ticks are
+# and its OneWay golden; the population golden; the two-pass node sample
+# against its one-pass reference and the barrier's canonical message order;
+# the event engine — the one this run's heartbeats and ticks are
 # queued on — against its container/heap reference, its stale-handle and
 # lazy-cancel contracts and its zero-allocation floors; the phi detector's early
 # answer against Phi itself and the monitor's allocation floors — sim-scale is
@@ -137,20 +137,20 @@ latency:
 # datacenter member list), then a 200 000-player
 # cloudfog-sim -scale run at 1 and at 8 shards, whose output must be the same
 # bytes once what describes the run and not the result is masked (the shard
-# count, the timing and memory fields, the cross-shard diagnostic line), then
+# count, the timing and memory fields), then
 # the repo benchmark's sim-scale workload, whose op_ms is the
-# wall time of one 50 000-player sharded run. run.sh builds bench/ against
+# wall time of one 50 000-player scaling run. run.sh builds bench/ against
 # this tree — bench is its own module, so an API break there is invisible to
 # `go build ./...` — and the run fails if the pinned figure hash moves.
 SCALE_SMOKE = -scale -players 200000 -supernodes 12500 -detector phi -overload -horizon 20s -epoch 10s
 scale:
 	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Supernodes|Relief|Reindex|[Pp]robe|Membership|WarmJoin' ./internal/core/
 	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|FriendGraph|AliasedNodeIDs' ./internal/experiment/
-	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/world/ ./internal/sim/ ./internal/health/ ./internal/baseline/
+	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/sim/ ./internal/health/ ./internal/baseline/
 	mkdir -p .bench_build
 	for s in 1 8; do \
 		$(GO) run ./cmd/cloudfog-sim $(SCALE_SMOKE) -shards $$s > .bench_build/scale-$$s.raw || exit 1; \
-		sed -E -e 's/(shards|wall|world|mem)=[^ ]+//g' -e '/^cross-shard:/d' .bench_build/scale-$$s.raw > .bench_build/scale-$$s.txt; \
+		sed -E -e 's/(shards|wall|world|mem)=[^ ]+//g' .bench_build/scale-$$s.raw > .bench_build/scale-$$s.txt; \
 	done
 	diff .bench_build/scale-1.txt .bench_build/scale-8.txt
 	bash bench/run.sh --workload sim-scale --seed 2026 --seconds 20 --trace 0

@@ -21,7 +21,7 @@
 //
 // -record captures the run as a flight recording: the launch spec, the
 // compiled fault schedules, canonical figure bytes, per-figure
-// observability deltas, and the sharded data plane's RNG witness.
+// observability deltas, and the scaling run's RNG witness.
 // cloudfog-replay re-runs a recording and verifies it bit-identically, or
 // re-runs it with one knob overridden and prints the QoE diff.
 //
@@ -69,10 +69,10 @@ var (
 	detectorFlag   = flag.String("detector", "", "failure detector for the resilience figures: oracle (default, drawn delays), timeout, or phi")
 	overloadFlag   = flag.Bool("overload", false, "install the supernode overload-degradation ladder on resilience-figure fogs")
 	breakerFlag    = flag.Bool("breaker", false, "install the cloud-fallback circuit breaker on resilience-figure fogs")
-	shardsFlag     = flag.Int("shards", 1, "partition a single run's world into this many geographic shards run in parallel between epoch barriers (figure output is byte-identical at any value)")
-	epochFlag      = flag.Duration("epoch", 0, "sharded-run barrier interval (0 = 15s default)")
-	nodeBudgetFlag = flag.Int("scale-nodes", 0, "sharded scaling run: supernodes sampled for segment-level QoE per epoch (0 = 32 default, negative = all)")
-	scaleFlag      = flag.Bool("scale", false, "run only the sharded scaling experiment (figscale) and print its timing and shard diagnostics (to record it, use -figures figscale -record)")
+	shardsFlag     = flag.Int("shards", 1, "workers that share a run's per-node QoE simulations (figure output is byte-identical at any value)")
+	epochFlag      = flag.Duration("epoch", 0, "scaling-run barrier interval (0 = 15s default)")
+	nodeBudgetFlag = flag.Int("scale-nodes", 0, "scaling run: supernodes sampled for segment-level QoE per epoch (0 = 32 default, negative = all)")
+	scaleFlag      = flag.Bool("scale", false, "run only the scaling experiment (figscale) and print its timing and tallies (to record it, use -figures figscale -record)")
 	recordFlag     = flag.String("record", "", "run the selected figures under the flight recorder and write the recording to this file")
 	cpuProfFlag    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -292,10 +292,10 @@ func runRecord() error {
 	return nil
 }
 
-// runScale executes only the sharded scaling experiment and prints its wall
-// time, beside the time the world took to generate and the memory the process
-// has obtained from the operating system by the end of the run, and shard
-// diagnostics — the -scale demo path for million-player runs.
+// runScale executes only the scaling experiment and prints its wall time,
+// beside the time the world took to generate and the memory the process has
+// obtained from the operating system by the end of the run — the -scale demo
+// path for million-player runs.
 func runScale(w *experiment.World, opts experiment.RunOptions, worldBuild time.Duration) error {
 	start := time.Now()
 	res, fig, err := experiment.ScaleRun(w, opts)
@@ -312,8 +312,6 @@ func runScale(w *experiment.World, opts experiment.RunOptions, worldBuild time.D
 	fmt.Printf("kills=%d recoveries=%d detections=%d (mean %.2fs) repairs=%d lapsed=%d cloud_hops=%d moved=%d pending_end=%d\n",
 		res.Kills, res.Recoveries, res.Detections, res.MeanDetectionLatency().Seconds(),
 		res.Repairs, res.Lapsed, res.CloudHops, res.Moved, res.PendingEnd)
-	fmt.Printf("cross-shard: repairs=%d migrations=%d (partition diagnostics; not part of figure output)\n",
-		res.CrossShardRepairs, res.CrossShardMigrations)
 	fmt.Printf("sampled continuity: %.4f over %d players (%d node-epoch simulations)\n",
 		res.MeanContinuity, res.QoEPlayers, res.QoENodeRuns)
 	return nil

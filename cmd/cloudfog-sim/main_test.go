@@ -66,8 +66,7 @@ func scaleSmoke(extra map[string]string) map[string]string {
 // TestScaleOutputIsShardInvariant is the binary's smoke test: the -scale run
 // `make chaos` makes, at one shard and at four, prints the same bytes once
 // what describes the run instead of the result is masked — the three
-// timing and memory fields, the shard count beside them, and the cross-shard
-// line, which says of itself that it is a partition diagnostic.
+// timing and memory fields and the shard count beside them.
 func TestScaleOutputIsShardInvariant(t *testing.T) {
 	perRun := regexp.MustCompile(`(shards|wall|world|mem)=\S+`)
 	var want string
@@ -78,13 +77,7 @@ func TestScaleOutputIsShardInvariant(t *testing.T) {
 				t.Fatalf("-shards %s: output lacks %q:\n%s", shards, field, printed)
 			}
 		}
-		var kept []string
-		for _, line := range strings.Split(perRun.ReplaceAllString(printed, "$1="), "\n") {
-			if !strings.HasPrefix(line, "cross-shard:") {
-				kept = append(kept, line)
-			}
-		}
-		if got := strings.Join(kept, "\n"); shards == "1" {
+		if got := perRun.ReplaceAllString(printed, "$1="); shards == "1" {
 			want = got
 		} else if got != want {
 			t.Fatalf("-shards %s prints\n%s\n-shards 1 printed\n%s", shards, got, want)

@@ -164,15 +164,6 @@ func (f *Fog) Supernode(id int64) (*Supernode, bool) {
 	return sn, ok
 }
 
-// EstimatedPos returns the cloud's geolocated view of a supernode's
-// position — the coordinates the assignment shortlist indexes. The shard
-// planner partitions by this estimate (not the true position) so a shard
-// owns exactly the nodes its grid cells answer queries for.
-func (f *Fog) EstimatedPos(id int64) (x, y float64, ok bool) {
-	p, ok := f.snEstPos[id]
-	return p.x, p.y, ok
-}
-
 // OnlinePlayers returns the number of players currently served.
 func (f *Fog) OnlinePlayers() int { return f.online }
 

@@ -48,10 +48,10 @@ type Config struct {
 	// identical at any setting; see sweepPoints.
 	SweepWorkers int
 
-	// Shards partitions a single run's simulated world by geographic
-	// region and runs the slices in parallel between deterministic epoch
-	// barriers (internal/shard). 0 or 1 runs serially; any value produces
-	// byte-identical figure output (see groupRun and ScaleRun).
+	// Shards is how many workers share a single run's per-node QoE
+	// simulations (qoe.EachNode). 0 or 1 runs them on the calling
+	// goroutine; any value produces byte-identical figure output (see
+	// groupRun and ScaleRun).
 	Shards int
 
 	// Obs, when non-nil, aggregates observability counters from every

@@ -60,14 +60,13 @@ type RunOptions struct {
 	ScaleEpoch time.Duration
 	// ScaleNodeBudget caps how many supernodes run the segment-level QoE
 	// simulation per epoch of the scaling run; the sample is a pure hash
-	// of (seed, epoch, node), so it is partition-invariant. 0 uses the
+	// of (seed, epoch, node), the same at any worker count. 0 uses the
 	// default of 32; pass a negative value to simulate every node.
 	ScaleNodeBudget int
 	// ScaleDiag, when non-nil, receives the shard.Result of every scaling
 	// run executed with these options. The flight recorder uses it to
-	// capture the partition diagnostics — per-shard RNG seeds and draw
-	// counts — that never feed figure bytes and so cannot be recovered
-	// from a FigureResult.
+	// capture the RNG draw counts, which never feed figure bytes and so
+	// cannot be recovered from a FigureResult.
 	ScaleDiag func(shard.Result)
 }
 

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"cloudfog/internal/core"
@@ -39,10 +38,9 @@ type nodeKey struct {
 // attached players inherit their node's current encoding-level cap.
 //
 // Per-node simulations are pure in (opts, uplink, specs, horizon), so the
-// node runs parallelize freely: Cfg.Shards workers (one when unset, never
-// more than there are nodes) each take every workers-th node on a qoe.Pool
-// of their own, with results landing in per-node slots and concatenating in
-// the canonical node order — the same bytes at any shard count.
+// node runs parallelize freely: Cfg.Shards workers (one when unset) share
+// them through qoe.EachNode, with results landing in per-node slots and
+// concatenating in the canonical node order — the same bytes at any count.
 func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Options, horizon time.Duration) (qoe.Summary, error) {
 	if w.Cfg.Obs != nil && opts.Obs == nil {
 		opts.Obs = nodeStatsFor(w)
@@ -99,36 +97,20 @@ func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Option
 		return keys[a].id < keys[b].id
 	})
 
-	workers := min(max(w.Cfg.Shards, 1), len(keys))
+	pools := make([]*qoe.Pool, min(max(w.Cfg.Shards, 1), len(keys)))
+	for i := range pools {
+		pools[i] = qoe.NewPool()
+	}
 	slots := make([][]qoe.PlayerResult, len(keys))
-	errs := make([]error, workers)
-	run := func(wk int) {
-		pool := qoe.NewPool()
-		for i := wk; i < len(keys); i += workers {
-			g := groups[keys[i]]
-			res, err := pool.RunNode(opts, g.uplink, g.specs, horizon)
-			if err != nil {
-				errs[wk] = err
-				return
-			}
-			// Pool results are reused on the next RunNode: copy out.
-			slots[i] = append(make([]qoe.PlayerResult, 0, len(res)), res...)
-		}
-	}
-	var wg sync.WaitGroup
-	for wk := 1; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(wk)
-		}()
-	}
-	run(0)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return qoe.Summary{}, err
-		}
+	err := qoe.EachNode(pools, len(keys), func(pool *qoe.Pool, i int) error {
+		g := groups[keys[i]]
+		res, err := pool.RunNode(opts, g.uplink, g.specs, horizon)
+		// Pool results are reused on the next RunNode: copy out.
+		slots[i] = append(make([]qoe.PlayerResult, 0, len(res)), res...)
+		return err
+	})
+	if err != nil {
+		return qoe.Summary{}, err
 	}
 	var all []qoe.PlayerResult
 	for _, res := range slots {

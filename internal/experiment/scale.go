@@ -14,7 +14,7 @@ import (
 // supernode crash/recovery churn with a 10-second detection window, a light
 // Gilbert–Elliott loss process, and periodic latency spikes. It deliberately
 // contains only crash and wire specs — joins and cloud scaling are control-
-// plane ops the sharded runner's barrier protocol does not exchange.
+// plane ops the runner's barrier protocol does not exchange.
 func scaleChaosProfile(seed int64, duration time.Duration) *fault.Profile {
 	return &fault.Profile{
 		Name:     "scale-chaos",
@@ -39,16 +39,14 @@ func ScaleProfile(w *World, o RunOptions) *fault.Profile {
 	return scaleChaosProfile(w.Cfg.Seed+700, o.Horizon)
 }
 
-// ScaleRun executes the sharded single-run scaling experiment (figscale):
-// the whole population joins one fog, the scale chaos profile churns the
-// supernodes, and Cfg.Shards shard slices run the data plane (heartbeat
-// monitors plus a budgeted sample of segment-level node simulations) in
-// parallel between epoch barriers. The figure series — served, fog-served,
-// unserved, and latency-coverage fractions over time — and everything in the
-// returned FigureResult are partition-invariant: byte-identical at any shard
-// count, including the serial anchor Shards=1. The shard.Result carries the
-// partition-dependent scaling diagnostics (cross-shard repair and migration
-// counts) alongside the invariant tallies.
+// ScaleRun executes the single-run scaling experiment (figscale): the whole
+// population joins one fog, the scale chaos profile churns the supernodes,
+// and between epoch barriers the data plane runs — one heartbeat monitor,
+// and a budgeted sample of segment-level node simulations shared among
+// Cfg.Shards workers. The figure series — served, fog-served, unserved, and
+// latency-coverage fractions over time — everything in the returned
+// FigureResult and every tally of the shard.Result are byte-identical at any
+// worker count, including the serial anchor Shards=1.
 func ScaleRun(w *World, o RunOptions) (shard.Result, FigureResult, error) {
 	o = o.filled()
 	ho, err := o.healthOptions()
@@ -106,8 +104,8 @@ func ScaleRun(w *World, o RunOptions) (shard.Result, FigureResult, error) {
 		unserved.Add(t, float64(s.Unserved)/n)
 		coverage.Add(t, float64(s.Within)/n)
 	}
-	// The title carries only partition-invariant tallies, so the whole
-	// FigureResult compares bytewise across shard counts.
+	// The title carries tallies only, so the whole FigureResult compares
+	// bytewise across worker counts.
 	title := fmt.Sprintf(
 		"Scaling run (%d players, %d epochs): %d kills, %d detections (mean %.2fs), %d repairs, %d lapsed, %d cloud hops, sampled continuity %.3f over %d players",
 		res.Players, res.Epochs, res.Kills, res.Detections,

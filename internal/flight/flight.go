@@ -3,7 +3,7 @@
 // (seed, population, infrastructure, figure selection, health apparatus),
 // the compiled fault-event schedules the resilience and scaling figures
 // interpret, the generated world's fingerprint, and the RNG stream seeds
-// and draw counts of the sharded data plane — together with witness data
+// and draw counts of the scaling run — together with witness data
 // (canonical figure bytes and per-figure observability deltas) that lets a
 // later process re-run the recording and prove, byte for byte, that it
 // reproduced the original.
@@ -75,8 +75,8 @@ type ScheduleCapture struct {
 // FigureCapture is one figure's checkpoint: the canonical encoding of its
 // FigureResult (the replay comparison unit — identical bytes mean identical
 // series down to every float bit), the observability counters the figure
-// added to the registry, and the RNG witness of the sharded data plane when
-// the figure ran one (figscale).
+// added to the registry, and the RNG witness of the scaling run when the
+// figure is one (figscale).
 type FigureCapture struct {
 	Name string
 	// Fig is the decoded result, for printing and what-if diffing. FigBytes

@@ -11,7 +11,7 @@ import (
 )
 
 // testSpec is a small world the record/replay tests can afford dozens of
-// times: enough supernodes for a real kd partition, few enough players
+// times: enough supernodes to share among several workers, few enough players
 // that a 45-second horizon runs in milliseconds (mirrors the experiment
 // package's scaleTestConfig).
 func testSpec(seed int64, shards int) RunSpec {
@@ -32,12 +32,13 @@ func testSpec(seed int64, shards int) RunSpec {
 // replays bit-identically — figure bytes, per-figure observability deltas,
 // RNG draw counts, compiled schedules, and the final snapshot all match.
 // Odd seeds run the phi detector with the overload ladder so both
-// detection paths are covered, and the figure bytes must also agree across
-// the two shard counts (the recorder inherits the shard-invariance
-// contract).
+// detection paths are covered. The RNG witness is exactly the qoe and fog
+// streams, and it and the figure bytes must also agree across the two shard
+// counts (the recorder inherits the worker-count-invariance contract).
 func TestRecordReplayProperty(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		var acrossShards [][]byte
+		var witness [][]RNGStream
 		for _, shards := range []int{1, 4} {
 			spec := testSpec(seed, shards)
 			if seed%2 == 1 {
@@ -51,11 +52,11 @@ func TestRecordReplayProperty(t *testing.T) {
 			if len(rec.Figures) != 1 || rec.Figures[0].Name != "figscale" {
 				t.Fatalf("seed %d shards %d: captured %d figures", seed, shards, len(rec.Figures))
 			}
-			if len(rec.Figures[0].RNG) != shards+1 {
-				t.Fatalf("seed %d shards %d: %d RNG streams, want %d",
-					seed, shards, len(rec.Figures[0].RNG), shards+1)
+			rng := rec.Figures[0].RNG
+			if len(rng) != 2 || rng[0].Label != "qoe" || rng[1].Label != "fog" {
+				t.Fatalf("seed %d shards %d: RNG streams %+v, want qoe and fog", seed, shards, rng)
 			}
-			for _, s := range rec.Figures[0].RNG {
+			for _, s := range rng {
 				if s.Draws == 0 {
 					t.Fatalf("seed %d shards %d: stream %s consumed no draws", seed, shards, s.Label)
 				}
@@ -81,6 +82,10 @@ func TestRecordReplayProperty(t *testing.T) {
 				t.Fatalf("seed %d shards %d: replay diverged: %+v", seed, shards, rep.Divergences)
 			}
 			acrossShards = append(acrossShards, rec.Figures[0].FigBytes)
+			witness = append(witness, rng)
+		}
+		if !reflect.DeepEqual(witness[0], witness[1]) {
+			t.Fatalf("seed %d: RNG witness differs between 1 and 4 shards:\n 1: %+v\n 4: %+v", seed, witness[0], witness[1])
 		}
 		if !bytes.Equal(acrossShards[0], acrossShards[1]) {
 			t.Fatalf("seed %d: figure bytes differ between 1 and 4 shards", seed)

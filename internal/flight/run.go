@@ -237,23 +237,18 @@ func compileSchedules(w *experiment.World, opts experiment.RunOptions, figs []ex
 	return out, nil
 }
 
-// rngWitness derives the RNG stream witness of a sharded scaling run: each
-// shard's split seed and draw count plus the fog's control-plane stream.
-// Figures without a sharded data plane record no streams — their RNG use is
-// a pure function of the world seed already pinned by the spec.
+// rngWitness derives the RNG stream witness of a scaling run: the draws its
+// node simulations made, whose streams all split from the run seed, and the
+// fog's control-plane stream — the same two counts at any worker count.
+// Figures without an epoch-loop data plane record no streams — their RNG use
+// is a pure function of the world seed already pinned by the spec.
 func rngWitness(s RunSpec, res *shard.Result) []RNGStream {
 	if res == nil {
 		return nil
 	}
-	out := make([]RNGStream, 0, len(res.ShardDraws)+1)
-	for i, draws := range res.ShardDraws {
-		seed := int64(0)
-		if i < len(res.ShardSeeds) {
-			seed = res.ShardSeeds[i]
-		}
-		out = append(out, RNGStream{Label: fmt.Sprintf("shard-%d", i), Seed: seed, Draws: draws})
+	return []RNGStream{
+		{Label: "qoe", Seed: s.Seed, Draws: res.QoEDraws},
+		// The fog's geolocation stream is minted at seed+200 (World.NewFog).
+		{Label: "fog", Seed: s.Seed + 200, Draws: res.FogDraws},
 	}
-	// The fog's geolocation stream is minted at seed+200 (World.NewFog).
-	out = append(out, RNGStream{Label: "fog", Seed: s.Seed + 200, Draws: res.FogDraws})
-	return out
 }

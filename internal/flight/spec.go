@@ -22,7 +22,7 @@ type RunSpec struct {
 	Players     int
 	Supernodes  int
 	Datacenters int
-	// Shards partitions the sharded figures' world; SweepWorkers bounds the
+	// Shards is the per-node QoE worker count; SweepWorkers bounds the
 	// sweep pool. Both are recorded because they are part of the invocation,
 	// even though figure bytes are invariant to them — a replay reproduces
 	// the run as launched, and the what-if mode overrides them to prove the

@@ -28,9 +28,12 @@ type Cloud struct {
 	// lastStamp keeps the freshest Issued per player across ticks for the
 	// direct-stream fallback to echo.
 	lastStamp map[int64]time.Duration
-	subs      map[int64]*cloudSub
-	directs   map[*Link]struct{} // live direct player streams
-	closed    bool
+	// acting counts each player's open action connections: the last one to
+	// close takes the player's avatar and stamps with it.
+	acting  map[int64]int
+	subs    map[int64]*cloudSub
+	directs map[*Link]struct{} // live direct player streams
+	closed  bool
 	// tickOnce encode arenas (mu-guarded): stamp frames are appended
 	// back-to-back into encScratch with stampOffs marking boundaries, and
 	// each delta is encoded once into deltaScratch. Send copies payloads
@@ -72,6 +75,7 @@ func NewCloud(cfg Config, opts ...Option) (*Cloud, error) {
 		w:         world.New(cfg.World),
 		stamps:    make(map[int64]time.Duration),
 		lastStamp: make(map[int64]time.Duration),
+		acting:    make(map[int64]int),
 		subs:      make(map[int64]*cloudSub),
 		directs:   make(map[*Link]struct{}),
 		stop:      make(chan struct{}),
@@ -134,10 +138,27 @@ func (c *Cloud) serveConn(conn net.Conn) {
 	}
 }
 
-// servePlayer ingests a player's action stream and spawns its avatar.
+// servePlayer spawns a player's avatar, ingests its action stream, and when
+// the player's last connection ends forgets the player: the avatar despawns
+// (every replica drops it on its next delta) and the stamps go, so what the
+// cloud holds, steps and snapshots follows who is connected, not who ever was.
 func (c *Cloud) servePlayer(conn net.Conn, playerID int64) {
 	defer conn.Close()
 	c.mu.Lock()
+	c.acting[playerID]++
+	defer func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.acting[playerID]--; c.acting[playerID] > 0 {
+			return
+		}
+		delete(c.acting, playerID)
+		delete(c.stamps, playerID)
+		delete(c.lastStamp, playerID)
+		if av := c.w.Avatar(playerID); av != nil {
+			c.w.Remove(av.ID)
+		}
+	}()
 	if c.w.Avatar(playerID) == nil {
 		// Deterministic spawn position derived from the player ID.
 		b := c.cfg.World.Bounds

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -85,4 +86,116 @@ func TestReplicaConvergesAfterRefusedDelta(t *testing.T) {
 			t.Errorf("replica holds the avatar at %+v, the world has %+v", want.Pos, av)
 		}
 	})
+}
+
+// TestCloudForgetsDepartedPlayers: what the cloud holds for a player lasts as
+// long as the player's action connections do. Connect/act/disconnect cycles
+// leave no stamp, no connection count and no avatar behind, a subscriber's
+// replica sees the avatar come and — through the delta's Removed list — go,
+// and of two connections for one player only the last to close despawns it.
+func TestCloudForgetsDepartedPlayers(t *testing.T) {
+	// A tick period the loop never reaches: the test is the only ticker.
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	sub := dialWith(t, cloud.Addr(), proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RoleSupernode, ID: 7}))
+	defer sub.Close()
+	replica := world.NewReplica()
+	recvDelta := func() {
+		t.Helper()
+		for {
+			typ, payload, err := proto.ReadFrame(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != proto.TDelta {
+				continue // the action stamps that precede a tick's delta
+			}
+			d, err := proto.UnmarshalDelta(payload)
+			if err == nil {
+				err = replica.Apply(d)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	recvDelta() // the subscription snapshot
+	tick := func() {
+		t.Helper()
+		cloud.tickOnce()
+		recvDelta()
+	}
+	// until polls what a connection's goroutine does on its own time.
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			cloud.mu.Lock()
+			ok := cond()
+			cloud.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+		}
+	}
+	connect := func(player int64, issued time.Duration) net.Conn {
+		t.Helper()
+		conn := dialWith(t, cloud.Addr(), proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RolePlayerActions, ID: player}))
+		readAck(t, conn)
+		act := proto.Action{Player: player, Issued: issued, Act: world.Action{Player: player, Kind: world.ActionMove, Target: world.Vec2{X: 10, Y: 10}}}
+		if err := proto.WriteFrame(conn, proto.TAction, proto.MarshalAction(act)); err != nil {
+			t.Fatal(err)
+		}
+		until("the action is ingested", func() bool { return cloud.lastStamp[player] == issued })
+		return conn
+	}
+	gone := func(player int64) func() bool {
+		return func() bool { return cloud.acting[player] == 0 }
+	}
+
+	for cycle := 1; cycle <= 5; cycle++ {
+		player := int64(100 + cycle%2) // two players, each one back again
+		conn := connect(player, time.Duration(cycle))
+		tick()
+		if _, ok := replica.Avatar(player); !ok {
+			t.Fatalf("cycle %d: the subscriber never saw player %d's avatar", cycle, player)
+		}
+		conn.Close()
+		until("the connection is forgotten", gone(player))
+		tick()
+		if _, ok := replica.Avatar(player); ok {
+			t.Fatalf("cycle %d: player %d left and its avatar is still in the subscriber's replica", cycle, player)
+		}
+	}
+
+	first, second := connect(9, 1), connect(9, 2)
+	first.Close()
+	until("the first of two connections is forgotten", func() bool { return cloud.acting[9] == 1 })
+	tick()
+	if _, ok := replica.Avatar(9); !ok {
+		t.Fatal("a player with a connection still open lost its avatar")
+	}
+	second.Close()
+	until("the last connection is forgotten", gone(9))
+	tick()
+
+	cloud.mu.Lock()
+	defer cloud.mu.Unlock()
+	if len(cloud.stamps)+len(cloud.lastStamp)+len(cloud.acting) != 0 {
+		t.Errorf("after every player left: stamps %v, lastStamp %v, acting %v; want all empty", cloud.stamps, cloud.lastStamp, cloud.acting)
+	}
+	for _, player := range []int64{100, 101, 9} {
+		if cloud.w.Avatar(player) != nil {
+			t.Errorf("player %d left and still has an avatar", player)
+		}
+	}
+	if replica.Len() != 0 {
+		t.Errorf("the subscriber's replica holds %d entities of an empty world", replica.Len())
+	}
 }

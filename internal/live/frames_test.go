@@ -1,6 +1,7 @@
 package live
 
 import (
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -247,5 +248,63 @@ func TestFirstFrameAtJoin(t *testing.T) {
 				t.Errorf("registry counts %d join frames, want 1", got)
 			}
 		})
+	}
+}
+
+// TestTCPRejoinReplacesStream: a second TCP join for a player the supernode
+// already streams to takes the stream over. The first connection is closed by
+// the supernode — not left with a writer and a socket until its peer hangs up
+// — its segments count up without a gap until then, the new stream starts at
+// Seq 0, and the supernode holds one session.
+func TestTCPRejoinReplacesStream(t *testing.T) {
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: time.Second / 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	sn, err := NewSupernode(Config{Role: RoleSupernode, ID: 1, Addr: "127.0.0.1:0", CloudAddr: cloud.Addr(), FPS: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+
+	join := proto.MarshalJoinStream(proto.JoinStream{Player: 3, GameID: 1, ViewX: 1, ViewY: 1, ViewR: DefaultViewRadius, LevelCap: 1})
+	nextSeq := func(conn net.Conn) (int64, error) {
+		typ, payload, err := proto.ReadFrame(conn)
+		if err != nil {
+			return 0, err
+		}
+		seg, err := proto.UnmarshalSegment(payload)
+		if err != nil || typ != proto.TSegment || seg.Player != 3 {
+			t.Fatalf("expected a segment for player 3, got frame type %v, %+v, error %v", typ, seg, err)
+		}
+		return seg.Seq, nil
+	}
+	first := dialWith(t, sn.Addr(), proto.TJoinStream, join)
+	defer first.Close()
+	readAck(t, first)
+	if seq, err := nextSeq(first); err != nil || seq != 0 {
+		t.Fatalf("first stream opens with seq %d, error %v; want 0", seq, err)
+	}
+	second := dialWith(t, sn.Addr(), proto.TJoinStream, join)
+	defer second.Close()
+	readAck(t, second)
+
+	for want := int64(1); ; want++ {
+		seq, err := nextSeq(first)
+		if err == io.EOF {
+			break
+		}
+		if err != nil || seq != want {
+			t.Fatalf("replaced stream: seq %d, error %v; want seq %d or EOF", seq, err, want)
+		}
+	}
+	for want := int64(0); want < 3; want++ {
+		if seq, err := nextSeq(second); err != nil || seq != want {
+			t.Fatalf("new stream: seq %d, error %v; want %d", seq, err, want)
+		}
+	}
+	if n := sn.SessionCount(); n != 1 {
+		t.Fatalf("%d sessions after a re-join, want 1", n)
 	}
 }

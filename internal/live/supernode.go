@@ -305,21 +305,12 @@ func (sn *Supernode) serveUDP() {
 // refreshes lastSeen, one from a new address replaces the stream (the
 // player respawned), and silence past udpExpiry reclaims it.
 func (sn *Supernode) joinDatagram(raddr *net.UDPAddr, payload []byte) {
-	join, err := proto.UnmarshalJoinStream(payload)
-	if err != nil {
-		return
-	}
-	g, err := game.ByID(int(join.GameID))
-	if err != nil {
-		// Reject without setting up a stream.
-		sn.udp.WriteToUDP(proto.AppendFrame(nil, proto.TAck, proto.MarshalAck(proto.Ack{Code: proto.AckRefused})), raddr)
-		return
-	}
-	if gate := sn.opts.JoinGate; gate != nil {
-		if code := gate(join, sn.hasPlayer(join.Player)); code != proto.AckOK {
-			sn.udp.WriteToUDP(proto.AppendFrame(nil, proto.TAck, proto.MarshalAck(proto.Ack{Code: code})), raddr)
-			return
+	join, g, refuse, ok := sn.vetJoin(payload)
+	if !ok {
+		if refuse != nil {
+			sn.udp.WriteToUDP(proto.AppendFrame(nil, proto.TAck, refuse), raddr)
 		}
+		return
 	}
 	addr := raddr.String()
 	now := time.Now()
@@ -351,8 +342,30 @@ func (sn *Supernode) joinDatagram(raddr *net.UDPAddr, payload []byte) {
 	}
 }
 
-// servePlayer registers a player's stream subscription. Segments are pushed
-// from the render loop.
+// vetJoin decodes a join and puts it to the game table and the join gate —
+// the one admission sequence of both transports. When the join is refused,
+// refuse is the ack payload to answer with; a join that does not decode gets
+// no answer (ok false, refuse nil).
+func (sn *Supernode) vetJoin(payload []byte) (join proto.JoinStream, g game.Game, refuse []byte, ok bool) {
+	join, err := proto.UnmarshalJoinStream(payload)
+	if err != nil {
+		return join, g, nil, false
+	}
+	code := proto.AckOK
+	if g, err = game.ByID(int(join.GameID)); err != nil {
+		code = proto.AckRefused
+	} else if gate := sn.opts.JoinGate; gate != nil {
+		code = gate(join, sn.hasPlayer(join.Player))
+	}
+	if code != proto.AckOK {
+		return join, g, proto.MarshalAck(proto.Ack{Code: code}), false
+	}
+	return join, g, nil, true
+}
+
+// servePlayer registers a player's stream subscription, replacing — and
+// closing — a stream the player already had here (it reconnected). Segments
+// are pushed from the render loop.
 func (sn *Supernode) servePlayer(conn net.Conn) {
 	defer sn.wg.Done()
 	typ, payload, err := proto.ReadFrame(conn)
@@ -360,23 +373,13 @@ func (sn *Supernode) servePlayer(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	join, err := proto.UnmarshalJoinStream(payload)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	g, err := game.ByID(int(join.GameID))
-	if err != nil {
-		proto.WriteFrame(conn, proto.TAck, proto.MarshalAck(proto.Ack{Code: proto.AckRefused}))
-		conn.Close()
-		return
-	}
-	if gate := sn.opts.JoinGate; gate != nil {
-		if code := gate(join, sn.hasPlayer(join.Player)); code != proto.AckOK {
-			proto.WriteFrame(conn, proto.TAck, proto.MarshalAck(proto.Ack{Code: code}))
-			conn.Close()
-			return
+	join, g, refuse, ok := sn.vetJoin(payload)
+	if !ok {
+		if refuse != nil {
+			proto.WriteFrame(conn, proto.TAck, refuse)
 		}
+		conn.Close()
+		return
 	}
 	link := NewLinkOpts(conn, sn.streamLinkOptions(join.Player))
 
@@ -388,9 +391,13 @@ func (sn *Supernode) servePlayer(conn net.Conn) {
 	}
 	link.Impair(sn.impExtra, sn.impLoss)
 	ps := &playerStream{link: link, join: join, g: g}
+	replaced := sn.players[join.Player]
 	sn.players[join.Player] = ps
 	sn.admit(join.Player, ps)
 	sn.mu.Unlock()
+	if replaced != nil {
+		replaced.link.Close()
+	}
 
 	var buf [1]byte
 	for {

@@ -13,6 +13,7 @@ package qoe
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"cloudfog/internal/adapt"
@@ -836,4 +837,38 @@ func (p *Pool) RunNode(opts Options, uplink int64, players []PlayerSpec, duratio
 	p.segsAll = srv.segAll
 	p.segsFree = srv.segPool
 	return p.results, nil
+}
+
+// EachNode calls fn once for every index in [0, n): worker k of len(pools) —
+// never more workers than indices — takes k, k+workers, ... on pools[k],
+// worker 0 on the calling goroutine. A node run is pure in its arguments, so
+// a caller that stores what fn computes in a slot of i's own gets the same
+// bytes at any worker count. A worker stops at its first error and EachNode
+// returns the lowest-numbered worker's.
+func EachNode(pools []*Pool, n int, fn func(p *Pool, i int) error) error {
+	workers := min(len(pools), n)
+	errs := make([]error, workers)
+	run := func(wk int) {
+		for i := wk; i < n && errs[wk] == nil; i += workers {
+			errs[wk] = fn(pools[wk], i)
+		}
+	}
+	var wg sync.WaitGroup
+	for wk := 1; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(wk)
+		}()
+	}
+	if workers > 0 {
+		run(0)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package qoe
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -420,6 +421,77 @@ func TestPoolMatchesRunNode(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("case %d: pooled results differ\nwant %+v\ngot  %+v", i, want, got)
 		}
+	}
+}
+
+// TestEachNodeVisitsEveryIndexOnce: at any worker count — one, a divisor of
+// n, a non-divisor, n itself, more than n — every index is visited exactly
+// once, always by the same worker's pool, no pool serves two goroutines at a
+// time (the race detector's to see: pools' draw counters are plain fields),
+// and when indices fail the error returned is the lowest-numbered failing
+// worker's first, with that worker stopped there.
+func TestEachNodeVisitsEveryIndexOnce(t *testing.T) {
+	const n = 12
+	for _, workers := range []int{1, 2, 3, 5, n, n + 5} {
+		pools := make([]*Pool, workers)
+		for i := range pools {
+			pools[i] = NewPool()
+		}
+		visits := make([]int, n) // slot i written by whoever runs i, as callers do
+		err := EachNode(pools, n, func(p *Pool, i int) error {
+			visits[i]++
+			p.draws++
+			if p != pools[i%min(workers, n)] {
+				t.Errorf("%d workers: index %d ran on another worker's pool", workers, i)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		for i, v := range visits {
+			if v != 1 {
+				t.Fatalf("%d workers: index %d visited %d times", workers, i, v)
+			}
+		}
+		var draws uint64
+		for _, p := range pools {
+			draws += p.Draws()
+		}
+		if draws != n {
+			t.Fatalf("%d workers: pools counted %d visits, want %d", workers, draws, n)
+		}
+
+		// Indices 4 and up fail. The error is the first one of the
+		// lowest-numbered worker that has any, and that worker ran nothing
+		// after it.
+		clear(visits)
+		err = EachNode(pools, n, func(_ *Pool, i int) error {
+			visits[i]++
+			if i >= 4 {
+				return fmt.Errorf("index %d", i)
+			}
+			return nil
+		})
+		w, want := min(workers, n), -1
+		for k := 0; k < w && want < 0; k++ {
+			for i := k; i < n && want < 0; i += w {
+				if i >= 4 {
+					want = i
+				}
+			}
+		}
+		if err == nil || err.Error() != fmt.Sprintf("index %d", want) {
+			t.Fatalf("%d workers: error %v, want index %d", workers, err, want)
+		}
+		for i := want + w; i < n; i += w {
+			if visits[i] != 0 {
+				t.Fatalf("%d workers: index %d ran after its worker failed at %d", workers, i, want)
+			}
+		}
+	}
+	if err := EachNode(nil, 0, nil); err != nil {
+		t.Fatalf("no work: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -11,25 +10,26 @@ import (
 	"cloudfog/internal/health"
 	"cloudfog/internal/qoe"
 	"cloudfog/internal/sim"
-	"cloudfog/internal/world"
 )
 
-// Config parameterizes a sharded run.
+// Config parameterizes a scaling run.
 type Config struct {
-	// Shards is the partition width; 1 runs the identical code path with a
-	// single shard (the bit-identity anchor).
+	// Shards is how many workers share an epoch's node simulations; 1 runs
+	// the identical code path on the calling goroutine (the bit-identity
+	// anchor).
 	Shards int
-	// Seed is the run seed; every shard, epoch, and node stream is split
-	// from it with sim.SplitSeed.
+	// Seed is the run seed; every epoch and node stream is split from it
+	// with sim.SplitSeed.
 	Seed int64
 	// Horizon is the total virtual time; Epoch the barrier interval.
 	Horizon time.Duration
 	Epoch   time.Duration
-	// Width, Height bound the world plane the partition covers.
+	// Width, Height are read by nothing: they bounded the geographic
+	// partition and stay only because bench/ sets them (DESIGN.md §18).
 	Width, Height float64
 	// Detector selects failure detection: ModeOracle synthesizes detection
-	// delays from a pure hash; other modes run a per-shard heartbeat
-	// monitor on the shard's own engine.
+	// delays from a pure hash; other modes run one heartbeat monitor on
+	// the runner's engine.
 	Detector       health.Mode
 	DetectorConfig health.DetectorConfig
 	// Overload runs the control plane's RelieveOverloaded ladder step at
@@ -41,9 +41,9 @@ type Config struct {
 	QoE qoe.Options
 	// QoENodeBudget caps how many supernodes run the segment-level QoE
 	// simulation per epoch (0 = no cap). Node selection is a pure hash of
-	// (seed, epoch, node) — partition-invariant — so capped runs stay
-	// bit-identical across shard counts while bounding the data-plane
-	// cost at the million-player scale.
+	// (seed, epoch, node), so capped runs stay bit-identical across worker
+	// counts while bounding the data-plane cost at the million-player
+	// scale.
 	QoENodeBudget int
 }
 
@@ -56,10 +56,8 @@ type Sample struct {
 	Within    int
 }
 
-// Result aggregates a sharded run. Every field is partition-invariant
-// except the two CrossShard counts, which describe the partition itself
-// (how much traffic crossed a boundary) and are reported for the scaling
-// analysis only — they never feed figure bytes.
+// Result aggregates a scaling run. Every field but Shards is the same at any
+// worker count.
 type Result struct {
 	Players        int
 	Shards         int
@@ -77,20 +75,12 @@ type Result struct {
 	Moved          int64 // overload-relief migrations
 	PendingEnd     int64 // orphans still awaiting detection at the horizon
 	DetectLatency  time.Duration
-	// CrossShardRepairs counts failovers whose backup landed on a shard
-	// other than the failed node's; CrossShardMigrations counts relief
-	// migrations crossing a boundary. Both depend on the plan.
-	CrossShardRepairs    int64
-	CrossShardMigrations int64
-	// ShardSeeds and ShardDraws are the flight recorder's RNG witness: the
-	// split seed each shard's data plane derives its streams from and the
-	// draws it consumed (QoE pool runs plus the shard stream). Like the
-	// CrossShard counts they describe the partition, not the figures.
-	ShardSeeds []int64
-	ShardDraws []uint64
-	// FogDraws is the control-plane geolocation stream's draw count at the
-	// end of the run — partition-invariant, because the fog evolves only at
-	// barriers in canonical message order.
+	// QoEDraws and FogDraws are the flight recorder's RNG witness: the draws
+	// the node simulations consumed, summed over the workers' pools (a sum
+	// of per-node counts, so it does not depend on who ran which node), and
+	// the control-plane geolocation stream's draw count at the end of the
+	// run (the fog evolves only at barriers in canonical message order).
+	QoEDraws uint64
 	FogDraws uint64
 }
 
@@ -102,22 +92,9 @@ func (r *Result) MeanDetectionLatency() time.Duration {
 	return r.DetectLatency / time.Duration(r.Detections)
 }
 
-// shardState is one shard's private slice of the data plane.
-type shardState struct {
-	id     int
-	engine *sim.Engine
-	rng    *sim.Rand
-	mon    *health.Monitor
-	pool   *qoe.Pool
-	outbox []Msg
-	seq    int64
-	epoch  int
-	err    error
-}
-
-// Runner executes a sharded run: the control-plane fog advances only at
-// epoch barriers, the shards run their monitors and node simulations in
-// parallel in between.
+// Runner executes a scaling run: the control-plane fog advances only at
+// epoch barriers; in between, the workers run the epoch's node simulations
+// and the monitor its heartbeats, side by side.
 type Runner struct {
 	cfg     Config
 	fog     *core.Fog
@@ -126,17 +103,16 @@ type Runner struct {
 	respawn func(id int64) *core.Supernode
 	clk     *Clock
 
-	plan    *Plan
-	ownerOf map[int64]int
-	shards  []*shardState
+	engine  *sim.Engine     // the monitor's; absolute virtual time
+	mon     *health.Monitor // nil in oracle mode
+	detects []Msg           // what the monitor found this epoch
+	pools   []*qoe.Pool     // one per worker
 
-	// What the runner keeps per player, all index-aligned with players: the
-	// packet tallies and, with the ladder on, who served the player before the
-	// barrier's relief step. Nothing else needs a player's index — the node
-	// tasks carry the indices of the players they simulate.
+	// The packet tallies, index-aligned with players. Nothing else needs a
+	// player's index — the node tasks carry the indices of the players they
+	// simulate.
 	onTime []int64
 	total  []int64
-	before []int64 // serving supernode ID, or notFogServed
 
 	nextEvent int // cursor into sched.Events
 	downPred  map[int64]bool
@@ -147,24 +123,16 @@ type Runner struct {
 	res Result
 }
 
-// notFogServed is no supernode's ID: the before entry of a player the cloud,
-// an edge server or nobody served.
-const notFogServed = math.MinInt64
-
-// NewRunner plans the partition and builds the per-shard machinery. The fog
-// must have been built with the Clock's Now as its time source and have the
-// players already joined; sched may be nil (fault-free). respawn mints
-// fresh supernode instances for recoveries.
+// NewRunner builds the runner's machinery. The fog must have been built with
+// the Clock's Now as its time source and have the players already joined;
+// sched may be nil (fault-free). respawn mints fresh supernode instances for
+// recoveries.
 func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.Schedule, respawn func(id int64) *core.Supernode, clk *Clock) *Runner {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = cfg.Horizon
-	}
-	pts := make([]world.Vec2, len(players))
-	for i, p := range players {
-		pts[i] = world.Vec2{X: p.Pos.X, Y: p.Pos.Y}
 	}
 	r := &Runner{
 		cfg:       cfg,
@@ -173,63 +141,34 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 		sched:     sched,
 		respawn:   respawn,
 		clk:       clk,
-		plan:      NewPlan(cfg.Width, cfg.Height, pts, cfg.Shards),
-		ownerOf:   make(map[int64]int),
+		engine:    sim.New(),
+		pools:     make([]*qoe.Pool, cfg.Shards),
 		onTime:    make([]int64, len(players)),
 		total:     make([]int64, len(players)),
 		downPred:  make(map[int64]bool),
 		downSince: make(map[int64]time.Duration),
 		pending:   make(map[int64][]*core.Player),
 	}
-	if cfg.Overload && fog.Overload() != nil {
-		r.before = make([]int64, len(players))
+	for i := range r.pools {
+		r.pools[i] = qoe.NewPool()
 	}
-	// Ownership freezes at t=0 from the cloud's estimated positions, so a
-	// node's heartbeat chain never migrates between engines (its detector
-	// state stays a pure function of the schedule).
-	for _, sn := range fog.Supernodes() {
-		x, y, ok := fog.EstimatedPos(sn.ID)
-		if !ok {
-			x, y = sn.Pos.X, sn.Pos.Y
+	if cfg.Detector != health.ModeOracle {
+		var loss func(time.Duration) float64
+		if sched != nil {
+			loss = sched.LossFrac
 		}
-		r.ownerOf[sn.ID] = r.plan.Owner(x, y)
-	}
-	r.shards = make([]*shardState, cfg.Shards)
-	monitored := cfg.Detector != health.ModeOracle
-	var loss func(time.Duration) float64
-	if sched != nil {
-		loss = sched.LossFrac
-	}
-	for i := range r.shards {
-		s := &shardState{
-			id:     i,
-			engine: sim.New(),
-			rng:    sim.NewRand(sim.SplitSeed(cfg.Seed, int64(i))),
-			pool:   qoe.NewPool(),
-		}
-		if monitored {
-			dc := cfg.DetectorConfig
-			dc.Mode = cfg.Detector
-			s.mon = health.NewMonitor(s.engine, dc, loss, nil)
-			s.mon.OnDetect(func(id int64, now time.Duration) {
-				s.outbox = append(s.outbox, Msg{
-					Epoch: s.epoch, At: now, Kind: MsgDetect,
-					Node: id, Shard: s.id, Seq: s.seq,
-				})
-				s.seq++
-			})
-		}
-		r.shards[i] = s
-	}
-	if monitored {
-		// Track in ascending node-ID order so heartbeat chain seq order is
-		// the canonical order on every shard.
+		dc := cfg.DetectorConfig
+		dc.Mode = cfg.Detector
+		r.mon = health.NewMonitor(r.engine, dc, loss, nil)
+		r.mon.OnDetect(func(id int64, now time.Duration) {
+			r.detects = append(r.detects, Msg{At: now, Kind: MsgDetect, Node: id})
+		})
+		// Track in ascending node-ID order: the heartbeat chains' seq order
+		// is then a function of the fleet alone.
 		for _, sn := range fog.Supernodes() {
-			r.shards[r.ownerOf[sn.ID]].mon.Track(sn.ID)
+			r.mon.Track(sn.ID)
 		}
-		for _, s := range r.shards {
-			s.mon.Start()
-		}
+		r.mon.Start()
 	}
 	return r
 }
@@ -239,7 +178,6 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 type nodeRun struct {
 	node   int64
 	uplink int64
-	owner  int
 	dur    time.Duration
 }
 
@@ -268,7 +206,7 @@ func (r *Runner) Run() (Result, error) {
 		}
 		killsAt, msgs := r.prologue(e, t0, t1)
 		tasks := r.buildTasks(killsAt, t0, t1)
-		if err := r.runShards(e, t0, t1, tasks); err != nil {
+		if err := r.runEpoch(e, t0, t1, tasks); err != nil {
 			return r.res, err
 		}
 		r.barrier(e, t1, msgs)
@@ -277,11 +215,8 @@ func (r *Runner) Run() (Result, error) {
 		r.res.PendingEnd += int64(len(pend))
 	}
 	r.summarizeContinuity()
-	r.res.ShardSeeds = make([]int64, len(r.shards))
-	r.res.ShardDraws = make([]uint64, len(r.shards))
-	for i, s := range r.shards {
-		r.res.ShardSeeds[i] = sim.SplitSeed(r.cfg.Seed, int64(i))
-		r.res.ShardDraws[i] = s.pool.Draws() + s.rng.Draws()
+	for _, p := range r.pools {
+		r.res.QoEDraws += p.Draws()
 	}
 	r.res.FogDraws = r.fog.RandDraws()
 	return r.res, nil
@@ -289,7 +224,7 @@ func (r *Runner) Run() (Result, error) {
 
 // prologue routes the epoch's fault events: kills and recoveries are
 // predicted against the down map (the same accept/skip sequence the barrier
-// will apply, so prediction equals truth), monitor shards get the kill and
+// will apply, so prediction equals truth), the monitor gets the kill and
 // recovery signals scheduled at their exact times, and oracle mode
 // synthesizes each kill's detection message from a pure hash. Wire ops
 // (loss, latency, bandwidth windows) need no routing: they act through the
@@ -299,7 +234,6 @@ func (r *Runner) prologue(epoch int, t0, t1 time.Duration) (killsAt map[int64]ti
 	if r.sched == nil {
 		return killsAt, nil
 	}
-	monitored := r.cfg.Detector != health.ModeOracle
 	for ; r.nextEvent < len(r.sched.Events); r.nextEvent++ {
 		ev := r.sched.Events[r.nextEvent]
 		if ev.At > t1 {
@@ -312,27 +246,25 @@ func (r *Runner) prologue(epoch int, t0, t1 time.Duration) (killsAt map[int64]ti
 			}
 			r.downPred[ev.Node] = true
 			killsAt[ev.Node] = ev.At
-			msgs = append(msgs, Msg{Epoch: epoch, At: ev.At, Kind: MsgKill, Node: ev.Node, Shard: -1})
-			if monitored {
-				s := r.shards[r.ownerOf[ev.Node]]
-				node, at := ev.Node, ev.At
-				s.engine.ScheduleAt(at, func() { s.mon.Kill(node) })
+			msgs = append(msgs, Msg{Epoch: epoch, At: ev.At, Kind: MsgKill, Node: ev.Node})
+			if r.mon != nil {
+				node := ev.Node
+				r.engine.ScheduleAt(ev.At, func() { r.mon.Kill(node) })
 			} else if ev.D > 0 {
 				// Oracle: detection at killAt + hash-drawn delay in (0, D].
 				h := hash64(uint64(r.cfg.Seed) ^ hash64(uint64(ev.Node)) ^ uint64(ev.At))
 				delay := time.Duration(h%uint64(ev.D)) + 1
-				r.future = append(r.future, Msg{At: ev.At + delay, Kind: MsgDetect, Node: ev.Node, Shard: -1})
+				r.future = append(r.future, Msg{At: ev.At + delay, Kind: MsgDetect, Node: ev.Node})
 			}
 		case fault.OpRecover:
 			if !r.downPred[ev.Node] {
 				continue
 			}
 			r.downPred[ev.Node] = false
-			msgs = append(msgs, Msg{Epoch: epoch, At: ev.At, Kind: MsgRecover, Node: ev.Node, Shard: -1})
-			if monitored {
-				s := r.shards[r.ownerOf[ev.Node]]
-				node, at := ev.Node, ev.At
-				s.engine.ScheduleAt(at, func() { s.mon.Recover(node) })
+			msgs = append(msgs, Msg{Epoch: epoch, At: ev.At, Kind: MsgRecover, Node: ev.Node})
+			if r.mon != nil {
+				node := ev.Node
+				r.engine.ScheduleAt(ev.At, func() { r.mon.Recover(node) })
 			}
 		}
 	}
@@ -373,12 +305,12 @@ func (r *Runner) buildTasks(killsAt map[int64]time.Duration, t0, t1 time.Duratio
 			dur = killAt - t0
 		}
 		if dur > 0 {
-			runs = append(runs, nodeRun{node: a.SN.ID, uplink: a.SN.Uplink, owner: r.ownerOf[a.SN.ID], dur: dur})
+			runs = append(runs, nodeRun{node: a.SN.ID, uplink: a.SN.Uplink, dur: dur})
 		}
 	}
 	if b := r.cfg.QoENodeBudget; b > 0 && len(runs) > b {
-		// Partition-invariant sample: rank nodes by a pure hash of
-		// (seed, epoch, node) and keep the b smallest.
+		// Rank nodes by a pure hash of (seed, epoch, node) and keep the b
+		// smallest.
 		epoch := int64(t0 / r.cfg.Epoch)
 		rank := func(id int64) uint64 {
 			return hash64(uint64(sim.SplitSeed(r.cfg.Seed, epoch)) ^ hash64(uint64(id)))
@@ -422,63 +354,52 @@ func (r *Runner) buildTasks(killsAt map[int64]time.Duration, t0, t1 time.Duratio
 	return tasks
 }
 
-// runShards executes one epoch's data plane: every shard runs its node
-// simulations (and, in monitor mode, its heartbeat engine) concurrently.
-// Packet tallies land in per-player slots — disjoint across shards because
-// a player is served by exactly one node and a node is owned by exactly one
-// shard — so the merge is race-free integer addition.
-func (r *Runner) runShards(epoch int, t0, t1 time.Duration, tasks []nodeTask) error {
+// runEpoch executes one epoch's data plane: the workers share the node
+// simulations through qoe.EachNode while, in monitor mode, the heartbeat
+// engine runs to the barrier on a goroutine beside them. Packet tallies land
+// in per-player slots — disjoint across tasks, because a player is served by
+// exactly one node — so the merge is race-free integer addition.
+func (r *Runner) runEpoch(epoch int, t0, t1 time.Duration, tasks []nodeTask) error {
 	var wg sync.WaitGroup
-	for _, s := range r.shards {
-		s.epoch = epoch
+	if r.mon != nil {
 		wg.Add(1)
-		go func(s *shardState) {
+		go func() {
 			defer wg.Done()
-			opts := r.cfg.QoE
-			if r.sched != nil {
-				opts.Impair = &offsetImpair{base: r.sched, off: t0}
-			}
-			for _, t := range tasks {
-				if t.owner != s.id {
-					continue
-				}
-				opts.Seed = sim.SplitSeed(sim.SplitSeed(r.cfg.Seed, int64(epoch)), t.node)
-				results, err := s.pool.RunNode(opts, t.uplink, t.specs, t.dur)
-				if err != nil {
-					s.err = err
-					return
-				}
-				for j, pr := range results {
-					i := t.idx[j]
-					r.onTime[i] += pr.PacketsOnTime
-					r.total[i] += pr.PacketsTotal
-				}
-			}
-			if s.mon != nil {
-				s.engine.RunUntil(t1)
-			}
-		}(s)
+			r.engine.RunUntil(t1)
+		}()
 	}
-	wg.Wait()
-	for _, s := range r.shards {
-		if s.err != nil {
-			return s.err
+	opts := r.cfg.QoE
+	if r.sched != nil {
+		opts.Impair = &offsetImpair{base: r.sched, off: t0}
+	}
+	epochSeed := sim.SplitSeed(r.cfg.Seed, int64(epoch))
+	err := qoe.EachNode(r.pools, len(tasks), func(pool *qoe.Pool, k int) error {
+		t, o := tasks[k], opts
+		o.Seed = sim.SplitSeed(epochSeed, t.node)
+		results, err := pool.RunNode(o, t.uplink, t.specs, t.dur)
+		for j, pr := range results {
+			i := t.idx[j]
+			r.onTime[i] += pr.PacketsOnTime
+			r.total[i] += pr.PacketsTotal
 		}
-	}
+		return err
+	})
+	wg.Wait()
 	r.res.QoENodeRuns += len(tasks)
-	return nil
+	return err
 }
 
-// barrier applies the epoch's cross-shard messages to the control plane in
-// canonical order, runs the overload-relief step, advances the clock, and
-// takes the flow-level census. Everything here is serial and ordered by
-// message content alone, so the fog (and its rng stream) evolves
-// identically at any shard count.
+// barrier applies the epoch's messages to the control plane in canonical
+// order, runs the overload-relief step, advances the clock, and takes the
+// flow-level census. Everything here is serial and ordered by message
+// content alone, so the fog (and its rng stream) evolves identically at any
+// worker count.
 func (r *Runner) barrier(epoch int, t1 time.Duration, msgs []Msg) {
-	for _, s := range r.shards {
-		msgs = append(msgs, s.outbox...)
-		s.outbox = s.outbox[:0]
+	for _, m := range r.detects {
+		m.Epoch = epoch
+		msgs = append(msgs, m)
 	}
+	r.detects = r.detects[:0]
 	sortMsgs(msgs)
 	for _, m := range msgs {
 		r.clk.advance(m.At)
@@ -519,46 +440,21 @@ func (r *Runner) barrier(epoch int, t1 time.Duration, msgs []Msg) {
 				continue
 			}
 			delete(r.pending, m.Node)
-			from := r.ownerOf[m.Node]
 			for _, p := range pend {
 				if !r.fog.Failover(p) {
 					r.res.Lapsed++
 					continue
 				}
 				r.res.Repairs++
-				switch p.Attached.Kind {
-				case core.AttachSupernode:
-					if r.ownerOf[p.Attached.SN.ID] != from {
-						r.res.CrossShardRepairs++
-					}
-				case core.AttachCloud, core.AttachEdge:
+				if k := p.Attached.Kind; k == core.AttachCloud || k == core.AttachEdge {
 					r.res.CloudHops++
 				}
 			}
 		}
 	}
 	r.clk.advance(t1)
-	if r.before != nil {
-		for i, p := range r.players {
-			r.before[i] = notFogServed
-			if p.Attached.Kind == core.AttachSupernode {
-				r.before[i] = p.Attached.SN.ID
-			}
-		}
-		moved := r.fog.RelieveOverloaded()
-		r.res.Moved += int64(moved)
-		if moved > 0 {
-			for i, p := range r.players {
-				if p.Attached.Kind != core.AttachSupernode {
-					continue
-				}
-				old := r.before[i]
-				if old != notFogServed && old != p.Attached.SN.ID &&
-					r.ownerOf[old] != r.ownerOf[p.Attached.SN.ID] {
-					r.res.CrossShardMigrations++
-				}
-			}
-		}
+	if r.cfg.Overload && r.fog.Overload() != nil {
+		r.res.Moved += int64(r.fog.RelieveOverloaded())
 	}
 	served, fogN, uns, within := 0, 0, 0, 0
 	for _, p := range r.players {

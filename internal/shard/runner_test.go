@@ -35,7 +35,7 @@ func buildTasksReference(r *Runner, killsAt map[int64]time.Duration, t0, t1 time
 			if killAt, dead := killsAt[a.SN.ID]; dead {
 				dur = killAt - t0
 			}
-			t = &nodeTask{nodeRun: nodeRun{node: a.SN.ID, uplink: a.SN.Uplink, owner: r.ownerOf[a.SN.ID], dur: dur}}
+			t = &nodeTask{nodeRun: nodeRun{node: a.SN.ID, uplink: a.SN.Uplink, dur: dur}}
 			byNode[a.SN.ID] = t
 			order = append(order, a.SN.ID)
 		}

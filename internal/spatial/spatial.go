@@ -83,49 +83,20 @@ func NewGrid(width, height float64) *Grid {
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return g.n }
 
-// gridShape lays out ~want cells matching a width×height plane's aspect
-// ratio — the single source of truth for bucket geometry, shared by
-// rebucket and the exported CellGeometry.
-func gridShape(width, height float64, want int) (cols, rows int) {
-	if want < minCells {
-		want = minCells
-	}
-	cols = int(math.Round(math.Sqrt(float64(want) * width / height)))
-	if cols < 1 {
-		cols = 1
-	}
-	rows = (want + cols - 1) / cols
-	if rows < 1 {
-		rows = 1
-	}
-	return cols, rows
-}
-
-// CellGeometry returns the bucket dimensions a Grid over a width×height
-// plane uses once it has been tuned for n points (want = n/targetPerCell,
-// floored at the minimum cell count) — the same arithmetic rebucket runs.
-// The shard planner snaps kd-tree partition cuts to multiples of these
-// dimensions, computed for the population it partitions: a layout hint that
-// keeps cuts on a regular lattice. The fog's live shortlist index follows the
-// count of supernodes that can take a player and retunes as that moves, so
-// its cells need not line up with the cuts; query results never depend on
-// cell geometry. Cells are anchored at the plane origin, so any multiple of
-// cellW (cellH) is a vertical (horizontal) cell edge.
-func CellGeometry(width, height float64, n int) (cellW, cellH float64) {
-	if width <= 0 {
-		width = 1
-	}
-	if height <= 0 {
-		height = 1
-	}
-	cols, rows := gridShape(width, height, int(float64(n)/targetPerCell))
-	return width / float64(cols), height / float64(rows)
-}
-
 // rebucket lays out ~want cells matching the plane's aspect ratio and
 // redistributes every entry.
 func (g *Grid) rebucket(want int) {
-	cols, rows := gridShape(g.width, g.height, want)
+	if want < minCells {
+		want = minCells
+	}
+	cols := int(math.Round(math.Sqrt(float64(want) * g.width / g.height)))
+	if cols < 1 {
+		cols = 1
+	}
+	rows := (want + cols - 1) / cols
+	if rows < 1 {
+		rows = 1
+	}
 	old := g.cells
 	g.cols, g.rows = cols, rows
 	g.cellW = g.width / float64(cols)

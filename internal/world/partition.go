@@ -12,18 +12,6 @@ import (
 // MMOG clouds use to assign regions of the virtual environment to servers.
 // Regions tile the bounds exactly; each carries its avatar count.
 func PartitionKD(bounds Rect, avatars []Vec2, depth int) []Region {
-	return PartitionKDSnap(bounds, avatars, depth, 0, 0)
-}
-
-// PartitionKDSnap is PartitionKD with every cut snapped to the nearest
-// multiple of snapX (vertical cuts) or snapY (horizontal cuts), both
-// anchored at the plane origin. The shard planner passes spatial.CellGeometry
-// for the partitioned population here, so partition boundaries land on a
-// regular lattice (a layout hint: the fog's live shortlist grid retunes with
-// the admissible supernode count). A snap of zero leaves that axis
-// unsnapped; a cut is also left unsnapped when its slab is narrower than
-// one cell (no interior multiple exists).
-func PartitionKDSnap(bounds Rect, avatars []Vec2, depth int, snapX, snapY float64) []Region {
 	if depth < 0 {
 		depth = 0
 	}
@@ -41,9 +29,9 @@ func PartitionKDSnap(bounds Rect, avatars []Vec2, depth int, snapX, snapY float6
 			out = append(out, Region{Bounds: r, Avatars: len(pts)})
 			return
 		}
-		lo, hi, snap := r.Min.X, r.Max.X, snapX
+		lo, hi := r.Min.X, r.Max.X
 		if axis != 0 {
-			lo, hi, snap = r.Min.Y, r.Max.Y, snapY
+			lo, hi = r.Min.Y, r.Max.Y
 		}
 		sorted := keys[:len(pts)]
 		for i, p := range pts {
@@ -70,7 +58,6 @@ func PartitionKDSnap(bounds Rect, avatars []Vec2, depth int, snapX, snapY float6
 		// Out-of-range cuts (duplicate stacks spanning the whole slab, or
 		// median points on the boundary) fall back to a geometric cut so
 		// regions keep positive area.
-		cut = snapCut(cut, lo, hi, snap)
 		if cut <= lo || cut >= hi {
 			cut = (lo + hi) / 2
 		}
@@ -107,26 +94,6 @@ func advanceCut(sorted []float64, mid int) float64 {
 		}
 	}
 	return math.Inf(1)
-}
-
-// snapCut rounds a cut to the nearest origin-anchored multiple of snap that
-// stays strictly inside (lo, hi). When no such multiple exists (the slab is
-// narrower than one snap unit) or snap is zero, the cut is returned as is.
-func snapCut(cut, lo, hi, snap float64) float64 {
-	if snap <= 0 || math.IsInf(cut, 0) {
-		return cut
-	}
-	s := math.Round(cut/snap) * snap
-	if s <= lo {
-		s += snap
-	}
-	if s >= hi {
-		s -= snap
-	}
-	if s <= lo || s >= hi {
-		return cut
-	}
-	return s
 }
 
 // Region is one kd-tree leaf with its avatar load.

@@ -197,40 +197,6 @@ func TestPartitionKDDuplicateCoordinate(t *testing.T) {
 	}
 }
 
-func TestPartitionKDSnapAlignsCuts(t *testing.T) {
-	rng := sim.NewRand(7)
-	bounds := DefaultConfig().Bounds
-	avatars := clusteredAvatars(rng, 400)
-	const snapX, snapY = 125.0, 250.0
-	regions := PartitionKDSnap(bounds, avatars, 3, snapX, snapY)
-	if len(regions) != 8 {
-		t.Fatalf("depth 3 produced %d regions, want 8", len(regions))
-	}
-	onGrid := func(v, snap float64) bool {
-		q := v / snap
-		return math.Abs(q-math.Round(q)) < 1e-9
-	}
-	total := 0
-	for _, r := range regions {
-		total += r.Avatars
-		// Every interior edge must land on a cell boundary; the outer
-		// bounds are the world edges and stay put.
-		for _, x := range []float64{r.Bounds.Min.X, r.Bounds.Max.X} {
-			if x != bounds.Min.X && x != bounds.Max.X && !onGrid(x, snapX) {
-				t.Fatalf("vertical edge %v not on a %v cell boundary", x, snapX)
-			}
-		}
-		for _, y := range []float64{r.Bounds.Min.Y, r.Bounds.Max.Y} {
-			if y != bounds.Min.Y && y != bounds.Max.Y && !onGrid(y, snapY) {
-				t.Fatalf("horizontal edge %v not on a %v cell boundary", y, snapY)
-			}
-		}
-	}
-	if total != len(avatars) {
-		t.Fatalf("region counts sum to %d, want %d", total, len(avatars))
-	}
-}
-
 func TestAssignRegionsBalances(t *testing.T) {
 	rng := sim.NewRand(3)
 	bounds := DefaultConfig().Bounds
@@ -273,10 +239,10 @@ func TestRectContainsProperty(t *testing.T) {
 	}
 }
 
-// partitionReference is PartitionKDSnap as it was while it fully sorted the
+// partitionReference is PartitionKD as it was while it fully sorted the
 // points at every level and copied them into two grown halves (PR 21), kept
 // verbatim as the oracle for the version that partitions one copy in place.
-func partitionReference(bounds Rect, avatars []Vec2, depth int, snapX, snapY float64) []Region {
+func partitionReference(bounds Rect, avatars []Vec2, depth int) []Region {
 	if depth < 0 {
 		depth = 0
 	}
@@ -326,12 +292,10 @@ func partitionReference(bounds Rect, avatars []Vec2, depth int, snapX, snapY flo
 		// regions keep positive area.
 		lo, hi := r.Min, r.Max
 		if axis == 0 {
-			cut = snapCut(cut, lo.X, hi.X, snapX)
 			if cut <= lo.X || cut >= hi.X {
 				cut = (lo.X + hi.X) / 2
 			}
 		} else {
-			cut = snapCut(cut, lo.Y, hi.Y, snapY)
 			if cut <= lo.Y || cut >= hi.Y {
 				cut = (lo.Y + hi.Y) / 2
 			}
@@ -384,8 +348,7 @@ func advanceCutReference(pts []Vec2, mid, axis int) float64 {
 // TestPartitionMatchesReference: the in-place partition returns the
 // reference's regions — bounds bit for bit, avatar counts exactly — over
 // random clouds, coincident stacks, axes every point shares, points on and
-// outside the bounds, with and without a snap lattice, at depth 0 to 6, down
-// to one point and none.
+// outside the bounds, at depth 0 to 6, down to one point and none.
 func TestPartitionMatchesReference(t *testing.T) {
 	rng := sim.NewRand(20261002)
 	bounds := Rect{Min: Vec2{0, 0}, Max: Vec2{1000, 600}}
@@ -454,18 +417,16 @@ func TestPartitionMatchesReference(t *testing.T) {
 	for _, c := range clouds {
 		for _, n := range []int{0, 1, 2, 3, 17, 64, 500} {
 			for depth := 0; depth <= 6; depth++ {
-				for _, snap := range [][2]float64{{0, 0}, {125, 50}, {0, 75}, {2000, 2000}} {
-					pts := c.gen(n)
-					given := append([]Vec2(nil), pts...)
-					want := partitionReference(bounds, pts, depth, snap[0], snap[1])
-					got := PartitionKDSnap(bounds, pts, depth, snap[0], snap[1])
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s, %d points, depth %d, snap %v: regions differ from the reference\n got: %+v\nwant: %+v",
-							c.name, n, depth, snap, got, want)
-					}
-					if !slices.Equal(pts, given) {
-						t.Fatalf("%s, %d points, depth %d: the caller's points were reordered", c.name, n, depth)
-					}
+				pts := c.gen(n)
+				given := append([]Vec2(nil), pts...)
+				want := partitionReference(bounds, pts, depth)
+				got := PartitionKD(bounds, pts, depth)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, %d points, depth %d: regions differ from the reference\n got: %+v\nwant: %+v",
+						c.name, n, depth, got, want)
+				}
+				if !slices.Equal(pts, given) {
+					t.Fatalf("%s, %d points, depth %d: the caller's points were reordered", c.name, n, depth)
 				}
 			}
 		}
