@@ -158,13 +158,19 @@ scale:
 # figures is the QoE-side twin of latency and scale: the node simulation's
 # order tests uncached (the golden digest over 240 runs and the forced-tie
 # digest, both recorded on the event-engine-backed simulation, and the bound
-# on what a player holds in flight), the sender buffer and stream suites,
-# then the repo benchmark's sim-figures workload, whose op_ms is the wall time
-# of Figures 9(a), 10(a) and 11(a) on the quarter-scale world. The run builds
-# bench/ against this tree and fails if the pinned figure hash moves.
+# on what a player holds in flight), one pool driven through unlike runs
+# against fresh simulations and the two allocation floors; the sender buffer
+# (estimators by stream index), stream (EncodeInto over a dirty segment) and
+# sim (a re-seeded generator against a fresh one) suites; what a warm groupRun
+# allocates on the world's pools, its bytes at any worker count, and that a
+# clone shares none of it; then the repo benchmark's sim-figures workload,
+# whose op_ms is the wall time of Figures 9(a), 10(a) and 11(a) on the
+# quarter-scale world. The run builds bench/ against this tree and fails if
+# the pinned figure hash moves.
 figures:
-	$(GO) test -count=1 -run 'Golden|Ties|InFlight' ./internal/qoe/
-	$(GO) test -count=1 ./internal/sched/ ./internal/stream/
+	$(GO) test -count=1 -run 'Golden|Ties|InFlight|Pool|AllocFloor' ./internal/qoe/
+	$(GO) test -count=1 ./internal/sched/ ./internal/stream/ ./internal/sim/
+	$(GO) test -count=1 -run 'GroupRun|CloneIsolation' ./internal/experiment/
 	bash bench/run.sh --workload sim-figures --seed 2026 --seconds 20 --trace 0
 
 # reach measures which functions of cloudfog/internal/... the product ever

@@ -108,6 +108,8 @@ type World struct {
 	dcPts  []geo.Point
 	srvPts []geo.Point
 	snSpec []snSpec
+
+	runs nodeRuns
 }
 
 type snSpec struct {

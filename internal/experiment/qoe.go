@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -32,15 +34,60 @@ type nodeKey struct {
 	id   int64
 }
 
+// servingNode names the node that serves an attachment and the uplink its
+// players share.
+func servingNode(a *core.Attachment) (nodeKey, int64) {
+	if a.Kind == core.AttachSupernode {
+		return nodeKey{kind: 1, id: a.SN.ID}, a.SN.Uplink
+	}
+	return nodeKey{kind: 0, id: a.DC.ID}, a.DC.Egress
+}
+
+// nodeGroup is one serving node's share of a groupRun: its players' specs are
+// specs[start:start+n] of the world's flat slice, and their results land in
+// the same range of the result slice.
+type nodeGroup struct {
+	key      nodeKey
+	uplink   int64
+	start, n int
+}
+
+// nodeRuns is what back-to-back node simulations on one world reuse, so that
+// a figure point pays for its arithmetic and not for rebuilding what the last
+// point left behind: the qoe.Pools (sender buffers, session arenas, segment
+// sets, one generator each) and groupRun's deal. It belongs to one goroutine
+// at a time, like the world's players; Clone drops it.
+type nodeRuns struct {
+	pools   []*qoe.Pool
+	index   map[nodeKey]int
+	nodes   []nodeGroup
+	specs   []qoe.PlayerSpec
+	results []qoe.PlayerResult
+}
+
+// nodePools returns n of the world's pools, minting the ones it lacks.
+func (w *World) nodePools(n int) []*qoe.Pool {
+	for len(w.runs.pools) < n {
+		w.runs.pools = append(w.runs.pools, qoe.NewPool())
+	}
+	return w.runs.pools[:n]
+}
+
 // groupRun partitions the joined players by serving node, runs the
 // segment-level QoE simulation per node, and aggregates all players. sys may
 // be nil; when it is a Fog with the overload ladder installed, supernode-
 // attached players inherit their node's current encoding-level cap.
 //
+// The deal is two passes over the players into storage the world keeps: the
+// first finds the serving nodes and counts their players, the nodes are put in
+// canonical order (datacenters, then supernodes, by id) and given consecutive
+// ranges of one flat spec slice, and the second writes each player's spec at
+// its node's next free place — so a node's players stay in join order.
+//
 // Per-node simulations are pure in (opts, uplink, specs, horizon), so the
 // node runs parallelize freely: Cfg.Shards workers (one when unset) share
-// them through qoe.EachNode, with results landing in per-node slots and
-// concatenating in the canonical node order — the same bytes at any count.
+// them through qoe.EachNode, each run's results copied into the node's own
+// range of one result slice — the same bytes at any count.
 func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Options, horizon time.Duration) (qoe.Summary, error) {
 	if w.Cfg.Obs != nil && opts.Obs == nil {
 		opts.Obs = nodeStatsFor(w)
@@ -49,74 +96,76 @@ func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Option
 	if fog, ok := sys.(*core.Fog); ok && fog.Overload() != nil {
 		capOf = fog.SupernodeLevelCap
 	}
-	type group struct {
-		uplink int64
-		specs  []qoe.PlayerSpec
+	r := &w.runs
+	if r.index == nil {
+		r.index = make(map[nodeKey]int)
 	}
-	groups := make(map[nodeKey]*group)
+	clear(r.index)
+	nodes, served := r.nodes[:0], 0
 	for _, p := range players {
-		a := p.Attached
+		if !p.Attached.Served() {
+			continue
+		}
+		key, uplink := servingNode(&p.Attached)
+		i, seen := r.index[key]
+		if !seen {
+			i = len(nodes)
+			r.index[key] = i
+			nodes = append(nodes, nodeGroup{key: key, uplink: uplink})
+		}
+		nodes[i].n++
+		served++
+	}
+	slices.SortFunc(nodes, func(a, b nodeGroup) int {
+		if a.key.kind != b.key.kind {
+			return cmp.Compare(a.key.kind, b.key.kind)
+		}
+		return cmp.Compare(a.key.id, b.key.id)
+	})
+	// From here on a node's n counts the specs dealt into its range.
+	next := 0
+	for i := range nodes {
+		g := &nodes[i]
+		r.index[g.key] = i
+		g.start, next = next, next+g.n
+		g.n = 0
+	}
+	specs := slices.Grow(r.specs[:0], served)[:served]
+	for _, p := range players {
+		a := &p.Attached
 		if !a.Served() {
 			continue
 		}
-		var key nodeKey
-		var uplink int64
-		var levelCap int
-		switch a.Kind {
-		case core.AttachSupernode:
-			key = nodeKey{kind: 1, id: a.SN.ID}
-			uplink = a.SN.Uplink
-			if capOf != nil {
-				levelCap = capOf(a.SN.ID, p.Game.StartLevel)
-			}
-		case core.AttachCloud, core.AttachEdge:
-			key = nodeKey{kind: 0, id: a.DC.ID}
-			uplink = a.DC.Egress
+		key, _ := servingNode(a)
+		levelCap := 0
+		if capOf != nil && a.Kind == core.AttachSupernode {
+			levelCap = capOf(a.SN.ID, p.Game.StartLevel)
 		}
-		g := groups[key]
-		if g == nil {
-			g = &group{uplink: uplink}
-			groups[key] = g
-		}
-		g.specs = append(g.specs, qoe.PlayerSpec{
+		g := &nodes[r.index[key]]
+		specs[g.start+g.n] = qoe.PlayerSpec{
 			ID:           p.ID,
 			Game:         p.Game,
 			Latency:      a.StreamLatency,
 			InboundDelay: a.UpdateLatency,
 			LevelCap:     levelCap,
-		})
-	}
-	keys := make([]nodeKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].kind != keys[b].kind {
-			return keys[a].kind < keys[b].kind
 		}
-		return keys[a].id < keys[b].id
-	})
-
-	pools := make([]*qoe.Pool, min(max(w.Cfg.Shards, 1), len(keys)))
-	for i := range pools {
-		pools[i] = qoe.NewPool()
+		g.n++
 	}
-	slots := make([][]qoe.PlayerResult, len(keys))
-	err := qoe.EachNode(pools, len(keys), func(pool *qoe.Pool, i int) error {
-		g := groups[keys[i]]
-		res, err := pool.RunNode(opts, g.uplink, g.specs, horizon)
+	results := slices.Grow(r.results[:0], served)[:served]
+	r.nodes, r.specs, r.results = nodes, specs, results
+
+	pools := w.nodePools(min(max(w.Cfg.Shards, 1), len(nodes)))
+	err := qoe.EachNode(pools, len(nodes), func(pool *qoe.Pool, i int) error {
+		g := nodes[i]
+		res, err := pool.RunNode(opts, g.uplink, specs[g.start:g.start+g.n], horizon)
 		// Pool results are reused on the next RunNode: copy out.
-		slots[i] = append(make([]qoe.PlayerResult, 0, len(res)), res...)
+		copy(results[g.start:], res)
 		return err
 	})
 	if err != nil {
 		return qoe.Summary{}, err
 	}
-	var all []qoe.PlayerResult
-	for _, res := range slots {
-		all = append(all, res...)
-	}
-	return qoe.Summarize(all), nil
+	return qoe.Summarize(results), nil
 }
 
 // ContinuityVsPlayers reproduces Figure 9(a): average playback continuity
@@ -273,7 +322,10 @@ func StrategyEffect(w *World, loads []int, horizon time.Duration, adaptation, sc
 		if pw.Cfg.Obs != nil {
 			opts.Obs = nodeStatsFor(pw)
 		}
-		resB, err := qoe.RunNode(opts, uplink, specs, horizon)
+		// Both runs on the world's pool: resB is read before the second run
+		// overwrites it.
+		pool := pw.nodePools(1)[0]
+		resB, err := pool.RunNode(opts, uplink, specs, horizon)
 		if err != nil {
 			return err
 		}
@@ -281,7 +333,7 @@ func StrategyEffect(w *World, loads []int, horizon time.Duration, adaptation, sc
 
 		opts.Adaptation = adaptation
 		opts.Scheduling = scheduling
-		resW, err := qoe.RunNode(opts, uplink, specs, horizon)
+		resW, err := pool.RunNode(opts, uplink, specs, horizon)
 		if err != nil {
 			return err
 		}

@@ -15,9 +15,11 @@ import (
 // runtime state (Online, Game, Attached, Backups) is duplicated, reset to
 // the never-joined state every sweep point starts from. The Population is
 // copied whole, so a clone taken before the friend graph exists carries the
-// graph's seed and builds the same one.
+// graph's seed and builds the same one. The node-run pools and groupRun's
+// scratch are per goroutine, so a clone starts without any.
 func (w *World) Clone() *World {
 	cw := *w
+	cw.runs = nodeRuns{}
 	pop := *w.Pop
 	pop.Players = make([]*core.Player, len(w.Pop.Players))
 	for i, p := range w.Pop.Players {

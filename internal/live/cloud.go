@@ -1,8 +1,10 @@
 package live
 
 import (
+	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,11 +38,13 @@ type Cloud struct {
 	closed  bool
 	// tickOnce encode arenas (mu-guarded): stamp frames are appended
 	// back-to-back into encScratch with stampOffs marking boundaries, and
-	// each delta is encoded once into deltaScratch. Send copies payloads
-	// synchronously, so the reused storage is safe to share across subs
-	// and ticks.
+	// the delta from each version in fromScratch — the distinct versions the
+	// subscriptions hold, one in steady state — is encoded once into
+	// deltaScratch. Send copies payloads synchronously, so the reused
+	// storage is safe to share across subs and ticks.
 	encScratch   []byte
 	stampOffs    []int
+	fromScratch  []uint64
 	deltaScratch []byte
 
 	wg   sync.WaitGroup
@@ -172,9 +176,12 @@ func (c *Cloud) servePlayer(conn net.Conn, playerID int64) {
 	c.mu.Unlock()
 	proto.WriteFrame(conn, proto.TAck, proto.MarshalAck(proto.Ack{}))
 
+	// Read through a buffer: a frame is a header and a payload, two read(2)
+	// calls against the bare socket. Actions are a few dozen bytes.
+	rd := bufio.NewReaderSize(conn, 256)
 	var rbuf []byte
 	for {
-		typ, payload, err := proto.ReadFrameReuse(conn, &rbuf)
+		typ, payload, err := proto.ReadFrameReuse(rd, &rbuf)
 		if err != nil {
 			return
 		}
@@ -212,8 +219,15 @@ func (c *Cloud) serveSupernode(conn net.Conn, snID int64) {
 	}
 	// A new subscription starts from a snapshot.
 	link.Send(proto.TDelta, proto.MarshalDelta(c.w.Snapshot()))
+	replaced := c.subs[snID]
 	c.subs[snID] = &cloudSub{link: link, version: c.w.Version()}
 	c.mu.Unlock()
+	if replaced != nil {
+		// A re-subscribe under the same ID: the old link is on nobody's list
+		// any more, so close it here, or its goroutine sits in Recv — and Close
+		// waits on it — for as long as the peer keeps the old connection open.
+		replaced.link.Close()
+	}
 
 	// The peer sends nothing after its hello; the read returns when it goes
 	// away.
@@ -342,22 +356,37 @@ func (c *Cloud) tickOnce() {
 	for player := range c.stamps {
 		delete(c.stamps, player)
 	}
-	minVersion := c.w.Version()
+	// One DeltaSince and one encode per distinct version held, taken before
+	// that version's subscriptions are sent anything: stamps and delta then
+	// reach a link back to back and leave in one coalesced write. Step has
+	// moved the world past every version held, so a subscription brought up
+	// to date is not matched again under a later one.
+	c.fromScratch = c.fromScratch[:0]
 	for _, sub := range c.subs {
-		for i := 0; i+1 < len(c.stampOffs); i++ {
-			sub.link.Send(proto.TAction, c.encScratch[c.stampOffs[i]:c.stampOffs[i+1]])
+		if !slices.Contains(c.fromScratch, sub.version) {
+			c.fromScratch = append(c.fromScratch, sub.version)
 		}
-		d := c.w.DeltaSince(sub.version)
+	}
+	minVersion := c.w.Version()
+	for _, from := range c.fromScratch {
+		d := c.w.DeltaSince(from)
 		c.deltaScratch = proto.AppendDelta(c.deltaScratch[:0], d)
-		// A delta the link refused (send queue full, loss process) never
-		// reaches the replica: leave the version where it is, so the next
-		// tick's delta covers the gap (minVersion below keeps the journal
-		// that far back).
-		if sub.link.Send(proto.TDelta, c.deltaScratch) {
-			sub.version = d.ToVersion
-		}
-		if sub.version < minVersion {
-			minVersion = sub.version
+		for _, sub := range c.subs {
+			if sub.version != from {
+				continue
+			}
+			for i := 0; i+1 < len(c.stampOffs); i++ {
+				sub.link.Send(proto.TAction, c.encScratch[c.stampOffs[i]:c.stampOffs[i+1]])
+			}
+			// A delta the link refused (send queue full, loss process) never
+			// reaches the replica: leave the version where it is, so the next
+			// tick's delta covers the gap (minVersion keeps the journal that
+			// far back).
+			if sub.link.Send(proto.TDelta, c.deltaScratch) {
+				sub.version = d.ToVersion
+			} else {
+				minVersion = min(minVersion, from)
+			}
 		}
 	}
 	c.w.Compact(minVersion)

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"bytes"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -198,4 +200,193 @@ func TestCloudForgetsDepartedPlayers(t *testing.T) {
 	if replica.Len() != 0 {
 		t.Errorf("the subscriber's replica holds %d entities of an empty world", replica.Len())
 	}
+}
+
+// subscriber is a test's end of an update subscription: a raw connection that
+// said hello as supernode id, and the replica its deltas are applied to.
+type subscriber struct {
+	conn    net.Conn
+	replica *world.Replica
+}
+
+func subscribeAs(t *testing.T, cloud *Cloud, id int64) *subscriber {
+	t.Helper()
+	s := &subscriber{
+		conn:    dialWith(t, cloud.Addr(), proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RoleSupernode, ID: id})),
+		replica: world.NewReplica(),
+	}
+	s.nextDelta(t) // the subscription snapshot
+	return s
+}
+
+// nextDelta reads up to the next delta, applies it, and returns it with the
+// payload bytes it travelled as.
+func (s *subscriber) nextDelta(t *testing.T) (world.Delta, []byte) {
+	t.Helper()
+	for {
+		typ, payload, err := proto.ReadFrame(s.conn)
+		if err != nil {
+			t.Fatalf("expected a delta: %v", err)
+		}
+		if typ != proto.TDelta {
+			continue // the action stamps that precede a tick's delta
+		}
+		d, err := proto.UnmarshalDelta(payload)
+		if err == nil {
+			err = s.replica.Apply(d)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, payload
+	}
+}
+
+// movingWorld gives the cloud avatars and returns a tick that sends every one
+// of them off to the far corner from where the last tick left it, so every
+// delta carries them all (in the payload, in a map's order).
+func movingWorld(t *testing.T, cloud *Cloud, avatars int) (tick func()) {
+	t.Helper()
+	cloud.World(func(w *world.World) {
+		for p := int64(1); p <= int64(avatars); p++ {
+			if _, err := w.SpawnAvatar(p, world.Vec2{X: float64(100 * p), Y: 500}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	return func() {
+		cloud.World(func(w *world.World) {
+			corner := w.Bounds().Max
+			if w.Avatar(1).Pos == corner {
+				corner = w.Bounds().Min
+			}
+			acts := make([]world.Action, avatars)
+			for i := range acts {
+				acts[i] = world.Action{Player: int64(i + 1), Kind: world.ActionMove, Target: corner}
+			}
+			w.Apply(acts)
+		})
+		cloud.tickOnce()
+	}
+}
+
+// TestCloudResubscribeReplacesLink: a supernode that subscribes again under
+// its ID on a new connection takes the subscription over. The cloud closes the
+// link it replaces — the first connection reads EOF — the second keeps
+// receiving deltas at consecutive versions, and Close returns promptly with
+// both peers still connected, instead of waiting on a goroutine parked in the
+// replaced link's Recv until the peer hangs up.
+func TestCloudResubscribeReplacesLink(t *testing.T) {
+	// A tick period the loop never reaches: the test is the only ticker.
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	tick := movingWorld(t, cloud, 3)
+
+	first := subscribeAs(t, cloud, 7)
+	defer first.conn.Close()
+	second := subscribeAs(t, cloud, 7)
+	defer second.conn.Close()
+
+	first.conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if typ, _, err := proto.ReadFrame(first.conn); err != io.EOF {
+		t.Fatalf("the replaced connection read frame type %v, error %v; want EOF", typ, err)
+	}
+	at := second.replica.Version()
+	for i := 0; i < 3; i++ {
+		tick()
+		d, _ := second.nextDelta(t)
+		if d.Full || d.FromVersion != at || d.ToVersion <= at {
+			t.Fatalf("tick %d: delta %d→%d (full=%v) does not continue from version %d", i, d.FromVersion, d.ToVersion, d.Full, at)
+		}
+		at = d.ToVersion
+	}
+	cloud.mu.Lock()
+	subs := len(cloud.subs)
+	cloud.mu.Unlock()
+	if subs != 1 {
+		t.Fatalf("%d subscriptions after a re-subscribe, want 1", subs)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		cloud.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close has not returned after a second with both peers still connected")
+	}
+}
+
+// TestTickEncodesDeltaOncePerVersion: subscriptions at one version are sent
+// one encoding of the tick's delta — the same bytes, where a DeltaSince per
+// subscription lists the changed entities in a map's order each time — and one
+// that missed a delta is brought up from its own version on the next tick
+// while the others carry on from theirs.
+func TestTickEncodesDeltaOncePerVersion(t *testing.T) {
+	// A tick period the loop never reaches: the test is the only ticker.
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	tick := movingWorld(t, cloud, 8)
+
+	subs := make([]*subscriber, 4)
+	for i := range subs {
+		subs[i] = subscribeAs(t, cloud, int64(i+1))
+		defer subs[i].conn.Close()
+	}
+	sameBytes := func(what string, among []*subscriber) world.Delta {
+		t.Helper()
+		d0, p0 := among[0].nextDelta(t)
+		for _, s := range among[1:] {
+			if _, p := s.nextDelta(t); !bytes.Equal(p, p0) {
+				t.Fatalf("%s: two subscriptions at one version were sent different delta bytes", what)
+			}
+		}
+		if len(d0.Updated) < 8 {
+			t.Fatalf("%s: delta updates %d entities, want all 8 movers", what, len(d0.Updated))
+		}
+		return d0
+	}
+	tick()
+	sameBytes("steady state", subs)
+
+	// The loss accumulator claims every second frame on the laggard's link:
+	// this tick's delta passes, the next one's is refused.
+	cloud.mu.Lock()
+	laggard, rest := subs[2], []*subscriber{subs[0], subs[1], subs[3]}
+	lagLink := cloud.subs[3].link
+	cloud.mu.Unlock()
+	lagLink.Impair(0, 0.5)
+	tick()
+	held := sameBytes("before the loss", subs).ToVersion
+	tick()
+	sameBytes("during the loss", rest)
+	lagLink.Impair(0, 0)
+
+	tick()
+	ahead := sameBytes("after the loss", rest)
+	behind, _ := laggard.nextDelta(t)
+	if behind.FromVersion != held || behind.ToVersion != ahead.ToVersion || ahead.FromVersion <= held {
+		t.Fatalf("after a missed delta the laggard was sent %d→%d and the others %d→%d; it held version %d",
+			behind.FromVersion, behind.ToVersion, ahead.FromVersion, ahead.ToVersion, held)
+	}
+	cloud.World(func(w *world.World) {
+		for i, s := range subs {
+			if s.replica.Version() != w.Version() {
+				t.Errorf("subscriber %d's replica at version %d, world at %d", i+1, s.replica.Version(), w.Version())
+			}
+			for p := int64(1); p <= 8; p++ {
+				if got, _ := s.replica.Avatar(p); got.Pos != w.Avatar(p).Pos {
+					t.Errorf("subscriber %d holds avatar %d at %+v, the world has it at %+v", i+1, p, got.Pos, w.Avatar(p).Pos)
+				}
+			}
+		}
+	})
 }

@@ -10,6 +10,7 @@
 package live
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -71,6 +72,8 @@ const (
 
 	defaultMaxBatch = 256  // frames per coalesced writev
 	sendQueueCap    = 1024 // matches the pre-coalescing Link
+
+	recvBufferSize = 2 << 10 // a tick's stamps and delta; a control frame many times over
 
 	maxRecycledFrame = 1 << 20          // don't hoard giant one-off frames
 	maxFreeList      = sendQueueCap + 8 // bound the frame freelist
@@ -149,8 +152,11 @@ type linkCore struct {
 	batch      []queued
 	bufScratch [][]byte
 
-	// Recv-side reuse buffer, owned by the single reader goroutine.
+	// Recv side, owned by the single reader goroutine: the buffer a payload
+	// is returned in and, in stream mode, the reader the connection is read
+	// through — made by the first Recv, so a link that only sends has none.
 	recvBuf []byte
+	recvRd  *bufio.Reader
 }
 
 type queued struct {
@@ -612,7 +618,12 @@ func (l *linkCore) Recv() (proto.MsgType, []byte, error) {
 			typ, payload, err = proto.ParseDatagram(buf[:n])
 		}
 	} else {
-		typ, payload, err = proto.ReadFrameReuse(l.conn, &l.recvBuf)
+		if l.recvRd == nil {
+			// Header and payload are two read(2) calls against the bare
+			// socket; buffered, a peer's coalesced write is taken whole.
+			l.recvRd = bufio.NewReaderSize(l.conn, recvBufferSize)
+		}
+		typ, payload, err = proto.ReadFrameReuse(l.recvRd, &l.recvBuf)
 	}
 	if err == nil && l.stats != nil {
 		l.stats.RecvFrames.Inc()

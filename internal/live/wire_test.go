@@ -2,9 +2,11 @@ package live
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -395,5 +397,65 @@ func TestEndToEndPipelineUDP(t *testing.T) {
 	}
 	if report.MeanResponse == 0 {
 		t.Fatal("no response latencies measured over UDP")
+	}
+}
+
+// readCounter counts the Read calls made on a connection — each one a read(2)
+// on a real socket.
+type readCounter struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestLinkRecvReadsThroughABuffer: a stream-mode Recv does not pay a read for
+// a frame's header and another for its payload. A hundred small frames that
+// reached the socket in one write cost a few reads (two hundred against the
+// bare socket), arrive intact and in order, and a frame larger than the
+// buffer — and the small one behind it — still round-trips.
+func TestLinkRecvReadsThroughABuffer(t *testing.T) {
+	client, server := tcpTestPair(t)
+	defer client.Close()
+	counted := &readCounter{Conn: server}
+	link := NewLink(counted, 0)
+	defer link.Close()
+
+	const frames = 100
+	var wire []byte
+	for i := 0; i < frames; i++ {
+		wire = proto.AppendFrame(wire, proto.TAction, proto.AppendAction(nil, proto.Action{Player: int64(i), Issued: time.Duration(i) * time.Millisecond}))
+	}
+	if _, err := client.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		typ, payload, err := link.Recv()
+		if err != nil || typ != proto.TAction {
+			t.Fatalf("frame %d: type %v, error %v", i, typ, err)
+		}
+		if a, err := proto.UnmarshalAction(payload); err != nil || a.Player != int64(i) || a.Issued != time.Duration(i)*time.Millisecond {
+			t.Fatalf("frame %d arrived as %+v, error %v", i, a, err)
+		}
+	}
+	if reads := counted.reads.Load(); reads > frames/2 {
+		t.Fatalf("%d frames written at once cost %d reads, want at most %d", frames, reads, frames/2)
+	}
+
+	big := make([]byte, 8*recvBufferSize+3)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	wire = proto.AppendFrame(wire[:0], proto.TDelta, big)
+	wire = proto.AppendFrame(wire, proto.TAck, proto.MarshalAck(proto.Ack{}))
+	go client.Write(wire) // more than the socket buffers may take before the reader drains it
+	if typ, payload, err := link.Recv(); err != nil || typ != proto.TDelta || !bytes.Equal(payload, big) {
+		t.Fatalf("a %d-byte frame came back as type %v, %d bytes, error %v", len(big), typ, len(payload), err)
+	}
+	if typ, _, err := link.Recv(); err != nil || typ != proto.TAck {
+		t.Fatalf("the frame behind the large one: type %v, error %v", typ, err)
 	}
 }

@@ -169,7 +169,11 @@ type ServerSim struct {
 	opts   Options
 	buffer *sched.Buffer
 
-	sessions  []*session
+	// sessions is indexed by stream: a session's position is the number its
+	// encoder stamps on every segment (stream.Segment.Stream), which is how a
+	// segment coming back out of the sender buffer finds its player.
+	sessions []*session
+	// sessionBy exists for AddPlayer's duplicate check and nothing else.
 	sessionBy map[int64]*session
 	sessArena []session // backing store for sessions; pool-recycled
 	rng       *sim.Rand
@@ -253,12 +257,13 @@ type session struct {
 // NewServerSim builds a serving-node simulation with the given uplink
 // bandwidth (bits/second).
 func NewServerSim(opts Options, uplink int64) (*ServerSim, error) {
-	return newServerSimIn(opts, uplink, nil)
+	return newServerSimIn(opts, uplink, nil, nil)
 }
 
-// newServerSimIn is NewServerSim reusing a pooled sender buffer when one is
-// supplied (Reset makes it indistinguishable from a fresh buffer).
-func newServerSimIn(opts Options, uplink int64, buf *sched.Buffer) (*ServerSim, error) {
+// newServerSimIn is NewServerSim reusing a pooled sender buffer and generator
+// when they are supplied (Reset and Reseed make them indistinguishable from
+// fresh ones).
+func newServerSimIn(opts Options, uplink int64, buf *sched.Buffer, rng *sim.Rand) (*ServerSim, error) {
 	if uplink <= 0 {
 		return nil, fmt.Errorf("qoe: non-positive uplink %d", uplink)
 	}
@@ -284,10 +289,15 @@ func newServerSimIn(opts Options, uplink int64, buf *sched.Buffer) (*ServerSim, 
 	} else {
 		buf.Reset(schedCfg, opts.Stream, uplink)
 	}
+	if rng == nil {
+		rng = sim.NewRand(opts.Seed)
+	} else {
+		rng.Reseed(opts.Seed)
+	}
 	return &ServerSim{
 		opts:     opts,
 		buffer:   buf,
-		rng:      sim.NewRand(opts.Seed),
+		rng:      rng,
 		interval: interval,
 	}, nil
 }
@@ -361,6 +371,7 @@ func (s *ServerSim) AddPlayer(spec PlayerSpec) error {
 		recv:     *stream.NewReceiverBuffer(s.opts.Stream, start.Bitrate),
 		inflight: ss.inflight[:0],
 	}
+	ss.encoder.SetStream(len(s.sessions))
 	if s.opts.Adaptation {
 		ss.ctrl.Init(s.opts.Adapt, spec.Game)
 		if spec.LevelCap > 0 {
@@ -533,7 +544,7 @@ func (s *ServerSim) generate(ss *session) {
 	if evicted := s.buffer.Evicted(); len(evicted) > 0 {
 		for _, ev := range evicted {
 			if now >= s.opts.Warmup {
-				s.sessionBy[ev.PlayerID].meter.RecordSegment(ev, false)
+				s.sessions[ev.Stream].meter.RecordSegment(ev, false)
 			}
 			s.dropSegment(now, ev)
 			s.putSegment(ev)
@@ -558,9 +569,7 @@ func (s *ServerSim) pump() {
 		if seg == nil {
 			return
 		}
-		// The one lookup a segment costs: the uplink slot and the in-flight
-		// list carry the owner from here on.
-		ss := s.sessionBy[seg.PlayerID]
+		ss := s.sessions[seg.Stream]
 		if seg.RemainingPackets() == 0 {
 			if now >= s.opts.Warmup {
 				ss.meter.RecordSegment(seg, false)
@@ -608,7 +617,7 @@ func (s *ServerSim) transmitted(ss *session) {
 		}
 		prop += imp.ExtraLatency(now)
 	}
-	s.buffer.RecordPropagation(seg.PlayerID, prop)
+	s.buffer.RecordPropagation(seg.Stream, prop)
 	s.emit(obs.EventSegmentTransmitted, now, seg.PlayerID,
 		int64(seg.RemainingBytes(s.opts.Stream.PacketSize)), 0)
 	// The list is already sorted unless the wire's extra latency fell between
@@ -779,14 +788,17 @@ func RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Dur
 }
 
 // Pool recycles the allocation-heavy state of back-to-back node runs: the
-// sender buffer, the session arena with each session's in-flight list, the
-// session index, the segment pool, and the result slice. A figure that
-// simulates hundreds of serving nodes per sweep point pays the setup
-// allocations once instead of per node. A Pool serves one goroutine; results
-// are bit-identical to RunNode — recycled sessions and segments are
-// overwritten in full before use, and the per-run rng is always fresh.
+// sender buffer with its Eq. 13 estimators, the session arena with each
+// session's in-flight list, the session index, the segment pool, the result
+// slice, and one generator re-seeded per run. A figure that simulates hundreds
+// of serving nodes per sweep point pays the setup allocations once instead of
+// per node — once per world, since the pools outlive the point (experiment.World
+// holds them). A Pool serves one goroutine; results are bit-identical to
+// RunNode — recycled sessions and segments are overwritten in full before use,
+// and a re-seeded generator is in the state a fresh one starts in.
 type Pool struct {
 	buf      *sched.Buffer
+	rng      *sim.Rand
 	arena    []session
 	ptrs     []*session
 	index    map[int64]*session
@@ -809,11 +821,11 @@ func NewPool() *Pool {
 // slice is valid until the next RunNode call on this pool; callers that
 // keep results across calls must copy them out.
 func (p *Pool) RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Duration) ([]PlayerResult, error) {
-	srv, err := newServerSimIn(opts, uplink, p.buf)
+	srv, err := newServerSimIn(opts, uplink, p.buf, p.rng)
 	if err != nil {
 		return nil, err
 	}
-	p.buf = srv.buffer
+	p.buf, p.rng = srv.buffer, srv.rng
 	if cap(p.arena) < len(players) {
 		p.arena = make([]session, 0, len(players))
 	}

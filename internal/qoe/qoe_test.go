@@ -390,36 +390,59 @@ func TestObsFoldsOnce(t *testing.T) {
 }
 
 // TestPoolMatchesRunNode pins the pooled-run equivalence contract: a Pool
-// run is bit-identical to a fresh RunNode, even back-to-back across nodes
-// with different options, loads, and recycled sessions/segments.
+// run is bit-identical to a fresh simulation (RunNode's own steps, hand-driven
+// so the generator's draw count can be read), even back-to-back across nodes
+// that differ in seed, player count (growing and shrinking, so sessions,
+// segments and Eq. 13 estimators are recycled under other players' stream
+// indices), strategies, propagation window and level caps — on a pool whose
+// one generator is re-seeded per run — and the draws the pool counts are the
+// draws the fresh generators made.
 func TestPoolMatchesRunNode(t *testing.T) {
 	pool := NewPool()
+	shortWindow := DefaultOptions()
+	shortWindow.Sched.PropWindow = 3
 	cases := []struct {
 		opts    Options
 		uplink  int64
 		players int
-		seed    int64
+		mix     int64 // seeds the player set
+		seed    int64 // seeds the run
+		capped  bool
 	}{
-		{DefaultOptions(), 120_000_000, 14, 11},
-		{BasicOptions(), 40_000_000, 25, 12},
-		{DefaultOptions(), 40_000_000, 25, 12}, // same load, strategies on
-		{BasicOptions(), 200_000_000, 3, 13},
-		{DefaultOptions(), 120_000_000, 14, 11}, // repeat of case 0 on a warm pool
+		{DefaultOptions(), 120_000_000, 14, 11, 1011, false},
+		{BasicOptions(), 40_000_000, 25, 12, 1012, false},
+		{DefaultOptions(), 40_000_000, 25, 12, 1012, false}, // same load, strategies on
+		{BasicOptions(), 200_000_000, 3, 13, 1013, false},
+		{DefaultOptions(), 120_000_000, 14, 11, 1011, false}, // repeat of case 0 on a warm pool
+		{DefaultOptions(), 120_000_000, 14, 11, 77, false},   // same players, another seed
+		{DefaultOptions(), 30_000_000, 40, 15, 1015, true},   // the pool's peak, level caps on
+		{shortWindow, 30_000_000, 9, 16, 1016, false},        // shrinks, Eq. 13 window changes
+		{DefaultOptions(), 30_000_000, 40, 15, 1015, true},   // grows back
+		{BasicOptions(), 8_000_000, 1, 17, 1017, false},
 	}
+	var draws uint64
 	for i, c := range cases {
 		opts := c.opts
-		opts.Seed = 1000 + c.seed
-		players := mixedPlayers(t, c.players, c.seed)
-		want, err := RunNode(opts, c.uplink, players, 8*time.Second)
-		if err != nil {
-			t.Fatal(err)
+		opts.Seed = c.seed
+		players := mixedPlayers(t, c.players, c.mix)
+		if c.capped {
+			for k := range players {
+				players[k].LevelCap = k % 4 // every fourth stays uncapped
+			}
 		}
+		fresh := startSim(t, opts, c.uplink, players)
+		fresh.RunUntil(8 * time.Second)
+		want := fresh.Results()
+		draws += fresh.rng.Draws()
 		got, err := pool.RunNode(opts, c.uplink, players, 8*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("case %d: pooled results differ\nwant %+v\ngot  %+v", i, want, got)
+		}
+		if pool.Draws() != draws {
+			t.Fatalf("case %d: pool counts %d draws, fresh generators made %d", i, pool.Draws(), draws)
 		}
 	}
 }
@@ -495,10 +518,11 @@ func TestEachNodeVisitsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestPoolAllocFloor records the satellite alloc floor: a warm pool runs a
-// node with amortized near-zero per-player allocations — the per-run
-// overhead is the sim struct, rng, and a handful of map internals,
-// regardless of the player count.
+// TestPoolAllocFloor records the warm pool's floor: a run on a pool that has
+// seen this load allocates the sim struct and nothing else, whatever the
+// player count — sessions, segments, estimators, the session index and the
+// generator (re-seeded, not rebuilt: a run measured 4 when it was) are the
+// pool's.
 func TestPoolAllocFloor(t *testing.T) {
 	pool := NewPool()
 	opts := DefaultOptions()
@@ -512,9 +536,9 @@ func TestPoolAllocFloor(t *testing.T) {
 	warm()
 	warm()
 	allocs := testing.AllocsPerRun(5, warm)
-	// Fresh RunNode costs >100 allocs for this load (sessions, components,
-	// engine, results). The warm pool floor: ~10 fixed per run.
-	const floor = 16
+	// A fresh RunNode costs >100 allocations for this load; a warm pool run
+	// measures 1.
+	const floor = 2
 	if allocs > floor {
 		t.Fatalf("warm pool run allocates %.0f, want <= %d", allocs, floor)
 	}

@@ -80,18 +80,15 @@ type Buffer struct {
 	head      int // queue[head:] is the live queue
 	maxBytes  int // 0 = unbounded
 	evicted   []*stream.Segment
-	prop      map[int64]*propEstimator
+	// prop holds the Eq. 13 estimators by value, indexed by Segment.Stream:
+	// the sender numbers its streams 0..n-1, so finding one is an index.
+	prop []propEstimator
 
 	// queuedBytes mirrors the sum of RemainingBytes over the live queue.
 	// Queued segments must only shed packets through the buffer's own drop
 	// path for the counter to stay exact.
 	queuedBytes int
 	scratch     dropScratch
-
-	// estFree recycles propagation estimators across Reset cycles so a
-	// pooled buffer stops allocating per player once it has seen its peak
-	// population.
-	estFree []*propEstimator
 
 	// Counters for metrics.
 	enqueued        int64
@@ -124,17 +121,16 @@ func NewBuffer(cfg Config, streamCfg stream.Config, bandwidthBits int64) *Buffer
 		bandwidth: float64(bandwidthBits),
 		nominal:   float64(bandwidthBits),
 		maxBytes:  maxBytes,
-		prop:      make(map[int64]*propEstimator),
 	}
 }
 
 // Reset reinitializes the buffer in place for a new run with new
 // parameters, as if freshly built by NewBuffer, while keeping every piece
 // of grown storage: the queue array, the eviction list, the drop scratch,
-// the estimator map's buckets, and the estimators themselves (moved to a
-// freelist and re-dealt as players record propagation samples). A pooled
-// buffer therefore stops allocating once it has seen its peak queue depth
-// and population. Behavior is identical to a fresh buffer: estimators are
+// and the estimators with their sample windows (rewound where they stand, so
+// the next run's streams find them by the same indices). A pooled buffer
+// therefore stops allocating once it has seen its peak queue depth and
+// stream count. Behavior is identical to a fresh buffer: estimators are
 // zeroed before reuse and all counters restart at zero.
 func (b *Buffer) Reset(cfg Config, streamCfg stream.Config, bandwidthBits int64) {
 	if bandwidthBits <= 0 {
@@ -150,12 +146,8 @@ func (b *Buffer) Reset(cfg Config, streamCfg stream.Config, bandwidthBits int64)
 	if cfg.MaxQueueDelay > 0 {
 		maxBytes = int(float64(bandwidthBits) * cfg.MaxQueueDelay.Seconds() / 8)
 	}
-	for id, est := range b.prop {
-		b.estFree = append(b.estFree, est)
-		delete(b.prop, id)
-	}
-	if b.prop == nil {
-		b.prop = make(map[int64]*propEstimator)
+	for i := range b.prop {
+		b.prop[i].reset()
 	}
 	for i := range b.queue {
 		b.queue[i] = nil
@@ -231,22 +223,20 @@ func (b *Buffer) Stats() (enqueued, sent, droppedPackets, fullyDropped, repairs 
 	return b.enqueued, b.sentSegments, b.droppedPackets, b.fullyDropped, b.deadlineActions
 }
 
-// RecordPropagation feeds one measured packet propagation delay for a
-// player into the Eq. 13 estimator.
-func (b *Buffer) RecordPropagation(playerID int64, d time.Duration) {
-	est, ok := b.prop[playerID]
-	if !ok {
-		est = b.takeEstimator()
-		b.prop[playerID] = est
+// RecordPropagation feeds one measured packet propagation delay into the
+// Eq. 13 estimator of the stream with the given index (Segment.Stream).
+func (b *Buffer) RecordPropagation(stream int, d time.Duration) {
+	if stream >= len(b.prop) {
+		b.prop = append(b.prop, make([]propEstimator, stream+1-len(b.prop))...)
 	}
-	est.record(d)
+	b.prop[stream].record(b.cfg.PropWindow, d)
 }
 
-// PropagationEstimate returns l_p for a player: the mean of the last m
+// PropagationEstimate returns l_p for a stream: the mean of the last m
 // recorded packet propagation delays (Eq. 13), or zero if none recorded.
-func (b *Buffer) PropagationEstimate(playerID int64) time.Duration {
-	if est, ok := b.prop[playerID]; ok {
-		return est.mean()
+func (b *Buffer) PropagationEstimate(stream int) time.Duration {
+	if stream < len(b.prop) {
+		return b.prop[stream].mean()
 	}
 	return 0
 }
@@ -387,7 +377,7 @@ func (b *Buffer) EstimateResponseLatency(now time.Duration, idx int) time.Durati
 	}
 	lq := time.Duration(float64(precedingBytes) * 8 / b.bandwidth * float64(time.Second))
 	lt := b.TransmissionTime(seg)
-	lp := b.PropagationEstimate(seg.PlayerID)
+	lp := b.PropagationEstimate(seg.Stream)
 	return elapsed + lq + lt + lp
 }
 
@@ -423,7 +413,7 @@ func (b *Buffer) repairDeadlines(now time.Duration, from int) {
 		}
 		lq := time.Duration(float64(precedingBytes) * 8 / b.bandwidth * float64(time.Second))
 		lt := b.TransmissionTime(seg)
-		lp := b.PropagationEstimate(seg.PlayerID)
+		lp := b.PropagationEstimate(seg.Stream)
 		lr := elapsed + lq + lt + lp
 		// Dropping queued packets only shrinks l_q and l_t; a segment whose
 		// elapsed time plus propagation already exceeds its requirement is
@@ -617,56 +607,37 @@ func AllocateDrops(weights []float64, budgets []int, deficit int) []int {
 	return out
 }
 
-// propEstimator keeps the last m propagation samples (Eq. 13).
+// propEstimator keeps the last m propagation samples (Eq. 13). The zero
+// value has recorded nothing; its window is sized at its first sample.
 type propEstimator struct {
-	window  int
 	samples []time.Duration
 	next    int
 	full    bool
 	sum     time.Duration
 }
 
-func newPropEstimator(window int) *propEstimator {
-	return &propEstimator{window: window, samples: make([]time.Duration, window)}
+// reset rewinds an estimator for a new run and keeps its window's storage:
+// stale samples are never read before being overwritten, because the mean only
+// covers slots written since the reset.
+func (p *propEstimator) reset() {
+	p.next, p.full, p.sum = 0, false, 0
 }
 
-// takeEstimator deals an estimator from the Reset freelist, or allocates
-// the pool's first copies. Recycled estimators are indistinguishable from
-// fresh ones: stale samples are never read before being overwritten because
-// the mean only covers slots written since the reset.
-func (b *Buffer) takeEstimator() *propEstimator {
-	n := len(b.estFree)
-	if n == 0 {
-		return newPropEstimator(b.cfg.PropWindow)
+func (p *propEstimator) record(window int, d time.Duration) {
+	if len(p.samples) != window {
+		// The first sample, or the first since a Reset that changed m.
+		if cap(p.samples) < window {
+			p.samples = make([]time.Duration, window)
+		}
+		p.samples = p.samples[:window]
 	}
-	est := b.estFree[n-1]
-	b.estFree[n-1] = nil
-	b.estFree = b.estFree[:n-1]
-	est.reset(b.cfg.PropWindow)
-	return est
-}
-
-// reset rewinds an estimator for a new owner, regrowing the sample window
-// only if the configuration asks for a larger one.
-func (p *propEstimator) reset(window int) {
-	if cap(p.samples) < window {
-		p.samples = make([]time.Duration, window)
-	}
-	p.samples = p.samples[:window]
-	p.window = window
-	p.next = 0
-	p.full = false
-	p.sum = 0
-}
-
-func (p *propEstimator) record(d time.Duration) {
 	if p.full {
 		p.sum -= p.samples[p.next]
 	}
 	p.samples[p.next] = d
 	p.sum += d
 	p.next++
-	if p.next == p.window {
+	if p.next == window {
 		p.next = 0
 		p.full = true
 	}
@@ -675,7 +646,7 @@ func (p *propEstimator) record(d time.Duration) {
 func (p *propEstimator) mean() time.Duration {
 	n := p.next
 	if p.full {
-		n = p.window
+		n = len(p.samples)
 	}
 	if n == 0 {
 		return 0

@@ -87,9 +87,10 @@ func TestEstimateResponseLatencyComponents(t *testing.T) {
 		cfg100(), 8_000_000)
 	first := testSegment(t, 1, 3, 0)
 	second := testSegment(t, 2, 3, 0)
+	second.Stream = 1 // the sender's second stream: what the sample is recorded under
 	b.Enqueue(5*time.Millisecond, first)
 	b.Enqueue(5*time.Millisecond, second)
-	b.RecordPropagation(2, 7*time.Millisecond)
+	b.RecordPropagation(second.Stream, 7*time.Millisecond)
 
 	// Second segment at 10ms: elapsed 10ms + queueing 10ms (first's 10,000B
 	// at 1MB/s) + transmission 10ms + propagation 7ms = 37ms.
@@ -129,6 +130,71 @@ func TestPropagationPartialWindow(t *testing.T) {
 	b.RecordPropagation(1, 30*time.Millisecond)
 	if got := b.PropagationEstimate(1); got != 20*time.Millisecond {
 		t.Fatalf("partial-window mean = %v, want 20ms", got)
+	}
+}
+
+// TestEstimatorsByStream: estimators are found by stream index. One past
+// anything recorded estimates zero, a lower one that never recorded still
+// estimates zero after a higher one has, and streams do not read each other's
+// samples.
+func TestEstimatorsByStream(t *testing.T) {
+	b := newTestBuffer(8_000_000)
+	b.RecordPropagation(5, 12*time.Millisecond)
+	for _, idle := range []int{0, 4, 6, 1000} {
+		if got := b.PropagationEstimate(idle); got != 0 {
+			t.Fatalf("stream %d never recorded and estimates %v", idle, got)
+		}
+	}
+	b.RecordPropagation(2, 30*time.Millisecond)
+	if got := b.PropagationEstimate(5); got != 12*time.Millisecond {
+		t.Fatalf("stream 5 = %v after stream 2 recorded, want 12ms", got)
+	}
+	if got := b.PropagationEstimate(2); got != 30*time.Millisecond {
+		t.Fatalf("stream 2 = %v, want 30ms", got)
+	}
+}
+
+// TestResetRedealsEstimators: after Reset every stream estimates zero again
+// and means cover only what was recorded since — including under a changed
+// window m — and a reset buffer that has seen its peak stream count records
+// without allocating.
+func TestResetRedealsEstimators(t *testing.T) {
+	cfg := DefaultConfig()
+	b := NewBuffer(cfg, cfg100(), 8_000_000)
+	const streams = 8
+	fill := func(d time.Duration) {
+		for s := 0; s < streams; s++ {
+			for i := 0; i < cfg.PropWindow+3; i++ {
+				b.RecordPropagation(s, d)
+			}
+		}
+	}
+	fill(40 * time.Millisecond)
+	b.Reset(cfg, cfg100(), 8_000_000)
+	for s := 0; s < streams; s++ {
+		if got := b.PropagationEstimate(s); got != 0 {
+			t.Fatalf("stream %d estimates %v after Reset", s, got)
+		}
+	}
+	b.RecordPropagation(3, 10*time.Millisecond)
+	if got := b.PropagationEstimate(3); got != 10*time.Millisecond {
+		t.Fatalf("one sample after Reset: mean %v, want 10ms (stale samples read)", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		b.Reset(cfg, cfg100(), 8_000_000)
+		fill(25 * time.Millisecond)
+	}); allocs != 0 {
+		t.Fatalf("Reset and re-record on a warm buffer allocates %.0f", allocs)
+	}
+	small := cfg
+	small.PropWindow = 4
+	b.Reset(small, cfg100(), 8_000_000)
+	for i, d := range []time.Duration{10, 20, 30, 40, 50} {
+		b.RecordPropagation(0, d*time.Millisecond)
+		want := []time.Duration{10, 15, 20, 25, 35}[i] * time.Millisecond
+		if got := b.PropagationEstimate(0); got != want {
+			t.Fatalf("m=4, sample %d: mean %v, want %v", i, got, want)
+		}
 	}
 }
 

@@ -21,6 +21,15 @@ func NewRand(seed int64) *Rand {
 	return &Rand{Rand: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed puts the stream in the state NewRand(seed) builds it in — the same
+// values from here on, the draw count back at zero — without allocating the
+// 4.9 KB source a fresh stream costs. (rand.NewSource is a source seeded this
+// same way, and Rand.Seed also discards the stream's buffered Read bytes.)
+func (r *Rand) Reseed(seed int64) {
+	r.Rand.Seed(seed)
+	r.draws = 0
+}
+
 // Draws returns how many primitive draws this stream has made — each call
 // through one of the counted wrappers below is one draw. The count is the
 // flight recorder's cheapest divergence witness: two runs that consumed a

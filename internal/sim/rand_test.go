@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -212,6 +213,54 @@ func TestForkDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("Fork is not deterministic")
+		}
+	}
+}
+
+// TestReseedMatchesNewRand: a used stream re-seeded is a fresh stream — the
+// same values from every distribution the node simulation and the worlds draw
+// from, and the same draw count, over 10 000 draws — whatever it was seeded
+// with and however far (including mid-way through a buffered Read) it had run.
+func TestReseedMatchesNewRand(t *testing.T) {
+	used := NewRand(1)
+	for _, seed := range []int64{0, 1, -7, 2026, 1 << 40, SplitSeed(2026, 3)} {
+		for i := 0; i < 137; i++ {
+			used.NormFloat64()
+			used.Perm(5)
+		}
+		var odd [3]byte
+		used.Read(odd[:])
+		used.Reseed(seed)
+		fresh := NewRand(seed)
+		if used.Draws() != 0 {
+			t.Fatalf("seed %d: %d draws counted right after Reseed", seed, used.Draws())
+		}
+		for i := 0; i < 10_000; i++ {
+			var a, b any
+			switch i % 5 {
+			case 0:
+				a, b = used.Float64(), fresh.Float64()
+			case 1:
+				a, b = used.NormFloat64(), fresh.NormFloat64()
+			case 2:
+				a, b = used.Intn(1+i), fresh.Intn(1+i)
+			case 3:
+				a, b = used.Perm(7), fresh.Perm(7)
+			case 4:
+				a, b = used.LogNormal(-0.045, 0.3), fresh.LogNormal(-0.045, 0.3)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d, draw %d: re-seeded stream gives %v, a fresh one %v", seed, i, a, b)
+			}
+		}
+		if used.Draws() != fresh.Draws() || used.Draws() != 10_000 {
+			t.Fatalf("seed %d: re-seeded stream counts %d draws, fresh %d", seed, used.Draws(), fresh.Draws())
+		}
+		var ra, rb [5]byte
+		used.Read(ra[:])
+		fresh.Read(rb[:])
+		if ra != rb {
+			t.Fatalf("seed %d: Read differs after Reseed: %v vs %v", seed, ra, rb)
 		}
 	}
 }

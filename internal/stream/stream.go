@@ -62,6 +62,10 @@ type Segment struct {
 	ID int64
 	// PlayerID identifies the destination player.
 	PlayerID int64
+	// Stream is the index of this segment's stream at its sender (see
+	// Encoder.SetStream): the sender finds the stream's state by it — its
+	// session, its Eq. 13 estimator — instead of hashing PlayerID per segment.
+	Stream int
 	// Level is the encoding operating point used for this segment.
 	Level game.QualityLevel
 	// Bytes is the encoded size; Packets the packet count.
@@ -113,6 +117,7 @@ func (s *Segment) DropBudget() int {
 type Encoder struct {
 	cfg      Config
 	playerID int64
+	stream   int
 	level    game.QualityLevel
 	// bytes and packets are a segment's size at level, worked out when the
 	// level is set instead of once per frame.
@@ -127,6 +132,12 @@ func NewEncoder(cfg Config, playerID int64, start game.QualityLevel) *Encoder {
 	return e
 }
 
+// SetStream numbers this encoder's stream at its sender; every segment it
+// encodes from here on carries the number. A sender that multiplexes several
+// streams through one sched.Buffer numbers them 0..n-1. The default, 0, suits
+// a sender with one stream or one that keeps no per-stream state.
+func (e *Encoder) SetStream(i int) { e.stream = i }
+
 // Level returns the current encoding operating point.
 func (e *Encoder) Level() game.QualityLevel { return e.level }
 
@@ -140,37 +151,28 @@ func (e *Encoder) SetLevel(q game.QualityLevel) {
 // Encode produces the next segment for an action issued at actionTime, for a
 // game with the given tolerances.
 func (e *Encoder) Encode(actionTime, enqueued time.Duration, g game.Game) *Segment {
-	s := &Segment{
-		ID:            e.nextID,
-		PlayerID:      e.playerID,
-		Level:         e.level,
-		Bytes:         e.bytes,
-		Packets:       e.packets,
-		ActionTime:    actionTime,
-		LatencyReq:    g.NetworkBudget(),
-		LossTolerance: g.LossTolerance,
-		Enqueued:      enqueued,
-	}
-	e.nextID++
+	s := new(Segment)
+	e.EncodeInto(s, actionTime, enqueued, g)
 	return s
 }
 
 // EncodeInto is Encode writing into caller-provided storage: it overwrites
 // every field of s (including Dropped) with the next segment's state. It
 // exists so the QoE hot loop can recycle segments through a pool instead of
-// allocating one per simulated frame.
+// allocating one per simulated frame — field by field, because a composite
+// literal is built in a temporary and copied over s.
 func (e *Encoder) EncodeInto(s *Segment, actionTime, enqueued time.Duration, g game.Game) {
-	*s = Segment{
-		ID:            e.nextID,
-		PlayerID:      e.playerID,
-		Level:         e.level,
-		Bytes:         e.bytes,
-		Packets:       e.packets,
-		ActionTime:    actionTime,
-		LatencyReq:    g.NetworkBudget(),
-		LossTolerance: g.LossTolerance,
-		Enqueued:      enqueued,
-	}
+	s.ID = e.nextID
+	s.PlayerID = e.playerID
+	s.Stream = e.stream
+	s.Level = e.level
+	s.Bytes = e.bytes
+	s.Packets = e.packets
+	s.Dropped = 0
+	s.ActionTime = actionTime
+	s.LatencyReq = g.NetworkBudget()
+	s.LossTolerance = g.LossTolerance
+	s.Enqueued = enqueued
 	e.nextID++
 }
 

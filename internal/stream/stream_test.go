@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -72,6 +73,56 @@ func TestEncoderStampsSegments(t *testing.T) {
 	s2 := e.Encode(200*time.Millisecond, 205*time.Millisecond, g)
 	if s2.ID != 1 {
 		t.Fatalf("second segment id = %d, want 1", s2.ID)
+	}
+}
+
+// dirty sets every field of v, nested structs included, to a non-zero value
+// no encoder produces.
+func dirty(t *testing.T, v reflect.Value) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(-99)
+		case reflect.Float64:
+			f.SetFloat(-1.5)
+		case reflect.Struct:
+			dirty(t, f)
+		default:
+			t.Fatalf("field %s: teach dirty about kind %v", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestEncodeIntoOverwritesEveryField: a recycled segment carries nothing of
+// its last life — every field, Dropped and Stream included, is what a fresh
+// Encode gives. A field added to Segment that EncodeInto forgets fails here.
+func TestEncodeIntoOverwritesEveryField(t *testing.T) {
+	cfg := cfg100()
+	g, _ := game.ByID(2)
+	e := NewEncoder(cfg, 42, g.Quality())
+	e.SetStream(7)
+	e.Encode(0, 0, g) // so the next ID is not the zero value either
+	twin := *e
+	var seg Segment
+	dirty(t, reflect.ValueOf(&seg).Elem())
+	e.EncodeInto(&seg, 100*time.Millisecond, 105*time.Millisecond, g)
+	want := Segment{
+		ID: 1, PlayerID: 42, Stream: 7, Level: g.Quality(),
+		Bytes: cfg.SegmentBytes(g.Quality().Bitrate), Packets: cfg.PacketsPerSegment(g.Quality().Bitrate),
+		ActionTime: 100 * time.Millisecond, LatencyReq: g.NetworkBudget(),
+		LossTolerance: g.LossTolerance, Enqueued: 105 * time.Millisecond,
+	}
+	if seg != want {
+		t.Fatalf("EncodeInto over a dirty segment:\n got %+v\nwant %+v", seg, want)
+	}
+	if fresh := *twin.Encode(100*time.Millisecond, 105*time.Millisecond, g); fresh != want {
+		t.Fatalf("Encode:\n got %+v\nwant %+v", fresh, want)
+	}
+	var next Segment
+	e.EncodeInto(&next, 0, 0, g)
+	if next.ID != 2 || next.Stream != 7 {
+		t.Fatalf("next segment is id %d of stream %d, want 2 of 7", next.ID, next.Stream)
 	}
 }
 
