@@ -37,9 +37,12 @@ loc:
 
 # chaos is the resilience smoke: the fault and health suites under the
 # race detector, a seeded chaos sim whose -report reconciles both the
-# segment ledger and the fault orphan ledger, and the figdetect sweep
-# whose -report additionally reconciles the heartbeat detection ledger
-# (each run fails if any ledger is unbalanced).
+# segment ledger and the fault orphan ledger, the figdetect sweep whose
+# -report additionally reconciles the heartbeat detection ledger, a
+# figrecovery + figscale run whose one orphan ledger holds the scaling run's
+# kills and orphans beside the timeline's (each run fails if any ledger is
+# unbalanced), and the scaling run under the race detector — its engine
+# goroutine moving the fog while four workers simulate.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/health/
 	$(GO) run ./cmd/cloudfog-sim -figures figchurn,figrecovery \
@@ -49,6 +52,9 @@ chaos:
 	$(GO) run ./cmd/cloudfog-sim -figures figdetect \
 		-players 1500 -supernodes 100 \
 		-report detect_report.json
+	$(GO) run ./cmd/cloudfog-sim -figures figrecovery,figscale \
+		-players 1500 -supernodes 100 -horizon 30s -detector phi -overload \
+		-report chaos_report.json
 	$(GO) run -race ./cmd/cloudfog-sim -scale \
 		-players 1500 -supernodes 100 -shards 4 \
 		-horizon 30s -epoch 10s -detector phi -overload
@@ -128,7 +134,7 @@ latency:
 # tie-break on ID, accept asked about entrants only, the reused buffer, and the
 # retune contracts; the latency model's resolved-endpoint and Within properties
 # and its OneWay golden; the population golden; the two-pass node sample
-# against its one-pass reference and the barrier's canonical message order;
+# against its one-pass reference, the kill read-ahead and the runner's clock;
 # the event engine — the one this run's heartbeats and ticks are
 # queued on — against its container/heap reference, its stale-handle and
 # lazy-cancel contracts and its zero-allocation floors; the phi detector's early

@@ -310,7 +310,7 @@ func runScale(w *experiment.World, opts experiment.RunOptions, worldBuild time.D
 	fmt.Printf("shards=%d epochs=%d wall=%v world=%v mem=%dMiB\n", res.Shards, res.Epochs,
 		wall.Round(time.Millisecond), worldBuild.Round(time.Millisecond), mem.Sys>>20)
 	fmt.Printf("kills=%d recoveries=%d detections=%d (mean %.2fs) repairs=%d lapsed=%d cloud_hops=%d moved=%d pending_end=%d\n",
-		res.Kills, res.Recoveries, res.Detections, res.MeanDetectionLatency().Seconds(),
+		res.Kills, res.Recoveries, res.Detections, res.MeanDetection.Seconds(),
 		res.Repairs, res.Lapsed, res.CloudHops, res.Moved, res.PendingEnd)
 	fmt.Printf("sampled continuity: %.4f over %d players (%d node-epoch simulations)\n",
 		res.MeanContinuity, res.QoEPlayers, res.QoENodeRuns)

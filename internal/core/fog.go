@@ -627,6 +627,33 @@ func (f *Fog) NetworkLatency(p *Player) time.Duration {
 	return FlowLatency(f.cfg, p)
 }
 
+// Census is a flow-level count over a set of players at one instant.
+type Census struct {
+	Served    int // attached to anything
+	FogServed int // of those, attached to a supernode
+	Unserved  int
+	Within    int // of the served, inside their game's network latency budget
+}
+
+// Census counts players by how they are served right now.
+func (f *Fog) Census(players []*Player) Census {
+	var c Census
+	for _, p := range players {
+		if !p.Attached.Served() {
+			c.Unserved++
+			continue
+		}
+		c.Served++
+		if p.Attached.Kind == AttachSupernode {
+			c.FogServed++
+		}
+		if f.NetworkLatency(p) <= p.Game.NetworkBudget() {
+			c.Within++
+		}
+	}
+	return c
+}
+
 // CloudBandwidth returns the cloud's current video egress consumption:
 // Λ per active supernode (fog players cost the cloud only update traffic)
 // plus full stream bandwidth for each directly-connected player.

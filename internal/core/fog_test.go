@@ -395,6 +395,57 @@ func TestNetworkLatencyComposition(t *testing.T) {
 	}
 }
 
+// TestCensusMatchesHandCount: Census is the per-player loop the figures used
+// to write out — counted here by hand — with a supernode's players orphaned by
+// a failure and again once they have failed over.
+func TestCensusMatchesHandCount(t *testing.T) {
+	cfg := testConfig()
+	f := buildTestFog(t, cfg, 4)
+	players := make([]*Player, 30) // 20 slots: some are served by the cloud
+	for i := range players {
+		pos := geo.Point{X: cfg.Region.Center().X + float64(i*3), Y: cfg.Region.Center().Y}
+		players[i] = testPlayer(int64(60+i), pos, mustGame(t, 1+i%5))
+		f.Join(players[i])
+	}
+	check := func(when string, wantUnserved int) {
+		t.Helper()
+		var want Census
+		for _, p := range players {
+			switch {
+			case p.Attached.Kind == AttachNone:
+				want.Unserved++
+				continue
+			case p.Attached.Kind == AttachSupernode:
+				want.FogServed++
+			}
+			want.Served++
+			if FlowLatency(cfg, p) <= p.Game.NetworkBudget() {
+				want.Within++
+			}
+		}
+		got := f.Census(players)
+		if got != want || got.Served+got.Unserved != len(players) || got.Within > got.Served || got.Unserved != wantUnserved {
+			t.Fatalf("%s: Census = %+v, hand count %+v, %d unserved expected of %d", when, got, want, wantUnserved, len(players))
+		}
+	}
+	check("everyone joined", 0)
+	if c := f.Census(players); c.FogServed == 0 || c.FogServed == c.Served {
+		t.Fatalf("the world needs fog- and cloud-served players both: %+v", c)
+	}
+	var orphans []*Player
+	for _, sn := range f.Supernodes() {
+		if sn.Load() > 0 {
+			orphans = f.FailSupernode(sn.ID)
+			break
+		}
+	}
+	check("after the failure", len(orphans))
+	for _, p := range orphans {
+		f.Failover(p)
+	}
+	check("after failover", 0)
+}
+
 func TestNetworkLatencyUnservedIsHuge(t *testing.T) {
 	cfg := testConfig()
 	p := testPlayer(41, cfg.Region.Center(), mustGame(t, 5))

@@ -31,11 +31,6 @@ type HealthOptions struct {
 	Breaker bool
 }
 
-// enabled reports whether any apparatus beyond the oracle is requested.
-func (h HealthOptions) enabled() bool {
-	return h.Detector != health.ModeOracle || h.Overload || h.Breaker
-}
-
 // healthStatsFor binds the canonical health metrics in the world's registry,
 // when one is attached.
 func healthStatsFor(w *World) *obs.HealthStats {
@@ -47,15 +42,17 @@ func healthStatsFor(w *World) *obs.HealthStats {
 
 // buildHealthFog mints a default-scale fog with the run's health apparatus
 // installed against an arbitrary virtual-time source — the engine's Now for
-// the serial figures, the shard runner's barrier Clock for sharded runs.
-// A zero HealthOptions builds exactly what NewFog builds.
+// the serial figures, the shard runner's Clock for the scaling run.
+// A zero HealthOptions builds exactly what NewFog builds: the health metrics
+// are bound only for a ladder or a breaker that counts into them.
 func (w *World) buildHealthFog(now func() time.Duration, ho HealthOptions) (*core.Fog, error) {
 	cc := w.Cfg.Core
 	if w.Cfg.Obs != nil {
 		cc.Obs = obs.AssignStatsIn(w.Cfg.Obs)
 	}
-	hs := healthStatsFor(w)
+	var hs *obs.HealthStats
 	if ho.Overload || ho.Breaker {
+		hs = healthStatsFor(w)
 		cc.Health = hs
 		cc.Now = now
 	}
@@ -170,39 +167,28 @@ func QoEVsChurn(w *World, rates []float64, duration time.Duration, ho HealthOpti
 	err := w.sweepPoints(len(rates), func(pw *World, i int) error {
 		rate := rates[i]
 		engine := sim.New()
-		var fog *core.Fog
-		var mon *health.Monitor
-		var err error
-		if ho.enabled() {
-			fog, mon, err = pw.newHealthFog(engine, ho, nil)
-		} else {
-			fog, err = pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes)
-		}
+		fog, mon, err := pw.newHealthFog(engine, ho, nil)
 		if err != nil {
 			return err
 		}
 		players := pw.JoinAll(fog, pw.Cfg.Players)
 
-		var inj *fault.Injector
+		// The fault-free point is a nil schedule: a monitor still runs, so
+		// its heartbeat traffic and zero-false-positive behaviour are
+		// measured.
+		var sched *fault.Schedule
 		if rate > 0 {
-			sched, err := fault.Compile(churnRateProfile(pw.Cfg.Seed+601, duration, rate), pw.FaultTargets())
+			sched, err = fault.Compile(churnRateProfile(pw.Cfg.Seed+601, duration, rate), pw.FaultTargets())
 			if err != nil {
 				return err
 			}
-			inj = fault.NewInjector(sched, engine, fog, fault.SimHooks{Respawn: pw.Respawner()},
-				sim.NewRand(pw.Cfg.Seed+602), faultStatsFor(pw))
-			if mon != nil {
-				inj.SetMonitor(mon)
-			}
-			inj.Start()
-		} else if mon != nil {
-			// Fault-free point: the monitor still runs, so its heartbeat
-			// traffic and zero-false-positive behaviour are measured.
-			for _, sn := range fog.Supernodes() {
-				mon.Track(sn.ID)
-			}
-			mon.Start()
 		}
+		inj := fault.NewInjector(sched, engine, fog, fault.SimHooks{Respawn: pw.Respawner()},
+			sim.NewRand(pw.Cfg.Seed+602), faultStatsFor(pw))
+		if mon != nil {
+			inj.SetMonitor(mon)
+		}
+		inj.Start()
 
 		var samples int
 		var covSum, fogSum, unsSum float64
@@ -210,31 +196,15 @@ func QoEVsChurn(w *World, rates []float64, duration time.Duration, ho HealthOpti
 			if ho.Overload {
 				fog.RelieveOverloaded()
 			}
-			served, fogN, uns := 0, 0, 0
-			within := 0
-			for _, p := range players {
-				if !p.Attached.Served() {
-					uns++
-					continue
-				}
-				served++
-				if p.Attached.Kind == core.AttachSupernode {
-					fogN++
-				}
-				if fog.NetworkLatency(p) <= p.Game.NetworkBudget() {
-					within++
-				}
-			}
-			n := len(players)
+			c := fog.Census(players)
+			n := float64(len(players))
 			samples++
-			covSum += float64(within) / float64(n)
-			fogSum += float64(fogN) / float64(n)
-			unsSum += float64(uns) / float64(n)
+			covSum += float64(c.Within) / n
+			fogSum += float64(c.FogServed) / n
+			unsSum += float64(c.Unserved) / n
 		})
 		engine.RunUntil(duration)
-		if inj != nil {
-			inj.Finish()
-		}
+		inj.Finish()
 		if samples > 0 {
 			coverage.Points[i] = metrics.Point{X: rate, Y: covSum / float64(samples)}
 			fogServed.Points[i] = metrics.Point{X: rate, Y: fogSum / float64(samples)}
@@ -265,15 +235,9 @@ func RecoveryTimeline(w *World, profile *fault.Profile, qoeHorizon time.Duration
 			return err
 		}
 		engine := sim.New()
-		var fog *core.Fog
-		var mon *health.Monitor
-		if ho.enabled() {
-			// Heartbeat frames ride the same impaired wire as video: the
-			// schedule's loss windows drop them too.
-			fog, mon, err = pw.newHealthFog(engine, ho, sched.LossFrac)
-		} else {
-			fog, err = pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes)
-		}
+		// Heartbeat frames ride the same impaired wire as video: the
+		// schedule's loss windows drop them too.
+		fog, mon, err := pw.newHealthFog(engine, ho, sched.LossFrac)
 		if err != nil {
 			return err
 		}
@@ -297,20 +261,11 @@ func RecoveryTimeline(w *World, profile *fault.Profile, qoeHorizon time.Duration
 			if ho.Overload {
 				fog.RelieveOverloaded()
 			}
-			s, fn := 0, 0
-			for _, p := range players {
-				if !p.Attached.Served() {
-					continue
-				}
-				s++
-				if p.Attached.Kind == core.AttachSupernode {
-					fn++
-				}
-			}
+			c := fog.Census(players)
 			t := engine.Now().Seconds()
 			n := float64(len(players))
-			served.Add(t, float64(s)/n)
-			fogServed.Add(t, float64(fn)/n)
+			served.Add(t, float64(c.Served)/n)
+			fogServed.Add(t, float64(c.FogServed)/n)
 		})
 		engine.RunUntil(duration)
 		inj.Finish()

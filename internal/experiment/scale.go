@@ -13,8 +13,8 @@ import (
 // scaleChaosProfile is the fault scenario the scaling figure replays: brisk
 // supernode crash/recovery churn with a 10-second detection window, a light
 // Gilbert–Elliott loss process, and periodic latency spikes. It deliberately
-// contains only crash and wire specs — joins and cloud scaling are control-
-// plane ops the runner's barrier protocol does not exchange.
+// contains only crash and wire specs — the runner gives its injector no
+// flash-crowd join or cloud-scaling hook.
 func scaleChaosProfile(seed int64, duration time.Duration) *fault.Profile {
 	return &fault.Profile{
 		Name:     "scale-chaos",
@@ -40,13 +40,15 @@ func ScaleProfile(w *World, o RunOptions) *fault.Profile {
 }
 
 // ScaleRun executes the single-run scaling experiment (figscale): the whole
-// population joins one fog, the scale chaos profile churns the supernodes,
-// and between epoch barriers the data plane runs — one heartbeat monitor,
-// and a budgeted sample of segment-level node simulations shared among
-// Cfg.Shards workers. The figure series — served, fog-served, unserved, and
-// latency-coverage fractions over time — everything in the returned
-// FigureResult and every tally of the shard.Result are byte-identical at any
-// worker count, including the serial anchor Shards=1.
+// population joins one fog, the scale chaos profile churns the supernodes
+// through the runner's injector (and heartbeat monitor, unless the detector
+// is the oracle), and beside them a budgeted sample of segment-level node
+// simulations is shared among Cfg.Shards workers, an epoch at a time. The
+// injector's tallies join the world's fault ledger. The figure series —
+// served, fog-served, unserved, and latency-coverage fractions over time —
+// everything in the returned FigureResult and every tally of the
+// shard.Result are byte-identical at any worker count, including the serial
+// anchor Shards=1.
 func ScaleRun(w *World, o RunOptions) (shard.Result, FigureResult, error) {
 	o = o.filled()
 	ho, err := o.healthOptions()
@@ -88,6 +90,13 @@ func ScaleRun(w *World, o RunOptions) (shard.Result, FigureResult, error) {
 		return res, FigureResult{}, err
 	}
 	w.LeaveAll(fog, players)
+	if fs := faultStatsFor(w); fs != nil {
+		fs.Kills.Add(res.Kills)
+		fs.Recoveries.Add(res.Recoveries)
+		fs.Orphaned.Add(res.Orphaned)
+		fs.Lapsed.Add(res.Lapsed)
+		fs.PendingEnd.Add(res.PendingEnd)
+	}
 	if o.ScaleDiag != nil {
 		o.ScaleDiag(res)
 	}
@@ -109,7 +118,7 @@ func ScaleRun(w *World, o RunOptions) (shard.Result, FigureResult, error) {
 	title := fmt.Sprintf(
 		"Scaling run (%d players, %d epochs): %d kills, %d detections (mean %.2fs), %d repairs, %d lapsed, %d cloud hops, sampled continuity %.3f over %d players",
 		res.Players, res.Epochs, res.Kills, res.Detections,
-		res.MeanDetectionLatency().Seconds(), res.Repairs, res.Lapsed,
+		res.MeanDetection.Seconds(), res.Repairs, res.Lapsed,
 		res.CloudHops, res.MeanContinuity, res.QoEPlayers)
 	fig := FigureResult{
 		Name:   "figscale",

@@ -14,6 +14,7 @@ import (
 	"cloudfog/internal/fault"
 	"cloudfog/internal/qoe"
 	"cloudfog/internal/shard"
+	"cloudfog/internal/sim"
 )
 
 // scaleTestConfig is a small world the sharded-run tests can afford to run
@@ -153,6 +154,53 @@ func TestScaleRunProgress(t *testing.T) {
 	}
 }
 
+// TestScaleRunMatchesBareInjector: the runner adds nothing to the fault state
+// machine. An oracle-mode ScaleRun without the ladder (nothing but the
+// injector moves the fog) reports the tallies one fault.Injector reports when
+// it is run straight to the horizon over the same world, schedule and delay
+// stream — the epoch-chunked RunUntil is one RunUntil.
+func TestScaleRunMatchesBareInjector(t *testing.T) {
+	const horizon = 60 * time.Second
+	cfg := scaleTestConfig(3, 2)
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := ScaleRun(w, RunOptions{Horizon: horizon, ScaleEpoch: 7 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if w, err = NewWorld(cfg); err != nil {
+		t.Fatal(err)
+	}
+	engine := sim.New()
+	fog, _, err := w.newHealthFog(engine, HealthOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.JoinAll(fog, w.Cfg.Players)
+	sched, err := fault.Compile(ScaleProfile(w, RunOptions{Horizon: horizon}), w.FaultTargets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.NewInjector(sched, engine, fog, fault.SimHooks{Respawn: w.Respawner()},
+		sim.NewRand(sim.SplitSeed(cfg.Seed, -1)), nil)
+	inj.Start()
+	engine.RunUntil(horizon)
+	inj.Finish()
+
+	got := [...]int64{res.Kills, res.Recoveries, res.Orphaned, res.Repairs, res.CloudHops, res.Lapsed, res.PendingEnd}
+	want := [...]int64{inj.Killed(), inj.Recovered(), inj.Orphaned(), inj.Repaired(), inj.CloudHops(), inj.Lapsed(), inj.PendingEnd()}
+	if got != want || res.MeanDetection != inj.MeanDetectionLatency() || res.FogDraws != fog.RandDraws() {
+		t.Fatalf("kills, recoveries, orphaned, repairs, cloud hops, lapsed, pending:\n ScaleRun %v (mean detection %v, %d fog draws)\n injector %v (%v, %d)",
+			got, res.MeanDetection, res.FogDraws, want, inj.MeanDetectionLatency(), fog.RandDraws())
+	}
+	if res.Kills == 0 || res.Orphaned == 0 || res.Orphaned != res.Repairs+res.Lapsed+res.PendingEnd {
+		t.Fatalf("the run must orphan someone and account for them: %+v", res)
+	}
+}
+
 // TestGroupRunShardedMatchesSerial asserts groupRun (the QoE figures'
 // node-level parallelism) produces the same bytes however many workers share
 // the nodes: Figure 9(a) at every shard count — including one that does not
@@ -189,14 +237,15 @@ func TestGroupRunShardedMatchesSerial(t *testing.T) {
 }
 
 // TestBackupRingFailoverAcrossWorkers kills one supernode that serves
-// players and checks the barrier protocol carries them through kill, oracle
-// detection and repair onto their backup ring, with the same samples,
-// continuity and tallies whether one worker or two share the epoch's node
-// simulations.
+// players and checks the runner carries them through kill, oracle detection
+// and repair onto their backup ring, with the same samples, continuity and
+// tallies whether one worker or two share the epoch's node simulations — a
+// sample of them, or every node's (under -race, the widest overlap of workers
+// with the engine goroutine that is moving the fog).
 func TestBackupRingFailoverAcrossWorkers(t *testing.T) {
 	horizon := 10 * time.Second
 	epoch := 5 * time.Second
-	run := func(shards int, target int64) (shard.Result, *shard.Runner) {
+	run := func(shards int, target int64, budget int) shard.Result {
 		w, err := NewWorld(scaleTestConfig(5, shards))
 		if err != nil {
 			t.Fatal(err)
@@ -215,14 +264,14 @@ func TestBackupRingFailoverAcrossWorkers(t *testing.T) {
 		runner := shard.NewRunner(shard.Config{
 			Shards: shards, Seed: w.Cfg.Seed, Horizon: horizon, Epoch: epoch,
 			Width: w.Cfg.Core.Region.Width, Height: w.Cfg.Core.Region.Height,
-			QoE: qopts, QoENodeBudget: 16,
+			QoE: qopts, QoENodeBudget: budget,
 		}, fog, players, sched, w.Respawner(), clk)
 		res, err := runner.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.LeaveAll(fog, players)
-		return res, runner
+		return res
 	}
 
 	// Find a supernode whose kill strands players the backup ring repairs.
@@ -233,26 +282,33 @@ func TestBackupRingFailoverAcrossWorkers(t *testing.T) {
 	var target int64 = -1
 	var twoWorkers shard.Result
 	for _, fn := range w.FaultTargets().Supernodes {
-		if res, _ := run(2, fn.ID); res.Kills > 0 && res.Repairs > 0 {
+		if res := run(2, fn.ID, 16); res.Kills > 0 && res.Repairs > 0 {
 			target, twoWorkers = fn.ID, res
 			break
 		}
 	}
 	if target < 0 {
-		t.Fatal("no supernode's kill produced a repair; the barrier protocol or the backup ring is broken")
+		t.Fatal("no supernode's kill produced a repair; the runner or the backup ring is broken")
 	}
 	if twoWorkers.Detections == 0 {
 		t.Fatalf("repairs without a detection: %+v", twoWorkers)
 	}
 
-	oneWorker, _ := run(1, target)
 	inv := func(r shard.Result) string {
 		return fmt.Sprintf("%#v|%v|%d|%d|%d|%d", r.Samples, r.MeanContinuity,
 			r.Kills, r.Detections, r.Repairs, r.Lapsed)
 	}
-	if inv(oneWorker) != inv(twoWorkers) {
+	if oneWorker := run(1, target, 16); inv(oneWorker) != inv(twoWorkers) {
 		t.Fatalf("outputs diverge across worker counts:\n 1: %s\n 2: %s",
 			inv(oneWorker), inv(twoWorkers))
+	}
+	everyNode := run(1, target, 0)
+	if everyNode.QoENodeRuns <= twoWorkers.QoENodeRuns {
+		t.Fatalf("no budget ran %d node simulations, a budget of 16 ran %d", everyNode.QoENodeRuns, twoWorkers.QoENodeRuns)
+	}
+	if four := run(4, target, 0); inv(four) != inv(everyNode) {
+		t.Fatalf("every node simulated, outputs diverge across worker counts:\n 1: %s\n 4: %s",
+			inv(everyNode), inv(four))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"cloudfog/internal/core"
 	"cloudfog/internal/game"
 	"cloudfog/internal/geo"
+	"cloudfog/internal/health"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/sim"
 	"cloudfog/internal/trace"
@@ -237,8 +238,16 @@ func newAssignStats() *obs.AssignStats {
 // TestInjectorOrphanBalance runs a crash-heavy schedule against a real fog
 // and checks the orphan ledger: every player orphaned by a kill is either
 // repaired through the assignment protocol (backup hit or rerun), lapsed, or
-// still pending when the horizon hit.
+// still pending when the horizon hit — whether the oracle's draw or a
+// heartbeat monitor times the repairs — and the injector's own repair tally
+// is the assignment protocol's.
 func TestInjectorOrphanBalance(t *testing.T) {
+	for _, mode := range []health.Mode{health.ModeOracle, health.ModeTimeout} {
+		t.Run(mode.String(), func(t *testing.T) { orphanBalance(t, mode) })
+	}
+}
+
+func orphanBalance(t *testing.T, mode health.Mode) {
 	assign := newAssignStats()
 	f, players, tg := buildFaultFog(t, 20, 100, assign)
 	p := &Profile{
@@ -265,6 +274,9 @@ func TestInjectorOrphanBalance(t *testing.T) {
 			return core.NewSupernode(id, s.pos, s.capacity, s.uplink)
 		},
 	}, sim.NewRand(42), stats)
+	if mode != health.ModeOracle {
+		inj.SetMonitor(health.NewMonitor(engine, health.DetectorConfig{Mode: mode}, nil, nil))
+	}
 	inj.Start()
 	engine.RunUntil(time.Hour)
 	inj.Finish()
@@ -281,6 +293,10 @@ func TestInjectorOrphanBalance(t *testing.T) {
 		t.Fatalf("orphan ledger: orphaned=%d but backup+rerun=%d lapsed=%d pending=%d",
 			inj.Orphaned(), repaired, inj.Lapsed(), inj.PendingEnd())
 	}
+	if inj.Repaired() != repaired || inj.CloudHops() > inj.Repaired() {
+		t.Fatalf("injector counts %d repairs (%d of them off the fog), the assignment protocol %d",
+			inj.Repaired(), inj.CloudHops(), repaired)
+	}
 	if assign.FailoverBackupHits.Load() == 0 {
 		t.Fatal("no orphan survived via a recorded backup")
 	}
@@ -294,6 +310,37 @@ func TestInjectorOrphanBalance(t *testing.T) {
 	}
 	if unserved > inj.PendingEnd() {
 		t.Fatalf("%d online players unserved but only %d repairs pending", unserved, inj.PendingEnd())
+	}
+}
+
+// TestInjectorNilSchedule: a fault-free run is an injector with no schedule.
+// Start still tracks the fleet and starts the monitor — heartbeats flow and
+// nothing is suspected — and Finish folds a ledger of zeros.
+func TestInjectorNilSchedule(t *testing.T) {
+	f, _, _ := buildFaultFog(t, 6, 30, nil)
+	engine := sim.New()
+	reg := obs.NewRegistry()
+	stats, hs := obs.FaultStatsIn(reg), obs.HealthStatsIn(reg)
+	inj := NewInjector(nil, engine, f, SimHooks{}, sim.NewRand(1), stats)
+	inj.SetMonitor(health.NewMonitor(engine, health.DetectorConfig{Mode: health.ModePhi}, nil, hs))
+	inj.Start()
+	engine.RunUntil(time.Minute)
+	inj.Finish()
+	if sent := hs.HeartbeatsSent.Load(); sent < 6*30 {
+		t.Fatalf("%d heartbeats from 6 supernodes in a minute: the fleet is not tracked", sent)
+	}
+	if inj.FalsePositives() != 0 || hs.KillsObserved.Load() != 0 || hs.DetectPending.Load() != 0 {
+		t.Fatalf("a fault-free run suspected %d nodes, observed %d kills, left %d undetected",
+			inj.FalsePositives(), hs.KillsObserved.Load(), hs.DetectPending.Load())
+	}
+	for name, n := range map[string]int64{
+		"kills": stats.Kills.Load(), "recoveries": stats.Recoveries.Load(), "orphaned": stats.Orphaned.Load(),
+		"lapsed": stats.Lapsed.Load(), "pending": stats.PendingEnd.Load(), "windows": stats.LinkWindows.Load(),
+		"repaired": inj.Repaired(), "detected": inj.Detected(),
+	} {
+		if n != 0 {
+			t.Errorf("fault-free ledger: %s = %d", name, n)
+		}
 	}
 }
 

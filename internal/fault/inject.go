@@ -43,6 +43,8 @@ type Injector struct {
 	killed    int64
 	recovered int64
 	orphaned  int64
+	repaired  int64
+	cloudHops int64 // repairs that left the fog for cloud or edge
 	lapsed    int64
 	repairs   int64 // scheduled orphan repairs not yet fired
 	joins     int64
@@ -67,8 +69,9 @@ type pendingRepair struct {
 	killAt time.Duration
 }
 
-// NewInjector binds a schedule to an engine and fog. rng seeds the
-// detection-delay draws; stats may be nil.
+// NewInjector binds a schedule to an engine and fog. A nil schedule is a
+// fault-free run: nothing is injected, and a monitor still runs. rng seeds
+// the detection-delay draws; stats may be nil.
 func NewInjector(sched *Schedule, engine *sim.Engine, fog *core.Fog, hooks SimHooks, rng *sim.Rand, stats *obs.FaultStats) *Injector {
 	return &Injector{
 		sched:     sched,
@@ -99,6 +102,9 @@ func (in *Injector) Start() {
 			in.mon.Track(sn.ID)
 		}
 		in.mon.Start()
+	}
+	if in.sched == nil {
+		return
 	}
 	for i := range in.sched.Events {
 		ev := in.sched.Events[i]
@@ -218,6 +224,10 @@ func (in *Injector) repair(p *core.Player, killAt time.Duration) {
 		in.lapsed++
 		return
 	}
+	in.repaired++
+	if k := p.Attached.Kind; k == core.AttachCloud || k == core.AttachEdge {
+		in.cloudHops++
+	}
 	if in.stats != nil {
 		in.stats.InterruptionNs.Observe(int64(in.engine.Now() - killAt))
 	}
@@ -285,6 +295,11 @@ func (in *Injector) Recovered() int64 { return in.recovered }
 
 // Orphaned returns how many players were orphaned by kills.
 func (in *Injector) Orphaned() int64 { return in.orphaned }
+
+// Repaired returns how many orphans a failover re-attached, and CloudHops how
+// many of those landed on the cloud or an edge server instead of a supernode.
+func (in *Injector) Repaired() int64  { return in.repaired }
+func (in *Injector) CloudHops() int64 { return in.cloudHops }
 
 // Lapsed returns how many orphans were unrepairable when their repair fired.
 func (in *Injector) Lapsed() int64 { return in.lapsed }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudfog/internal/experiment"
 	"cloudfog/internal/obs"
 )
 
@@ -89,6 +90,34 @@ func TestRecordReplayProperty(t *testing.T) {
 		}
 		if !bytes.Equal(acrossShards[0], acrossShards[1]) {
 			t.Fatalf("seed %d: figure bytes differ between 1 and 4 shards", seed)
+		}
+	}
+}
+
+// TestScaleRunFeedsFaultLedger: the scaling run's kills and orphans are in the
+// registry its failovers already count into, so the orphan ledger of a world
+// that ran figscale is present and balances — in both detection modes, with
+// orphans still pending at the horizon.
+func TestScaleRunFeedsFaultLedger(t *testing.T) {
+	for _, detector := range []string{"", "phi"} {
+		cfg := testSpec(3, 2).config()
+		w, err := experiment.NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := experiment.ScaleRun(w, experiment.RunOptions{
+			Horizon: 45 * time.Second, ScaleEpoch: 15 * time.Second,
+			Detector: detector, Overload: detector != "",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := Reconcile(cfg.Obs.Snapshot())
+		if err := l.Err(); err != nil {
+			t.Fatalf("detector %q: %v", detector, err)
+		}
+		if l.Faults == nil || l.Faults.Kills != res.Kills || l.Faults.Kills == 0 || l.Faults.PendingEnd != res.PendingEnd {
+			t.Fatalf("detector %q: fault ledger %+v after a run with %d kills, %d orphans pending", detector, l.Faults, res.Kills, res.PendingEnd)
 		}
 	}
 }

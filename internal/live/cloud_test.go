@@ -2,8 +2,10 @@ package live
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,6 +92,36 @@ func TestReplicaConvergesAfterRefusedDelta(t *testing.T) {
 	})
 }
 
+// until polls, under mu, for what another goroutine does on its own time.
+func until(t *testing.T, mu *sync.Mutex, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		ok := cond()
+		mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// connectActing opens an action connection for player, sends one action
+// stamped issued and returns once the cloud has ingested it.
+func connectActing(t *testing.T, cloud *Cloud, player int64, issued time.Duration) net.Conn {
+	t.Helper()
+	conn := dialWith(t, cloud.Addr(), proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RolePlayerActions, ID: player}))
+	readAck(t, conn)
+	act := proto.Action{Player: player, Issued: issued, Act: world.Action{Player: player, Kind: world.ActionMove, Target: world.Vec2{X: 10, Y: 10}}}
+	if err := proto.WriteFrame(conn, proto.TAction, proto.MarshalAction(act)); err != nil {
+		t.Fatal(err)
+	}
+	until(t, &cloud.mu, "the action is ingested", func() bool { return cloud.lastStamp[player] == issued })
+	return conn
+}
+
 // TestCloudForgetsDepartedPlayers: what the cloud holds for a player lasts as
 // long as the player's action connections do. Connect/act/disconnect cycles
 // leave no stamp, no connection count and no avatar behind, a subscriber's
@@ -131,60 +163,34 @@ func TestCloudForgetsDepartedPlayers(t *testing.T) {
 		cloud.tickOnce()
 		recvDelta()
 	}
-	// until polls what a connection's goroutine does on its own time.
-	until := func(what string, cond func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			cloud.mu.Lock()
-			ok := cond()
-			cloud.mu.Unlock()
-			if ok {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting until %s", what)
-			}
-		}
-	}
-	connect := func(player int64, issued time.Duration) net.Conn {
-		t.Helper()
-		conn := dialWith(t, cloud.Addr(), proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RolePlayerActions, ID: player}))
-		readAck(t, conn)
-		act := proto.Action{Player: player, Issued: issued, Act: world.Action{Player: player, Kind: world.ActionMove, Target: world.Vec2{X: 10, Y: 10}}}
-		if err := proto.WriteFrame(conn, proto.TAction, proto.MarshalAction(act)); err != nil {
-			t.Fatal(err)
-		}
-		until("the action is ingested", func() bool { return cloud.lastStamp[player] == issued })
-		return conn
-	}
 	gone := func(player int64) func() bool {
 		return func() bool { return cloud.acting[player] == 0 }
 	}
 
 	for cycle := 1; cycle <= 5; cycle++ {
 		player := int64(100 + cycle%2) // two players, each one back again
-		conn := connect(player, time.Duration(cycle))
+		conn := connectActing(t, cloud, player, time.Duration(cycle))
 		tick()
 		if _, ok := replica.Avatar(player); !ok {
 			t.Fatalf("cycle %d: the subscriber never saw player %d's avatar", cycle, player)
 		}
 		conn.Close()
-		until("the connection is forgotten", gone(player))
+		until(t, &cloud.mu, "the connection is forgotten", gone(player))
 		tick()
 		if _, ok := replica.Avatar(player); ok {
 			t.Fatalf("cycle %d: player %d left and its avatar is still in the subscriber's replica", cycle, player)
 		}
 	}
 
-	first, second := connect(9, 1), connect(9, 2)
+	first, second := connectActing(t, cloud, 9, 1), connectActing(t, cloud, 9, 2)
 	first.Close()
-	until("the first of two connections is forgotten", func() bool { return cloud.acting[9] == 1 })
+	until(t, &cloud.mu, "the first of two connections is forgotten", func() bool { return cloud.acting[9] == 1 })
 	tick()
 	if _, ok := replica.Avatar(9); !ok {
 		t.Fatal("a player with a connection still open lost its avatar")
 	}
 	second.Close()
-	until("the last connection is forgotten", gone(9))
+	until(t, &cloud.mu, "the last connection is forgotten", gone(9))
 	tick()
 
 	cloud.mu.Lock()
@@ -199,6 +205,86 @@ func TestCloudForgetsDepartedPlayers(t *testing.T) {
 	}
 	if replica.Len() != 0 {
 		t.Errorf("the subscriber's replica holds %d entities of an empty world", replica.Len())
+	}
+}
+
+// TestSupernodeForgetsDepartedStamps: a supernode keeps a relayed action stamp
+// as long as the replica holds the player's avatar. Connect/act/disconnect
+// cycles against a cloud leave no stamp behind once the delta that removes the
+// avatar has arrived, a player still connected keeps its own, and a snapshot
+// drops the stamps of players it does not list.
+func TestSupernodeForgetsDepartedStamps(t *testing.T) {
+	// A tick period the loop never reaches: the test is the only ticker.
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	sn, err := NewSupernode(Config{Role: RoleSupernode, ID: 7, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	until(t, &cloud.mu, "the supernode is subscribed", func() bool { return len(cloud.subs) == 1 })
+
+	stays := connectActing(t, cloud, 50, 99)
+	defer stays.Close()
+	for cycle := 1; cycle <= 5; cycle++ {
+		player, issued := int64(100+cycle), time.Duration(cycle)
+		conn := connectActing(t, cloud, player, issued)
+		cloud.tickOnce()
+		until(t, &sn.mu, "the stamp and the avatar reach the supernode", func() bool {
+			_, ok := sn.replica.Avatar(player)
+			return ok && sn.stamps[player] == issued
+		})
+		conn.Close()
+		until(t, &cloud.mu, "the connection is forgotten", func() bool { return cloud.acting[player] == 0 })
+		cloud.tickOnce()
+		until(t, &sn.mu, "the removal reaches the supernode", func() bool {
+			_, ok := sn.replica.Avatar(player)
+			return !ok
+		})
+	}
+	sn.mu.Lock()
+	if len(sn.stamps) != 1 || sn.stamps[50] != 99 {
+		t.Errorf("after five players came and went beside one that stayed: stamps %v, want map[50:99ns]", sn.stamps)
+	}
+	sn.mu.Unlock()
+}
+
+// TestSupernodeSnapshotDropsStaleStamps: a full delta replaces the replica, so
+// a stamp whose player the snapshot does not list goes with it.
+func TestSupernodeSnapshotDropsStaleStamps(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	sn, err := NewSupernode(Config{Role: RoleSupernode, ID: 7, CloudAddr: ln.Addr().String(), Addr: "127.0.0.1:0", FPS: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for player := int64(1); player <= 2; player++ {
+		stamp := proto.MarshalAction(proto.Action{Player: player, Issued: time.Duration(player)})
+		if err := proto.WriteFrame(conn, proto.TAction, stamp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := world.Delta{ToVersion: 3, Full: true, Updated: []world.Entity{{ID: 1, Kind: world.KindAvatar, Owner: 1}}}
+	if err := proto.WriteFrame(conn, proto.TDelta, proto.MarshalDelta(snapshot)); err != nil {
+		t.Fatal(err)
+	}
+	until(t, &sn.mu, "the supernode has applied the snapshot", func() bool { return sn.deltas == 1 })
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	if stamps := fmt.Sprint(sn.stamps); stamps != "map[1:1ns]" {
+		t.Fatalf("after a snapshot listing player 1 alone: stamps %s", stamps)
 	}
 }
 

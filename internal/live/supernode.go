@@ -239,6 +239,14 @@ func (sn *Supernode) consumeUpdates() {
 				continue
 			}
 			sn.mu.Lock()
+			// Whose avatar a removed entity was, only the replica before
+			// Apply can say.
+			var left []int64
+			for _, id := range d.Removed {
+				if e, ok := sn.replica.Get(id); ok && e.Kind == world.KindAvatar {
+					left = append(left, e.Owner)
+				}
+			}
 			if applyErr := sn.replica.Apply(d); applyErr != nil {
 				// Version gap. The cloud advances a subscription's version
 				// only past deltas its link accepted, so a delta shed by a
@@ -247,6 +255,19 @@ func (sn *Supernode) consumeUpdates() {
 				// replica.
 				sn.mu.Unlock()
 				continue
+			}
+			// A player whose avatar is gone has left the cloud: forget its
+			// action stamp, or the map keeps a slot for everyone who ever
+			// acted. A snapshot says who is left all at once.
+			if d.Full {
+				for player := range sn.stamps {
+					left = append(left, player)
+				}
+			}
+			for _, player := range left {
+				if _, ok := sn.replica.Avatar(player); !ok {
+					delete(sn.stamps, player)
+				}
 			}
 			sn.deltas++
 			sn.deltaBytes += int64(len(payload))

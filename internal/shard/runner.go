@@ -21,19 +21,20 @@ type Config struct {
 	// Seed is the run seed; every epoch and node stream is split from it
 	// with sim.SplitSeed.
 	Seed int64
-	// Horizon is the total virtual time; Epoch the barrier interval.
+	// Horizon is the total virtual time; Epoch the interval between censuses
+	// (and between refreshes of the data plane's copy of the attachments).
 	Horizon time.Duration
 	Epoch   time.Duration
 	// Width, Height are read by nothing: they bounded the geographic
 	// partition and stay only because bench/ sets them (DESIGN.md §18).
 	Width, Height float64
-	// Detector selects failure detection: ModeOracle synthesizes detection
-	// delays from a pure hash; other modes run one heartbeat monitor on
-	// the runner's engine.
+	// Detector selects failure detection: ModeOracle is the injector's
+	// per-orphan delay draw; other modes run one heartbeat monitor on the
+	// runner's engine.
 	Detector       health.Mode
 	DetectorConfig health.DetectorConfig
 	// Overload runs the control plane's RelieveOverloaded ladder step at
-	// every barrier (after message application).
+	// the end of every epoch.
 	Overload bool
 	// QoE configures the per-node segment simulations. Warmup is
 	// per-epoch: each epoch is simulated as a fresh session. Seed and
@@ -47,13 +48,10 @@ type Config struct {
 	QoENodeBudget int
 }
 
-// Sample is one barrier's flow-level census over all players.
+// Sample is the flow-level census over all players at the end of an epoch.
 type Sample struct {
-	T         time.Duration
-	Served    int
-	FogServed int
-	Unserved  int
-	Within    int
+	T time.Duration
+	core.Census
 }
 
 // Result aggregates a scaling run. Every field but Shards is the same at any
@@ -69,44 +67,34 @@ type Result struct {
 	Kills          int64
 	Recoveries     int64
 	Detections     int64
+	Orphaned       int64
 	Repairs        int64
 	Lapsed         int64
 	CloudHops      int64 // failovers that left the fog for cloud or edge
 	Moved          int64 // overload-relief migrations
 	PendingEnd     int64 // orphans still awaiting detection at the horizon
-	DetectLatency  time.Duration
+	MeanDetection  time.Duration
 	// QoEDraws and FogDraws are the flight recorder's RNG witness: the draws
 	// the node simulations consumed, summed over the workers' pools (a sum
 	// of per-node counts, so it does not depend on who ran which node), and
 	// the control-plane geolocation stream's draw count at the end of the
-	// run (the fog evolves only at barriers in canonical message order).
+	// run (the fog evolves on the engine's one thread).
 	QoEDraws uint64
 	FogDraws uint64
 }
 
-// MeanDetectionLatency returns the mean kill-to-detection latency.
-func (r *Result) MeanDetectionLatency() time.Duration {
-	if r.Detections == 0 {
-		return 0
-	}
-	return r.DetectLatency / time.Duration(r.Detections)
-}
-
-// Runner executes a scaling run: the control-plane fog advances only at
-// epoch barriers; in between, the workers run the epoch's node simulations
-// and the monitor its heartbeats, side by side.
+// Runner executes a scaling run: the control plane — injector, monitor and
+// the fog they mutate — runs on one engine in continuous virtual time; the
+// workers run an epoch's node simulations beside it, on copies.
 type Runner struct {
 	cfg     Config
 	fog     *core.Fog
 	players []*core.Player
 	sched   *fault.Schedule
-	respawn func(id int64) *core.Supernode
-	clk     *Clock
 
-	engine  *sim.Engine     // the monitor's; absolute virtual time
-	mon     *health.Monitor // nil in oracle mode
-	detects []Msg           // what the monitor found this epoch
-	pools   []*qoe.Pool     // one per worker
+	engine *sim.Engine
+	inj    *fault.Injector
+	pools  []*qoe.Pool // one per worker
 
 	// The packet tallies, index-aligned with players. Nothing else needs a
 	// player's index — the node tasks carry the indices of the players they
@@ -114,19 +102,15 @@ type Runner struct {
 	onTime []int64
 	total  []int64
 
-	nextEvent int // cursor into sched.Events
-	downPred  map[int64]bool
-	downSince map[int64]time.Duration
-	pending   map[int64][]*core.Player
-	future    []Msg // oracle detects beyond the current epoch
+	nextEvent int // killsUntil's cursor into sched.Events
 
 	res Result
 }
 
-// NewRunner builds the runner's machinery. The fog must have been built with
-// the Clock's Now as its time source and have the players already joined;
-// sched may be nil (fault-free). respawn mints fresh supernode instances for
-// recoveries.
+// NewRunner builds the runner's machinery and binds clk to its engine. The
+// fog must have been built with the Clock's Now as its time source and have
+// the players already joined; sched may be nil (fault-free). respawn mints
+// fresh supernode instances for recoveries.
 func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.Schedule, respawn func(id int64) *core.Supernode, clk *Clock) *Runner {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -135,23 +119,23 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 		cfg.Epoch = cfg.Horizon
 	}
 	r := &Runner{
-		cfg:       cfg,
-		fog:       fog,
-		players:   players,
-		sched:     sched,
-		respawn:   respawn,
-		clk:       clk,
-		engine:    sim.New(),
-		pools:     make([]*qoe.Pool, cfg.Shards),
-		onTime:    make([]int64, len(players)),
-		total:     make([]int64, len(players)),
-		downPred:  make(map[int64]bool),
-		downSince: make(map[int64]time.Duration),
-		pending:   make(map[int64][]*core.Player),
+		cfg:     cfg,
+		fog:     fog,
+		players: players,
+		sched:   sched,
+		engine:  sim.New(),
+		pools:   make([]*qoe.Pool, cfg.Shards),
+		onTime:  make([]int64, len(players)),
+		total:   make([]int64, len(players)),
 	}
+	clk.engine = r.engine
 	for i := range r.pools {
 		r.pools[i] = qoe.NewPool()
 	}
+	// The oracle's delay stream is split off below every epoch's (those are
+	// keyed 0, 1, …).
+	r.inj = fault.NewInjector(sched, r.engine, fog, fault.SimHooks{Respawn: respawn},
+		sim.NewRand(sim.SplitSeed(cfg.Seed, -1)), nil)
 	if cfg.Detector != health.ModeOracle {
 		var loss func(time.Duration) float64
 		if sched != nil {
@@ -159,17 +143,9 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 		}
 		dc := cfg.DetectorConfig
 		dc.Mode = cfg.Detector
-		r.mon = health.NewMonitor(r.engine, dc, loss, nil)
-		r.mon.OnDetect(func(id int64, now time.Duration) {
-			r.detects = append(r.detects, Msg{At: now, Kind: MsgDetect, Node: id})
-		})
-		// Track in ascending node-ID order: the heartbeat chains' seq order
-		// is then a function of the fleet alone.
-		for _, sn := range fog.Supernodes() {
-			r.mon.Track(sn.ID)
-		}
-		r.mon.Start()
+		r.inj.SetMonitor(health.NewMonitor(r.engine, dc, loss, nil))
 	}
+	r.inj.Start()
 	return r
 }
 
@@ -204,16 +180,24 @@ func (r *Runner) Run() (Result, error) {
 		if t1 > r.cfg.Horizon {
 			t1 = r.cfg.Horizon
 		}
-		killsAt, msgs := r.prologue(e, t0, t1)
-		tasks := r.buildTasks(killsAt, t0, t1)
+		tasks := r.buildTasks(r.killsUntil(t1), t0, t1)
 		if err := r.runEpoch(e, t0, t1, tasks); err != nil {
 			return r.res, err
 		}
-		r.barrier(e, t1, msgs)
+		if r.cfg.Overload && r.fog.Overload() != nil {
+			r.res.Moved += int64(r.fog.RelieveOverloaded())
+		}
+		r.res.Samples = append(r.res.Samples, Sample{T: t1, Census: r.fog.Census(r.players)})
 	}
-	for _, pend := range r.pending {
-		r.res.PendingEnd += int64(len(pend))
-	}
+	r.res.Kills = r.inj.Killed()
+	r.res.Recoveries = r.inj.Recovered()
+	r.res.Detections = r.inj.Detected()
+	r.res.MeanDetection = r.inj.MeanDetectionLatency()
+	r.res.Orphaned = r.inj.Orphaned()
+	r.res.Repairs = r.inj.Repaired()
+	r.res.Lapsed = r.inj.Lapsed()
+	r.res.CloudHops = r.inj.CloudHops()
+	r.res.PendingEnd = r.inj.PendingEnd()
 	r.summarizeContinuity()
 	for _, p := range r.pools {
 		r.res.QoEDraws += p.Draws()
@@ -222,64 +206,27 @@ func (r *Runner) Run() (Result, error) {
 	return r.res, nil
 }
 
-// prologue routes the epoch's fault events: kills and recoveries are
-// predicted against the down map (the same accept/skip sequence the barrier
-// will apply, so prediction equals truth), the monitor gets the kill and
-// recovery signals scheduled at their exact times, and oracle mode
-// synthesizes each kill's detection message from a pure hash. Wire ops
-// (loss, latency, bandwidth windows) need no routing: they act through the
-// schedule's pure impairment lookups.
-func (r *Runner) prologue(epoch int, t0, t1 time.Duration) (killsAt map[int64]time.Duration, msgs []Msg) {
-	killsAt = make(map[int64]time.Duration)
+// killsUntil reads ahead over the schedule for the kills an epoch's tasks
+// need to know before the engine applies them: each node's first kill in
+// (the previous call's t1, t1] — a node with a task is up at t0, so that kill
+// lands, and the players the task copied are orphaned then whatever happens
+// to the node later in the epoch. Wire ops (loss, latency, bandwidth windows)
+// need no reading: they act through the schedule's pure impairment lookups.
+func (r *Runner) killsUntil(t1 time.Duration) map[int64]time.Duration {
+	killsAt := make(map[int64]time.Duration)
 	if r.sched == nil {
-		return killsAt, nil
+		return killsAt
 	}
 	for ; r.nextEvent < len(r.sched.Events); r.nextEvent++ {
 		ev := r.sched.Events[r.nextEvent]
 		if ev.At > t1 {
 			break
 		}
-		switch ev.Op {
-		case fault.OpKill:
-			if r.downPred[ev.Node] {
-				continue // kill of an already-down node is skipped
-			}
-			r.downPred[ev.Node] = true
+		if _, dead := killsAt[ev.Node]; ev.Op == fault.OpKill && !dead {
 			killsAt[ev.Node] = ev.At
-			msgs = append(msgs, Msg{Epoch: epoch, At: ev.At, Kind: MsgKill, Node: ev.Node})
-			if r.mon != nil {
-				node := ev.Node
-				r.engine.ScheduleAt(ev.At, func() { r.mon.Kill(node) })
-			} else if ev.D > 0 {
-				// Oracle: detection at killAt + hash-drawn delay in (0, D].
-				h := hash64(uint64(r.cfg.Seed) ^ hash64(uint64(ev.Node)) ^ uint64(ev.At))
-				delay := time.Duration(h%uint64(ev.D)) + 1
-				r.future = append(r.future, Msg{At: ev.At + delay, Kind: MsgDetect, Node: ev.Node})
-			}
-		case fault.OpRecover:
-			if !r.downPred[ev.Node] {
-				continue
-			}
-			r.downPred[ev.Node] = false
-			msgs = append(msgs, Msg{Epoch: epoch, At: ev.At, Kind: MsgRecover, Node: ev.Node})
-			if r.mon != nil {
-				node := ev.Node
-				r.engine.ScheduleAt(ev.At, func() { r.mon.Recover(node) })
-			}
 		}
 	}
-	// Oracle detections falling due this epoch join the barrier batch.
-	keep := r.future[:0]
-	for _, m := range r.future {
-		if m.At <= t1 {
-			m.Epoch = epoch
-			msgs = append(msgs, m)
-		} else {
-			keep = append(keep, m)
-		}
-	}
-	r.future = keep
-	return killsAt, msgs
+	return killsAt
 }
 
 // buildTasks selects which serving supernodes run the segment simulation
@@ -354,20 +301,19 @@ func (r *Runner) buildTasks(killsAt map[int64]time.Duration, t0, t1 time.Duratio
 	return tasks
 }
 
-// runEpoch executes one epoch's data plane: the workers share the node
-// simulations through qoe.EachNode while, in monitor mode, the heartbeat
-// engine runs to the barrier on a goroutine beside them. Packet tallies land
-// in per-player slots — disjoint across tasks, because a player is served by
-// exactly one node — so the merge is race-free integer addition.
+// runEpoch executes one epoch: the engine runs the control plane to t1 on a
+// goroutine while the workers share the node simulations through
+// qoe.EachNode. The two touch nothing in common — tasks are copies, and the
+// packet tallies land in per-player slots, disjoint across tasks because a
+// player is served by exactly one node — so the merge is race-free integer
+// addition.
 func (r *Runner) runEpoch(epoch int, t0, t1 time.Duration, tasks []nodeTask) error {
 	var wg sync.WaitGroup
-	if r.mon != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.engine.RunUntil(t1)
-		}()
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r.engine.RunUntil(t1)
+	}()
 	opts := r.cfg.QoE
 	if r.sched != nil {
 		opts.Impair = &offsetImpair{base: r.sched, off: t0}
@@ -387,90 +333,6 @@ func (r *Runner) runEpoch(epoch int, t0, t1 time.Duration, tasks []nodeTask) err
 	wg.Wait()
 	r.res.QoENodeRuns += len(tasks)
 	return err
-}
-
-// barrier applies the epoch's messages to the control plane in canonical
-// order, runs the overload-relief step, advances the clock, and takes the
-// flow-level census. Everything here is serial and ordered by message
-// content alone, so the fog (and its rng stream) evolves identically at any
-// worker count.
-func (r *Runner) barrier(epoch int, t1 time.Duration, msgs []Msg) {
-	for _, m := range r.detects {
-		m.Epoch = epoch
-		msgs = append(msgs, m)
-	}
-	r.detects = r.detects[:0]
-	sortMsgs(msgs)
-	for _, m := range msgs {
-		r.clk.advance(m.At)
-		switch m.Kind {
-		case MsgKill:
-			if _, up := r.fog.Supernode(m.Node); !up {
-				continue
-			}
-			orphans := r.fog.FailSupernode(m.Node)
-			r.res.Kills++
-			if _, down := r.downSince[m.Node]; !down {
-				r.downSince[m.Node] = m.At
-			}
-			r.pending[m.Node] = append(r.pending[m.Node], orphans...)
-		case MsgRecover:
-			if _, ok := r.downSince[m.Node]; !ok {
-				continue
-			}
-			delete(r.downSince, m.Node)
-			if r.respawn == nil {
-				continue
-			}
-			sn := r.respawn(m.Node)
-			if sn == nil {
-				continue
-			}
-			if err := r.fog.RegisterSupernode(sn); err != nil {
-				continue
-			}
-			r.res.Recoveries++
-		case MsgDetect:
-			r.res.Detections++
-			if downAt, ok := r.downSince[m.Node]; ok {
-				r.res.DetectLatency += m.At - downAt
-			}
-			pend := r.pending[m.Node]
-			if len(pend) == 0 {
-				continue
-			}
-			delete(r.pending, m.Node)
-			for _, p := range pend {
-				if !r.fog.Failover(p) {
-					r.res.Lapsed++
-					continue
-				}
-				r.res.Repairs++
-				if k := p.Attached.Kind; k == core.AttachCloud || k == core.AttachEdge {
-					r.res.CloudHops++
-				}
-			}
-		}
-	}
-	r.clk.advance(t1)
-	if r.cfg.Overload && r.fog.Overload() != nil {
-		r.res.Moved += int64(r.fog.RelieveOverloaded())
-	}
-	served, fogN, uns, within := 0, 0, 0, 0
-	for _, p := range r.players {
-		if !p.Attached.Served() {
-			uns++
-			continue
-		}
-		served++
-		if p.Attached.Kind == core.AttachSupernode {
-			fogN++
-		}
-		if r.fog.NetworkLatency(p) <= p.Game.NetworkBudget() {
-			within++
-		}
-	}
-	r.res.Samples = append(r.res.Samples, Sample{T: t1, Served: served, FogServed: fogN, Unserved: uns, Within: within})
 }
 
 // summarizeContinuity folds the per-player integer tallies into the mean

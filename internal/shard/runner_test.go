@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cloudfog/internal/core"
+	"cloudfog/internal/fault"
 	"cloudfog/internal/game"
 	"cloudfog/internal/geo"
 	"cloudfog/internal/health"
@@ -169,4 +170,33 @@ func TestBuildTasksMatchesOnePassReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTaskEndsAtTheFirstDeath: a node killed at 3 s, recovered at 5 s and
+// killed again at 8 s of one epoch is simulated for 3 s — the players its
+// task copied at t0 were orphaned by the first kill; whoever the fresh
+// instance serves from 5 s on is in no task of this epoch.
+func TestTaskEndsAtTheFirstDeath(t *testing.T) {
+	r := ladderRunner(t, 0)
+	var node int64 = -1
+	for _, p := range r.players {
+		if a := p.Attached; a.Kind == core.AttachSupernode {
+			node = a.SN.ID
+			break
+		}
+	}
+	r.sched = &fault.Schedule{Events: []fault.Event{
+		{At: 3 * time.Second, Op: fault.OpKill, Node: node, D: time.Second},
+		{At: 5 * time.Second, Op: fault.OpRecover, Node: node},
+		{At: 8 * time.Second, Op: fault.OpKill, Node: node, D: time.Second},
+	}}
+	for _, task := range r.buildTasks(r.killsUntil(10*time.Second), 0, 10*time.Second) {
+		if task.node == node {
+			if task.dur != 3*time.Second {
+				t.Fatalf("the node's task runs for %v, want 3s", task.dur)
+			}
+			return
+		}
+	}
+	t.Fatal("the serving node got no task")
 }
