@@ -59,13 +59,16 @@ chaos:
 		-players 1500 -supernodes 100 -shards 4 \
 		-horizon 30s -epoch 10s -detector phi -overload
 
-# wire is the zero-copy wire-path smoke: the live and proto suites under
-# the race detector (TestLinkBatchesUnderSaturation fails unless the
-# coalescing counters prove frames were actually batched), and a
+# wire is the zero-copy wire-path smoke: the live and proto suites and the
+# cloudfog-live command's tests under the race detector
+# (TestLinkBatchesUnderSaturation fails unless the coalescing counters prove
+# frames were actually batched; TestDemoLedgerUnderTotalOutage runs the demo
+# with every supernode partitioned away and fails unless both players end on
+# the cloud and the ledger counts updates and direct video), and a
 # UDP-transport live run under the default chaos profile, which exits
 # non-zero if any player session fails.
 wire:
-	$(GO) test -race -count=1 ./internal/live/ ./internal/proto/
+	$(GO) test -race -count=1 ./internal/live/ ./internal/proto/ ./cmd/cloudfog-live/
 	$(GO) run ./cmd/cloudfog-live -players 4 -supernodes 3 -duration 5s \
 		-transport udp -chaos default
 

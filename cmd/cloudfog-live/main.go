@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -121,9 +122,9 @@ func run() error {
 	placer := geo.DefaultUSPlacer()
 	rng := sim.NewRand(*seedFlag + 1)
 
-	var reg *obs.Registry
+	// One registry always: the exit ledgers read it, -metrics-addr serves it.
+	reg := obs.NewRegistry()
 	if *metricsFlag != "" {
-		reg = obs.NewRegistry()
 		addr, err := startMetrics(*metricsFlag, reg)
 		if err != nil {
 			return err
@@ -150,10 +151,12 @@ func run() error {
 		// The cloud always offers direct streaming so a player whose whole
 		// backup ring is down degrades to the cloud instead of going dark.
 		DirectFPS: *fpsFlag,
-	}, live.WithObs(reg), live.WithDelayFor(func(snID int64) time.Duration {
-		for _, ep := range snEPs {
-			if int64(ep.ID) == snID {
-				return model.OneWay(dcEP, ep)
+	}, live.WithObs(reg), live.WithDelayFor(func(peerID int64) time.Duration {
+		for _, eps := range [][]trace.Endpoint{snEPs, playerEPs} {
+			for _, ep := range eps {
+				if int64(ep.ID) == peerID {
+					return model.OneWay(dcEP, ep)
+				}
 			}
 		}
 		return 0
@@ -212,11 +215,7 @@ func run() error {
 
 	// Chaos: replay the fault profile in wall-clock time against the
 	// running deployment.
-	faultReg := reg
-	if faultReg == nil {
-		faultReg = obs.NewRegistry() // no -metrics-addr: the exit ledger still reads these
-	}
-	faultStats := obs.FaultStatsIn(faultReg)
+	faultStats := obs.FaultStatsIn(reg)
 	if *chaosFlag != "" {
 		profile := defaultLiveChaos(*seedFlag, *durationFlag)
 		if *chaosFlag != "default" {
@@ -342,7 +341,7 @@ func run() error {
 	// if any session did not complete, rather than aborting on the first
 	// error and hiding the rest.
 	var failed []error
-	var videoBytes, failovers, cloudFallbacks int64
+	var failovers, cloudFallbacks int64
 	for i, r := range reports {
 		if r.CloudFallback {
 			cloudFallbacks++
@@ -353,7 +352,6 @@ func run() error {
 			continue
 		}
 		g, _ := game.ByID(gameIDs[i])
-		videoBytes += r.Bytes
 		failovers += r.Failovers
 		fmt.Printf("player %d (%-10s req %3dms): %3d segments, %6.1f KB video, response mean %v p95 %v, %3.0f%% within budget, %d failovers\n",
 			i+1, g.Name, g.ResponseRequirement().Milliseconds(),
@@ -362,15 +360,9 @@ func run() error {
 			r.WithinBudget*100, r.Failovers)
 	}
 
-	var updBytes int64
-	snMu.Lock()
-	for _, sn := range snLive {
-		_, b := sn.UpdateTraffic()
-		updBytes += b
-	}
-	snMu.Unlock()
-	fmt.Printf("\nbandwidth ledger: cloud shipped %.1f KB of updates; supernodes shipped %.1f KB of video (%.1fx reduction)\n",
-		float64(updBytes)/1000, float64(videoBytes)/1000, float64(videoBytes)/float64(updBytes+1))
+	updBytes, directBytes, snBytes := sentBytes(reg)
+	fmt.Printf("\nbandwidth ledger: cloud shipped %.1f KB of updates and %.1f KB of direct video; supernodes shipped %.1f KB of video (%.1fx reduction)\n",
+		float64(updBytes)/1000, float64(directBytes)/1000, float64(snBytes)/1000, float64(snBytes)/float64(updBytes+1))
 	if *chaosFlag != "" {
 		fmt.Printf("chaos ledger: %d kills, %d recoveries, %d link windows, %d player failovers (%d to the cloud)\n",
 			faultStats.Kills.Load(), faultStats.Recoveries.Load(),
@@ -381,4 +373,24 @@ func run() error {
 		return fmt.Errorf("%d of %d players failed: %w", len(failed), *playersFlag, errors.Join(failed...))
 	}
 	return nil
+}
+
+// sentBytes sums the payload bytes each sender wrote: the cloud's update
+// streams (cloud_to_sn<ID>) and direct video (cloud_to_p<ID>), and the
+// supernodes' video (sn<ID>_to_p<ID>), killed instances included: a link's
+// counter outlives it.
+func sentBytes(reg *obs.Registry) (updates, direct, supernodes int64) {
+	for name, n := range reg.Snapshot().Counters {
+		link, ok := strings.CutPrefix(name, `cloudfog_link_sent_bytes_total{link="`)
+		switch {
+		case !ok:
+		case strings.HasPrefix(link, "cloud_to_sn"):
+			updates += n
+		case strings.HasPrefix(link, "cloud_to_p"):
+			direct += n
+		case strings.HasPrefix(link, "sn"):
+			supernodes += n
+		}
+	}
+	return updates, direct, supernodes
 }

@@ -7,7 +7,6 @@ import (
 
 	"cloudfog/internal/game"
 	"cloudfog/internal/health"
-	"cloudfog/internal/obs"
 	"cloudfog/internal/sim"
 	"cloudfog/internal/spatial"
 	"cloudfog/internal/trace"
@@ -90,15 +89,6 @@ type probe struct {
 // anywhere in the assignment protocol shows up here even when the figure
 // bytes happen to agree.
 func (f *Fog) RandDraws() uint64 { return f.rng.Draws() }
-
-// emit forwards an assignment event to the configured sink, if any.
-func (f *Fog) emit(kind obs.EventKind, node, player, a int64) {
-	o := f.cfg.Obs
-	if o == nil || o.Sink == nil {
-		return
-	}
-	o.Sink(obs.Event{Kind: kind, Node: node, Player: player, A: a})
-}
 
 // BuildFog constructs a Fog with the given datacenters and supernodes. The
 // rng drives geolocation error draws; pass a dedicated stream for
@@ -424,7 +414,6 @@ func (f *Fog) assign(p *Player) {
 		}
 		if o := f.cfg.Obs; o != nil {
 			o.JoinsFog.Inc()
-			f.emit(obs.EventAssign, pr.sn.ID, p.ID, 1)
 		}
 		return
 	}
@@ -459,14 +448,12 @@ func (f *Fog) failover(p *Player) {
 		p.Backups = p.Backups[i+1:]
 		if o := f.cfg.Obs; o != nil {
 			o.FailoverBackupHits.Inc()
-			f.emit(obs.EventFailover, sn.ID, p.ID, 1)
 		}
 		return
 	}
 	p.Backups = nil
 	if o := f.cfg.Obs; o != nil {
 		o.FailoverReassigns.Inc()
-		f.emit(obs.EventFailover, 0, p.ID, 0)
 	}
 	f.assign(p)
 }
@@ -586,7 +573,6 @@ func (f *Fog) attachCloud(p *Player, pe trace.Endpoint, estX, estY float64) {
 	}
 	if o := f.cfg.Obs; o != nil {
 		o.JoinsCloud.Inc()
-		f.emit(obs.EventAssign, best.ID, p.ID, 0)
 	}
 }
 

@@ -60,8 +60,8 @@ func (w *World) FaultTargets() fault.Targets {
 	return t
 }
 
-// Respawner returns the SimHooks Respawn function minting fresh supernode
-// instances from the world's immutable specs.
+// Respawner returns the fault injector's respawn function, minting fresh
+// supernode instances from the world's immutable specs.
 func (w *World) Respawner() func(id int64) *core.Supernode {
 	specs := make(map[int64]snSpec, len(w.snSpec))
 	for _, sp := range w.snSpec {
@@ -95,7 +95,7 @@ func ChurnDynamics(w *World, duration time.Duration, departEvery time.Duration) 
 		if err != nil {
 			return ChurnResult{}, fmt.Errorf("experiment: churn profile: %w", err)
 		}
-		inj = fault.NewInjector(sched, engine, fog, fault.SimHooks{Respawn: w.Respawner()},
+		inj = fault.NewInjector(sched, engine, fog, w.Respawner(),
 			sim.NewRand(w.Cfg.Seed+503), nil)
 		inj.Start()
 	}

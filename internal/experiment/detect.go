@@ -76,7 +76,7 @@ func DetectionLatency(w *World, intervals []time.Duration) ([]metrics.Series, st
 		if err != nil {
 			return err
 		}
-		inj := fault.NewInjector(sched, engine, fog, fault.SimHooks{Respawn: pw.Respawner()},
+		inj := fault.NewInjector(sched, engine, fog, pw.Respawner(),
 			sim.NewRand(pw.Cfg.Seed+701), faultStatsFor(pw))
 		if mon != nil {
 			inj.SetMonitor(mon)

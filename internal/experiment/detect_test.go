@@ -43,7 +43,7 @@ func TestDetectionPropertyAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj := fault.NewInjector(sched, engine, fog, fault.SimHooks{Respawn: w.Respawner()},
+		inj := fault.NewInjector(sched, engine, fog, w.Respawner(),
 			sim.NewRand(seed+701), nil)
 		inj.SetMonitor(mon)
 		inj.Start()

@@ -96,7 +96,7 @@ func (w *World) newHealthFog(engine *sim.Engine, ho HealthOptions, loss func(tim
 // the -faults-less chaos runs) use: half the supernodes crash and recover on
 // exponential lifetimes with a 10-second detection heartbeat, a Gilbert–
 // Elliott loss process burns bursts into the wire, latency spikes hit every
-// stream, and a 3-minute bandwidth collapse squeezes a third of the uplinks.
+// stream, and a 3-minute bandwidth collapse halves every uplink.
 func DefaultChaosProfile(seed int64) *fault.Profile {
 	return &fault.Profile{
 		Name:     "default-chaos",
@@ -110,7 +110,7 @@ func DefaultChaosProfile(seed int64) *fault.Profile {
 			{Kind: fault.KindLatency, MeanGood: fault.Dur(90 * time.Second), MeanBad: fault.Dur(15 * time.Second),
 				Extra: fault.Dur(40 * time.Millisecond)},
 			{Kind: fault.KindBandwidth, Start: fault.Dur(3 * time.Minute), End: fault.Dur(6 * time.Minute),
-				Factor: 0.5, TargetFrac: 0.3},
+				Factor: 0.5},
 		},
 	}
 }
@@ -183,7 +183,7 @@ func QoEVsChurn(w *World, rates []float64, duration time.Duration, ho HealthOpti
 				return err
 			}
 		}
-		inj := fault.NewInjector(sched, engine, fog, fault.SimHooks{Respawn: pw.Respawner()},
+		inj := fault.NewInjector(sched, engine, fog, pw.Respawner(),
 			sim.NewRand(pw.Cfg.Seed+602), faultStatsFor(pw))
 		if mon != nil {
 			inj.SetMonitor(mon)
@@ -243,7 +243,7 @@ func RecoveryTimeline(w *World, profile *fault.Profile, qoeHorizon time.Duration
 		}
 		players := pw.JoinAll(fog, pw.Cfg.Players)
 
-		inj := fault.NewInjector(sched, engine, fog, fault.SimHooks{Respawn: pw.Respawner()},
+		inj := fault.NewInjector(sched, engine, fog, pw.Respawner(),
 			sim.NewRand(pw.Cfg.Seed+603), faultStatsFor(pw))
 		if mon != nil {
 			inj.SetMonitor(mon)

@@ -12,9 +12,9 @@ import (
 
 // scaleChaosProfile is the fault scenario the scaling figure replays: brisk
 // supernode crash/recovery churn with a 10-second detection window, a light
-// Gilbert–Elliott loss process, and periodic latency spikes. It deliberately
-// contains only crash and wire specs — the runner gives its injector no
-// flash-crowd join or cloud-scaling hook.
+// Gilbert–Elliott loss process, and periodic latency spikes, which the
+// runner's node simulations read through the schedule by time. It has no
+// bandwidth spec; the figure hashes pinned in bench/ are recorded without one.
 func scaleChaosProfile(seed int64, duration time.Duration) *fault.Profile {
 	return &fault.Profile{
 		Name:     "scale-chaos",

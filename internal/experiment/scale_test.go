@@ -184,7 +184,7 @@ func TestScaleRunMatchesBareInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.NewInjector(sched, engine, fog, fault.SimHooks{Respawn: w.Respawner()},
+	inj := fault.NewInjector(sched, engine, fog, w.Respawner(),
 		sim.NewRand(sim.SplitSeed(cfg.Seed, -1)), nil)
 	inj.Start()
 	engine.RunUntil(horizon)

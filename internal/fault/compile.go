@@ -25,17 +25,14 @@ const (
 	// one-way latency.
 	OpLatencyOn
 	OpLatencyOff
-	// OpBandwidth scales supernode Node's uplink by F (F = 1 restores).
+	// OpBandwidth scales every serving node's uplink by F (F = 1 restores).
 	OpBandwidth
-	// OpCloudScale scales every datacenter's egress by F (F = 1 restores).
-	OpCloudScale
-	// OpJoin injects one flash-crowd player join.
-	OpJoin
 	// OpCoordDown / OpCoordUp bracket a coordinator partition: the control
 	// plane goes silent while the data plane keeps serving. Live runs stop
 	// (SIGSTOP) and resume (SIGCONT) the coordinator process; the sim
-	// injector has no coordinator and skips both.
-	OpCoordDown
+	// injector has no coordinator and skips both. 8 and 9 were the retired
+	// cloud-scale and join ops; a persisted schedule encodes op numbers.
+	OpCoordDown Op = iota + 3
 	OpCoordUp
 	// OpDistressOn / OpDistressOff bracket a worker-distress window: the
 	// targeted worker reports itself at Shedding (or requests a drain),
@@ -61,10 +58,6 @@ func (o Op) String() string {
 		return "latency_off"
 	case OpBandwidth:
 		return "bandwidth"
-	case OpCloudScale:
-		return "cloud_scale"
-	case OpJoin:
-		return "join"
 	case OpCoordDown:
 		return "coord_down"
 	case OpCoordUp:
@@ -86,7 +79,7 @@ type Event struct {
 	Op   Op
 	Node int64         // target supernode id; 0 = global
 	D    time.Duration // op-specific duration payload (Detect, Extra)
-	F    float64       // op-specific factor (loss frac, bandwidth/cloud scale)
+	F    float64       // op-specific factor (loss frac, bandwidth scale)
 }
 
 // Node is one fault target: a supernode's identity and position (positions
@@ -160,11 +153,9 @@ func Compile(p *Profile, t Targets) (*Schedule, error) {
 				s.latW = append(s.latW, window{from: b.from, to: b.to, d: spec.Extra.Duration})
 			}
 		case KindBandwidth:
-			for _, n := range pickTargets(t.Supernodes, spec.TargetFrac, rng) {
-				s.Events = append(s.Events,
-					Event{At: start, Op: OpBandwidth, Node: n.ID, F: spec.Factor},
-					Event{At: end, Op: OpBandwidth, Node: n.ID, F: 1})
-			}
+			s.Events = append(s.Events,
+				Event{At: start, Op: OpBandwidth, F: spec.Factor},
+				Event{At: end, Op: OpBandwidth, F: 1})
 			s.bwW = append(s.bwW, window{from: start, to: end, f: spec.Factor})
 		case KindPartition:
 			for _, n := range t.Supernodes {
@@ -174,14 +165,6 @@ func Compile(p *Profile, t Targets) (*Schedule, error) {
 						Event{At: end, Op: OpRecover, Node: n.ID})
 				}
 			}
-		case KindStorm:
-			for at := start + rng.Exp(spec.Rate); at < end; at += rng.Exp(spec.Rate) {
-				s.Events = append(s.Events, Event{At: at, Op: OpJoin})
-			}
-		case KindCloud:
-			s.Events = append(s.Events,
-				Event{At: start, Op: OpCloudScale, F: spec.Factor},
-				Event{At: end, Op: OpCloudScale, F: 1})
 		case KindCoordPartition:
 			s.Events = append(s.Events,
 				Event{At: start, Op: OpCoordDown},

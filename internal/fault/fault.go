@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection subsystem: it compiles
 // declarative *fault profiles* — supernode crash/recover processes, Gilbert–
 // Elliott loss bursts, latency spikes, bandwidth collapse, regional
-// partitions, flash-crowd join storms, cloud degradation — into a fully
+// partitions, coordinator partitions and worker distress — into a fully
 // materialized event schedule. The same Schedule drives two interpreters:
 //
 //   - Injector replays it on the internal/sim engine against a real
@@ -75,18 +75,12 @@ const (
 	// KindLatency adds Extra one-way latency during bad windows of the
 	// same alternating good/bad process.
 	KindLatency Kind = "latency"
-	// KindBandwidth scales targeted supernodes' uplinks (and the global
-	// qoe bandwidth window) by Factor over [Start, End).
+	// KindBandwidth scales every serving node's uplink by Factor over
+	// [Start, End): one window, the qoe bandwidth window.
 	KindBandwidth Kind = "bandwidth"
 	// KindPartition kills every supernode inside Region at Start and
 	// recovers them at End — a regional outage.
 	KindPartition Kind = "partition"
-	// KindStorm injects a Poisson flash crowd: extra player joins at Rate
-	// per second over [Start, End).
-	KindStorm Kind = "storm"
-	// KindCloud scales every datacenter's egress by Factor over
-	// [Start, End) — cloud-side degradation.
-	KindCloud Kind = "cloud"
 	// KindCoordPartition makes the coordinator unreachable over [Start,
 	// End): workers must enter safe mode on control-plane silence and the
 	// coordinator must reconcile — not mass-bury — on recovery. Live runs
@@ -131,8 +125,9 @@ type Spec struct {
 	MTTR   Duration `json:"mttr,omitempty"`
 	Period Duration `json:"period,omitempty"`
 	Detect Duration `json:"detect,omitempty"`
-	// TargetFrac is the fraction of supernodes subject to this spec,
-	// chosen deterministically from the spec's stream. Zero means all.
+	// TargetFrac is the fraction of supernodes subject to a crash or
+	// distress spec, chosen deterministically from the spec's stream. Zero
+	// means all.
 	TargetFrac float64 `json:"target_frac,omitempty"`
 
 	// Loss / latency: exponential sojourn means of the alternating
@@ -143,14 +138,11 @@ type Spec struct {
 	LossFrac float64  `json:"loss_frac,omitempty"`
 	Extra    Duration `json:"extra,omitempty"`
 
-	// Bandwidth / cloud: the capacity multiplier during the window.
+	// Bandwidth: the uplink capacity multiplier during the window.
 	Factor float64 `json:"factor,omitempty"`
 
 	// Partition: the outage region.
 	Region *Rect `json:"region,omitempty"`
-
-	// Storm: Poisson join rate (players/second).
-	Rate float64 `json:"rate,omitempty"`
 }
 
 // Profile is a complete fault scenario: a seed, a horizon, and the fault
@@ -168,14 +160,14 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("fault: profile duration %v is not positive", p.Duration.Duration)
 	}
 	for i := range p.Specs {
-		if err := p.Specs[i].validate(p.Duration.Duration); err != nil {
+		if err := p.Specs[i].validate(); err != nil {
 			return fmt.Errorf("fault: spec %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-func (s *Spec) validate(horizon time.Duration) error {
+func (s *Spec) validate() error {
 	if s.Start.Duration < 0 || s.End.Duration < 0 {
 		return fmt.Errorf("negative start/end")
 	}
@@ -210,17 +202,16 @@ func (s *Spec) validate(horizon time.Duration) error {
 		if s.Extra.Duration <= 0 {
 			return fmt.Errorf("latency needs positive extra")
 		}
-	case KindBandwidth, KindCloud:
+	case KindBandwidth:
 		if s.Factor <= 0 || s.Factor > 1 {
 			return fmt.Errorf("factor %v outside (0,1]", s.Factor)
+		}
+		if s.TargetFrac != 0 {
+			return fmt.Errorf("bandwidth squeezes every uplink; target_frac %v is not applied", s.TargetFrac)
 		}
 	case KindPartition:
 		if s.Region == nil || s.Region.X1 <= s.Region.X0 || s.Region.Y1 <= s.Region.Y0 {
 			return fmt.Errorf("partition needs a non-degenerate region")
-		}
-	case KindStorm:
-		if s.Rate <= 0 {
-			return fmt.Errorf("storm needs a positive rate")
 		}
 	case KindCoordPartition, KindDistress:
 		// Window-only kinds: Start/End (already range-checked above) are the
@@ -228,7 +219,6 @@ func (s *Spec) validate(horizon time.Duration) error {
 	default:
 		return fmt.Errorf("unknown kind %q", s.Kind)
 	}
-	_ = horizon
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,10 +34,8 @@ func testProfile() *Profile {
 			{Kind: KindCrash, MTTF: Dur(20 * time.Minute), MTTR: Dur(4 * time.Minute), Detect: Dur(10 * time.Second), TargetFrac: 0.5},
 			{Kind: KindLoss, MeanGood: Dur(5 * time.Minute), MeanBad: Dur(30 * time.Second), LossFrac: 0.3},
 			{Kind: KindLatency, MeanGood: Dur(8 * time.Minute), MeanBad: Dur(20 * time.Second), Extra: Dur(80 * time.Millisecond)},
-			{Kind: KindBandwidth, Start: Dur(10 * time.Minute), End: Dur(20 * time.Minute), Factor: 0.4, TargetFrac: 0.25},
+			{Kind: KindBandwidth, Start: Dur(10 * time.Minute), End: Dur(20 * time.Minute), Factor: 0.4},
 			{Kind: KindPartition, Start: Dur(30 * time.Minute), End: Dur(40 * time.Minute), Region: &Rect{X0: 0, Y0: 0, X1: 45, Y1: 100}},
-			{Kind: KindStorm, Start: Dur(5 * time.Minute), End: Dur(6 * time.Minute), Rate: 0.5},
-			{Kind: KindCloud, Start: Dur(50 * time.Minute), End: Dur(55 * time.Minute), Factor: 0.6},
 		},
 	}
 }
@@ -167,14 +166,19 @@ func TestProfileValidation(t *testing.T) {
 		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: KindLoss, MeanGood: Dur(time.Minute)}}},
 		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: KindLoss, MeanGood: Dur(time.Minute), MeanBad: Dur(time.Second), LossFrac: 1.5}}},
 		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: KindBandwidth, Factor: 0}}},
+		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: KindBandwidth, Factor: 0.5, Start: Dur(time.Minute), End: Dur(time.Second)}}},
 		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: KindPartition}}},
-		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: KindStorm}}},
-		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: KindCloud, Factor: 0.5, Start: Dur(time.Minute), End: Dur(time.Second)}}},
+		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: "storm"}}},
+		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: "cloud", Factor: 0.5}}},
+		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: KindBandwidth, Factor: 0.5, TargetFrac: 0.3}}},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {
 			t.Errorf("profile %d accepted", i)
 		}
+	}
+	if err := bad[len(bad)-1].Validate(); err == nil || !strings.Contains(err.Error(), "target_frac") {
+		t.Errorf("bandwidth with target_frac: error %v does not name target_frac", err)
 	}
 	if err := testProfile().Validate(); err != nil {
 		t.Errorf("good profile rejected: %v", err)
@@ -268,11 +272,9 @@ func orphanBalance(t *testing.T, mode health.Mode) {
 	for _, sn := range f.Supernodes() {
 		specs[sn.ID] = snSpec{pos: sn.Pos, capacity: sn.Capacity, uplink: sn.Uplink}
 	}
-	inj := NewInjector(sched, engine, f, SimHooks{
-		Respawn: func(id int64) *core.Supernode {
-			s := specs[id]
-			return core.NewSupernode(id, s.pos, s.capacity, s.uplink)
-		},
+	inj := NewInjector(sched, engine, f, func(id int64) *core.Supernode {
+		s := specs[id]
+		return core.NewSupernode(id, s.pos, s.capacity, s.uplink)
 	}, sim.NewRand(42), stats)
 	if mode != health.ModeOracle {
 		inj.SetMonitor(health.NewMonitor(engine, health.DetectorConfig{Mode: mode}, nil, nil))
@@ -321,7 +323,7 @@ func TestInjectorNilSchedule(t *testing.T) {
 	engine := sim.New()
 	reg := obs.NewRegistry()
 	stats, hs := obs.FaultStatsIn(reg), obs.HealthStatsIn(reg)
-	inj := NewInjector(nil, engine, f, SimHooks{}, sim.NewRand(1), stats)
+	inj := NewInjector(nil, engine, f, nil, sim.NewRand(1), stats)
 	inj.SetMonitor(health.NewMonitor(engine, health.DetectorConfig{Mode: health.ModePhi}, nil, hs))
 	inj.Start()
 	engine.RunUntil(time.Minute)
@@ -367,10 +369,10 @@ func TestInjectorDeterministic(t *testing.T) {
 		for _, sn := range f.Supernodes() {
 			specs[sn.ID] = snSpec{pos: sn.Pos, capacity: sn.Capacity, uplink: sn.Uplink}
 		}
-		inj := NewInjector(sched, engine, f, SimHooks{Respawn: func(id int64) *core.Supernode {
+		inj := NewInjector(sched, engine, f, func(id int64) *core.Supernode {
 			s := specs[id]
 			return core.NewSupernode(id, s.pos, s.capacity, s.uplink)
-		}}, sim.NewRand(11), nil)
+		}, sim.NewRand(11), nil)
 		inj.Start()
 		engine.RunUntil(30 * time.Minute)
 		inj.Finish()
@@ -436,7 +438,95 @@ func TestRunWallCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := RunWall(ctx, sched, WallHooks{Kill: func(int64) {}}, nil); err == nil {
+	if err := RunWall(ctx, sched, WallHooks{Kill: func(int64) {}}, obs.FaultStatsIn(obs.NewRegistry())); err == nil {
 		t.Fatal("canceled RunWall returned nil")
+	}
+}
+
+// TestBandwidthIsOneWindow: a bandwidth spec squeezes every uplink through
+// the schedule's window lookup, so it compiles to one global edge pair
+// however many supernodes there are.
+func TestBandwidthIsOneWindow(t *testing.T) {
+	p := &Profile{Seed: 4, Duration: Dur(time.Hour), Specs: []Spec{
+		{Kind: KindBandwidth, Start: Dur(time.Minute), End: Dur(2 * time.Minute), Factor: 0.4},
+	}}
+	want := []Event{
+		{At: time.Minute, Op: OpBandwidth, F: 0.4},
+		{At: 2 * time.Minute, Op: OpBandwidth, F: 1},
+	}
+	for _, n := range []int{0, 1, 16, 200} {
+		s, err := Compile(p, testTargets(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Events, want) {
+			t.Fatalf("%d targets: events %+v, want %+v", n, s.Events, want)
+		}
+	}
+}
+
+// TestInjectorCountsBandwidthWindows: each bandwidth window is one link
+// window in the fault ledger, beside the loss and latency windows.
+func TestInjectorCountsBandwidthWindows(t *testing.T) {
+	f, _, tg := buildFaultFog(t, 12, 40, nil)
+	p := &Profile{Seed: 4, Duration: Dur(time.Hour), Specs: []Spec{
+		{Kind: KindBandwidth, Start: Dur(time.Minute), End: Dur(2 * time.Minute), Factor: 0.4},
+		{Kind: KindBandwidth, Start: Dur(10 * time.Minute), End: Dur(20 * time.Minute), Factor: 0.7},
+		{Kind: KindLatency, MeanGood: Dur(5 * time.Minute), MeanBad: Dur(time.Minute), Extra: Dur(time.Millisecond)},
+	}}
+	sched, err := Compile(p, tg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := sim.New()
+	stats := obs.FaultStatsIn(obs.NewRegistry())
+	inj := NewInjector(sched, engine, f, nil, sim.NewRand(1), stats)
+	inj.Start()
+	engine.RunUntil(time.Hour)
+	inj.Finish()
+	if want := int64(2 + len(sched.latW)); stats.LinkWindows.Load() != want {
+		t.Fatalf("%d link windows, want 2 bandwidth + %d latency", stats.LinkWindows.Load(), len(sched.latW))
+	}
+}
+
+// TestOpNumbers pins the numbers a persisted schedule encodes: the
+// retired cloud-scale and join ops (8, 9) stay unused.
+func TestOpNumbers(t *testing.T) {
+	for op, want := range map[Op]int{
+		OpKill: 1, OpRecover: 2, OpLinkBad: 3, OpLinkGood: 4, OpLatencyOn: 5, OpLatencyOff: 6,
+		OpBandwidth: 7, OpCoordDown: 10, OpCoordUp: 11, OpDistressOn: 12, OpDistressOff: 13,
+	} {
+		if int(op) != want {
+			t.Errorf("%s = %d, want %d", op, op, want)
+		}
+	}
+}
+
+// TestRunWallImpairsRecoveredNode: a supernode recovered inside a latency
+// window is a fresh, unimpaired process, so RunWall re-applies the window
+// right after the recovery instead of leaving it clean until the next edge.
+func TestRunWallImpairsRecoveredNode(t *testing.T) {
+	ms := time.Millisecond
+	sched := &Schedule{
+		Profile: &Profile{Duration: Dur(50 * ms)},
+		Events: []Event{
+			{At: 10 * ms, Op: OpKill, Node: 7},
+			{At: 20 * ms, Op: OpLatencyOn, D: 40 * ms},
+			{At: 30 * ms, Op: OpRecover, Node: 7},
+			{At: 40 * ms, Op: OpLatencyOff},
+		},
+		latW: []window{{from: 20 * ms, to: 40 * ms, d: 40 * ms}},
+	}
+	var got []string
+	err := RunWall(context.Background(), sched, WallHooks{
+		Kill:    func(int64) { got = append(got, "kill") },
+		Recover: func(int64) { got = append(got, "recover") },
+		Link:    func(extra time.Duration, _ float64) { got = append(got, "link "+extra.String()) },
+	}, obs.FaultStatsIn(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"kill", "link 40ms", "recover", "link 40ms", "link 0s"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("hooks ran %v, want %v", got, want)
 	}
 }

@@ -9,21 +9,6 @@ import (
 	"cloudfog/internal/sim"
 )
 
-// SimHooks are the experiment-supplied callbacks the injector drives.
-// Respawn is required for recoveries; the rest are optional.
-type SimHooks struct {
-	// Respawn builds a fresh supernode instance for a recovery. The fault
-	// subsystem never resurrects the old pointer: the paper's failover
-	// logic treats a re-registered contributor as a new machine.
-	Respawn func(id int64) *core.Supernode
-	// Join injects one flash-crowd player join.
-	Join func()
-	// Bandwidth applies an uplink scale to one supernode (1 restores).
-	Bandwidth func(id int64, scale float64)
-	// Cloud applies an egress scale to every datacenter (1 restores).
-	Cloud func(scale float64)
-}
-
 // Injector replays a compiled schedule on a sim engine against a real Fog:
 // kills run core.FailSupernode, each orphan's repair is delayed by a uniform
 // draw in (0, Detect] from the caller-seeded stream (the subsystem's only
@@ -35,9 +20,12 @@ type Injector struct {
 	sched  *Schedule
 	engine *sim.Engine
 	fog    *core.Fog
-	hooks  SimHooks
-	rng    *sim.Rand
-	stats  *obs.FaultStats
+	// respawn builds a fresh supernode instance for a recovery. The fault
+	// subsystem never resurrects the old pointer: the paper's failover
+	// logic treats a re-registered contributor as a new machine.
+	respawn func(id int64) *core.Supernode
+	rng     *sim.Rand
+	stats   *obs.FaultStats
 
 	downSince map[int64]time.Duration
 	killed    int64
@@ -47,9 +35,7 @@ type Injector struct {
 	cloudHops int64 // repairs that left the fog for cloud or edge
 	lapsed    int64
 	repairs   int64 // scheduled orphan repairs not yet fired
-	joins     int64
 	windows   int64
-	finished  bool
 
 	// mon, when non-nil, replaces the oracle detection-delay draw: orphans
 	// wait in pendingDetect until the heartbeat monitor actually notices
@@ -70,14 +56,16 @@ type pendingRepair struct {
 }
 
 // NewInjector binds a schedule to an engine and fog. A nil schedule is a
-// fault-free run: nothing is injected, and a monitor still runs. rng seeds
-// the detection-delay draws; stats may be nil.
-func NewInjector(sched *Schedule, engine *sim.Engine, fog *core.Fog, hooks SimHooks, rng *sim.Rand, stats *obs.FaultStats) *Injector {
+// fault-free run: nothing is injected, and a monitor still runs. respawn
+// mints the fresh instance a recovery registers and must be non-nil when the
+// schedule has recoveries; rng seeds the detection-delay draws; stats may be
+// nil.
+func NewInjector(sched *Schedule, engine *sim.Engine, fog *core.Fog, respawn func(id int64) *core.Supernode, rng *sim.Rand, stats *obs.FaultStats) *Injector {
 	return &Injector{
 		sched:     sched,
 		engine:    engine,
 		fog:       fog,
-		hooks:     hooks,
+		respawn:   respawn,
 		rng:       rng,
 		stats:     stats,
 		downSince: make(map[int64]time.Duration),
@@ -112,13 +100,8 @@ func (in *Injector) Start() {
 	}
 }
 
-func (in *Injector) emit(kind obs.EventKind, node, a int64) {
-	if in.stats == nil || in.stats.Sink == nil {
-		return
-	}
-	in.stats.Sink(obs.Event{Kind: kind, At: in.engine.Now(), Node: node, A: a})
-}
-
+// apply interprets one event. Impairment edges are only counted: qoe reads
+// the windows themselves through the schedule's lookups.
 func (in *Injector) apply(ev Event) {
 	switch ev.Op {
 	case OpKill:
@@ -127,33 +110,9 @@ func (in *Injector) apply(ev Event) {
 		in.recover(ev.Node)
 	case OpLinkBad, OpLatencyOn:
 		in.windows++
-		in.emit(obs.EventFaultLink, 0, 1)
-	case OpLinkGood, OpLatencyOff:
-		in.emit(obs.EventFaultLink, 0, 0)
 	case OpBandwidth:
-		if in.hooks.Bandwidth != nil {
-			in.hooks.Bandwidth(ev.Node, ev.F)
-		}
 		if ev.F != 1 {
 			in.windows++
-			in.emit(obs.EventFaultLink, ev.Node, 1)
-		} else {
-			in.emit(obs.EventFaultLink, ev.Node, 0)
-		}
-	case OpCloudScale:
-		if in.hooks.Cloud != nil {
-			in.hooks.Cloud(ev.F)
-		}
-		if ev.F != 1 {
-			in.windows++
-			in.emit(obs.EventFaultLink, 0, 1)
-		} else {
-			in.emit(obs.EventFaultLink, 0, 0)
-		}
-	case OpJoin:
-		if in.hooks.Join != nil {
-			in.hooks.Join()
-			in.joins++
 		}
 	}
 }
@@ -173,7 +132,6 @@ func (in *Injector) kill(ev Event) {
 	if _, down := in.downSince[ev.Node]; !down {
 		in.downSince[ev.Node] = killAt
 	}
-	in.emit(obs.EventFaultKill, ev.Node, int64(len(orphans)))
 	for _, p := range orphans {
 		if ev.D <= 0 {
 			// Graceful leave: the cloud knows immediately, repair is
@@ -239,10 +197,7 @@ func (in *Injector) recover(id int64) {
 		return
 	}
 	delete(in.downSince, id)
-	if in.hooks.Respawn == nil {
-		return
-	}
-	sn := in.hooks.Respawn(id)
+	sn := in.respawn(id)
 	if sn == nil {
 		return
 	}
@@ -253,22 +208,18 @@ func (in *Injector) recover(id int64) {
 		in.mon.Recover(id)
 	}
 	in.recovered++
-	in.emit(obs.EventFaultRecover, id, 0)
 	if in.stats != nil {
 		in.stats.MTTRNs.Observe(int64(in.engine.Now() - downAt))
 	}
 }
 
-// Finish closes the orphan ledger after the engine stops: repairs still
-// scheduled count as pending, and the always-on tallies fold into the obs
-// bundle exactly once. The ledger identity the reconciliation checks is
+// Finish closes the orphan ledger; call it exactly once, after the engine
+// stops (a second call adds the tallies into the obs counters again):
+// repairs still scheduled count as pending, and the always-on tallies fold
+// into the obs bundle. The ledger identity the reconciliation checks is
 //
 //	Orphaned == FailoverBackupHits + FailoverReassigns + Lapsed + PendingEnd.
 func (in *Injector) Finish() {
-	if in.finished {
-		return
-	}
-	in.finished = true
 	if in.mon != nil {
 		if hs := in.mon.Stats(); hs != nil {
 			hs.KillsObserved.Add(in.killed)
@@ -284,7 +235,6 @@ func (in *Injector) Finish() {
 	in.stats.Lapsed.Add(in.lapsed)
 	in.stats.PendingEnd.Add(in.repairs)
 	in.stats.LinkWindows.Add(in.windows)
-	in.stats.StormJoins.Add(in.joins)
 }
 
 // Killed returns how many kills were applied so far.

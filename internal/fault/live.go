@@ -19,8 +19,6 @@ type WallHooks struct {
 	// latency plus loss fraction) to every active stream. Called on every
 	// impairment window edge with the post-edge values; (0, 0) restores.
 	Link func(extra time.Duration, lossFrac float64)
-	// Join starts one flash-crowd player.
-	Join func()
 	// CoordPartition pauses (on) or resumes (off) the coordinator process —
 	// SIGSTOP/SIGCONT in the multi-process harness.
 	CoordPartition func(on bool)
@@ -32,9 +30,8 @@ type WallHooks struct {
 // RunWall replays a compiled schedule in wall-clock time against the live
 // runtime, so a testbed chaos run follows the exact event log a simulation
 // of the same profile follows. It returns when the profile horizon elapses
-// or ctx is canceled. Bandwidth and cloud-scale ops have no live
-// counterpart and map onto the Link hook's loss path only through the
-// schedule's own window lookups.
+// or ctx is canceled, with its kills, recoveries and link windows counted in
+// stats (required). Bandwidth ops have no live counterpart.
 func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.FaultStats) error {
 	start := time.Now()
 	downSince := make(map[int64]time.Time)
@@ -54,12 +51,7 @@ func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.F
 			if _, down := downSince[ev.Node]; !down {
 				downSince[ev.Node] = time.Now()
 			}
-			if stats != nil {
-				stats.Kills.Inc()
-				if stats.Sink != nil {
-					stats.Sink(obs.Event{Kind: obs.EventFaultKill, At: ev.At, Node: ev.Node})
-				}
-			}
+			stats.Kills.Inc()
 		case OpRecover:
 			downAt, ok := downSince[ev.Node]
 			if !ok || hooks.Recover == nil {
@@ -67,13 +59,14 @@ func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.F
 			}
 			delete(downSince, ev.Node)
 			hooks.Recover(ev.Node)
-			if stats != nil {
-				stats.Recoveries.Inc()
-				stats.MTTRNs.Observe(int64(time.Since(downAt)))
-				if stats.Sink != nil {
-					stats.Sink(obs.Event{Kind: obs.EventFaultRecover, At: ev.At, Node: ev.Node})
-				}
+			// A fresh process has an unimpaired link; the simulator impairs
+			// every segment by time, so re-apply a window it recovers into.
+			extra, loss := sched.ExtraLatency(ev.At), sched.LossFrac(ev.At)
+			if hooks.Link != nil && (extra != 0 || loss != 0) {
+				hooks.Link(extra, loss)
 			}
+			stats.Recoveries.Inc()
+			stats.MTTRNs.Observe(int64(time.Since(downAt)))
 		case OpLinkBad, OpLinkGood, OpLatencyOn, OpLatencyOff:
 			if hooks.Link == nil {
 				return
@@ -81,26 +74,9 @@ func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.F
 			// Query the schedule at the event time itself: window starts
 			// are inclusive and ends exclusive, so the post-edge state
 			// falls out of the same pure lookups the simulator uses.
-			extra := sched.ExtraLatency(ev.At)
-			loss := sched.LossFrac(ev.At)
-			hooks.Link(extra, loss)
-			if stats != nil {
-				entering := int64(0)
-				if ev.Op == OpLinkBad || ev.Op == OpLatencyOn {
-					entering = 1
-					stats.LinkWindows.Inc()
-				}
-				if stats.Sink != nil {
-					stats.Sink(obs.Event{Kind: obs.EventFaultLink, At: ev.At, A: entering})
-				}
-			}
-		case OpJoin:
-			if hooks.Join == nil {
-				return
-			}
-			hooks.Join()
-			if stats != nil {
-				stats.StormJoins.Inc()
+			hooks.Link(sched.ExtraLatency(ev.At), sched.LossFrac(ev.At))
+			if ev.Op == OpLinkBad || ev.Op == OpLatencyOn {
+				stats.LinkWindows.Inc()
 			}
 		case OpCoordDown, OpCoordUp:
 			if hooks.CoordPartition == nil {

@@ -109,6 +109,16 @@ func TestScheduleBinaryRejectsStale(t *testing.T) {
 	if _, err := UnmarshalSchedule(data[:5]); err == nil {
 		t.Fatal("header-only schedule accepted")
 	}
+
+	// A schedule persisted before storm retired fails on its embedded profile.
+	retired := &Schedule{Profile: &Profile{Duration: Dur(time.Minute), Specs: []Spec{{Kind: "storm"}}}}
+	old, err := retired.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalSchedule(old); err == nil || !strings.Contains(err.Error(), `"storm"`) {
+		t.Fatalf("schedule naming a retired kind: error %v", err)
+	}
 }
 
 // TestScheduleChecksumTracksContent: two different profiles compile to

@@ -147,9 +147,6 @@ func (b *Breaker) RecordSuccess(now time.Duration) {
 			b.state = BreakerClosed
 			b.failures = 0
 			b.succ = 0
-			if b.stats != nil && b.stats.Sink != nil {
-				b.stats.Sink(obs.Event{Kind: obs.EventHealthBreaker, At: now, A: int64(BreakerClosed)})
-			}
 		}
 	}
 }
@@ -178,8 +175,5 @@ func (b *Breaker) trip(now time.Duration) {
 	b.succ = 0
 	if b.stats != nil {
 		b.stats.BreakerOpens.Inc()
-		if b.stats.Sink != nil {
-			b.stats.Sink(obs.Event{Kind: obs.EventHealthBreaker, At: now, A: int64(BreakerOpen)})
-		}
 	}
 }

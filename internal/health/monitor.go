@@ -219,9 +219,6 @@ func (m *Monitor) evaluate() {
 			m.falsePos++
 			if m.stats != nil {
 				m.stats.FalsePositives.Inc()
-				if m.stats.Sink != nil {
-					m.stats.Sink(obs.Event{Kind: obs.EventHealthDetect, At: now, Node: n.id, A: 0})
-				}
 			}
 			continue
 		}
@@ -234,9 +231,6 @@ func (m *Monitor) evaluate() {
 		if m.stats != nil {
 			m.stats.Detected.Inc()
 			m.stats.DetectionNs.Observe(int64(lat))
-			if m.stats.Sink != nil {
-				m.stats.Sink(obs.Event{Kind: obs.EventHealthDetect, At: now, Node: n.id, A: 1, B: int64(lat)})
-			}
 		}
 		if m.onDetect != nil {
 			m.onDetect(n.id, now)

@@ -141,12 +141,12 @@ func (o *Overload) Observe(id int64, load, capacity int) OverloadState {
 		n.state--
 	}
 	if n.state != prev {
-		o.transition(id, prev, n.state, n)
+		o.transition(prev, n.state, n)
 	}
 	return n.state
 }
 
-func (o *Overload) transition(id int64, from, to OverloadState, n *olNode) {
+func (o *Overload) transition(from, to OverloadState, n *olNode) {
 	var now time.Duration
 	if o.now != nil {
 		now = o.now()
@@ -162,10 +162,6 @@ func (o *Overload) transition(id int64, from, to OverloadState, n *olNode) {
 			if to == StateNormal && o.now != nil {
 				o.stats.TimeDegradedNs.Observe(int64(now - n.degradedAt))
 			}
-		}
-		if o.stats.Sink != nil {
-			o.stats.Sink(obs.Event{Kind: obs.EventHealthOverload, At: now, Node: id,
-				A: int64(to), B: int64(from)})
 		}
 	}
 }

@@ -229,6 +229,38 @@ func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 	}
 }
 
+// TestCloudDirectStreamIsWideArea: the cloud's direct stream is a wide-area
+// link like its update links — delayed by DelayFor keyed by the player, and
+// counted under cloud_to_p<ID> — not a loopback hop that flatters a player
+// who fell back to the cloud.
+func TestCloudDirectStreamIsWideArea(t *testing.T) {
+	reg := obs.NewRegistry()
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond, DirectFPS: 30},
+		WithObs(reg), WithDelayFor(func(int64) time.Duration { return 80 * time.Millisecond }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	report, err := runPlayer(Config{
+		Role:        RolePlayer,
+		ID:          1,
+		GameID:      4,
+		CloudAddr:   cloud.Addr(),
+		StreamAddr:  cloud.Addr(),
+		ActionEvery: 100 * time.Millisecond,
+		ViewRadius:  DefaultViewRadius,
+	}, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.MeanResponse < 80*time.Millisecond {
+		t.Errorf("mean response %v through an 80ms direct stream", report.MeanResponse)
+	}
+	if n := reg.Counter(`cloudfog_link_sent_frames_total{link="cloud_to_p1"}`, "").Load(); n == 0 {
+		t.Error("the direct stream's link counted no frames")
+	}
+}
+
 // TestPlayerReportNamesRefusalAck: a ring whose every member turns the join
 // away leaves the player on the cloud, and the report must say why each one
 // did — the ack by name, not an integer to look up in the proto package.

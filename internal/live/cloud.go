@@ -58,8 +58,9 @@ type cloudSub struct {
 
 // NewCloud starts the cloud server described by cfg (Role must be RoleCloud)
 // plus runtime options: DelayFor injects the one-way delay toward each
-// subscribing supernode (keyed by its hello ID), Obs registers per-supernode
-// update-link metrics (cloudfog_link_*{link="cloud_to_sn<ID>"}).
+// subscribing supernode (keyed by its hello ID) and each direct-stream player
+// (keyed by player ID), Obs registers their link metrics
+// (cloudfog_link_*{link="cloud_to_sn<ID>"} and {link="cloud_to_p<ID>"}).
 func NewCloud(cfg Config, opts ...Option) (*Cloud, error) {
 	if cfg.Role != RoleCloud {
 		return nil, fmt.Errorf("live: NewCloud on Config.Role %q", cfg.Role)
@@ -265,7 +266,7 @@ func (c *Cloud) serveDirectStream(conn net.Conn, payload []byte) {
 		conn.Close()
 		return
 	}
-	link := NewLink(conn, 0)
+	link := NewLinkOpts(conn, c.opts.link(c.opts.delayFor(join.Player), fmt.Sprintf("cloud_to_p%d", join.Player)))
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

@@ -298,8 +298,8 @@ type Options struct {
 	// metrics.
 	Obs *obs.Registry
 	// DelayFor, when non-nil, returns the injected one-way delay toward the
-	// identified peer (the cloud keys it by supernode ID, a supernode by
-	// player ID).
+	// identified peer (the cloud keys it by supernode hello ID and, on a
+	// direct stream, by player ID; a supernode by player ID).
 	DelayFor func(peerID int64) time.Duration
 	// JoinGate, when non-nil, vets every join at a supernode — the initial
 	// subscription and every datagram keepalive re-join — and returns an Ack

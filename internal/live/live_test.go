@@ -163,7 +163,9 @@ func TestEndToEndPipeline(t *testing.T) {
 	if v := sn.ReplicaVersion(); v == 0 {
 		t.Fatal("replica never advanced")
 	}
-	msgs, bytes := sn.UpdateTraffic()
+	sn.mu.Lock()
+	msgs, bytes := sn.deltas, sn.deltaBytes
+	sn.mu.Unlock()
 	if msgs == 0 || bytes == 0 {
 		t.Fatal("no update traffic recorded")
 	}

@@ -216,14 +216,6 @@ func (sn *Supernode) ReplicaVersion() uint64 {
 	return sn.replica.Version()
 }
 
-// UpdateTraffic reports the update stream received so far: message count
-// and bytes (the measured Λ).
-func (sn *Supernode) UpdateTraffic() (msgs, bytes int64) {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	return sn.deltas, sn.deltaBytes
-}
-
 // consumeUpdates applies the cloud's delta stream to the replica.
 func (sn *Supernode) consumeUpdates() {
 	defer sn.wg.Done()

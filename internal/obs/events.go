@@ -24,33 +24,11 @@ const (
 	// EventLevelChange fires on a bitrate ladder move. A = new level,
 	// B = +1 for up, -1 for down.
 	EventLevelChange
-	// EventAssign fires when a player joins. A = 1 for a supernode
-	// attachment, 0 for the direct-cloud fallback; Node = serving node id.
-	EventAssign
-	// EventFailover fires when an orphaned player is repaired. A = 1 when a
-	// recorded backup absorbed it, 0 when the full protocol reran.
-	EventFailover
 	// EventDropDecision fires when the Eq. 14 deadline repair sheds
-	// packets. Player = the late segment's owner, A = packet deficit.
-	EventDropDecision
-	// EventFaultKill fires when the fault injector kills a supernode.
-	// Node = the supernode, A = players orphaned.
-	EventFaultKill
-	// EventFaultRecover fires when a killed supernode re-registers.
-	EventFaultRecover
-	// EventFaultLink fires on an impairment window edge. A = 1 entering the
-	// impaired state, 0 leaving it.
-	EventFaultLink
-	// EventHealthDetect fires when the failure detector suspects a node.
-	// A = 1 for a true detection (B = detection latency ns), 0 for a false
-	// positive on a live node.
-	EventHealthDetect
-	// EventHealthOverload fires on a degradation-ladder transition.
-	// A = new OverloadState, B = previous state.
-	EventHealthOverload
-	// EventHealthBreaker fires on a circuit-breaker state change.
-	// A = new BreakerState.
-	EventHealthBreaker
+	// packets. Player = the late segment's owner, A = packet deficit. It
+	// skips 6 and 7, the retired assign and failover kinds: the forced-tie
+	// digest hashes kind numbers.
+	EventDropDecision EventKind = iota + 3
 )
 
 // String names the kind for logs and tests.
@@ -66,24 +44,8 @@ func (k EventKind) String() string {
 		return "segment_delivered"
 	case EventLevelChange:
 		return "level_change"
-	case EventAssign:
-		return "assign"
-	case EventFailover:
-		return "failover"
 	case EventDropDecision:
 		return "drop_decision"
-	case EventFaultKill:
-		return "fault_kill"
-	case EventFaultRecover:
-		return "fault_recover"
-	case EventFaultLink:
-		return "fault_link"
-	case EventHealthDetect:
-		return "health_detect"
-	case EventHealthOverload:
-		return "health_overload"
-	case EventHealthBreaker:
-		return "health_breaker"
 	default:
 		return "unknown"
 	}
@@ -101,8 +63,8 @@ type Event struct {
 }
 
 // EventSink receives events. A nil sink disables emission; callers must
-// nil-check before calling. Sinks must be safe for concurrent use when the
-// instrumented layer is (the live runtime and parallel sweeps are).
+// nil-check before calling. Sinks must be safe for concurrent use: parallel
+// sweeps share one.
 type EventSink func(Event)
 
 // EventLog is a bounded, concurrency-safe ring of the most recent events —
@@ -225,9 +187,6 @@ type AssignStats struct {
 	JoinsCloud         *Counter // joins that fell back to a direct cloud connection
 	FailoverBackupHits *Counter // orphans absorbed by a recorded backup
 	FailoverReassigns  *Counter // orphans that reran the full protocol
-
-	// Sink, when non-nil, receives assign/failover events.
-	Sink EventSink
 }
 
 // AssignStatsIn binds the canonical assignment metrics in a registry.
@@ -256,13 +215,9 @@ type FaultStats struct {
 	Orphaned       *Counter // players orphaned by kills
 	Lapsed         *Counter // orphans gone offline before their repair fired
 	PendingEnd     *Counter // orphan repairs still pending at the horizon
-	LinkWindows    *Counter // impairment windows entered (loss/latency/bw/cloud)
-	StormJoins     *Counter // flash-crowd joins injected
+	LinkWindows    *Counter // impairment windows entered (loss/latency/bandwidth)
 	MTTRNs         *Histogram
 	InterruptionNs *Histogram // per-orphan detection→repair interruption
-
-	// Sink, when non-nil, receives fault kill/recover/link events.
-	Sink EventSink
 }
 
 // FaultStatsIn binds the canonical fault metrics in a registry.
@@ -274,7 +229,6 @@ func FaultStatsIn(r *Registry) *FaultStats {
 		Lapsed:         r.Counter("cloudfog_fault_lapsed_total", "orphans whose session ended before repair"),
 		PendingEnd:     r.Counter("cloudfog_fault_pending_end_total", "orphan repairs still pending at the horizon"),
 		LinkWindows:    r.Counter("cloudfog_fault_link_windows_total", "impairment windows entered"),
-		StormJoins:     r.Counter("cloudfog_fault_storm_joins_total", "flash-crowd joins injected"),
 		MTTRNs:         r.Histogram("cloudfog_fault_mttr_ns", "supernode kill-to-recover downtime", LatencyBucketsNs()),
 		InterruptionNs: r.Histogram("cloudfog_fault_interruption_ns", "per-orphan kill-to-repair interruption", LatencyBucketsNs()),
 	}
@@ -306,9 +260,6 @@ type HealthStats struct {
 	BreakerOpens   *Counter // breaker trips to open
 	BreakerProbes  *Counter // half-open probes admitted
 	BreakerRejects *Counter // requests refused while open/half-open-exhausted
-
-	// Sink, when non-nil, receives detect/overload/breaker events.
-	Sink EventSink
 }
 
 // HealthStatsIn binds the canonical health metrics in a registry. Like the

@@ -10,7 +10,8 @@
 //     output is bit-identical with observation on or off.
 //   - Near-zero disabled overhead: every instrumented layer holds a nilable
 //     pointer to its stat bundle (EngineStats, NodeStats, AssignStats,
-//     LinkStats) and a nilable EventSink func value. Disabled, the hot path
+//     LinkStats), and the QoE node layer a nilable EventSink func value
+//     (NodeStats.Sink, the one sink). Disabled, the hot path
 //     pays one pointer nil-check per site — no interface dispatch, no
 //     allocation — preserving the repo's pinned zero-alloc floors.
 //   - Allocation-conscious enabled overhead: counters are single atomic

@@ -182,8 +182,7 @@ func TestEventLogRing(t *testing.T) {
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{
 		EventSegmentGenerated, EventSegmentTransmitted, EventSegmentDropped,
-		EventSegmentDelivered, EventLevelChange, EventAssign, EventFailover,
-		EventDropDecision,
+		EventSegmentDelivered, EventLevelChange, EventDropDecision,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
@@ -192,6 +191,20 @@ func TestEventKindStrings(t *testing.T) {
 			t.Fatalf("kind %d has bad or duplicate name %q", k, s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestEventKindNumbers pins the surviving kinds to the numbers they had
+// before the assign, failover, fault and health kinds retired: qoe's
+// forced-tie digest hashes them.
+func TestEventKindNumbers(t *testing.T) {
+	for k, want := range map[EventKind]int{
+		EventSegmentGenerated: 1, EventSegmentTransmitted: 2, EventSegmentDropped: 3,
+		EventSegmentDelivered: 4, EventLevelChange: 5, EventDropDecision: 8,
+	} {
+		if int(k) != want {
+			t.Errorf("%s = %d, want %d", k, k, want)
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 	}
 	// The oracle's delay stream is split off below every epoch's (those are
 	// keyed 0, 1, …).
-	r.inj = fault.NewInjector(sched, r.engine, fog, fault.SimHooks{Respawn: respawn},
+	r.inj = fault.NewInjector(sched, r.engine, fog, respawn,
 		sim.NewRand(sim.SplitSeed(cfg.Seed, -1)), nil)
 	if cfg.Detector != health.ModeOracle {
 		var loss func(time.Duration) float64
