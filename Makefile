@@ -93,7 +93,7 @@ replay:
 record-corpus:
 	$(GO) run ./cmd/cloudfog-sim -figures figchurn,figrecovery \
 		-players 400 -supernodes 25 -datacenters 3 -horizon 60s \
-		-detector timeout -overload -breaker \
+		-detector timeout -overload \
 		-faults examples/flight/profile.json \
 		-record examples/flight/chaos.flight
 	$(GO) run ./cmd/cloudfog-sim -figures figscale \

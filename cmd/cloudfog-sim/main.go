@@ -13,11 +13,10 @@
 // collapse — against the fog; -faults loads a custom profile JSON, and the
 // -report fault ledger then reconciles every orphaned player against the
 // failover outcomes. -detector swaps their oracle repair delays for real
-// heartbeat detection (timeout or phi-accrual), -overload installs the
-// supernode degradation ladder, and -breaker guards the cloud fallback with
-// a circuit breaker; figdetect sweeps all three detector modes against the
-// same crash schedule and the -report health ledger reconciles every
-// observed kill against detections.
+// heartbeat detection (timeout or phi-accrual) and -overload installs the
+// supernode degradation ladder; figdetect sweeps all three detector modes
+// against the same crash schedule and the -report health ledger reconciles
+// every observed kill against detections.
 //
 // -record captures the run as a flight recording: the launch spec, the
 // compiled fault schedules, canonical figure bytes, per-figure
@@ -32,7 +31,7 @@
 //	cloudfog-sim -figures 5b -players 10000 -supernodes 600
 //	cloudfog-sim -figures figrecovery -faults examples/chaos/profile.json -report chaos.json
 //	cloudfog-sim -figures figdetect -report detect.json
-//	cloudfog-sim -figures figchurn -detector phi -overload -breaker
+//	cloudfog-sim -figures figchurn -detector phi -overload
 //	cloudfog-sim -figures figscale -detector timeout -record incident.flight
 package main
 
@@ -68,7 +67,6 @@ var (
 	faultsFlag     = flag.String("faults", "", "fault profile JSON for the resilience figures (figchurn, figrecovery); empty = built-in chaos profile")
 	detectorFlag   = flag.String("detector", "", "failure detector for the resilience figures: oracle (default, drawn delays), timeout, or phi")
 	overloadFlag   = flag.Bool("overload", false, "install the supernode overload-degradation ladder on resilience-figure fogs")
-	breakerFlag    = flag.Bool("breaker", false, "install the cloud-fallback circuit breaker on resilience-figure fogs")
 	shardsFlag     = flag.Int("shards", 1, "workers that share a run's per-node QoE simulations (figure output is byte-identical at any value)")
 	epochFlag      = flag.Duration("epoch", 0, "scaling-run barrier interval (0 = 15s default)")
 	nodeBudgetFlag = flag.Int("scale-nodes", 0, "scaling run: supernodes sampled for segment-level QoE per epoch (0 = 32 default, negative = all)")
@@ -164,13 +162,13 @@ func run() error {
 	}
 	worldBuild := time.Since(worldStart)
 
-	opts := experiment.DefaultRunOptions()
-	opts.Horizon = *horizonFlag
-	opts.Detector = *detectorFlag
-	opts.Overload = *overloadFlag
-	opts.Breaker = *breakerFlag
-	opts.ScaleEpoch = *epochFlag
-	opts.ScaleNodeBudget = *nodeBudgetFlag
+	opts := experiment.RunOptions{
+		Horizon:         *horizonFlag,
+		Detector:        *detectorFlag,
+		Overload:        *overloadFlag,
+		ScaleEpoch:      *epochFlag,
+		ScaleNodeBudget: *nodeBudgetFlag,
+	}
 	if *faultsFlag != "" {
 		profile, err := fault.Load(*faultsFlag)
 		if err != nil {
@@ -246,7 +244,6 @@ func specFromFlags() (flight.RunSpec, error) {
 		NodeBudget:   *nodeBudgetFlag,
 		Detector:     *detectorFlag,
 		Overload:     *overloadFlag,
-		Breaker:      *breakerFlag,
 	}
 	if sel := strings.TrimSpace(*figuresFlag); sel != "" && !strings.EqualFold(sel, "all") {
 		spec.Figures = strings.Split(sel, ",")

@@ -56,13 +56,8 @@ type Config struct {
 	// admission, backup-duty, level-cap and migration verdicts. Nil keeps
 	// the PR-4 binary capacity check bit-identical.
 	Overload *health.Overload
-	// Breaker, when non-nil, guards the direct-cloud fallback so a degraded
-	// cloud is probed on the breaker's schedule instead of hammered by
-	// every failover. Requires Now.
-	Breaker *health.Breaker
-	// Now supplies the control-plane clock consumed by Overload episode
-	// timing and the Breaker probe schedule — the sim engine's Now, or a
-	// wall-clock offset on a testbed.
+	// Now is read by nothing: the ladder takes its clock through
+	// health.NewOverload. It stays only because bench/ sets it.
 	Now func() time.Duration
 	// Health, when non-nil, counts admission-control rejections and
 	// overload migrations (cloudfog_health_*).
@@ -103,8 +98,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: StreamOverhead %v < 1", c.StreamOverhead)
 	case c.Latency == nil:
 		return fmt.Errorf("core: nil latency source")
-	case c.Breaker != nil && c.Now == nil:
-		return fmt.Errorf("core: Breaker set without Now (the probe schedule needs a clock)")
 	}
 	return c.Stream.Validate()
 }

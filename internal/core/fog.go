@@ -336,14 +336,6 @@ func (f *Fog) attachSN(p *Player, sn *Supernode, streamLat time.Duration) {
 	f.observeOccupancy(sn)
 }
 
-// now reads the control-plane clock, frozen at zero when unset.
-func (f *Fog) now() time.Duration {
-	if f.cfg.Now != nil {
-		return f.cfg.Now()
-	}
-	return 0
-}
-
 // assign implements the join protocol: the cloud shortlists the
 // geographically closest supernodes with available capacity, the player
 // probes their transmission delay, drops candidates above its L_max
@@ -531,19 +523,8 @@ func (f *Fog) SupernodeLevelCap(snID int64, startLevel int) int {
 func (f *Fog) Overload() *health.Overload { return f.cfg.Overload }
 
 // attachCloud connects a player directly to the geographically closest
-// datacenter (by the cloud's estimate of the player's position). When a
-// circuit breaker guards the fallback, a degraded cloud is probed on the
-// breaker's schedule instead of absorbing every failover: a denied attach
-// leaves the player unserved until the next probe window.
+// datacenter (by the cloud's estimate of the player's position).
 func (f *Fog) attachCloud(p *Player, pe trace.Endpoint, estX, estY float64) {
-	b := f.cfg.Breaker
-	var now time.Duration
-	if b != nil {
-		now = f.now()
-		if !b.Allow(now) {
-			return
-		}
-	}
 	best := f.dcs[0]
 	bestDist := dist2(estX, estY, best.Pos.X, best.Pos.Y)
 	for _, dc := range f.dcs[1:] {
@@ -556,20 +537,6 @@ func (f *Fog) attachCloud(p *Player, pe trace.Endpoint, estX, estY float64) {
 		Kind:          AttachCloud,
 		DC:            best,
 		StreamLatency: f.latency.OneWay(pe, best.Endpoint()),
-	}
-	if b != nil {
-		// The probe's verdict is whether the cloud's egress can sustain the
-		// player's stream in real time at any ladder level: a degraded
-		// cloud (collapsed egress) cannot carry even the lowest level and
-		// trips the breaker instead of collecting more players. A healthy
-		// cloud that merely misses the game's latency budget — the normal
-		// case the fog exists to fix — is not a breaker failure, and the
-		// player's own downlink never counts against the cloud.
-		if best.Share() >= mustBitrate(1) {
-			b.RecordSuccess(now)
-		} else {
-			b.RecordFailure(now)
-		}
 	}
 	if o := f.cfg.Obs; o != nil {
 		o.JoinsCloud.Inc()

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"cloudfog/internal/core"
 	"cloudfog/internal/fault"
 	"cloudfog/internal/health"
 	"cloudfog/internal/sim"
@@ -161,82 +160,6 @@ func TestOverloadKeepsFlashCrowdStreaming(t *testing.T) {
 		if !p.Attached.Served() {
 			t.Fatalf("player %d lost service during overload migration", p.ID)
 		}
-	}
-	w.LeaveAll(fog, players)
-}
-
-// TestBreakerGuardsDegradedCloud starves the cloud fallback (tiny egress, no
-// supernodes) behind a circuit breaker: after FailureThreshold
-// failed probes the breaker opens and joins are left unserved rather than
-// piled onto the degraded cloud, and each half-open window re-admits exactly
-// one probe.
-func TestBreakerGuardsDegradedCloud(t *testing.T) {
-	cfg := Default(77)
-	cfg.Players = 100
-	cfg.Supernodes = 10
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine := sim.New()
-	br, err := health.NewBreaker(health.BreakerConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := w.Cfg.Core
-	cc.Now = engine.Now
-	cc.Breaker = br
-	// No supernodes: every join takes the cloud path.
-	fog, err := core.BuildFog(cc, w.Datacenters(w.Cfg.Datacenters), w.SupernodeSet(0),
-		sim.NewRand(w.Cfg.Seed+200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dc := range fog.Datacenters() {
-		dc.Egress = 1000 // a degraded cloud: no player fits its budget
-	}
-
-	players := w.JoinAll(fog, 12)
-	served, unserved := 0, 0
-	for _, p := range players {
-		if p.Attached.Served() {
-			served++
-		} else {
-			unserved++
-		}
-	}
-	bcfg := health.DefaultBreakerConfig()
-	if served != bcfg.FailureThreshold {
-		t.Fatalf("%d players reached the degraded cloud, want exactly FailureThreshold=%d before the trip",
-			served, bcfg.FailureThreshold)
-	}
-	if unserved != len(players)-bcfg.FailureThreshold {
-		t.Fatalf("%d players unserved, want %d refused by the open breaker",
-			unserved, len(players)-bcfg.FailureThreshold)
-	}
-
-	// Next half-open window: exactly one player probes the (still degraded)
-	// cloud; the second retry in the same window is refused.
-	engine.RunUntil(bcfg.OpenFor + time.Second)
-	var retry []*core.Player
-	for _, p := range players {
-		if !p.Attached.Served() {
-			retry = append(retry, p)
-		}
-		if len(retry) == 2 {
-			break
-		}
-	}
-	fog.Failover(retry[0])
-	fog.Failover(retry[1])
-	probed := 0
-	for _, p := range retry {
-		if p.Attached.Served() {
-			probed++
-		}
-	}
-	if probed != 1 {
-		t.Fatalf("half-open window admitted %d failover probes, want exactly 1", probed)
 	}
 	w.LeaveAll(fog, players)
 }

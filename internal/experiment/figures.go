@@ -12,39 +12,41 @@ import (
 	"cloudfog/internal/shard"
 )
 
+// The paper's evaluation sweeps (§IV). Counts exceeding the world's
+// population or supernode pool are trimmed rather than rejected, so every
+// figure runs on any world.
+var (
+	// coverageReqs are the network-requirement curves of the coverage
+	// figures: the Figure 2 game ladder.
+	coverageReqs = []time.Duration{
+		30 * time.Millisecond, 50 * time.Millisecond, 70 * time.Millisecond,
+		90 * time.Millisecond, 110 * time.Millisecond,
+	}
+	dcCounts         = []int{1, 5, 10, 15, 20, 25}                // Figure 5(a)
+	snCounts         = []int{0, 100, 200, 300, 400, 500, 600}     // Figure 5(b)
+	playerCounts     = []int{1000, 2000, 4000, 6000, 8000, 10000} // Figure 7(a)
+	continuityCounts = []int{500, 1000, 2000, 3000}               // Figure 9(a)
+	loads            = []int{5, 10, 15, 20, 25, 30}               // Figures 10(a), 11(a): players per supernode
+	// churnRates is the figchurn supernode kill-rate sweep, in kills per
+	// minute. Rate 0 is the fault-free baseline point.
+	churnRates = []float64{0, 1, 2, 4, 8}
+	// detectIntervals is the figdetect heartbeat-interval sweep.
+	detectIntervals = []time.Duration{2 * time.Second, 5 * time.Second, 10 * time.Second, 15 * time.Second, 20 * time.Second}
+)
+
 // RunOptions is the shared knob set every registered figure accepts. The
-// zero value means "paper defaults": nil slices and a zero horizon are
-// filled per figure, and sweep counts exceeding the world's population or
-// supernode pool are trimmed rather than rejected, so one options struct
-// drives every figure of a run.
+// zero value means "paper defaults": a zero horizon, epoch or node budget is
+// filled per figure, so one options struct drives every figure of a run.
 type RunOptions struct {
 	// Horizon is the virtual-time horizon of the QoE figures (9a runs
 	// each point for Horizon/3: its sweep multiplies four systems by the
 	// player counts, and the paper's continuity curves flatten well
 	// before a full horizon). Default: 60s.
 	Horizon time.Duration
-	// Reqs are the network-requirement curves of the coverage figures.
-	// Default: the Figure 2 ladder (30, 50, 70, 90, 110 ms).
-	Reqs []time.Duration
-	// DCCounts is the Figure 5(a) datacenter sweep.
-	DCCounts []int
-	// SNCounts is the Figure 5(b) supernode sweep.
-	SNCounts []int
-	// PlayerCounts is the Figure 7(a) bandwidth sweep.
-	PlayerCounts []int
-	// ContinuityCounts is the Figure 9(a) concurrent-player sweep.
-	ContinuityCounts []int
-	// Loads is the Figure 10(a)/11(a) players-per-supernode sweep.
-	Loads []int
-	// ChurnRates is the figchurn supernode kill-rate sweep, in kills per
-	// minute. Rate 0 is the fault-free baseline point.
-	ChurnRates []float64
 	// Faults, when non-nil, is the fault profile the resilience figures
 	// replay (figrecovery runs it verbatim; figchurn borrows its duration).
 	// Nil uses the built-in chaos profile keyed by the world seed.
 	Faults *fault.Profile
-	// DetectIntervals is the figdetect heartbeat-interval sweep.
-	DetectIntervals []time.Duration
 	// Detector selects how the resilience figures notice supernode
 	// failures: "oracle" (or empty, the default — drawn repair delays,
 	// bit-identical to the pre-health figures), "timeout", or "phi".
@@ -53,8 +55,6 @@ type RunOptions struct {
 	// Overload installs the supernode degradation ladder on every fog the
 	// resilience figures build.
 	Overload bool
-	// Breaker installs the cloud-fallback circuit breaker on those fogs.
-	Breaker bool
 	// ScaleEpoch is the sharded scaling run's barrier interval (figscale).
 	// Default: 15s.
 	ScaleEpoch time.Duration
@@ -77,62 +77,13 @@ func (o RunOptions) healthOptions() (HealthOptions, error) {
 	if err != nil {
 		return HealthOptions{}, err
 	}
-	return HealthOptions{Detector: mode, Overload: o.Overload, Breaker: o.Breaker}, nil
-}
-
-// DefaultRunOptions returns the sweeps the paper's evaluation uses.
-func DefaultRunOptions() RunOptions {
-	return RunOptions{
-		Horizon:          60 * time.Second,
-		Reqs:             DefaultReqs(),
-		DCCounts:         []int{1, 5, 10, 15, 20, 25},
-		SNCounts:         []int{0, 100, 200, 300, 400, 500, 600},
-		PlayerCounts:     []int{1000, 2000, 4000, 6000, 8000, 10000},
-		ContinuityCounts: []int{500, 1000, 2000, 3000},
-		Loads:            []int{5, 10, 15, 20, 25, 30},
-		ChurnRates:       []float64{0, 1, 2, 4, 8},
-		DetectIntervals:  []time.Duration{2 * time.Second, 5 * time.Second, 10 * time.Second, 15 * time.Second, 20 * time.Second},
-	}
-}
-
-// DefaultReqs returns the network latency requirements of the Figure 2 game
-// ladder — the coverage figures' curve set.
-func DefaultReqs() []time.Duration {
-	return []time.Duration{
-		30 * time.Millisecond, 50 * time.Millisecond, 70 * time.Millisecond,
-		90 * time.Millisecond, 110 * time.Millisecond,
-	}
+	return HealthOptions{Detector: mode, Overload: o.Overload}, nil
 }
 
 // filled returns a copy with every unset field at its paper default.
 func (o RunOptions) filled() RunOptions {
-	d := DefaultRunOptions()
 	if o.Horizon <= 0 {
-		o.Horizon = d.Horizon
-	}
-	if len(o.Reqs) == 0 {
-		o.Reqs = d.Reqs
-	}
-	if len(o.DCCounts) == 0 {
-		o.DCCounts = d.DCCounts
-	}
-	if len(o.SNCounts) == 0 {
-		o.SNCounts = d.SNCounts
-	}
-	if len(o.PlayerCounts) == 0 {
-		o.PlayerCounts = d.PlayerCounts
-	}
-	if len(o.ContinuityCounts) == 0 {
-		o.ContinuityCounts = d.ContinuityCounts
-	}
-	if len(o.Loads) == 0 {
-		o.Loads = d.Loads
-	}
-	if len(o.ChurnRates) == 0 {
-		o.ChurnRates = d.ChurnRates
-	}
-	if len(o.DetectIntervals) == 0 {
-		o.DetectIntervals = d.DetectIntervals
+		o.Horizon = 60 * time.Second
 	}
 	if o.ScaleEpoch <= 0 {
 		o.ScaleEpoch = 15 * time.Second
@@ -190,8 +141,7 @@ var figures = []Figure{
 		Title:  "Figure 5(a): user coverage vs number of datacenters (Cloud)",
 		XLabel: "#datacenters",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
-			o = o.filled()
-			s, err := CoverageVsDatacenters(w, o.DCCounts, o.Reqs)
+			s, err := CoverageVsDatacenters(w, dcCounts, coverageReqs)
 			return FigureResult{Series: s}, err
 		},
 	},
@@ -200,8 +150,7 @@ var figures = []Figure{
 		Title:  "Figure 5(b): user coverage vs number of supernodes",
 		XLabel: "#supernodes",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
-			o = o.filled()
-			s, err := CoverageVsSupernodes(w, trimMax(o.SNCounts, w.Cfg.Supernodes), o.Reqs)
+			s, err := CoverageVsSupernodes(w, trimMax(snCounts, w.Cfg.Supernodes), coverageReqs)
 			title := fmt.Sprintf("Figure 5(b): user coverage vs number of supernodes (%d datacenters)",
 				w.Cfg.Datacenters)
 			return FigureResult{Title: title, Series: s}, err
@@ -212,8 +161,7 @@ var figures = []Figure{
 		Title:  "Figure 7(a): cloud bandwidth consumption (Mbit/s) vs number of players",
 		XLabel: "#players",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
-			o = o.filled()
-			s, err := BandwidthVsPlayers(w, trimMax(o.PlayerCounts, w.Cfg.Players))
+			s, err := BandwidthVsPlayers(w, trimMax(playerCounts, w.Cfg.Players))
 			return FigureResult{Series: s}, err
 		},
 	},
@@ -232,7 +180,7 @@ var figures = []Figure{
 		XLabel: "#players",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
 			o = o.filled()
-			s, err := ContinuityVsPlayers(w, trimMax(o.ContinuityCounts, w.Cfg.Players), o.Horizon/3)
+			s, err := ContinuityVsPlayers(w, trimMax(continuityCounts, w.Cfg.Players), o.Horizon/3)
 			return FigureResult{Series: s}, err
 		},
 	},
@@ -242,7 +190,7 @@ var figures = []Figure{
 		XLabel: "players/SN",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
 			o = o.filled()
-			s, err := AdaptationEffect(w, o.Loads, o.Horizon)
+			s, err := AdaptationEffect(w, loads, o.Horizon)
 			return FigureResult{Series: s}, err
 		},
 	},
@@ -252,7 +200,7 @@ var figures = []Figure{
 		XLabel: "players/SN",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
 			o = o.filled()
-			s, err := SchedulingEffect(w, o.Loads, o.Horizon)
+			s, err := SchedulingEffect(w, loads, o.Horizon)
 			return FigureResult{Series: s}, err
 		},
 	},
@@ -266,7 +214,7 @@ var figures = []Figure{
 			if err != nil {
 				return FigureResult{}, err
 			}
-			s, err := QoEVsChurn(w, o.ChurnRates, ResilienceProfile(w, o).Duration.Duration, ho)
+			s, err := QoEVsChurn(w, churnRates, ResilienceProfile(w, o).Duration.Duration, ho)
 			return FigureResult{Series: s}, err
 		},
 	},
@@ -298,8 +246,7 @@ var figures = []Figure{
 		Title:  "Failure detection latency: oracle vs timeout vs phi-accrual",
 		XLabel: "heartbeat interval (s)",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
-			o = o.filled()
-			s, title, err := DetectionLatency(w, o.DetectIntervals)
+			s, title, err := DetectionLatency(w, detectIntervals)
 			return FigureResult{Title: title, Series: s}, err
 		},
 	},

@@ -15,8 +15,7 @@ import (
 
 // HealthOptions selects the failure-handling apparatus of a resilience run.
 // The zero value reproduces the pre-health behaviour bit-for-bit: orphan
-// repairs use the oracle detection-delay draw, no overload ladder, no
-// circuit breaker.
+// repairs use the oracle detection-delay draw and no overload ladder.
 type HealthOptions struct {
 	// Detector chooses how supernode failures are noticed: ModeOracle
 	// (default) draws the repair delay, ModeTimeout and ModePhi run the
@@ -27,8 +26,6 @@ type HealthOptions struct {
 	DetectorConfig health.DetectorConfig
 	// Overload installs the supernode degradation ladder on the fog.
 	Overload bool
-	// Breaker installs the cloud-fallback circuit breaker on the fog.
-	Breaker bool
 }
 
 // healthStatsFor binds the canonical health metrics in the world's registry,
@@ -44,31 +41,19 @@ func healthStatsFor(w *World) *obs.HealthStats {
 // installed against an arbitrary virtual-time source — the engine's Now for
 // the serial figures, the shard runner's Clock for the scaling run.
 // A zero HealthOptions builds exactly what NewFog builds: the health metrics
-// are bound only for a ladder or a breaker that counts into them.
+// are bound only for a ladder that counts into them.
 func (w *World) buildHealthFog(now func() time.Duration, ho HealthOptions) (*core.Fog, error) {
 	cc := w.Cfg.Core
 	if w.Cfg.Obs != nil {
 		cc.Obs = obs.AssignStatsIn(w.Cfg.Obs)
 	}
-	var hs *obs.HealthStats
-	if ho.Overload || ho.Breaker {
-		hs = healthStatsFor(w)
-		cc.Health = hs
-		cc.Now = now
-	}
 	if ho.Overload {
+		hs := healthStatsFor(w)
 		ol, err := health.NewOverload(health.OverloadConfig{}, hs, now)
 		if err != nil {
 			return nil, err
 		}
-		cc.Overload = ol
-	}
-	if ho.Breaker {
-		br, err := health.NewBreaker(health.BreakerConfig{}, hs)
-		if err != nil {
-			return nil, err
-		}
-		cc.Breaker = br
+		cc.Health, cc.Overload = hs, ol
 	}
 	return core.BuildFog(cc, w.Datacenters(w.Cfg.Datacenters), w.SupernodeSet(w.Cfg.Supernodes),
 		sim.NewRand(w.Cfg.Seed+200))

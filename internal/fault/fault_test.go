@@ -428,6 +428,48 @@ func TestRunWallReplaysSchedule(t *testing.T) {
 	}
 }
 
+// TestRunWallMatchesInjector: a period-mode crash whose downtime outlasts its
+// period aims kills at a node that is still down. Both interpreters skip
+// those, so replaying one compiled schedule through the sim injector and
+// through RunWall applies the same kills and recoveries.
+func TestRunWallMatchesInjector(t *testing.T) {
+	ms := time.Millisecond
+	f, _, tg := buildFaultFog(t, 1, 10, nil)
+	p := &Profile{Seed: 3, Duration: Dur(100 * ms), Specs: []Spec{
+		{Kind: KindCrash, Period: Dur(10 * ms), MTTR: Dur(35 * ms)},
+	}}
+	sched, err := Compile(p, tg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := f.Supernodes()[0]
+	engine := sim.New()
+	inj := NewInjector(sched, engine, f, func(id int64) *core.Supernode {
+		return core.NewSupernode(id, sn.Pos, sn.Capacity, sn.Uplink)
+	}, sim.NewRand(1), nil)
+	inj.Start()
+	engine.RunUntil(p.Duration.Duration)
+	inj.Finish()
+
+	stats := obs.FaultStatsIn(obs.NewRegistry())
+	var kills, recovers int64
+	err = RunWall(context.Background(), sched, WallHooks{
+		Kill:    func(int64) { kills++ },
+		Recover: func(int64) { recovers++ },
+	}, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inj.Killed() == 0 || inj.Killed() == int64(len(sched.Events)/2) {
+		t.Fatalf("injector applied %d kills: the schedule does not overlap its crashes", inj.Killed())
+	}
+	if kills != inj.Killed() || stats.Kills.Load() != inj.Killed() ||
+		recovers != inj.Recovered() || stats.Recoveries.Load() != inj.Recovered() {
+		t.Fatalf("RunWall: %d kill hooks (%d counted), %d recover hooks (%d counted); injector: %d kills, %d recoveries",
+			kills, stats.Kills.Load(), recovers, stats.Recoveries.Load(), inj.Killed(), inj.Recovered())
+	}
+}
+
 func TestRunWallCancel(t *testing.T) {
 	p := &Profile{Seed: 5, Duration: Dur(time.Hour), Specs: []Spec{
 		{Kind: KindCrash, Period: Dur(time.Minute), MTTR: Dur(time.Minute)},

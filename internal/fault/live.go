@@ -44,13 +44,14 @@ func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.F
 	apply := func(ev Event) {
 		switch ev.Op {
 		case OpKill:
-			if hooks.Kill == nil {
+			// A kill aimed at a node that is already down is skipped, as the
+			// sim injector skips it; its paired recovery finds the node down
+			// from the kill that did happen.
+			if _, down := downSince[ev.Node]; down || hooks.Kill == nil {
 				return
 			}
 			hooks.Kill(ev.Node)
-			if _, down := downSince[ev.Node]; !down {
-				downSince[ev.Node] = time.Now()
-			}
+			downSince[ev.Node] = time.Now()
 			stats.Kills.Inc()
 		case OpRecover:
 			downAt, ok := downSince[ev.Node]

@@ -102,10 +102,7 @@ func UnmarshalSchedule(data []byte) (*Schedule, error) {
 			s.Profile = p
 		case schedChunkEvents:
 			rd := recfmt.NewReader(payload)
-			n := rd.Uvarint()
-			if n > uint64(len(payload)) { // every event takes >1 byte
-				return nil, fmt.Errorf("fault: event count %d exceeds chunk size", n)
-			}
+			n := rd.Count()
 			if n > 0 {
 				s.Events = make([]Event, 0, n)
 			}
@@ -127,10 +124,7 @@ func UnmarshalSchedule(data []byte) (*Schedule, error) {
 		case schedChunkWindows:
 			rd := recfmt.NewReader(payload)
 			for _, dst := range []*[]window{&s.lossW, &s.latW, &s.bwW} {
-				n := rd.Uvarint()
-				if n > uint64(len(payload)) {
-					return nil, fmt.Errorf("fault: window count %d exceeds chunk size", n)
-				}
+				n := rd.Count()
 				var ws []window // nil when empty, matching Compile
 				for i := uint64(0); i < n; i++ {
 					ws = append(ws, window{

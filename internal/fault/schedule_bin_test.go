@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func binTestSchedule(t *testing.T) *Schedule {
+func binTestSchedule(t testing.TB) *Schedule {
 	t.Helper()
 	p := &Profile{
 		Name:     "bin-test",
@@ -34,6 +34,33 @@ func binTestSchedule(t *testing.T) *Schedule {
 		t.Fatal("compiled schedule has no events")
 	}
 	return s
+}
+
+// FuzzUnmarshalSchedule: `go test -fuzz FuzzUnmarshalSchedule
+// ./internal/fault`. Whatever UnmarshalSchedule accepts is a schedule the
+// injectors would replay, so it must marshal again; a plain `go test` runs
+// the seeds only.
+func FuzzUnmarshalSchedule(f *testing.F) {
+	s := binTestSchedule(f)
+	data, err := s.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	empty, err := (&Schedule{Profile: &Profile{Name: "empty", Duration: Dur(time.Second)}}).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := UnmarshalSchedule(data)
+		if err != nil {
+			return
+		}
+		if _, err := s.MarshalBinary(); err != nil {
+			t.Fatalf("accepted schedule does not marshal: %v", err)
+		}
+	})
 }
 
 // TestScheduleBinaryRoundTrip proves a persisted schedule decodes to the

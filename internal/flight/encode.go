@@ -47,11 +47,11 @@ func decodeFigure(payload []byte) (name string, f experiment.FigureResult, err e
 	f.Name = r.String()
 	f.Title = r.String()
 	f.XLabel = r.String()
-	if n := r.Uvarint(); n > 0 && r.Err() == nil {
+	if n := r.Count(); n > 0 {
 		f.Series = make([]metrics.Series, n)
 		for i := range f.Series {
 			f.Series[i].Label = r.String()
-			np := r.Uvarint()
+			np := r.Count()
 			if r.Err() != nil {
 				break
 			}
@@ -62,7 +62,7 @@ func decodeFigure(payload []byte) (name string, f experiment.FigureResult, err e
 			}
 		}
 	}
-	if n := r.Uvarint(); n > 0 && r.Err() == nil {
+	if n := r.Count(); n > 0 {
 		f.Latency = make([]experiment.LatencyResult, n)
 		for i := range f.Latency {
 			f.Latency[i].System = r.String()
@@ -115,19 +115,19 @@ func appendSnapshot(dst []byte, s obs.Snapshot) []byte {
 func decodeSnapshot(payload []byte) (obs.Snapshot, error) {
 	r := recfmt.NewReader(payload)
 	s := obs.Snapshot{Counters: map[string]int64{}}
-	nc := r.Uvarint()
+	nc := r.Count()
 	for i := uint64(0); i < nc && r.Err() == nil; i++ {
 		name := r.String()
 		s.Counters[name] = r.Varint()
 	}
-	nh := r.Uvarint()
-	if nh > 0 && r.Err() == nil {
+	nh := r.Count()
+	if nh > 0 {
 		s.Histograms = make(map[string]obs.HistogramSnapshot, nh)
 	}
 	for i := uint64(0); i < nh && r.Err() == nil; i++ {
 		name := r.String()
 		var h obs.HistogramSnapshot
-		nb := r.Uvarint()
+		nb := r.Count()
 		if r.Err() != nil {
 			break
 		}
@@ -135,7 +135,7 @@ func decodeSnapshot(payload []byte) (obs.Snapshot, error) {
 		for j := range h.Bounds {
 			h.Bounds[j] = r.Varint()
 		}
-		nk := r.Uvarint()
+		nk := r.Count()
 		if r.Err() != nil {
 			break
 		}
@@ -202,8 +202,8 @@ func appendRNG(dst []byte, streams []RNGStream) []byte {
 }
 
 func readRNG(r *recfmt.Reader) []RNGStream {
-	n := r.Uvarint()
-	if n == 0 || r.Err() != nil {
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]RNGStream, n)

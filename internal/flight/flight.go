@@ -37,10 +37,11 @@ import (
 )
 
 // Format identity. Version bumps whenever the chunk layout or any canonical
-// encoding changes; readers reject versions newer than they understand.
+// encoding changes, and a reader decodes its own version only: version 2
+// dropped spec fields, so a version 1 spec would not parse as one.
 const (
 	Magic   = "CFFR"
-	Version = 1
+	Version = 2
 )
 
 // Chunk types of the recording stream.

@@ -9,6 +9,7 @@ import (
 
 	"cloudfog/internal/experiment"
 	"cloudfog/internal/obs"
+	"cloudfog/internal/recfmt"
 )
 
 // testSpec is a small world the record/replay tests can afford dozens of
@@ -128,8 +129,7 @@ func TestScaleRunFeedsFaultLedger(t *testing.T) {
 // is rejected.
 func TestReplayFromCheckpoint(t *testing.T) {
 	spec := testSpec(5, 2)
-	spec.Figures = []string{"fig9a", "figscale"}
-	spec.ContinuityCounts = []int{50, 100}
+	spec.Figures = []string{"fig8a", "figscale"}
 	spec.Horizon = 30 * time.Second
 	rec, err := Record(spec)
 	if err != nil {
@@ -138,6 +138,9 @@ func TestReplayFromCheckpoint(t *testing.T) {
 	if len(rec.Figures) != 2 {
 		t.Fatalf("captured %d figures, want 2", len(rec.Figures))
 	}
+	if len(rec.Figures[0].Fig.Latency) == 0 {
+		t.Fatal("fig8a recorded no latency rows: the skipped checkpoint would prove nothing")
+	}
 	rep, err := rec.Replay("figscale")
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +148,8 @@ func TestReplayFromCheckpoint(t *testing.T) {
 	if !rep.Identical() {
 		t.Fatalf("checkpoint replay diverged: %+v", rep.Divergences)
 	}
-	if len(rep.Skipped) != 1 || rep.Skipped[0] != "fig9a" {
-		t.Fatalf("skipped %v, want [fig9a]", rep.Skipped)
+	if len(rep.Skipped) != 1 || rep.Skipped[0] != "fig8a" {
+		t.Fatalf("skipped %v, want [fig8a]", rep.Skipped)
 	}
 	if len(rep.Checked) != 1 || rep.Checked[0] != "figscale" {
 		t.Fatalf("checked %v, want [figscale]", rep.Checked)
@@ -227,6 +230,35 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version error does not mention version: %v", err)
 	}
+
+	// Version 1 carried spec fields version 2 dropped: it is refused, not
+	// decoded, and the error says how to get a readable corpus.
+	old := append([]byte(nil), data...)
+	old[4] = 1
+	if _, err := Decode(old); err == nil {
+		t.Fatal("version 1 recording decoded")
+	} else if !strings.Contains(err.Error(), "make record-corpus") {
+		t.Fatalf("version 1 error does not name make record-corpus: %v", err)
+	}
+}
+
+// TestDecodeRejectsForgedCount: a spec chunk with a valid CRC whose figure
+// count is 2^40 must fail on the count, not size a slice by it — a 16 TiB
+// allocation is a fatal runtime error, not one Decode could return.
+func TestDecodeRejectsForgedCount(t *testing.T) {
+	var spec []byte
+	for i := 0; i < 9; i++ { // seed … node budget
+		spec = recfmt.AppendVarint(spec, 0)
+	}
+	spec = recfmt.AppendString(spec, "")     // detector
+	spec = recfmt.AppendUvarint(spec, 0)     // overload
+	spec = recfmt.AppendFloat64(spec, 0)     // bandwidth scale
+	spec = recfmt.AppendUvarint(spec, 1<<40) // figure count
+	data := recfmt.AppendChunk(recfmt.AppendHeader(nil, Magic, Version), chunkSpec, spec)
+	_, err := Decode(data)
+	if err == nil || !strings.Contains(err.Error(), "count 1099511627776") {
+		t.Fatalf("%d-byte forged spec: error %v does not name the count", len(data), err)
+	}
 }
 
 // TestSpecRoundTrip encodes a fully populated spec and decodes it back.
@@ -235,18 +267,10 @@ func TestSpecRoundTrip(t *testing.T) {
 		Seed: -42, Players: 123, Supernodes: 9, Datacenters: 2,
 		Shards: 3, SweepWorkers: 2,
 		Horizon: 17 * time.Second, Epoch: 5 * time.Second, NodeBudget: -1,
-		Detector: "timeout", Overload: true, Breaker: true,
-		BandwidthScale:   0.5,
-		Figures:          []string{"fig5a", "figchurn"},
-		FaultProfile:     []byte(`{"name":"x","seed":1,"duration":"30s","specs":[]}`),
-		DCCounts:         []int{1, 2},
-		SNCounts:         []int{0, 5},
-		PlayerCounts:     []int{10},
-		ContinuityCounts: []int{50, 100},
-		Loads:            []int{5},
-		ChurnRates:       []float64{0, 2.5},
-		Reqs:             []time.Duration{30 * time.Millisecond},
-		DetectIntervals:  []time.Duration{2 * time.Second, 5 * time.Second},
+		Detector: "timeout", Overload: true,
+		BandwidthScale: 0.5,
+		Figures:        []string{"fig5a", "figchurn"},
+		FaultProfile:   []byte(`{"name":"x","seed":1,"duration":"30s","specs":[]}`),
 	}
 	got, err := decodeSpec(appendSpec(nil, spec))
 	if err != nil {

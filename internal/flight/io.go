@@ -35,13 +35,17 @@ func Encode(rec *Recording) []byte {
 }
 
 // Decode parses a CFFR chunk stream, verifying the header, every chunk
-// CRC, and each captured schedule's own header and checksum. Unknown chunk
-// types within a supported version are an error — the format has no
-// optional chunks yet, so an unrecognized type means corruption.
+// CRC, and each captured schedule's own header and checksum. Only the
+// current Version is read. Unknown chunk types are an error — the format has
+// no optional chunks, so an unrecognized type means corruption.
 func Decode(data []byte) (*Recording, error) {
 	version, rest, err := recfmt.CheckHeader(data, Magic, Version)
 	if err != nil {
 		return nil, err
+	}
+	if version != Version {
+		return nil, fmt.Errorf("flight: format version %d is not read by this build (version %d only): re-record it; make record-corpus regenerates the committed corpus",
+			version, Version)
 	}
 	rec := &Recording{Version: version}
 	seenSpec, seenWorld, seenFinal := false, false, false

@@ -102,20 +102,11 @@ func (s RunSpec) config() experiment.Config {
 // options builds the run options the spec pins down.
 func (s RunSpec) options() (experiment.RunOptions, error) {
 	opts := experiment.RunOptions{
-		Horizon:          s.Horizon,
-		Detector:         s.Detector,
-		Overload:         s.Overload,
-		Breaker:          s.Breaker,
-		ScaleEpoch:       s.Epoch,
-		ScaleNodeBudget:  s.NodeBudget,
-		DCCounts:         s.DCCounts,
-		SNCounts:         s.SNCounts,
-		PlayerCounts:     s.PlayerCounts,
-		ContinuityCounts: s.ContinuityCounts,
-		Loads:            s.Loads,
-		ChurnRates:       s.ChurnRates,
-		Reqs:             s.Reqs,
-		DetectIntervals:  s.DetectIntervals,
+		Horizon:         s.Horizon,
+		Detector:        s.Detector,
+		Overload:        s.Overload,
+		ScaleEpoch:      s.Epoch,
+		ScaleNodeBudget: s.NodeBudget,
 	}
 	if len(s.FaultProfile) > 0 {
 		p, err := fault.Parse(s.FaultProfile)

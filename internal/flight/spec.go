@@ -36,7 +36,6 @@ type RunSpec struct {
 
 	Detector string // "", "oracle", "timeout", "phi"
 	Overload bool
-	Breaker  bool
 
 	// BandwidthScale multiplies every provisioned egress/uplink capacity
 	// (datacenter egress, edge-server egress, per-slot supernode uplink).
@@ -50,16 +49,6 @@ type RunSpec struct {
 	// FaultProfile is the resilience figures' fault profile JSON (the
 	// -faults file, verbatim); nil uses the built-in chaos profile.
 	FaultProfile []byte
-
-	// Sweep overrides; nil slices use the paper defaults.
-	DCCounts         []int
-	SNCounts         []int
-	PlayerCounts     []int
-	ContinuityCounts []int
-	Loads            []int
-	ChurnRates       []float64
-	Reqs             []time.Duration
-	DetectIntervals  []time.Duration
 }
 
 // Normalize validates the spec and rewrites the figure selection into
@@ -99,9 +88,6 @@ func (s RunSpec) Summary() string {
 	if s.Overload {
 		b.WriteString(" overload")
 	}
-	if s.Breaker {
-		b.WriteString(" breaker")
-	}
 	if s.BandwidthScale != 0 && s.BandwidthScale != 1 {
 		fmt.Fprintf(&b, " bandwidth=%g", s.BandwidthScale)
 	}
@@ -111,9 +97,9 @@ func (s RunSpec) Summary() string {
 	return b.String()
 }
 
-// appendSpec encodes the spec. The layout is positional — the spec chunk is
-// versioned by the recording header, so fields are only ever appended in
-// new format versions, never reordered.
+// appendSpec encodes the spec. The layout is positional and belongs to the
+// recording header's format version: a field is added or dropped only with a
+// version bump, and Decode reads its own version alone.
 func appendSpec(dst []byte, s RunSpec) []byte {
 	dst = recfmt.AppendVarint(dst, s.Seed)
 	dst = recfmt.AppendVarint(dst, int64(s.Players))
@@ -126,25 +112,12 @@ func appendSpec(dst []byte, s RunSpec) []byte {
 	dst = recfmt.AppendVarint(dst, int64(s.NodeBudget))
 	dst = recfmt.AppendString(dst, s.Detector)
 	dst = appendBool(dst, s.Overload)
-	dst = appendBool(dst, s.Breaker)
 	dst = recfmt.AppendFloat64(dst, s.BandwidthScale)
 	dst = recfmt.AppendUvarint(dst, uint64(len(s.Figures)))
 	for _, f := range s.Figures {
 		dst = recfmt.AppendString(dst, f)
 	}
-	dst = recfmt.AppendBytes(dst, s.FaultProfile)
-	dst = appendInts(dst, s.DCCounts)
-	dst = appendInts(dst, s.SNCounts)
-	dst = appendInts(dst, s.PlayerCounts)
-	dst = appendInts(dst, s.ContinuityCounts)
-	dst = appendInts(dst, s.Loads)
-	dst = recfmt.AppendUvarint(dst, uint64(len(s.ChurnRates)))
-	for _, r := range s.ChurnRates {
-		dst = recfmt.AppendFloat64(dst, r)
-	}
-	dst = appendDurs(dst, s.Reqs)
-	dst = appendDurs(dst, s.DetectIntervals)
-	return dst
+	return recfmt.AppendBytes(dst, s.FaultProfile)
 }
 
 func decodeSpec(payload []byte) (RunSpec, error) {
@@ -161,9 +134,8 @@ func decodeSpec(payload []byte) (RunSpec, error) {
 	s.NodeBudget = int(r.Varint())
 	s.Detector = r.String()
 	s.Overload = r.Uvarint() != 0
-	s.Breaker = r.Uvarint() != 0
 	s.BandwidthScale = r.Float64()
-	if n := r.Uvarint(); n > 0 {
+	if n := r.Count(); n > 0 {
 		s.Figures = make([]string, n)
 		for i := range s.Figures {
 			s.Figures[i] = r.String()
@@ -172,19 +144,6 @@ func decodeSpec(payload []byte) (RunSpec, error) {
 	if b := r.Bytes(); len(b) > 0 {
 		s.FaultProfile = append([]byte(nil), b...)
 	}
-	s.DCCounts = readInts(r)
-	s.SNCounts = readInts(r)
-	s.PlayerCounts = readInts(r)
-	s.ContinuityCounts = readInts(r)
-	s.Loads = readInts(r)
-	if n := r.Uvarint(); n > 0 {
-		s.ChurnRates = make([]float64, n)
-		for i := range s.ChurnRates {
-			s.ChurnRates[i] = r.Float64()
-		}
-	}
-	s.Reqs = readDurs(r)
-	s.DetectIntervals = readDurs(r)
 	return s, r.Expect()
 }
 
@@ -193,46 +152,6 @@ func appendBool(dst []byte, v bool) []byte {
 		return recfmt.AppendUvarint(dst, 1)
 	}
 	return recfmt.AppendUvarint(dst, 0)
-}
-
-func appendInts(dst []byte, vs []int) []byte {
-	dst = recfmt.AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = recfmt.AppendVarint(dst, int64(v))
-	}
-	return dst
-}
-
-func readInts(r *recfmt.Reader) []int {
-	n := r.Uvarint()
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(r.Varint())
-	}
-	return out
-}
-
-func appendDurs(dst []byte, vs []time.Duration) []byte {
-	dst = recfmt.AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = recfmt.AppendVarint(dst, int64(v))
-	}
-	return dst
-}
-
-func readDurs(r *recfmt.Reader) []time.Duration {
-	n := r.Uvarint()
-	if n == 0 {
-		return nil
-	}
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = time.Duration(r.Varint())
-	}
-	return out
 }
 
 // Knobs lists the what-if override keys, sorted.
@@ -264,7 +183,6 @@ var knobs = map[string]func(s *RunSpec, value string) error{
 		return nil
 	},
 	"overload": func(s *RunSpec, v string) error { return setBool(&s.Overload, v) },
-	"breaker":  func(s *RunSpec, v string) error { return setBool(&s.Breaker, v) },
 	"bandwidth": func(s *RunSpec, v string) error {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f <= 0 {

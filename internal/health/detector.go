@@ -1,8 +1,8 @@
 // Package health implements the self-protective mechanisms layered on the
 // CloudFog control plane: heartbeat-based failure detection (phi-accrual and
-// plain-timeout, replacing the fault injector's oracle detection-delay draw),
-// the supernode overload-degradation ladder, and the cloud-fallback circuit
-// breaker. Every component is a pure function of the timestamps it is fed, so
+// plain-timeout, replacing the fault injector's oracle detection-delay draw)
+// and the supernode overload-degradation ladder. Every component is a pure
+// function of the timestamps it is fed, so
 // the same code runs on the deterministic sim engine and against wall-clock
 // time on the live testbed.
 package health

@@ -228,69 +228,8 @@ func TestOverloadLadderHysteresis(t *testing.T) {
 	}
 }
 
-// TestBreakerOneProbePerHalfOpenWindow is the acceptance criterion: after the
-// breaker opens, each half-open window admits exactly one failover probe, and
-// a failed probe re-opens the window clock.
-func TestBreakerOneProbePerHalfOpenWindow(t *testing.T) {
-	b, err := NewBreaker(BreakerConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultBreakerConfig()
-	now := time.Duration(0)
-
-	// Three consecutive failures trip it.
-	for i := 0; i < cfg.FailureThreshold; i++ {
-		if !b.Allow(now) {
-			t.Fatalf("closed breaker refused request %d", i)
-		}
-		b.RecordFailure(now)
-	}
-	if b.State(now) != BreakerOpen {
-		t.Fatalf("state = %v after %d failures, want open", b.State(now), cfg.FailureThreshold)
-	}
-	if b.Allow(now + cfg.OpenFor/2) {
-		t.Fatal("open breaker admitted a request before the probe window")
-	}
-
-	// First half-open window: exactly one probe.
-	now += cfg.OpenFor
-	if !b.Allow(now) {
-		t.Fatal("half-open breaker refused its first probe")
-	}
-	for i := 0; i < 5; i++ {
-		if b.Allow(now) {
-			t.Fatal("half-open breaker admitted a second probe in the same window")
-		}
-	}
-	// The probe fails: open again, clock restarted at now.
-	b.RecordFailure(now)
-	if b.Allow(now + cfg.OpenFor - time.Millisecond) {
-		t.Fatal("breaker admitted a request before the restarted window elapsed")
-	}
-
-	// Second window: the probe succeeds and the breaker closes.
-	now += cfg.OpenFor
-	if !b.Allow(now) {
-		t.Fatal("half-open breaker refused its probe in the second window")
-	}
-	b.RecordSuccess(now)
-	if b.State(now) != BreakerClosed {
-		t.Fatalf("state = %v after a successful probe, want closed", b.State(now))
-	}
-	for i := 0; i < 3; i++ {
-		if !b.Allow(now) {
-			t.Fatal("closed breaker refused a request after recovery")
-		}
-		b.RecordSuccess(now)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewOverload(OverloadConfig{DegradeAt: 0.9, ShedAt: 0.8, RejectAt: 0.95, MigrateAt: 1, Hysteresis: 0.1}, nil, nil); err == nil {
 		t.Fatal("unordered overload thresholds validated")
-	}
-	if _, err := NewBreaker(BreakerConfig{FailureThreshold: 0, OpenFor: time.Second, HalfOpenProbes: 1, SuccessThreshold: 1}, nil); err == nil {
-		t.Fatal("zero FailureThreshold validated")
 	}
 }

@@ -235,9 +235,8 @@ func FaultStatsIn(r *Registry) *FaultStats {
 }
 
 // HealthStats instruments the health subsystem: heartbeat traffic and
-// detection outcomes, the supernode degradation ladder, and the
-// cloud-fallback circuit breaker. The detection ledger identity the
-// reconciliation checks is
+// detection outcomes and the supernode degradation ladder. The detection
+// ledger identity the reconciliation checks is
 //
 //	Detected + DetectPending == KillsObserved
 //
@@ -256,10 +255,6 @@ type HealthStats struct {
 	JoinsRejected  *Counter // failovers whose recorded backup refused the player (ladder at Rejecting)
 	Migrations     *Counter // players migrated off overloaded supernodes
 	TimeDegradedNs *Histogram
-
-	BreakerOpens   *Counter // breaker trips to open
-	BreakerProbes  *Counter // half-open probes admitted
-	BreakerRejects *Counter // requests refused while open/half-open-exhausted
 }
 
 // HealthStatsIn binds the canonical health metrics in a registry. Like the
@@ -278,9 +273,6 @@ func HealthStatsIn(r *Registry) *HealthStats {
 		JoinsRejected:  r.Counter("cloudfog_health_joins_rejected_total", "failovers refused by a recorded backup whose overload ladder is rejecting joins"),
 		Migrations:     r.Counter("cloudfog_health_migrations_total", "players migrated off overloaded supernodes"),
 		TimeDegradedNs: r.Histogram("cloudfog_health_time_degraded_ns", "time supernodes spent degraded before returning to normal", LatencyBucketsNs()),
-		BreakerOpens:   r.Counter("cloudfog_health_breaker_opens_total", "cloud-fallback circuit breaker trips"),
-		BreakerProbes:  r.Counter("cloudfog_health_breaker_probes_total", "half-open probes admitted toward the cloud"),
-		BreakerRejects: r.Counter("cloudfog_health_breaker_rejects_total", "cloud attaches refused by the open breaker"),
 	}
 }
 

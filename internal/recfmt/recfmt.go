@@ -158,6 +158,19 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// Count reads the uvarint element count that prefixes a list. Every element
+// takes at least one byte, so a count above the unread bytes is corrupt: it
+// fails the reader and returns 0, and a decoder may size a slice by what
+// Count returns.
+func (r *Reader) Count() uint64 {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(r.Len()) {
+		r.err = fmt.Errorf("recfmt: count %d exceeds the %d bytes left at offset %d", n, r.Len(), r.off)
+		return 0
+	}
+	return n
+}
+
 // Varint reads a zigzag-encoded signed varint.
 func (r *Reader) Varint() int64 {
 	if r.err != nil {

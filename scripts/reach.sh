@@ -52,7 +52,7 @@ quiet "$bin/cloudfog-sim" -figures figdetect -players 1500 -supernodes 100 \
 quiet "$bin/cloudfog-sim" -scale -players 1500 -supernodes 100 -shards 4 \
 	-horizon 30s -epoch 10s -detector phi -overload -report "$run/scale_report.json" -csv
 quiet "$bin/cloudfog-sim" -figures figchurn,figrecovery -players 400 -supernodes 25 -datacenters 3 \
-	-horizon 60s -detector timeout -overload -breaker -faults examples/flight/profile.json \
+	-horizon 60s -detector timeout -overload -faults examples/flight/profile.json \
 	-record "$run/chaos.flight" -csv
 
 step "cloudfog-replay"
