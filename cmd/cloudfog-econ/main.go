@@ -45,6 +45,9 @@ func run() error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
+	if *candidatesFlag < 0 {
+		return fmt.Errorf("-candidates %d: the pool size cannot be negative", *candidatesFlag)
+	}
 
 	rng := sim.NewRand(*seedFlag)
 	candidates := make([]econ.Supernode, *candidatesFlag)

@@ -161,10 +161,13 @@ type Plan struct {
 // that fewer supernodes save more (each costs Λ update bandwidth and its
 // reward), it greedily takes the highest-contribution candidates until the
 // Eq. 4 constraint is met. It returns an error if the candidates cannot
-// support the target at all.
+// support the target at all, or if the target is below one player.
 func (p Params) PlanDeployment(target int, candidates []Supernode) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
+	}
+	if target < 1 {
+		return Plan{}, fmt.Errorf("econ: target of %d players, want at least 1", target)
 	}
 	for i, s := range candidates {
 		if err := s.Validate(); err != nil {

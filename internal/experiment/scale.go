@@ -76,8 +76,6 @@ func ScaleRun(w *World, o RunOptions) (shard.Result, FigureResult, error) {
 		Seed:           w.Cfg.Seed,
 		Horizon:        o.Horizon,
 		Epoch:          o.ScaleEpoch,
-		Width:          w.Cfg.Core.Region.Width,
-		Height:         w.Cfg.Core.Region.Height,
 		Detector:       ho.Detector,
 		DetectorConfig: ho.DetectorConfig,
 		Overload:       ho.Overload,

@@ -280,7 +280,7 @@ func TestSupernodeSnapshotDropsStaleStamps(t *testing.T) {
 	if err := proto.WriteFrame(conn, proto.TDelta, proto.MarshalDelta(snapshot)); err != nil {
 		t.Fatal(err)
 	}
-	until(t, &sn.mu, "the supernode has applied the snapshot", func() bool { return sn.deltas == 1 })
+	until(t, &sn.mu, "the supernode has applied the snapshot", func() bool { return sn.replica.Version() == 3 })
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	if stamps := fmt.Sprint(sn.stamps); stamps != "map[1:1ns]" {

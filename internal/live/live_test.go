@@ -78,12 +78,13 @@ func TestLinkPeerGoneSetsErr(t *testing.T) {
 // the injected path delay.
 func TestEndToEndPipeline(t *testing.T) {
 	const updateDelay = 10 * time.Millisecond
+	reg := obs.NewRegistry()
 	cloud, err := NewCloud(Config{
 		Role:  RoleCloud,
 		Addr:  "127.0.0.1:0",
 		World: world.DefaultConfig(),
 		Tick:  33 * time.Millisecond,
-	}, WithDelayFor(func(int64) time.Duration { return updateDelay }))
+	}, WithObs(reg), WithDelayFor(func(int64) time.Duration { return updateDelay }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +164,10 @@ func TestEndToEndPipeline(t *testing.T) {
 	if v := sn.ReplicaVersion(); v == 0 {
 		t.Fatal("replica never advanced")
 	}
-	sn.mu.Lock()
-	msgs, bytes := sn.deltas, sn.deltaBytes
-	sn.mu.Unlock()
-	if msgs == 0 || bytes == 0 {
+	// The sender-side ledger the demo reads: what the cloud wrote on the
+	// supernode's update link.
+	bytes := reg.Counter(`cloudfog_link_sent_bytes_total{link="cloud_to_sn1000000"}`, "").Load()
+	if bytes == 0 {
 		t.Fatal("no update traffic recorded")
 	}
 	// Update traffic must be far below the video traffic — the paper's

@@ -59,9 +59,6 @@ type Supernode struct {
 	// inherited by streams that join while it is active.
 	impExtra time.Duration
 	impLoss  float64
-	// deltas and deltaBytes count the update stream (the Λ grounding).
-	deltas     int64
-	deltaBytes int64
 
 	// updated tells the render loop a delta was applied. Capacity 1 and
 	// never blocked on: the loop needs to know the replica moved, not how
@@ -261,8 +258,6 @@ func (sn *Supernode) consumeUpdates() {
 					delete(sn.stamps, player)
 				}
 			}
-			sn.deltas++
-			sn.deltaBytes += int64(len(payload))
 			sn.mu.Unlock()
 			select {
 			case sn.updated <- struct{}{}:

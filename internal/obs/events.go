@@ -10,7 +10,7 @@ type EventKind uint8
 
 const (
 	// EventSegmentGenerated fires when an encoder produces a segment.
-	// Node = serving node, Player = stream owner, A = segment bytes.
+	// Player = stream owner, A = segment bytes.
 	EventSegmentGenerated EventKind = iota + 1
 	// EventSegmentTransmitted fires when a segment finishes its uplink
 	// transmission. A = remaining bytes on the wire.
@@ -57,7 +57,6 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind   EventKind
 	At     time.Duration // virtual (sim) or wall-clock-relative (live) time
-	Node   int64         // serving node id, when meaningful
 	Player int64         // player id, when meaningful
 	A, B   int64         // kind-specific payload, see the kind docs
 }
@@ -125,7 +124,6 @@ func (l *EventLog) Events() []Event {
 type EngineStats struct {
 	Scheduled *Counter
 	Executed  *Counter
-	Canceled  *Counter
 }
 
 // EngineStatsIn binds the canonical engine metrics in a registry.
@@ -133,7 +131,6 @@ func EngineStatsIn(r *Registry) *EngineStats {
 	return &EngineStats{
 		Scheduled: r.Counter("cloudfog_engine_events_scheduled_total", "events queued on the virtual clock"),
 		Executed:  r.Counter("cloudfog_engine_events_executed_total", "events fired"),
-		Canceled:  r.Counter("cloudfog_engine_events_canceled_total", "events canceled before firing"),
 	}
 }
 

@@ -139,3 +139,34 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeCoordFrames feeds every input to the six control-plane decoders:
+// whatever one of them accepts must re-encode, through its Append* form, to
+// exactly the input bytes — a decoder that accepts two spellings of one
+// message is a finding.
+func FuzzDecodeCoordFrames(f *testing.F) {
+	f.Add(MarshalRegister(Register{Worker: 3, Capacity: 8, Load: 2, X: 1.5, Y: -2, Transport: StreamUDP,
+		Addr: "127.0.0.1:7000", Sessions: []int64{4, 5}}))
+	f.Add(MarshalReport(Report{Worker: 3, Seq: 9, Load: 2, Capacity: 8, Level: 3, Draining: 1}))
+	f.Add(MarshalPlace(Place{Player: 4, GameID: 2, X: 10, Y: 20}))
+	f.Add(MarshalTicket(Ticket{Player: 4, Worker: 3, Epoch: 7, Issued: 11, Expiry: 99, Transport: StreamTCP,
+		Addr: "127.0.0.1:7000", Backups: []string{"127.0.0.1:7001", ""}, Sig: []byte("sig")}))
+	f.Add(MarshalRenew(Renew{Player: 4, Epoch: 7}))
+	f.Add(MarshalSync(Sync{Now: 12345, LeaseTTL: 3e9}))
+	f.Add([]byte{})
+	roundTrips := map[string]func([]byte) ([]byte, error){
+		"register": func(p []byte) ([]byte, error) { m, err := UnmarshalRegister(p); return AppendRegister(nil, m), err },
+		"report":   func(p []byte) ([]byte, error) { m, err := UnmarshalReport(p); return AppendReport(nil, m), err },
+		"place":    func(p []byte) ([]byte, error) { m, err := UnmarshalPlace(p); return AppendPlace(nil, m), err },
+		"ticket":   func(p []byte) ([]byte, error) { m, err := UnmarshalTicket(p); return AppendTicket(nil, m), err },
+		"renew":    func(p []byte) ([]byte, error) { m, err := UnmarshalRenew(p); return AppendRenew(nil, m), err },
+		"sync":     func(p []byte) ([]byte, error) { m, err := UnmarshalSync(p); return AppendSync(nil, m), err },
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		for name, roundTrip := range roundTrips {
+			if again, err := roundTrip(p); err == nil && !bytes.Equal(again, p) {
+				t.Fatalf("%s: %x decodes but re-encodes as %x", name, p, again)
+			}
+		}
+	})
+}

@@ -742,8 +742,6 @@ type Summary struct {
 	Players        int
 	MeanContinuity float64
 	SatisfiedFrac  float64
-	MeanLatency    time.Duration
-	MeanLevel      float64
 }
 
 // Summarize aggregates a result set.
@@ -753,20 +751,15 @@ func Summarize(results []PlayerResult) Summary {
 	if s.Players == 0 {
 		return s
 	}
-	var latSum time.Duration
 	for _, r := range results {
 		s.MeanContinuity += r.Continuity
 		if r.Satisfied {
 			s.SatisfiedFrac++
 		}
-		latSum += r.MeanLatency
-		s.MeanLevel += float64(r.FinalLevel)
 	}
 	n := float64(s.Players)
 	s.MeanContinuity /= n
 	s.SatisfiedFrac /= n
-	s.MeanLevel /= n
-	s.MeanLatency = latSum / time.Duration(s.Players)
 	return s
 }
 

@@ -111,8 +111,8 @@ func TestOverloadCollapsesBasic(t *testing.T) {
 	// The bounded sender queue turns overload into loss plus bounded
 	// delay: latency sits near the 100ms queue bound, and continuity
 	// falls well below healthy levels.
-	if s.MeanLatency < 50*time.Millisecond {
-		t.Fatalf("overloaded queue latency %v below the queue bound", s.MeanLatency)
+	if lat := time.Duration(mean(res, func(r PlayerResult) float64 { return float64(r.MeanLatency) })); lat < 50*time.Millisecond {
+		t.Fatalf("overloaded queue latency %v below the queue bound", lat)
 	}
 	if s.MeanContinuity > 0.5 {
 		t.Fatalf("overload kept continuity %.2f", s.MeanContinuity)
@@ -139,9 +139,18 @@ func TestAdaptationImprovesOverload(t *testing.T) {
 		t.Fatalf("adaptation gain too small: basic %.2f vs adapted %.2f",
 			b.MeanContinuity, a.MeanContinuity)
 	}
-	if a.MeanLevel >= 3.0 {
-		t.Fatalf("adaptation did not lower encoding levels under overload: %.2f", a.MeanLevel)
+	if level := mean(adapted, func(r PlayerResult) float64 { return float64(r.FinalLevel) }); level >= 3.0 {
+		t.Fatalf("adaptation did not lower encoding levels under overload: %.2f", level)
 	}
+}
+
+// mean averages one quantity over a result set.
+func mean(res []PlayerResult, of func(PlayerResult) float64) float64 {
+	sum := 0.0
+	for _, r := range res {
+		sum += of(r)
+	}
+	return sum / float64(len(res))
 }
 
 // TestSchedulingImprovesOverload mirrors Figure 11: deadline-driven buffer
@@ -250,13 +259,12 @@ func TestEmptyServerRuns(t *testing.T) {
 
 func TestSummarizeArithmetic(t *testing.T) {
 	res := []PlayerResult{
-		{Continuity: 1.0, Satisfied: true, MeanLatency: 40 * time.Millisecond, FinalLevel: 4},
-		{Continuity: 0.5, Satisfied: false, MeanLatency: 80 * time.Millisecond, FinalLevel: 2},
+		{Continuity: 1.0, Satisfied: true},
+		{Continuity: 0.5, Satisfied: false},
 	}
 	s := Summarize(res)
 	if s.Players != 2 || math.Abs(s.MeanContinuity-0.75) > 1e-12 ||
-		math.Abs(s.SatisfiedFrac-0.5) > 1e-12 || s.MeanLatency != 60*time.Millisecond ||
-		math.Abs(s.MeanLevel-3) > 1e-12 {
+		math.Abs(s.SatisfiedFrac-0.5) > 1e-12 {
 		t.Fatalf("summary wrong: %+v", s)
 	}
 	if z := Summarize(nil); z.Players != 0 {

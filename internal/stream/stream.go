@@ -58,16 +58,12 @@ func (c Config) PacketsPerSegment(bitrate int64) int {
 // Segment is one encoded chunk of a player's game video, queued at a
 // supernode (or cloud server) for transmission.
 type Segment struct {
-	// ID orders segments within one player's stream.
-	ID int64
 	// PlayerID identifies the destination player.
 	PlayerID int64
 	// Stream is the index of this segment's stream at its sender (see
 	// Encoder.SetStream): the sender finds the stream's state by it — its
 	// session, its Eq. 13 estimator — instead of hashing PlayerID per segment.
 	Stream int
-	// Level is the encoding operating point used for this segment.
-	Level game.QualityLevel
 	// Bytes is the encoded size; Packets the packet count.
 	Bytes   int
 	Packets int
@@ -122,7 +118,6 @@ type Encoder struct {
 	// bytes and packets are a segment's size at level, worked out when the
 	// level is set instead of once per frame.
 	bytes, packets int
-	nextID         int64
 }
 
 // NewEncoder returns an encoder starting at the given ladder level.
@@ -162,10 +157,8 @@ func (e *Encoder) Encode(actionTime, enqueued time.Duration, g game.Game) *Segme
 // allocating one per simulated frame — field by field, because a composite
 // literal is built in a temporary and copied over s.
 func (e *Encoder) EncodeInto(s *Segment, actionTime, enqueued time.Duration, g game.Game) {
-	s.ID = e.nextID
 	s.PlayerID = e.playerID
 	s.Stream = e.stream
-	s.Level = e.level
 	s.Bytes = e.bytes
 	s.Packets = e.packets
 	s.Dropped = 0
@@ -173,7 +166,6 @@ func (e *Encoder) EncodeInto(s *Segment, actionTime, enqueued time.Duration, g g
 	s.LatencyReq = g.NetworkBudget()
 	s.LossTolerance = g.LossTolerance
 	s.Enqueued = enqueued
-	e.nextID++
 }
 
 // ReceiverBuffer models the player-side segment buffer of §III-B: arrivals

@@ -58,21 +58,14 @@ func TestEncoderStampsSegments(t *testing.T) {
 	if s.PlayerID != 42 {
 		t.Fatalf("player id = %d", s.PlayerID)
 	}
-	if s.ID != 0 {
-		t.Fatalf("first segment id = %d, want 0", s.ID)
-	}
-	if s.Level.Level != 3 || s.Bytes != cfg.SegmentBytes(800_000) {
-		t.Fatalf("segment level/bytes = %d/%d", s.Level.Level, s.Bytes)
+	if e.Level().Level != 3 || s.Bytes != cfg.SegmentBytes(800_000) {
+		t.Fatalf("encoder level/segment bytes = %d/%d", e.Level().Level, s.Bytes)
 	}
 	if s.ExpectedArrival() != 170*time.Millisecond {
 		t.Fatalf("t_a = %v, want t_m + L_r = 170ms", s.ExpectedArrival())
 	}
 	if s.LossTolerance != g.LossTolerance {
 		t.Fatal("loss tolerance not propagated")
-	}
-	s2 := e.Encode(200*time.Millisecond, 205*time.Millisecond, g)
-	if s2.ID != 1 {
-		t.Fatalf("second segment id = %d, want 1", s2.ID)
 	}
 }
 
@@ -102,13 +95,12 @@ func TestEncodeIntoOverwritesEveryField(t *testing.T) {
 	g, _ := game.ByID(2)
 	e := NewEncoder(cfg, 42, g.Quality())
 	e.SetStream(7)
-	e.Encode(0, 0, g) // so the next ID is not the zero value either
 	twin := *e
 	var seg Segment
 	dirty(t, reflect.ValueOf(&seg).Elem())
 	e.EncodeInto(&seg, 100*time.Millisecond, 105*time.Millisecond, g)
 	want := Segment{
-		ID: 1, PlayerID: 42, Stream: 7, Level: g.Quality(),
+		PlayerID: 42, Stream: 7,
 		Bytes: cfg.SegmentBytes(g.Quality().Bitrate), Packets: cfg.PacketsPerSegment(g.Quality().Bitrate),
 		ActionTime: 100 * time.Millisecond, LatencyReq: g.NetworkBudget(),
 		LossTolerance: g.LossTolerance, Enqueued: 105 * time.Millisecond,
@@ -121,8 +113,8 @@ func TestEncodeIntoOverwritesEveryField(t *testing.T) {
 	}
 	var next Segment
 	e.EncodeInto(&next, 0, 0, g)
-	if next.ID != 2 || next.Stream != 7 {
-		t.Fatalf("next segment is id %d of stream %d, want 2 of 7", next.ID, next.Stream)
+	if next.Stream != 7 {
+		t.Fatalf("next segment is of stream %d, want 7", next.Stream)
 	}
 }
 
@@ -154,7 +146,7 @@ func TestEncoderSizesMatchConfig(t *testing.T) {
 			for name, s := range map[string]*Segment{
 				"NewEncoder": fresh.Encode(0, 0, g), "SetLevel": moved.Encode(0, 0, g), "EncodeInto": &into,
 			} {
-				if s.Level != q || s.Bytes != wantBytes || s.Packets != wantPackets {
+				if s.Bytes != wantBytes || s.Packets != wantPackets {
 					t.Fatalf("%s at level %d: %d bytes in %d packets, config says %d in %d",
 						name, q.Level, s.Bytes, s.Packets, wantBytes, wantPackets)
 				}
