@@ -118,6 +118,16 @@ func startMetrics(addr string, reg *obs.Registry) (string, error) {
 }
 
 func run() error {
+	switch {
+	case *playersFlag < 1:
+		return fmt.Errorf("-players %d: want at least 1", *playersFlag)
+	case *supernodesFlag < 1:
+		return fmt.Errorf("-supernodes %d: want at least 1", *supernodesFlag)
+	case *fpsFlag < 1:
+		return fmt.Errorf("-fps %d: want at least 1", *fpsFlag)
+	case *durationFlag <= 0:
+		return fmt.Errorf("-duration %v: want a positive session length", *durationFlag)
+	}
 	model := trace.DefaultModel(*seedFlag)
 	placer := geo.DefaultUSPlacer()
 	rng := sim.NewRand(*seedFlag + 1)
@@ -216,6 +226,7 @@ func run() error {
 	// Chaos: replay the fault profile in wall-clock time against the
 	// running deployment.
 	faultStats := obs.FaultStatsIn(reg)
+	var stopChaos func() // set when chaos is armed
 	if *chaosFlag != "" {
 		profile := defaultLiveChaos(*seedFlag, *durationFlag)
 		if *chaosFlag != "default" {
@@ -244,7 +255,7 @@ func run() error {
 					sn.Close()
 				}
 			},
-			Recover: func(id int64) {
+			Recover: func(id int64) bool {
 				var addr string
 				var ep trace.Endpoint
 				for i, e := range snEPs {
@@ -256,12 +267,13 @@ func run() error {
 				sn, err := startSupernode(ep, addr)
 				if err != nil {
 					fmt.Printf("chaos: supernode %d failed to respawn on %s: %v\n", id, addr, err)
-					return
+					return false
 				}
 				snMu.Lock()
 				snLive[id] = sn
 				snMu.Unlock()
 				fmt.Printf("chaos: supernode %d respawned on %s\n", id, addr)
+				return true
 			},
 			Link: func(extra time.Duration, lossFrac float64) {
 				snMu.Lock()
@@ -273,13 +285,13 @@ func run() error {
 			},
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
 		chaosDone := make(chan struct{})
 		go func() {
 			defer close(chaosDone)
 			fault.RunWall(ctx, sched, hooks, faultStats)
 		}()
-		defer func() { cancel(); <-chaosDone }()
+		// RunWall folds its tallies into faultStats as it returns.
+		stopChaos = func() { cancel(); <-chaosDone }
 		fmt.Printf("chaos profile %q armed: %d scheduled events over %v\n",
 			profile.Name, len(sched.Events), profile.Duration.Duration)
 	}
@@ -364,6 +376,7 @@ func run() error {
 	fmt.Printf("\nbandwidth ledger: cloud shipped %.1f KB of updates and %.1f KB of direct video; supernodes shipped %.1f KB of video (%.1fx reduction)\n",
 		float64(updBytes)/1000, float64(directBytes)/1000, float64(snBytes)/1000, float64(snBytes)/float64(updBytes+1))
 	if *chaosFlag != "" {
+		stopChaos()
 		fmt.Printf("chaos ledger: %d kills, %d recoveries, %d link windows, %d player failovers (%d to the cloud)\n",
 			faultStats.Kills.Load(), faultStats.Recoveries.Load(),
 			faultStats.LinkWindows.Load(), failovers, cloudFallbacks)

@@ -63,3 +63,23 @@ func TestDemoLedgerUnderTotalOutage(t *testing.T) {
 		t.Fatalf("ledger counts %.1f KB of updates and %.1f KB of direct video, want both positive:\n%s", updKB, directKB, text)
 	}
 }
+
+// TestDemoRejectsBadFlags: a count or rate below one and a non-positive
+// session length are refused by name before the demo binds a socket.
+func TestDemoRejectsBadFlags(t *testing.T) {
+	for _, row := range []struct{ name, value string }{
+		{"players", "0"}, {"players", "-1"}, {"supernodes", "0"}, {"supernodes", "-2"},
+		{"fps", "0"}, {"duration", "0s"}, {"duration", "-1s"},
+	} {
+		t.Run(row.name+"="+row.value, func(t *testing.T) {
+			old := flag.Lookup(row.name).Value.String()
+			if err := flag.Set(row.name, row.value); err != nil {
+				t.Fatal(err)
+			}
+			defer flag.Set(row.name, old)
+			if err := run(); err == nil || !strings.Contains(err.Error(), "-"+row.name) {
+				t.Fatalf("-%s %s: err = %v, want one naming -%s", row.name, row.value, err, row.name)
+			}
+		})
+	}
+}

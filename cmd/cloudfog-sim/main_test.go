@@ -126,3 +126,17 @@ func TestScaleRefusesRecord(t *testing.T) {
 		t.Fatal("-scale -record wrote a recording")
 	}
 }
+
+// TestRejectsWorldWithoutSupernodes: a world needs a supernode to place,
+// and a count below one is refused by name instead of panicking in world
+// generation or the first figure.
+func TestRejectsWorldWithoutSupernodes(t *testing.T) {
+	for _, flags := range []map[string]string{
+		{"supernodes": "-1", "players": "100"},
+		{"supernodes": "0", "players": "200", "figures": "fig10a"},
+	} {
+		if _, err := runSim(t, flags); err == nil || !strings.Contains(err.Error(), "Supernodes") {
+			t.Errorf("%v: err = %v, want one naming Supernodes", flags, err)
+		}
+	}
+}

@@ -95,9 +95,8 @@ func ChurnDynamics(w *World, duration time.Duration, departEvery time.Duration) 
 		if err != nil {
 			return ChurnResult{}, fmt.Errorf("experiment: churn profile: %w", err)
 		}
-		inj = fault.NewInjector(sched, engine, fog, w.Respawner(),
-			sim.NewRand(w.Cfg.Seed+503), nil)
-		inj.Start()
+		inj = fault.StartInjector(sched, engine, fog, w.Respawner(),
+			sim.NewRand(w.Cfg.Seed+503), nil, nil)
 	}
 
 	churn := workload.NewChurn(engine, fog, w.Pop, 5, sim.NewRand(w.Cfg.Seed+500))

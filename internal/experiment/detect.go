@@ -76,12 +76,8 @@ func DetectionLatency(w *World, intervals []time.Duration) ([]metrics.Series, st
 		if err != nil {
 			return err
 		}
-		inj := fault.NewInjector(sched, engine, fog, pw.Respawner(),
-			sim.NewRand(pw.Cfg.Seed+701), faultStatsFor(pw))
-		if mon != nil {
-			inj.SetMonitor(mon)
-		}
-		inj.Start()
+		inj := fault.StartInjector(sched, engine, fog, pw.Respawner(),
+			sim.NewRand(pw.Cfg.Seed+701), faultStatsFor(pw), mon)
 		engine.RunUntil(detectDuration)
 		inj.Finish()
 

@@ -42,10 +42,8 @@ func TestDetectionPropertyAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj := fault.NewInjector(sched, engine, fog, w.Respawner(),
-			sim.NewRand(seed+701), nil)
-		inj.SetMonitor(mon)
-		inj.Start()
+		inj := fault.StartInjector(sched, engine, fog, w.Respawner(),
+			sim.NewRand(seed+701), nil, mon)
 		engine.RunUntil(detectDuration)
 		inj.Finish()
 

@@ -89,6 +89,9 @@ func (c Config) Validate() error {
 	if c.Datacenters < 1 {
 		return fmt.Errorf("experiment: Datacenters %d < 1", c.Datacenters)
 	}
+	if c.Supernodes < 1 {
+		return fmt.Errorf("experiment: Supernodes %d < 1", c.Supernodes)
+	}
 	if err := c.Core.Validate(); err != nil {
 		return err
 	}

@@ -168,12 +168,8 @@ func QoEVsChurn(w *World, rates []float64, duration time.Duration, ho HealthOpti
 				return err
 			}
 		}
-		inj := fault.NewInjector(sched, engine, fog, pw.Respawner(),
-			sim.NewRand(pw.Cfg.Seed+602), faultStatsFor(pw))
-		if mon != nil {
-			inj.SetMonitor(mon)
-		}
-		inj.Start()
+		inj := fault.StartInjector(sched, engine, fog, pw.Respawner(),
+			sim.NewRand(pw.Cfg.Seed+602), faultStatsFor(pw), mon)
 
 		var samples int
 		var covSum, fogSum, unsSum float64
@@ -228,12 +224,8 @@ func RecoveryTimeline(w *World, profile *fault.Profile, qoeHorizon time.Duration
 		}
 		players := pw.JoinAll(fog, pw.Cfg.Players)
 
-		inj := fault.NewInjector(sched, engine, fog, pw.Respawner(),
-			sim.NewRand(pw.Cfg.Seed+603), faultStatsFor(pw))
-		if mon != nil {
-			inj.SetMonitor(mon)
-		}
-		inj.Start()
+		inj := fault.StartInjector(sched, engine, fog, pw.Respawner(),
+			sim.NewRand(pw.Cfg.Seed+603), faultStatsFor(pw), mon)
 
 		duration := profile.Duration.Duration
 		step := duration / 60

@@ -184,9 +184,8 @@ func TestScaleRunMatchesBareInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.NewInjector(sched, engine, fog, w.Respawner(),
-		sim.NewRand(sim.SplitSeed(cfg.Seed, -1)), nil)
-	inj.Start()
+	inj := fault.StartInjector(sched, engine, fog, w.Respawner(),
+		sim.NewRand(sim.SplitSeed(cfg.Seed, -1)), nil, nil)
 	engine.RunUntil(horizon)
 	inj.Finish()
 
@@ -256,7 +255,7 @@ func TestBackupRingFailoverAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		players := w.JoinAll(fog, w.Cfg.Players)
-		sched := &fault.Schedule{Events: []fault.Event{
+		sched := &fault.Schedule{Profile: &fault.Profile{Duration: fault.Dur(horizon)}, Events: []fault.Event{
 			{At: time.Second, Op: fault.OpKill, Node: target, D: 2 * time.Second},
 		}}
 		qopts := qoe.DefaultOptions()

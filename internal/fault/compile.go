@@ -26,19 +26,9 @@ const (
 	OpLatencyOn
 	OpLatencyOff
 	// OpBandwidth scales every serving node's uplink by F (F = 1 restores).
+	// 8–13 are retired (cloud scale, join, coordinator partition, worker
+	// distress): a persisted schedule encodes op numbers.
 	OpBandwidth
-	// OpCoordDown / OpCoordUp bracket a coordinator partition: the control
-	// plane goes silent while the data plane keeps serving. Live runs stop
-	// (SIGSTOP) and resume (SIGCONT) the coordinator process; the sim
-	// injector has no coordinator and skips both. 8 and 9 were the retired
-	// cloud-scale and join ops; a persisted schedule encodes op numbers.
-	OpCoordDown Op = iota + 3
-	OpCoordUp
-	// OpDistressOn / OpDistressOff bracket a worker-distress window: the
-	// targeted worker reports itself at Shedding (or requests a drain),
-	// exercising the proactive-migration path without killing anything.
-	OpDistressOn
-	OpDistressOff
 )
 
 // String names the op for logs.
@@ -58,14 +48,6 @@ func (o Op) String() string {
 		return "latency_off"
 	case OpBandwidth:
 		return "bandwidth"
-	case OpCoordDown:
-		return "coord_down"
-	case OpCoordUp:
-		return "coord_up"
-	case OpDistressOn:
-		return "distress_on"
-	case OpDistressOff:
-		return "distress_off"
 	default:
 		return "unknown"
 	}
@@ -164,16 +146,6 @@ func Compile(p *Profile, t Targets) (*Schedule, error) {
 						Event{At: start, Op: OpKill, Node: n.ID, D: spec.Detect.Duration},
 						Event{At: end, Op: OpRecover, Node: n.ID})
 				}
-			}
-		case KindCoordPartition:
-			s.Events = append(s.Events,
-				Event{At: start, Op: OpCoordDown},
-				Event{At: end, Op: OpCoordUp})
-		case KindDistress:
-			for _, n := range pickTargets(t.Supernodes, spec.TargetFrac, rng) {
-				s.Events = append(s.Events,
-					Event{At: start, Op: OpDistressOn, Node: n.ID},
-					Event{At: end, Op: OpDistressOff, Node: n.ID})
 			}
 		}
 	}

@@ -1,15 +1,15 @@
 // Package fault is the deterministic fault-injection subsystem: it compiles
 // declarative *fault profiles* — supernode crash/recover processes, Gilbert–
-// Elliott loss bursts, latency spikes, bandwidth collapse, regional
-// partitions, coordinator partitions and worker distress — into a fully
-// materialized event schedule. The same Schedule drives two interpreters:
+// Elliott loss bursts, latency spikes, bandwidth collapse and regional
+// partitions — into a fully materialized event schedule. One interpreter
+// applies it, driven from two clocks:
 //
 //   - Injector replays it on the internal/sim engine against a real
 //     core.Fog, exercising the paper's Register/Deregister/failover paths
 //     (§III-A3: backups exist precisely because supernodes churn).
 //   - RunWall replays it in wall-clock time against the internal/live
 //     runtime (kill/restart supernode processes, impair live links), so
-//     simulated and testbed chaos share one schedule format.
+//     simulated and testbed chaos share one schedule and one set of rules.
 //
 // Determinism contract: every random draw happens at Compile time from a
 // single seed-keyed stream (one Fork per spec, in spec order), so the same
@@ -81,15 +81,6 @@ const (
 	// KindPartition kills every supernode inside Region at Start and
 	// recovers them at End — a regional outage.
 	KindPartition Kind = "partition"
-	// KindCoordPartition makes the coordinator unreachable over [Start,
-	// End): workers must enter safe mode on control-plane silence and the
-	// coordinator must reconcile — not mass-bury — on recovery. Live runs
-	// SIGSTOP/SIGCONT the coordinator process; the sim injector skips it.
-	KindCoordPartition Kind = "coord_partition"
-	// KindDistress puts targeted workers into self-reported overload
-	// distress over [Start, End), driving the coordinator's proactive
-	// drain without killing anything.
-	KindDistress Kind = "distress"
 )
 
 // Rect is an axis-aligned region in world kilometers, for partitions.
@@ -125,9 +116,8 @@ type Spec struct {
 	MTTR   Duration `json:"mttr,omitempty"`
 	Period Duration `json:"period,omitempty"`
 	Detect Duration `json:"detect,omitempty"`
-	// TargetFrac is the fraction of supernodes subject to a crash or
-	// distress spec, chosen deterministically from the spec's stream. Zero
-	// means all.
+	// TargetFrac is the fraction of supernodes subject to a crash spec,
+	// chosen deterministically from the spec's stream. Zero means all.
 	TargetFrac float64 `json:"target_frac,omitempty"`
 
 	// Loss / latency: exponential sojourn means of the alternating
@@ -213,9 +203,6 @@ func (s *Spec) validate() error {
 		if s.Region == nil || s.Region.X1 <= s.Region.X0 || s.Region.Y1 <= s.Region.Y0 {
 			return fmt.Errorf("partition needs a non-degenerate region")
 		}
-	case KindCoordPartition, KindDistress:
-		// Window-only kinds: Start/End (already range-checked above) are the
-		// whole spec.
 	default:
 		return fmt.Errorf("unknown kind %q", s.Kind)
 	}

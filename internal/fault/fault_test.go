@@ -170,6 +170,8 @@ func TestProfileValidation(t *testing.T) {
 		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: KindPartition}}},
 		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: "storm"}}},
 		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: "cloud", Factor: 0.5}}},
+		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: "coord_partition"}}},
+		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: "distress", TargetFrac: 0.5}}},
 		{Duration: Dur(time.Hour), Specs: []Spec{{Kind: KindBandwidth, Factor: 0.5, TargetFrac: 0.3}}},
 	}
 	for i := range bad {
@@ -272,14 +274,14 @@ func orphanBalance(t *testing.T, mode health.Mode) {
 	for _, sn := range f.Supernodes() {
 		specs[sn.ID] = snSpec{pos: sn.Pos, capacity: sn.Capacity, uplink: sn.Uplink}
 	}
-	inj := NewInjector(sched, engine, f, func(id int64) *core.Supernode {
+	var mon *health.Monitor
+	if mode != health.ModeOracle {
+		mon = health.NewMonitor(engine, health.DetectorConfig{Mode: mode}, nil, nil)
+	}
+	inj := StartInjector(sched, engine, f, func(id int64) *core.Supernode {
 		s := specs[id]
 		return core.NewSupernode(id, s.pos, s.capacity, s.uplink)
-	}, sim.NewRand(42), stats)
-	if mode != health.ModeOracle {
-		inj.SetMonitor(health.NewMonitor(engine, health.DetectorConfig{Mode: mode}, nil, nil))
-	}
-	inj.Start()
+	}, sim.NewRand(42), stats, mon)
 	engine.RunUntil(time.Hour)
 	inj.Finish()
 
@@ -316,16 +318,15 @@ func orphanBalance(t *testing.T, mode health.Mode) {
 }
 
 // TestInjectorNilSchedule: a fault-free run is an injector with no schedule.
-// Start still tracks the fleet and starts the monitor — heartbeats flow and
-// nothing is suspected — and Finish folds a ledger of zeros.
+// StartInjector still tracks the fleet and starts the monitor — heartbeats
+// flow and nothing is suspected — and Finish folds a ledger of zeros.
 func TestInjectorNilSchedule(t *testing.T) {
 	f, _, _ := buildFaultFog(t, 6, 30, nil)
 	engine := sim.New()
 	reg := obs.NewRegistry()
 	stats, hs := obs.FaultStatsIn(reg), obs.HealthStatsIn(reg)
-	inj := NewInjector(nil, engine, f, nil, sim.NewRand(1), stats)
-	inj.SetMonitor(health.NewMonitor(engine, health.DetectorConfig{Mode: health.ModePhi}, nil, hs))
-	inj.Start()
+	inj := StartInjector(nil, engine, f, nil, sim.NewRand(1), stats,
+		health.NewMonitor(engine, health.DetectorConfig{Mode: health.ModePhi}, nil, hs))
 	engine.RunUntil(time.Minute)
 	inj.Finish()
 	if sent := hs.HeartbeatsSent.Load(); sent < 6*30 {
@@ -369,11 +370,10 @@ func TestInjectorDeterministic(t *testing.T) {
 		for _, sn := range f.Supernodes() {
 			specs[sn.ID] = snSpec{pos: sn.Pos, capacity: sn.Capacity, uplink: sn.Uplink}
 		}
-		inj := NewInjector(sched, engine, f, func(id int64) *core.Supernode {
+		inj := StartInjector(sched, engine, f, func(id int64) *core.Supernode {
 			s := specs[id]
 			return core.NewSupernode(id, s.pos, s.capacity, s.uplink)
-		}, sim.NewRand(11), nil)
-		inj.Start()
+		}, sim.NewRand(11), nil, nil)
 		engine.RunUntil(30 * time.Minute)
 		inj.Finish()
 		return inj.Killed(), inj.Orphaned(), inj.Recovered(), len(f.Supernodes())
@@ -406,7 +406,7 @@ func TestRunWallReplaysSchedule(t *testing.T) {
 	stats := obs.FaultStatsIn(obs.NewRegistry())
 	err = RunWall(context.Background(), sched, WallHooks{
 		Kill:    func(id int64) { kills = append(kills, id) },
-		Recover: func(id int64) { recovers = append(recovers, id) },
+		Recover: func(id int64) bool { recovers = append(recovers, id); return true },
 	}, stats)
 	if err != nil {
 		t.Fatal(err)
@@ -429,14 +429,18 @@ func TestRunWallReplaysSchedule(t *testing.T) {
 }
 
 // TestRunWallMatchesInjector: a period-mode crash whose downtime outlasts its
-// period aims kills at a node that is still down. Both interpreters skip
-// those, so replaying one compiled schedule through the sim injector and
-// through RunWall applies the same kills and recoveries.
+// period aims kills at a node that is still down, beside loss, latency and
+// bandwidth windows. Replaying the one compiled schedule through the sim
+// injector and through RunWall applies the same kills and recoveries and
+// counts the same link windows, the bandwidth window included.
 func TestRunWallMatchesInjector(t *testing.T) {
 	ms := time.Millisecond
 	f, _, tg := buildFaultFog(t, 1, 10, nil)
 	p := &Profile{Seed: 3, Duration: Dur(100 * ms), Specs: []Spec{
 		{Kind: KindCrash, Period: Dur(10 * ms), MTTR: Dur(35 * ms)},
+		{Kind: KindLoss, MeanGood: Dur(15 * ms), MeanBad: Dur(5 * ms), LossFrac: 0.2},
+		{Kind: KindLatency, MeanGood: Dur(20 * ms), MeanBad: Dur(5 * ms), Extra: Dur(ms)},
+		{Kind: KindBandwidth, Start: Dur(20 * ms), End: Dur(60 * ms), Factor: 0.5},
 	}}
 	sched, err := Compile(p, tg)
 	if err != nil {
@@ -444,10 +448,10 @@ func TestRunWallMatchesInjector(t *testing.T) {
 	}
 	sn := f.Supernodes()[0]
 	engine := sim.New()
-	inj := NewInjector(sched, engine, f, func(id int64) *core.Supernode {
+	simStats := obs.FaultStatsIn(obs.NewRegistry())
+	inj := StartInjector(sched, engine, f, func(id int64) *core.Supernode {
 		return core.NewSupernode(id, sn.Pos, sn.Capacity, sn.Uplink)
-	}, sim.NewRand(1), nil)
-	inj.Start()
+	}, sim.NewRand(1), simStats, nil)
 	engine.RunUntil(p.Duration.Duration)
 	inj.Finish()
 
@@ -455,7 +459,8 @@ func TestRunWallMatchesInjector(t *testing.T) {
 	var kills, recovers int64
 	err = RunWall(context.Background(), sched, WallHooks{
 		Kill:    func(int64) { kills++ },
-		Recover: func(int64) { recovers++ },
+		Recover: func(int64) bool { recovers++; return true },
+		Link:    func(time.Duration, float64) {},
 	}, stats)
 	if err != nil {
 		t.Fatal(err)
@@ -463,10 +468,17 @@ func TestRunWallMatchesInjector(t *testing.T) {
 	if inj.Killed() == 0 || inj.Killed() == int64(len(sched.Events)/2) {
 		t.Fatalf("injector applied %d kills: the schedule does not overlap its crashes", inj.Killed())
 	}
+	if len(sched.lossW) == 0 || len(sched.latW) == 0 {
+		t.Fatalf("%d loss and %d latency windows: the profile opens none of a kind", len(sched.lossW), len(sched.latW))
+	}
 	if kills != inj.Killed() || stats.Kills.Load() != inj.Killed() ||
 		recovers != inj.Recovered() || stats.Recoveries.Load() != inj.Recovered() {
 		t.Fatalf("RunWall: %d kill hooks (%d counted), %d recover hooks (%d counted); injector: %d kills, %d recoveries",
 			kills, stats.Kills.Load(), recovers, stats.Recoveries.Load(), inj.Killed(), inj.Recovered())
+	}
+	want := int64(len(sched.lossW) + len(sched.latW) + 1) // and the one bandwidth window
+	if simStats.LinkWindows.Load() != want || stats.LinkWindows.Load() != want {
+		t.Fatalf("link windows: injector %d, RunWall %d; the schedule opens %d", simStats.LinkWindows.Load(), stats.LinkWindows.Load(), want)
 	}
 }
 
@@ -522,8 +534,7 @@ func TestInjectorCountsBandwidthWindows(t *testing.T) {
 	}
 	engine := sim.New()
 	stats := obs.FaultStatsIn(obs.NewRegistry())
-	inj := NewInjector(sched, engine, f, nil, sim.NewRand(1), stats)
-	inj.Start()
+	inj := StartInjector(sched, engine, f, nil, sim.NewRand(1), stats, nil)
 	engine.RunUntil(time.Hour)
 	inj.Finish()
 	if want := int64(2 + len(sched.latW)); stats.LinkWindows.Load() != want {
@@ -531,15 +542,20 @@ func TestInjectorCountsBandwidthWindows(t *testing.T) {
 	}
 }
 
-// TestOpNumbers pins the numbers a persisted schedule encodes: the
-// retired cloud-scale and join ops (8, 9) stay unused.
+// TestOpNumbers pins the numbers a persisted schedule encodes: 1–7 are the
+// live ops, and 8–13 (cloud scale, join, coordinator partition, worker
+// distress) are retired and name no op.
 func TestOpNumbers(t *testing.T) {
 	for op, want := range map[Op]int{
-		OpKill: 1, OpRecover: 2, OpLinkBad: 3, OpLinkGood: 4, OpLatencyOn: 5, OpLatencyOff: 6,
-		OpBandwidth: 7, OpCoordDown: 10, OpCoordUp: 11, OpDistressOn: 12, OpDistressOff: 13,
+		OpKill: 1, OpRecover: 2, OpLinkBad: 3, OpLinkGood: 4, OpLatencyOn: 5, OpLatencyOff: 6, OpBandwidth: 7,
 	} {
 		if int(op) != want {
 			t.Errorf("%s = %d, want %d", op, op, want)
+		}
+	}
+	for op := Op(8); op <= 13; op++ {
+		if op.String() != "unknown" {
+			t.Errorf("retired op %d is %q", op, op)
 		}
 	}
 }
@@ -562,7 +578,7 @@ func TestRunWallImpairsRecoveredNode(t *testing.T) {
 	var got []string
 	err := RunWall(context.Background(), sched, WallHooks{
 		Kill:    func(int64) { got = append(got, "kill") },
-		Recover: func(int64) { got = append(got, "recover") },
+		Recover: func(int64) bool { got = append(got, "recover"); return true },
 		Link:    func(extra time.Duration, _ float64) { got = append(got, "link "+extra.String()) },
 	}, obs.FaultStatsIn(obs.NewRegistry()))
 	if err != nil {

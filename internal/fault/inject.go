@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"sort"
 	"time"
 
 	"cloudfog/internal/core"
@@ -8,6 +9,100 @@ import (
 	"cloudfog/internal/obs"
 	"cloudfog/internal/sim"
 )
+
+// target is what a driver's kill and recovery do — fail and re-register a
+// supernode on a core.Fog, or kill and respawn a live process. Each reports
+// whether it took effect.
+type target interface {
+	kill(ev Event) bool
+	recover(id int64) bool
+}
+
+// replay is the one interpreter of a compiled schedule. The Injector calls
+// apply from its engine, RunWall from its timer loop; the rules below hold on
+// both clocks, and only what a kill and a recovery do belongs to the driver.
+type replay struct {
+	sched *Schedule
+	stats *obs.FaultStats // MTTR lands here as it is observed; may be nil
+	// link pushes the impairment in force onto the driver's streams; nil
+	// when the driver reads the windows off the schedule by time, as the
+	// QoE simulation does.
+	link func(extra time.Duration, lossFrac float64)
+
+	downSince map[int64]time.Duration
+	killed    int64
+	recovered int64
+	windows   int64
+}
+
+func newReplay(sched *Schedule, stats *obs.FaultStats) replay {
+	return replay{sched: sched, stats: stats, downSince: make(map[int64]time.Duration)}
+}
+
+// due is the horizon cut: the events at or before the profile's horizon.
+// Recoveries past it are compiled, and never applied.
+func (r *replay) due() []Event {
+	h := r.sched.Profile.Duration.Duration
+	return r.sched.Events[:sort.Search(len(r.sched.Events), func(i int) bool { return r.sched.Events[i].At > h })]
+}
+
+// apply interprets one event at now on the driver's clock. A kill aimed at a
+// node that is already down is skipped, and so is a recovery of a node that
+// is not down; a recovery that does not take effect leaves the node down.
+// Every impairment window the schedule opens counts, bandwidth included,
+// whether or not the driver has a link to push it onto.
+func (r *replay) apply(t target, now time.Duration, ev Event) {
+	switch ev.Op {
+	case OpKill:
+		if _, down := r.downSince[ev.Node]; down || !t.kill(ev) {
+			return
+		}
+		r.downSince[ev.Node] = now
+		r.killed++
+	case OpRecover:
+		downAt, down := r.downSince[ev.Node]
+		if !down || !t.recover(ev.Node) {
+			return
+		}
+		delete(r.downSince, ev.Node)
+		r.recovered++
+		if r.stats != nil {
+			r.stats.MTTRNs.Observe(int64(now - downAt))
+		}
+		// A fresh instance has an unimpaired link, while the simulator impairs
+		// every segment by time: re-apply a window it recovers into.
+		if r.sched.ExtraLatency(ev.At) != 0 || r.sched.LossFrac(ev.At) != 0 {
+			r.impair(ev.At)
+		}
+	case OpLinkBad, OpLatencyOn:
+		r.windows++
+		r.impair(ev.At)
+	case OpLinkGood, OpLatencyOff:
+		r.impair(ev.At)
+	case OpBandwidth:
+		// No live rate cap applies a bandwidth window yet; the QoE
+		// simulation reads it off the schedule.
+		if ev.F != 1 {
+			r.windows++
+		}
+	}
+}
+
+// impair pushes the state in force at the event time: window starts are
+// inclusive and ends exclusive, so the post-edge state falls out of the same
+// pure lookups the simulator uses.
+func (r *replay) impair(at time.Duration) {
+	if r.link != nil {
+		r.link(r.sched.ExtraLatency(at), r.sched.LossFrac(at))
+	}
+}
+
+// fold adds the kill, recovery and link-window tallies into the stats.
+func (r *replay) fold() {
+	r.stats.Kills.Add(r.killed)
+	r.stats.Recoveries.Add(r.recovered)
+	r.stats.LinkWindows.Add(r.windows)
+}
 
 // Injector replays a compiled schedule on a sim engine against a real Fog:
 // kills run core.FailSupernode, each orphan's repair is delayed by a uniform
@@ -17,7 +112,7 @@ import (
 // folded into the optional obs bundle once by Finish, so instrumentation
 // never changes the run.
 type Injector struct {
-	sched  *Schedule
+	replay
 	engine *sim.Engine
 	fog    *core.Fog
 	// respawn builds a fresh supernode instance for a recovery. The fault
@@ -25,17 +120,12 @@ type Injector struct {
 	// logic treats a re-registered contributor as a new machine.
 	respawn func(id int64) *core.Supernode
 	rng     *sim.Rand
-	stats   *obs.FaultStats
 
-	downSince map[int64]time.Duration
-	killed    int64
-	recovered int64
 	orphaned  int64
 	repaired  int64
 	cloudHops int64 // repairs that left the fog for cloud or edge
 	lapsed    int64
 	repairs   int64 // scheduled orphan repairs not yet fired
-	windows   int64
 
 	// mon, when non-nil, replaces the oracle detection-delay draw: orphans
 	// wait in pendingDetect until the heartbeat monitor actually notices
@@ -55,83 +145,40 @@ type pendingRepair struct {
 	killAt time.Duration
 }
 
-// NewInjector binds a schedule to an engine and fog. A nil schedule is a
-// fault-free run: nothing is injected, and a monitor still runs. respawn
-// mints the fresh instance a recovery registers and must be non-nil when the
-// schedule has recoveries; rng seeds the detection-delay draws; stats may be
-// nil.
-func NewInjector(sched *Schedule, engine *sim.Engine, fog *core.Fog, respawn func(id int64) *core.Supernode, rng *sim.Rand, stats *obs.FaultStats) *Injector {
-	return &Injector{
-		sched:     sched,
-		engine:    engine,
-		fog:       fog,
-		respawn:   respawn,
-		rng:       rng,
-		stats:     stats,
-		downSince: make(map[int64]time.Duration),
-	}
-}
-
-// SetMonitor replaces the oracle detection-delay draw with a heartbeat
-// monitor: orphans of a killed supernode are repaired when the monitor
-// detects the silence, not after a drawn delay. Call before Start.
-func (in *Injector) SetMonitor(mon *health.Monitor) {
-	in.mon = mon
-	in.pendingDetect = make(map[int64][]pendingRepair)
-	mon.OnDetect(in.onDetect)
-}
-
-// Start schedules every compiled event on the engine and, in monitor mode,
-// starts heartbeat tracking for every currently-registered supernode. Call
-// once, before running the engine.
-func (in *Injector) Start() {
-	if in.mon != nil {
-		for _, sn := range in.fog.Supernodes() {
-			in.mon.Track(sn.ID)
+// StartInjector binds a schedule to an engine and fog and schedules every
+// event up to the horizon; call it once, before running the engine. A nil
+// schedule is a fault-free run. respawn mints the fresh instance a recovery
+// registers and must be non-nil when the schedule has recoveries; rng seeds
+// the oracle's detection-delay draws; stats may be nil. A non-nil mon
+// replaces the oracle: it tracks every registered supernode from now on, and
+// orphans of a killed one are repaired when it detects the silence.
+func StartInjector(sched *Schedule, engine *sim.Engine, fog *core.Fog, respawn func(id int64) *core.Supernode, rng *sim.Rand, stats *obs.FaultStats, mon *health.Monitor) *Injector {
+	in := &Injector{replay: newReplay(sched, stats), engine: engine, fog: fog, respawn: respawn, rng: rng, mon: mon}
+	if mon != nil {
+		in.pendingDetect = make(map[int64][]pendingRepair)
+		mon.OnDetect(in.onDetect)
+		for _, sn := range fog.Supernodes() {
+			mon.Track(sn.ID)
 		}
-		in.mon.Start()
+		mon.Start()
 	}
-	if in.sched == nil {
-		return
-	}
-	for i := range in.sched.Events {
-		ev := in.sched.Events[i]
-		in.engine.ScheduleAt(ev.At, func() { in.apply(ev) })
-	}
-}
-
-// apply interprets one event. Impairment edges are only counted: qoe reads
-// the windows themselves through the schedule's lookups.
-func (in *Injector) apply(ev Event) {
-	switch ev.Op {
-	case OpKill:
-		in.kill(ev)
-	case OpRecover:
-		in.recover(ev.Node)
-	case OpLinkBad, OpLatencyOn:
-		in.windows++
-	case OpBandwidth:
-		if ev.F != 1 {
-			in.windows++
+	if sched != nil {
+		for _, ev := range in.due() {
+			engine.ScheduleAt(ev.At, func() { in.apply(in, engine.Now(), ev) })
 		}
 	}
+	return in
 }
 
 // kill fails the supernode and schedules each orphan's repair after its
-// detection delay. A kill targeting an already-down supernode is skipped;
-// its paired recovery self-skips too because downSince is keyed by the kill
-// that actually happened.
-func (in *Injector) kill(ev Event) {
+// detection delay. A supernode the fog does not hold is not killed.
+func (in *Injector) kill(ev Event) bool {
 	if _, up := in.fog.Supernode(ev.Node); !up {
-		return
+		return false
 	}
 	killAt := in.engine.Now()
 	orphans := in.fog.FailSupernode(ev.Node)
-	in.killed++
 	in.orphaned += int64(len(orphans))
-	if _, down := in.downSince[ev.Node]; !down {
-		in.downSince[ev.Node] = killAt
-	}
 	for _, p := range orphans {
 		if ev.D <= 0 {
 			// Graceful leave: the cloud knows immediately, repair is
@@ -152,7 +199,6 @@ func (in *Injector) kill(ev Event) {
 		in.oracleDelaySum += delay
 		in.oracleDelays++
 		in.repairs++
-		p := p
 		in.engine.Schedule(delay, func() {
 			in.repairs--
 			in.repair(p, killAt)
@@ -161,6 +207,7 @@ func (in *Injector) kill(ev Event) {
 	if in.mon != nil {
 		in.mon.Kill(ev.Node)
 	}
+	return true
 }
 
 // onDetect fires when the heartbeat monitor detects a node's failure: every
@@ -191,26 +238,16 @@ func (in *Injector) repair(p *core.Player, killAt time.Duration) {
 	}
 }
 
-func (in *Injector) recover(id int64) {
-	downAt, ok := in.downSince[id]
-	if !ok {
-		return
-	}
-	delete(in.downSince, id)
+// recover registers a fresh instance of the supernode.
+func (in *Injector) recover(id int64) bool {
 	sn := in.respawn(id)
-	if sn == nil {
-		return
-	}
-	if err := in.fog.RegisterSupernode(sn); err != nil {
-		return
+	if sn == nil || in.fog.RegisterSupernode(sn) != nil {
+		return false
 	}
 	if in.mon != nil {
 		in.mon.Recover(id)
 	}
-	in.recovered++
-	if in.stats != nil {
-		in.stats.MTTRNs.Observe(int64(in.engine.Now() - downAt))
-	}
+	return true
 }
 
 // Finish closes the orphan ledger; call it exactly once, after the engine
@@ -229,12 +266,10 @@ func (in *Injector) Finish() {
 	if in.stats == nil {
 		return
 	}
-	in.stats.Kills.Add(in.killed)
-	in.stats.Recoveries.Add(in.recovered)
+	in.fold()
 	in.stats.Orphaned.Add(in.orphaned)
 	in.stats.Lapsed.Add(in.lapsed)
 	in.stats.PendingEnd.Add(in.repairs)
-	in.stats.LinkWindows.Add(in.windows)
 }
 
 // Killed returns how many kills were applied so far.

@@ -134,8 +134,7 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 	}
 	// The oracle's delay stream is split off below every epoch's (those are
 	// keyed 0, 1, …).
-	r.inj = fault.NewInjector(sched, r.engine, fog, respawn,
-		sim.NewRand(sim.SplitSeed(cfg.Seed, -1)), nil)
+	var mon *health.Monitor
 	if cfg.Detector != health.ModeOracle {
 		var loss func(time.Duration) float64
 		if sched != nil {
@@ -143,9 +142,10 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 		}
 		dc := cfg.DetectorConfig
 		dc.Mode = cfg.Detector
-		r.inj.SetMonitor(health.NewMonitor(r.engine, dc, loss, nil))
+		mon = health.NewMonitor(r.engine, dc, loss, nil)
 	}
-	r.inj.Start()
+	r.inj = fault.StartInjector(sched, r.engine, fog, respawn,
+		sim.NewRand(sim.SplitSeed(cfg.Seed, -1)), nil, mon)
 	return r
 }
 
