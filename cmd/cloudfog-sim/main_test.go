@@ -127,6 +127,29 @@ func TestScaleRefusesRecord(t *testing.T) {
 	}
 }
 
+// TestRejectsNegativeSettings: a negative worker count, horizon or epoch is
+// refused by name instead of run as the default.
+func TestRejectsNegativeSettings(t *testing.T) {
+	small := func(name, value string) map[string]string {
+		return map[string]string{"players": "200", "supernodes": "10", "figures": "fig10a", name: value}
+	}
+	for _, c := range []struct {
+		flags map[string]string
+		want  string
+	}{
+		{small("shards", "-3"), "Shards"},
+		{small("sweep-workers", "-2"), "SweepWorkers"},
+		{small("horizon", "-1s"), "negative horizon"},
+		{scaleSmoke(map[string]string{"epoch": "-1s"}), "negative scale epoch"},
+	} {
+		t.Run(c.want, func(t *testing.T) { // a subtest puts the flags back after each row
+			if _, err := runSim(t, c.flags); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%v: err = %v, want one naming %q", c.flags, err, c.want)
+			}
+		})
+	}
+}
+
 // TestRejectsWorldWithoutSupernodes: a world needs a supernode to place,
 // and a count below one is refused by name instead of panicking in world
 // generation or the first figure.

@@ -92,6 +92,12 @@ func (c Config) Validate() error {
 	if c.Supernodes < 1 {
 		return fmt.Errorf("experiment: Supernodes %d < 1", c.Supernodes)
 	}
+	if c.Shards < 0 {
+		return fmt.Errorf("experiment: Shards %d < 0", c.Shards)
+	}
+	if c.SweepWorkers < 0 {
+		return fmt.Errorf("experiment: SweepWorkers %d < 0", c.SweepWorkers)
+	}
 	if err := c.Core.Validate(); err != nil {
 		return err
 	}

@@ -57,6 +57,38 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestQoEFiguresRefuseHorizonInsideWarmup: a QoE figure whose node runs end
+// inside the meters' 5 s warm-up records no packet, and an empty meter reads
+// as perfect continuity. Each such figure is refused, naming itself, its
+// horizon and the warm-up, before it simulates anything.
+func TestQoEFiguresRefuseHorizonInsideWarmup(t *testing.T) {
+	w := testWorld(t)
+	for _, c := range []struct {
+		fig     string
+		horizon time.Duration
+	}{
+		{"fig9a", 15 * time.Second}, // a point runs for a third of it: 5 s
+		{"fig10a", 5 * time.Second},
+		{"fig11a", 2 * time.Second},
+		{"figrecovery", 5 * time.Second},
+	} {
+		f, err := FigureByName(c.fig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.Run(w, RunOptions{Horizon: c.horizon})
+		if err == nil {
+			t.Errorf("%s at a %v horizon ran", c.fig, c.horizon)
+			continue
+		}
+		for _, want := range []string{c.fig, c.horizon.String() + " horizon", "5s warm-up"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s at a %v horizon: error %q does not name %q", c.fig, c.horizon, err, want)
+			}
+		}
+	}
+}
+
 // TestConfigRefusesAliasedNodeIDs: a supernode's ID is its population's
 // supernode base plus its player's, so the four ID ranges have to stay apart
 // at every population Validate lets through — a player and a supernode sharing

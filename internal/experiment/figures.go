@@ -9,6 +9,7 @@ import (
 	"cloudfog/internal/fault"
 	"cloudfog/internal/health"
 	"cloudfog/internal/metrics"
+	"cloudfog/internal/qoe"
 	"cloudfog/internal/shard"
 )
 
@@ -36,12 +37,14 @@ var (
 
 // RunOptions is the shared knob set every registered figure accepts. The
 // zero value means "paper defaults": a zero horizon, epoch or node budget is
-// filled per figure, so one options struct drives every figure of a run.
+// filled per figure, so one options struct drives every figure of a run. A
+// negative horizon or epoch is an error where it would be filled.
 type RunOptions struct {
 	// Horizon is the virtual-time horizon of the QoE figures (9a runs
 	// each point for Horizon/3: its sweep multiplies four systems by the
 	// player counts, and the paper's continuity curves flatten well
-	// before a full horizon). Default: 60s.
+	// before a full horizon). Default: 60s. A QoE figure refuses one its
+	// node runs would spend inside the meters' warm-up (see qoeHorizon).
 	Horizon time.Duration
 	// Faults, when non-nil, is the fault profile the resilience figures
 	// replay (figrecovery runs it verbatim; figchurn borrows its duration).
@@ -80,12 +83,21 @@ func (o RunOptions) healthOptions() (HealthOptions, error) {
 	return HealthOptions{Detector: mode, Overload: o.Overload}, nil
 }
 
-// filled returns a copy with every unset field at its paper default.
-func (o RunOptions) filled() RunOptions {
-	if o.Horizon <= 0 {
+// filled returns a copy with every unset field at its paper default. A
+// negative horizon or epoch is an error, not an unset field: it stays as it is
+// in the copy.
+func (o RunOptions) filled() (RunOptions, error) {
+	var err error
+	switch {
+	case o.Horizon < 0:
+		err = fmt.Errorf("experiment: negative horizon %v", o.Horizon)
+	case o.ScaleEpoch < 0:
+		err = fmt.Errorf("experiment: negative scale epoch %v", o.ScaleEpoch)
+	}
+	if o.Horizon == 0 {
 		o.Horizon = 60 * time.Second
 	}
-	if o.ScaleEpoch <= 0 {
+	if o.ScaleEpoch == 0 {
 		o.ScaleEpoch = 15 * time.Second
 	}
 	if o.ScaleNodeBudget == 0 {
@@ -93,7 +105,23 @@ func (o RunOptions) filled() RunOptions {
 	} else if o.ScaleNodeBudget < 0 {
 		o.ScaleNodeBudget = 0 // explicit "no cap"
 	}
-	return o
+	return o, err
+}
+
+// qoeHorizon is the virtual time figure fig simulates QoE for: the filled
+// horizon over div. One that ends inside the meters' warm-up is refused — its
+// runs would record no packet, and an empty meter reads as perfect continuity.
+func (o RunOptions) qoeHorizon(fig string, div time.Duration) (time.Duration, error) {
+	o, err := o.filled()
+	if err != nil {
+		return 0, err
+	}
+	h := o.Horizon / div
+	if warmup := qoe.DefaultOptions().Warmup; h <= warmup {
+		return 0, fmt.Errorf("experiment: %s meters QoE over %v of the %v horizon, inside the %v warm-up: it would record nothing",
+			fig, h, o.Horizon, warmup)
+	}
+	return h, nil
 }
 
 // trimMax returns the counts not exceeding limit, preserving order.
@@ -179,8 +207,11 @@ var figures = []Figure{
 		Title:  "Figure 9(a): average playback continuity vs concurrent players",
 		XLabel: "#players",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
-			o = o.filled()
-			s, err := ContinuityVsPlayers(w, trimMax(continuityCounts, w.Cfg.Players), o.Horizon/3)
+			h, err := o.qoeHorizon("fig9a", 3)
+			if err != nil {
+				return FigureResult{}, err
+			}
+			s, err := ContinuityVsPlayers(w, trimMax(continuityCounts, w.Cfg.Players), h)
 			return FigureResult{Series: s}, err
 		},
 	},
@@ -189,8 +220,11 @@ var figures = []Figure{
 		Title:  "Figure 10(a): satisfied players, with/without encoding rate adaptation",
 		XLabel: "players/SN",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
-			o = o.filled()
-			s, err := AdaptationEffect(w, loads, o.Horizon)
+			h, err := o.qoeHorizon("fig10a", 1)
+			if err != nil {
+				return FigureResult{}, err
+			}
+			s, err := AdaptationEffect(w, loads, h)
 			return FigureResult{Series: s}, err
 		},
 	},
@@ -199,8 +233,11 @@ var figures = []Figure{
 		Title:  "Figure 11(a): satisfied players, with/without deadline-driven scheduling",
 		XLabel: "players/SN",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
-			o = o.filled()
-			s, err := SchedulingEffect(w, loads, o.Horizon)
+			h, err := o.qoeHorizon("fig11a", 1)
+			if err != nil {
+				return FigureResult{}, err
+			}
+			s, err := SchedulingEffect(w, loads, h)
 			return FigureResult{Series: s}, err
 		},
 	},
@@ -209,7 +246,6 @@ var figures = []Figure{
 		Title:  "Resilience: service quality vs supernode churn rate",
 		XLabel: "kills/min",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
-			o = o.filled()
 			ho, err := o.healthOptions()
 			if err != nil {
 				return FigureResult{}, err
@@ -223,12 +259,15 @@ var figures = []Figure{
 		Title:  "Resilience: recovery timeline under the chaos profile",
 		XLabel: "t (s)",
 		Run: func(w *World, o RunOptions) (FigureResult, error) {
-			o = o.filled()
+			h, err := o.qoeHorizon("figrecovery", 1)
+			if err != nil {
+				return FigureResult{}, err
+			}
 			ho, err := o.healthOptions()
 			if err != nil {
 				return FigureResult{}, err
 			}
-			s, title, err := RecoveryTimeline(w, ResilienceProfile(w, o), o.Horizon, ho)
+			s, title, err := RecoveryTimeline(w, ResilienceProfile(w, o), h, ho)
 			return FigureResult{Title: title, Series: s}, err
 		},
 	},

@@ -35,7 +35,9 @@ func scaleChaosProfile(seed int64, duration time.Duration) *fault.Profile {
 // this world and options — exported so the flight recorder can compile and
 // fingerprint the same injected-event log the run will interpret.
 func ScaleProfile(w *World, o RunOptions) *fault.Profile {
-	o = o.filled()
+	// A negative horizon stays in the profile, and Compile refuses it; ScaleRun
+	// refuses what filled does.
+	o, _ = o.filled()
 	return scaleChaosProfile(w.Cfg.Seed+700, o.Horizon)
 }
 
@@ -50,7 +52,10 @@ func ScaleProfile(w *World, o RunOptions) *fault.Profile {
 // shard.Result are byte-identical at any worker count, including the serial
 // anchor Shards=1.
 func ScaleRun(w *World, o RunOptions) (shard.Result, FigureResult, error) {
-	o = o.filled()
+	o, err := o.filled()
+	if err != nil {
+		return shard.Result{}, FigureResult{}, err
+	}
 	ho, err := o.healthOptions()
 	if err != nil {
 		return shard.Result{}, FigureResult{}, err

@@ -307,6 +307,20 @@ func TestOverride(t *testing.T) {
 	if _, err := base.Override("bandwidth", "-2"); err == nil {
 		t.Fatal("negative bandwidth accepted")
 	}
+	// A value the run would replace with its default is refused by name, not
+	// diffed as if it had run.
+	for _, kv := range []string{"players=0", "players=-3", "supernodes=0", "datacenters=-1",
+		"horizon=0s", "horizon=-5s", "epoch=-1s"} {
+		name, _, _ := strings.Cut(kv, "=")
+		if _, err := base.Override(kv, ""); err == nil || !strings.Contains(err.Error(), name+"=") {
+			t.Errorf("%s: err = %v, want one naming %s", kv, err, name)
+		}
+	}
+	for _, kv := range []string{"epoch=0s", "nodebudget=-1", "players=1", "horizon=1ms"} {
+		if _, err := base.Override(kv, ""); err != nil {
+			t.Errorf("%s refused: %v", kv, err)
+		}
+	}
 }
 
 // TestWhatIfDetectorSwap is the counterfactual acceptance path: on a

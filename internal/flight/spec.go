@@ -167,14 +167,14 @@ func Knobs() []string {
 // knobs maps a what-if key to the function applying it to a spec.
 var knobs = map[string]func(s *RunSpec, value string) error{
 	"seed":        func(s *RunSpec, v string) error { return setInt64(&s.Seed, v) },
-	"players":     func(s *RunSpec, v string) error { return setInt(&s.Players, v) },
-	"supernodes":  func(s *RunSpec, v string) error { return setInt(&s.Supernodes, v) },
-	"datacenters": func(s *RunSpec, v string) error { return setInt(&s.Datacenters, v) },
+	"players":     func(s *RunSpec, v string) error { return setCount(&s.Players, "players", v) },
+	"supernodes":  func(s *RunSpec, v string) error { return setCount(&s.Supernodes, "supernodes", v) },
+	"datacenters": func(s *RunSpec, v string) error { return setCount(&s.Datacenters, "datacenters", v) },
 	"shards":      func(s *RunSpec, v string) error { return setInt(&s.Shards, v) },
 	"workers":     func(s *RunSpec, v string) error { return setInt(&s.SweepWorkers, v) },
 	"nodebudget":  func(s *RunSpec, v string) error { return setInt(&s.NodeBudget, v) },
-	"horizon":     func(s *RunSpec, v string) error { return setDur(&s.Horizon, v) },
-	"epoch":       func(s *RunSpec, v string) error { return setDur(&s.Epoch, v) },
+	"horizon":     func(s *RunSpec, v string) error { return setSpan(&s.Horizon, "horizon", v, false) },
+	"epoch":       func(s *RunSpec, v string) error { return setSpan(&s.Epoch, "epoch", v, true) },
 	"detector": func(s *RunSpec, v string) error {
 		if _, err := health.ParseMode(v); err != nil {
 			return err
@@ -221,6 +221,38 @@ func setInt(dst *int, v string) error {
 		return fmt.Errorf("flight: bad integer %q", v)
 	}
 	*dst = n
+	return nil
+}
+
+// setCount sets a knob that counts what the world is built from. A recorded
+// zero means the default, but a what-if below one is refused by name instead
+// of run as the default.
+func setCount(dst *int, name, v string) error {
+	var n int
+	if err := setInt(&n, v); err != nil {
+		return err
+	}
+	if n < 1 {
+		return fmt.Errorf("flight: %s=%d: must be at least 1", name, n)
+	}
+	*dst = n
+	return nil
+}
+
+// setSpan sets a duration knob, refusing by name a negative value, and zero
+// unless zeroOK (zero is the default epoch, but no horizon).
+func setSpan(dst *time.Duration, name, v string, zeroOK bool) error {
+	var d time.Duration
+	if err := setDur(&d, v); err != nil {
+		return err
+	}
+	if d < 0 {
+		return fmt.Errorf("flight: %s=%v: must not be negative", name, d)
+	}
+	if d == 0 && !zeroOK {
+		return fmt.Errorf("flight: %s=0: must be positive", name)
+	}
+	*dst = d
 	return nil
 }
 

@@ -65,7 +65,7 @@ func (d digest) results(res []PlayerResult) {
 
 func (d digest) lifecycle(srv *ServerSim) {
 	gen, del, drop, inflight := srv.Lifecycle()
-	d.ints(gen, del, drop, inflight, int64(srv.rng.Draws()))
+	d.ints(gen, del, drop, inflight, int64(srv.draws()))
 }
 
 func (d digest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
@@ -186,7 +186,7 @@ func TestRunNodeGolden(t *testing.T) {
 		res := srv.Results()
 		d.results(res)
 		d.lifecycle(srv)
-		draws += srv.rng.Draws()
+		draws += srv.draws()
 
 		direct, err := RunNode(c.opts, c.uplink, c.players, c.horizon)
 		if err != nil {

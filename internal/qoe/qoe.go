@@ -13,6 +13,7 @@ package qoe
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -177,7 +178,11 @@ type ServerSim struct {
 	sessionBy map[int64]*session
 	sessArena []session // backing store for sessions; pool-recycled
 	rng       *sim.Rand
-	started   bool
+	// mults holds frame-size multipliers drawn ahead from rng, multBlock at a
+	// time; generate takes mults[multNext]. A run starts with it empty.
+	mults    []float64
+	multNext int
+	started  bool
 
 	now time.Duration
 	// stamp is the next scheduling stamp (nextStamp), so it also counts
@@ -257,13 +262,13 @@ type session struct {
 // NewServerSim builds a serving-node simulation with the given uplink
 // bandwidth (bits/second).
 func NewServerSim(opts Options, uplink int64) (*ServerSim, error) {
-	return newServerSimIn(opts, uplink, nil, nil)
+	return newServerSimIn(opts, uplink, nil, nil, nil)
 }
 
-// newServerSimIn is NewServerSim reusing a pooled sender buffer and generator
-// when they are supplied (Reset and Reseed make them indistinguishable from
-// fresh ones).
-func newServerSimIn(opts Options, uplink int64, buf *sched.Buffer, rng *sim.Rand) (*ServerSim, error) {
+// newServerSimIn is NewServerSim reusing a pooled sender buffer, generator
+// and multiplier block when they are supplied (Reset and Reseed make the first
+// two indistinguishable from fresh ones; the block starts empty).
+func newServerSimIn(opts Options, uplink int64, buf *sched.Buffer, rng *sim.Rand, mults []float64) (*ServerSim, error) {
 	if uplink <= 0 {
 		return nil, fmt.Errorf("qoe: non-positive uplink %d", uplink)
 	}
@@ -298,8 +303,37 @@ func newServerSimIn(opts Options, uplink int64, buf *sched.Buffer, rng *sim.Rand
 		opts:     opts,
 		buffer:   buf,
 		rng:      rng,
+		mults:    mults[:0],
 		interval: interval,
 	}, nil
+}
+
+// multBlock is how many frame-size multipliers one refill draws. Each is an
+// independent Exp of a normal draw, so a block's run overlaps them instead of
+// stalling every segment on its own; the values and their order are the ones
+// drawing per segment gives, because rng has no other consumer and every run
+// reseeds it (DESIGN.md §8).
+const multBlock = 128
+
+// sizeMult returns the next mean-one lognormal frame-size multiplier,
+// E[e^(N(-s²/2, s))] = 1, refilling the block when it is spent.
+func (s *ServerSim) sizeMult(sigma float64) float64 {
+	if s.multNext == len(s.mults) {
+		s.mults = slices.Grow(s.mults[:0], multBlock)[:multBlock]
+		for i := range s.mults {
+			s.mults[i] = s.rng.LogNormal(-sigma*sigma/2, sigma)
+		}
+		s.multNext = 0
+	}
+	m := s.mults[s.multNext]
+	s.multNext++
+	return m
+}
+
+// draws is the RNG draws the run consumed: the generator's count less the
+// block's unused tail.
+func (s *ServerSim) draws() uint64 {
+	return s.rng.Draws() - uint64(len(s.mults)-s.multNext)
 }
 
 // getSegment takes a segment from the per-run pool (or allocates the pool's
@@ -528,9 +562,7 @@ func (s *ServerSim) generate(ss *session) {
 	seg := s.getSegment()
 	ss.encoder.EncodeInto(seg, actionTime, now, ss.spec.Game)
 	if sigma := s.opts.SizeJitterSigma; sigma > 0 {
-		// Mean-one lognormal frame-size variation: E[e^(N(-s²/2, s))] = 1.
-		mult := s.rng.LogNormal(-sigma*sigma/2, sigma)
-		seg.Bytes = int(float64(seg.Bytes) * mult)
+		seg.Bytes = int(float64(seg.Bytes) * s.sizeMult(sigma))
 		if seg.Bytes < 1 {
 			seg.Bytes = 1
 		}
@@ -783,15 +815,17 @@ func RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Dur
 // Pool recycles the allocation-heavy state of back-to-back node runs: the
 // sender buffer with its Eq. 13 estimators, the session arena with each
 // session's in-flight list, the session index, the segment pool, the result
-// slice, and one generator re-seeded per run. A figure that simulates hundreds
-// of serving nodes per sweep point pays the setup allocations once instead of
-// per node — once per world, since the pools outlive the point (experiment.World
-// holds them). A Pool serves one goroutine; results are bit-identical to
-// RunNode — recycled sessions and segments are overwritten in full before use,
-// and a re-seeded generator is in the state a fresh one starts in.
+// slice, and one generator re-seeded per run with its multiplier block. A
+// figure that simulates hundreds of serving nodes per sweep point pays the
+// setup allocations once instead of per node — once per world, since the pools
+// outlive the point (experiment.World holds them). A Pool serves one
+// goroutine; results are bit-identical to RunNode — recycled sessions and
+// segments are overwritten in full before use, a re-seeded generator is in the
+// state a fresh one starts in, and the block starts empty.
 type Pool struct {
 	buf      *sched.Buffer
 	rng      *sim.Rand
+	mults    []float64
 	arena    []session
 	ptrs     []*session
 	index    map[int64]*session
@@ -802,7 +836,8 @@ type Pool struct {
 }
 
 // Draws returns the cumulative RNG draws every run on this pool consumed —
-// the flight recorder's per-shard data-plane witness.
+// the flight recorder's per-shard data-plane witness. A multiplier drawn
+// ahead and never used is not counted.
 func (p *Pool) Draws() uint64 { return p.draws }
 
 // NewPool returns an empty pool.
@@ -814,7 +849,7 @@ func NewPool() *Pool {
 // slice is valid until the next RunNode call on this pool; callers that
 // keep results across calls must copy them out.
 func (p *Pool) RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Duration) ([]PlayerResult, error) {
-	srv, err := newServerSimIn(opts, uplink, p.buf, p.rng)
+	srv, err := newServerSimIn(opts, uplink, p.buf, p.rng, p.mults)
 	if err != nil {
 		return nil, err
 	}
@@ -836,7 +871,8 @@ func (p *Pool) RunNode(opts Options, uplink int64, players []PlayerSpec, duratio
 	srv.Start()
 	srv.RunUntil(duration)
 	p.results = srv.AppendResults(p.results[:0])
-	p.draws += srv.rng.Draws()
+	p.draws += srv.draws()
+	p.mults = srv.mults
 	p.arena = srv.sessArena
 	p.ptrs = srv.sessions
 	p.segsAll = srv.segAll

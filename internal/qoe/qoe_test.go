@@ -441,7 +441,7 @@ func TestPoolMatchesRunNode(t *testing.T) {
 		fresh := startSim(t, opts, c.uplink, players)
 		fresh.RunUntil(8 * time.Second)
 		want := fresh.Results()
-		draws += fresh.rng.Draws()
+		draws += fresh.draws()
 		got, err := pool.RunNode(opts, c.uplink, players, 8*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -451,6 +451,78 @@ func TestPoolMatchesRunNode(t *testing.T) {
 		}
 		if pool.Draws() != draws {
 			t.Fatalf("case %d: pool counts %d draws, fresh generators made %d", i, pool.Draws(), draws)
+		}
+	}
+}
+
+// TestSizeJitterDrawsInOrder holds the block-ahead frame-size draw to drawing
+// per segment: a one-player node's generated sizes are its nominal size times
+// one LogNormal of a fresh generator per segment, in order, for runs that end
+// one short of a block, on it, one past it and three blocks in. Each runs
+// fresh and on a pool whose last run left its block part used, and the draws
+// counted are the segments generated — none at sigma 0.
+func TestSizeJitterDrawsInOrder(t *testing.T) {
+	g := mustGame(t, 4)
+	player := []PlayerSpec{{ID: 1, Game: g, Latency: 15 * time.Millisecond, InboundDelay: 20 * time.Millisecond}}
+	for _, sigma := range []float64{0.3, 0} {
+		for _, n := range []int{127, 128, 129, 389} {
+			opts := BasicOptions()
+			opts.SizeJitterSigma = sigma
+			opts.Seed = 500 + int64(n)
+			var sizes []int64
+			opts.Obs = obs.NodeStatsIn(obs.NewRegistry())
+			opts.Obs.Sink = func(ev obs.Event) {
+				if ev.Kind == obs.EventSegmentGenerated {
+					sizes = append(sizes, ev.A)
+				}
+			}
+			// Generations fire at 0, 1, ..., n-1 frames.
+			horizon := time.Duration(n-1) * opts.Stream.SegmentDuration
+
+			ref := sim.NewRand(opts.Seed)
+			nominal := opts.Stream.SegmentBytes(g.Quality().Bitrate)
+			want := make([]int64, n)
+			for i := range want {
+				bytes := nominal
+				if sigma > 0 {
+					bytes = max(int(float64(nominal)*ref.LogNormal(-sigma*sigma/2, sigma)), 1)
+				}
+				want[i] = int64(bytes)
+			}
+			wantDraws := uint64(0)
+			if sigma > 0 {
+				wantDraws = uint64(n)
+			}
+
+			srv := startSim(t, opts, 25_000_000, player)
+			srv.RunUntil(horizon)
+			if !reflect.DeepEqual(sizes, want) {
+				t.Fatalf("sigma %g, %d segments, fresh: sizes differ from one draw per segment", sigma, n)
+			}
+			if srv.draws() != wantDraws {
+				t.Fatalf("sigma %g, %d segments, fresh: %d draws counted, want %d", sigma, n, srv.draws(), wantDraws)
+			}
+
+			pool := NewPool()
+			warm := BasicOptions()
+			warm.Seed = 9
+			if _, err := pool.RunNode(warm, 25_000_000, player, 49*opts.Stream.SegmentDuration); err != nil {
+				t.Fatal(err)
+			}
+			before := pool.Draws()
+			if before != 50 {
+				t.Fatalf("the warm-up run consumed %d draws, want 50", before)
+			}
+			sizes = sizes[:0]
+			if _, err := pool.RunNode(opts, 25_000_000, player, horizon); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sizes, want) {
+				t.Fatalf("sigma %g, %d segments, pooled: sizes differ from one draw per segment", sigma, n)
+			}
+			if got := pool.Draws() - before; got != wantDraws {
+				t.Fatalf("sigma %g, %d segments, pooled: %d draws counted, want %d", sigma, n, got, wantDraws)
+			}
 		}
 	}
 }

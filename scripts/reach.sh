@@ -43,10 +43,12 @@ quiet() { "$@" >>"$run/stdout.log" 2>>"$run/stderr.log"; }
 # --- The simulator: every figure, the chaos and detect smokes, the sharded
 # scale run, a recording. ---
 step "cloudfog-sim"
-quiet "$bin/cloudfog-sim" -figures all -players 2000 -supernodes 150 -horizon 9s -save-trace "$run/trace.json"
-quiet "$bin/cloudfog-sim" -figures fig9a -players 800 -supernodes 50 -shards 4 -horizon 6s
+# A QoE figure's horizon must end past the meters' 5 s warm-up (fig9a's
+# points run a third of it), or the figure refuses to run.
+quiet "$bin/cloudfog-sim" -figures all -players 2000 -supernodes 150 -horizon 18s -save-trace "$run/trace.json"
+quiet "$bin/cloudfog-sim" -figures fig9a -players 800 -supernodes 50 -shards 4 -horizon 18s
 quiet "$bin/cloudfog-sim" -figures figchurn,figrecovery -faults examples/chaos/profile.json \
-	-players 1500 -supernodes 100 -horizon 5s -report "$run/chaos_report.json"
+	-players 1500 -supernodes 100 -horizon 10s -report "$run/chaos_report.json"
 quiet "$bin/cloudfog-sim" -figures figdetect -players 1500 -supernodes 100 \
 	-report "$run/detect_report.json"
 quiet "$bin/cloudfog-sim" -scale -players 1500 -supernodes 100 -shards 4 \
