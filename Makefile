@@ -132,10 +132,9 @@ latency:
 # Supernodes() against a plain slice after every operation of the random-ops,
 # storm and fleet-wide-failure tests; the member lists' swap-remove cases and
 # what a warm join allocates; the one limit a probe is held to; the scaling run's
-# golden, its bytes-allocated-per-player ceiling and the friend graph built
-# late or on a clone; the grid's sorted k-best against brute force, its
-# tie-break on ID, accept asked about entrants only, the reused buffer, and the
-# retune contracts; the latency model's resolved-endpoint and Within properties
+# golden and its bytes-allocated-per-player ceiling; the grid's sorted k-best
+# against brute force, its tie-break on ID, accept asked about entrants only,
+# the reused buffer, and the retune contracts; the latency model's resolved-endpoint and Within properties
 # and its OneWay golden; the population golden; the two-pass node sample
 # against its one-pass reference, the kill read-ahead and the runner's clock;
 # the event engine — the one this run's heartbeats and ticks are
@@ -154,7 +153,7 @@ latency:
 SCALE_SMOKE = -scale -players 200000 -supernodes 12500 -detector phi -overload -horizon 20s -epoch 10s
 scale:
 	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Supernodes|Relief|Reindex|[Pp]robe|Membership|WarmJoin' ./internal/core/
-	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|FriendGraph|AliasedNodeIDs' ./internal/experiment/
+	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|AliasedNodeIDs' ./internal/experiment/
 	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/sim/ ./internal/health/ ./internal/baseline/
 	mkdir -p .bench_build
 	for s in 1 8; do \

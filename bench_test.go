@@ -23,7 +23,6 @@ import (
 	"cloudfog/internal/sim"
 	"cloudfog/internal/testbed"
 	"cloudfog/internal/trace"
-	"cloudfog/internal/workload"
 	"cloudfog/internal/world"
 )
 
@@ -48,26 +47,6 @@ func simWorld(b *testing.B) *experiment.World {
 		benchW = w
 	})
 	return benchW
-}
-
-// paperWorld is the full paper-scale world — 10,000 players, 600
-// supernodes — for the assignment-path benchmarks whose acceptance bar is
-// set at that scale.
-var (
-	paperOnce sync.Once
-	paperW    *experiment.World
-)
-
-func paperWorld(b *testing.B) *experiment.World {
-	b.Helper()
-	paperOnce.Do(func() {
-		w, err := experiment.NewWorld(experiment.Default(2027))
-		if err != nil {
-			panic(err)
-		}
-		paperW = w
-	})
-	return paperW
 }
 
 func benchReqs() []time.Duration {
@@ -562,34 +541,6 @@ func BenchmarkAllocateDrops(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		sched.AllocateDrops(weights, budgets, 50)
-	}
-}
-
-// BenchmarkChurn drives the Poisson session arrival/departure process
-// against a paper-scale fog (600 supernodes), so every arrival exercises
-// the real shortlist-probe-attach path.
-func BenchmarkChurn(b *testing.B) {
-	w := paperWorld(b).Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fog, err := w.NewFog(w.Cfg.Datacenters, w.Cfg.Supernodes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		engine := sim.New()
-		churn := workload.NewChurn(engine, fog, w.Pop, 5, sim.NewRand(9))
-		churn.Start()
-		engine.RunUntil(30 * time.Minute)
-		b.StopTimer()
-		for _, p := range w.Pop.Players {
-			if p.Online {
-				fog.Leave(p)
-			}
-		}
-		b.StartTimer()
 	}
 }
 

@@ -40,7 +40,7 @@ func main() {
 	snap := w.Snapshot()
 	replica.Apply(snap)
 	fmt.Printf("snapshot: %d entities, %d bytes on the wire\n",
-		len(snap.Updated), len(proto.MarshalDelta(snap)))
+		len(snap.Updated), len(proto.AppendDelta(nil, snap)))
 
 	// The cloud ticks: players act, world steps, deltas flow.
 	var updateBytes int
@@ -56,7 +56,7 @@ func main() {
 		w.Apply(actions)
 		w.Step(1.0 / 30)
 		d := w.DeltaSince(replica.Version())
-		updateBytes += len(proto.MarshalDelta(d))
+		updateBytes += len(proto.AppendDelta(nil, d))
 		if err := replica.Apply(d); err != nil {
 			panic(err)
 		}

@@ -231,7 +231,7 @@ func TestWorkerGateDefaultSkewTolerance(t *testing.T) {
 				return
 			}
 			now := 10*time.Second + time.Since(began)
-			link.Send(proto.TSync, proto.MarshalSync(proto.Sync{Now: int64(now), LeaseTTL: int64(time.Second)}))
+			link.Send(proto.TSync, proto.AppendSync(nil, proto.Sync{Now: int64(now), LeaseTTL: int64(time.Second)}))
 		}
 	}()
 	w, err := StartWorker(live.Config{

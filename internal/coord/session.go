@@ -51,7 +51,7 @@ func OpenSession(ctx context.Context, cfg live.Config, opts ...live.Option) (*Se
 		return nil, err
 	}
 	req := proto.Place{Player: cfg.ID, GameID: int32(cfg.GameID), X: cfg.X, Y: cfg.Y}
-	if !link.Send(proto.TPlace, proto.MarshalPlace(req)) {
+	if !link.Send(proto.TPlace, proto.AppendPlace(nil, req)) {
 		link.Close()
 		return nil, fmt.Errorf("coord: placement request send failed")
 	}
@@ -118,7 +118,7 @@ func (s *Session) renewLoop() {
 		case <-timer.C:
 		}
 		rn := proto.Renew{Player: s.cfg.ID, Epoch: s.Ticket().Epoch}
-		if s.link.Send(proto.TTicket, proto.MarshalRenew(rn)) && s.link.Err() == nil {
+		if s.link.Send(proto.TTicket, proto.AppendRenew(nil, rn)) && s.link.Err() == nil {
 			backoff = 0
 			continue
 		}

@@ -195,7 +195,7 @@ func (w *Worker) reportLoop() {
 		w.mu.Lock()
 		link := w.link
 		w.mu.Unlock()
-		if link.Send(proto.TReport, proto.MarshalReport(r)) && link.Err() == nil {
+		if link.Send(proto.TReport, proto.AppendReport(nil, r)) && link.Err() == nil {
 			continue
 		}
 		link.Close()
@@ -324,7 +324,7 @@ func (w *Worker) Drain() bool {
 	link := w.link
 	w.mu.Unlock()
 	if !already && link != nil {
-		link.Send(proto.TReport, proto.MarshalReport(w.reportMsg(0)))
+		link.Send(proto.TReport, proto.AppendReport(nil, w.reportMsg(0)))
 	}
 	timeout := w.cfg.DrainTimeout
 	if timeout <= 0 {

@@ -625,26 +625,6 @@ func (f *Fog) CloudBandwidth() int64 {
 	return total
 }
 
-// SupernodeUtilizations returns each active supernode's uplink utilization
-// u_j (served stream bandwidth over uplink), keyed by supernode ID — the
-// input to the incentive model of Eq. 1.
-func (f *Fog) SupernodeUtilizations() map[int64]float64 {
-	sns := f.Supernodes()
-	out := make(map[int64]float64, len(sns))
-	for _, sn := range sns {
-		var used int64
-		for _, p := range sn.players {
-			used += f.cfg.WireRate(p.Game.Quality().Bitrate)
-		}
-		u := float64(used) / float64(sn.Uplink)
-		if u > 1 {
-			u = 1
-		}
-		out[sn.ID] = u
-	}
-	return out
-}
-
 // FlowLatency is the shared flow-level latency model used by CloudFog and
 // both baselines: propagation of the serving path plus one segment's
 // transmission at the bottleneck share (serving node share vs. player

@@ -474,26 +474,6 @@ func TestCloudBandwidthAccounting(t *testing.T) {
 	}
 }
 
-func TestSupernodeUtilizations(t *testing.T) {
-	cfg := testConfig()
-	cfg.Latency = benignModel(cfg) // fog attach guaranteed
-	f := buildTestFog(t, cfg, 2)
-	p := testPlayer(60, cfg.Region.Center(), mustGame(t, 5)) // 1800kbps
-	f.Join(p)
-	if p.Attached.Kind != AttachSupernode {
-		t.Fatalf("player attached to %v, want supernode", p.Attached.Kind)
-	}
-	utils := f.SupernodeUtilizations()
-	if len(utils) != 2 {
-		t.Fatalf("got %d utilizations, want 2", len(utils))
-	}
-	sn := p.Attached.SN
-	want := float64(cfg.WireRate(1_800_000)) / float64(sn.Uplink)
-	if got := utils[sn.ID]; got != want {
-		t.Fatalf("utilization = %v, want %v", got, want)
-	}
-}
-
 func TestLmaxScalesWithGame(t *testing.T) {
 	cfg := testConfig()
 	strict := cfg.Lmax(mustGame(t, 1).NetworkBudget())

@@ -152,7 +152,6 @@ type Player struct {
 	Pos      geo.Point
 	Game     game.Game
 	Downlink int64 // bits/second
-	Friends  []int64
 
 	// SupernodeCapable marks players whose hardware could serve as a
 	// supernode (10% of the population in the paper's evaluation).

@@ -5,8 +5,8 @@
 //
 // Default settings follow the paper: 10,000 players (10% supernode-capable,
 // 600 selected as supernodes), 5 main datacenters, 45 extra EdgeCloud
-// servers, Poisson joins at 5 players/second, session lengths from the
-// daily play-time mixture, θ=0.5, λ=1, h₁=100, h₂=10, 30 fps video.
+// servers, θ=0.5, λ=1, h₁=100, h₂=10, 30 fps video. Every figure joins a
+// fixed population; churn enters as supernode faults, not session arrivals.
 package experiment
 
 import (

@@ -137,6 +137,31 @@ func faultStatsFor(w *World) *obs.FaultStats {
 	return obs.FaultStatsIn(w.Cfg.Obs)
 }
 
+// FaultTargets enumerates the world's supernodes as fault-injection targets.
+func (w *World) FaultTargets() fault.Targets {
+	t := fault.Targets{Supernodes: make([]fault.Node, len(w.snSpec))}
+	for i, sp := range w.snSpec {
+		t.Supernodes[i] = fault.Node{ID: sp.id, X: sp.pos.X, Y: sp.pos.Y}
+	}
+	return t
+}
+
+// Respawner returns the fault injector's respawn function, minting fresh
+// supernode instances from the world's immutable specs.
+func (w *World) Respawner() func(id int64) *core.Supernode {
+	specs := make(map[int64]snSpec, len(w.snSpec))
+	for _, sp := range w.snSpec {
+		specs[sp.id] = sp
+	}
+	return func(id int64) *core.Supernode {
+		sp, ok := specs[id]
+		if !ok {
+			return nil
+		}
+		return core.NewSupernode(sp.id, sp.pos, sp.capacity, sp.uplink)
+	}
+}
+
 // QoEVsChurn sweeps the supernode kill rate and measures the flow-level
 // quality the fog sustains: the time-averaged fraction of players inside
 // their game's latency budget (coverage), the fraction still served by

@@ -11,11 +11,9 @@ import (
 // Clone returns a world whose players are fresh copies of this world's, so
 // a sweep worker can join and leave them without touching any other
 // worker's state. Immutable data — the config, infrastructure placements,
-// supernode specs, friend lists — is shared; only the mutable per-player
-// runtime state (Online, Game, Attached, Backups) is duplicated, reset to
-// the never-joined state every sweep point starts from. The Population is
-// copied whole, so a clone taken before the friend graph exists carries the
-// graph's seed and builds the same one. The node-run pools and groupRun's
+// supernode specs — is shared; only the mutable per-player runtime state
+// (Online, Game, Attached, Backups) is duplicated, reset to the never-joined
+// state every sweep point starts from. The node-run pools and groupRun's
 // scratch are per goroutine, so a clone starts without any.
 func (w *World) Clone() *World {
 	cw := *w

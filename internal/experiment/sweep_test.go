@@ -7,7 +7,6 @@ import (
 
 	"cloudfog/internal/metrics"
 	"cloudfog/internal/qoe"
-	"cloudfog/internal/workload"
 )
 
 // sweepTestWorlds builds two identical small worlds, one forced serial and
@@ -123,47 +122,6 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cw.Clone().runs, nodeRuns{}) {
 		t.Fatal("a clone inherited its parent's pools or scratch")
-	}
-}
-
-// TestFriendGraphIsTheSameWheneverItIsBuilt: the friend graph a world builds
-// after a whole ScaleRun, the one a clone taken before it existed builds for
-// itself, and the one a clone taken afterwards inherits are all the graph a
-// fresh population builds first thing — which workload's TestPopulationGolden
-// pins, at this seed, to what Generate used to build eagerly.
-func TestFriendGraphIsTheSameWheneverItIsBuilt(t *testing.T) {
-	cfg := scaleTestConfig(2026, 2)
-	cfg.Players = 2500
-	cfg.Supernodes = 150
-	wl := cfg.Workload
-	wl.Players = cfg.Players
-	fresh, err := workload.Generate(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.BuildFriends()
-
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	early := w.Clone()
-	if _, _, err := ScaleRun(w, RunOptions{Horizon: 20 * time.Second, ScaleEpoch: 10 * time.Second, Detector: "phi", Overload: true}); err != nil {
-		t.Fatal(err)
-	}
-	w.Pop.BuildFriends()
-	early.Pop.BuildFriends()
-	late := w.Clone()
-	late.Pop.BuildFriends() // inherited, so a no-op
-	for name, pop := range map[string]*workload.Population{"after ScaleRun": w.Pop, "early clone": early.Pop, "late clone": late.Pop} {
-		for i, p := range pop.Players {
-			if want := fresh.Players[i].Friends; len(want) == 0 || !reflect.DeepEqual(p.Friends, want) {
-				t.Fatalf("%s: player %d has friends %v, a fresh population gives it %v", name, p.ID, p.Friends, want)
-			}
-		}
-	}
-	if &late.Pop.Players[0].Friends[0] != &w.Pop.Players[0].Friends[0] {
-		t.Fatal("a clone of a world whose graph exists built its own copy")
 	}
 }
 

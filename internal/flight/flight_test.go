@@ -375,6 +375,42 @@ func TestWhatIfDetectorSwap(t *testing.T) {
 	}
 }
 
+// TestWhatIfSeesHistograms: a re-run whose only difference from the recording
+// is one moved histogram bucket is a difference. The worker count moves
+// nothing, so the what-if must list exactly that histogram and not call the
+// diff empty — otherwise an invariance what-if could not catch a divergence in
+// a latency distribution.
+func TestWhatIfSeesHistograms(t *testing.T) {
+	spec := testSpec(5, 1)
+	spec.Horizon = 6 * time.Second
+	spec.Figures = []string{"fig10a"}
+	rec, err := Record(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "cloudfog_qoe_delivery_latency_ns"
+	h, ok := rec.Final.Histograms[name]
+	if !ok || h.Count == 0 {
+		t.Fatalf("%s: recorded %+v, want observations", name, h)
+	}
+	h.Counts = append([]int64(nil), h.Counts...)
+	i := 0
+	for h.Counts[i] == 0 {
+		i++
+	}
+	h.Counts[i]--
+	h.Counts[i+1]++
+	rec.Final.Histograms[name] = h
+
+	d, err := rec.WhatIf("workers", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Empty() || len(d.Snapshot) != 1 || d.Snapshot[0].Name != name {
+		t.Fatalf("one moved bucket: empty %v, snapshot entries %+v; want exactly %s", d.Empty(), d.Snapshot, name)
+	}
+}
+
 // TestSnapshotDelta checks the witness arithmetic directly.
 func TestSnapshotDelta(t *testing.T) {
 	rec, err := Record(testSpec(11, 2))
@@ -397,13 +433,15 @@ func TestSnapshotDelta(t *testing.T) {
 
 // TestFirstCounterDiff: the divergence message must tell a counter one side
 // never registered from one both sides hold at the same value, and blame the
-// histograms only when one of them differs.
+// histograms only when one of them differs — in count, sum or buckets alone.
 func TestFirstCounterDiff(t *testing.T) {
 	hist := func(count int64) map[string]obs.HistogramSnapshot {
 		return map[string]obs.HistogramSnapshot{
 			"h_ns": {Bounds: []int64{10, 100}, Counts: []int64{count, 0, 0}, Sum: 5 * count, Count: count},
 		}
 	}
+	moved := hist(4)
+	moved["h_ns"] = obs.HistogramSnapshot{Bounds: []int64{10, 100}, Counts: []int64{3, 1, 0}, Sum: 20, Count: 4}
 	snap := func(c map[string]int64, h map[string]obs.HistogramSnapshot) obs.Snapshot {
 		return obs.Snapshot{Counters: c, Histograms: h}
 	}
@@ -415,7 +453,7 @@ func TestFirstCounterDiff(t *testing.T) {
 		{"value differs",
 			snap(map[string]int64{"a_total": 1, "b_total": 2}, nil),
 			snap(map[string]int64{"a_total": 1, "b_total": 3}, nil),
-			"first at b_total: live 3, recorded 2"},
+			"first at b_total: recorded 2, live 3 (+1)"},
 		{"recorded zero, live absent",
 			snap(map[string]int64{"a_total": 1, "gone_total": 0}, hist(4)),
 			snap(map[string]int64{"a_total": 1}, hist(4)),
@@ -427,18 +465,22 @@ func TestFirstCounterDiff(t *testing.T) {
 		{"only a histogram differs",
 			snap(map[string]int64{"a_total": 1}, hist(4)),
 			snap(map[string]int64{"a_total": 1}, hist(5)),
-			"counters agree; histogram h_ns: live count 5 sum 25, recorded count 4 sum 20"},
+			"first at h_ns: histogram recorded count 4 sum 20, live count 5 sum 25"},
+		{"only a bucket moved",
+			snap(map[string]int64{"a_total": 1}, hist(4)),
+			snap(map[string]int64{"a_total": 1}, moved),
+			"first at h_ns: histogram recorded buckets [4 0 0] bounds [10 100], live buckets [3 1 0] bounds [10 100]"},
 		{"histogram absent live",
 			snap(map[string]int64{"a_total": 1}, hist(4)),
 			snap(map[string]int64{"a_total": 1}, nil),
-			"counters agree; histogram h_ns: recorded count 4, live absent"},
+			"first at h_ns: histogram recorded count 4, live absent"},
 		{"nothing differs",
 			snap(map[string]int64{"a_total": 1}, hist(4)),
 			snap(map[string]int64{"a_total": 1}, hist(4)),
 			"encodings differ but decoded snapshots agree (encoding drift)"},
 	}
 	for _, c := range cases {
-		if got := firstCounterDiff(c.want, c.got); got != c.expect {
+		if got := firstDiff(c.want, c.got); got != c.expect {
 			t.Errorf("%s:\n got  %q\n want %q", c.name, got, c.expect)
 		}
 	}

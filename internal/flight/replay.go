@@ -118,7 +118,7 @@ func (rec *Recording) Replay(from string) (*ReplayReport, error) {
 		liveFinal := appendSnapshot(nil, out.final)
 		if !bytes.Equal(liveFinal, rec.FinalBytes) {
 			rep.add("final", "cumulative obs snapshot differs (%s)",
-				firstCounterDiff(rec.Final, out.final))
+				firstDiff(rec.Final, out.final))
 		}
 	}
 	return rep, nil
@@ -133,7 +133,7 @@ func compareFigure(rep *ReplayReport, want, got *FigureCapture) {
 	}
 	if !bytes.Equal(got.ObsBytes, want.ObsBytes) {
 		rep.add("obs", "%s: observability delta differs (%s)",
-			want.Name, firstCounterDiff(want.ObsDelta, got.ObsDelta))
+			want.Name, firstDiff(want.ObsDelta, got.ObsDelta))
 	}
 	if len(got.RNG) != len(want.RNG) {
 		rep.add("rng", "%s: %d live streams, %d recorded", want.Name, len(got.RNG), len(want.RNG))
@@ -184,38 +184,59 @@ func firstSeriesDiff(want, got *FigureCapture) string {
 	return "encodings differ but decoded structs agree (encoding drift)"
 }
 
-// firstCounterDiff names the first counter (sorted) that one side lacks or
-// whose value differs; a counter recorded as 0 and absent live is a
-// difference, not an agreement. With every counter equal it names the first
-// histogram that differs the same way.
-func firstCounterDiff(want, got obs.Snapshot) string {
-	for _, n := range unionNames(want.Counters, got.Counters) {
-		w, recorded := want.Counters[n]
-		g, live := got.Counters[n]
+// SnapshotDelta is one counter or histogram the recorded and the live
+// snapshot hold differently, or that only one of them holds.
+type SnapshotDelta struct {
+	Name   string `json:"name"`
+	Detail string `json:"detail"`
+}
+
+// diffSnapshots walks the counters, then the histograms, of both snapshots
+// in name order and returns every entry that differs. An entry one side
+// lacks is a difference even when the other holds it at 0; a histogram
+// differs in its count, sum, buckets or bounds.
+func diffSnapshots(recorded, live obs.Snapshot) []SnapshotDelta {
+	var out []SnapshotDelta
+	add := func(name, format string, args ...any) {
+		out = append(out, SnapshotDelta{Name: name, Detail: fmt.Sprintf(format, args...)})
+	}
+	for _, n := range unionNames(recorded.Counters, live.Counters) {
+		r, inRec := recorded.Counters[n]
+		l, inLive := live.Counters[n]
 		switch {
-		case !live:
-			return fmt.Sprintf("first at %s: recorded %d, live absent", n, w)
-		case !recorded:
-			return fmt.Sprintf("first at %s: live %d, recorded absent", n, g)
-		case w != g:
-			return fmt.Sprintf("first at %s: live %d, recorded %d", n, g, w)
+		case !inLive:
+			add(n, "recorded %d, live absent", r)
+		case !inRec:
+			add(n, "live %d, recorded absent", l)
+		case r != l:
+			add(n, "recorded %d, live %d (%+d)", r, l, l-r)
 		}
 	}
-	for _, n := range unionNames(want.Histograms, got.Histograms) {
-		w, recorded := want.Histograms[n]
-		g, live := got.Histograms[n]
+	for _, n := range unionNames(recorded.Histograms, live.Histograms) {
+		r, inRec := recorded.Histograms[n]
+		l, inLive := live.Histograms[n]
 		switch {
-		case !live:
-			return fmt.Sprintf("counters agree; histogram %s: recorded count %d, live absent", n, w.Count)
-		case !recorded:
-			return fmt.Sprintf("counters agree; histogram %s: live count %d, recorded absent", n, g.Count)
-		case w.Sum != g.Sum || w.Count != g.Count ||
-			!slices.Equal(w.Counts, g.Counts) || !slices.Equal(w.Bounds, g.Bounds):
-			return fmt.Sprintf("counters agree; histogram %s: live count %d sum %d, recorded count %d sum %d",
-				n, g.Count, g.Sum, w.Count, w.Sum)
+		case !inLive:
+			add(n, "histogram recorded count %d, live absent", r.Count)
+		case !inRec:
+			add(n, "histogram live count %d, recorded absent", l.Count)
+		case r.Count != l.Count || r.Sum != l.Sum:
+			add(n, "histogram recorded count %d sum %d, live count %d sum %d", r.Count, r.Sum, l.Count, l.Sum)
+		case !slices.Equal(r.Counts, l.Counts) || !slices.Equal(r.Bounds, l.Bounds):
+			add(n, "histogram recorded buckets %v bounds %v, live buckets %v bounds %v", r.Counts, r.Bounds, l.Counts, l.Bounds)
 		}
 	}
-	return "encodings differ but decoded snapshots agree (encoding drift)"
+	return out
+}
+
+// firstDiff is a replay divergence's detail: the first entry diffSnapshots
+// finds between two snapshots whose encodings differ.
+func firstDiff(recorded, live obs.Snapshot) string {
+	d := diffSnapshots(recorded, live)
+	if len(d) == 0 {
+		return "encodings differ but decoded snapshots agree (encoding drift)"
+	}
+	return fmt.Sprintf("first at %s: %s", d[0].Name, d[0].Detail)
 }
 
 // unionNames returns the keys of both maps, sorted.

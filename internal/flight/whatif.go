@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"cloudfog/internal/experiment"
@@ -49,13 +50,6 @@ type FigureDiff struct {
 	Latency   []LatencyDelta `json:"latency,omitempty"`
 }
 
-// CounterDelta is one observability counter whose end-of-run value moved.
-type CounterDelta struct {
-	Name string `json:"name"`
-	Base int64  `json:"base"`
-	New  int64  `json:"new"`
-}
-
 // Diff is the structured outcome of a what-if replay: the recorded
 // baseline against the same run with exactly one knob overridden. Both
 // sides' ledgers are reconciled before the diff is returned.
@@ -66,22 +60,24 @@ type Diff struct {
 	BaseSpec string `json:"base_spec"`
 	NewSpec  string `json:"new_spec"`
 
-	Figures  []FigureDiff   `json:"figures"`
-	Counters []CounterDelta `json:"counters,omitempty"`
+	Figures []FigureDiff `json:"figures"`
+	// Snapshot lists every counter and histogram whose end-of-run state
+	// moved: the recorded side is the baseline, the live side the re-run.
+	Snapshot []SnapshotDelta `json:"snapshot,omitempty"`
 
 	BaseLedgers Ledgers `json:"base_ledgers"`
 	NewLedgers  Ledgers `json:"new_ledgers"`
 }
 
 // Empty reports whether the override changed nothing observable: every
-// figure byte-identical and every counter unchanged.
+// figure byte-identical and every counter and histogram unchanged.
 func (d *Diff) Empty() bool {
 	for _, f := range d.Figures {
 		if !f.Identical {
 			return false
 		}
 	}
-	return len(d.Counters) == 0
+	return len(d.Snapshot) == 0
 }
 
 // WhatIf re-runs the recording with one knob overridden and returns the
@@ -90,12 +86,12 @@ func (d *Diff) Empty() bool {
 // grounded in the bytes that were actually captured, and both the recorded
 // and the counterfactual ledgers must reconcile.
 func (rec *Recording) WhatIf(key, value string) (*Diff, error) {
+	if value == "" {
+		key, value, _ = strings.Cut(key, "=")
+	}
 	spec, err := rec.Spec.Override(key, value)
 	if err != nil {
 		return nil, err
-	}
-	if k, v, ok := cutKey(key, value); ok {
-		key, value = k, v
 	}
 	out, err := spec.execute("")
 	if err != nil {
@@ -130,20 +126,8 @@ func (rec *Recording) WhatIf(key, value string) (*Diff, error) {
 		}
 		d.Figures = append(d.Figures, diffFigure(base, got))
 	}
-	d.Counters = diffCounters(rec.Final.Counters, out.final.Counters)
+	d.Snapshot = diffSnapshots(rec.Final, out.final)
 	return d, nil
-}
-
-func cutKey(key, value string) (string, string, bool) {
-	if value != "" {
-		return key, value, false
-	}
-	for i := range key {
-		if key[i] == '=' {
-			return key[:i], key[i+1:], true
-		}
-	}
-	return key, value, false
 }
 
 func title(c *FigureCapture) string {
@@ -216,24 +200,14 @@ func diffFigure(base, got *FigureCapture) FigureDiff {
 	return fd
 }
 
-// diffCounters returns every counter whose end-of-run value moved, sorted.
-func diffCounters(base, now map[string]int64) []CounterDelta {
-	var out []CounterDelta
-	for _, n := range unionNames(base, now) {
-		if base[n] != now[n] {
-			out = append(out, CounterDelta{Name: n, Base: base[n], New: now[n]})
-		}
-	}
-	return out
-}
-
 // WriteText prints the diff for humans: the overridden knob, each figure's
-// changed points, and the moved counters, with both ledgers' verdicts.
+// changed points, and the moved counters and histograms, with both ledgers'
+// verdicts.
 func (d *Diff) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "what-if %s=%s\n", d.Knob, d.Value)
 	fmt.Fprintf(w, "  base: %s\n  new:  %s\n", d.BaseSpec, d.NewSpec)
 	if d.Empty() {
-		fmt.Fprintln(w, "no observable difference: every figure byte-identical, every counter unchanged")
+		fmt.Fprintln(w, "no observable difference: every figure byte-identical, every counter and histogram unchanged")
 		return
 	}
 	for _, f := range d.Figures {
@@ -259,10 +233,10 @@ func (d *Diff) WriteText(w io.Writer) {
 				nsDur(l.BaseP90), nsDur(l.NewP90))
 		}
 	}
-	if len(d.Counters) > 0 {
-		fmt.Fprintf(w, "counters (%d moved):\n", len(d.Counters))
-		for _, c := range d.Counters {
-			fmt.Fprintf(w, "  %-48s %12d -> %12d (%+d)\n", c.Name, c.Base, c.New, c.New-c.Base)
+	if len(d.Snapshot) > 0 {
+		fmt.Fprintf(w, "counters and histograms (%d moved):\n", len(d.Snapshot))
+		for _, e := range d.Snapshot {
+			fmt.Fprintf(w, "  %-48s %s\n", e.Name, e.Detail)
 		}
 	}
 	fmt.Fprintf(w, "ledgers: base %s, what-if %s\n", ledgerVerdict(d.BaseLedgers), ledgerVerdict(d.NewLedgers))

@@ -219,7 +219,7 @@ func (c *Cloud) serveSupernode(conn net.Conn, snID int64) {
 		return
 	}
 	// A new subscription starts from a snapshot.
-	link.Send(proto.TDelta, proto.MarshalDelta(c.w.Snapshot()))
+	link.Send(proto.TDelta, proto.AppendDelta(nil, c.w.Snapshot()))
 	replaced := c.subs[snID]
 	c.subs[snID] = &cloudSub{link: link, version: c.w.Version()}
 	c.mu.Unlock()

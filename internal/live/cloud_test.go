@@ -115,7 +115,7 @@ func connectActing(t *testing.T, cloud *Cloud, player int64, issued time.Duratio
 	conn := dialWith(t, cloud.Addr(), proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RolePlayerActions, ID: player}))
 	readAck(t, conn)
 	act := proto.Action{Player: player, Issued: issued, Act: world.Action{Player: player, Kind: world.ActionMove, Target: world.Vec2{X: 10, Y: 10}}}
-	if err := proto.WriteFrame(conn, proto.TAction, proto.MarshalAction(act)); err != nil {
+	if err := proto.WriteFrame(conn, proto.TAction, proto.AppendAction(nil, act)); err != nil {
 		t.Fatal(err)
 	}
 	until(t, &cloud.mu, "the action is ingested", func() bool { return cloud.lastStamp[player] == issued })
@@ -271,13 +271,13 @@ func TestSupernodeSnapshotDropsStaleStamps(t *testing.T) {
 	}
 	defer conn.Close()
 	for player := int64(1); player <= 2; player++ {
-		stamp := proto.MarshalAction(proto.Action{Player: player, Issued: time.Duration(player)})
+		stamp := proto.AppendAction(nil, proto.Action{Player: player, Issued: time.Duration(player)})
 		if err := proto.WriteFrame(conn, proto.TAction, stamp); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snapshot := world.Delta{ToVersion: 3, Full: true, Updated: []world.Entity{{ID: 1, Kind: world.KindAvatar, Owner: 1}}}
-	if err := proto.WriteFrame(conn, proto.TDelta, proto.MarshalDelta(snapshot)); err != nil {
+	if err := proto.WriteFrame(conn, proto.TDelta, proto.AppendDelta(nil, snapshot)); err != nil {
 		t.Fatal(err)
 	}
 	until(t, &sn.mu, "the supernode has applied the snapshot", func() bool { return sn.replica.Version() == 3 })

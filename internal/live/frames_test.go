@@ -148,7 +148,7 @@ func TestFramesFollowUpdatesAtTheFrameRate(t *testing.T) {
 		act := proto.Action{Player: player, Issued: time.Duration(i), Act: world.Action{
 			Player: player, Kind: world.ActionMove, Target: world.Vec2{X: 100, Y: float64(100 * i)},
 		}}
-		if err := proto.WriteFrame(actions, proto.TAction, proto.MarshalAction(act)); err != nil {
+		if err := proto.WriteFrame(actions, proto.TAction, proto.AppendAction(nil, act)); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(every)

@@ -218,7 +218,7 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 				issuedAt[stamp] = time.Now()
 				report.Actions++
 				mu.Unlock()
-				actLink.Send(proto.TAction, proto.MarshalAction(proto.Action{
+				actLink.Send(proto.TAction, proto.AppendAction(nil, proto.Action{
 					Player: cfg.ID,
 					Issued: stamp,
 					Act:    world.Action{Player: cfg.ID, Kind: world.ActionMove, Target: target},

@@ -328,7 +328,7 @@ func TestPipeTransport(t *testing.T) {
 		t.Fatalf("decode a->b: %+v %v", ack, err)
 	}
 
-	if !b.Send(proto.TSync, proto.MarshalSync(proto.Sync{Now: 1, LeaseTTL: 9})) {
+	if !b.Send(proto.TSync, proto.AppendSync(nil, proto.Sync{Now: 1, LeaseTTL: 9})) {
 		t.Fatal("send b->a failed")
 	}
 	typ, payload, err = a.Recv()

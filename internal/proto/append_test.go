@@ -14,7 +14,7 @@ import (
 
 // TestAppendMatchesMarshal pins the byte-identity contract across every
 // message type: Append*(prefix, m) leaves prefix intact and appends exactly
-// the bytes Marshal*(m) produces.
+// the bytes Append*(nil, m) (or, where it remains, Marshal*(m)) produces.
 func TestAppendMatchesMarshal(t *testing.T) {
 	prefix := []byte("prefix:")
 	check := func(name string, appended, marshaled []byte) {
@@ -28,15 +28,15 @@ func TestAppendMatchesMarshal(t *testing.T) {
 	}
 	a := Action{Player: 9, Issued: 7 * time.Millisecond,
 		Act: world.Action{Player: 9, Kind: world.ActionStrike, Target: world.Vec2{X: 1, Y: 2}, Victim: 3}}
-	check("action", AppendAction(append([]byte(nil), prefix...), a), MarshalAction(a))
+	check("action", AppendAction(append([]byte(nil), prefix...), a), AppendAction(nil, a))
 
 	d := world.Delta{FromVersion: 2, ToVersion: 5,
 		Updated: []world.Entity{{ID: 4, Kind: world.KindAvatar, HP: 10, Version: 5}},
 		Removed: []world.EntityID{11}}
-	check("delta", AppendDelta(append([]byte(nil), prefix...), d), MarshalDelta(d))
+	check("delta", AppendDelta(append([]byte(nil), prefix...), d), AppendDelta(nil, d))
 
 	s := Segment{Player: 1, Seq: 2, Level: 3, ActionIssued: time.Second, Payload: []byte("pay")}
-	check("segment", AppendSegment(append([]byte(nil), prefix...), s), MarshalSegment(s))
+	check("segment", AppendSegment(append([]byte(nil), prefix...), s), AppendSegment(nil, s))
 
 	j := JoinStream{Player: 5, GameID: 2, ViewX: 10, ViewY: 20, ViewR: 30, LevelCap: 4,
 		Ticket: []byte("ticket-bytes")}
@@ -52,10 +52,10 @@ func TestAppendMatchesMarshal(t *testing.T) {
 	check("register", AppendRegister(append([]byte(nil), prefix...), reg), MarshalRegister(reg))
 
 	rep := Report{Worker: 1_000_007, Seq: 99, Load: 7, Capacity: 16, Level: 2, Draining: 1}
-	check("report", AppendReport(append([]byte(nil), prefix...), rep), MarshalReport(rep))
+	check("report", AppendReport(append([]byte(nil), prefix...), rep), AppendReport(nil, rep))
 
 	pl := Place{Player: 42, GameID: 4, X: 5000, Y: 4000}
-	check("place", AppendPlace(append([]byte(nil), prefix...), pl), MarshalPlace(pl))
+	check("place", AppendPlace(append([]byte(nil), prefix...), pl), AppendPlace(nil, pl))
 
 	tk := Ticket{Player: 42, Worker: 1_000_007, Epoch: 12, Issued: 34567, Expiry: 94567,
 		Transport: StreamTCP, Addr: "127.0.0.1:4321",
@@ -63,10 +63,10 @@ func TestAppendMatchesMarshal(t *testing.T) {
 	check("ticket", AppendTicket(append([]byte(nil), prefix...), tk), MarshalTicket(tk))
 
 	rn := Renew{Player: 42, Epoch: 12}
-	check("renew", AppendRenew(append([]byte(nil), prefix...), rn), MarshalRenew(rn))
+	check("renew", AppendRenew(append([]byte(nil), prefix...), rn), AppendRenew(nil, rn))
 
 	sy := Sync{Now: 123_456, LeaseTTL: 2_000_000_000}
-	check("sync", AppendSync(append([]byte(nil), prefix...), sy), MarshalSync(sy))
+	check("sync", AppendSync(append([]byte(nil), prefix...), sy), AppendSync(nil, sy))
 }
 
 // TestCoordRoundTrips pins encode→decode identity for the coordinator
@@ -87,22 +87,22 @@ func TestCoordRoundTrips(t *testing.T) {
 		t.Fatalf("bare register round trip: %+v %v", gotBare, err)
 	}
 	rep := Report{Worker: 5, Seq: 3, Load: 2, Capacity: 8, Level: 3, Draining: 1}
-	gotRep, err := UnmarshalReport(MarshalReport(rep))
+	gotRep, err := UnmarshalReport(AppendReport(nil, rep))
 	if err != nil || gotRep != rep {
 		t.Fatalf("report round trip: %+v %v", gotRep, err)
 	}
 	rn := Renew{Player: 9, Epoch: 4}
-	gotRn, err := UnmarshalRenew(MarshalRenew(rn))
+	gotRn, err := UnmarshalRenew(AppendRenew(nil, rn))
 	if err != nil || gotRn != rn {
 		t.Fatalf("renew round trip: %+v %v", gotRn, err)
 	}
 	sy := Sync{Now: 55, LeaseTTL: 66}
-	gotSy, err := UnmarshalSync(MarshalSync(sy))
+	gotSy, err := UnmarshalSync(AppendSync(nil, sy))
 	if err != nil || gotSy != sy {
 		t.Fatalf("sync round trip: %+v %v", gotSy, err)
 	}
 	pl := Place{Player: 9, GameID: 3, X: -4, Y: 4}
-	gotPl, err := UnmarshalPlace(MarshalPlace(pl))
+	gotPl, err := UnmarshalPlace(AppendPlace(nil, pl))
 	if err != nil || gotPl != pl {
 		t.Fatalf("place round trip: %+v %v", gotPl, err)
 	}
@@ -145,7 +145,7 @@ func TestAppendSegmentHeaderComposes(t *testing.T) {
 			ActionIssued: time.Duration(issued), Payload: payload}
 		split := AppendSegmentHeader(nil, s, len(payload))
 		split = append(split, payload...)
-		return bytes.Equal(split, MarshalSegment(s))
+		return bytes.Equal(split, AppendSegment(nil, s))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestParseDatagramRejectsMalformed(t *testing.T) {
 // read buffer is reused.
 func TestUnmarshalSegmentIntoBorrows(t *testing.T) {
 	src := Segment{Player: 8, Seq: 3, Level: 2, Payload: []byte("borrowed")}
-	p := MarshalSegment(src)
+	p := AppendSegment(nil, src)
 	var seg Segment
 	if err := UnmarshalSegmentInto(p, &seg); err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestUnmarshalSegmentIntoBorrows(t *testing.T) {
 		t.Fatal("payload was copied instead of borrowed")
 	}
 	// The allocating decoder must keep its own copy.
-	owned, err := UnmarshalSegment(MarshalSegment(src))
+	owned, err := UnmarshalSegment(AppendSegment(nil, src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,11 +153,8 @@ type Report struct {
 	Draining uint8
 }
 
-// MarshalReport encodes a worker report.
-func MarshalReport(r Report) []byte { return AppendReport(nil, r) }
-
 // AppendReport marshals a worker report into dst and returns the extended
-// slice — the allocation-free form of MarshalReport.
+// slice.
 func AppendReport(dst []byte, r Report) []byte {
 	dst = appendI64(dst, r.Worker)
 	dst = appendU64(dst, r.Seq)
@@ -187,11 +184,8 @@ type Place struct {
 	X, Y   float64
 }
 
-// MarshalPlace encodes a placement request.
-func MarshalPlace(p Place) []byte { return AppendPlace(nil, p) }
-
 // AppendPlace marshals a placement request into dst and returns the extended
-// slice — the allocation-free form of MarshalPlace.
+// slice.
 func AppendPlace(dst []byte, p Place) []byte {
 	dst = appendI64(dst, p.Player)
 	dst = appendU32(dst, uint32(p.GameID))
@@ -308,11 +302,8 @@ type Renew struct {
 	Epoch  uint64
 }
 
-// MarshalRenew encodes a lease renewal request.
-func MarshalRenew(r Renew) []byte { return AppendRenew(nil, r) }
-
 // AppendRenew marshals a lease renewal request into dst and returns the
-// extended slice — the allocation-free form of MarshalRenew.
+// extended slice.
 func AppendRenew(dst []byte, r Renew) []byte {
 	dst = appendI64(dst, r.Player)
 	return appendU64(dst, r.Epoch)
@@ -338,11 +329,8 @@ type Sync struct {
 	LeaseTTL int64
 }
 
-// MarshalSync encodes a coordinator sync beacon.
-func MarshalSync(s Sync) []byte { return AppendSync(nil, s) }
-
 // AppendSync marshals a coordinator sync beacon into dst and returns the
-// extended slice — the allocation-free form of MarshalSync.
+// extended slice.
 func AppendSync(dst []byte, s Sync) []byte {
 	dst = appendI64(dst, s.Now)
 	return appendI64(dst, s.LeaseTTL)

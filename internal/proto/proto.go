@@ -257,11 +257,8 @@ type Action struct {
 	Act    world.Action
 }
 
-// MarshalAction encodes an action message.
-func MarshalAction(a Action) []byte { return AppendAction(nil, a) }
-
 // AppendAction marshals an action message into dst and returns the extended
-// slice — the allocation-free form of MarshalAction.
+// slice.
 func AppendAction(dst []byte, a Action) []byte {
 	dst = appendI64(dst, a.Player)
 	dst = appendI64(dst, int64(a.Issued))
@@ -287,11 +284,8 @@ func UnmarshalAction(p []byte) (Action, error) {
 	return a, b.finish()
 }
 
-// MarshalDelta encodes a world delta (the cloud's update information).
-func MarshalDelta(d world.Delta) []byte { return AppendDelta(nil, d) }
-
-// AppendDelta marshals a world delta into dst and returns the extended
-// slice — the allocation-free form of MarshalDelta.
+// AppendDelta marshals a world delta (the cloud's update information) into
+// dst and returns the extended slice.
 func AppendDelta(dst []byte, d world.Delta) []byte {
 	dst = appendU64(dst, d.FromVersion)
 	dst = appendU64(dst, d.ToVersion)
@@ -367,11 +361,8 @@ type Segment struct {
 	Payload      []byte
 }
 
-// MarshalSegment encodes a segment message.
-func MarshalSegment(s Segment) []byte { return AppendSegment(nil, s) }
-
 // AppendSegment marshals a segment message into dst and returns the
-// extended slice — the allocation-free form of MarshalSegment.
+// extended slice.
 func AppendSegment(dst []byte, s Segment) []byte {
 	dst = AppendSegmentHeader(dst, s, len(s.Payload))
 	return append(dst, s.Payload...)

@@ -112,7 +112,7 @@ func TestActionRoundTrip(t *testing.T) {
 			Victim: 77,
 		},
 	}
-	got, err := UnmarshalAction(MarshalAction(a))
+	got, err := UnmarshalAction(AppendAction(nil, a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestActionRoundTripProperty(t *testing.T) {
 				Victim: world.EntityID(victim),
 			},
 		}
-		got, err := UnmarshalAction(MarshalAction(a))
+		got, err := UnmarshalAction(AppendAction(nil, a))
 		return err == nil && got == a
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -152,7 +152,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 		},
 		Removed: []world.EntityID{5, 6},
 	}
-	got, err := UnmarshalDelta(MarshalDelta(d))
+	got, err := UnmarshalDelta(AppendDelta(nil, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 
 func TestDeltaFullFlag(t *testing.T) {
 	d := world.Delta{ToVersion: 3, Full: true}
-	got, err := UnmarshalDelta(MarshalDelta(d))
+	got, err := UnmarshalDelta(AppendDelta(nil, d))
 	if err != nil || !got.Full {
 		t.Fatalf("full flag lost: %+v %v", got, err)
 	}
@@ -177,7 +177,7 @@ func TestDeltaFullFlag(t *testing.T) {
 
 func TestDeltaRejectsLyingCounts(t *testing.T) {
 	d := world.Delta{ToVersion: 1}
-	p := MarshalDelta(d)
+	p := AppendDelta(nil, d)
 	// Corrupt the updated-count field to claim 1M entities.
 	p[17] = 0xFF
 	p[18] = 0xFF
@@ -192,7 +192,7 @@ func TestDeltaWireSizeMatchesEstimate(t *testing.T) {
 		Updated: make([]world.Entity, 7),
 		Removed: make([]world.EntityID, 3),
 	}
-	got := len(MarshalDelta(d))
+	got := len(AppendDelta(nil, d))
 	want := d.WireSize()
 	if got != want {
 		t.Fatalf("encoded %dB but WireSize estimates %dB", got, want)
@@ -207,7 +207,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		ActionIssued: 55 * time.Millisecond,
 		Payload:      bytes.Repeat([]byte{0xAB}, 5000),
 	}
-	got, err := UnmarshalSegment(MarshalSegment(s))
+	got, err := UnmarshalSegment(AppendSegment(nil, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestSegmentRejectsLyingLength(t *testing.T) {
 	s := Segment{Player: 1, Payload: []byte("abc")}
-	p := MarshalSegment(s)
+	p := AppendSegment(nil, s)
 	p[len(p)-4-3] = 0xFF // inflate payload length
 	if _, err := UnmarshalSegment(p); err == nil {
 		t.Fatal("lying payload length accepted")
@@ -266,9 +266,9 @@ func TestTrailingBytesRejected(t *testing.T) {
 
 func TestTruncatedPayloadsRejected(t *testing.T) {
 	cases := [][]byte{
-		MarshalAction(Action{})[:5],
-		MarshalDelta(world.Delta{})[:3],
-		MarshalSegment(Segment{})[:8],
+		AppendAction(nil, Action{})[:5],
+		AppendDelta(nil, world.Delta{})[:3],
+		AppendSegment(nil, Segment{})[:8],
 		MarshalJoinStream(JoinStream{})[:2],
 		{},
 	}

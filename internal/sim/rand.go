@@ -7,8 +7,8 @@ import (
 )
 
 // Rand wraps math/rand with the distributions the CloudFog evaluation uses:
-// exponential inter-arrival times for Poisson player joins, (bounded) Pareto
-// node capacities, power-law friend counts, and lognormal latency jitter.
+// exponential fault lifetimes, bounded Pareto node capacities, lognormal
+// downlinks and frame sizes, and uniform detection delays.
 // Each concern of a simulation should own its own Rand stream so that
 // changing one workload dimension does not perturb the others.
 type Rand struct {
@@ -90,18 +90,6 @@ func (r *Rand) Exp(rate float64) time.Duration {
 	return time.Duration(r.ExpFloat64() / rate * float64(time.Second))
 }
 
-// Pareto draws from a Pareto distribution with scale xm (minimum value) and
-// shape alpha. For alpha <= 1 the distribution has infinite mean; use
-// BoundedPareto when a finite mean is required, as the paper's node-capacity
-// model (mean 5, alpha = 1) implies.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("sim: Pareto requires positive scale and shape")
-	}
-	u := r.uniformOpen()
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // BoundedPareto draws from a Pareto distribution with shape alpha truncated
 // to [lo, hi] by inverse-CDF sampling. The CloudFog evaluation draws node
 // capacities from a Pareto with mean 5 and alpha = 1, which is only
@@ -126,37 +114,6 @@ func (r *Rand) CapacityPareto() float64 {
 	return r.BoundedPareto(1, 150, 1)
 }
 
-// PowerLawInt draws an integer in [lo, hi] from a discrete power-law
-// distribution P(k) proportional to k^(-skew). The paper draws per-player
-// friend counts from a power law with skew 0.5.
-func (r *Rand) PowerLawInt(lo, hi int, skew float64) int {
-	if lo < 1 || hi < lo {
-		panic("sim: PowerLawInt requires 1 <= lo <= hi")
-	}
-	if lo == hi {
-		return lo
-	}
-	// Continuous inverse-CDF sampling of x^(-skew) on [lo, hi+1), floored.
-	u := r.uniformOpen()
-	var x float64
-	if skew == 1 {
-		x = float64(lo) * math.Pow(float64(hi+1)/float64(lo), u)
-	} else {
-		a := 1 - skew
-		loA := math.Pow(float64(lo), a)
-		hiA := math.Pow(float64(hi+1), a)
-		x = math.Pow(loA+u*(hiA-loA), 1/a)
-	}
-	k := int(x)
-	if k < lo {
-		k = lo
-	}
-	if k > hi {
-		k = hi
-	}
-	return k
-}
-
 // LogNormal draws from a lognormal distribution with the given parameters of
 // the underlying normal (mu, sigma).
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
@@ -173,20 +130,6 @@ func (r *Rand) UniformDuration(lo, hi time.Duration) time.Duration {
 	}
 	span := float64(hi - lo)
 	return hi - time.Duration(r.uniformOpen()*span)
-}
-
-// SessionDuration draws a play-session length following the paper's daily
-// play-time study: 50% of players play for a period in (0,2] hours, 30% in
-// (2,5] hours, and 20% in (5,24] hours.
-func (r *Rand) SessionDuration() time.Duration {
-	switch p := r.Float64(); {
-	case p < 0.5:
-		return r.UniformDuration(0, 2*time.Hour)
-	case p < 0.8:
-		return r.UniformDuration(2*time.Hour, 5*time.Hour)
-	default:
-		return r.UniformDuration(5*time.Hour, 24*time.Hour)
-	}
 }
 
 // uniformOpen returns a uniform sample in the open interval (0, 1), avoiding

@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -29,29 +28,6 @@ func TestExpPanicsOnNonPositiveRate(t *testing.T) {
 		}
 	}()
 	NewRand(1).Exp(0)
-}
-
-func TestParetoRespectsScale(t *testing.T) {
-	r := NewRand(2)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(3, 2); v < 3 {
-			t.Fatalf("Pareto(3,2) = %v below scale", v)
-		}
-	}
-}
-
-func TestParetoMeanAlpha2(t *testing.T) {
-	// Pareto(xm=1, alpha=2) has mean alpha*xm/(alpha-1) = 2.
-	r := NewRand(3)
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += r.Pareto(1, 2)
-	}
-	mean := sum / n
-	if mean < 1.8 || mean > 2.2 {
-		t.Fatalf("Pareto(1,2) mean = %v, want ~2", mean)
-	}
 }
 
 func TestBoundedParetoStaysInBounds(t *testing.T) {
@@ -79,56 +55,6 @@ func TestCapacityParetoMeanNearFive(t *testing.T) {
 	}
 }
 
-func TestPowerLawIntBoundsProperty(t *testing.T) {
-	r := NewRand(6)
-	f := func(seed int64) bool {
-		rr := NewRand(seed)
-		for i := 0; i < 100; i++ {
-			v := rr.PowerLawInt(1, 100, 0.5)
-			if v < 1 || v > 100 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: r.Rand}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPowerLawIntSkewFavorsSmallValues(t *testing.T) {
-	r := NewRand(7)
-	small, large := 0, 0
-	for i := 0; i < 50000; i++ {
-		v := r.PowerLawInt(1, 100, 0.5)
-		if v <= 10 {
-			small++
-		} else if v > 90 {
-			large++
-		}
-	}
-	if small <= large {
-		t.Fatalf("power law not skewed: %d small vs %d large", small, large)
-	}
-}
-
-func TestPowerLawIntDegenerateRange(t *testing.T) {
-	r := NewRand(8)
-	if v := r.PowerLawInt(7, 7, 0.5); v != 7 {
-		t.Fatalf("PowerLawInt(7,7) = %d, want 7", v)
-	}
-}
-
-func TestPowerLawIntSkewOne(t *testing.T) {
-	r := NewRand(9)
-	for i := 0; i < 10000; i++ {
-		v := r.PowerLawInt(1, 50, 1)
-		if v < 1 || v > 50 {
-			t.Fatalf("PowerLawInt skew=1 out of bounds: %d", v)
-		}
-	}
-}
-
 func TestLogNormalMedian(t *testing.T) {
 	// Median of LogNormal(mu, sigma) is e^mu.
 	r := NewRand(10)
@@ -153,34 +79,6 @@ func TestUniformDurationRange(t *testing.T) {
 			t.Fatalf("UniformDuration out of (2h,5h]: %v", v)
 		}
 	}
-}
-
-func TestSessionDurationMixture(t *testing.T) {
-	r := NewRand(12)
-	var short, mid, long int
-	const n = 100000
-	for i := 0; i < n; i++ {
-		d := r.SessionDuration()
-		switch {
-		case d <= 2*time.Hour:
-			short++
-		case d <= 5*time.Hour:
-			mid++
-		case d <= 24*time.Hour:
-			long++
-		default:
-			t.Fatalf("session duration out of range: %v", d)
-		}
-	}
-	check := func(name string, got int, want float64) {
-		frac := float64(got) / n
-		if math.Abs(frac-want) > 0.01 {
-			t.Fatalf("%s sessions = %.3f, want ~%.2f", name, frac, want)
-		}
-	}
-	check("short", short, 0.5)
-	check("mid", mid, 0.3)
-	check("long", long, 0.2)
 }
 
 func TestForkIndependence(t *testing.T) {

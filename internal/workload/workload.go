@@ -1,17 +1,14 @@
-// Package workload generates the player population and churn of the
-// CloudFog evaluation (§IV): 10,000 players placed in metro clusters, 10%
-// of them supernode-capable; Poisson arrivals at 5 players/second; session
-// lengths from the paper's daily play-time mixture; per-player friend
-// counts from a power law with skew 0.5; and friend-driven game selection —
-// a joining player picks the game most of its online friends are playing,
-// or a uniformly random one when no friend is online.
+// Package workload generates the player population of the CloudFog
+// evaluation (§IV): 10,000 players placed in metro clusters, 10% of them
+// supernode-capable, with lognormal downlinks. The paper's session churn
+// (Poisson joins, play-time mixture, friend-driven game choice) is not
+// modelled: every figure joins a fixed population.
 package workload
 
 import (
 	"fmt"
 
 	"cloudfog/internal/core"
-	"cloudfog/internal/game"
 	"cloudfog/internal/geo"
 	"cloudfog/internal/sim"
 )
@@ -55,14 +52,10 @@ type Config struct {
 	// Downlink is lognormal across players.
 	DownlinkMedian int64
 	DownlinkSigma  float64
-	// Friend counts follow a power law on [1, MaxFriends] with FriendSkew.
-	MaxFriends int
-	FriendSkew float64
 }
 
 // DefaultConfig returns the paper's population: 10,000 metro-clustered
-// players, 10% supernode-capable, 20 Mbps median downlink, friend counts
-// power-law with skew 0.5.
+// players, 10% supernode-capable, 20 Mbps median downlink.
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:              seed,
@@ -71,8 +64,6 @@ func DefaultConfig(seed int64) Config {
 		Placer:            geo.DefaultUSPlacer(),
 		DownlinkMedian:    20_000_000,
 		DownlinkSigma:     0.6,
-		MaxFriends:        100,
-		FriendSkew:        0.5,
 	}
 }
 
@@ -89,10 +80,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: nil Placer")
 	case c.DownlinkMedian <= 0:
 		return fmt.Errorf("workload: non-positive DownlinkMedian %d", c.DownlinkMedian)
-	case c.MaxFriends < 1:
-		return fmt.Errorf("workload: MaxFriends %d < 1", c.MaxFriends)
-	case c.FriendSkew < 0:
-		return fmt.Errorf("workload: negative FriendSkew %v", c.FriendSkew)
 	}
 	return nil
 }
@@ -102,17 +89,9 @@ type Population struct {
 	Players []*core.Player
 	// Capable indexes the supernode-capable players.
 	Capable []int
-
-	// The friend graph is generated by BuildFriends, not by Generate: its
-	// stream's seed and its two parameters wait here until someone asks.
-	friendSeed   int64
-	maxFriends   int
-	friendSkew   float64
-	friendsBuilt bool
 }
 
-// Generate builds a deterministic population from the configuration. Every
-// Player.Friends is nil until BuildFriends.
+// Generate builds a deterministic population from the configuration.
 func Generate(cfg Config) (*Population, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -120,14 +99,11 @@ func Generate(cfg Config) (*Population, error) {
 	rng := sim.NewRand(cfg.Seed)
 	placeRng := rng.Fork()
 	linkRng := rng.Fork()
-	// The friend stream's seed is drawn where the stream was always forked —
-	// Fork is NewRand(Int63()) — so every other stream is the one it was,
-	// whether or not the graph is ever built.
-	pop := &Population{friendSeed: rng.Int63(), maxFriends: cfg.MaxFriends, friendSkew: cfg.FriendSkew}
+	rng.Int63() // the retired friend graph's seed: capableRng must stay the stream it was
 	capableRng := rng.Fork()
 
 	players := make([]core.Player, cfg.Players) // one allocation, not one per player
-	pop.Players = make([]*core.Player, cfg.Players)
+	pop := &Population{Players: make([]*core.Player, cfg.Players)}
 	for i := range players {
 		p := &players[i]
 		*p = core.Player{
@@ -142,40 +118,6 @@ func Generate(cfg Config) (*Population, error) {
 		pop.Players[i] = p
 	}
 	return pop, nil
-}
-
-// BuildFriends generates the friend graph: a degree per player, then that
-// many distinct random friends. Friendship is directional; it only drives
-// game selection, so only Churn asks for it (NewChurn calls this). The graph
-// is a pure function of the seed Generate stored: a second call is a no-op,
-// and a copy of the Population made before the first builds the same graph.
-func (pop *Population) BuildFriends() {
-	if pop.friendsBuilt {
-		return
-	}
-	pop.friendsBuilt = true
-	rng := sim.NewRand(pop.friendSeed)
-	n := len(pop.Players)
-	// drawnFor[j] == i+1 while player i's friends are drawn means j is taken
-	// (or is i): one slice for the whole graph instead of a set per player.
-	drawnFor := make([]int, n)
-	for i, p := range pop.Players {
-		k := rng.PowerLawInt(1, pop.maxFriends, pop.friendSkew)
-		if k >= n {
-			k = n - 1
-		}
-		mark := i + 1
-		drawnFor[i] = mark
-		p.Friends = make([]int64, 0, k)
-		for len(p.Friends) < k {
-			j := rng.Intn(n)
-			if drawnFor[j] == mark {
-				continue
-			}
-			drawnFor[j] = mark
-			p.Friends = append(p.Friends, pop.Players[j].ID)
-		}
-	}
 }
 
 func lognormMultiplier(r *sim.Rand, sigma float64) float64 {
@@ -212,93 +154,4 @@ func (pop *Population) BuildSupernodes(n int, uplinkPerSlot int64, rng *sim.Rand
 		sns = append(sns, sn)
 	}
 	return sns, nil
-}
-
-// Churn drives session dynamics on a System: players join following a
-// Poisson process, play for a session drawn from the daily play-time
-// mixture, leave, and later rejoin for their next session.
-type Churn struct {
-	Engine *sim.Engine
-	System core.System
-	Pop    *Population
-	// ArrivalRate is the Poisson join rate in players/second (paper: 5).
-	ArrivalRate float64
-
-	rng     *sim.Rand
-	offline []int // indexes into Pop.Players
-	joins   uint64
-	leaves  uint64
-}
-
-// NewChurn wires a churn driver, building the population's friend graph if
-// nobody has yet. Call Start to schedule the first arrival.
-func NewChurn(engine *sim.Engine, system core.System, pop *Population, rate float64, rng *sim.Rand) *Churn {
-	pop.BuildFriends()
-	c := &Churn{Engine: engine, System: system, Pop: pop, ArrivalRate: rate, rng: rng}
-	c.offline = make([]int, len(pop.Players))
-	for i := range c.offline {
-		c.offline[i] = i
-	}
-	return c
-}
-
-// Joins and Leaves report how many session starts/ends have occurred.
-func (c *Churn) Joins() uint64  { return c.joins }
-func (c *Churn) Leaves() uint64 { return c.leaves }
-
-// Start schedules the arrival process.
-func (c *Churn) Start() {
-	c.Engine.Schedule(c.rng.Exp(c.ArrivalRate), c.arrival)
-}
-
-func (c *Churn) arrival() {
-	if len(c.offline) > 0 {
-		i := c.rng.Intn(len(c.offline))
-		idx := c.offline[i]
-		c.offline[i] = c.offline[len(c.offline)-1]
-		c.offline = c.offline[:len(c.offline)-1]
-		c.join(idx)
-	}
-	c.Engine.Schedule(c.rng.Exp(c.ArrivalRate), c.arrival)
-}
-
-func (c *Churn) join(idx int) {
-	p := c.Pop.Players[idx]
-	p.Game = c.ChooseGame(p)
-	c.System.Join(p)
-	c.joins++
-	session := c.rng.SessionDuration()
-	c.Engine.Schedule(session, func() {
-		c.System.Leave(p)
-		c.leaves++
-		c.offline = append(c.offline, idx)
-	})
-}
-
-// ChooseGame implements the paper's friend-driven selection: the game with
-// the largest number of online friends playing it, or a uniformly random
-// game when no friend is online. Ties break toward the lowest game ID for
-// determinism.
-func (c *Churn) ChooseGame(p *core.Player) game.Game {
-	counts := make(map[int]int)
-	for _, fid := range p.Friends {
-		f := c.Pop.Players[fid-PlayerIDBase]
-		if f.Online && f.Game.ID != 0 {
-			counts[f.Game.ID]++
-		}
-	}
-	bestID, bestCount := 0, 0
-	for id := 1; id <= len(game.Games()); id++ {
-		if counts[id] > bestCount {
-			bestID, bestCount = id, counts[id]
-		}
-	}
-	if bestID == 0 {
-		bestID = 1 + c.rng.Intn(len(game.Games()))
-	}
-	g, err := game.ByID(bestID)
-	if err != nil {
-		panic(err) // unreachable: IDs come from game.Games
-	}
-	return g
 }
