@@ -184,14 +184,16 @@ figures:
 
 # reach measures which functions of cloudfog/internal/... the product ever
 # enters, so a deletion pass starts from traffic instead of guesses: every
-# binary under cmd/, examples/ and bench/ built with -cover
-# -coverpkg=cloudfog/... into .reach/, driven through the invocations the
-# targets above, the verify skill and the README recipes use (including a
-# cloud + coordinator + three workers + four players role deployment with a
-# SIGTERM drain and a SIGKILL), counters merged, the never-entered functions
-# and the statement total printed. Not a coverage gate, and at ~4 min not part
-# of verify, but it has two hard checks: it fails if an internal package is
-# linked by no binary, and if the never-entered list is not exactly
+# binary under cmd/ and bench/ built with -cover -coverpkg=cloudfog/... into
+# .reach/, driven through the invocations the targets above, the verify skill
+# and the README recipes use (including a cloud + coordinator + three workers
+# + four players role deployment with a SIGTERM drain and a SIGKILL),
+# counters merged, the never-entered functions and the statement total
+# printed. The examples/ walkthroughs are built plain and run (one that exits
+# non-zero fails it) but count for nothing. Not a coverage gate, and at ~4 min
+# not part of verify, but it has two hard checks: it fails if an internal
+# package is linked by no cmd/ or bench/ binary, and if the never-entered
+# list is not exactly
 # scripts/reach-allow.txt — a new name is new dead code, a missing one is now
 # entered or gone. DESIGN.md §18 gives every name on the list its reason.
 reach:

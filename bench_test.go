@@ -23,7 +23,6 @@ import (
 	"cloudfog/internal/sim"
 	"cloudfog/internal/testbed"
 	"cloudfog/internal/trace"
-	"cloudfog/internal/world"
 )
 
 // benchWorld is shared across benchmarks: 2,500 players, 200 supernodes,
@@ -82,7 +81,8 @@ func BenchmarkFig3RateAdaptation(b *testing.B) {
 	g, _ := game.ByID(4)
 	downs := 0
 	for i := 0; i < b.N; i++ {
-		ctrl := adapt.NewController(adapt.DefaultConfig(), g)
+		var ctrl adapt.Controller
+		ctrl.Init(adapt.DefaultConfig(), g)
 		for t := 0; t < 200; t++ {
 			r := 2.0
 			if t > 50 && t < 120 {
@@ -542,19 +542,4 @@ func BenchmarkAllocateDrops(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sched.AllocateDrops(weights, budgets, 50)
 	}
-}
-
-func BenchmarkPartitionKD(b *testing.B) {
-	rng := sim.NewRand(7)
-	avatars := make([]world.Vec2, 2000)
-	for i := range avatars {
-		avatars[i] = world.Vec2{X: rng.Float64() * 10000, Y: rng.Float64() * 10000}
-	}
-	bounds := world.DefaultConfig().Bounds
-	var regions []world.Region
-	for i := 0; i < b.N; i++ {
-		regions = world.PartitionKD(bounds, avatars, 5)
-	}
-	assign := world.AssignRegions(regions, 5)
-	b.ReportMetric(world.LoadImbalance(regions, assign, 5), "imbalance")
 }

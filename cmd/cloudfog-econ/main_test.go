@@ -63,12 +63,15 @@ func TestWillingContributorsRiseWithReward(t *testing.T) {
 	}
 }
 
-// TestRejectsBadFlags: a negative pool or a target below one player is an
-// error naming the mistake, not a panic or a plan for nobody.
+// TestRejectsBadFlags: a negative pool, a target below one player or a rate
+// that is not a finite number is an error naming the mistake, not a panic, a
+// plan for nobody or a table of NaNs.
 func TestRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct{ flag, value, want string }{
 		{"candidates", "-1", "-candidates -1"},
 		{"target", "-5", "target of -5 players"},
+		{"stream", "NaN", "stream rate R NaN"},
+		{"reward", "+Inf", "reward c_s +Inf"},
 	} {
 		t.Run(tc.flag, func(t *testing.T) {
 			printed, err := runWith(t, map[string]string{tc.flag: tc.value})

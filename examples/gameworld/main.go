@@ -1,7 +1,6 @@
 // Gameworld: walk the MMOG substrate underneath CloudFog — the cloud's
 // authoritative virtual world, the update deltas it ships to supernodes,
-// the supernode replica that renders per-player views, and the kd-tree
-// region partitioning that balances the world across datacenters.
+// and the supernode replica that renders per-player views.
 package main
 
 import (
@@ -68,24 +67,6 @@ func main() {
 	fmt.Println("== per-player view rendering ==")
 	av, _ := replica.Get(1)
 	visible := replica.Visible(world.Viewport{Center: av.Pos, Radius: 800})
-	fmt.Printf("player 1 sees %d of %d entities; render cost %.2f units at 640x480 vs %.2f at 1280x720\n\n",
-		len(visible), replica.Len(),
-		world.RenderCost(len(visible), 640, 480), world.RenderCost(len(visible), 1280, 720))
-
-	// Partition the world across datacenters.
-	fmt.Println("== kd-tree region partitioning across 4 datacenters ==")
-	var avatars []world.Vec2
-	for i := int64(1); i <= 200; i++ {
-		if a := w.Avatar(i); a != nil {
-			avatars = append(avatars, a.Pos)
-		}
-	}
-	regions := world.PartitionKD(w.Bounds(), avatars, 3)
-	assign := world.AssignRegions(regions, 4)
-	for i, r := range regions {
-		fmt.Printf("  region %d: [%5.0f,%5.0f)x[%5.0f,%5.0f) %3d avatars -> datacenter %d\n",
-			i, r.Bounds.Min.X, r.Bounds.Max.X, r.Bounds.Min.Y, r.Bounds.Max.Y, r.Avatars, assign[i])
-	}
-	fmt.Printf("server load imbalance: %.3f (1.0 = perfect)\n",
-		world.LoadImbalance(regions, assign, 4))
+	fmt.Printf("player 1 sees %d of %d entities: the supernode renders the view, not the world\n",
+		len(visible), replica.Len())
 }

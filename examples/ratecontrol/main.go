@@ -21,7 +21,8 @@ func main() {
 	}
 	cfg := adapt.DefaultConfig()
 	cfg.UpStreak = 30 // a short demo: 3 s of sustained headroom to go up
-	ctrl := adapt.NewController(cfg, g)
+	var ctrl adapt.Controller
+	ctrl.Init(cfg, g)
 
 	fmt.Printf("game: %s (network budget %v, rho %.1f)\n", g.Name, g.NetworkBudget(), g.RhoLatency)
 	fmt.Printf("thresholds: adjust down below r=%.2f, adjust up above r=%.2f\n\n",
@@ -49,7 +50,7 @@ func main() {
 	rxBuf := 2 * segBytes() // two-segment startup buffer
 
 	fmt.Println("time     phase       bw(kbps)  level  r      event")
-	lastLevel := ctrl.Level().Level
+	up, down := 0, 0
 	for now := tick; now <= 22*time.Second; now += tick {
 		phase, bw := bandwidth(now)
 		bitrate := float64(ctrl.Level().Bitrate)
@@ -69,19 +70,22 @@ func main() {
 
 		r := rxBuf / segBytes()
 		decision := ctrl.Observe(r)
+		switch decision {
+		case adapt.AdjustedUp:
+			up++
+		case adapt.AdjustedDown:
+			down++
+		}
 		switch {
 		case decision != adapt.Hold:
 			fmt.Printf("%-8v %-11s %6.0f    L%d     %5.2f  %s -> %d kbps\n",
 				now, phase, bw/1000, ctrl.Level().Level, r, decision, ctrl.Level().Bitrate/1000)
-			lastLevel = ctrl.Level().Level
 		case now%(2*time.Second) == 0:
 			fmt.Printf("%-8v %-11s %6.0f    L%d     %5.2f  hold\n",
 				now, phase, bw/1000, ctrl.Level().Level, r)
 		}
-		_ = lastLevel
 	}
 
-	up, down := ctrl.Adjustments()
 	fmt.Printf("\ntotal adjustments: %d down, %d up (final level L%d @ %d kbps)\n",
 		down, up, ctrl.Level().Level, ctrl.Level().Bitrate/1000)
 }

@@ -24,27 +24,23 @@ func main() {
 
 	fmt.Println("== EDF ordering ==")
 	games := []int{5, 3, 1, 4, 2}
-	var segs []*stream.Segment
 	for i, id := range games {
 		g, err := game.ByID(id)
 		if err != nil {
 			panic(err)
 		}
-		enc := stream.NewEncoder(streamCfg, int64(i), g.Quality())
-		seg := enc.Encode(0, 0, g)
-		segs = append(segs, seg)
+		seg := new(stream.Segment)
+		stream.NewEncoder(streamCfg, int64(i), g.Quality()).EncodeInto(seg, 0, 0, g)
 		buf.Enqueue(0, seg)
 		fmt.Printf("  enqueued %-10s segment: deadline t_a=%-6v loss tolerance %.2f, %2d packets\n",
 			g.Name, seg.ExpectedArrival(), seg.LossTolerance, seg.Packets)
 	}
 	fmt.Println("\n  transmission order (earliest deadline first):")
-	order := []*stream.Segment{}
 	for {
-		seg := buf.Dequeue(0)
+		seg := buf.DequeueAny(0)
 		if seg == nil {
 			break
 		}
-		order = append(order, seg)
 		g, _ := game.ByID(gameOf(seg))
 		fmt.Printf("    -> %-10s (t_a=%v, %d of %d packets survive)\n",
 			g.Name, seg.ExpectedArrival(), seg.RemainingPackets(), seg.Packets)
@@ -65,18 +61,16 @@ func main() {
 	now := time.Duration(0)
 	for i := 0; i < 8; i++ {
 		g, _ := game.ByID(i%5 + 1)
-		enc := stream.NewEncoder(streamCfg, int64(100+i), g.Quality())
-		buf2.Enqueue(now, enc.Encode(now, now, g))
+		seg := new(stream.Segment)
+		stream.NewEncoder(streamCfg, int64(100+i), g.Quality()).EncodeInto(seg, now, now, g)
+		buf2.Enqueue(now, seg)
 		now += 10 * time.Millisecond
 	}
-	enq, sent, dropped, fully, repairs := buf2.Stats()
+	enq, _, dropped, fully, repairs := buf2.Stats()
 	fmt.Printf("  %d segments enqueued, %d deadline repairs ran, %d packets dropped (%d segments fully)\n",
 		enq, repairs, dropped, fully)
 	fmt.Printf("  queue now holds %d bytes (%.0f ms at 3 Mbps)\n",
 		buf2.QueuedBytes(), float64(buf2.QueuedBytes()*8)/3_000_000*1000)
-	_ = sent
-	_ = segs
-	_ = order
 }
 
 // gameOf recovers the game id from a segment's latency requirement.

@@ -19,7 +19,7 @@ import (
 )
 
 // Config parameterizes the adaptation controller. Zero-value fields are
-// replaced by paper defaults in NewController.
+// replaced by paper defaults in Controller.Init.
 type Config struct {
 	// Theta is the adjust-down threshold θ of Formula 11 (default 0.5).
 	Theta float64
@@ -78,21 +78,12 @@ type Controller struct {
 	maxLevel   int // game's matched level: quality never exceeds the latency requirement
 	upStreak   int
 	downStreak int
-	upCount    int
-	downCount  int
 }
 
-// NewController returns a controller for the given game, starting at the
-// game's matched ladder level.
-func NewController(cfg Config, g game.Game) *Controller {
-	c := new(Controller)
-	c.Init(cfg, g)
-	return c
-}
-
-// Init is NewController writing into caller-provided storage: it overwrites
-// every field, so value-embedded controllers (the QoE session arena) can be
-// re-initialized in place without a heap allocation.
+// Init readies the controller for the given game, starting at the game's
+// matched ladder level. It overwrites every field, so value-embedded
+// controllers (the QoE session arena) are re-initialized in place without a
+// heap allocation.
 func (c *Controller) Init(cfg Config, g game.Game) {
 	if cfg.Theta == 0 {
 		cfg.Theta = 0.5
@@ -172,7 +163,6 @@ func (c *Controller) Observe(r float64) Decision {
 		c.upStreak = 0
 		if c.level < c.maxLevel {
 			c.level++
-			c.upCount++
 			return AdjustedUp
 		}
 		return Hold
@@ -181,16 +171,12 @@ func (c *Controller) Observe(r float64) Decision {
 		c.downStreak = 0
 		if c.level > 1 {
 			c.level--
-			c.downCount++
 			return AdjustedDown
 		}
 		return Hold
 	}
 	return Hold
 }
-
-// Adjustments returns how many up and down level changes have occurred.
-func (c *Controller) Adjustments() (up, down int) { return c.upCount, c.downCount }
 
 // OccupancyEstimator implements Eq. 7's buffered-size estimate:
 //

@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,7 +20,8 @@ func mustGame(t *testing.T, id int) game.Game {
 
 func TestControllerStartsAtGameLevel(t *testing.T) {
 	g := mustGame(t, 4)
-	c := NewController(DefaultConfig(), g)
+	var c Controller
+	c.Init(DefaultConfig(), g)
 	if c.Level().Level != 4 {
 		t.Fatalf("start level = %d, want 4", c.Level().Level)
 	}
@@ -31,7 +33,8 @@ func TestAdjustDownPaperExample(t *testing.T) {
 	g := mustGame(t, 3)
 	cfg := DefaultConfig()
 	cfg.UseRho = false // plain Formula 11, as in the figure
-	c := NewController(cfg, g)
+	var c Controller
+	c.Init(cfg, g)
 	var last Decision
 	for i := 0; i < cfg.DownStreak; i++ {
 		last = c.Observe(0.3) // r < θ = 0.5
@@ -52,7 +55,8 @@ func TestAdjustUpPaperExample(t *testing.T) {
 	g := mustGame(t, 4) // matched to 1200 kbps
 	cfg := DefaultConfig()
 	cfg.UseRho = false
-	c := NewController(cfg, g)
+	var c Controller
+	c.Init(cfg, g)
 	// First adapt down to 800 kbps.
 	for i := 0; i < cfg.DownStreak; i++ {
 		c.Observe(0.2)
@@ -77,7 +81,8 @@ func TestUpCappedAtGameLevel(t *testing.T) {
 	g := mustGame(t, 2)
 	cfg := DefaultConfig()
 	cfg.UseRho = false
-	c := NewController(cfg, g)
+	var c Controller
+	c.Init(cfg, g)
 	for i := 0; i < cfg.UpStreak*3; i++ {
 		c.Observe(10)
 	}
@@ -88,7 +93,8 @@ func TestUpCappedAtGameLevel(t *testing.T) {
 
 func TestDownCappedAtLevelOne(t *testing.T) {
 	g := mustGame(t, 1)
-	c := NewController(DefaultConfig(), g)
+	var c Controller
+	c.Init(DefaultConfig(), g)
 	for i := 0; i < 100; i++ {
 		c.Observe(0)
 	}
@@ -103,7 +109,8 @@ func TestHysteresisPreventsFluctuation(t *testing.T) {
 	g := mustGame(t, 3)
 	cfg := DefaultConfig()
 	cfg.UseRho = false
-	c := NewController(cfg, g)
+	var c Controller
+	c.Init(cfg, g)
 	for i := 0; i < 200; i++ {
 		// Alternate: condition never holds DownStreak times in a row.
 		if i%5 == 4 {
@@ -122,7 +129,8 @@ func TestStreakResetsAfterAdjustment(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UseRho = false
 	cfg.DownStreak = 3
-	c := NewController(cfg, g)
+	var c Controller
+	c.Init(cfg, g)
 	downs := 0
 	for i := 0; i < 6; i++ {
 		if c.Observe(0.1) == AdjustedDown {
@@ -140,8 +148,9 @@ func TestStreakResetsAfterAdjustment(t *testing.T) {
 // latency-sensitive game requires more buffered video before adjusting up.
 func TestRhoScalingMakesSensitiveGamesConservative(t *testing.T) {
 	cfg := DefaultConfig()
-	sensitive := NewController(cfg, mustGame(t, 1)) // rho 0.6
-	tolerant := NewController(cfg, mustGame(t, 5))  // rho 1.0
+	var sensitive, tolerant Controller
+	sensitive.Init(cfg, mustGame(t, 1)) // rho 0.6
+	tolerant.Init(cfg, mustGame(t, 5))  // rho 1.0
 	if sensitive.UpThreshold() <= tolerant.UpThreshold() {
 		t.Fatalf("sensitive up threshold %v <= tolerant %v",
 			sensitive.UpThreshold(), tolerant.UpThreshold())
@@ -155,7 +164,8 @@ func TestRhoScalingMakesSensitiveGamesConservative(t *testing.T) {
 func TestRhoDisabledMatchesPlainThresholds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UseRho = false
-	c := NewController(cfg, mustGame(t, 1))
+	var c Controller
+	c.Init(cfg, mustGame(t, 1))
 	if math.Abs(c.UpThreshold()-(1+2.0/3.0)) > 1e-12 {
 		t.Fatalf("up threshold = %v, want 1+beta", c.UpThreshold())
 	}
@@ -165,7 +175,8 @@ func TestRhoDisabledMatchesPlainThresholds(t *testing.T) {
 }
 
 func TestDefaultsFilledIn(t *testing.T) {
-	c := NewController(Config{}, mustGame(t, 3))
+	var c Controller
+	c.Init(Config{}, mustGame(t, 3))
 	if c.cfg.Theta != 0.5 || c.cfg.UpStreak != 100 || c.cfg.DownStreak != 10 {
 		t.Fatalf("defaults not applied: %+v", c.cfg)
 	}
@@ -179,14 +190,19 @@ func TestAdjustmentCounters(t *testing.T) {
 	cfg.UseRho = false
 	cfg.DownStreak = 2
 	cfg.UpStreak = 2
-	c := NewController(cfg, mustGame(t, 4))
-	c.Observe(0.1)
-	c.Observe(0.1) // down to 3
-	c.Observe(3)
-	c.Observe(3) // up to 4
-	up, down := c.Adjustments()
-	if up != 1 || down != 1 {
-		t.Fatalf("adjustments = (%d,%d), want (1,1)", up, down)
+	var c Controller
+	c.Init(cfg, mustGame(t, 4))
+	var got []Decision
+	for _, r := range []float64{0.1, 0.1, 3, 3} {
+		got = append(got, c.Observe(r))
+	}
+	// Down to 3 on the second low sample, back up to 4 on the second high one.
+	want := []Decision{Hold, AdjustedDown, Hold, AdjustedUp}
+	if !slices.Equal(got, want) {
+		t.Fatalf("decisions = %v, want %v", got, want)
+	}
+	if c.Level().Level != 4 {
+		t.Fatalf("level = %d, want 4", c.Level().Level)
 	}
 }
 

@@ -12,6 +12,7 @@ package econ
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -30,17 +31,18 @@ type Params struct {
 	UpdateRate float64
 }
 
-// Validate reports parameter errors.
+// Validate reports parameter errors. Each check is written so that NaN fails
+// it (every comparison with NaN is false), and +Inf is refused with it.
 func (p Params) Validate() error {
 	switch {
-	case p.RewardPerUnit < 0:
-		return fmt.Errorf("econ: negative reward c_s %v", p.RewardPerUnit)
-	case p.RevenuePerUnit < 0:
-		return fmt.Errorf("econ: negative revenue c_c %v", p.RevenuePerUnit)
-	case p.StreamRate <= 0:
-		return fmt.Errorf("econ: non-positive stream rate R %v", p.StreamRate)
-	case p.UpdateRate < 0:
-		return fmt.Errorf("econ: negative update rate Λ %v", p.UpdateRate)
+	case !(p.RewardPerUnit >= 0) || math.IsInf(p.RewardPerUnit, 1):
+		return fmt.Errorf("econ: reward c_s %v, want a finite number ≥ 0", p.RewardPerUnit)
+	case !(p.RevenuePerUnit >= 0) || math.IsInf(p.RevenuePerUnit, 1):
+		return fmt.Errorf("econ: revenue c_c %v, want a finite number ≥ 0", p.RevenuePerUnit)
+	case !(p.StreamRate > 0) || math.IsInf(p.StreamRate, 1):
+		return fmt.Errorf("econ: stream rate R %v, want a finite number > 0", p.StreamRate)
+	case !(p.UpdateRate >= 0) || math.IsInf(p.UpdateRate, 1):
+		return fmt.Errorf("econ: update rate Λ %v, want a finite number ≥ 0", p.UpdateRate)
 	}
 	return nil
 }
@@ -60,15 +62,16 @@ type Supernode struct {
 	CoverageGain int
 }
 
-// Validate reports supernode description errors.
+// Validate reports supernode description errors, refusing NaN and ±Inf
+// the way Params.Validate does.
 func (s Supernode) Validate() error {
 	switch {
-	case s.Capacity < 0:
-		return fmt.Errorf("econ: negative capacity %v", s.Capacity)
-	case s.Utilization < 0 || s.Utilization > 1:
+	case !(s.Capacity >= 0) || math.IsInf(s.Capacity, 1):
+		return fmt.Errorf("econ: capacity %v, want a finite number ≥ 0", s.Capacity)
+	case !(s.Utilization >= 0 && s.Utilization <= 1):
 		return fmt.Errorf("econ: utilization %v outside [0,1]", s.Utilization)
-	case s.Cost < 0:
-		return fmt.Errorf("econ: negative cost %v", s.Cost)
+	case !(s.Cost >= 0) || math.IsInf(s.Cost, 1):
+		return fmt.Errorf("econ: cost %v, want a finite number ≥ 0", s.Cost)
 	case s.CoverageGain < 0:
 		return fmt.Errorf("econ: negative coverage gain %d", s.CoverageGain)
 	}

@@ -2,6 +2,7 @@ package econ
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -44,6 +45,39 @@ func TestSupernodeValidate(t *testing.T) {
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Fatalf("bad supernode %d accepted", i)
+		}
+	}
+}
+
+// TestValidateRefusesNonFinite: NaN and ±Inf in any float field are refused
+// by the field's name. A comparison with NaN is false, so a range check alone
+// let NaN through every field and +Inf through most.
+func TestValidateRefusesNonFinite(t *testing.T) {
+	params := map[string]func(*Params, float64){
+		"reward c_s":    func(p *Params, v float64) { p.RewardPerUnit = v },
+		"revenue c_c":   func(p *Params, v float64) { p.RevenuePerUnit = v },
+		"stream rate R": func(p *Params, v float64) { p.StreamRate = v },
+		"update rate Λ": func(p *Params, v float64) { p.UpdateRate = v },
+	}
+	supernode := map[string]func(*Supernode, float64){
+		"capacity":    func(s *Supernode, v float64) { s.Capacity = v },
+		"utilization": func(s *Supernode, v float64) { s.Utilization = v },
+		"cost":        func(s *Supernode, v float64) { s.Cost = v },
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, set := range params {
+			p := defaultParams()
+			set(&p, v)
+			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("Params with %s = %v: err %v, want one naming %q", name, v, err, name)
+			}
+		}
+		for name, set := range supernode {
+			s := Supernode{Capacity: 10, Utilization: 0.5, Cost: 1}
+			set(&s, v)
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("Supernode with %s = %v: err %v, want one naming %q", name, v, err, name)
+			}
 		}
 	}
 }

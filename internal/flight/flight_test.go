@@ -323,6 +323,26 @@ func TestOverride(t *testing.T) {
 	}
 }
 
+// TestBandwidthKnobRefusesUnrunnableScales: a scale that is not a positive
+// finite number, or that would take a scaled capacity past MaxInt64 or under
+// one bit per second, is refused by the knob's name before anything runs. A
+// scale inside the range still overrides.
+func TestBandwidthKnobRefusesUnrunnableScales(t *testing.T) {
+	base, err := testSpec(1, 1).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"NaN", "+Inf", "1e10", "1e-12"} {
+		if _, err := base.Override("bandwidth", v); err == nil || !strings.Contains(err.Error(), "bandwidth=") {
+			t.Errorf("bandwidth=%s: err = %v, want one naming the knob", v, err)
+		}
+	}
+	over, err := base.Override("bandwidth", "0.5")
+	if err != nil || over.BandwidthScale != 0.5 {
+		t.Fatalf("bandwidth=0.5: err %v, scale %g", err, over.BandwidthScale)
+	}
+}
+
 // TestWhatIfDetectorSwap is the counterfactual acceptance path: on a
 // recorded timeout-detector scaling incident, "what if the detector had
 // been phi-accrual" must produce a non-empty, ledger-reconciled diff, and

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -182,15 +183,33 @@ var knobs = map[string]func(s *RunSpec, value string) error{
 		s.Detector = v
 		return nil
 	},
-	"overload": func(s *RunSpec, v string) error { return setBool(&s.Overload, v) },
-	"bandwidth": func(s *RunSpec, v string) error {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("flight: bandwidth scale %q is not a positive number", v)
+	"overload":  func(s *RunSpec, v string) error { return setBool(&s.Overload, v) },
+	"bandwidth": setBandwidth,
+}
+
+// setBandwidth sets the capacity scale, refusing by name a value that is not
+// a positive finite number, or that would take a capacity config scales
+// outside [1, MaxInt64]: the conversion back to int64 would wrap or truncate
+// it to a capacity the run then refuses.
+func setBandwidth(s *RunSpec, v string) error {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || !(f > 0) || math.IsInf(f, 1) {
+		return fmt.Errorf("flight: bandwidth=%s: not a positive finite scale", v)
+	}
+	base := experiment.Default(s.Seed)
+	for _, c := range []struct {
+		name string
+		v    int64
+	}{{"DCEgress", base.Core.DCEgress}, {"UplinkPerSlot", base.Core.UplinkPerSlot},
+		{"EdgeServerEgress", base.EdgeServerEgress}} {
+		// float64(MaxInt64) is 2^63, one past it, hence the strict bound.
+		if x := float64(c.v) * f; x < 1 || x >= math.MaxInt64 {
+			return fmt.Errorf("flight: bandwidth=%s: scales %s %d to %g, outside [1, %d]",
+				v, c.name, c.v, x, int64(math.MaxInt64))
 		}
-		s.BandwidthScale = f
-		return nil
-	},
+	}
+	s.BandwidthScale = f
+	return nil
 }
 
 // Override returns a copy of the spec with exactly one knob changed. The

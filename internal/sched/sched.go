@@ -304,25 +304,11 @@ func (b *Buffer) Enqueue(now time.Duration, seg *stream.Segment) bool {
 	return true
 }
 
-// Dequeue removes and returns the head segment with at least one surviving
-// packet, or nil if the buffer is empty. Segments whose packets were all
-// dropped are discarded (and counted) without being returned.
-func (b *Buffer) Dequeue(now time.Duration) *stream.Segment {
-	for {
-		seg := b.DequeueAny(now)
-		if seg == nil {
-			return nil
-		}
-		if seg.RemainingPackets() > 0 {
-			return seg
-		}
-	}
-}
-
 // DequeueAny removes and returns the head segment even when all of its
 // packets were dropped, so callers can account the loss (a fully-dropped
-// segment's packets still count against playback continuity). It returns
-// nil when the buffer is empty.
+// segment's packets still count against playback continuity); such a
+// segment is counted as fully dropped, not sent. It returns nil when the
+// buffer is empty.
 func (b *Buffer) DequeueAny(now time.Duration) *stream.Segment {
 	if b.head >= len(b.queue) {
 		return nil

@@ -22,8 +22,9 @@ func testSegment(t *testing.T, playerID int64, gameID int, action time.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := stream.NewEncoder(cfg100(), playerID, g.Quality())
-	return e.Encode(action, action, g)
+	s := new(stream.Segment)
+	stream.NewEncoder(cfg100(), playerID, g.Quality()).EncodeInto(s, action, action, g)
+	return s
 }
 
 func newTestBuffer(bandwidth int64) *Buffer {
@@ -38,13 +39,13 @@ func TestEDFOrdering(t *testing.T) {
 	fast := testSegment(t, 2, 1, 0)
 	b.Enqueue(0, slow)
 	b.Enqueue(0, fast)
-	if got := b.Dequeue(0); got != fast {
+	if got := b.DequeueAny(0); got != fast {
 		t.Fatalf("head = player %d, want the tight-deadline segment", got.PlayerID)
 	}
-	if got := b.Dequeue(0); got != slow {
+	if got := b.DequeueAny(0); got != slow {
 		t.Fatal("second dequeue should return the slow segment")
 	}
-	if b.Dequeue(0) != nil {
+	if b.DequeueAny(0) != nil {
 		t.Fatal("empty buffer should return nil")
 	}
 }
@@ -56,7 +57,7 @@ func TestEDFUsesActionTimeToo(t *testing.T) {
 	early := testSegment(t, 2, 3, 10*time.Millisecond)
 	b.Enqueue(60*time.Millisecond, late)
 	b.Enqueue(60*time.Millisecond, early)
-	if got := b.Dequeue(60 * time.Millisecond); got != early {
+	if got := b.DequeueAny(60 * time.Millisecond); got != early {
 		t.Fatal("earlier action did not dequeue first")
 	}
 }
@@ -69,7 +70,7 @@ func TestFIFOAblation(t *testing.T) {
 	fast := testSegment(t, 2, 1, 0)
 	b.Enqueue(0, slow)
 	b.Enqueue(0, fast)
-	if got := b.Dequeue(0); got != slow {
+	if got := b.DequeueAny(0); got != slow {
 		t.Fatal("FIFO buffer reordered segments")
 	}
 }
@@ -340,6 +341,9 @@ func TestDropsNeverExceedLossTolerance(t *testing.T) {
 	}
 }
 
+// TestFullyDroppedSegmentsSkippedOnDequeue: a segment whose packets were all
+// dropped still leaves the queue in order, so its loss can be accounted, but
+// it is counted as fully dropped and skipped by the sent count.
 func TestFullyDroppedSegmentsSkippedOnDequeue(t *testing.T) {
 	b := newTestBuffer(8_000_000)
 	s1 := testSegment(t, 1, 3, 0)
@@ -347,8 +351,11 @@ func TestFullyDroppedSegmentsSkippedOnDequeue(t *testing.T) {
 	b.Enqueue(0, s1)
 	b.Enqueue(0, s2)
 	s1.Dropped = s1.Packets // everything gone
-	if got := b.Dequeue(0); got != s2 {
-		t.Fatal("fully dropped segment was returned")
+	if got := b.DequeueAny(0); got != s1 || got.RemainingPackets() != 0 {
+		t.Fatal("the fully dropped head segment did not leave the queue first")
+	}
+	if got := b.DequeueAny(0); got != s2 {
+		t.Fatal("the surviving segment did not follow")
 	}
 	_, sent, _, fullyDropped, _ := b.Stats()
 	if sent != 1 || fullyDropped != 1 {
@@ -403,7 +410,9 @@ func TestQueuedBytesCounterConsistency(t *testing.T) {
 				g := games[rng.Intn(len(games))]
 				e := stream.NewEncoder(cfg100(), int64(rng.Intn(40)), g.Quality())
 				action := now - time.Duration(rng.Intn(10))*time.Millisecond
-				b.Enqueue(now, e.Encode(action, now, g))
+				seg := new(stream.Segment)
+				e.EncodeInto(seg, action, now, g)
+				b.Enqueue(now, seg)
 				b.ClearEvicted()
 			case 5, 6, 7: // dequeue
 				b.DequeueAny(now)
@@ -413,7 +422,7 @@ func TestQueuedBytesCounterConsistency(t *testing.T) {
 				}
 			case 9: // drain a burst so head-index wraparound is exercised
 				for k := 0; k < 3; k++ {
-					b.Dequeue(now)
+					b.DequeueAny(now)
 				}
 			}
 			if got, want := b.QueuedBytes(), b.recomputeQueuedBytes(); got != want {
@@ -445,7 +454,7 @@ func TestEnqueueAllocFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := stream.NewEncoder(cfg100(), 1, g.Quality())
-	seg := e.Encode(0, 0, g)
+	seg := new(stream.Segment)
 	now := time.Duration(0)
 	// Warm: populate the queue, scratch, and evicted arrays.
 	for i := 0; i < 64; i++ {
@@ -533,7 +542,7 @@ func TestTailDropBoundsQueue(t *testing.T) {
 		t.Fatalf("tail-dropped %d, want 8", b.TailDropped())
 	}
 	// Draining frees space for new segments.
-	b.Dequeue(0)
+	b.DequeueAny(0)
 	if !b.Enqueue(0, testSegment(t, 99, 3, 0)) {
 		t.Fatal("segment rejected despite freed space")
 	}

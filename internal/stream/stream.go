@@ -143,19 +143,12 @@ func (e *Encoder) SetLevel(q game.QualityLevel) {
 	e.packets = e.cfg.PacketsPerSegment(q.Bitrate)
 }
 
-// Encode produces the next segment for an action issued at actionTime, for a
-// game with the given tolerances.
-func (e *Encoder) Encode(actionTime, enqueued time.Duration, g game.Game) *Segment {
-	s := new(Segment)
-	e.EncodeInto(s, actionTime, enqueued, g)
-	return s
-}
-
-// EncodeInto is Encode writing into caller-provided storage: it overwrites
-// every field of s (including Dropped) with the next segment's state. It
-// exists so the QoE hot loop can recycle segments through a pool instead of
-// allocating one per simulated frame — field by field, because a composite
-// literal is built in a temporary and copied over s.
+// EncodeInto writes the next segment, for an action issued at actionTime and
+// a game with the given tolerances, into caller-provided storage: it
+// overwrites every field of s (including Dropped). The QoE hot loop recycles
+// segments through a pool instead of allocating one per simulated frame, so
+// it writes field by field, because a composite literal is built in a
+// temporary and copied over s.
 func (e *Encoder) EncodeInto(s *Segment, actionTime, enqueued time.Duration, g game.Game) {
 	s.PlayerID = e.playerID
 	s.Stream = e.stream

@@ -54,7 +54,8 @@ func TestEncoderStampsSegments(t *testing.T) {
 	cfg := cfg100()
 	g, _ := game.ByID(3) // 70ms budget, level 3 start
 	e := NewEncoder(cfg, 42, g.Quality())
-	s := e.Encode(100*time.Millisecond, 105*time.Millisecond, g)
+	s := new(Segment)
+	e.EncodeInto(s, 100*time.Millisecond, 105*time.Millisecond, g)
 	if s.PlayerID != 42 {
 		t.Fatalf("player id = %d", s.PlayerID)
 	}
@@ -88,8 +89,9 @@ func dirty(t *testing.T, v reflect.Value) {
 }
 
 // TestEncodeIntoOverwritesEveryField: a recycled segment carries nothing of
-// its last life — every field, Dropped and Stream included, is what a fresh
-// Encode gives. A field added to Segment that EncodeInto forgets fails here.
+// its last life — every field, Dropped and Stream included, is what encoding
+// into a zero segment gives. A field added to Segment that EncodeInto forgets
+// fails here.
 func TestEncodeIntoOverwritesEveryField(t *testing.T) {
 	cfg := cfg100()
 	g, _ := game.ByID(2)
@@ -108,8 +110,9 @@ func TestEncodeIntoOverwritesEveryField(t *testing.T) {
 	if seg != want {
 		t.Fatalf("EncodeInto over a dirty segment:\n got %+v\nwant %+v", seg, want)
 	}
-	if fresh := *twin.Encode(100*time.Millisecond, 105*time.Millisecond, g); fresh != want {
-		t.Fatalf("Encode:\n got %+v\nwant %+v", fresh, want)
+	var fresh Segment
+	if twin.EncodeInto(&fresh, 100*time.Millisecond, 105*time.Millisecond, g); fresh != want {
+		t.Fatalf("EncodeInto a zero segment:\n got %+v\nwant %+v", fresh, want)
 	}
 	var next Segment
 	e.EncodeInto(&next, 0, 0, g)
@@ -122,9 +125,12 @@ func TestEncoderSetLevelChangesSize(t *testing.T) {
 	cfg := cfg100()
 	g, _ := game.ByID(3)
 	e := NewEncoder(cfg, 1, g.Quality())
-	before := e.Encode(0, 0, g).Bytes
+	var s Segment
+	e.EncodeInto(&s, 0, 0, g)
+	before := s.Bytes
 	e.SetLevel(game.MustLevelAt(2))
-	after := e.Encode(0, 0, g).Bytes
+	e.EncodeInto(&s, 0, 0, g)
+	after := s.Bytes
 	if after >= before {
 		t.Fatalf("lower level did not shrink segment: %d -> %d", before, after)
 	}
@@ -132,7 +138,7 @@ func TestEncoderSetLevelChangesSize(t *testing.T) {
 
 // TestEncoderSizesMatchConfig holds the encoder's cached segment size to the
 // config's arithmetic at every ladder level, whether the level came from
-// NewEncoder or SetLevel, through Encode and EncodeInto.
+// NewEncoder or SetLevel.
 func TestEncoderSizesMatchConfig(t *testing.T) {
 	g, _ := game.ByID(3)
 	for _, cfg := range []Config{DefaultConfig(), cfg100(), {SegmentDuration: 40 * time.Millisecond, PacketSize: 1200}} {
@@ -141,11 +147,10 @@ func TestEncoderSizesMatchConfig(t *testing.T) {
 			fresh := NewEncoder(cfg, 1, q)
 			moved.SetLevel(q)
 			wantBytes, wantPackets := cfg.SegmentBytes(q.Bitrate), cfg.PacketsPerSegment(q.Bitrate)
-			var into Segment
-			moved.EncodeInto(&into, 0, 0, g)
-			for name, s := range map[string]*Segment{
-				"NewEncoder": fresh.Encode(0, 0, g), "SetLevel": moved.Encode(0, 0, g), "EncodeInto": &into,
-			} {
+			var fromNew, fromSet Segment
+			fresh.EncodeInto(&fromNew, 0, 0, g)
+			moved.EncodeInto(&fromSet, 0, 0, g)
+			for name, s := range map[string]*Segment{"NewEncoder": &fromNew, "SetLevel": &fromSet} {
 				if s.Bytes != wantBytes || s.Packets != wantPackets {
 					t.Fatalf("%s at level %d: %d bytes in %d packets, config says %d in %d",
 						name, q.Level, s.Bytes, s.Packets, wantBytes, wantPackets)
@@ -159,7 +164,8 @@ func TestSegmentDropAccounting(t *testing.T) {
 	cfg := cfg100()
 	g, _ := game.ByID(5) // loss tolerance 0.40
 	e := NewEncoder(cfg, 1, g.Quality())
-	s := e.Encode(0, 0, g)
+	s := new(Segment)
+	e.EncodeInto(s, 0, 0, g)
 	total := s.Packets
 	budget := s.DropBudget()
 	want := int(math.Floor(0.40 * float64(total)))
@@ -273,7 +279,8 @@ func TestContinuityMeterRecordSegment(t *testing.T) {
 	cfg := cfg100()
 	g, _ := game.ByID(4)
 	e := NewEncoder(cfg, 1, g.Quality())
-	s := e.Encode(0, 0, g)
+	s := new(Segment)
+	e.EncodeInto(s, 0, 0, g)
 	s.Dropped = 2
 
 	var m ContinuityMeter

@@ -129,13 +129,3 @@ func (r *Replica) Visible(v Viewport) []Entity {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
-
-// RenderCost is a deterministic proxy for the work of rendering one frame
-// of the view: a base cost plus a per-visible-entity cost, scaled by the
-// pixel count of the target resolution. It grounds the paper's claim that
-// "rendering game video is relatively less hardware demanding" — the cost
-// depends on the view, not the whole world.
-func RenderCost(visible int, width, height int) float64 {
-	pixels := float64(width * height)
-	return pixels * (1 + 0.02*float64(visible)) / 1e6
-}

@@ -287,12 +287,16 @@ func TestVisibleMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestRenderCostScales(t *testing.T) {
-	small := RenderCost(5, 288, 216)
-	bigView := RenderCost(50, 288, 216)
-	hiRes := RenderCost(5, 1280, 720)
-	if bigView <= small || hiRes <= small {
-		t.Fatal("render cost not increasing in visible entities / resolution")
+func TestRectContainsProperty(t *testing.T) {
+	f := func(x, y float64) bool {
+		r := Rect{Min: Vec2{0, 0}, Max: Vec2{100, 100}}
+		p := Vec2{math.Mod(math.Abs(x), 200), math.Mod(math.Abs(y), 200)}
+		in := r.Contains(p)
+		wantIn := p.X >= 0 && p.X < 100 && p.Y >= 0 && p.Y < 100
+		return in == wantIn
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

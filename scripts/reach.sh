@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
 # make reach: which functions of cloudfog/internal/... does the product
-# actually enter? Builds every binary (cmd/, examples/, bench/) with coverage
-# instrumentation over the whole module, drives each the way the Makefile
-# smokes, the verify skill and the README recipes drive it — including a
-# multi-process role deployment with a SIGTERM drain and a SIGKILL — merges
-# the counters, and prints the functions no run entered plus the statement
-# total. Not a coverage gate, but it has two hard checks: an internal package
-# that no binary links fails the run, and so does a never-entered list that
-# differs from scripts/reach-allow.txt — a name outside the file is new dead
-# code (wire it, delete it, or add it with its reason to DESIGN.md §18), a
-# name only in the file is now entered or gone (take it out).
+# actually enter? Builds the product's binaries (cmd/ and bench/) with
+# coverage instrumentation over the whole module, drives each the way the
+# Makefile smokes, the verify skill and the README recipes drive it —
+# including a multi-process role deployment with a SIGTERM drain and a
+# SIGKILL — merges the counters, and prints the functions no run entered plus
+# the statement total. The examples/ walkthroughs are built without coverage
+# and run, and any that exits non-zero fails the run, but what they enter
+# counts for nothing: an example is not a binary, figure, workload or role
+# (DESIGN.md §18). Not a coverage gate, but it has two hard checks: an
+# internal package that no cmd/ or bench/ binary links fails the run, and so
+# does a never-entered list that differs from scripts/reach-allow.txt — a
+# name outside the file is new dead code (wire it, delete it, or add it with
+# its reason to DESIGN.md §18), a name only in the file is now entered or
+# gone (take it out).
 #
 # Everything it writes goes under .reach/ (git-ignored). Set REACH_PORT to
 # move the role deployment off 127.0.0.1:19700-19706.
@@ -21,24 +25,34 @@ out="$root/.reach"
 bin="$out/bin"
 run="$out/run"
 rm -rf "$out"
-mkdir -p "$bin" "$run" "$out/cov"
+mkdir -p "$bin" "$run" "$out/cov" "$out/examples"
 export GOFLAGS=-buildvcs=false
 
-# --- The hard check: every internal package is linked by some binary. ---
+# --- The hard check: every internal package is linked by a product binary. ---
 {
-	go list -deps ./cmd/... ./examples/...
+	go list -deps ./cmd/...
 	go list -C bench -deps .
 } | grep '^cloudfog/internal/' | sort -u >"$out/linked.txt"
 go list ./internal/... | sort >"$out/packages.txt"
 comm -23 "$out/packages.txt" "$out/linked.txt" >"$out/unlinked.txt"
 
-# --- Build. ---
-go build -cover -coverpkg=cloudfog/... -o "$bin/" ./cmd/... ./examples/...
+# --- Build. Examples are every main package under examples/, built plain. ---
+go build -cover -coverpkg=cloudfog/... -o "$bin/" ./cmd/...
 go build -C bench -cover -coverpkg=cloudfog/... -o "$bin/cloudfog-bench" .
+mapfile -t examples < <(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./examples/... | sed '/^$/d')
+go build -o "$out/examples/" "${examples[@]}"
 export GOCOVERDIR="$out/cov"
 
 step() { echo "reach: $*" >&2; }
 quiet() { "$@" >>"$run/stdout.log" 2>>"$run/stderr.log"; }
+
+step "examples (${#examples[@]}, run, not counted)"
+for ex in "${examples[@]}"; do
+	if ! quiet "$out/examples/${ex##*/}"; then
+		echo "reach: FAIL — example ${ex##*/} exited non-zero; see $run/stderr.log" >&2
+		exit 1
+	fi
+done
 
 # --- The simulator: every figure, the chaos and detect smokes, the sharded
 # scale run, a recording. ---
@@ -62,17 +76,14 @@ quiet "$bin/cloudfog-replay" examples/flight/chaos.flight
 quiet "$bin/cloudfog-replay" examples/flight/sharded.flight
 quiet "$bin/cloudfog-replay" -from figrecovery examples/flight/chaos.flight
 quiet "$bin/cloudfog-replay" -whatif detector=phi -expect-diff -json "$run/whatif.json" examples/flight/chaos.flight
-for knob in players=300 horizon=30s overload=false seed=7; do # one knob of each value type
+for knob in players=300 horizon=30s overload=false seed=7 bandwidth=0.5; do # one knob of each value type
 	quiet "$bin/cloudfog-replay" -whatif "$knob" examples/flight/chaos.flight
 done
 quiet "$bin/cloudfog-replay" -describe examples/flight/sharded.flight
 
-step "cloudfog-econ, cloudfog-testbed, examples"
+step "cloudfog-econ, cloudfog-testbed"
 quiet "$bin/cloudfog-econ"
 quiet "$bin/cloudfog-testbed" -players 60 -supernodes 20 -servers 2 -parallel 64
-for ex in economics gameworld quickstart ratecontrol scheduling; do
-	quiet "$bin/$ex"
-done
 
 # --- The live plane, in-process: the flat-flag demo over TCP with metrics
 # served, and over UDP under the default chaos profile. ---
@@ -162,11 +173,11 @@ echo "reach: $((total - never)) of $total functions entered, $never never; state
 echo "reach: list in .reach/never-entered.txt, per-function coverage in .reach/func.txt"
 
 if [ -s "$out/unlinked.txt" ]; then
-	echo "reach: FAIL — internal packages linked by no binary under cmd/, examples/ or bench/:" >&2
+	echo "reach: FAIL — internal packages linked by no binary under cmd/ or bench/:" >&2
 	sed 's/^/  /' "$out/unlinked.txt" >&2
 	exit 1
 fi
-echo "reach: every internal package ($(wc -l <"$out/packages.txt")) is linked by a binary"
+echo "reach: every internal package ($(wc -l <"$out/packages.txt")) is linked by a cmd/ or bench/ binary"
 
 # --- The allow-list: the never-entered list is scripts/reach-allow.txt, no
 # more and no less. Names are "file function" without line numbers, so moving
