@@ -160,7 +160,7 @@ func run() error {
 		Tick: tick,
 		// The cloud always offers direct streaming so a player whose whole
 		// backup ring is down degrades to the cloud instead of going dark.
-		DirectFPS: *fpsFlag,
+		FPS: *fpsFlag,
 	}, live.WithObs(reg), live.WithDelayFor(func(peerID int64) time.Duration {
 		for _, eps := range [][]trace.Endpoint{snEPs, playerEPs} {
 			for _, ep := range eps {

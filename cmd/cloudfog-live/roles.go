@@ -20,9 +20,10 @@ var roleUsage = map[live.RoleKind]string{
 	live.RoleCloud: `cloudfog-live cloud -config <json>
 
 Runs the cloud server: the authoritative world, the supernode update
-stream, and the direct-stream fallback. It holds no opinion on supernode
+stream, and the direct-stream fallback, served at fps as a supernode serves
+its players (fps 0 refuses it). It holds no opinion on supernode
 liveness — that is the coordinator's — and rejects a detector field.
-Config fields: addr (listen), tick, direct_fps, world.
+Config fields: addr (listen), tick, fps, world.
 Runs until SIGINT/SIGTERM.`,
 	live.RoleCoordinator: `cloudfog-live coordinator -config <json> [-report ledger.json]
 

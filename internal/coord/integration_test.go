@@ -81,7 +81,7 @@ func TestCoordinatorChurnMultiProcess(t *testing.T) {
 
 	cloud, err := live.NewCloud(live.Config{
 		Role: live.RoleCloud, Addr: "127.0.0.1:0",
-		Tick: 20 * time.Millisecond, DirectFPS: 10,
+		Tick: 20 * time.Millisecond, FPS: 10,
 	})
 	if err != nil {
 		t.Fatalf("cloud: %v", err)

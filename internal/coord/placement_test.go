@@ -198,7 +198,7 @@ func TestPlacerLedgerIsTheMetrics(t *testing.T) {
 func testCloud(t *testing.T) *live.Cloud {
 	t.Helper()
 	cloud, err := live.NewCloud(live.Config{
-		Role: live.RoleCloud, Addr: "127.0.0.1:0", Tick: 20 * time.Millisecond, DirectFPS: 10,
+		Role: live.RoleCloud, Addr: "127.0.0.1:0", Tick: 20 * time.Millisecond, FPS: 10,
 	})
 	if err != nil {
 		t.Fatalf("cloud: %v", err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudfog/internal/game"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/proto"
 	"cloudfog/internal/world"
@@ -161,11 +162,11 @@ func TestDialBackoffCancelMidSleep(t *testing.T) {
 // segments, and its error list must name the dead supernodes it tried.
 func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 	cloud, err := NewCloud(Config{
-		Role:      RoleCloud,
-		Addr:      "127.0.0.1:0",
-		World:     world.DefaultConfig(),
-		Tick:      33 * time.Millisecond,
-		DirectFPS: 30,
+		Role:  RoleCloud,
+		Addr:  "127.0.0.1:0",
+		World: world.DefaultConfig(),
+		Tick:  33 * time.Millisecond,
+		FPS:   30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +236,7 @@ func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 // who fell back to the cloud.
 func TestCloudDirectStreamIsWideArea(t *testing.T) {
 	reg := obs.NewRegistry()
-	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond, DirectFPS: 30},
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond, FPS: 30},
 		WithObs(reg), WithDelayFor(func(int64) time.Duration { return 80 * time.Millisecond }))
 	if err != nil {
 		t.Fatal(err)
@@ -261,13 +262,78 @@ func TestCloudDirectStreamIsWideArea(t *testing.T) {
 	}
 }
 
+// TestCloudDirectStreamIsASupernodeStream: the cloud serves a direct stream
+// as a supernode serves its players. Its first segment leaves with the ack,
+// the frame counters count it under sn="cloud", a segment is one frame of the
+// game's start level, and a segment carries an action's stamp only once a
+// tick has applied the action to the world the frame is rendered from. The
+// subscription the cloud's own supernode holds cannot be claimed by a hello.
+func TestCloudDirectStreamIsASupernodeStream(t *testing.T) {
+	reg := obs.NewRegistry()
+	// A tick period the loop never reaches: the test is the only ticker.
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: time.Hour, FPS: 30}, WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+
+	squatter := dialWith(t, cloud.Addr(), proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RoleSupernode, ID: directSub}))
+	defer squatter.Close()
+	if typ, _, err := proto.ReadFrame(squatter); err == nil {
+		t.Fatalf("a hello under the cloud's own subscription ID was sent frame type %v", typ)
+	}
+
+	const player, issued = 5, 42
+	g, _ := game.ByID(4)
+	stream := dialWith(t, cloud.Addr(), proto.TJoinStream, proto.MarshalJoinStream(proto.JoinStream{
+		Player: player, GameID: int32(g.ID), ViewX: 5000, ViewY: 5000, ViewR: DefaultViewRadius, LevelCap: uint8(g.StartLevel),
+	}))
+	defer stream.Close()
+	readAck(t, stream)
+	wantSeq := int64(0)
+	next := func() proto.Segment {
+		t.Helper()
+		typ, payload, err := proto.ReadFrame(stream)
+		if err != nil || typ != proto.TSegment {
+			t.Fatalf("expected a segment, got frame type %v, error %v", typ, err)
+		}
+		seg, err := proto.UnmarshalSegment(payload)
+		if err != nil || seg.Player != player || seg.Seq != wantSeq {
+			t.Fatalf("segment %+v, error %v; want player %d, seq %d", seg, err, player, wantSeq)
+		}
+		if want := int(g.Quality().Bitrate) / 30 / 8; seg.Level != uint8(g.StartLevel) || len(seg.Payload) != want {
+			t.Fatalf("segment at level %d of %d bytes, want level %d of %d", seg.Level, len(seg.Payload), g.StartLevel, want)
+		}
+		wantSeq++
+		return seg
+	}
+	next()
+	if got := reg.Counter(`cloudfog_supernode_frames_total{sn="cloud",trigger="join"}`, "").Load(); got != 1 {
+		t.Errorf("the cloud counts %d join frames, want 1", got)
+	}
+
+	acts := connectActing(t, cloud, player, issued)
+	defer acts.Close()
+	for range 6 { // deadline frames, ~200 ms
+		if seg := next(); seg.ActionIssued == issued {
+			t.Fatal("a segment carries the action's stamp before any tick applied the action")
+		}
+	}
+	cloud.tickOnce()
+	for seg := next(); seg.ActionIssued != issued; seg = next() {
+		if wantSeq > 20 {
+			t.Fatal("no segment carries the action's stamp after the tick that applied it")
+		}
+	}
+}
+
 // TestPlayerReportNamesRefusalAck: a ring whose every member turns the join
 // away leaves the player on the cloud, and the report must say why each one
 // did — the ack by name, not an integer to look up in the proto package.
 func TestPlayerReportNamesRefusalAck(t *testing.T) {
 	for _, transport := range []string{TransportTCP, TransportUDP} {
 		t.Run(transport, func(t *testing.T) {
-			cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond, DirectFPS: 30})
+			cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond, FPS: 30})
 			if err != nil {
 				t.Fatal(err)
 			}

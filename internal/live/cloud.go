@@ -3,12 +3,12 @@ package live
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sync"
 	"time"
 
-	"cloudfog/internal/game"
 	"cloudfog/internal/proto"
 	"cloudfog/internal/world"
 )
@@ -16,26 +16,30 @@ import (
 // Cloud is the live authoritative game server: it accepts player action
 // connections and supernode update subscriptions, ticks the virtual world
 // at a fixed rate, and ships deltas (plus the freshest action stamp per
-// player) to every subscribed supernode.
+// player) to every subscribed supernode — its own direct-stream one among
+// them.
 type Cloud struct {
 	cfg  Config // World resolved through WorldConfig
 	opts Options
 
 	ln net.Listener
 
+	// direct serves the players whose first frame is a TJoinStream — the
+	// last-resort fallback when every supernode in a player's ring is
+	// unreachable — as any supernode serves its players. It is subscribed
+	// in-process under directSub. Nil when Config.FPS is zero: such joins are
+	// refused.
+	direct *Supernode
+
 	mu      sync.Mutex
 	w       *world.World
 	pending []world.Action
 	stamps  map[int64]time.Duration // freshest Issued per player, not yet shipped
-	// lastStamp keeps the freshest Issued per player across ticks for the
-	// direct-stream fallback to echo.
-	lastStamp map[int64]time.Duration
 	// acting counts each player's open action connections: the last one to
 	// close takes the player's avatar and stamps with it.
-	acting  map[int64]int
-	subs    map[int64]*cloudSub
-	directs map[*Link]struct{} // live direct player streams
-	closed  bool
+	acting map[int64]int
+	subs   map[int64]*cloudSub
+	closed bool
 	// tickOnce encode arenas (mu-guarded): stamp frames are appended
 	// back-to-back into encScratch with stampOffs marking boundaries, and
 	// the delta from each version in fromScratch — the distinct versions the
@@ -52,15 +56,20 @@ type Cloud struct {
 }
 
 type cloudSub struct {
-	link    *Link
+	link    Transport
 	version uint64
 }
+
+// directSub is the subscription ID of the cloud's own supernode, which no
+// hello may claim.
+const directSub = math.MinInt64
 
 // NewCloud starts the cloud server described by cfg (Role must be RoleCloud)
 // plus runtime options: DelayFor injects the one-way delay toward each
 // subscribing supernode (keyed by its hello ID) and each direct-stream player
 // (keyed by player ID), Obs registers their link metrics
-// (cloudfog_link_*{link="cloud_to_sn<ID>"} and {link="cloud_to_p<ID>"}).
+// (cloudfog_link_*{link="cloud_to_sn<ID>"} and {link="cloud_to_p<ID>"}) and
+// the direct streams' frame counters (sn="cloud").
 func NewCloud(cfg Config, opts ...Option) (*Cloud, error) {
 	if cfg.Role != RoleCloud {
 		return nil, fmt.Errorf("live: NewCloud on Config.Role %q", cfg.Role)
@@ -74,16 +83,22 @@ func NewCloud(cfg Config, opts ...Option) (*Cloud, error) {
 		return nil, fmt.Errorf("live: listen %s: %w", cfg.Addr, err)
 	}
 	c := &Cloud{
-		cfg:       cfg,
-		opts:      BuildOptions(opts...),
-		ln:        ln,
-		w:         world.New(cfg.World),
-		stamps:    make(map[int64]time.Duration),
-		lastStamp: make(map[int64]time.Duration),
-		acting:    make(map[int64]int),
-		subs:      make(map[int64]*cloudSub),
-		directs:   make(map[*Link]struct{}),
-		stop:      make(chan struct{}),
+		cfg:    cfg,
+		opts:   BuildOptions(opts...),
+		ln:     ln,
+		w:      world.New(cfg.World),
+		stamps: make(map[int64]time.Duration),
+		acting: make(map[int64]int),
+		subs:   make(map[int64]*cloudSub),
+		stop:   make(chan struct{}),
+	}
+	if cfg.FPS > 0 {
+		// A subscription like serveSupernode's, over a pipe: a snapshot, then
+		// the stamps and deltas every tick sends.
+		feed, link := NewPipeTransport(LinkOptions{})
+		link.Send(proto.TDelta, proto.AppendDelta(nil, c.w.Snapshot()))
+		c.subs[directSub] = &cloudSub{link: link, version: c.w.Version()}
+		c.direct = newSupernode(cfg.FPS, c.opts, "cloud", "cloud", feed)
 	}
 	c.wg.Add(2)
 	go c.accept()
@@ -128,16 +143,20 @@ func (c *Cloud) serveConn(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		switch hello.Role {
-		case proto.RolePlayerActions:
+		switch {
+		case hello.Role == proto.RolePlayerActions:
 			c.servePlayer(conn, hello.ID)
-		case proto.RoleSupernode:
+		case hello.Role == proto.RoleSupernode && hello.ID != directSub:
 			c.serveSupernode(conn, hello.ID)
 		default:
 			conn.Close()
 		}
 	case proto.TJoinStream:
-		c.serveDirectStream(conn, payload)
+		if c.direct == nil {
+			conn.Close()
+			return
+		}
+		c.direct.servePlayer(conn, payload)
 	default:
 		conn.Close()
 	}
@@ -159,7 +178,6 @@ func (c *Cloud) servePlayer(conn net.Conn, playerID int64) {
 		}
 		delete(c.acting, playerID)
 		delete(c.stamps, playerID)
-		delete(c.lastStamp, playerID)
 		if av := c.w.Avatar(playerID); av != nil {
 			c.w.Remove(av.ID)
 		}
@@ -197,9 +215,6 @@ func (c *Cloud) servePlayer(conn net.Conn, playerID int64) {
 		c.pending = append(c.pending, a.Act)
 		if a.Issued > c.stamps[playerID] {
 			c.stamps[playerID] = a.Issued
-		}
-		if a.Issued > c.lastStamp[playerID] {
-			c.lastStamp[playerID] = a.Issued
 		}
 		c.mu.Unlock()
 	}
@@ -241,80 +256,6 @@ func (c *Cloud) serveSupernode(conn net.Conn, snID int64) {
 	if sub, ok := c.subs[snID]; ok && sub.link == link {
 		delete(c.subs, snID)
 	}
-	c.mu.Unlock()
-	link.Close()
-}
-
-// serveDirectStream streams segments straight from the cloud to a player
-// whose first frame is a TJoinStream — the last-resort fallback when every
-// supernode in the player's ring is unreachable. The stream is a plain
-// fixed-rate encode of the requested game's ladder level (capped by the
-// join's LevelCap), stamped with the player's freshest action so response
-// latency still measures end to end.
-func (c *Cloud) serveDirectStream(conn net.Conn, payload []byte) {
-	if c.cfg.DirectFPS <= 0 {
-		conn.Close()
-		return
-	}
-	join, err := proto.UnmarshalJoinStream(payload)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	g, err := game.ByID(int(join.GameID))
-	if err != nil {
-		conn.Close()
-		return
-	}
-	link := NewLinkOpts(conn, c.opts.link(c.opts.delayFor(join.Player), fmt.Sprintf("cloud_to_p%d", join.Player)))
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		link.Close()
-		return
-	}
-	c.directs[link] = struct{}{}
-	c.mu.Unlock()
-	link.Send(proto.TAck, proto.MarshalAck(proto.Ack{}))
-
-	level := g.StartLevel
-	if cap := int(join.LevelCap); cap > 0 && cap < level {
-		level = cap
-	}
-	lv, err := game.LevelAt(level)
-	if err != nil {
-		lv = g.Quality()
-	}
-	segBytes := renderSize(int(lv.Bitrate) / c.cfg.DirectFPS / 8)
-
-	ticker := time.NewTicker(time.Second / time.Duration(c.cfg.DirectFPS))
-	defer ticker.Stop()
-	var seq int64
-	for link.Err() == nil {
-		select {
-		case <-c.stop:
-			goto done
-		case <-ticker.C:
-		}
-		c.mu.Lock()
-		stamp := c.lastStamp[join.Player]
-		c.mu.Unlock()
-		seg := proto.Segment{
-			Player:       join.Player,
-			Seq:          seq,
-			Level:        uint8(level),
-			ActionIssued: stamp,
-		}
-		seq++
-		// Render straight into a pooled wire frame (no Marshal copy).
-		frame := link.AcquireFrame(proto.TSegment)
-		frame = proto.AppendSegmentHeader(frame, seg, segBytes)
-		frame = appendRenderPayload(frame, segBytes, nil)
-		link.SendFrame(frame)
-	}
-done:
-	c.mu.Lock()
-	delete(c.directs, link)
 	c.mu.Unlock()
 	link.Close()
 }
@@ -411,6 +352,10 @@ func (c *Cloud) Close() {
 	c.ln.Close()
 	for _, s := range subs {
 		s.link.Close()
+	}
+	if c.direct != nil {
+		// Closing the direct streams ends the servePlayer calls c.wg waits on.
+		c.direct.Close()
 	}
 	c.wg.Wait()
 }

@@ -69,22 +69,21 @@ type Config struct {
 	// Transport selects the supernode→player stream transport, and nothing
 	// else: TransportTCP (default when empty) or TransportUDP; a player's
 	// must match its supernodes'. Every control link (cloud update and action
-	// links, the cloud's direct-stream fallback, worker and player links to
-	// the coordinator) is TCP regardless.
+	// links, worker and player links to the coordinator) and the cloud's
+	// direct streams are TCP regardless.
 	Transport string `json:"transport,omitempty"`
 
 	// Cloud fields. A zero World means world.DefaultConfig(); Tick is the
 	// world update cadence.
 	World world.Config  `json:"world,omitempty"`
 	Tick  time.Duration `json:"tick,omitempty"`
-	// DirectFPS, when positive, lets the cloud stream segments directly to
-	// players that connect with a TJoinStream first frame — the last-resort
-	// fallback when no supernode will serve them. Zero disables it.
-	DirectFPS int `json:"direct_fps,omitempty"`
 
-	// Supernode / worker fields. FPS is the per-player segment rate.
+	// FPS is the per-player segment rate of a supernode's streams. On a
+	// cloud it is the rate of its direct streams — the last-resort fallback
+	// for players no supernode will serve — and zero refuses them.
 	FPS int `json:"fps,omitempty"`
-	// X, Y locate a worker for the coordinator's spatial shortlist (and a
+
+	// Worker fields. X, Y locate a worker for the coordinator's spatial shortlist (and a
 	// player's placement request).
 	X float64 `json:"x,omitempty"`
 	Y float64 `json:"y,omitempty"`
@@ -164,8 +163,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("live: cloud Config.Addr is empty (use \"127.0.0.1:0\" for an ephemeral port)")
 		case c.Tick <= 0:
 			return fmt.Errorf("live: cloud Config.Tick %v is not positive", c.Tick)
-		case c.DirectFPS < 0:
-			return fmt.Errorf("live: cloud Config.DirectFPS %d is negative", c.DirectFPS)
+		case c.FPS < 0:
+			return fmt.Errorf("live: cloud Config.FPS %d is negative", c.FPS)
 		case c.Detector != (health.DetectorConfig{}):
 			return fmt.Errorf("live: cloud Config.Detector is set: the cloud runs no failure detector; liveness is the coordinator's")
 		}

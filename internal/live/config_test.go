@@ -21,7 +21,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 		{
 			Role: RoleCloud, Addr: "127.0.0.1:0",
 			World: world.DefaultConfig(), Tick: 50 * time.Millisecond,
-			DirectFPS: 10,
+			FPS: 10,
 		},
 		{
 			Role: RoleSupernode, ID: 3, Addr: "127.0.0.1:0",
@@ -63,7 +63,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 // TestUnifiedConfigValidation exercises the single role-dispatched Validate.
 func TestUnifiedConfigValidation(t *testing.T) {
 	valid := map[RoleKind]Config{
-		RoleCloud:     {Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 50 * time.Millisecond, DirectFPS: 10},
+		RoleCloud:     {Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 50 * time.Millisecond, FPS: 10},
 		RoleSupernode: {Role: RoleSupernode, ID: 1, Addr: "127.0.0.1:0", CloudAddr: "x:1", FPS: 30},
 		RolePlayer: {Role: RolePlayer, ID: 2, GameID: 1, CloudAddr: "x:1", StreamAddr: "x:2",
 			ActionEvery: DefaultActionEvery, ViewRadius: DefaultViewRadius},
@@ -80,8 +80,8 @@ func TestUnifiedConfigValidation(t *testing.T) {
 		cfg  Config
 	}{
 		{"unknown role", Config{Role: "gateway", Addr: "x:1"}},
-		{"bad transport", Config{Role: RoleCloud, Addr: "x:1", Tick: time.Millisecond, DirectFPS: 1, Transport: "sctp"}},
-		{"cloud no addr", Config{Role: RoleCloud, Tick: time.Millisecond, DirectFPS: 1}},
+		{"bad transport", Config{Role: RoleCloud, Addr: "x:1", Tick: time.Millisecond, FPS: 1, Transport: "sctp"}},
+		{"cloud no addr", Config{Role: RoleCloud, Tick: time.Millisecond, FPS: 1}},
 		{"supernode no cloud", Config{Role: RoleSupernode, ID: 1, Addr: "x:1", FPS: 30}},
 		{"worker no capacity", Config{Role: RoleSupernode, ID: 1, Addr: "x:1", CloudAddr: "x:2",
 			FPS: 30, CoordAddr: "x:3", ReportEvery: time.Millisecond}},
@@ -123,7 +123,7 @@ func TestUnifiedConfigValidation(t *testing.T) {
 func TestConfigConstructors(t *testing.T) {
 	cloud, err := NewCloud(Config{
 		Role: RoleCloud, Addr: "127.0.0.1:0",
-		Tick: 20 * time.Millisecond, DirectFPS: 10,
+		Tick: 20 * time.Millisecond, FPS: 10,
 	})
 	if err != nil {
 		t.Fatalf("NewCloud: %v", err)
@@ -189,6 +189,7 @@ func TestLoadConfig(t *testing.T) {
 		{"unknown key", `{"id":1,"addr":"x:1","cloud_adr":"x:2","fps":30}`, RoleSupernode, `"cloud_adr"`},
 		{"retired heartbeat key", `{"id":1,"addr":"x:1","cloud_addr":"x:2","fps":30,"heartbeat_every":1000000}`, RoleSupernode, `"heartbeat_every"`},
 		{"retired delay key", `{"id":1,"addr":"x:1","cloud_addr":"x:2","fps":30,"delay_to_cloud":1000000}`, RoleSupernode, `"delay_to_cloud"`},
+		{"retired direct fps key", `{"addr":"x:1","tick":1000000,"direct_fps":10}`, RoleCloud, `"direct_fps"`},
 		{"unknown nested key", `{"addr":"x:1","detector":{"Mood":2}}`, RoleCoordinator, `"Mood"`},
 		{"unknown detector mode", `{"addr":"x:1","detector":{"Mode":7}}`, RoleCoordinator, "Detector: health: DetectorConfig.Mode 7"},
 		{"invalid field", `{"addr":"x:1"}`, RoleCloud, "Tick"},

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -248,6 +249,29 @@ func TestCloudCloseIsClean(t *testing.T) {
 	cloud.Close() // idempotent
 	sn.Close()
 	sn.Close()
+
+	// A cloud serving a direct stream closes it and returns, although the
+	// player still holds its end open.
+	cloud, err = NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 10 * time.Millisecond, FPS: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := dialWith(t, cloud.Addr(), proto.TJoinStream, proto.MarshalJoinStream(proto.JoinStream{Player: 1, GameID: 1, ViewR: DefaultViewRadius}))
+	defer stream.Close()
+	readAck(t, stream)
+	closed := make(chan struct{})
+	go func() {
+		cloud.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close has not returned after two seconds with a direct stream open")
+	}
+	if _, err := io.Copy(io.Discard, stream); err != nil {
+		t.Fatalf("the direct stream ended with %v, want EOF", err)
+	}
 }
 
 // runPlayer builds and runs one player session.
@@ -279,7 +303,7 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"cloud empty addr", Config{Role: RoleCloud, Tick: time.Second}, "Addr is empty"},
 		{"cloud zero tick", Config{Role: RoleCloud, Addr: "127.0.0.1:0"}, "Tick"},
-		{"cloud negative direct fps", Config{Role: RoleCloud, Addr: "x", Tick: time.Second, DirectFPS: -1}, "DirectFPS"},
+		{"cloud negative fps", Config{Role: RoleCloud, Addr: "x", Tick: time.Second, FPS: -1}, "FPS"},
 		{"sn empty cloud addr", Config{Role: RoleSupernode, Addr: "127.0.0.1:0", FPS: 30}, "CloudAddr is empty"},
 		{"sn empty addr", Config{Role: RoleSupernode, CloudAddr: "x", FPS: 30}, "Addr is empty"},
 		{"sn zero fps", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "127.0.0.1:0"}, "FPS"},

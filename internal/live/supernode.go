@@ -41,13 +41,16 @@ func validTransport(t string) bool {
 
 // Supernode is a live fog node: it subscribes to the cloud's update stream,
 // maintains a replica of the virtual world, and streams rendered video
-// segments to its players at the frame rate.
+// segments to its players at the frame rate. The cloud's direct streams are
+// served by one too, subscribed in-process (see NewCloud).
 type Supernode struct {
-	cfg  Config
+	fps  int // the frame clock's rate, one segment per stream per frame
 	opts Options
+	// name prefixes its stream links' metric labels, <name>_to_p<player>.
+	name string
 
-	cloudLink *Link
-	ln        net.Listener // TCP player transport (nil in UDP mode)
+	cloudLink Transport
+	ln        net.Listener // TCP player transport (nil in UDP mode and on the cloud)
 	udp       *net.UDPConn // UDP player transport (nil in TCP mode)
 
 	mu      sync.Mutex
@@ -169,33 +172,44 @@ func NewSupernode(cfg Config, opts ...Option) (*Supernode, error) {
 			return nil, fmt.Errorf("live: listen %s: %w", cfg.Addr, err)
 		}
 	}
+	sn := newSupernode(cfg.FPS, o, fmt.Sprintf("sn%d", cfg.ID), fmt.Sprint(cfg.ID), cloudLink)
+	// Neither goroutine newSupernode started reads the player transport.
+	sn.ln, sn.udp = ln, udp
+	sn.wg.Add(1)
+	if udp != nil {
+		go sn.serveUDP()
+	} else {
+		go sn.accept()
+	}
+	return sn, nil
+}
+
+// newSupernode starts the serving half of a supernode on cloudLink, its
+// update feed: the replica it keeps and the frame clock that renders its
+// streams at fps. Its stream links are labelled <name>_to_p<player> and its
+// frame counters sn=<frames>. The caller brings the player transport.
+func newSupernode(fps int, o Options, name, frames string, cloudLink Transport) *Supernode {
 	// Without a registry the frame counters still back FrameStats.
 	reg := o.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	sn := &Supernode{
-		cfg:       cfg,
+		fps:       fps,
 		opts:      o,
+		name:      name,
 		cloudLink: cloudLink,
-		ln:        ln,
-		udp:       udp,
 		replica:   world.NewReplica(),
 		stamps:    make(map[int64]time.Duration),
 		players:   make(map[int64]*playerStream),
 		updated:   make(chan struct{}, 1),
-		frames:    obs.FrameStatsIn(reg, fmt.Sprint(cfg.ID)),
+		frames:    obs.FrameStatsIn(reg, frames),
 		stop:      make(chan struct{}),
 	}
-	sn.wg.Add(3)
+	sn.wg.Add(2)
 	go sn.consumeUpdates()
-	if udp != nil {
-		go sn.serveUDP()
-	} else {
-		go sn.accept()
-	}
 	go sn.renderLoop()
-	return sn, nil
+	return sn
 }
 
 // Addr returns the supernode's player-facing listen address.
@@ -285,7 +299,15 @@ func (sn *Supernode) accept() {
 			return
 		}
 		sn.wg.Add(1)
-		go sn.servePlayer(conn)
+		go func() {
+			defer sn.wg.Done()
+			typ, payload, err := proto.ReadFrame(conn)
+			if err != nil || typ != proto.TJoinStream {
+				conn.Close()
+				return
+			}
+			sn.servePlayer(conn, payload)
+		}()
 	}
 }
 
@@ -371,16 +393,11 @@ func (sn *Supernode) vetJoin(payload []byte) (join proto.JoinStream, g game.Game
 	return join, g, nil, true
 }
 
-// servePlayer registers a player's stream subscription, replacing — and
-// closing — a stream the player already had here (it reconnected). Segments
-// are pushed from the render loop.
-func (sn *Supernode) servePlayer(conn net.Conn) {
-	defer sn.wg.Done()
-	typ, payload, err := proto.ReadFrame(conn)
-	if err != nil || typ != proto.TJoinStream {
-		conn.Close()
-		return
-	}
+// servePlayer registers the stream subscription a TCP connection's first
+// frame, the join payload, asked for, replacing — and closing — a stream the
+// player already had here (it reconnected). Segments are pushed from the
+// render loop; this returns when the player hangs up.
+func (sn *Supernode) servePlayer(conn net.Conn, payload []byte) {
 	join, g, refuse, ok := sn.vetJoin(payload)
 	if !ok {
 		if refuse != nil {
@@ -423,7 +440,7 @@ func (sn *Supernode) servePlayer(conn net.Conn) {
 
 // streamLinkOptions is the delay and metrics of a player's stream link.
 func (sn *Supernode) streamLinkOptions(player int64) LinkOptions {
-	return sn.opts.link(sn.opts.delayFor(player), fmt.Sprintf("sn%d_to_p%d", sn.cfg.ID, player))
+	return sn.opts.link(sn.opts.delayFor(player), fmt.Sprintf("%s_to_p%d", sn.name, player))
 }
 
 // ImpairStreams applies a chaos impairment — extra one-way delay and a
@@ -455,7 +472,7 @@ func (sn *Supernode) admit(pid int64, ps *playerStream) {
 // the clock's deadline otherwise (see frameClock).
 func (sn *Supernode) renderLoop() {
 	defer sn.wg.Done()
-	clock := newFrameClock(sn.cfg.FPS, time.Now())
+	clock := newFrameClock(sn.fps, time.Now())
 	timer := time.NewTimer(time.Until(clock.Deadline()))
 	defer timer.Stop()
 	for {
@@ -493,7 +510,7 @@ func (sn *Supernode) renderFrame(now time.Time) {
 	var expired []*playerStream
 	sn.mu.Lock()
 	for pid, ps := range sn.players {
-		if sn.udp != nil && now.Sub(ps.lastSeen) > udpExpiry {
+		if ps.raddr != "" && now.Sub(ps.lastSeen) > udpExpiry {
 			delete(sn.players, pid)
 			expired = append(expired, ps)
 			continue
@@ -507,8 +524,9 @@ func (sn *Supernode) renderFrame(now time.Time) {
 }
 
 // renderOne renders and sends one player's next segment: select the entities
-// visible from the player's avatar, size the payload by the game's ladder
-// level, stamp the freshest covered action. The caller holds sn.mu.
+// visible from the player's avatar, size the payload as one frame of the
+// game's start level (the join's LevelCap is not applied), stamp the freshest
+// covered action. The caller holds sn.mu.
 func (sn *Supernode) renderOne(pid int64, ps *playerStream) {
 	center := world.Vec2{X: ps.join.ViewX, Y: ps.join.ViewY}
 	// Follow the player's avatar once it exists in the replica.
@@ -516,7 +534,7 @@ func (sn *Supernode) renderOne(pid int64, ps *playerStream) {
 		center = av.Pos
 	}
 	visible := sn.replica.Visible(world.Viewport{Center: center, Radius: ps.join.ViewR})
-	n := renderSize(int(ps.g.Quality().Bitrate) / sn.cfg.FPS / 8)
+	n := int(ps.g.Quality().Bitrate) / sn.fps / 8
 	seg := proto.Segment{
 		Player:       pid,
 		Seq:          ps.seq,
@@ -530,15 +548,6 @@ func (sn *Supernode) renderOne(pid int64, ps *playerStream) {
 	frame = proto.AppendSegmentHeader(frame, seg, n)
 	frame = appendRenderPayload(frame, n, visible)
 	ps.link.SendFrame(frame)
-}
-
-// renderSize floors a segment's byte size (a degenerate ladder level still
-// produces a non-empty frame).
-func renderSize(n int) int {
-	if n < 16 {
-		return 16
-	}
-	return n
 }
 
 // appendRenderPayload appends n segment bytes to dst: a deterministic

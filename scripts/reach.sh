@@ -107,7 +107,7 @@ role() { # role <name> <role> <config-json> [flags...]: start in the background,
 	"$bin/cloudfog-live" "$kind" -config "$run/$name.json" "$@" >"$run/$name.out" 2>&1 &
 	pid[$name]=$!
 }
-role cloud cloud '{"addr":"'$cloud'","tick":20000000,"direct_fps":10}'
+role cloud cloud '{"addr":"'$cloud'","tick":20000000,"fps":10}'
 role coord coordinator '{"role":"coordinator","addr":"'$coord'","cloud_addr":"'$cloud'",
 	"ticket_key":"k1","lease_ttl":2000000000,"detector":{"Mode":2,"Interval":100000000}}' \
 	-report "$run/ledger.json" -metrics-addr "127.0.0.1:$((port + 6))"
