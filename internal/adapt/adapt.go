@@ -103,6 +103,9 @@ func (c *Controller) Init(cfg Config, g game.Game) {
 // Level returns the current encoding operating point.
 func (c *Controller) Level() game.QualityLevel { return game.MustLevelAt(c.level) }
 
+// Game returns the game the controller adapts for.
+func (c *Controller) Game() game.Game { return c.g }
+
 // SetMaxLevel lowers the controller's ladder ceiling below the game's
 // matched level — the overload ladder's per-supernode degradation cap. The
 // current level clamps down immediately; the ceiling never rises above the

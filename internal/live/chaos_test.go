@@ -11,6 +11,7 @@ import (
 	"cloudfog/internal/game"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/proto"
+	"cloudfog/internal/stream"
 	"cloudfog/internal/world"
 )
 
@@ -301,7 +302,7 @@ func TestCloudDirectStreamIsASupernodeStream(t *testing.T) {
 		if err != nil || seg.Player != player || seg.Seq != wantSeq {
 			t.Fatalf("segment %+v, error %v; want player %d, seq %d", seg, err, player, wantSeq)
 		}
-		if want := int(g.Quality().Bitrate) / 30 / 8; seg.Level != uint8(g.StartLevel) || len(seg.Payload) != want {
+		if want := frameBytes(30, g.StartLevel); seg.Level != uint8(g.StartLevel) || len(seg.Payload) != want {
 			t.Fatalf("segment at level %d of %d bytes, want level %d of %d", seg.Level, len(seg.Payload), g.StartLevel, want)
 		}
 		wantSeq++
@@ -324,6 +325,86 @@ func TestCloudDirectStreamIsASupernodeStream(t *testing.T) {
 		if wantSeq > 20 {
 			t.Fatal("no segment carries the action's stamp after the tick that applied it")
 		}
+	}
+}
+
+// frameBytes is one segment at level of a stream served at fps: one frame of
+// video, sized as a stream's serving state sizes it.
+func frameBytes(fps, level int) int {
+	cfg := stream.Config{SegmentDuration: time.Second / time.Duration(fps)}
+	return cfg.SegmentBytes(game.MustLevelAt(level).Bitrate)
+}
+
+// TestCappedJoinIsServedAtTheCap: a join whose LevelCap is below its game's
+// level is served at the cap — the level in every segment header and the
+// cap's frame size at the server's fps — on a supernode and on the cloud's
+// direct stream alike.
+func TestCappedJoinIsServedAtTheCap(t *testing.T) {
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond, FPS: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	sn, err := NewSupernode(Config{Role: RoleSupernode, ID: 1, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+
+	const levelCap = 2
+	g, _ := game.ByID(4)
+	for _, server := range []struct {
+		name, addr string
+		fps        int
+	}{{"supernode", sn.Addr(), 20}, {"cloud", cloud.Addr(), 30}} {
+		t.Run(server.name, func(t *testing.T) {
+			conn := dialWith(t, server.addr, proto.TJoinStream, proto.MarshalJoinStream(proto.JoinStream{
+				Player: 7, GameID: int32(g.ID), ViewR: DefaultViewRadius, LevelCap: levelCap,
+			}))
+			defer conn.Close()
+			readAck(t, conn)
+			want := frameBytes(server.fps, levelCap)
+			for range 3 {
+				typ, payload, err := proto.ReadFrame(conn)
+				if err != nil || typ != proto.TSegment {
+					t.Fatalf("expected a segment, got frame type %v, error %v", typ, err)
+				}
+				seg, err := proto.UnmarshalSegment(payload)
+				if err != nil || seg.Level != levelCap || len(seg.Payload) != want {
+					t.Fatalf("segment at level %d of %d bytes (error %v), want level %d of %d",
+						seg.Level, len(seg.Payload), err, levelCap, want)
+				}
+			}
+		})
+	}
+}
+
+// TestCloudWithoutFPSRefusesDirectJoins: a cloud that serves no direct
+// streams answers a direct join with a refusal ack, so a player turned away
+// by its ring and then by the cloud reads why in its report, as it does for a
+// supernode's refusal.
+func TestCloudWithoutFPSRefusesDirectJoins(t *testing.T) {
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	sn, err := NewSupernode(Config{Role: RoleSupernode, ID: 1, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30},
+		WithJoinGate(func(proto.JoinStream, bool) uint32 { return proto.AckRefused }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	rep, err := runPlayer(Config{
+		Role: RolePlayer, ID: 1, GameID: 4, CloudAddr: cloud.Addr(), StreamAddr: sn.Addr(),
+		ActionEvery: 100 * time.Millisecond, ViewRadius: DefaultViewRadius,
+	}, 200*time.Millisecond)
+	if err == nil || rep.CloudFallback || len(rep.FailoverErrors) != 2 {
+		t.Fatalf("error %v, cloud fallback %v, failover errors %q; want an error, no fallback and two entries",
+			err, rep.CloudFallback, rep.FailoverErrors)
+	}
+	if e := rep.FailoverErrors[1]; !strings.Contains(e, "(cloud)") || !strings.Contains(e, "(refused)") {
+		t.Errorf("the cloud's entry is %q, want it named a refusal", e)
 	}
 }
 

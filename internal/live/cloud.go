@@ -153,6 +153,8 @@ func (c *Cloud) serveConn(conn net.Conn) {
 		}
 	case proto.TJoinStream:
 		if c.direct == nil {
+			// Refused as a supernode refuses, so a player's report names it.
+			proto.WriteFrame(conn, proto.TAck, proto.MarshalAck(proto.Ack{Code: proto.AckRefused}))
 			conn.Close()
 			return
 		}

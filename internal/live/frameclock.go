@@ -37,8 +37,7 @@ type frameClock struct {
 	locked bool
 }
 
-func newFrameClock(fps int, start time.Time) *frameClock {
-	period := time.Second / time.Duration(fps)
+func newFrameClock(period time.Duration, start time.Time) *frameClock {
 	return &frameClock{period: period, guard: period / frameGuardDiv, last: start}
 }
 

@@ -20,7 +20,7 @@ type clockFrame struct {
 // returns the frames it rendered.
 func runFrameClock(fps int, updates []time.Duration, end time.Duration) []clockFrame {
 	t0 := time.Unix(1_700_000_000, 0)
-	c := newFrameClock(fps, t0)
+	c := newFrameClock(time.Second/time.Duration(fps), t0)
 	var frames []clockFrame
 	for {
 		d := c.Deadline().Sub(t0)

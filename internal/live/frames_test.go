@@ -143,7 +143,7 @@ func TestFramesFollowUpdatesAtTheFrameRate(t *testing.T) {
 
 	// Let the clock lock before sampling.
 	time.Sleep(10 * period)
-	warmUpdate, warmDeadline, _ := sn.FrameStats()
+	warmUpdate, warmDeadline := sn.frames.Update.Load(), sn.frames.Deadline.Load()
 	for i := 1; i <= n; i++ {
 		act := proto.Action{Player: player, Issued: time.Duration(i), Act: world.Action{
 			Player: player, Kind: world.ActionMove, Target: world.Vec2{X: 100, Y: float64(100 * i)},
@@ -154,7 +154,7 @@ func TestFramesFollowUpdatesAtTheFrameRate(t *testing.T) {
 		time.Sleep(every)
 	}
 	time.Sleep(3 * period)
-	update, deadline, _ := sn.FrameStats()
+	update, deadline := sn.frames.Update.Load(), sn.frames.Deadline.Load()
 	update, deadline = update-warmUpdate, deadline-warmDeadline
 
 	var waits []time.Duration
@@ -241,7 +241,7 @@ func TestFirstFrameAtJoin(t *testing.T) {
 				link.Send(proto.TJoinStream, proto.MarshalJoinStream(join))
 				recv(proto.TAck)
 			}
-			if _, _, got := sn.FrameStats(); got != 1 {
+			if got := sn.frames.Join.Load(); got != 1 {
 				t.Errorf("%d join frames, want 1 (a keepalive re-join is only acknowledged)", got)
 			}
 			if got := reg.Counter(`cloudfog_supernode_frames_total{sn="1",trigger="join"}`, "").Load(); got != 1 {

@@ -162,7 +162,10 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// The supernode's replica tracked the live world.
-	if v := sn.ReplicaVersion(); v == 0 {
+	sn.mu.Lock()
+	v := sn.replica.Version()
+	sn.mu.Unlock()
+	if v == 0 {
 		t.Fatal("replica never advanced")
 	}
 	// The sender-side ledger the demo reads: what the cloud wrote on the
@@ -271,6 +274,36 @@ func TestCloudCloseIsClean(t *testing.T) {
 	}
 	if _, err := io.Copy(io.Discard, stream); err != nil {
 		t.Fatalf("the direct stream ended with %v, want EOF", err)
+	}
+}
+
+// TestReportSummarizesResponses: the report's mean, 95th percentile
+// (nearest rank) and in-budget share of the response samples, in whatever
+// order they arrived.
+func TestReportSummarizesResponses(t *testing.T) {
+	var oneToTwenty []time.Duration
+	for i := 20; i >= 1; i-- {
+		oneToTwenty = append(oneToTwenty, time.Duration(i)*time.Millisecond)
+	}
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name      string
+		samples   []time.Duration
+		allowance time.Duration
+		mean, p95 time.Duration
+		within    float64
+	}{
+		{"none", nil, 0, 0, 0, 0},
+		{"one", []time.Duration{5 * ms}, 0, 5 * ms, 5 * ms, 1},
+		{"1..20 ms", oneToTwenty, 0, 10*ms + ms/2, 19 * ms, 0.5},
+		{"1..20 ms less 5 ms of upload", oneToTwenty, 5 * ms, 10*ms + ms/2, 19 * ms, 0.75},
+	} {
+		var r PlayerReport
+		r.summarize(tc.samples, tc.allowance, 10*ms)
+		if r.MeanResponse != tc.mean || r.P95Response != tc.p95 || r.WithinBudget != tc.within {
+			t.Errorf("%s: mean %v, p95 %v, within %v; want %v, %v, %v", tc.name,
+				r.MeanResponse, r.P95Response, r.WithinBudget, tc.mean, tc.p95, tc.within)
+		}
 	}
 }
 

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"cloudfog/internal/game"
+	"cloudfog/internal/metrics"
 	"cloudfog/internal/proto"
 	"cloudfog/internal/world"
 )
@@ -166,32 +166,67 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 		responses []time.Duration
 		lastSeen  time.Duration
 	)
+	failed := func(cand string, err error) {
+		mu.Lock()
+		report.FailoverErrors = append(report.FailoverErrors, fmt.Sprintf("%s: %v", cand, err))
+		mu.Unlock()
+	}
 
+	// walk subscribes to the first ring member, from index from on around the
+	// ring, that takes the join, each with the given timeout, and to the
+	// cloud's direct stream (always TCP) when none does; every candidate that
+	// fails adds its FailoverErrors entry. A non-zero stop ends the walk once
+	// passed. With no stream, err is the last ring member's error.
 	addrIdx := 0
-	var strConn net.Conn
-	strDgram := false
-	for i := range addrs {
-		conn, serr := subscribe(addrs[i], dialDeadline, dgramMode, joinFrame)
-		if serr == nil {
-			strConn, addrIdx, strDgram = conn, i, dgramMode
-			break
+	walk := func(from int, timeout time.Duration, stop time.Time) (conn net.Conn, dgram bool, err error) {
+		for i := 0; i <= len(addrs) && (stop.IsZero() || time.Now().Before(stop)); i++ {
+			if i == len(addrs) {
+				conn, cerr := subscribe(cfg.CloudAddr, dialDeadline, false, joinFrame)
+				if cerr != nil {
+					failed(cfg.CloudAddr+" (cloud)", cerr)
+					break
+				}
+				mu.Lock()
+				report.CloudFallback = true
+				mu.Unlock()
+				return conn, false, nil
+			}
+			k := (from + i) % len(addrs)
+			conn, serr := subscribe(addrs[k], timeout, dgramMode, joinFrame)
+			if serr == nil {
+				addrIdx = k
+				return conn, dgramMode, nil
+			}
+			failed(addrs[k], serr)
+			err = serr
 		}
-		report.FailoverErrors = append(report.FailoverErrors,
-			fmt.Sprintf("%s: %v", addrs[i], serr))
-		err = serr
+		return nil, false, err
 	}
-	if strConn == nil {
-		// Every supernode refused before the session even began: stream
-		// straight from the cloud as the last resort (always TCP).
-		conn, cerr := subscribe(cfg.CloudAddr, dialDeadline, false, joinFrame)
-		if cerr != nil {
-			report.FailoverErrors = append(report.FailoverErrors,
-				fmt.Sprintf("%s (cloud): %v", cfg.CloudAddr, cerr))
-			return report, err
+
+	// adopt makes conn the stream the receiver reads: a stream connection
+	// reads until just past the session's end, and the keepalive clocks
+	// restart.
+	var (
+		strConn          net.Conn
+		strDgram         bool
+		deadline         time.Time
+		lastRecv, lastKA time.Time
+	)
+	adopt := func(conn net.Conn, dgram bool) {
+		strConn, strDgram = conn, dgram
+		if !dgram {
+			conn.SetReadDeadline(deadline.Add(2 * time.Second))
 		}
-		strConn = conn
-		report.CloudFallback = true
+		lastRecv = time.Now()
+		lastKA = lastRecv
 	}
+
+	conn, dgram, err := walk(0, dialDeadline, time.Time{})
+	if conn == nil {
+		return report, err
+	}
+	deadline = time.Now().Add(duration)
+	adopt(conn, dgram)
 	defer func() { strConn.Close() }()
 
 	// Action generator: wander between deterministic targets.
@@ -234,13 +269,7 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 	// explicit: short read deadlines drive periodic keepalive re-joins
 	// (which also silently re-register after a supernode respawn), and
 	// silence past udpStaleAfter is treated as stream death.
-	deadline := time.Now().Add(duration)
-	if !strDgram {
-		strConn.SetReadDeadline(deadline.Add(2 * time.Second))
-	}
 	var rbuf []byte
-	lastRecv := time.Now()
-	lastKA := time.Now()
 	for time.Now().Before(deadline) {
 		if retarget != nil {
 			select {
@@ -268,23 +297,15 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 				}
 				conn, serr := subscribe(tgt.Addr, failoverDialDeadline, newDgram, nframe)
 				if serr != nil {
-					mu.Lock()
-					report.FailoverErrors = append(report.FailoverErrors,
-						fmt.Sprintf("%s (retarget): %v", tgt.Addr, serr))
-					mu.Unlock()
+					failed(tgt.Addr+" (retarget)", serr)
 					break
 				}
-				old := strConn
-				strConn, strDgram, dgramMode = conn, newDgram, newDgram
+				strConn.Close()
+				dgramMode = newDgram
 				joinFrame, ticketAddr = nframe, tgt.Addr
 				addrs = append([]string{tgt.Addr}, tgt.Backups...)
 				addrIdx = 0
-				if !strDgram {
-					strConn.SetReadDeadline(deadline.Add(2 * time.Second))
-				}
-				lastRecv = time.Now()
-				lastKA = lastRecv
-				old.Close()
+				adopt(conn, newDgram)
 				mu.Lock()
 				report.Handoffs++
 				mu.Unlock()
@@ -309,53 +330,14 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 				}
 			}
 			strConn.Close()
-			var next net.Conn
-			nextDgram := false
-			fromCloud := false
-			for i := 1; i <= len(addrs) && next == nil; i++ {
-				if !time.Now().Before(deadline) {
-					break
-				}
-				cand := addrs[(addrIdx+i)%len(addrs)]
-				conn, serr := subscribe(cand, failoverDialDeadline, dgramMode, joinFrame)
-				if serr != nil {
-					mu.Lock()
-					report.FailoverErrors = append(report.FailoverErrors,
-						fmt.Sprintf("%s: %v", cand, serr))
-					mu.Unlock()
-					continue
-				}
-				next = conn
-				nextDgram = dgramMode
-				addrIdx = (addrIdx + i) % len(addrs)
-			}
-			if next == nil && time.Now().Before(deadline) {
-				// Whole ring down: stream straight from the cloud.
-				conn, cerr := subscribe(cfg.CloudAddr, dialDeadline, false, joinFrame)
-				if cerr != nil {
-					mu.Lock()
-					report.FailoverErrors = append(report.FailoverErrors,
-						fmt.Sprintf("%s (cloud): %v", cfg.CloudAddr, cerr))
-					mu.Unlock()
-				} else {
-					next = conn
-					fromCloud = true
-				}
-			}
+			// The ring from the next member on, the dead one last.
+			next, nextDgram, _ := walk(addrIdx+1, failoverDialDeadline, deadline)
 			if next == nil {
 				break
 			}
-			strConn, strDgram = next, nextDgram
-			if !strDgram {
-				strConn.SetReadDeadline(deadline.Add(2 * time.Second))
-			}
-			lastRecv = time.Now()
-			lastKA = lastRecv
+			adopt(next, nextDgram)
 			mu.Lock()
 			report.Failovers++
-			if fromCloud {
-				report.CloudFallback = true
-			}
 			mu.Unlock()
 			continue
 		}
@@ -394,25 +376,22 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(responses) > 0 {
-		sort.Slice(responses, func(i, j int) bool { return responses[i] < responses[j] })
-		var sum time.Duration
-		within := 0
-		for _, r := range responses {
-			sum += r
-			if r-cfg.UploadAllowance <= g.ResponseRequirement() {
-				within++
-			}
-		}
-		report.MeanResponse = sum / time.Duration(len(responses))
-		p95 := int(float64(len(responses)) * 0.95)
-		if p95 >= len(responses) {
-			p95 = len(responses) - 1
-		}
-		report.P95Response = responses[p95]
-		report.WithinBudget = float64(within) / float64(len(responses))
-	}
+	report.summarize(responses, cfg.UploadAllowance, g.ResponseRequirement())
 	return report, nil
+}
+
+// summarize fills the report's response figures from the action-to-frame
+// samples: their mean, their nearest-rank 95th percentile, and the share that
+// meets requirement once the upload allowance is taken off. No samples leave
+// all three zero.
+func (r *PlayerReport) summarize(responses []time.Duration, allowance, requirement time.Duration) {
+	var sample metrics.DurationSample
+	var budget metrics.Coverage
+	for _, d := range responses {
+		sample.Add(d)
+		budget.Observe(d-allowance, requirement)
+	}
+	r.MeanResponse, r.P95Response, r.WithinBudget = sample.Mean(), sample.Percentile(95), budget.Fraction()
 }
 
 // readStreamFrame reads one frame from a stream or datagram connection into

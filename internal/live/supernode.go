@@ -7,9 +7,12 @@ import (
 	"sync"
 	"time"
 
+	"cloudfog/internal/adapt"
 	"cloudfog/internal/game"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/proto"
+	"cloudfog/internal/qoe"
+	"cloudfog/internal/stream"
 	"cloudfog/internal/world"
 )
 
@@ -44,7 +47,7 @@ func validTransport(t string) bool {
 // segments to its players at the frame rate. The cloud's direct streams are
 // served by one too, subscribed in-process (see NewCloud).
 type Supernode struct {
-	fps  int // the frame clock's rate, one segment per stream per frame
+	seg  stream.Config // one segment: one period of the frame clock
 	opts Options
 	// name prefixes its stream links' metric labels, <name>_to_p<player>.
 	name string
@@ -67,21 +70,12 @@ type Supernode struct {
 	// never blocked on: the loop needs to know the replica moved, not how
 	// many times.
 	updated chan struct{}
-	frames  *obs.FrameStats
+	// frames counts frames by trigger (obs.FrameStatsIn), each before it is
+	// sent, so a peer holding a segment finds it counted.
+	frames *obs.FrameStats
 
 	wg   sync.WaitGroup
 	stop chan struct{}
-}
-
-// FrameStats reports the frames rendered so far by what triggered them:
-// update and deadline are render passes over every stream (on a delta's
-// arrival, or on the frame clock's fallback deadline), join is first frames
-// rendered for one new stream at its join. A supernode whose cloud ticks at
-// the frame rate should show almost only update frames; deadline frames there
-// mean deltas arrived late or not at all. A frame is counted before it is
-// sent, so a peer holding a segment finds it counted.
-func (sn *Supernode) FrameStats() (update, deadline, join int64) {
-	return sn.frames.Update.Load(), sn.frames.Deadline.Load(), sn.frames.Join.Load()
 }
 
 // SessionCount reports the number of live player streams — the occupancy a
@@ -116,7 +110,7 @@ func (sn *Supernode) hasPlayer(pid int64) bool {
 type playerStream struct {
 	link Transport
 	join proto.JoinStream
-	g    game.Game
+	out  qoe.Stream // sizes and levels its segments, as a simulated node's
 	seq  int64
 	// Datagram-mode liveness: source address of the join and the last time
 	// a keepalive re-join refreshed it (zero for TCP streams, whose death
@@ -189,13 +183,15 @@ func NewSupernode(cfg Config, opts ...Option) (*Supernode, error) {
 // streams at fps. Its stream links are labelled <name>_to_p<player> and its
 // frame counters sn=<frames>. The caller brings the player transport.
 func newSupernode(fps int, o Options, name, frames string, cloudLink Transport) *Supernode {
-	// Without a registry the frame counters still back FrameStats.
+	// Without a registry the frame counters still count, in one of their own.
 	reg := o.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	seg := stream.DefaultConfig()
+	seg.SegmentDuration = time.Second / time.Duration(fps)
 	sn := &Supernode{
-		fps:       fps,
+		seg:       seg,
 		opts:      o,
 		name:      name,
 		cloudLink: cloudLink,
@@ -218,13 +214,6 @@ func (sn *Supernode) Addr() string {
 		return sn.udp.LocalAddr().String()
 	}
 	return sn.ln.Addr().String()
-}
-
-// ReplicaVersion returns the replica's current world version.
-func (sn *Supernode) ReplicaVersion() uint64 {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	return sn.replica.Version()
 }
 
 // consumeUpdates applies the cloud's delta stream to the replica.
@@ -363,9 +352,9 @@ func (sn *Supernode) joinDatagram(raddr *net.UDPAddr, payload []byte) {
 	}
 	link := NewDatagramLink(&addrConn{sock: sn.udp, raddr: raddr}, sn.streamLinkOptions(join.Player))
 	link.Impair(sn.impExtra, sn.impLoss)
-	ps := &playerStream{link: link, join: join, g: g, raddr: addr, lastSeen: now}
+	ps := &playerStream{link: link, join: join, raddr: addr, lastSeen: now}
 	sn.players[join.Player] = ps
-	sn.admit(join.Player, ps)
+	sn.admit(ps, g)
 	sn.mu.Unlock()
 	if replaced != nil {
 		replaced.Close()
@@ -415,10 +404,10 @@ func (sn *Supernode) servePlayer(conn net.Conn, payload []byte) {
 		return
 	}
 	link.Impair(sn.impExtra, sn.impLoss)
-	ps := &playerStream{link: link, join: join, g: g}
+	ps := &playerStream{link: link, join: join}
 	replaced := sn.players[join.Player]
 	sn.players[join.Player] = ps
-	sn.admit(join.Player, ps)
+	sn.admit(ps, g)
 	sn.mu.Unlock()
 	if replaced != nil {
 		replaced.link.Close()
@@ -456,15 +445,17 @@ func (sn *Supernode) ImpairStreams(extra time.Duration, lossFrac float64) {
 	}
 }
 
-// admit acknowledges a new stream's join and renders its first frame at once:
-// a new subscriber needs a frame before it can show anything, and the next
+// admit acknowledges a new stream's join, starts its serving state at the
+// game's level under the join's cap, and renders its first frame at once: a
+// new subscriber needs a frame before it can show anything, and the next
 // frame of the clock is up to a whole period away. The caller holds sn.mu
 // and has just registered ps, so the ack is queued ahead of any segment and
 // the stream's Seq stays strictly increasing against the render loop.
-func (sn *Supernode) admit(pid int64, ps *playerStream) {
+func (sn *Supernode) admit(ps *playerStream, g game.Game) {
 	sn.frames.Join.Inc()
+	ps.out.Init(sn.seg, adapt.DefaultConfig(), ps.join.Player, g, int(ps.join.LevelCap))
 	ps.link.Send(proto.TAck, proto.MarshalAck(proto.Ack{}))
-	sn.renderOne(pid, ps)
+	sn.renderOne(ps.join.Player, ps)
 }
 
 // renderLoop renders a frame for every player whenever the frame clock says
@@ -472,7 +463,7 @@ func (sn *Supernode) admit(pid int64, ps *playerStream) {
 // the clock's deadline otherwise (see frameClock).
 func (sn *Supernode) renderLoop() {
 	defer sn.wg.Done()
-	clock := newFrameClock(sn.fps, time.Now())
+	clock := newFrameClock(sn.seg.SegmentDuration, time.Now())
 	timer := time.NewTimer(time.Until(clock.Deadline()))
 	defer timer.Stop()
 	for {
@@ -524,9 +515,9 @@ func (sn *Supernode) renderFrame(now time.Time) {
 }
 
 // renderOne renders and sends one player's next segment: select the entities
-// visible from the player's avatar, size the payload as one frame of the
-// game's start level (the join's LevelCap is not applied), stamp the freshest
-// covered action. The caller holds sn.mu.
+// visible from the player's avatar, size the payload and stamp the level
+// from the stream's serving state, stamp the freshest covered action. The
+// caller holds sn.mu.
 func (sn *Supernode) renderOne(pid int64, ps *playerStream) {
 	center := world.Vec2{X: ps.join.ViewX, Y: ps.join.ViewY}
 	// Follow the player's avatar once it exists in the replica.
@@ -534,19 +525,20 @@ func (sn *Supernode) renderOne(pid int64, ps *playerStream) {
 		center = av.Pos
 	}
 	visible := sn.replica.Visible(world.Viewport{Center: center, Radius: ps.join.ViewR})
-	n := int(ps.g.Quality().Bitrate) / sn.fps / 8
+	var enc stream.Segment
+	ps.out.Encode(&enc, sn.stamps[pid], 0)
 	seg := proto.Segment{
 		Player:       pid,
 		Seq:          ps.seq,
-		Level:        uint8(ps.g.StartLevel),
-		ActionIssued: sn.stamps[pid],
+		Level:        uint8(ps.out.Level().Level),
+		ActionIssued: enc.ActionTime,
 	}
 	ps.seq++
 	// Render straight into a pooled wire frame: header, segment fields, then
 	// the payload bytes in place — no Marshal copy.
 	frame := ps.link.AcquireFrame(proto.TSegment)
-	frame = proto.AppendSegmentHeader(frame, seg, n)
-	frame = appendRenderPayload(frame, n, visible)
+	frame = proto.AppendSegmentHeader(frame, seg, enc.Bytes)
+	frame = appendRenderPayload(frame, enc.Bytes, visible)
 	ps.link.SendFrame(frame)
 }
 

@@ -230,17 +230,54 @@ func before(at time.Duration, stamp uint64, at2 time.Duration, stamp2 uint64) bo
 	return at < at2 || at == at2 && stamp < stamp2
 }
 
-// session holds one player's per-run state. Every component is embedded by
-// value — the encoder, controller, receiver buffer, meter, and estimator
-// are all flat structs — so a session is a single contiguous record and the
-// arena behind sessions is the only allocation the player set needs beyond
-// each player's in-flight list.
-type session struct {
-	spec    PlayerSpec
+// Stream is one stream's serving state at its sender (§III-B): the encoder
+// that sizes its segments and the controller that moves its level. It is
+// passive — no clock, no goroutine — so a node simulation drives it in
+// virtual time and a live supernode (internal/live) from its frame clock.
+type Stream struct {
 	encoder stream.Encoder
 	ctrl    adapt.Controller
-	recv    stream.ReceiverBuffer
-	meter   stream.ContinuityMeter
+}
+
+// Init readies the stream for player id of game g on cfg's segments, at the
+// game's matched level lowered to a positive levelCap below it: the ceiling
+// the controller adapts under. It overwrites every field of s.
+func (s *Stream) Init(cfg stream.Config, ac adapt.Config, id int64, g game.Game, levelCap int) {
+	s.ctrl.Init(ac, g)
+	if levelCap > 0 {
+		s.ctrl.SetMaxLevel(levelCap)
+	}
+	s.encoder = *stream.NewEncoder(cfg, id, s.ctrl.Level())
+}
+
+// Encode fills seg as the next segment, at the current level (EncodeInto).
+func (s *Stream) Encode(seg *stream.Segment, actionTime, enqueued time.Duration) {
+	s.encoder.EncodeInto(seg, actionTime, enqueued, s.ctrl.Game())
+}
+
+// Observe feeds one occupancy estimate r (Eq. 8) to the controller and moves
+// the encoder with it, returning the controller's decision.
+func (s *Stream) Observe(r float64) adapt.Decision {
+	d := s.ctrl.Observe(r)
+	if d != adapt.Hold {
+		s.encoder.SetLevel(s.ctrl.Level())
+	}
+	return d
+}
+
+// Level returns the level the next segment is encoded at.
+func (s *Stream) Level() game.QualityLevel { return s.encoder.Level() }
+
+// session holds one player's per-run state: its Stream and the receiver its
+// segments land in. Every component is embedded by value — the encoder,
+// controller, receiver buffer, meter, and estimator are all flat structs — so
+// a session is a single contiguous record and the arena behind sessions is
+// the only allocation the player set needs beyond each player's in-flight list.
+type session struct {
+	spec PlayerSpec
+	Stream
+	recv  stream.ReceiverBuffer
+	meter stream.ContinuityMeter
 
 	// When this player's next generation and estimate fire.
 	genAt, estAt       time.Duration
@@ -383,10 +420,6 @@ func (s *ServerSim) AddPlayer(spec PlayerSpec) error {
 	if _, dup := s.sessionBy[spec.ID]; dup {
 		return fmt.Errorf("qoe: duplicate player id %d", spec.ID)
 	}
-	start := spec.Game.Quality()
-	if spec.LevelCap > 0 && spec.LevelCap < start.Level {
-		start = game.MustLevelAt(spec.LevelCap)
-	}
 	// Take the session from the arena while spare capacity remains (the
 	// pool pre-sizes it); the assignment overwrites every field of a
 	// recycled slot but keeps its in-flight list's storage. Growing the
@@ -399,21 +432,12 @@ func (s *ServerSim) AddPlayer(spec PlayerSpec) error {
 	} else {
 		ss = new(session)
 	}
-	*ss = session{
-		spec:     spec,
-		encoder:  *stream.NewEncoder(s.opts.Stream, spec.ID, start),
-		recv:     *stream.NewReceiverBuffer(s.opts.Stream, start.Bitrate),
-		inflight: ss.inflight[:0],
-	}
+	*ss = session{spec: spec, inflight: ss.inflight[:0]}
+	ss.Init(s.opts.Stream, s.opts.Adapt, spec.ID, spec.Game, spec.LevelCap)
 	ss.encoder.SetStream(len(s.sessions))
-	if s.opts.Adaptation {
-		ss.ctrl.Init(s.opts.Adapt, spec.Game)
-		if spec.LevelCap > 0 {
-			ss.ctrl.SetMaxLevel(spec.LevelCap)
-		}
-	}
-	prebuf := float64(s.opts.PrebufferSegments * s.opts.Stream.SegmentBytes(start.Bitrate))
-	ss.recv.SetPrebuffer(prebuf)
+	bitrate := ss.Level().Bitrate
+	ss.recv = *stream.NewReceiverBuffer(s.opts.Stream, bitrate)
+	ss.recv.SetPrebuffer(float64(s.opts.PrebufferSegments * s.opts.Stream.SegmentBytes(bitrate)))
 	s.sessions = append(s.sessions, ss)
 	s.sessionBy[spec.ID] = ss
 	return nil
@@ -525,27 +549,24 @@ func (s *ServerSim) estimate(ss *session) {
 		downloadBits = float64(ss.bytesSinceTick) * 8 / dt
 	}
 	ss.bytesSinceTick = 0
-	playbackBits := float64(ss.encoder.Level().Bitrate)
+	playbackBits := float64(ss.Level().Bitrate)
 	if !ss.recv.Playing() {
 		playbackBits = 0
 	}
 	ss.est.Update(now, downloadBits, playbackBits)
-	r := ss.est.Segments(s.opts.Stream.SegmentBytes(ss.encoder.Level().Bitrate))
-	switch ss.ctrl.Observe(r) {
-	case adapt.AdjustedUp:
-		lvl := ss.ctrl.Level()
-		ss.encoder.SetLevel(lvl)
+	r := ss.est.Segments(s.opts.Stream.SegmentBytes(ss.Level().Bitrate))
+	if d := ss.Observe(r); d != adapt.Hold {
+		lvl := ss.Level()
 		ss.recv.SetPlaybackBitrate(lvl.Bitrate)
 		ss.levelMoves++
-		s.levelUpCount++
-		s.emit(obs.EventLevelChange, now, ss.spec.ID, int64(lvl.Level), 1)
-	case adapt.AdjustedDown:
-		lvl := ss.ctrl.Level()
-		ss.encoder.SetLevel(lvl)
-		ss.recv.SetPlaybackBitrate(lvl.Bitrate)
-		ss.levelMoves++
-		s.levelDownCount++
-		s.emit(obs.EventLevelChange, now, ss.spec.ID, int64(lvl.Level), -1)
+		dir := int64(1)
+		if d == adapt.AdjustedUp {
+			s.levelUpCount++
+		} else {
+			s.levelDownCount++
+			dir = -1
+		}
+		s.emit(obs.EventLevelChange, now, ss.spec.ID, int64(lvl.Level), dir)
 	}
 	ss.estAt, ss.estStamp = now+s.interval, s.nextStamp()
 	s.estCur = s.next(s.estCur)
@@ -560,7 +581,7 @@ func (s *ServerSim) generate(ss *session) {
 	s.land(ss, now, ss.genStamp)
 	actionTime := now - ss.spec.InboundDelay
 	seg := s.getSegment()
-	ss.encoder.EncodeInto(seg, actionTime, now, ss.spec.Game)
+	ss.Encode(seg, actionTime, now)
 	if sigma := s.opts.SizeJitterSigma; sigma > 0 {
 		seg.Bytes = int(float64(seg.Bytes) * s.sizeMult(sigma))
 		if seg.Bytes < 1 {
@@ -754,7 +775,7 @@ func (s *ServerSim) AppendResults(dst []PlayerResult) []PlayerResult {
 			GameID:        ss.spec.Game.ID,
 			Continuity:    ss.meter.Continuity(),
 			Satisfied:     ss.meter.Satisfied(),
-			FinalLevel:    ss.encoder.Level().Level,
+			FinalLevel:    ss.Level().Level,
 			LevelChanges:  ss.levelMoves,
 			Stalls:        ss.recv.StallCount(),
 			Segments:      ss.delivered,

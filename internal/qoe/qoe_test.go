@@ -10,6 +10,7 @@ import (
 	"cloudfog/internal/game"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/sim"
+	"cloudfog/internal/stream"
 )
 
 func mustGame(t *testing.T, id int) game.Game {
@@ -648,5 +649,60 @@ func TestRunNodeAllocFloor(t *testing.T) {
 	const floor = 83
 	if allocs > floor {
 		t.Fatalf("RunNode allocates %.0f, want <= %d", allocs, floor)
+	}
+}
+
+// TestStreamInitPicksTheLevelAddPlayerPicked: for every game and a cap of
+// none, the bottom rung, one below the game's level, the game's level and one
+// past the ladder, Init starts where AddPlayer started a player before the
+// serving state was a type of its own — the game's level, lowered to a
+// positive cap below it — and a player added to a node starts there too. The
+// controller never adapts above that level, and a step down moves the
+// segment size with it.
+func TestStreamInitPicksTheLevelAddPlayerPicked(t *testing.T) {
+	opts := DefaultOptions()
+	for _, g := range game.Games() {
+		for _, levelCap := range []int{0, 1, g.StartLevel - 1, g.StartLevel, 9} {
+			want := g.Quality()
+			if levelCap > 0 && levelCap < want.Level {
+				want = game.MustLevelAt(levelCap)
+			}
+			var s Stream
+			s.Init(opts.Stream, opts.Adapt, 1, g, levelCap)
+			var seg stream.Segment
+			s.Encode(&seg, 0, 0)
+			if s.Level() != want || seg.Bytes != opts.Stream.SegmentBytes(want.Bitrate) {
+				t.Errorf("game %d, cap %d: level %d, %d-byte segments; want level %d, %d bytes",
+					g.ID, levelCap, s.Level().Level, seg.Bytes, want.Level, opts.Stream.SegmentBytes(want.Bitrate))
+			}
+			srv, err := NewServerSim(opts, 100_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.AddPlayer(PlayerSpec{ID: 1, Game: g, LevelCap: levelCap}); err != nil {
+				t.Fatal(err)
+			}
+			if got := srv.sessions[0].Level(); got != want {
+				t.Errorf("game %d, cap %d: AddPlayer starts at level %d, want %d", g.ID, levelCap, got.Level, want.Level)
+			}
+
+			for range 10 * opts.Adapt.UpStreak {
+				s.Observe(100)
+			}
+			if s.Level() != want {
+				t.Errorf("game %d, cap %d: adapted up to level %d past its start %d", g.ID, levelCap, s.Level().Level, want.Level)
+			}
+			if want.Level == 1 {
+				continue
+			}
+			for range opts.Adapt.DownStreak {
+				s.Observe(0)
+			}
+			down := game.MustLevelAt(want.Level - 1)
+			if s.Encode(&seg, 0, 0); s.Level() != down || seg.Bytes != opts.Stream.SegmentBytes(down.Bitrate) {
+				t.Errorf("game %d, cap %d: after a step down, level %d with %d-byte segments; want level %d",
+					g.ID, levelCap, s.Level().Level, seg.Bytes, down.Level)
+			}
+		}
 	}
 }
