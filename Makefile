@@ -131,8 +131,9 @@ latency:
 # shortlist-, relief-index, registration-order and member-list invariants and
 # Supernodes() against a plain slice after every operation of the random-ops,
 # storm and fleet-wide-failure tests; the member lists' swap-remove cases and
-# what a warm join allocates; the one limit a probe is held to; the scaling run's
-# golden and its bytes-allocated-per-player ceiling; the grid's sorted k-best
+# what a warm join allocates; the one limit a probe is held to; the 120-byte
+# player; the scaling run's golden and its bytes-allocated-per-player ceiling;
+# a world clone's allocation count, flat in the population; the grid's sorted k-best
 # against brute force, its tie-break on ID, accept asked about entrants only,
 # the reused buffer, and the retune contracts; the latency model's resolved-endpoint and Within properties
 # and its OneWay golden; the population golden; the two-pass node sample
@@ -145,20 +146,20 @@ latency:
 # datacenter member list), then a 200 000-player
 # cloudfog-sim -scale run at 1 and at 8 shards, whose output must be the same
 # bytes once what describes the run and not the result is masked (the shard
-# count, the timing and memory fields), then
+# count, the timing and memory fields, live bytes per player among them), then
 # the repo benchmark's sim-scale workload, whose op_ms is the
 # wall time of one 50 000-player scaling run. run.sh builds bench/ against
 # this tree — bench is its own module, so an API break there is invisible to
 # `go build ./...` — and the run fails if the pinned figure hash moves.
 SCALE_SMOKE = -scale -players 200000 -supernodes 12500 -detector phi -overload -horizon 20s -epoch 10s
 scale:
-	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Supernodes|Relief|Reindex|[Pp]robe|Membership|WarmJoin' ./internal/core/
-	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|AliasedNodeIDs' ./internal/experiment/
+	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Supernodes|Relief|Reindex|[Pp]robe|Membership|WarmJoin|PlayerLayout' ./internal/core/
+	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|AliasedNodeIDs|CloneAllocs' ./internal/experiment/
 	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/sim/ ./internal/health/ ./internal/baseline/
 	mkdir -p .bench_build
 	for s in 1 8; do \
 		$(GO) run ./cmd/cloudfog-sim $(SCALE_SMOKE) -shards $$s > .bench_build/scale-$$s.raw || exit 1; \
-		sed -E -e 's/(shards|wall|world|mem)=[^ ]+//g' .bench_build/scale-$$s.raw > .bench_build/scale-$$s.txt; \
+		sed -E -e 's/(shards|wall|world|mem|live_per_player)=[^ ]+//g' .bench_build/scale-$$s.raw > .bench_build/scale-$$s.txt; \
 	done
 	diff .bench_build/scale-1.txt .bench_build/scale-8.txt
 	bash bench/run.sh --workload sim-scale --seed 2026 --seconds 20 --trace 0

@@ -518,7 +518,7 @@ func BenchmarkAblationBackups(b *testing.B) {
 			players[j] = &core.Player{
 				ID:       int64(j),
 				Pos:      region.Clamp(geo.Point{X: region.Center().X + float64(j*5), Y: region.Center().Y + 10}),
-				Game:     g,
+				Game:     &g,
 				Downlink: 20_000_000,
 			}
 			fog.Join(players[j])

@@ -290,9 +290,10 @@ func runRecord() error {
 }
 
 // runScale executes only the scaling experiment and prints its wall time,
-// beside the time the world took to generate and the memory the process has
-// obtained from the operating system by the end of the run — the -scale demo
-// path for million-player runs.
+// beside the time the world took to generate, the memory the process has
+// obtained from the operating system by the end of the run, and the heap the
+// world keeps live after it, per player — the -scale demo path for
+// million-player runs.
 func runScale(w *experiment.World, opts experiment.RunOptions, worldBuild time.Duration) error {
 	start := time.Now()
 	res, fig, err := experiment.ScaleRun(w, opts)
@@ -300,12 +301,13 @@ func runScale(w *experiment.World, opts experiment.RunOptions, worldBuild time.D
 		return err
 	}
 	wall := time.Since(start)
+	runtime.GC()
 	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
+	runtime.ReadMemStats(&mem) // w, read below, stays live through the collection
 	fmt.Println(fig.Title)
 	fmt.Println(table(fig.XLabel, fig.Series))
-	fmt.Printf("shards=%d epochs=%d wall=%v world=%v mem=%dMiB\n", res.Shards, res.Epochs,
-		wall.Round(time.Millisecond), worldBuild.Round(time.Millisecond), mem.Sys>>20)
+	fmt.Printf("shards=%d epochs=%d wall=%v world=%v mem=%dMiB live_per_player=%dB\n", res.Shards, res.Epochs,
+		wall.Round(time.Millisecond), worldBuild.Round(time.Millisecond), mem.Sys>>20, mem.HeapAlloc/uint64(len(w.Pop.Players)))
 	fmt.Printf("kills=%d recoveries=%d detections=%d (mean %.2fs) repairs=%d lapsed=%d cloud_hops=%d moved=%d pending_end=%d\n",
 		res.Kills, res.Recoveries, res.Detections, res.MeanDetection.Seconds(),
 		res.Repairs, res.Lapsed, res.CloudHops, res.Moved, res.PendingEnd)

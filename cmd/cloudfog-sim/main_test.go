@@ -65,14 +65,14 @@ func scaleSmoke(extra map[string]string) map[string]string {
 
 // TestScaleOutputIsShardInvariant is the binary's smoke test: the -scale run
 // `make chaos` makes, at one shard and at four, prints the same bytes once
-// what describes the run instead of the result is masked — the three
+// what describes the run instead of the result is masked — the four
 // timing and memory fields and the shard count beside them.
 func TestScaleOutputIsShardInvariant(t *testing.T) {
-	perRun := regexp.MustCompile(`(shards|wall|world|mem)=\S+`)
+	perRun := regexp.MustCompile(`(shards|wall|world|mem|live_per_player)=\S+`)
 	var want string
 	for _, shards := range []string{"1", "4"} {
 		printed := runWith(t, scaleSmoke(map[string]string{"shards": shards}))
-		for _, field := range []string{"shards=" + shards + " epochs=2 wall=", " world=", " mem=", "kills=", "sampled continuity: "} {
+		for _, field := range []string{"shards=" + shards + " epochs=2 wall=", " world=", " mem=", " live_per_player=", "kills=", "sampled continuity: "} {
 			if !strings.Contains(printed, field) {
 				t.Fatalf("-shards %s: output lacks %q:\n%s", shards, field, printed)
 			}

@@ -52,7 +52,7 @@ func main() {
 		p := &core.Player{
 			ID:       int64(i),
 			Pos:      region.Clamp(geo.Point{X: metro.X + float64(i)*30, Y: metro.Y}),
-			Game:     games[i%len(games)],
+			Game:     &games[i%len(games)],
 			Downlink: 20_000_000,
 		}
 		players = append(players, p)

@@ -33,7 +33,7 @@ func twoDCs(cfg core.Config) []*core.Datacenter {
 }
 
 func player(id int64, pos geo.Point, g game.Game) *core.Player {
-	return &core.Player{ID: id, Pos: pos, Game: g, Downlink: 20_000_000}
+	return &core.Player{ID: id, Pos: pos, Game: &g, Downlink: 20_000_000}
 }
 
 func TestNewCloudValidation(t *testing.T) {

@@ -154,7 +154,8 @@ func (f *Fog) Supernode(id int64) (*Supernode, bool) {
 	return sn, ok
 }
 
-// OnlinePlayers returns the number of players currently served.
+// OnlinePlayers returns the number of players that have joined and not left,
+// served or not: a player no node could take still counts.
 func (f *Fog) OnlinePlayers() int { return f.online }
 
 // RegisterSupernode adds a supernode to the fog. The supernode probes all

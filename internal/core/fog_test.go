@@ -52,7 +52,7 @@ func buildTestFog(t *testing.T, cfg Config, nSupernodes int) *Fog {
 }
 
 func testPlayer(id int64, pos geo.Point, g game.Game) *Player {
-	return &Player{ID: id, Pos: pos, Game: g, Downlink: 20_000_000}
+	return &Player{ID: id, Pos: pos, Game: &g, Downlink: 20_000_000}
 }
 
 func TestBuildFogValidation(t *testing.T) {

@@ -222,7 +222,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 	players := make([]*Player, nPlayers)
 	for i := range players {
 		g, _ := game.ByID(1 + rng.Intn(5))
-		players[i] = &Player{ID: int64(i), Pos: placer.Place(rng), Game: g, Downlink: 20_000_000}
+		players[i] = &Player{ID: int64(i), Pos: placer.Place(rng), Game: &g, Downlink: 20_000_000}
 	}
 	registered := make(map[int64]*Supernode)
 	for _, sn := range specs {

@@ -148,9 +148,10 @@ func (s *Supernode) Share() int64 {
 // Player is one game client. Thin clients cannot render; they send actions
 // and play back a received video stream.
 type Player struct {
-	ID       int64
-	Pos      geo.Point
-	Game     game.Game
+	ID  int64
+	Pos geo.Point
+	// Game points into a game table nothing writes through; nil until a join.
+	Game     *game.Game
 	Downlink int64 // bits/second
 
 	// SupernodeCapable marks players whose hardware could serve as a

@@ -118,6 +118,10 @@ type World struct {
 	srvPts []geo.Point
 	snSpec []snSpec
 
+	// games is the table players' Game pointers index: built once, written
+	// by nothing, shared by every clone.
+	games []game.Game
+
 	runs nodeRuns
 }
 
@@ -139,7 +143,7 @@ func NewWorld(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &World{Cfg: cfg, Pop: pop}
+	w := &World{Cfg: cfg, Pop: pop, games: game.Games()}
 
 	rng := sim.NewRand(cfg.Seed + 100)
 	w.dcPts = geo.SpreadPoints(cfg.Core.Region, max(cfg.Datacenters, 25), rng.Fork())
@@ -167,7 +171,8 @@ func (w *World) Fingerprint() uint32 {
 	var b []byte
 	b = recfmt.AppendVarint(b, w.Cfg.Seed)
 	b = recfmt.AppendUvarint(b, uint64(len(w.Pop.Players)))
-	for _, p := range w.Pop.Players {
+	for i := range w.Pop.Players {
+		p := &w.Pop.Players[i]
 		b = recfmt.AppendVarint(b, p.ID)
 		b = recfmt.AppendFloat64(b, p.Pos.X)
 		b = recfmt.AppendFloat64(b, p.Pos.Y)
@@ -268,7 +273,7 @@ func (w *World) JoinAll(sys core.System, n int) []*core.Player {
 
 // JoinAllGame is JoinAll with every player assigned the same game — the
 // coverage sweeps' semantics, where each curve is a world whose games share
-// one network latency requirement.
+// one network latency requirement. The joined players share one copy of g.
 func (w *World) JoinAllGame(sys core.System, n int, g game.Game) []*core.Player {
 	return w.joinAll(sys, n, &g)
 }
@@ -281,15 +286,11 @@ func (w *World) joinAll(sys core.System, n int, fixed *game.Game) []*core.Player
 	players := make([]*core.Player, n)
 	order := rng.Perm(len(w.Pop.Players))[:n]
 	for i, idx := range order {
-		p := w.Pop.Players[idx]
+		p := &w.Pop.Players[idx]
 		if fixed != nil {
-			p.Game = *fixed
+			p.Game = fixed
 		} else {
-			g, err := game.ByID(1 + rng.Intn(5))
-			if err != nil {
-				panic(err)
-			}
-			p.Game = g
+			p.Game = &w.games[rng.Intn(len(w.games))]
 		}
 		players[i] = p
 	}
@@ -308,8 +309,8 @@ func (w *World) UseLatencySource(src trace.Source) { w.Cfg.Core.Latency = src }
 // datacenter sites, edge servers) for the testbed to host.
 func (w *World) Endpoints() []trace.Endpoint {
 	out := make([]trace.Endpoint, 0, len(w.Pop.Players)+len(w.snSpec)+len(w.dcPts)+len(w.srvPts))
-	for _, p := range w.Pop.Players {
-		out = append(out, p.Endpoint())
+	for i := range w.Pop.Players {
+		out = append(out, w.Pop.Players[i].Endpoint())
 	}
 	for _, sp := range w.snSpec {
 		out = append(out, trace.Endpoint{ID: trace.NodeID(sp.id), Pos: sp.pos, Class: trace.ClassSupernode})
@@ -341,8 +342,8 @@ func (w *World) ProbePairs(k int) [][2]trace.Endpoint {
 	for i, pt := range w.srvPts {
 		srvs[i] = trace.Endpoint{ID: trace.NodeID(w.edgeID(i)), Pos: pt, Class: trace.ClassServer}
 	}
-	for _, p := range w.Pop.Players {
-		pe := p.Endpoint()
+	for i := range w.Pop.Players {
+		pe := w.Pop.Players[i].Endpoint()
 		for _, dc := range dcs {
 			pairs = append(pairs, [2]trace.Endpoint{pe, dc})
 		}

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -322,6 +324,36 @@ func TestJoinAllRestoresOnLeave(t *testing.T) {
 		if p.Online || p.Attached.Served() {
 			t.Fatal("player state not reset")
 		}
+	}
+}
+
+// TestJoinAllGameDrawGolden pins which game JoinAll gives each player, in join
+// order: a digest of (player ID, game ID) recorded when every player carried
+// its own copy of the game. A change to the draw — its stream, its range, the
+// table it indexes — fails here by name, before it moves a figure.
+func TestJoinAllGameDrawGolden(t *testing.T) {
+	const want = "1e65254b1a4ccc6b"
+	cfg := Default(2026)
+	cfg.Players = 600
+	cfg.Supernodes = 40
+	cfg.EdgeServers = 5
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := w.NewFog(w.Cfg.Datacenters, w.Cfg.Supernodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [16]byte
+	for _, p := range w.JoinAll(sys, 500) {
+		binary.LittleEndian.PutUint64(b[:8], uint64(p.ID))
+		binary.LittleEndian.PutUint64(b[8:], uint64(p.Game.ID))
+		h.Write(b[:])
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Fatalf("JoinAll's (player, game) digest %s, want %s: the game draw moved", got, want)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"cloudfog/internal/core"
-	"cloudfog/internal/game"
 	"cloudfog/internal/metrics"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/qoe"
+	"cloudfog/internal/shard"
 	"cloudfog/internal/sim"
 	"cloudfog/internal/trace"
 )
@@ -137,18 +137,8 @@ func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Option
 			continue
 		}
 		key, _ := servingNode(a)
-		levelCap := 0
-		if capOf != nil && a.Kind == core.AttachSupernode {
-			levelCap = capOf(a.SN.ID, p.Game.StartLevel)
-		}
 		g := &nodes[r.index[key]]
-		specs[g.start+g.n] = qoe.PlayerSpec{
-			ID:           p.ID,
-			Game:         p.Game,
-			Latency:      a.StreamLatency,
-			InboundDelay: a.UpdateLatency,
-			LevelCap:     levelCap,
-		}
+		specs[g.start+g.n] = shard.PlayerSpec(p, capOf)
 		g.n++
 	}
 	results := slices.Grow(r.results[:0], served)[:served]
@@ -259,8 +249,8 @@ func (w *World) SupernodeScenario(k int) (uplink int64, specs []qoe.PlayerSpec) 
 		d   float64
 	}
 	pool := make([]cand, len(w.Pop.Players))
-	for i, p := range w.Pop.Players {
-		pool[i] = cand{i, p.Pos.DistanceTo(sn.pos)}
+	for i := range w.Pop.Players {
+		pool[i] = cand{i, w.Pop.Players[i].Pos.DistanceTo(sn.pos)}
 	}
 	sort.Slice(pool, func(a, b int) bool { return pool[a].d < pool[b].d })
 	poolSize := 10 * k
@@ -273,7 +263,7 @@ func (w *World) SupernodeScenario(k int) (uplink int64, specs []qoe.PlayerSpec) 
 	}
 	probes := make([]probed, poolSize)
 	for i := 0; i < poolSize; i++ {
-		p := w.Pop.Players[pool[i].idx]
+		p := &w.Pop.Players[pool[i].idx]
 		probes[i] = probed{pool[i].idx, w.Cfg.Core.Latency.OneWay(p.Endpoint(), snEP)}
 	}
 	sort.Slice(probes, func(a, b int) bool { return probes[a].l < probes[b].l })
@@ -284,14 +274,9 @@ func (w *World) SupernodeScenario(k int) (uplink int64, specs []qoe.PlayerSpec) 
 	}
 	specs = make([]qoe.PlayerSpec, k)
 	for i := 0; i < k; i++ {
-		p := w.Pop.Players[probes[i].idx]
-		g, err := game.ByID(1 + rng.Intn(5))
-		if err != nil {
-			panic(err)
-		}
 		specs[i] = qoe.PlayerSpec{
-			ID:           p.ID,
-			Game:         g,
+			ID:           w.Pop.Players[probes[i].idx].ID,
+			Game:         w.games[rng.Intn(len(w.games))],
 			Latency:      probes[i].l,
 			InboundDelay: inbound,
 		}

@@ -2,30 +2,31 @@ package experiment
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"cloudfog/internal/core"
 )
 
-// Clone returns a world whose players are fresh copies of this world's, so
-// a sweep worker can join and leave them without touching any other
-// worker's state. Immutable data — the config, infrastructure placements,
-// supernode specs — is shared; only the mutable per-player runtime state
-// (Online, Game, Attached, Backups) is duplicated, reset to the never-joined
-// state every sweep point starts from. The node-run pools and groupRun's
-// scratch are per goroutine, so a clone starts without any.
+// Clone returns a world whose players are fresh copies of this world's, in
+// one allocation, so a sweep worker can join and leave them without touching
+// any other worker's state. Immutable data — the config, infrastructure
+// placements, supernode specs, the game table — is shared; per-player runtime
+// state (Online, Attached, Backups) is reset to the never-joined state, and a
+// copied Game points at the read-only row it did until the clone's joins
+// re-point it. The node-run pools and groupRun's scratch are per goroutine, so
+// a clone starts without any.
 func (w *World) Clone() *World {
 	cw := *w
 	cw.runs = nodeRuns{}
 	pop := *w.Pop
-	pop.Players = make([]*core.Player, len(w.Pop.Players))
-	for i, p := range w.Pop.Players {
-		cp := *p
-		cp.Online = false
-		cp.Attached = core.Attachment{}
-		cp.Backups = nil
-		pop.Players[i] = &cp
+	pop.Players = slices.Clone(w.Pop.Players)
+	for i := range pop.Players {
+		p := &pop.Players[i]
+		p.Online = false
+		p.Attached = core.Attachment{}
+		p.Backups = nil
 	}
 	cw.Pop = &pop
 	return &cw

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudfog/internal/game"
 	"cloudfog/internal/metrics"
 	"cloudfog/internal/qoe"
 )
@@ -83,9 +84,19 @@ func TestParallelSweepsMatchSerial(t *testing.T) {
 }
 
 // TestCloneIsolation: joining players in a clone must not leak runtime
-// state into the original world's players.
+// state into the original world's players, nor write through the game a
+// clone's player shares with its original.
 func TestCloneIsolation(t *testing.T) {
 	ws, _ := sweepTestWorlds(t)
+	shooter, err := game.ByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := ws.NewFog(ws.Cfg.Datacenters, ws.Cfg.Supernodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws.LeaveAll(orig, ws.JoinAllGame(orig, ws.Cfg.Players, shooter))
 	cw := ws.Clone()
 	sys, err := cw.NewFog(cw.Cfg.Datacenters, cw.Cfg.Supernodes)
 	if err != nil {
@@ -99,6 +110,12 @@ func TestCloneIsolation(t *testing.T) {
 		if p.Online || p.Attached.Served() || p.Backups != nil {
 			t.Fatalf("player %d in the original world picked up clone state", p.ID)
 		}
+		if p.Game == nil || p.Game.ID != 1 {
+			t.Fatalf("player %d's game changed under its clone's JoinAll: %+v", p.ID, p.Game)
+		}
+	}
+	if !reflect.DeepEqual(ws.games, game.Games()) || &cw.games[0] != &ws.games[0] {
+		t.Fatal("the world's game table was written, or its clone holds another")
 	}
 	// Shared immutable spec: same IDs and positions in both worlds.
 	for i, p := range ws.Pop.Players {
@@ -122,6 +139,25 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cw.Clone().runs, nodeRuns{}) {
 		t.Fatal("a clone inherited its parent's pools or scratch")
+	}
+}
+
+// TestCloneAllocsFlatInPopulation: a clone copies its players in one piece, so
+// it allocates as often for 2 000 players as for 200 — not once per player.
+func TestCloneAllocsFlatInPopulation(t *testing.T) {
+	allocs := func(players int) float64 {
+		cfg := Default(31)
+		cfg.Players = players
+		cfg.Supernodes = players / 50
+		cfg.EdgeServers = 5
+		w, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() { w.Clone() })
+	}
+	if small, large := allocs(200), allocs(2000); small != large {
+		t.Fatalf("Clone allocates %.0f times for 200 players and %.0f for 2 000", small, large)
 	}
 }
 

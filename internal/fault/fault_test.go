@@ -216,7 +216,7 @@ func buildFaultFog(t *testing.T, nSN, nPlayers int, stats *obs.AssignStats) (*co
 	players := make([]*core.Player, nPlayers)
 	for i := range players {
 		pos := geo.Point{X: center.X + float64(i%40), Y: center.Y + float64(i%25)}
-		players[i] = &core.Player{ID: int64(i + 1), Pos: pos, Game: g, Downlink: 20_000_000}
+		players[i] = &core.Player{ID: int64(i + 1), Pos: pos, Game: &g, Downlink: 20_000_000}
 		f.Join(players[i])
 	}
 	return f, players, tg

@@ -285,20 +285,28 @@ func (r *Runner) buildTasks(killsAt map[int64]time.Duration, t0, t1 time.Duratio
 		if t == nil {
 			continue
 		}
-		levelCap := 0
-		if capOf != nil {
-			levelCap = capOf(a.SN.ID, p.Game.StartLevel)
-		}
-		t.specs = append(t.specs, qoe.PlayerSpec{
-			ID:           p.ID,
-			Game:         p.Game,
-			Latency:      a.StreamLatency,
-			InboundDelay: a.UpdateLatency,
-			LevelCap:     levelCap,
-		})
+		t.specs = append(t.specs, PlayerSpec(p, capOf))
 		t.idx = append(t.idx, i)
 	}
 	return tasks
+}
+
+// PlayerSpec is what a node simulation knows of a served player: its game,
+// the two latencies of its serving path and, when capOf is set and a
+// supernode serves it, the encoding-level cap that node is held to.
+func PlayerSpec(p *core.Player, capOf func(snID int64, startLevel int) int) qoe.PlayerSpec {
+	a := &p.Attached
+	levelCap := 0
+	if capOf != nil && a.Kind == core.AttachSupernode {
+		levelCap = capOf(a.SN.ID, p.Game.StartLevel)
+	}
+	return qoe.PlayerSpec{
+		ID:           p.ID,
+		Game:         *p.Game,
+		Latency:      a.StreamLatency,
+		InboundDelay: a.UpdateLatency,
+		LevelCap:     levelCap,
+	}
 }
 
 // runEpoch executes one epoch: the engine runs the control plane to t1 on a

@@ -46,7 +46,7 @@ func buildTasksReference(r *Runner, killsAt map[int64]time.Duration, t0, t1 time
 		}
 		t.specs = append(t.specs, qoe.PlayerSpec{
 			ID:           p.ID,
-			Game:         p.Game,
+			Game:         *p.Game,
 			Latency:      a.StreamLatency,
 			InboundDelay: a.UpdateLatency,
 			LevelCap:     levelCap,
@@ -107,7 +107,7 @@ func ladderRunner(t *testing.T, budget int) *Runner {
 		if err != nil {
 			t.Fatal(err)
 		}
-		players[i] = &core.Player{ID: int64(i), Pos: placer.Place(rng), Game: g, Downlink: 20_000_000}
+		players[i] = &core.Player{ID: int64(i), Pos: placer.Place(rng), Game: &g, Downlink: 20_000_000}
 		fog.Join(players[i])
 	}
 	return NewRunner(Config{

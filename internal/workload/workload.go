@@ -86,7 +86,9 @@ func (c Config) Validate() error {
 
 // Population is a generated player base.
 type Population struct {
-	Players []*core.Player
+	// Players is the population in one allocation; a player's address is
+	// &Players[i], stable for the population's life.
+	Players []core.Player
 	// Capable indexes the supernode-capable players.
 	Capable []int
 }
@@ -102,10 +104,9 @@ func Generate(cfg Config) (*Population, error) {
 	rng.Int63() // the retired friend graph's seed: capableRng must stay the stream it was
 	capableRng := rng.Fork()
 
-	players := make([]core.Player, cfg.Players) // one allocation, not one per player
-	pop := &Population{Players: make([]*core.Player, cfg.Players)}
-	for i := range players {
-		p := &players[i]
+	pop := &Population{Players: make([]core.Player, cfg.Players)}
+	for i := range pop.Players {
+		p := &pop.Players[i]
 		*p = core.Player{
 			ID:       PlayerIDBase + int64(i),
 			Pos:      cfg.Placer.Place(placeRng),
@@ -115,7 +116,6 @@ func Generate(cfg Config) (*Population, error) {
 			p.SupernodeCapable = true
 			pop.Capable = append(pop.Capable, i)
 		}
-		pop.Players[i] = p
 	}
 	return pop, nil
 }
@@ -140,7 +140,7 @@ func (pop *Population) BuildSupernodes(n int, uplinkPerSlot int64, rng *sim.Rand
 	base := SupernodeIDBase(len(pop.Players))
 	sns := make([]*core.Supernode, 0, n)
 	for _, pi := range perm[:n] {
-		p := pop.Players[pop.Capable[pi]]
+		p := &pop.Players[pop.Capable[pi]]
 		capacity := int(rng.CapacityPareto() + 0.5)
 		if capacity < 1 {
 			capacity = 1
