@@ -143,7 +143,8 @@ latency:
 # lazy-cancel contracts and its zero-allocation floors; the phi detector's early
 # answer against Phi itself and the monitor's allocation floors — sim-scale is
 # the one workload that runs that detector; the baselines, which share the
-# datacenter member list), then a 200 000-player
+# datacenter member list; the Cloud baseline's attachments — a fog with no
+# supernodes — pinned by digest in join order), then a 200 000-player
 # cloudfog-sim -scale run at 1 and at 8 shards, whose output must be the same
 # bytes once what describes the run and not the result is masked (the shard
 # count, the timing and memory fields, live bytes per player among them), then
@@ -154,7 +155,7 @@ latency:
 SCALE_SMOKE = -scale -players 200000 -supernodes 12500 -detector phi -overload -horizon 20s -epoch 10s
 scale:
 	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Supernodes|Relief|Reindex|[Pp]robe|Membership|WarmJoin|PlayerLayout' ./internal/core/
-	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|AliasedNodeIDs|CloneAllocs' ./internal/experiment/
+	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|AliasedNodeIDs|CloneAllocs|CloudAttachGolden' ./internal/experiment/
 	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/sim/ ./internal/health/ ./internal/baseline/
 	mkdir -p .bench_build
 	for s in 1 8; do \

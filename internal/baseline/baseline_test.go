@@ -36,14 +36,16 @@ func player(id int64, pos geo.Point, g game.Game) *core.Player {
 	return &core.Player{ID: id, Pos: pos, Game: &g, Downlink: 20_000_000}
 }
 
+// The Cloud baseline is a fog with no supernodes: every join takes the
+// protocol's cloud fallback, as experiment.World.NewCloud builds it.
 func TestNewCloudValidation(t *testing.T) {
 	cfg := testConfig()
-	if _, err := NewCloud(cfg, nil, sim.NewRand(1)); err == nil {
+	if _, err := core.BuildFog(cfg, nil, nil, sim.NewRand(1)); err == nil {
 		t.Fatal("cloud with no datacenters accepted")
 	}
 	bad := cfg
 	bad.LmaxFactor = 0
-	if _, err := NewCloud(bad, twoDCs(cfg), sim.NewRand(1)); err == nil {
+	if _, err := core.BuildFog(bad, twoDCs(cfg), nil, sim.NewRand(1)); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -51,7 +53,7 @@ func TestNewCloudValidation(t *testing.T) {
 func TestCloudAttachesToClosestDC(t *testing.T) {
 	cfg := testConfig()
 	dcs := twoDCs(cfg)
-	c, err := NewCloud(cfg, dcs, sim.NewRand(2))
+	c, err := core.BuildFog(cfg, dcs, nil, sim.NewRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestCloudAttachesToClosestDC(t *testing.T) {
 func TestCloudLeave(t *testing.T) {
 	cfg := testConfig()
 	dcs := twoDCs(cfg)
-	c, _ := NewCloud(cfg, dcs, sim.NewRand(2))
+	c, _ := core.BuildFog(cfg, dcs, nil, sim.NewRand(2))
 	p := player(3, cfg.Region.Center(), mustGame(t, 3))
 	a := c.Join(p)
 	c.Leave(p)
@@ -90,7 +92,7 @@ func TestCloudLeave(t *testing.T) {
 
 func TestCloudBandwidthIsFullStreams(t *testing.T) {
 	cfg := testConfig()
-	c, _ := NewCloud(cfg, twoDCs(cfg), sim.NewRand(2))
+	c, _ := core.BuildFog(cfg, twoDCs(cfg), nil, sim.NewRand(2))
 	c.Join(player(1, cfg.Region.Center(), mustGame(t, 3))) // 800 kbps
 	c.Join(player(2, cfg.Region.Center(), mustGame(t, 5))) // 1800 kbps
 	want := cfg.WireRate(800_000) + cfg.WireRate(1_800_000)
@@ -101,7 +103,7 @@ func TestCloudBandwidthIsFullStreams(t *testing.T) {
 
 func TestCloudJoinIdempotent(t *testing.T) {
 	cfg := testConfig()
-	c, _ := NewCloud(cfg, twoDCs(cfg), sim.NewRand(2))
+	c, _ := core.BuildFog(cfg, twoDCs(cfg), nil, sim.NewRand(2))
 	p := player(4, cfg.Region.Center(), mustGame(t, 3))
 	a1 := c.Join(p)
 	a2 := c.Join(p)
@@ -236,7 +238,7 @@ func TestLatencyOrderingAcrossSystems(t *testing.T) {
 		return dcs
 	}
 
-	cloud, _ := NewCloud(cfg, newDCs(), sim.NewRand(8))
+	cloud, _ := core.BuildFog(cfg, newDCs(), nil, sim.NewRand(8))
 	cloudLat := mean(cloud, makePlayers(0))
 
 	srvPts := geo.SpreadPoints(cfg.Region, 45, sim.NewRand(9))

@@ -156,12 +156,17 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 			if err != nil {
 				continue
 			}
-			c.mu.Lock()
-			t, ok := c.placer.Renew(c.now(), rn.Player)
-			c.mu.Unlock()
+			// Only the link that placed a player may renew it: the renewed
+			// ticket is the credential a leased worker's join gate checks.
+			t, ok := proto.Ticket{}, rn.Player == player
+			if ok {
+				c.mu.Lock()
+				t, ok = c.placer.Renew(c.now(), rn.Player)
+				c.mu.Unlock()
+			}
 			if !ok {
-				// Unknown session: an empty-Addr ticket tells the player its
-				// lease is gone and it must re-place.
+				// Unknown session, or not this link's: an empty-Addr ticket
+				// tells the player its lease is gone and it must re-place.
 				t = proto.Ticket{Player: rn.Player}
 			}
 			c.pushTicket(link, t)
@@ -170,15 +175,20 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 			if err != nil {
 				continue
 			}
-			began := time.Now()
-			c.mu.Lock()
-			t, ok := c.placer.Place(c.now(), pl)
+			// A link speaks for one player, and its close is that player's
+			// departure: a second player placed here would outlive it.
+			t, ok := proto.Ticket{}, player == 0 || pl.Player == player
 			if ok {
-				player = pl.Player
-				c.players[player] = link
+				began := time.Now()
+				c.mu.Lock()
+				t, ok = c.placer.Place(c.now(), pl)
+				if ok {
+					player = pl.Player
+					c.players[player] = link
+				}
+				c.mu.Unlock()
+				c.placer.stats.PlacementNs.Observe(int64(time.Since(began)))
 			}
-			c.mu.Unlock()
-			c.placer.stats.PlacementNs.Observe(int64(time.Since(began)))
 			if !ok {
 				// Rejection: a ticket with no address. The empty Addr is
 				// the signal; no signature covers a non-placement.

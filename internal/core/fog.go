@@ -119,12 +119,6 @@ func BuildFog(cfg Config, dcs []*Datacenter, sns []*Supernode, rng *sim.Rand) (*
 	return f, nil
 }
 
-// Name identifies the system in experiment output.
-func (f *Fog) Name() string { return "CloudFog" }
-
-// Datacenters returns the fog's datacenters.
-func (f *Fog) Datacenters() []*Datacenter { return f.dcs }
-
 // Supernodes returns the registered supernodes in registration order. The
 // slice is the Fog's own: a caller that fails or registers supernodes while
 // walking it copies it first.

@@ -2,13 +2,11 @@ package core
 
 import "time"
 
-// System is the behavior shared by the three compared gaming systems:
-// Cloud (current cloud gaming), EdgeCloud, and CloudFog. The experiment
+// System is the behavior shared by the compared gaming systems: EdgeCloud
+// and Fog, which with no supernodes is the Cloud baseline. The experiment
 // harness drives churn through Join/Leave and samples the two flow-level
 // metrics every figure in the paper's evaluation aggregates.
 type System interface {
-	// Name identifies the system in experiment output.
-	Name() string
 	// Join serves a newly arrived player and returns its attachment.
 	Join(p *Player) Attachment
 	// Leave detaches a departing player.

@@ -4,7 +4,7 @@
 // supernodes, and supernodes render, encode and stream per-player game
 // videos to nearby players. The package provides the entities (datacenters,
 // supernodes, players), the supernode assignment protocol (§III-A3), and
-// the System interface shared with the Cloud and EdgeCloud baselines.
+// the System interface EdgeCloud shares; a Fog with no supernodes is Cloud.
 package core
 
 import (

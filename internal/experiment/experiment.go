@@ -252,9 +252,11 @@ func (w *World) NewFog(nDCs, nSNs int) (*core.Fog, error) {
 		sim.NewRand(w.Cfg.Seed+200))
 }
 
-// NewCloud builds the Cloud baseline with nDCs datacenters.
-func (w *World) NewCloud(nDCs int) (*baseline.Cloud, error) {
-	return baseline.NewCloud(w.Cfg.Core, w.Datacenters(nDCs), sim.NewRand(w.Cfg.Seed+201))
+// NewCloud builds the Cloud baseline with nDCs datacenters: a fog with no
+// supernodes, so every join takes the protocol's cloud fallback (§III-A3)
+// and streams from the datacenter nearest its geolocated estimate.
+func (w *World) NewCloud(nDCs int) (*core.Fog, error) {
+	return core.BuildFog(w.Cfg.Core, w.Datacenters(nDCs), nil, sim.NewRand(w.Cfg.Seed+201))
 }
 
 // NewEdgeCloud builds the EdgeCloud baseline with nDCs datacenters and the

@@ -357,6 +357,39 @@ func TestJoinAllGameDrawGolden(t *testing.T) {
 	}
 }
 
+// TestCloudAttachGolden pins the Cloud baseline's attachments: a digest of
+// (player ID, serving datacenter ID, stream latency) in join order, then the
+// cloud's egress. A moved geolocation stream or datacenter tie-break fails
+// here by name, before it moves Figures 5(a), 7(a), 8(a) or 9(a).
+func TestCloudAttachGolden(t *testing.T) {
+	const want = "e1f4c8d7ca8704c7"
+	cfg := Default(2026)
+	cfg.Players = 600
+	cfg.Supernodes = 40
+	cfg.EdgeServers = 5
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := w.NewCloud(w.Cfg.Datacenters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [24]byte
+	for _, p := range w.JoinAll(sys, 500) {
+		binary.LittleEndian.PutUint64(b[:8], uint64(p.ID))
+		binary.LittleEndian.PutUint64(b[8:16], uint64(p.Attached.DC.ID))
+		binary.LittleEndian.PutUint64(b[16:], uint64(p.Attached.StreamLatency))
+		h.Write(b[:])
+	}
+	binary.LittleEndian.PutUint64(b[:8], uint64(sys.CloudBandwidth()))
+	h.Write(b[:8])
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Fatalf("Cloud attachment digest %s, want %s: a join moved", got, want)
+	}
+}
+
 func TestGameForRequirement(t *testing.T) {
 	g, err := gameForRequirement(70 * time.Millisecond)
 	if err != nil || g.ID != 3 {
