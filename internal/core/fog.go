@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 )
 
 // Fog is the CloudFog system: a cloud of datacenters plus a fog of
-// registered supernodes. It implements the System interface used by the
-// experiment harness.
+// registered supernodes. It is also every system the evaluation compares it
+// with: with no supernodes it is Cloud, and with no supernodes and edge
+// servers leading its datacenter list it is EdgeCloud.
 //
 // A Fog is not safe for concurrent use: the assignment protocol reuses
 // per-instance scratch buffers so the steady-state join/failover path does
@@ -92,13 +94,15 @@ func (f *Fog) RandDraws() uint64 { return f.rng.Draws() }
 
 // BuildFog constructs a Fog with the given datacenters and supernodes. The
 // rng drives geolocation error draws; pass a dedicated stream for
-// reproducibility.
+// reproducibility. Edge servers may sit among the datacenters; the list needs
+// at least one main datacenter, which is uncapacitated, so the cloud fallback
+// always has room and every supernode an update source.
 func BuildFog(cfg Config, dcs []*Datacenter, sns []*Supernode, rng *sim.Rand) (*Fog, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(dcs) == 0 {
-		return nil, fmt.Errorf("core: a fog needs at least one datacenter")
+	if !slices.ContainsFunc(dcs, func(dc *Datacenter) bool { return !dc.Edge }) {
+		return nil, fmt.Errorf("core: a fog needs at least one main datacenter")
 	}
 	f := &Fog{
 		cfg:      cfg,
@@ -153,7 +157,8 @@ func (f *Fog) Supernode(id int64) (*Supernode, bool) {
 func (f *Fog) OnlinePlayers() int { return f.online }
 
 // RegisterSupernode adds a supernode to the fog. The supernode probes all
-// datacenters and attaches to the minimum-latency one for state updates;
+// main datacenters and attaches to the minimum-latency one for state updates
+// (an edge server computes no state for others);
 // the cloud records its geolocated position for future shortlists, and the
 // supernode's last-mile delay is resolved here, once, for every player that
 // will ever probe it.
@@ -163,10 +168,13 @@ func (f *Fog) RegisterSupernode(sn *Supernode) error {
 	}
 	ep := f.latency.Resolve(sn.Endpoint())
 	sn.access = ep.Access
-	best := f.dcs[0]
-	bestLat := f.latency.OneWay(best.Endpoint(), ep)
-	for _, dc := range f.dcs[1:] {
-		if l := f.latency.OneWay(dc.Endpoint(), ep); l < bestLat {
+	var best *Datacenter
+	var bestLat time.Duration
+	for _, dc := range f.dcs {
+		if dc.Edge {
+			continue
+		}
+		if l := f.latency.OneWay(dc.Endpoint(), ep); best == nil || l < bestLat {
 			best, bestLat = dc, l
 		}
 	}
@@ -518,18 +526,27 @@ func (f *Fog) SupernodeLevelCap(snID int64, startLevel int) int {
 func (f *Fog) Overload() *health.Overload { return f.cfg.Overload }
 
 // attachCloud connects a player directly to the geographically closest
-// datacenter (by the cloud's estimate of the player's position).
+// datacenter with room (by the cloud's estimate of the player's position);
+// the first in list order wins a tie. An edge server that takes the player
+// serves it as AttachEdge; a main datacenter always has room.
 func (f *Fog) attachCloud(p *Player, pe trace.Endpoint, estX, estY float64) {
-	best := f.dcs[0]
-	bestDist := dist2(estX, estY, best.Pos.X, best.Pos.Y)
-	for _, dc := range f.dcs[1:] {
-		if d := dist2(estX, estY, dc.Pos.X, dc.Pos.Y); d < bestDist {
+	var best *Datacenter
+	bestDist := 0.0
+	for _, dc := range f.dcs {
+		if dc.Available() <= 0 {
+			continue
+		}
+		if d := dist2(estX, estY, dc.Pos.X, dc.Pos.Y); best == nil || d < bestDist {
 			best, bestDist = dc, d
 		}
 	}
 	best.AddDirect(p)
+	kind := AttachCloud
+	if best.Edge {
+		kind = AttachEdge
+	}
 	p.Attached = Attachment{
-		Kind:          AttachCloud,
+		Kind:          kind,
 		DC:            best,
 		StreamLatency: f.latency.OneWay(pe, best.Endpoint()),
 	}
@@ -604,7 +621,10 @@ func (f *Fog) Census(players []*Player) Census {
 
 // CloudBandwidth returns the cloud's current video egress consumption:
 // Λ per active supernode (fog players cost the cloud only update traffic)
-// plus full stream bandwidth for each directly-connected player.
+// plus full stream bandwidth for each player a main datacenter streams to.
+// Edge servers are left out, as the paper's Figure 7 accounts EdgeCloud ("the
+// bandwidth consumption of EdgeCloud does not include those of additional
+// servers").
 func (f *Fog) CloudBandwidth() int64 {
 	var total int64
 	for _, sn := range f.Supernodes() {
@@ -613,6 +633,9 @@ func (f *Fog) CloudBandwidth() int64 {
 		}
 	}
 	for _, dc := range f.dcs {
+		if dc.Edge {
+			continue
+		}
 		for _, p := range dc.direct {
 			total += f.cfg.WireRate(p.Game.Quality().Bitrate)
 		}
@@ -620,8 +643,8 @@ func (f *Fog) CloudBandwidth() int64 {
 	return total
 }
 
-// FlowLatency is the shared flow-level latency model used by CloudFog and
-// both baselines: propagation of the serving path plus one segment's
+// FlowLatency is the flow-level latency model every compared system is
+// measured by: propagation of the serving path plus one segment's
 // transmission at the bottleneck share (serving node share vs. player
 // downlink). Unserved players get an effectively infinite latency.
 func FlowLatency(cfg Config, p *Player) time.Duration {

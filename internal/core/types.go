@@ -3,8 +3,10 @@
 // computes the authoritative game state and sends small update messages to
 // supernodes, and supernodes render, encode and stream per-player game
 // videos to nearby players. The package provides the entities (datacenters,
-// supernodes, players), the supernode assignment protocol (§III-A3), and
-// the System interface EdgeCloud shares; a Fog with no supernodes is Cloud.
+// supernodes, players) and the supernode assignment protocol (§III-A3). A
+// Fog is also each system the evaluation compares CloudFog with: with no
+// supernodes it is Cloud, and with edge servers leading its datacenters as
+// well it is EdgeCloud.
 package core
 
 import (
@@ -215,8 +217,7 @@ const (
 	AttachCloud
 	// AttachSupernode means a fog supernode streams to the player.
 	AttachSupernode
-	// AttachEdge means an EdgeCloud server streams to the player
-	// (used by the baseline package).
+	// AttachEdge means an EdgeCloud server streams to the player.
 	AttachEdge
 )
 

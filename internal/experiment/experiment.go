@@ -14,7 +14,6 @@ import (
 	"sort"
 	"time"
 
-	"cloudfog/internal/baseline"
 	"cloudfog/internal/core"
 	"cloudfog/internal/game"
 	"cloudfog/internal/geo"
@@ -259,28 +258,34 @@ func (w *World) NewCloud(nDCs int) (*core.Fog, error) {
 	return core.BuildFog(w.Cfg.Core, w.Datacenters(nDCs), nil, sim.NewRand(w.Cfg.Seed+201))
 }
 
-// NewEdgeCloud builds the EdgeCloud baseline with nDCs datacenters and the
-// configured edge servers.
-func (w *World) NewEdgeCloud(nDCs int) (*baseline.EdgeCloud, error) {
-	return baseline.NewEdgeCloud(w.Cfg.Core, w.Datacenters(nDCs), w.EdgeServers(),
+// NewEdgeCloud builds the EdgeCloud baseline (Choy et al., 2012; paper §IV)
+// with nDCs datacenters and the configured edge servers: deployed servers
+// near users that take over all tasks — state, rendering and streaming — for
+// the players they serve. It is a fog with no supernodes whose datacenter
+// list leads with the edge servers, so every join attaches to the nearest of
+// them with room, and the first in the list wins a tie. Built on the same
+// substrates as CloudFog (latency trace, flow model, entities), the
+// comparison isolates the architecture.
+func (w *World) NewEdgeCloud(nDCs int) (*core.Fog, error) {
+	return core.BuildFog(w.Cfg.Core, append(w.EdgeServers(), w.Datacenters(nDCs)...), nil,
 		sim.NewRand(w.Cfg.Seed+202))
 }
 
 // JoinAll assigns every one of the first n players a game (uniformly at
 // random, deterministic in the world seed) and joins them to the system in
 // a deterministic shuffled order, returning the joined players.
-func (w *World) JoinAll(sys core.System, n int) []*core.Player {
+func (w *World) JoinAll(sys *core.Fog, n int) []*core.Player {
 	return w.joinAll(sys, n, nil)
 }
 
 // JoinAllGame is JoinAll with every player assigned the same game — the
 // coverage sweeps' semantics, where each curve is a world whose games share
 // one network latency requirement. The joined players share one copy of g.
-func (w *World) JoinAllGame(sys core.System, n int, g game.Game) []*core.Player {
+func (w *World) JoinAllGame(sys *core.Fog, n int, g game.Game) []*core.Player {
 	return w.joinAll(sys, n, &g)
 }
 
-func (w *World) joinAll(sys core.System, n int, fixed *game.Game) []*core.Player {
+func (w *World) joinAll(sys *core.Fog, n int, fixed *game.Game) []*core.Player {
 	if n > len(w.Pop.Players) {
 		n = len(w.Pop.Players)
 	}
@@ -380,7 +385,7 @@ func (w *World) ProbePairs(k int) [][2]trace.Endpoint {
 }
 
 // LeaveAll detaches the players (restoring the world for the next system).
-func (w *World) LeaveAll(sys core.System, players []*core.Player) {
+func (w *World) LeaveAll(sys *core.Fog, players []*core.Player) {
 	for _, p := range players {
 		sys.Leave(p)
 	}
@@ -403,7 +408,7 @@ func gameForRequirement(req time.Duration) (game.Game, error) {
 // a run where every player plays the game with that requirement, matching
 // the paper's "different network latency requirements of games".
 func CoverageVsDatacenters(w *World, dcCounts []int, reqs []time.Duration) ([]metrics.Series, error) {
-	return coverageSweep(w, dcCounts, reqs, func(pw *World, n int) (core.System, error) {
+	return coverageSweep(w, dcCounts, reqs, func(pw *World, n int) (*core.Fog, error) {
 		return pw.NewCloud(n)
 	})
 }
@@ -413,7 +418,7 @@ func CoverageVsDatacenters(w *World, dcCounts []int, reqs []time.Duration) ([]me
 // on the requirement's game, a coverage measurement — so the pairs run on
 // the sweep worker pool, each writing its preallocated series cell.
 func coverageSweep(w *World, counts []int, reqs []time.Duration,
-	build func(pw *World, n int) (core.System, error)) ([]metrics.Series, error) {
+	build func(pw *World, n int) (*core.Fog, error)) ([]metrics.Series, error) {
 	games := make([]game.Game, len(reqs))
 	series := make([]metrics.Series, len(reqs))
 	for i, req := range reqs {
@@ -450,7 +455,7 @@ func coverageSweep(w *World, counts []int, reqs []time.Duration,
 // CoverageVsSupernodes reproduces Figure 5(b): coverage as supernodes are
 // added to the default datacenter deployment.
 func CoverageVsSupernodes(w *World, snCounts []int, reqs []time.Duration) ([]metrics.Series, error) {
-	return coverageSweep(w, snCounts, reqs, func(pw *World, n int) (core.System, error) {
+	return coverageSweep(w, snCounts, reqs, func(pw *World, n int) (*core.Fog, error) {
 		return pw.NewFog(pw.Cfg.Datacenters, n)
 	})
 }
@@ -461,11 +466,11 @@ func CoverageVsSupernodes(w *World, snCounts []int, reqs []time.Duration) ([]met
 func BandwidthVsPlayers(w *World, playerCounts []int) ([]metrics.Series, error) {
 	builds := []struct {
 		label string
-		build func(pw *World) (core.System, error)
+		build func(pw *World) (*core.Fog, error)
 	}{
-		{"Cloud", func(pw *World) (core.System, error) { return pw.NewCloud(pw.Cfg.Datacenters) }},
-		{"EdgeCloud", func(pw *World) (core.System, error) { return pw.NewEdgeCloud(pw.Cfg.Datacenters) }},
-		{"CloudFog/B", func(pw *World) (core.System, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }},
+		{"Cloud", func(pw *World) (*core.Fog, error) { return pw.NewCloud(pw.Cfg.Datacenters) }},
+		{"EdgeCloud", func(pw *World) (*core.Fog, error) { return pw.NewEdgeCloud(pw.Cfg.Datacenters) }},
+		{"CloudFog/B", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }},
 	}
 	series := make([]metrics.Series, len(builds))
 	for i, b := range builds {
@@ -505,13 +510,13 @@ type LatencyResult struct {
 func ResponseLatency(w *World) ([]LatencyResult, error) {
 	systems := []struct {
 		name    string
-		build   func(pw *World) (core.System, error)
+		build   func(pw *World) (*core.Fog, error)
 		adapted bool
 	}{
-		{"Cloud", func(pw *World) (core.System, error) { return pw.NewCloud(pw.Cfg.Datacenters) }, false},
-		{"EdgeCloud", func(pw *World) (core.System, error) { return pw.NewEdgeCloud(pw.Cfg.Datacenters) }, false},
-		{"CloudFog/B", func(pw *World) (core.System, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, false},
-		{"CloudFog/A", func(pw *World) (core.System, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, true},
+		{"Cloud", func(pw *World) (*core.Fog, error) { return pw.NewCloud(pw.Cfg.Datacenters) }, false},
+		{"EdgeCloud", func(pw *World) (*core.Fog, error) { return pw.NewEdgeCloud(pw.Cfg.Datacenters) }, false},
+		{"CloudFog/B", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, false},
+		{"CloudFog/A", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, true},
 	}
 	out := make([]LatencyResult, len(systems))
 	err := w.sweepPoints(len(systems), func(pw *World, i int) error {

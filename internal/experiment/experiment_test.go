@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudfog/internal/core"
 	"cloudfog/internal/metrics"
 	"cloudfog/internal/workload"
 )
@@ -387,6 +388,49 @@ func TestCloudAttachGolden(t *testing.T) {
 	h.Write(b[:8])
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
 		t.Fatalf("Cloud attachment digest %s, want %s: a join moved", got, want)
+	}
+}
+
+// TestEdgeCloudAttachGolden pins the EdgeCloud baseline's attachments: a
+// digest of (player ID, serving node ID, stream latency, attachment kind) in
+// join order, then the main datacenters' egress. The 5 edge servers fill, so
+// the digest covers the overflow onto the datacenters as well as the nearest
+// edge server and the tie-break between them. A change to either fails here
+// by name, before it moves Figures 7(a), 8(a) or 9(a).
+func TestEdgeCloudAttachGolden(t *testing.T) {
+	const want = "5b95a389982550ac"
+	cfg := Default(2026)
+	cfg.Players = 600
+	cfg.Supernodes = 40
+	cfg.EdgeServers = 5
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := w.NewEdgeCloud(w.Cfg.Datacenters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [32]byte
+	edge := 0
+	for _, p := range w.JoinAll(sys, 500) {
+		binary.LittleEndian.PutUint64(b[:8], uint64(p.ID))
+		binary.LittleEndian.PutUint64(b[8:16], uint64(p.Attached.DC.ID))
+		binary.LittleEndian.PutUint64(b[16:24], uint64(p.Attached.StreamLatency))
+		binary.LittleEndian.PutUint64(b[24:], uint64(p.Attached.Kind))
+		h.Write(b[:])
+		if p.Attached.Kind == core.AttachEdge {
+			edge++
+		}
+	}
+	binary.LittleEndian.PutUint64(b[:8], uint64(sys.CloudBandwidth()))
+	h.Write(b[:8])
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Fatalf("EdgeCloud attachment digest %s, want %s: a join moved (%d of 500 on edge servers)", got, want, edge)
+	}
+	if edge != 75 {
+		t.Fatalf("%d of 500 players on edge servers, want 75", edge)
 	}
 }
 

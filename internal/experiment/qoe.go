@@ -88,13 +88,13 @@ func (w *World) nodePools(n int) []*qoe.Pool {
 // node runs parallelize freely: Cfg.Shards workers (one when unset) share
 // them through qoe.EachNode, each run's results copied into the node's own
 // range of one result slice — the same bytes at any count.
-func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Options, horizon time.Duration) (qoe.Summary, error) {
+func groupRun(w *World, sys *core.Fog, players []*core.Player, opts qoe.Options, horizon time.Duration) (qoe.Summary, error) {
 	if w.Cfg.Obs != nil && opts.Obs == nil {
 		opts.Obs = nodeStatsFor(w)
 	}
 	var capOf func(snID int64, startLevel int) int
-	if fog, ok := sys.(*core.Fog); ok && fog.Overload() != nil {
-		capOf = fog.SupernodeLevelCap
+	if sys.Overload() != nil {
+		capOf = sys.SupernodeLevelCap
 	}
 	r := &w.runs
 	if r.index == nil {
@@ -165,13 +165,13 @@ func groupRun(w *World, sys core.System, players []*core.Player, opts qoe.Option
 func ContinuityVsPlayers(w *World, counts []int, horizon time.Duration) ([]metrics.Series, error) {
 	systems := []struct {
 		label string
-		build func(pw *World) (core.System, error)
+		build func(pw *World) (*core.Fog, error)
 		opts  qoe.Options
 	}{
-		{"Cloud", func(pw *World) (core.System, error) { return pw.NewCloud(pw.Cfg.Datacenters) }, qoe.BasicOptions()},
-		{"EdgeCloud", func(pw *World) (core.System, error) { return pw.NewEdgeCloud(pw.Cfg.Datacenters) }, qoe.BasicOptions()},
-		{"CloudFog/B", func(pw *World) (core.System, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, qoe.BasicOptions()},
-		{"CloudFog/A", func(pw *World) (core.System, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, qoe.DefaultOptions()},
+		{"Cloud", func(pw *World) (*core.Fog, error) { return pw.NewCloud(pw.Cfg.Datacenters) }, qoe.BasicOptions()},
+		{"EdgeCloud", func(pw *World) (*core.Fog, error) { return pw.NewEdgeCloud(pw.Cfg.Datacenters) }, qoe.BasicOptions()},
+		{"CloudFog/B", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, qoe.BasicOptions()},
+		{"CloudFog/A", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, qoe.DefaultOptions()},
 	}
 	series := make([]metrics.Series, len(systems))
 	for i, sys := range systems {

@@ -225,9 +225,13 @@ func TestGroupRunShardedMatchesSerial(t *testing.T) {
 		if got != want {
 			t.Fatalf("groupRun at %d shards diverges from serial:\n serial: %s\n sharded: %s", shards, want, got)
 		}
+		cloud, err := w.NewCloud(w.Cfg.Datacenters)
+		if err != nil {
+			t.Fatal(err)
+		}
 		unserved := []*core.Player{{ID: 1}}
 		for _, players := range [][]*core.Player{nil, unserved} {
-			sum, err := groupRun(w, nil, players, qoe.BasicOptions(), horizon)
+			sum, err := groupRun(w, cloud, players, qoe.BasicOptions(), horizon)
 			if err != nil || sum != (qoe.Summary{}) {
 				t.Fatalf("groupRun over no served player at %d shards = %+v, %v; want the empty summary", shards, sum, err)
 			}
