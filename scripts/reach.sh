@@ -9,11 +9,11 @@
 # and run, and any that exits non-zero fails the run, but what they enter
 # counts for nothing: an example is not a binary, figure, workload or role
 # (DESIGN.md §18). Not a coverage gate, but it has two hard checks: an
-# internal package that no cmd/ or bench/ binary links fails the run, and so
-# does a never-entered list that differs from scripts/reach-allow.txt — a
-# name outside the file is new dead code (wire it, delete it, or add it with
-# its reason to DESIGN.md §18), a name only in the file is now entered or
-# gone (take it out).
+# internal package with non-test code that no cmd/ or bench/ binary links
+# fails the run, and so does a never-entered list that differs from
+# scripts/reach-allow.txt — a name outside the file is new dead code (wire
+# it, delete it, or add it with its reason to DESIGN.md §18), a name only in
+# the file is now entered or gone (take it out).
 #
 # Everything it writes goes under .reach/ (git-ignored). Set REACH_PORT to
 # move the role deployment off 127.0.0.1:19700-19706.
@@ -29,11 +29,12 @@ mkdir -p "$bin" "$run" "$out/cov" "$out/examples"
 export GOFLAGS=-buildvcs=false
 
 # --- The hard check: every internal package is linked by a product binary. ---
+# A directory of tests alone (internal/baseline) has no code to link.
 {
 	go list -deps ./cmd/...
 	go list -C bench -deps .
 } | grep '^cloudfog/internal/' | sort -u >"$out/linked.txt"
-go list ./internal/... | sort >"$out/packages.txt"
+go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | sed '/^$/d' | sort >"$out/packages.txt"
 comm -23 "$out/packages.txt" "$out/linked.txt" >"$out/unlinked.txt"
 
 # --- Build. Examples are every main package under examples/, built plain. ---
