@@ -130,8 +130,9 @@ latency:
 # tests uncached (the indexed shortlist against the scan-and-sort oracle; the
 # shortlist-, relief-index, registration-order and member-list invariants and
 # Supernodes() against a plain slice after every operation of the random-ops,
-# storm and fleet-wide-failure tests; the member lists' swap-remove cases and
-# what a warm join allocates; the one limit a probe is held to; the 120-byte
+# storm and fleet-wide-failure tests; the member lists' removal cases, a
+# supernode's list kept in attach order, relief evicting newest-first, and
+# what a warm join allocates; the one limit a probe is held to; the 96-byte
 # player; the scaling run's golden and its bytes-allocated-per-player ceiling;
 # a world clone's allocation count, flat in the population; the grid's sorted k-best
 # against brute force, its tie-break on ID, accept asked about entrants only,
@@ -145,7 +146,8 @@ latency:
 # the one workload that runs that detector; the Cloud and EdgeCloud baselines,
 # fogs with no supernodes that share the datacenter member list, and a
 # supernode's update source that is never an edge server; both baselines'
-# attachments pinned by digest in join order), then a 200 000-player
+# attachments and CloudFog's, path latencies included, pinned by digest in
+# join order), then a 200 000-player
 # cloudfog-sim -scale run at 1 and at 8 shards, whose output must be the same
 # bytes once what describes the run and not the result is masked (the shard
 # count, the timing and memory fields, live bytes per player among them), then
@@ -156,7 +158,7 @@ latency:
 SCALE_SMOKE = -scale -players 200000 -supernodes 12500 -detector phi -overload -horizon 20s -epoch 10s
 scale:
 	$(GO) test -count=1 -run 'Shortlist|FogInvariants|Storm|Supernodes|Relief|Reindex|[Pp]robe|Membership|WarmJoin|PlayerLayout|UpdateSource' ./internal/core/
-	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|AliasedNodeIDs|CloneAllocs|CloudAttachGolden|EdgeCloudAttachGolden' ./internal/experiment/
+	$(GO) test -count=1 -run 'ScaleRunGolden|AllocBudget|AliasedNodeIDs|CloneAllocs|CloudAttachGolden|EdgeCloudAttachGolden|FogAttachPathGolden' ./internal/experiment/
 	$(GO) test -count=1 ./internal/spatial/ ./internal/trace/ ./internal/workload/ ./internal/shard/ ./internal/sim/ ./internal/health/ ./internal/baseline/
 	mkdir -p .bench_build
 	for s in 1 8; do \

@@ -63,9 +63,9 @@ func main() {
 		a := fog.Join(p)
 		latency := fog.NetworkLatency(p) + game.PlayoutDelay
 		serving := "cloud (no qualified supernode)"
-		if a.Kind == core.AttachSupernode {
+		if a.Kind() == core.AttachSupernode {
 			serving = fmt.Sprintf("supernode %d (stream %v + update %v)",
-				a.SN.ID, a.StreamLatency.Round(time.Millisecond), a.UpdateLatency.Round(time.Millisecond))
+				a.SN.ID, a.StreamLatency.Round(time.Millisecond), a.UpdateLatency().Round(time.Millisecond))
 		}
 		ok := "MISSES"
 		if latency <= p.Game.ResponseRequirement() {
@@ -86,7 +86,7 @@ func main() {
 	// A supernode leaves gracefully: its players fail over to backups.
 	var leaving *core.Supernode
 	for _, p := range players {
-		if p.Attached.Kind == core.AttachSupernode {
+		if p.Attached.Kind() == core.AttachSupernode {
 			leaving = p.Attached.SN
 			break
 		}

@@ -65,8 +65,8 @@ func TestCloudAttachesToClosestDC(t *testing.T) {
 	}
 	west := player(1, geo.Point{X: cfg.Region.Center().X - 1400, Y: cfg.Region.Center().Y}, mustGame(t, 3))
 	a := c.Join(west)
-	if a.Kind != core.AttachCloud || a.DC != dcs[0] {
-		t.Fatalf("west player attached to %v/%v, want west DC", a.Kind, a.DC)
+	if a.Kind() != core.AttachCloud || a.DC != dcs[0] {
+		t.Fatalf("west player attached to %v/%v, want west DC", a.Kind(), a.DC)
 	}
 	east := player(2, geo.Point{X: cfg.Region.Center().X + 1400, Y: cfg.Region.Center().Y}, mustGame(t, 3))
 	if got := c.Join(east); got.DC != dcs[1] {
@@ -141,8 +141,8 @@ func TestEdgeCloudPrefersNearbyServer(t *testing.T) {
 	}
 	p := player(1, center, mustGame(t, 3))
 	a := e.Join(p)
-	if a.Kind != core.AttachEdge || a.DC != server {
-		t.Fatalf("player attached to %v, want the nearby edge server", a.Kind)
+	if a.Kind() != core.AttachEdge || a.DC != server {
+		t.Fatalf("player attached to %v, want the nearby edge server", a.Kind())
 	}
 }
 
@@ -155,7 +155,7 @@ func TestEdgeCloudServerCapacityOverflowsToDC(t *testing.T) {
 	kinds := map[core.AttachKind]int{}
 	for i := int64(0); i < 5; i++ {
 		a := e.Join(player(10+i, center, mustGame(t, 3)))
-		kinds[a.Kind]++
+		kinds[a.Kind()]++
 	}
 	if kinds[core.AttachEdge] != 2 {
 		t.Fatalf("edge served %d, capacity is 2", kinds[core.AttachEdge])
@@ -193,7 +193,7 @@ func TestEdgeCloudLeaveFreesServerSlot(t *testing.T) {
 	}
 	// Slot is reusable.
 	p2 := player(2, center, mustGame(t, 3))
-	if a := e.Join(p2); a.Kind != core.AttachEdge {
+	if a := e.Join(p2); a.Kind() != core.AttachEdge {
 		t.Fatal("freed slot not reused")
 	}
 }

@@ -68,11 +68,6 @@ type Fog struct {
 	// online counts the players that have joined and not left, served or not.
 	online int
 
-	// attachCounter stamps every supernode attachment so overload
-	// migration can evict newest-first (the players with the least
-	// session investment on the node).
-	attachCounter int64
-
 	// Scratch buffers reused across assignment-protocol calls.
 	nbrScratch   []spatial.Neighbor
 	candScratch  []*Supernode
@@ -269,9 +264,9 @@ func (f *Fog) Leave(p *Player) {
 }
 
 func (f *Fog) detach(p *Player) {
-	switch p.Attached.Kind {
+	switch p.Attached.Kind() {
 	case AttachSupernode:
-		p.Attached.SN.players.remove(p)
+		p.Attached.SN.players.removeOrdered(p)
 		f.observeOccupancy(p.Attached.SN)
 	case AttachCloud, AttachEdge:
 		p.Attached.DC.RemoveDirect(p)
@@ -323,19 +318,12 @@ func setMember(g *spatial.Grid, member *bool, want bool, id int64, x, y float64)
 	}
 }
 
-// attachSN commits a supernode attachment: membership, the attachment
-// record, the migration-order stamp, and the ladder observation.
+// attachSN commits a supernode attachment: membership at the end of the
+// node's list (its attach order), the attachment record, and the ladder
+// observation.
 func (f *Fog) attachSN(p *Player, sn *Supernode, streamLat time.Duration) {
 	sn.players.add(p)
-	p.Attached = Attachment{
-		Kind:          AttachSupernode,
-		DC:            sn.DC,
-		SN:            sn,
-		StreamLatency: streamLat,
-		UpdateLatency: sn.UpdateLatency,
-	}
-	f.attachCounter++
-	p.attachSeq = f.attachCounter
+	p.Attached = Attachment{DC: sn.DC, SN: sn, StreamLatency: streamLat}
 	f.observeOccupancy(sn)
 }
 
@@ -474,15 +462,9 @@ func (f *Fog) RelieveOverloaded() int {
 		movedThisPass := 0
 		for _, sn := range f.Supernodes() {
 			for o.ShouldMigrate(sn.ID) && sn.Load() > 0 {
-				var newest *Player
-				for _, p := range sn.players {
-					// attachSeq is unique, so the scan finds the same player
-					// whatever order removals left the list in.
-					if newest == nil || p.attachSeq > newest.attachSeq {
-						newest = p
-					}
-				}
-				sn.players.remove(newest)
+				// The list is in attach order, so the newest is last.
+				newest := sn.players[len(sn.players)-1]
+				sn.players.removeOrdered(newest)
 				f.observeOccupancy(sn)
 				newest.Attached = Attachment{}
 				newest.Backups = nil
@@ -541,15 +523,7 @@ func (f *Fog) attachCloud(p *Player, pe trace.Endpoint, estX, estY float64) {
 		}
 	}
 	best.AddDirect(p)
-	kind := AttachCloud
-	if best.Edge {
-		kind = AttachEdge
-	}
-	p.Attached = Attachment{
-		Kind:          kind,
-		DC:            best,
-		StreamLatency: f.latency.OneWay(pe, best.Endpoint()),
-	}
+	p.Attached = Attachment{DC: best, StreamLatency: f.latency.OneWay(pe, best.Endpoint())}
 	if o := f.cfg.Obs; o != nil {
 		o.JoinsCloud.Inc()
 	}
@@ -609,7 +583,7 @@ func (f *Fog) Census(players []*Player) Census {
 			continue
 		}
 		c.Served++
-		if p.Attached.Kind == AttachSupernode {
+		if p.Attached.SN != nil {
 			c.FogServed++
 		}
 		if f.NetworkLatency(p) <= p.Game.NetworkBudget() {
@@ -660,7 +634,7 @@ func FlowLatencyAt(cfg Config, p *Player, bitrate int64) time.Duration {
 		return time.Duration(1<<62 - 1) // effectively uncovered
 	}
 	var share int64
-	switch a.Kind {
+	switch a.Kind() {
 	case AttachSupernode:
 		share = a.SN.Share()
 	case AttachCloud, AttachEdge:

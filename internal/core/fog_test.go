@@ -103,8 +103,8 @@ func TestJoinPrefersNearbySupernode(t *testing.T) {
 	f := buildTestFog(t, cfg, 10)
 	p := testPlayer(1, geo.Point{X: cfg.Region.Center().X, Y: cfg.Region.Center().Y}, mustGame(t, 5))
 	a := f.Join(p)
-	if a.Kind != AttachSupernode {
-		t.Fatalf("player attached to %v, want supernode", a.Kind)
+	if a.Kind() != AttachSupernode {
+		t.Fatalf("player attached to %v, want supernode", a.Kind())
 	}
 	if a.SN.Load() != 1 {
 		t.Fatalf("supernode load = %d, want 1", a.SN.Load())
@@ -114,8 +114,8 @@ func TestJoinPrefersNearbySupernode(t *testing.T) {
 	if a.StreamLatency > lmax {
 		t.Fatalf("stream latency %v exceeds L_max %v", a.StreamLatency, lmax)
 	}
-	// Update hop recorded from the supernode's registration.
-	if a.UpdateLatency != a.SN.UpdateLatency {
+	// The path's update hop is the one the supernode registered with.
+	if a.PathLatency() != a.StreamLatency+a.SN.UpdateLatency {
 		t.Fatal("attachment update latency mismatch")
 	}
 	if f.OnlinePlayers() != 1 {
@@ -128,7 +128,7 @@ func TestJoinChoosesMinTotalPathDelay(t *testing.T) {
 	f := buildTestFog(t, cfg, 10)
 	p := testPlayer(2, cfg.Region.Center(), mustGame(t, 5))
 	a := f.Join(p)
-	chosen := a.StreamLatency + a.UpdateLatency
+	chosen := a.StreamLatency + a.UpdateLatency()
 	// No other qualified candidate may beat the chosen total serving-path
 	// delay (stream hop + cloud->supernode update hop). With exact
 	// geolocation and 10 supernodes, every supernode is in the shortlist.
@@ -167,8 +167,8 @@ func TestJoinFallsBackToCloudWhenNoSupernodeQualifies(t *testing.T) {
 	// away, well beyond any game's L_max.
 	p := testPlayer(4, geo.Point{X: 0, Y: 0}, mustGame(t, 1))
 	a := f.Join(p)
-	if a.Kind != AttachCloud {
-		t.Fatalf("remote player attached to %v, want cloud fallback", a.Kind)
+	if a.Kind() != AttachCloud {
+		t.Fatalf("remote player attached to %v, want cloud fallback", a.Kind())
 	}
 	if a.DC == nil || a.DC.DirectPlayers() != 1 {
 		t.Fatal("cloud fallback did not register at the datacenter")
@@ -218,13 +218,13 @@ func TestProbeLimitIsTheTighterOfLmaxAndBudget(t *testing.T) {
 			}
 			p := testPlayer(1, cfg.Region.Center(), g)
 			src.stream = limit
-			if a := f.Join(p); a.Kind != AttachSupernode || a.StreamLatency != limit {
-				t.Fatalf("hop at the limit %v: attached %v with stream latency %v, want a supernode at the limit", limit, a.Kind, a.StreamLatency)
+			if a := f.Join(p); a.Kind() != AttachSupernode || a.StreamLatency != limit {
+				t.Fatalf("hop at the limit %v: attached %v with stream latency %v, want a supernode at the limit", limit, a.Kind(), a.StreamLatency)
 			}
 			f.Leave(p)
 			src.stream = limit + 1
-			if a := f.Join(p); a.Kind != AttachCloud {
-				t.Fatalf("hop a nanosecond over the limit %v: attached %v, want the cloud", limit, a.Kind)
+			if a := f.Join(p); a.Kind() != AttachCloud {
+				t.Fatalf("hop a nanosecond over the limit %v: attached %v, want the cloud", limit, a.Kind())
 			}
 		})
 	}
@@ -243,8 +243,8 @@ func TestFailoverReprobesBackupDelay(t *testing.T) {
 
 	p := testPlayer(1, cfg.Region.Center(), g)
 	f.Join(p)
-	if p.Attached.Kind != AttachSupernode || len(p.Backups) != 2 {
-		t.Fatalf("join attached %v with %d backups, want a supernode and 2", p.Attached.Kind, len(p.Backups))
+	if p.Attached.Kind() != AttachSupernode || len(p.Backups) != 2 {
+		t.Fatalf("join attached %v with %d backups, want a supernode and 2", p.Attached.Kind(), len(p.Backups))
 	}
 	src.stream = lmax
 	backup := p.Backups[0]
@@ -254,8 +254,8 @@ func TestFailoverReprobesBackupDelay(t *testing.T) {
 	}
 	src.stream = lmax + 1
 	f.DeregisterSupernode(backup.ID)
-	if p.Attached.Kind != AttachCloud {
-		t.Fatalf("backup a nanosecond past L_max: player attached %v, want the cloud", p.Attached.Kind)
+	if p.Attached.Kind() != AttachCloud {
+		t.Fatalf("backup a nanosecond past L_max: player attached %v, want the cloud", p.Attached.Kind())
 	}
 }
 
@@ -275,7 +275,7 @@ func TestJoinRespectsCapacity(t *testing.T) {
 	attached := 0
 	for i := int64(0); i < 5; i++ {
 		p := testPlayer(10+i, center, mustGame(t, 5))
-		if f.Join(p).Kind == AttachSupernode {
+		if f.Join(p).Kind() == AttachSupernode {
 			attached++
 		}
 	}
@@ -338,8 +338,8 @@ func TestDeregisterSupernodeFailsOverToBackup(t *testing.T) {
 	if p.Attached.SN == serving {
 		t.Fatal("player still attached to departed supernode")
 	}
-	if p.Attached.Kind != AttachSupernode {
-		t.Fatalf("failover attached to %v, want a backup supernode", p.Attached.Kind)
+	if p.Attached.Kind() != AttachSupernode {
+		t.Fatalf("failover attached to %v, want a backup supernode", p.Attached.Kind())
 	}
 	if len(f.Supernodes()) != 9 {
 		t.Fatalf("supernode list has %d entries, want 9", len(f.Supernodes()))
@@ -351,12 +351,12 @@ func TestDeregisterLastSupernodeFallsBackToCloud(t *testing.T) {
 	f := buildTestFog(t, cfg, 1)
 	p := testPlayer(31, cfg.Region.Center(), mustGame(t, 5))
 	f.Join(p)
-	if p.Attached.Kind != AttachSupernode {
+	if p.Attached.Kind() != AttachSupernode {
 		t.Skip("player did not attach to the single supernode")
 	}
 	f.DeregisterSupernode(p.Attached.SN.ID)
-	if p.Attached.Kind != AttachCloud {
-		t.Fatalf("player attached to %v after last supernode left, want cloud", p.Attached.Kind)
+	if p.Attached.Kind() != AttachCloud {
+		t.Fatalf("player attached to %v after last supernode left, want cloud", p.Attached.Kind())
 	}
 }
 
@@ -375,8 +375,8 @@ func TestNetworkLatencyComposition(t *testing.T) {
 	f := buildTestFog(t, cfg, 5)
 	p := testPlayer(40, cfg.Region.Center(), mustGame(t, 5))
 	a := f.Join(p)
-	if a.Kind != AttachSupernode {
-		t.Fatalf("player attached to %v, want supernode", a.Kind)
+	if a.Kind() != AttachSupernode {
+		t.Fatalf("player attached to %v, want supernode", a.Kind())
 	}
 	got := f.NetworkLatency(p)
 	if got <= a.PathLatency() {
@@ -412,10 +412,10 @@ func TestCensusMatchesHandCount(t *testing.T) {
 		var want Census
 		for _, p := range players {
 			switch {
-			case p.Attached.Kind == AttachNone:
+			case p.Attached.Kind() == AttachNone:
 				want.Unserved++
 				continue
-			case p.Attached.Kind == AttachSupernode:
+			case p.Attached.Kind() == AttachSupernode:
 				want.FogServed++
 			}
 			want.Served++
@@ -501,7 +501,7 @@ func TestGeolocationErrorStillFindsSupernodes(t *testing.T) {
 	cfg.Locator.ErrorSigma = 50 // realistic IP-geolocation error
 	f := buildTestFog(t, cfg, 10)
 	p := testPlayer(70, cfg.Region.Center(), mustGame(t, 5))
-	if a := f.Join(p); a.Kind != AttachSupernode {
-		t.Fatalf("player attached to %v despite nearby supernodes", a.Kind)
+	if a := f.Join(p); a.Kind() != AttachSupernode {
+		t.Fatalf("player attached to %v despite nearby supernodes", a.Kind())
 	}
 }

@@ -37,7 +37,7 @@ func checkIndex(t testing.TB, f *Fog) {
 				t.Fatalf("%s %d lists player %d at %d, the player records slot %d", node, id, p.ID, i, p.slot)
 			case listed[p]:
 				t.Fatalf("player %d is on two member lists, one of them %s %d's", p.ID, node, id)
-			case !p.Online || a.Kind != kind || a.SN != sn || a.DC != dc:
+			case !p.Online || a.Kind() != kind || a.SN != sn || a.DC != dc:
 				t.Fatalf("%s %d lists player %d (online=%v), whose attachment is %+v", node, id, p.ID, p.Online, a)
 			}
 			listed[p] = true
@@ -239,7 +239,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 				if !p.Attached.Served() {
 					t.Fatalf("step %d: online player %d unserved", step, p.ID)
 				}
-				switch p.Attached.Kind {
+				switch p.Attached.Kind() {
 				case AttachSupernode:
 					sn := p.Attached.SN
 					if _, live := registered[sn.ID]; !live {

@@ -8,12 +8,12 @@ import (
 	"unsafe"
 )
 
-// TestPlayerLayout holds a simulated player to 120 bytes on a 64-bit build: a
+// TestPlayerLayout holds a simulated player to 96 bytes on a 64-bit build: a
 // world keeps one per player, so at ten million players each 8 bytes is 80 MB
 // of resident set. A field added to Player is a decision; the failure prints
 // the budget it broke, field by field.
 func TestPlayerLayout(t *testing.T) {
-	const want = 120
+	const want = 96
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the budget is for 64-bit builds")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cloudfog/internal/geo"
@@ -8,7 +9,8 @@ import (
 
 // TestMembershipSwapRemove pins what the member lists promise where a map
 // promised it for free: removing any member — first, middle, last, only —
-// leaves exactly the others, each still findable at its recorded slot; removing
+// leaves exactly the others, each still findable at its recorded slot, and on
+// a supernode's list still in attach order, which relief evicts by; removing
 // a player some other list holds, or none does, changes nothing; and a failed
 // supernode's members go to the caller, not to whoever registers under its ID
 // next.
@@ -35,6 +37,11 @@ func TestMembershipSwapRemove(t *testing.T) {
 		}
 		return true
 	}
+	// inOrder is holds plus order, for a supernode's list, which keeps attach
+	// order.
+	inOrder := func(list members, want ...*Player) bool {
+		return holds(list, want...) && slices.Equal([]*Player(list), want)
+	}
 
 	seat(f, a, 5, &pid)
 	leave := func(what string, gone *Player) {
@@ -46,8 +53,8 @@ func TestMembershipSwapRemove(t *testing.T) {
 			}
 		}
 		f.Leave(gone)
-		if !holds(a.players, left...) || gone.Attached.Served() {
-			t.Fatalf("after the %s member left: list %v, want %v, each at its slot", what, ids(a.players), ids(left))
+		if !inOrder(a.players, left...) || gone.Attached.Served() {
+			t.Fatalf("after the %s member left: list %v, want %v in attach order, each at its slot", what, ids(a.players), ids(left))
 		}
 		checkIndex(t, f)
 	}
@@ -62,10 +69,10 @@ func TestMembershipSwapRemove(t *testing.T) {
 	}
 	// A second removal of someone already gone, from an empty list and from one
 	// that has since put another player at that slot.
-	a.players.remove(only)
+	a.players.removeOrdered(only)
 	onA := seat(f, a, 2, &pid)
-	a.players.remove(only)
-	if !holds(a.players, onA...) {
+	a.players.removeOrdered(only)
+	if !inOrder(a.players, onA...) {
 		t.Fatalf("removing a departed player disturbed the list: %v", ids(a.players))
 	}
 
@@ -74,15 +81,15 @@ func TestMembershipSwapRemove(t *testing.T) {
 	dc := f.dcs[0]
 	far := testPlayer(1, geo.Point{}, mustGame(t, 1)) // no supernode meets game 1 from the corner
 	f.Join(far)
-	if far.Attached.Kind != AttachCloud || !holds(dc.direct, far) {
+	if far.Attached.Kind() != AttachCloud || !holds(dc.direct, far) {
 		t.Fatalf("remote strict-latency player attached %+v, want the datacenter's only direct player", far.Attached)
 	}
-	a.players.remove(onB[0])
-	a.players.remove(far)
+	a.players.removeOrdered(onB[0])
+	a.players.removeOrdered(far)
 	dc.RemoveDirect(onA[0])
 	other := NewDatacenter(2_000_001, dc.Pos, dc.Egress)
 	other.RemoveDirect(far)
-	if !holds(a.players, onA...) || !holds(b.players, onB...) || !holds(dc.direct, far) || other.DirectPlayers() != 0 {
+	if !inOrder(a.players, onA...) || !inOrder(b.players, onB...) || !holds(dc.direct, far) || other.DirectPlayers() != 0 {
 		t.Fatalf("removing another node's player changed a list: a %v, b %v, datacenter %v",
 			ids(a.players), ids(b.players), ids(dc.direct))
 	}
@@ -102,9 +109,9 @@ func TestMembershipSwapRemove(t *testing.T) {
 	}
 	newcomer := seat(f, fresh, 1, &pid)
 	f.Leave(onB[0])
-	b.players.remove(onB[1])
-	fresh.players.remove(onB[1]) // slot 1 on the old instance, past the end here
-	if fresh.Load() != 1 || !holds(fresh.players, newcomer...) || !holds(a.players, onA...) {
+	b.players.removeOrdered(onB[1])
+	fresh.players.removeOrdered(onB[1]) // slot 1 on the old instance, past the end here
+	if fresh.Load() != 1 || !inOrder(fresh.players, newcomer...) || !inOrder(a.players, onA...) {
 		t.Fatalf("the re-registered supernode lists %v, want only its own newcomer", ids(fresh.players))
 	}
 	if !f.Failover(onB[1]) || !onB[1].Attached.Served() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -286,8 +287,8 @@ func TestShortlistFilterOnlyInsideRelief(t *testing.T) {
 		p := testPlayer(next, cfg.Region.Center(), g)
 		next++
 		f.Join(p)
-		if p.Attached.Kind != AttachSupernode {
-			t.Fatalf("%s: join attached to %v, want a supernode", when, p.Attached.Kind)
+		if p.Attached.Kind() != AttachSupernode {
+			t.Fatalf("%s: join attached to %v, want a supernode", when, p.Attached.Kind())
 		}
 		spec := *p.Attached.SN
 		f.DeregisterSupernode(spec.ID)
@@ -539,4 +540,52 @@ func BenchmarkShortlistNaive(b *testing.B) {
 			}
 		})
 	}
+}
+
+// evictionSpy records, in order, each player that starts a round of probes:
+// a join's probes and its cloud fallback all measure from the player, so under
+// relief the sequence is the order evictees were re-placed in.
+type evictionSpy struct {
+	byDistance
+	order []int64
+}
+
+func (s *evictionSpy) OneWay(a, b trace.Endpoint) time.Duration {
+	if n := len(s.order); a.Class == trace.ClassNode && (n == 0 || s.order[n-1] != int64(a.ID)) {
+		s.order = append(s.order, int64(a.ID))
+	}
+	return s.byDistance.OneWay(a, b)
+}
+
+// TestReliefEvictsNewestFirst: relief drains a node newest attachment first,
+// also after a leave from the middle of its list. Five players sit on one node
+// under a ladder that migrates at half full; the second leaves, and the node is
+// still Migrating at four of five; relief takes it down to one, moving the
+// fifth, fourth and third in that order and keeping the first.
+func TestReliefEvictsNewestFirst(t *testing.T) {
+	cfg := testConfig()
+	spy := &evictionSpy{}
+	cfg.Latency = spy
+	ol := earlyLadder(t)
+	cfg.Overload = ol
+	f := buildTestFog(t, cfg, 4)
+	hot := f.Supernodes()[3]
+	pid := int64(1000)
+	ps := seat(f, hot, 5, &pid)
+	f.Leave(ps[1])
+	if !ol.ShouldMigrate(hot.ID) {
+		t.Fatalf("node in state %v at 4 of 5, the case needs it Migrating", ol.State(hot.ID))
+	}
+	spy.order = nil
+	if n := f.RelieveOverloaded(); n != 3 {
+		t.Fatalf("relief moved %d players, want 3 (4 of 5 → 1 of 5 lets go of Migrating)", n)
+	}
+	want := []int64{ps[4].ID, ps[3].ID, ps[2].ID}
+	if !slices.Equal(spy.order, want) {
+		t.Fatalf("relief re-placed %v, want newest first %v", spy.order, want)
+	}
+	if hot.Load() != 1 || hot.players[0] != ps[0] {
+		t.Fatalf("drained node keeps %v, want only the first player %d", ids(hot.players), ps[0].ID)
+	}
+	checkIndex(t, f)
 }

@@ -26,7 +26,7 @@ func stormInvariants(t *testing.T, f *Fog, players []*Player) {
 		if !p.Attached.Served() {
 			t.Fatalf("online player %d unserved after synchronous failover", p.ID)
 		}
-		if p.Attached.Kind != AttachSupernode {
+		if p.Attached.Kind() != AttachSupernode {
 			continue
 		}
 		sn := p.Attached.SN

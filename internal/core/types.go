@@ -101,6 +101,8 @@ type Supernode struct {
 	// as the minimum-latency datacenter when the supernode registers.
 	DC *Datacenter
 	// UpdateLatency is the one-way cloud→supernode latency on that path.
+	// RegisterSupernode writes it, and nothing else does: an attached player
+	// reads it through Attachment.UpdateLatency instead of keeping a copy.
 	UpdateLatency time.Duration
 	// access is the supernode's own last-mile delay as the latency source of
 	// the Fog it last registered with resolved it; Endpoint carries it, so a
@@ -168,16 +170,15 @@ type Player struct {
 	// Backups are fallback supernodes recorded at assignment time
 	// (paper §III-A3), nearest-first.
 	Backups []*Supernode
-
-	// attachSeq orders supernode attachments fog-wide; overload migration
-	// evicts the highest stamp (newest attachment) first.
-	attachSeq int64
 }
 
 // members is the set of players one serving node streams to, as a list each
 // member knows its place in: a player is on at most one node's list, so
-// Player.slot is enough to find it, and membership costs no hashing. Order is
-// attach order disturbed by removals; nothing that reads a list depends on it.
+// Player.slot is enough to find it, and membership costs no hashing. A
+// supernode's list removes with removeOrdered and so stays in attach order,
+// which is the order overload relief evicts in (newest last); a datacenter's
+// direct list, which can hold thousands, removes with remove, and nothing
+// reads its order.
 type members []*Player
 
 // add appends p, which no list holds, and records where.
@@ -199,6 +200,24 @@ func (m *members) remove(p *Player) {
 	l[i] = l[last]
 	l[i].slot = p.slot
 	l[last] = nil
+	*m = l[:last]
+}
+
+// removeOrdered takes p out by shifting the later members down a slot each,
+// so the others keep their order; a non-member is left alone, as by remove.
+// It costs the length of the list, which a supernode's capacity bounds.
+func (m *members) removeOrdered(p *Player) {
+	l := *m
+	i := int(p.slot)
+	if i >= len(l) || l[i] != p {
+		return
+	}
+	copy(l[i:], l[i+1:])
+	last := len(l) - 1
+	l[last] = nil
+	for ; i < last; i++ {
+		l[i].slot = int32(i)
+	}
 	*m = l[:last]
 }
 
@@ -237,24 +256,46 @@ func (k AttachKind) String() string {
 	}
 }
 
-// Attachment describes how a player is served and the latencies of the
-// serving path.
+// Attachment describes how a player is served. It holds only what it cannot
+// derive: the kind follows from which node is set, and the update hop is the
+// serving supernode's own, which only RegisterSupernode writes, before any
+// player can attach to that instance (and a failed instance hands its
+// players back first).
 type Attachment struct {
-	Kind AttachKind
-	DC   *Datacenter // serving or state-computing datacenter
-	SN   *Supernode  // serving supernode, if Kind == AttachSupernode
+	DC *Datacenter // serving or state-computing datacenter; nil when unserved
+	SN *Supernode  // serving supernode; nil unless a supernode streams
 
 	// StreamLatency is the one-way propagation latency of the video hop
 	// (serving node → player).
 	StreamLatency time.Duration
-	// UpdateLatency is the one-way cloud → serving-node latency (zero
-	// when the cloud itself streams).
-	UpdateLatency time.Duration
+}
+
+// Kind says what serves the stream: a supernode when SN is set, nothing when
+// DC is not, and otherwise the datacenter itself, an edge server or not.
+func (a Attachment) Kind() AttachKind {
+	switch {
+	case a.SN != nil:
+		return AttachSupernode
+	case a.DC == nil:
+		return AttachNone
+	case a.DC.Edge:
+		return AttachEdge
+	}
+	return AttachCloud
+}
+
+// UpdateLatency returns the one-way cloud → serving-node latency: the serving
+// supernode's update hop, or zero when the cloud itself streams.
+func (a Attachment) UpdateLatency() time.Duration {
+	if a.SN == nil {
+		return 0
+	}
+	return a.SN.UpdateLatency
 }
 
 // PathLatency returns the total one-way propagation latency of the serving
 // path: cloud→serving node→player.
-func (a Attachment) PathLatency() time.Duration { return a.UpdateLatency + a.StreamLatency }
+func (a Attachment) PathLatency() time.Duration { return a.UpdateLatency() + a.StreamLatency }
 
 // Served reports whether the attachment serves a stream.
-func (a Attachment) Served() bool { return a.Kind != AttachNone }
+func (a Attachment) Served() bool { return a.Kind() != AttachNone }

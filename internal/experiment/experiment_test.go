@@ -418,9 +418,9 @@ func TestEdgeCloudAttachGolden(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[:8], uint64(p.ID))
 		binary.LittleEndian.PutUint64(b[8:16], uint64(p.Attached.DC.ID))
 		binary.LittleEndian.PutUint64(b[16:24], uint64(p.Attached.StreamLatency))
-		binary.LittleEndian.PutUint64(b[24:], uint64(p.Attached.Kind))
+		binary.LittleEndian.PutUint64(b[24:], uint64(p.Attached.Kind()))
 		h.Write(b[:])
-		if p.Attached.Kind == core.AttachEdge {
+		if p.Attached.Kind() == core.AttachEdge {
 			edge++
 		}
 	}
@@ -431,6 +431,50 @@ func TestEdgeCloudAttachGolden(t *testing.T) {
 	}
 	if edge != 75 {
 		t.Fatalf("%d of 500 players on edge servers, want 75", edge)
+	}
+}
+
+// TestFogAttachPathGolden pins CloudFog's attachments: a digest of (player
+// ID, attachment kind, serving supernode ID or 0, datacenter ID, stream
+// latency, path latency) in join order. The Cloud and EdgeCloud goldens build
+// fogs with no supernodes, so this is the one that reads a supernode's update
+// latency through a player's attachment.
+func TestFogAttachPathGolden(t *testing.T) {
+	const want = "f121964225026f3e"
+	cfg := Default(2026)
+	cfg.Players = 600
+	cfg.Supernodes = 40
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := w.NewFog(w.Cfg.Datacenters, w.Cfg.Supernodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [48]byte
+	fog := 0
+	for _, p := range w.JoinAll(sys, 500) {
+		a := p.Attached
+		var sn int64
+		if a.SN != nil {
+			sn = a.SN.ID
+			fog++
+		}
+		binary.LittleEndian.PutUint64(b[:8], uint64(p.ID))
+		binary.LittleEndian.PutUint64(b[8:16], uint64(a.Kind()))
+		binary.LittleEndian.PutUint64(b[16:24], uint64(sn))
+		binary.LittleEndian.PutUint64(b[24:32], uint64(a.DC.ID))
+		binary.LittleEndian.PutUint64(b[32:40], uint64(a.StreamLatency))
+		binary.LittleEndian.PutUint64(b[40:], uint64(a.PathLatency()))
+		h.Write(b[:])
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Fatalf("CloudFog attachment digest %s, want %s: a join or a path latency moved (%d of 500 on supernodes)", got, want, fog)
+	}
+	if fog != 127 {
+		t.Fatalf("%d of 500 players on supernodes, want 127", fog)
 	}
 }
 

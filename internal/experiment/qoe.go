@@ -37,7 +37,7 @@ type nodeKey struct {
 // servingNode names the node that serves an attachment and the uplink its
 // players share.
 func servingNode(a *core.Attachment) (nodeKey, int64) {
-	if a.Kind == core.AttachSupernode {
+	if a.Kind() == core.AttachSupernode {
 		return nodeKey{kind: 1, id: a.SN.ID}, a.SN.Uplink
 	}
 	return nodeKey{kind: 0, id: a.DC.ID}, a.DC.Egress

@@ -320,20 +320,23 @@ func TestBackupRingFailoverAcrossWorkers(t *testing.T) {
 // run builds and never reads shows up as a failure instead of as a profile
 // somebody has to think of taking (make reach counts functions entered; a
 // write-only field lives inside one that is). Measured on this world, bytes
-// per player, NewWorld / one ScaleRun: 216 / 213 since PR 26 (no copy of every
-// player's position for a partition to sort, no serving-node-before-relief
-// entry per player), 216 / 270 since PR 25 (the Fog's map of
-// every player, and the map of members on every serving node, became a
-// counter and lists), 218 / 374 at its parent, 3 027 / 606 before PR 22 (the
-// friend graph; a spec list for every serving supernode, a map of every
-// player, a map of every fog-served player per epoch). The ceilings sit about
-// a quarter above the measurement; the same figures under the race detector
+// per player, NewWorld / one ScaleRun: 112 / 180 with a 96-byte Player (an
+// attachment keeps no kind or update latency, a player no attach stamp) and
+// the runner's packet tallies kept only for the players a node simulation
+// sampled; 136 / 195 with a 120-byte Player held by value in one slice; 216 /
+// 213 before that; 216 / 270 before the partition's copy of every player's
+// position and the serving-node-before-relief entry per player went; 218 / 374
+// before the Fog's map of every player, and the map of members on every
+// serving node, became a counter and lists; 3 027 / 606 before the friend
+// graph, a spec list for every serving supernode, a map of every player and a
+// map of every fog-served player per epoch went. The ceilings sit about a
+// quarter above the measurement; the same figures under the race detector
 // are within 1 %.
 func TestScaleRunAllocBudget(t *testing.T) {
 	const (
 		players          = 20_000
-		worldBytesPerOne = 275
-		runBytesPerOne   = 265
+		worldBytesPerOne = 140
+		runBytesPerOne   = 225
 	)
 	cfg := Default(2026)
 	cfg.Players = players

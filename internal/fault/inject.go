@@ -230,7 +230,7 @@ func (in *Injector) repair(p *core.Player, killAt time.Duration) {
 		return
 	}
 	in.repaired++
-	if k := p.Attached.Kind; k == core.AttachCloud || k == core.AttachEdge {
+	if k := p.Attached.Kind(); k == core.AttachCloud || k == core.AttachEdge {
 		in.cloudHops++
 	}
 	if in.stats != nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -96,11 +97,12 @@ type Runner struct {
 	inj    *fault.Injector
 	pools  []*qoe.Pool // one per worker
 
-	// The packet tallies, index-aligned with players. Nothing else needs a
+	// tallies holds the packet tallies of the players a node simulation has
+	// sampled, keyed by index into players: a budgeted run samples a few
+	// nodes an epoch, so most players never get one. Nothing else needs a
 	// player's index — the node tasks carry the indices of the players they
 	// simulate.
-	onTime []int64
-	total  []int64
+	tallies map[int]tally
 
 	nextEvent int // killsUntil's cursor into sched.Events
 
@@ -125,8 +127,7 @@ func NewRunner(cfg Config, fog *core.Fog, players []*core.Player, sched *fault.S
 		sched:   sched,
 		engine:  sim.New(),
 		pools:   make([]*qoe.Pool, cfg.Shards),
-		onTime:  make([]int64, len(players)),
-		total:   make([]int64, len(players)),
+		tallies: make(map[int]tally),
 	}
 	clk.engine = r.engine
 	for i := range r.pools {
@@ -161,8 +162,12 @@ type nodeRun struct {
 type nodeTask struct {
 	nodeRun
 	specs []qoe.PlayerSpec
-	idx   []int // player indices aligned with specs
+	idx   []int              // player indices aligned with specs
+	out   []qoe.PlayerResult // the simulation's results, aligned with specs
 }
+
+// tally is one player's continuity-meter packet counts.
+type tally struct{ onTime, total int64 }
 
 // Run executes the full horizon and returns the aggregated result.
 func (r *Runner) Run() (Result, error) {
@@ -239,20 +244,20 @@ func (r *Runner) buildTasks(killsAt map[int64]time.Duration, t0, t1 time.Duratio
 	seen := make(map[int64]struct{})
 	var runs []nodeRun // in first-seen player order
 	for _, p := range r.players {
-		a := p.Attached
-		if a.Kind != core.AttachSupernode {
+		sn := p.Attached.SN
+		if sn == nil {
 			continue
 		}
-		if _, dup := seen[a.SN.ID]; dup {
+		if _, dup := seen[sn.ID]; dup {
 			continue
 		}
-		seen[a.SN.ID] = struct{}{}
+		seen[sn.ID] = struct{}{}
 		dur := t1 - t0
-		if killAt, dead := killsAt[a.SN.ID]; dead {
+		if killAt, dead := killsAt[sn.ID]; dead {
 			dur = killAt - t0
 		}
 		if dur > 0 {
-			runs = append(runs, nodeRun{node: a.SN.ID, uplink: a.SN.Uplink, dur: dur})
+			runs = append(runs, nodeRun{node: sn.ID, uplink: sn.Uplink, dur: dur})
 		}
 	}
 	if b := r.cfg.QoENodeBudget; b > 0 && len(runs) > b {
@@ -277,11 +282,11 @@ func (r *Runner) buildTasks(killsAt map[int64]time.Duration, t0, t1 time.Duratio
 		taskOf[run.node] = &tasks[i]
 	}
 	for i, p := range r.players {
-		a := p.Attached
-		if a.Kind != core.AttachSupernode {
+		sn := p.Attached.SN
+		if sn == nil {
 			continue
 		}
-		t := taskOf[a.SN.ID]
+		t := taskOf[sn.ID]
 		if t == nil {
 			continue
 		}
@@ -297,24 +302,23 @@ func (r *Runner) buildTasks(killsAt map[int64]time.Duration, t0, t1 time.Duratio
 func PlayerSpec(p *core.Player, capOf func(snID int64, startLevel int) int) qoe.PlayerSpec {
 	a := &p.Attached
 	levelCap := 0
-	if capOf != nil && a.Kind == core.AttachSupernode {
+	if capOf != nil && a.SN != nil {
 		levelCap = capOf(a.SN.ID, p.Game.StartLevel)
 	}
 	return qoe.PlayerSpec{
 		ID:           p.ID,
 		Game:         *p.Game,
 		Latency:      a.StreamLatency,
-		InboundDelay: a.UpdateLatency,
+		InboundDelay: a.UpdateLatency(),
 		LevelCap:     levelCap,
 	}
 }
 
 // runEpoch executes one epoch: the engine runs the control plane to t1 on a
 // goroutine while the workers share the node simulations through
-// qoe.EachNode. The two touch nothing in common — tasks are copies, and the
-// packet tallies land in per-player slots, disjoint across tasks because a
-// player is served by exactly one node — so the merge is race-free integer
-// addition.
+// qoe.EachNode. The two touch nothing in common — tasks are copies, and each
+// task's results land in that task's own slice — and once both are done the
+// packet tallies are added into the run's, serially.
 func (r *Runner) runEpoch(epoch int, t0, t1 time.Duration, tasks []nodeTask) error {
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -328,31 +332,40 @@ func (r *Runner) runEpoch(epoch int, t0, t1 time.Duration, tasks []nodeTask) err
 	}
 	epochSeed := sim.SplitSeed(r.cfg.Seed, int64(epoch))
 	err := qoe.EachNode(r.pools, len(tasks), func(pool *qoe.Pool, k int) error {
-		t, o := tasks[k], opts
+		t, o := &tasks[k], opts
 		o.Seed = sim.SplitSeed(epochSeed, t.node)
 		results, err := pool.RunNode(o, t.uplink, t.specs, t.dur)
-		for j, pr := range results {
-			i := t.idx[j]
-			r.onTime[i] += pr.PacketsOnTime
-			r.total[i] += pr.PacketsTotal
-		}
+		t.out = slices.Clone(results) // the pool reuses its result slice
 		return err
 	})
 	wg.Wait()
+	for _, t := range tasks {
+		for j, pr := range t.out {
+			c := r.tallies[t.idx[j]]
+			r.tallies[t.idx[j]] = tally{c.onTime + pr.PacketsOnTime, c.total + pr.PacketsTotal}
+		}
+	}
 	r.res.QoENodeRuns += len(tasks)
 	return err
 }
 
 // summarizeContinuity folds the per-player integer tallies into the mean
-// continuity, in canonical player order.
+// continuity, in canonical player order; a player whose simulations counted
+// no packet is left out.
 func (r *Runner) summarizeContinuity() {
+	idx := make([]int, 0, len(r.tallies))
+	for i := range r.tallies {
+		idx = append(idx, i)
+	}
+	slices.Sort(idx)
 	var sum float64
 	n := 0
-	for i := range r.players {
-		if r.total[i] == 0 {
+	for _, i := range idx {
+		c := r.tallies[i]
+		if c.total == 0 {
 			continue
 		}
-		sum += float64(r.onTime[i]) / float64(r.total[i])
+		sum += float64(c.onTime) / float64(c.total)
 		n++
 	}
 	r.res.QoEPlayers = n

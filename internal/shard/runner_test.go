@@ -27,7 +27,7 @@ func buildTasksReference(r *Runner, killsAt map[int64]time.Duration, t0, t1 time
 	order := make([]int64, 0, 64)
 	for i, p := range r.players {
 		a := p.Attached
-		if a.Kind != core.AttachSupernode {
+		if a.Kind() != core.AttachSupernode {
 			continue
 		}
 		t := byNode[a.SN.ID]
@@ -48,7 +48,7 @@ func buildTasksReference(r *Runner, killsAt map[int64]time.Duration, t0, t1 time
 			ID:           p.ID,
 			Game:         *p.Game,
 			Latency:      a.StreamLatency,
-			InboundDelay: a.UpdateLatency,
+			InboundDelay: a.UpdateLatency(),
 			LevelCap:     levelCap,
 		})
 		t.idx = append(t.idx, i)
@@ -139,7 +139,7 @@ func TestBuildTasksMatchesOnePassReference(t *testing.T) {
 		var served []int64 // serving nodes, first-seen player order
 		seen := map[int64]bool{}
 		for _, p := range r.players {
-			if a := p.Attached; a.Kind == core.AttachSupernode && !seen[a.SN.ID] {
+			if a := p.Attached; a.Kind() == core.AttachSupernode && !seen[a.SN.ID] {
 				seen[a.SN.ID] = true
 				served = append(served, a.SN.ID)
 			}
@@ -180,7 +180,7 @@ func TestTaskEndsAtTheFirstDeath(t *testing.T) {
 	r := ladderRunner(t, 0)
 	var node int64 = -1
 	for _, p := range r.players {
-		if a := p.Attached; a.Kind == core.AttachSupernode {
+		if a := p.Attached; a.Kind() == core.AttachSupernode {
 			node = a.SN.ID
 			break
 		}
