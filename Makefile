@@ -36,7 +36,9 @@ loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 # chaos is the resilience smoke: the fault and health suites under the
-# race detector, a seeded chaos sim whose -report reconciles both the
+# race detector, figdetect's byte golden (the event engine's busiest
+# traffic: heartbeats and sweep ticks), a seeded chaos sim whose -report
+# reconciles both the
 # segment ledger and the fault orphan ledger, the figdetect sweep whose
 # -report additionally reconciles the heartbeat detection ledger, a
 # figrecovery + figscale run whose one orphan ledger holds the scaling run's
@@ -45,6 +47,7 @@ loc:
 # goroutine moving the fog while four workers simulate.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/health/
+	$(GO) test -count=1 -run 'DetectionLatencyGolden' ./internal/experiment/
 	$(GO) run ./cmd/cloudfog-sim -figures figchurn,figrecovery \
 		-faults examples/chaos/profile.json \
 		-players 1500 -supernodes 100 -horizon 10s \
@@ -140,8 +143,8 @@ latency:
 # and its OneWay golden; the population golden; the two-pass node sample
 # against its one-pass reference, the kill read-ahead and the runner's clock;
 # the event engine — the one this run's heartbeats and ticks are
-# queued on — against its container/heap reference, its stale-handle and
-# lazy-cancel contracts and its zero-allocation floors; the phi detector's early
+# queued on — against its container/heap reference and its zero-allocation
+# floors; the phi detector's early
 # answer against Phi itself and the monitor's allocation floors — sim-scale is
 # the one workload that runs that detector; the Cloud and EdgeCloud baselines,
 # fogs with no supernodes that share the datacenter member list, and a

@@ -107,6 +107,29 @@ func TestDetectionLatencyFigure(t *testing.T) {
 	}
 }
 
+// TestDetectionLatencyGolden pins figdetect's bytes — title, with its
+// detection ledger, and every series point — at a small world and two
+// heartbeat intervals, all three modes. Nearly every event the figure queues
+// is a heartbeat or a sweep tick, so it is the golden over the event engine's
+// busiest traffic: a firing order that moves one heartbeat moves a latency.
+func TestDetectionLatencyGolden(t *testing.T) {
+	const want = "d6854a906bdad1da612bf8344634aa2ec409b9473238b392e8b93bb5d97bad48"
+	cfg := Default(2026)
+	cfg.Players = 800
+	cfg.Supernodes = 50
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, title, err := DetectionLatency(w, []time.Duration{time.Second, 3 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := figureDigest(title, series); got != want {
+		t.Fatalf("figdetect digest %s, want %s (%q)", got, want, title)
+	}
+}
+
 // TestOverloadKeepsFlashCrowdStreaming floods a small fog far past its slot
 // capacity with the degradation ladder installed: everyone keeps streaming
 // (supernode or cloud), loaded supernodes degrade instead of flapping, and

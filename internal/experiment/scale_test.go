@@ -12,6 +12,7 @@ import (
 
 	"cloudfog/internal/core"
 	"cloudfog/internal/fault"
+	"cloudfog/internal/metrics"
 	"cloudfog/internal/qoe"
 	"cloudfog/internal/shard"
 	"cloudfog/internal/sim"
@@ -101,23 +102,29 @@ func TestScaleRunGolden(t *testing.T) {
 		if res.Moved == 0 || res.Repairs == 0 || res.CloudHops == 0 {
 			t.Fatalf("shards %d: the run never reached relief, failover or the cloud fallback: %+v", shards, res)
 		}
-		h := sha256.New()
-		h.Write([]byte(fig.Title))
-		var b [8]byte
-		for _, s := range fig.Series {
-			h.Write([]byte(s.Label))
-			for _, p := range s.Points {
-				binary.BigEndian.PutUint64(b[:], math.Float64bits(p.X))
-				h.Write(b[:])
-				binary.BigEndian.PutUint64(b[:], math.Float64bits(p.Y))
-				h.Write(b[:])
-			}
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != wantHash || res.FogDraws != wantDraws {
+		if got := figureDigest(fig.Title, fig.Series); got != wantHash || res.FogDraws != wantDraws {
 			t.Fatalf("shards %d: figure hash %s with %d fog draws, want %s with %d (%q, moved %d)",
 				shards, got, res.FogDraws, wantHash, wantDraws, fig.Title, res.Moved)
 		}
 	}
+}
+
+// figureDigest hashes a figure's title and, series by series, its label and
+// every point's X and Y bits: a golden over it moves with any output byte.
+func figureDigest(title string, series []metrics.Series) string {
+	h := sha256.New()
+	h.Write([]byte(title))
+	var b [8]byte
+	for _, s := range series {
+		h.Write([]byte(s.Label))
+		for _, p := range s.Points {
+			binary.BigEndian.PutUint64(b[:], math.Float64bits(p.X))
+			h.Write(b[:])
+			binary.BigEndian.PutUint64(b[:], math.Float64bits(p.Y))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestScaleRunProgress guards against a vacuous invariance pass: the chaos

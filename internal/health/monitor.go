@@ -124,13 +124,15 @@ func (m *Monitor) Start() {
 }
 
 // Kill marks a node dead: its heartbeats stop being sent. Detection of the
-// silence is the monitor's job from here.
+// silence is the monitor's job from here. A standing wrong suspicion is
+// dropped, so the sweep reports the death itself rather than skip the node.
 func (m *Monitor) Kill(id int64) {
 	n, ok := m.nodes[id]
 	if !ok || !n.alive {
 		return
 	}
 	n.alive = false
+	n.suspected = false
 	n.downAt = m.engine.Now()
 }
 

@@ -81,3 +81,30 @@ func TestMonitorSweepOrderAfterBulkTrack(t *testing.T) {
 		}
 	}
 }
+
+// TestMonitorDetectsKillWhileSuspected kills a node the detector already
+// wrongly suspects: every heartbeat is lost for the first 20 s, so the live
+// node is suspected once (a false positive), and the kill at 10 s must still
+// be detected as a death of its own rather than hide behind that suspicion.
+func TestMonitorDetectsKillWhileSuspected(t *testing.T) {
+	engine := sim.New()
+	loss := func(now time.Duration) float64 {
+		if now < 20*time.Second {
+			return 1
+		}
+		return 0
+	}
+	mon := NewMonitor(engine, DetectorConfig{Mode: ModeTimeout}, loss, nil)
+	var detections []time.Duration
+	mon.OnDetect(func(id int64, now time.Duration) { detections = append(detections, now) })
+	mon.Track(1)
+	mon.Start()
+	engine.ScheduleAt(10*time.Second, func() { mon.Kill(1) })
+	engine.RunUntil(60 * time.Second)
+	if fp := mon.FalsePositives(); fp != 1 {
+		t.Fatalf("%d false positives, want 1 (the lossy first 20 s)", fp)
+	}
+	if len(detections) != 1 || mon.Detected() != 1 {
+		t.Fatalf("kill at 10s detected at %v (Detected %d), want one detection", detections, mon.Detected())
+	}
+}

@@ -10,7 +10,7 @@
 // so steady-state Schedule+Step is allocation-free (see
 // TestScheduleStepZeroAllocs). It is sized to its traffic (DESIGN.md §8):
 // the heaviest run in the repo spends under 1 % of its time here, and nothing
-// the product runs cancels an event, so the queue keeps no index for Cancel.
+// the simulator schedules is ever withdrawn, so an event is fire-and-forget.
 package sim
 
 import (
@@ -18,35 +18,8 @@ import (
 	"time"
 )
 
-// Event is a handle to a scheduled callback, returned by the scheduling
-// methods so callers can cancel the event before it fires. The zero value
-// is an inert handle: Cancel and Canceled work but refer to no event.
-type Event struct {
-	e        *Engine
-	seq      uint64
-	at       time.Duration
-	canceled bool
-}
-
-// At returns the virtual time the event is scheduled to fire.
-func (ev *Event) At() time.Duration { return ev.at }
-
-// Cancel prevents the event from firing. Canceling an event that already
-// fired, was already canceled, or was queued before a Reset is a no-op:
-// sequence numbers are never reused, so a stale handle matches nothing.
-func (ev *Event) Cancel() {
-	ev.canceled = true
-	if ev.e != nil {
-		ev.e.cancel(ev.seq)
-	}
-}
-
-// Canceled reports whether Cancel was called on this handle.
-func (ev *Event) Canceled() bool { return ev.canceled }
-
 // event is one queue element: the firing time, the tie-breaking sequence
-// number and the callback with its payload. A nil fn marks a canceled event,
-// discarded when it reaches the root.
+// number and the callback with its payload.
 type event struct {
 	at  time.Duration
 	seq uint64
@@ -64,11 +37,9 @@ func (a *event) before(b *event) bool {
 // Engine is a single-threaded discrete-event scheduler with a virtual clock.
 // The zero value is an engine with the clock at zero and an empty queue.
 type Engine struct {
-	now      time.Duration
-	queue    []event
-	seq      uint64
-	executed uint64
-	stopped  bool
+	now   time.Duration
+	queue []event
+	seq   uint64
 }
 
 // New returns an engine with the clock at zero and an empty event queue.
@@ -76,27 +47,20 @@ func New() *Engine { return &Engine{} }
 
 // Reset returns the engine to its post-New state — clock at zero, queue
 // empty — while keeping the queue's capacity, so back-to-back runs reuse one
-// engine without reallocating. The sequence counter keeps counting, which is
-// what makes every outstanding Event handle stale; only the order of
-// sequence numbers is ever compared, so a reset engine fires exactly like a
-// fresh one.
+// engine without reallocating. The sequence counter keeps counting; only the
+// order of sequence numbers is ever compared, so a reset engine fires exactly
+// like a fresh one.
 func (e *Engine) Reset() {
 	clear(e.queue)
 	e.queue = e.queue[:0]
 	e.now = 0
-	e.executed = 0
-	e.stopped = false
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of events still queued (including canceled
-// events that have not yet been discarded).
+// Pending returns the number of events still queued.
 func (e *Engine) Pending() int { return len(e.queue) }
-
-// Executed returns the number of events that have fired so far.
-func (e *Engine) Executed() uint64 { return e.executed }
 
 // call adapts a plain callback to the payload form every event is stored
 // in: a func value in an any does not allocate.
@@ -104,20 +68,20 @@ func call(fn any) { fn.(func())() }
 
 // Schedule queues fn to run after delay from the current virtual time.
 // A negative delay is treated as zero. It panics if fn is nil.
-func (e *Engine) Schedule(delay time.Duration, fn func()) Event {
+func (e *Engine) Schedule(delay time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule called with nil fn")
 	}
-	return e.SchedulePayload(delay, call, fn)
+	e.SchedulePayload(delay, call, fn)
 }
 
 // ScheduleAt queues fn to run at absolute virtual time t. Times in the past
 // are clamped to the current time. It panics if fn is nil.
-func (e *Engine) ScheduleAt(t time.Duration, fn func()) Event {
+func (e *Engine) ScheduleAt(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: ScheduleAt called with nil fn")
 	}
-	return e.SchedulePayloadAt(t, call, fn)
+	e.schedulePayloadAt(t, call, fn)
 }
 
 // SchedulePayload queues fn(arg) to run after delay from the current
@@ -126,95 +90,49 @@ func (e *Engine) ScheduleAt(t time.Duration, fn func()) Event {
 // payload instead of allocating a fresh closure per event: storing a pointer
 // in the any payload does not allocate. A negative delay is treated as
 // zero. It panics if fn is nil.
-func (e *Engine) SchedulePayload(delay time.Duration, fn func(any), arg any) Event {
+func (e *Engine) SchedulePayload(delay time.Duration, fn func(any), arg any) {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.SchedulePayloadAt(e.now+delay, fn, arg)
+	e.schedulePayloadAt(e.now+delay, fn, arg)
 }
 
-// SchedulePayloadAt is SchedulePayload at an absolute virtual time. Times in
+// schedulePayloadAt is SchedulePayload at an absolute virtual time. Times in
 // the past are clamped to the current time. It panics if fn is nil.
-func (e *Engine) SchedulePayloadAt(t time.Duration, fn func(any), arg any) Event {
+func (e *Engine) schedulePayloadAt(t time.Duration, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: SchedulePayload called with nil fn")
 	}
 	if t < e.now {
 		t = e.now
 	}
-	ev := Event{e: e, seq: e.seq, at: t}
+	e.push(event{at: t, seq: e.seq, fn: fn, arg: arg})
 	e.seq++
-	e.push(event{at: t, seq: ev.seq, fn: fn, arg: arg})
-	return ev
-}
-
-// cancel blanks the queued event with the given sequence number, if there is
-// one; its entry is discarded when it reaches the root. The walk is
-// deliberate: nothing the product runs cancels an event (DESIGN.md §8), so
-// the queue carries no index from handle to position.
-func (e *Engine) cancel(seq uint64) {
-	for i := range e.queue {
-		if e.queue[i].seq == seq {
-			e.queue[i].fn, e.queue[i].arg = nil, nil
-			return
-		}
-	}
 }
 
 // Step executes the next event, advancing the clock to its timestamp.
-// It returns false when the queue holds no runnable events.
+// It returns false when the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		at, fn, arg := e.queue[0].at, e.queue[0].fn, e.queue[0].arg
-		e.pop()
-		if fn == nil {
-			continue
-		}
-		e.now = at
-		e.executed++
-		fn(arg)
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
-}
-
-// Run executes events until the queue drains or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
-	}
+	at, fn, arg := e.queue[0].at, e.queue[0].fn, e.queue[0].arg
+	e.pop()
+	e.now = at
+	fn(arg)
+	return true
 }
 
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to deadline. Events scheduled beyond deadline remain queued.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	e.stopped = false
-	for !e.stopped {
-		at, ok := e.peek()
-		if !ok || at > deadline {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
 }
-
-// peek returns the firing time of the earliest runnable event, discarding
-// canceled events found at the root along the way.
-func (e *Engine) peek() (time.Duration, bool) {
-	for len(e.queue) > 0 {
-		if e.queue[0].fn != nil {
-			return e.queue[0].at, true
-		}
-		e.pop()
-	}
-	return 0, false
-}
-
-// Stop makes the active Run or RunUntil return after the current event.
-func (e *Engine) Stop() { e.stopped = true }
 
 func (e *Engine) push(ev event) {
 	q := append(e.queue, ev)
@@ -259,44 +177,25 @@ func (e *Engine) pop() {
 }
 
 // Every schedules fn to run repeatedly with the given period, starting one
-// period from now, until the returned Ticker is stopped or the run ends.
-func (e *Engine) Every(period time.Duration, fn func()) *Ticker {
+// period from now, until a Reset empties the queue.
+func (e *Engine) Every(period time.Duration, fn func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: Every called with non-positive period %v", period))
 	}
-	t := &Ticker{engine: e, period: period, fn: fn}
-	t.arm()
-	return t
+	e.SchedulePayload(period, tick, &ticker{engine: e, period: period, fn: fn})
 }
 
-// Ticker re-schedules a callback at a fixed virtual-time period.
-type Ticker struct {
-	engine  *Engine
-	period  time.Duration
-	fn      func()
-	pending Event
-	stopped bool
+// ticker re-schedules a callback at a fixed virtual-time period.
+type ticker struct {
+	engine *Engine
+	period time.Duration
+	fn     func()
 }
 
-// tickerFire is the shared payload callback for all tickers: re-arming
-// through it costs no allocation per tick.
-func tickerFire(arg any) {
-	t := arg.(*Ticker)
-	if t.stopped {
-		return
-	}
+// tick is the shared payload callback for all tickers: re-arming through it
+// costs no allocation per tick.
+func tick(arg any) {
+	t := arg.(*ticker)
 	t.fn()
-	if !t.stopped {
-		t.arm()
-	}
-}
-
-func (t *Ticker) arm() {
-	t.pending = t.engine.SchedulePayload(t.period, tickerFire, t)
-}
-
-// Stop cancels future ticks. The callback never runs again after Stop.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.pending.Cancel()
+	t.engine.SchedulePayload(t.period, tick, t)
 }

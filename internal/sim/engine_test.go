@@ -5,13 +5,19 @@ import (
 	"time"
 )
 
+// drain fires every queued event, and every event those schedule.
+func drain(e *Engine) {
+	for e.Step() {
+	}
+}
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := New()
 	var order []int
 	e.Schedule(30*time.Millisecond, func() { order = append(order, 3) })
 	e.Schedule(10*time.Millisecond, func() { order = append(order, 1) })
 	e.Schedule(20*time.Millisecond, func() { order = append(order, 2) })
-	e.Run()
+	drain(e)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events ran out of order: %v", order)
 	}
@@ -27,7 +33,7 @@ func TestEngineBreaksTiesByScheduleOrder(t *testing.T) {
 		i := i
 		e.Schedule(time.Millisecond, func() { order = append(order, i) })
 	}
-	e.Run()
+	drain(e)
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("tie-break violated at position %d: %v", i, order)
@@ -39,7 +45,7 @@ func TestEngineClockAdvancesDuringEvent(t *testing.T) {
 	e := New()
 	var sawNow time.Duration
 	e.Schedule(42*time.Millisecond, func() { sawNow = e.Now() })
-	e.Run()
+	drain(e)
 	if sawNow != 42*time.Millisecond {
 		t.Fatalf("Now() inside event = %v, want 42ms", sawNow)
 	}
@@ -51,23 +57,9 @@ func TestEngineNestedScheduling(t *testing.T) {
 	e.Schedule(10*time.Millisecond, func() {
 		e.Schedule(5*time.Millisecond, func() { fired = append(fired, e.Now()) })
 	})
-	e.Run()
+	drain(e)
 	if len(fired) != 1 || fired[0] != 15*time.Millisecond {
 		t.Fatalf("nested event fired at %v, want [15ms]", fired)
-	}
-}
-
-func TestEventCancel(t *testing.T) {
-	e := New()
-	ran := false
-	ev := e.Schedule(time.Millisecond, func() { ran = true })
-	ev.Cancel()
-	e.Run()
-	if ran {
-		t.Fatal("canceled event still ran")
-	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
 	}
 }
 
@@ -88,7 +80,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", e.Pending())
 	}
-	e.Run()
+	drain(e)
 	if len(ran) != 4 {
 		t.Fatalf("remaining events did not run: %v", ran)
 	}
@@ -102,46 +94,11 @@ func TestRunUntilAdvancesClockWithEmptyQueue(t *testing.T) {
 	}
 }
 
-func TestRunUntilSkipsCanceledRoot(t *testing.T) {
-	e := New()
-	ev := e.Schedule(5*time.Millisecond, func() { t.Fatal("canceled event ran") })
-	ran := false
-	e.Schedule(10*time.Millisecond, func() { ran = true })
-	ev.Cancel()
-	e.RunUntil(20 * time.Millisecond)
-	if !ran {
-		t.Fatal("live event after canceled root did not run")
-	}
-}
-
-func TestStopInterruptsRun(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-}
-
 func TestTickerFiresPeriodically(t *testing.T) {
 	e := New()
 	var ticks []time.Duration
-	tk := e.Every(10*time.Millisecond, func() {
-		ticks = append(ticks, e.Now())
-		if len(ticks) == 3 {
-			e.Stop()
-		}
-	})
-	e.Run()
-	tk.Stop()
+	e.Every(10*time.Millisecond, func() { ticks = append(ticks, e.Now()) })
+	e.RunUntil(35 * time.Millisecond)
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
 	if len(ticks) != len(want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)
@@ -151,45 +108,33 @@ func TestTickerFiresPeriodically(t *testing.T) {
 			t.Fatalf("tick %d at %v, want %v", i, ticks[i], want[i])
 		}
 	}
-}
-
-func TestTickerStopPreventsFurtherTicks(t *testing.T) {
-	e := New()
-	count := 0
-	var tk *Ticker
-	tk = e.Every(time.Millisecond, func() {
-		count++
-		if count == 2 {
-			tk.Stop()
-		}
-	})
-	e.Schedule(10*time.Millisecond, func() {})
-	e.Run()
-	if count != 2 {
-		t.Fatalf("ticker fired %d times after Stop, want 2", count)
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, want the one re-armed tick", e.Pending())
 	}
 }
 
 func TestScheduleNegativeDelayClampsToNow(t *testing.T) {
 	e := New()
+	var at time.Duration
 	e.Schedule(10*time.Millisecond, func() {
-		ev := e.Schedule(-5*time.Millisecond, func() {})
-		if ev.At() != e.Now() {
-			t.Fatalf("negative delay scheduled at %v, want %v", ev.At(), e.Now())
-		}
+		e.Schedule(-5*time.Millisecond, func() { at = e.Now() })
 	})
-	e.Run()
+	drain(e)
+	if at != 10*time.Millisecond {
+		t.Fatalf("negative delay fired at %v, want now (10ms)", at)
+	}
 }
 
 func TestScheduleAtPastClampsToNow(t *testing.T) {
 	e := New()
+	var at time.Duration
 	e.Schedule(10*time.Millisecond, func() {
-		ev := e.ScheduleAt(time.Millisecond, func() {})
-		if ev.At() != 10*time.Millisecond {
-			t.Fatalf("past event scheduled at %v, want now (10ms)", ev.At())
-		}
+		e.ScheduleAt(time.Millisecond, func() { at = e.Now() })
 	})
-	e.Run()
+	drain(e)
+	if at != 10*time.Millisecond {
+		t.Fatalf("past event fired at %v, want now (10ms)", at)
+	}
 }
 
 func TestScheduleNilPanics(t *testing.T) {
@@ -199,19 +144,6 @@ func TestScheduleNilPanics(t *testing.T) {
 		}
 	}()
 	New().Schedule(0, nil)
-}
-
-func TestExecutedCountsFiredEvents(t *testing.T) {
-	e := New()
-	for i := 0; i < 5; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
-	}
-	canceled := e.Schedule(time.Millisecond, func() {})
-	canceled.Cancel()
-	e.Run()
-	if e.Executed() != 5 {
-		t.Fatalf("Executed = %d, want 5", e.Executed())
-	}
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
@@ -227,7 +159,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 			}
 		}
 		e.Schedule(0, spawn)
-		e.Run()
+		drain(e)
 		return out
 	}
 	a, b := run(), run()
