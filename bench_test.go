@@ -13,7 +13,6 @@ import (
 
 	"cloudfog/internal/adapt"
 	"cloudfog/internal/core"
-	"cloudfog/internal/econ"
 	"cloudfog/internal/experiment"
 	"cloudfog/internal/game"
 	"cloudfog/internal/geo"
@@ -342,30 +341,6 @@ func BenchmarkFig11bSchedulingTestbed(b *testing.B) {
 	}
 	b.ReportMetric(seriesAt(series[0], 30), "basic@30")
 	b.ReportMetric(seriesAt(series[1], 30), "sched@30")
-}
-
-// BenchmarkEconPlanning exercises the §III-A economic model (Eqs. 1-6).
-func BenchmarkEconPlanning(b *testing.B) {
-	params := econ.Params{RewardPerUnit: 0.25, RevenuePerUnit: 1, StreamRate: 1.3, UpdateRate: 0.05}
-	rng := sim.NewRand(3)
-	candidates := make([]econ.Supernode, 200)
-	for i := range candidates {
-		candidates[i] = econ.Supernode{
-			Capacity:     rng.CapacityPareto() * 1.3,
-			Utilization:  0.5 + 0.5*rng.Float64(),
-			Cost:         rng.Float64(),
-			CoverageGain: 1 + rng.Intn(8),
-		}
-	}
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		plan, err := params.PlanDeployment(300, candidates)
-		if err != nil {
-			b.Fatal(err)
-		}
-		saving = plan.Saving
-	}
-	b.ReportMetric(saving, "saving")
 }
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md §5) ---

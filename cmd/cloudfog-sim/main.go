@@ -1,7 +1,9 @@
 // Command cloudfog-sim regenerates the CloudFog paper's simulator figures
 // (5a, 5b, 7a, 8a, 9a, 10a, 11a) and prints each as a text table with the
 // same axes the paper plots. Figures come from the experiment package's
-// registry, so -figures accepts any comma-separated subset by name.
+// registry, so -figures accepts any comma-separated subset by name. figecon
+// prices the fog that ran with the paper's economic model (Eqs. 1-6) at each
+// reward rate.
 //
 // With -report the run also aggregates the observability counters of every
 // system and QoE simulation it performed (segment lifecycle, drop
@@ -54,7 +56,7 @@ import (
 )
 
 var (
-	figuresFlag    = flag.String("figures", "", "comma-separated figures to regenerate (fig5a..fig11a, bare \"9a\" accepted, \"all\" or empty = every figure)")
+	figuresFlag    = flag.String("figures", "", "comma-separated figures to regenerate ("+strings.Join(experiment.FigureNames(), ", ")+"; bare \"9a\" accepted, \"all\" or empty = every figure)")
 	seedFlag       = flag.Int64("seed", 2026, "experiment seed")
 	playersFlag    = flag.Int("players", 10000, "population size")
 	supernodesFlag = flag.Int("supernodes", 600, "supernodes selected from capable players")

@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"cloudfog/internal/experiment"
 )
 
 // runWith runs the simulator in-process under the given flags and returns
@@ -160,6 +162,17 @@ func TestRejectsWorldWithoutSupernodes(t *testing.T) {
 	} {
 		if _, err := runSim(t, flags); err == nil || !strings.Contains(err.Error(), "Supernodes") {
 			t.Errorf("%v: err = %v, want one naming Supernodes", flags, err)
+		}
+	}
+}
+
+// TestFiguresUsageNamesEveryFigure: -figures' help is built from the
+// registry, so no registered figure goes unlisted.
+func TestFiguresUsageNamesEveryFigure(t *testing.T) {
+	usage := flag.Lookup("figures").Usage
+	for _, name := range experiment.FigureNames() {
+		if !strings.Contains(usage, name) {
+			t.Errorf("-figures usage does not name %s: %q", name, usage)
 		}
 	}
 }

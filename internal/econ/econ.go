@@ -2,18 +2,16 @@
 // the supernode contributor's profit (Eq. 1), the cloud bandwidth reduction
 // from fog streaming (Eq. 2), the game service provider's saved-cost
 // objective with its capacity constraints (Eqs. 3-5), and the marginal gain
-// of deploying one more supernode (Eq. 6). It also provides a greedy
-// deployment planner derived from the paper's observation that, for a fixed
-// coverage n, fewer supernodes mean higher savings.
+// of deploying one more supernode (Eq. 6).
 //
-// Bandwidth quantities are in abstract "bandwidth units" (the paper never
-// fixes one); use any consistent unit such as Mbit/s.
+// The package is the equations over values; experiment.EconomicsVsReward
+// measures those values on a fog that ran. Bandwidth quantities share one
+// unit (the paper never fixes one; the fog measures bits/s).
 package econ
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Params holds the market constants of the model.
@@ -24,24 +22,23 @@ type Params struct {
 	// RevenuePerUnit is c_c: the provider's value of each server
 	// bandwidth unit saved.
 	RevenuePerUnit float64
-	// StreamRate is R: the game-video streaming rate per player.
-	StreamRate float64
 	// UpdateRate is Λ: the cloud→supernode update bandwidth per
 	// supernode (per player action, aggregated).
 	UpdateRate float64
 }
 
-// Validate reports parameter errors. Each check is written so that NaN fails
-// it (every comparison with NaN is false), and +Inf is refused with it.
+// finite reports whether v is a finite number ≥ 0; NaN fails it (every
+// comparison with NaN is false), and +Inf is refused with it.
+func finite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// Validate reports parameter errors, refusing NaN and ±Inf.
 func (p Params) Validate() error {
 	switch {
-	case !(p.RewardPerUnit >= 0) || math.IsInf(p.RewardPerUnit, 1):
+	case !finite(p.RewardPerUnit):
 		return fmt.Errorf("econ: reward c_s %v, want a finite number ≥ 0", p.RewardPerUnit)
-	case !(p.RevenuePerUnit >= 0) || math.IsInf(p.RevenuePerUnit, 1):
+	case !finite(p.RevenuePerUnit):
 		return fmt.Errorf("econ: revenue c_c %v, want a finite number ≥ 0", p.RevenuePerUnit)
-	case !(p.StreamRate > 0) || math.IsInf(p.StreamRate, 1):
-		return fmt.Errorf("econ: stream rate R %v, want a finite number > 0", p.StreamRate)
-	case !(p.UpdateRate >= 0) || math.IsInf(p.UpdateRate, 1):
+	case !finite(p.UpdateRate):
 		return fmt.Errorf("econ: update rate Λ %v, want a finite number ≥ 0", p.UpdateRate)
 	}
 	return nil
@@ -57,23 +54,29 @@ type Supernode struct {
 	// Cost is cost_j: the contributor's running cost, in the same unit
 	// as c_s rewards.
 	Cost float64
-	// CoverageGain is ν: how many new players this supernode's
-	// deployment would newly cover (used by Eq. 6).
-	CoverageGain int
+	// Streamed is Σ R over the players this supernode serves: its share
+	// of Eq. 2's n·R.
+	Streamed float64
+	// NewlyCovered is ν·R: the stream rate of the players this supernode
+	// brings within their latency requirement and the cloud alone did not
+	// (Eq. 6).
+	NewlyCovered float64
 }
 
 // Validate reports supernode description errors, refusing NaN and ±Inf
 // the way Params.Validate does.
 func (s Supernode) Validate() error {
 	switch {
-	case !(s.Capacity >= 0) || math.IsInf(s.Capacity, 1):
+	case !finite(s.Capacity):
 		return fmt.Errorf("econ: capacity %v, want a finite number ≥ 0", s.Capacity)
 	case !(s.Utilization >= 0 && s.Utilization <= 1):
 		return fmt.Errorf("econ: utilization %v outside [0,1]", s.Utilization)
-	case !(s.Cost >= 0) || math.IsInf(s.Cost, 1):
+	case !finite(s.Cost):
 		return fmt.Errorf("econ: cost %v, want a finite number ≥ 0", s.Cost)
-	case s.CoverageGain < 0:
-		return fmt.Errorf("econ: negative coverage gain %d", s.CoverageGain)
+	case !finite(s.Streamed):
+		return fmt.Errorf("econ: streamed %v, want a finite number ≥ 0", s.Streamed)
+	case !finite(s.NewlyCovered):
+		return fmt.Errorf("econ: newly covered %v, want a finite number ≥ 0", s.NewlyCovered)
 	}
 	return nil
 }
@@ -102,115 +105,46 @@ func TotalContribution(sns []Supernode) float64 {
 }
 
 // BandwidthReduction implements Eq. 2: B_r = n·R − Λ·m, the cloud bandwidth
-// saved when n players are served by m supernodes instead of the cloud.
-func (p Params) BandwidthReduction(n, m int) float64 {
-	return float64(n)*p.StreamRate - p.UpdateRate*float64(m)
-}
-
-// SupportedPlayers returns the largest n satisfying the capacity constraint
-// of Eq. 4: Σ c_j·u_j ≥ n·R.
-func (p Params) SupportedPlayers(sns []Supernode) int {
-	return int(TotalContribution(sns) / p.StreamRate)
+// saved when the supernodes stream to their players instead of the cloud,
+// summed per supernode as Σ(Streamed − Λ).
+func (p Params) BandwidthReduction(sns []Supernode) float64 {
+	total := 0.0
+	for _, s := range sns {
+		total += s.Streamed - p.UpdateRate
+	}
+	return total
 }
 
 // ProviderSaving implements Eq. 3's objective for a given deployment:
-// C_g = c_c·B_r − c_s·B_s, where n players are served by the m = len(sns)
-// supernodes. It returns an error when the deployment violates the
-// constraints of Eqs. 4-5 (insufficient contribution, or utilization out of
+// C_g = c_c·B_r − c_s·B_s over the m = len(sns) supernodes. It returns an
+// error when the deployment violates the constraints of Eqs. 4-5
+// (contribution below what the supernodes stream, or utilization out of
 // range).
-func (p Params) ProviderSaving(n int, sns []Supernode) (float64, error) {
+func (p Params) ProviderSaving(sns []Supernode) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
+	need := 0.0
 	for i, s := range sns {
 		if err := s.Validate(); err != nil {
 			return 0, fmt.Errorf("supernode %d: %w", i, err)
 		}
+		need += s.Streamed
 	}
 	bs := TotalContribution(sns)
-	if bs < float64(n)*p.StreamRate {
-		return 0, fmt.Errorf("econ: contribution %v < required %v for %d players (Eq. 4)",
-			bs, float64(n)*p.StreamRate, n)
+	if bs < need {
+		return 0, fmt.Errorf("econ: contribution %v < streamed %v (Eq. 4)", bs, need)
 	}
-	br := p.BandwidthReduction(n, len(sns))
-	return p.RevenuePerUnit*br - p.RewardPerUnit*bs, nil
+	return p.RevenuePerUnit*p.BandwidthReduction(sns) - p.RewardPerUnit*bs, nil
 }
 
 // MarginalGain implements Eq. 6: G_s(j) = c_c(ν·R − Λ) − c_s·c_j·u_j, the
-// provider's net gain from deploying supernode s that newly covers
-// s.CoverageGain players.
+// provider's net gain from deploying supernode s, whose newly covered
+// players stream s.NewlyCovered.
 func (p Params) MarginalGain(s Supernode) float64 {
-	return p.RevenuePerUnit*(float64(s.CoverageGain)*p.StreamRate-p.UpdateRate) -
-		p.RewardPerUnit*s.Contribution()
+	return p.RevenuePerUnit*(s.NewlyCovered-p.UpdateRate) - p.RewardPerUnit*s.Contribution()
 }
 
 // WorthDeploying reports whether Eq. 6's gain is positive: the bandwidth
 // saved from newly covered players exceeds the supernode's reward cost.
 func (p Params) WorthDeploying(s Supernode) bool { return p.MarginalGain(s) > 0 }
-
-// Plan is the result of planning a supernode deployment.
-type Plan struct {
-	// Chosen indexes the selected supernodes in the candidate slice.
-	Chosen []int
-	// Supported is the number of players the selection can stream to.
-	Supported int
-	// Saving is the provider's C_g for serving exactly `target` players
-	// with the selection.
-	Saving float64
-}
-
-// PlanDeployment selects supernodes from candidates to support target
-// players while maximizing provider saving. Following Eq. 3's observation
-// that fewer supernodes save more (each costs Λ update bandwidth and its
-// reward), it greedily takes the highest-contribution candidates until the
-// Eq. 4 constraint is met. It returns an error if the candidates cannot
-// support the target at all, or if the target is below one player.
-func (p Params) PlanDeployment(target int, candidates []Supernode) (Plan, error) {
-	if err := p.Validate(); err != nil {
-		return Plan{}, err
-	}
-	if target < 1 {
-		return Plan{}, fmt.Errorf("econ: target of %d players, want at least 1", target)
-	}
-	for i, s := range candidates {
-		if err := s.Validate(); err != nil {
-			return Plan{}, fmt.Errorf("candidate %d: %w", i, err)
-		}
-	}
-	order := make([]int, len(candidates))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return candidates[order[a]].Contribution() > candidates[order[b]].Contribution()
-	})
-	need := float64(target) * p.StreamRate
-	var plan Plan
-	acc := 0.0
-	for _, idx := range order {
-		if acc >= need {
-			break
-		}
-		c := candidates[idx]
-		if c.Contribution() <= 0 {
-			break // sorted: the rest contribute nothing
-		}
-		plan.Chosen = append(plan.Chosen, idx)
-		acc += c.Contribution()
-	}
-	if acc < need {
-		return Plan{}, fmt.Errorf("econ: candidates support only %d of %d target players",
-			int(acc/p.StreamRate), target)
-	}
-	chosen := make([]Supernode, len(plan.Chosen))
-	for i, idx := range plan.Chosen {
-		chosen[i] = candidates[idx]
-	}
-	plan.Supported = p.SupportedPlayers(chosen)
-	saving, err := p.ProviderSaving(target, chosen)
-	if err != nil {
-		return Plan{}, err
-	}
-	plan.Saving = saving
-	return plan, nil
-}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cloudfog/internal/core"
+	"cloudfog/internal/econ"
 	"cloudfog/internal/game"
 	"cloudfog/internal/geo"
 	"cloudfog/internal/metrics"
@@ -491,6 +492,106 @@ func BandwidthVsPlayers(w *World, playerCounts []int) ([]metrics.Series, error) 
 	})
 	if err != nil {
 		return nil, err
+	}
+	return series, nil
+}
+
+// The market constants of figecon. The paper leaves both abstract; prices
+// are per Mbit/s of contribution or saving.
+const (
+	// revenuePerMbit is c_c, the provider's value of a saved Mbit/s.
+	revenuePerMbit = 1.0
+	// costPerMachine is cost_j, every contributor's running cost.
+	costPerMachine = 0.9
+)
+
+// fogEconomics prices the fog that ran. It joins the first n players to the
+// Cloud baseline and notes who is within their game's network budget, then
+// joins them to CloudFog/B and describes every supernode that carries a
+// player by what it measured, in bits/s: c_j is its uplink, u_j its load over
+// its slots, Streamed the wire rate of its members and NewlyCovered that of
+// the members the cloud left outside their budget and the fog brings within
+// it (what Figure 5(b) counts). It leaves the players as it found them.
+func fogEconomics(w *World, n int) ([]econ.Supernode, error) {
+	cloud, err := w.NewCloud(w.Cfg.Datacenters)
+	if err != nil {
+		return nil, err
+	}
+	players := w.JoinAll(cloud, n)
+	covered := make([]bool, len(players))
+	for i, p := range players {
+		covered[i] = cloud.NetworkLatency(p) <= p.Game.NetworkBudget()
+	}
+	w.LeaveAll(cloud, players)
+
+	fog, err := w.NewFog(w.Cfg.Datacenters, w.Cfg.Supernodes)
+	if err != nil {
+		return nil, err
+	}
+	players = w.JoinAll(fog, n) // the same players, in the same order, on the same games
+	idx := make(map[*core.Supernode]int)
+	var sns []econ.Supernode
+	for _, sn := range fog.Supernodes() {
+		if sn.Load() > 0 {
+			idx[sn] = len(sns)
+			sns = append(sns, econ.Supernode{
+				Capacity:    float64(sn.Uplink),
+				Utilization: float64(sn.Load()) / float64(sn.Capacity),
+				Cost:        costPerMachine,
+			})
+		}
+	}
+	for i, p := range players {
+		j, ok := idx[p.Attached.SN]
+		if !ok {
+			continue
+		}
+		rate := float64(w.Cfg.Core.WireRate(p.Game.Quality().Bitrate))
+		sns[j].Streamed += rate
+		if !covered[i] && fog.NetworkLatency(p) <= p.Game.NetworkBudget() {
+			sns[j].NewlyCovered += rate
+		}
+	}
+	w.LeaveAll(fog, players)
+	return sns, nil
+}
+
+// EconomicsVsReward prices CloudFog/B on the world's whole population (paper
+// §III-A, Eqs. 1-6) at each reward rate c_s, per Mbit/s, in four series: the
+// owners of loaded supernodes that Eq. 1 makes willing to contribute, their
+// contribution B_s (Mbit/s), the provider saving C_g of deploying exactly
+// those (Eq. 3), and how many of them Eq. 6 calls worth deploying.
+func EconomicsVsReward(w *World, rewards []float64) ([]metrics.Series, error) {
+	sns, err := fogEconomics(w, w.Cfg.Players)
+	if err != nil {
+		return nil, err
+	}
+	series := []metrics.Series{{Label: "willing"}, {Label: "B_s(Mbit/s)"}, {Label: "C_g"}, {Label: "Eq.6 worth"}}
+	for _, cs := range rewards {
+		// The fog measures bits/s; a price per Mbit/s is one per 1e6 of them.
+		p := econ.Params{
+			RewardPerUnit:  cs / 1e6,
+			RevenuePerUnit: revenuePerMbit / 1e6,
+			UpdateRate:     float64(w.Cfg.Core.UpdateBandwidth),
+		}
+		var willing []econ.Supernode
+		worth := 0
+		for _, s := range sns {
+			if econ.WillContribute(p.RewardPerUnit, s, 0) {
+				willing = append(willing, s)
+				if p.WorthDeploying(s) {
+					worth++
+				}
+			}
+		}
+		saving, err := p.ProviderSaving(willing)
+		if err != nil {
+			return nil, err
+		}
+		series[0].Add(cs, float64(len(willing)))
+		series[1].Add(cs, econ.TotalContribution(willing)/1e6)
+		series[2].Add(cs, saving)
+		series[3].Add(cs, float64(worth))
 	}
 	return series, nil
 }

@@ -28,6 +28,8 @@ var (
 	playerCounts     = []int{1000, 2000, 4000, 6000, 8000, 10000} // Figure 7(a)
 	continuityCounts = []int{500, 1000, 2000, 3000}               // Figure 9(a)
 	loads            = []int{5, 10, 15, 20, 25, 30}               // Figures 10(a), 11(a): players per supernode
+	// rewards is the figecon sweep of the reward rate c_s, per Mbit/s.
+	rewards = []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50}
 	// churnRates is the figchurn supernode kill-rate sweep, in kills per
 	// minute. Rate 0 is the fault-free baseline point.
 	churnRates = []float64{0, 1, 2, 4, 8}
@@ -238,6 +240,15 @@ var figures = []Figure{
 				return FigureResult{}, err
 			}
 			s, err := SchedulingEffect(w, loads, h)
+			return FigureResult{Series: s}, err
+		},
+	},
+	{
+		Name:   "figecon",
+		Title:  "Economics (Eqs. 1-6): the fog's supernodes priced at each reward rate c_s",
+		XLabel: "c_s",
+		Run: func(w *World, o RunOptions) (FigureResult, error) {
+			s, err := EconomicsVsReward(w, rewards)
 			return FigureResult{Series: s}, err
 		},
 	},

@@ -82,8 +82,7 @@ for knob in players=300 horizon=30s overload=false seed=7 bandwidth=0.5; do # on
 done
 quiet "$bin/cloudfog-replay" -describe examples/flight/sharded.flight
 
-step "cloudfog-econ, cloudfog-testbed"
-quiet "$bin/cloudfog-econ"
+step "cloudfog-testbed"
 quiet "$bin/cloudfog-testbed" -players 60 -supernodes 20 -servers 2 -parallel 64
 
 # --- The live plane, in-process: the flat-flag demo over TCP with metrics
