@@ -52,7 +52,6 @@ import (
 	"cloudfog/internal/flight"
 	"cloudfog/internal/metrics"
 	"cloudfog/internal/obs"
-	"cloudfog/internal/trace"
 )
 
 var (
@@ -64,7 +63,6 @@ var (
 	horizonFlag    = flag.Duration("horizon", 60*time.Second, "virtual time horizon for QoE figures")
 	csvFlag        = flag.Bool("csv", false, "emit comma-separated tables instead of aligned text")
 	reportFlag     = flag.String("report", "", "write a JSON observability snapshot of the run to this file")
-	traceOutFlag   = flag.String("save-trace", "", "write the latency model parameters to this file")
 	workersFlag    = flag.Int("sweep-workers", 0, "sweep worker pool size: 0 = one per CPU, 1 = serial")
 	faultsFlag     = flag.String("faults", "", "fault profile JSON for the resilience figures (figchurn, figrecovery); empty = built-in chaos profile")
 	detectorFlag   = flag.String("detector", "", "failure detector for the resilience figures: oracle (default, drawn delays), timeout, or phi")
@@ -141,21 +139,6 @@ func run() error {
 
 	fmt.Printf("CloudFog simulator — %d players, %d supernodes, %d datacenters, seed %d\n\n",
 		cfg.Players, cfg.Supernodes, cfg.Datacenters, cfg.Seed)
-
-	if *traceOutFlag != "" {
-		f, err := os.Create(*traceOutFlag)
-		if err != nil {
-			return err
-		}
-		if err := cfg.Core.Latency.(trace.Model).Save(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("latency model saved to %s\n\n", *traceOutFlag)
-	}
 
 	worldStart := time.Now()
 	w, err := experiment.NewWorld(cfg)

@@ -17,6 +17,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -35,11 +36,49 @@ type checked struct {
 	info  *types.Info
 }
 
-type fieldGate struct {
+// module is the non-test packages of both modules, type-checked from source
+// once per test binary: the field gate walks them, and the design gate
+// (docs_test.go) resolves DESIGN.md's names in them.
+type module struct {
 	fset    *token.FileSet
 	std     types.Importer
 	sources map[string][]string // import path → non-test .go files, both modules
 	pkgs    map[string]*checked
+}
+
+var (
+	loadOnce sync.Once
+	loaded   *module
+	loadErr  error
+)
+
+// loadModule returns the module, loading it on the first call.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	loadOnce.Do(func() {
+		m := &module{fset: token.NewFileSet(), sources: map[string][]string{}, pkgs: map[string]*checked{}}
+		m.std = importer.ForCompiler(m.fset, "gc", nil)
+		if loadErr = m.scan(".", "cloudfog", "bench"); loadErr != nil {
+			return
+		}
+		if loadErr = m.scan("bench", "cloudfog/bench", ""); loadErr != nil {
+			return
+		}
+		for _, p := range m.paths() {
+			if _, loadErr = m.Import(p); loadErr != nil {
+				return
+			}
+		}
+		loaded = m
+	})
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	return loaded
+}
+
+type fieldGate struct {
+	*module
 	uses    map[*types.Var]*fieldUse
 	json    map[*types.Struct]bool // reflected by encoding/json
 	visited map[types.Type]bool
@@ -47,27 +86,12 @@ type fieldGate struct {
 
 func TestFieldGate(t *testing.T) {
 	g := &fieldGate{
-		fset:    token.NewFileSet(),
-		sources: map[string][]string{},
-		pkgs:    map[string]*checked{},
+		module:  loadModule(t),
 		uses:    map[*types.Var]*fieldUse{},
 		json:    map[*types.Struct]bool{},
 		visited: map[types.Type]bool{},
 	}
-	g.std = importer.ForCompiler(g.fset, "gc", nil)
-	g.scan(t, ".", "cloudfog", "bench")
-	g.scan(t, "bench", "cloudfog/bench", "")
-	paths := make([]string, 0, len(g.sources))
-	for p := range g.sources {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := g.Import(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range paths {
+	for _, p := range g.paths() {
 		origin := product
 		if strings.HasPrefix(p, "cloudfog/bench") {
 			origin = benched
@@ -88,9 +112,19 @@ func TestFieldGate(t *testing.T) {
 	}
 }
 
+// paths lists the import paths of both modules, sorted.
+func (m *module) paths() []string {
+	paths := make([]string, 0, len(m.sources))
+	for p := range m.sources {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
 // scan records the non-test files of every package under root, skipping skip.
-func (g *fieldGate) scan(t *testing.T, root, module, skip string) {
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+func (m *module) scan(root, module, skip string) error {
+	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -102,45 +136,42 @@ func (g *fieldGate) scan(t *testing.T, root, module, skip string) {
 			rel, _ := filepath.Rel(root, path)
 			importPath := filepath.ToSlash(filepath.Join(module, rel))
 			for _, name := range bp.GoFiles {
-				g.sources[importPath] = append(g.sources[importPath], filepath.Join(path, name))
+				m.sources[importPath] = append(m.sources[importPath], filepath.Join(path, name))
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Import type-checks a package of either module from its non-test files and
 // hands anything else to the compiler's export data.
-func (g *fieldGate) Import(path string) (*types.Package, error) {
-	if c, ok := g.pkgs[path]; ok {
+func (m *module) Import(path string) (*types.Package, error) {
+	if c, ok := m.pkgs[path]; ok {
 		return c.pkg, nil
 	}
-	sources, ok := g.sources[path]
+	sources, ok := m.sources[path]
 	if !ok {
-		return g.std.Import(path)
+		return m.std.Import(path)
 	}
 	var files []*ast.File
 	for _, name := range sources {
-		f, err := parser.ParseFile(g.fset, name, nil, 0)
+		f, err := parser.ParseFile(m.fset, name, nil, 0)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	conf := types.Config{Importer: g}
+	conf := types.Config{Importer: m}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	p, err := conf.Check(path, g.fset, files, info)
+	p, err := conf.Check(path, m.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	g.pkgs[path] = &checked{p, files, info}
+	m.pkgs[path] = &checked{p, files, info}
 	return p, nil
 }
 

@@ -2,12 +2,14 @@ package flight
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"cloudfog/internal/experiment"
+	"cloudfog/internal/metrics"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/recfmt"
 )
@@ -191,6 +193,29 @@ func TestReplayDetectsTampering(t *testing.T) {
 	}
 	if rep.Identical() {
 		t.Fatal("tampered RNG witness replayed as identical")
+	}
+
+	// A decoded point changed and re-encoded: the detail names its series
+	// and x, read off the what-if's figure comparer.
+	tampered = *rec
+	tampered.Figures = append([]FigureCapture(nil), rec.Figures...)
+	fig := rec.Figures[0].Fig
+	fig.Series = append([]metrics.Series(nil), fig.Series...)
+	last := len(fig.Series) - 1
+	s := fig.Series[last]
+	s.Points = append([]metrics.Point(nil), s.Points...)
+	p := &s.Points[len(s.Points)-1]
+	p.Y += 0.5
+	fig.Series[last] = s
+	tampered.Figures[0].Fig = fig
+	tampered.Figures[0].FigBytes = appendFigure(nil, rec.Figures[0].Name, fig)
+	rep, err = tampered.Replay("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("series %q at x=%g", s.Label, p.X)
+	if len(rep.Divergences) != 1 || !strings.Contains(rep.Divergences[0].Detail, want) {
+		t.Fatalf("tampered point: divergences %+v, want one whose detail names %s", rep.Divergences, want)
 	}
 }
 

@@ -128,8 +128,24 @@ func (rec *Recording) Replay(from string) (*ReplayReport, error) {
 // headline contract), then the obs delta, then the RNG witness.
 func compareFigure(rep *ReplayReport, want, got *FigureCapture) {
 	if !bytes.Equal(got.FigBytes, want.FigBytes) {
+		// The detail is the first entry the what-if's comparer reports.
+		fd := diffFigure(want, got)
+		detail := "encodings differ but decoded structs agree (encoding drift)"
+		switch {
+		case fd.BaseTitle != fd.NewTitle:
+			detail = fmt.Sprintf("title %q, recorded %q", fd.NewTitle, fd.BaseTitle)
+		case len(fd.Series) > 0 && fd.Series[0].Shape != "":
+			detail = fmt.Sprintf("series %q: %s", fd.Series[0].Label, fd.Series[0].Shape)
+		case len(fd.Series) > 0:
+			p := fd.Series[0].Points[0]
+			detail = fmt.Sprintf("series %q at x=%g: live %.17g, recorded %.17g", fd.Series[0].Label, p.X, p.New, p.Base)
+		case len(fd.Latency) > 0:
+			l := fd.Latency[0]
+			detail = fmt.Sprintf("latency %s: live mean/median/p90 %d/%d/%d ns, recorded %d/%d/%d ns",
+				l.System, l.NewMean, l.NewMedian, l.NewP90, l.BaseMean, l.BaseMedian, l.BaseP90)
+		}
 		rep.add("figure", "%s: bytes differ (live %d, recorded %d) — %s",
-			want.Name, len(got.FigBytes), len(want.FigBytes), firstSeriesDiff(want, got))
+			want.Name, len(got.FigBytes), len(want.FigBytes), detail)
 	}
 	if !bytes.Equal(got.ObsBytes, want.ObsBytes) {
 		rep.add("obs", "%s: observability delta differs (%s)",
@@ -146,42 +162,6 @@ func compareFigure(rep *ReplayReport, want, got *FigureCapture) {
 				want.Name, w.Label, g.Seed, g.Draws, w.Seed, w.Draws)
 		}
 	}
-}
-
-// firstSeriesDiff localizes a figure-byte divergence to the first series
-// point (or latency row, or caption) that differs, for the error message.
-func firstSeriesDiff(want, got *FigureCapture) string {
-	a, b := want.Fig, got.Fig
-	if a.Title != b.Title {
-		return fmt.Sprintf("title %q vs %q", b.Title, a.Title)
-	}
-	if len(a.Series) != len(b.Series) {
-		return fmt.Sprintf("%d series vs %d", len(b.Series), len(a.Series))
-	}
-	for i := range a.Series {
-		as, bs := a.Series[i], b.Series[i]
-		if as.Label != bs.Label {
-			return fmt.Sprintf("series %d label %q vs %q", i, bs.Label, as.Label)
-		}
-		if len(as.Points) != len(bs.Points) {
-			return fmt.Sprintf("series %q: %d points vs %d", as.Label, len(bs.Points), len(as.Points))
-		}
-		for j := range as.Points {
-			if as.Points[j] != bs.Points[j] {
-				return fmt.Sprintf("series %q point %d: live (%g, %.17g) recorded (%g, %.17g)",
-					as.Label, j, bs.Points[j].X, bs.Points[j].Y, as.Points[j].X, as.Points[j].Y)
-			}
-		}
-	}
-	if len(a.Latency) != len(b.Latency) {
-		return fmt.Sprintf("%d latency rows vs %d", len(b.Latency), len(a.Latency))
-	}
-	for i := range a.Latency {
-		if a.Latency[i] != b.Latency[i] {
-			return fmt.Sprintf("latency row %d: live %+v recorded %+v", i, b.Latency[i], a.Latency[i])
-		}
-	}
-	return "encodings differ but decoded structs agree (encoding drift)"
 }
 
 // SnapshotDelta is one counter or histogram the recorded and the live

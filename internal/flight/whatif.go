@@ -137,7 +137,8 @@ func title(c *FigureCapture) string {
 	return c.Name
 }
 
-// diffFigure compares one figure pair point by point.
+// diffFigure compares one figure pair point by point: the what-if's diff,
+// and the detail of a replay's figure divergence.
 func diffFigure(base, got *FigureCapture) FigureDiff {
 	fd := FigureDiff{Name: base.Name, Identical: bytes.Equal(base.FigBytes, got.FigBytes)}
 	if fd.Identical {
@@ -154,7 +155,7 @@ func diffFigure(base, got *FigureCapture) FigureDiff {
 	for _, s := range a.Series {
 		j, ok := bs[s.Label]
 		if !ok {
-			fd.Series = append(fd.Series, SeriesDelta{Label: s.Label, Shape: "absent from what-if run"})
+			fd.Series = append(fd.Series, SeriesDelta{Label: s.Label, Shape: "absent from the re-run"})
 			continue
 		}
 		delete(bs, s.Label)
@@ -177,7 +178,7 @@ func diffFigure(base, got *FigureCapture) FigureDiff {
 		}
 	}
 	for label := range bs {
-		fd.Series = append(fd.Series, SeriesDelta{Label: label, Shape: "only in what-if run"})
+		fd.Series = append(fd.Series, SeriesDelta{Label: label, Shape: "only in the re-run"})
 	}
 	sort.Slice(fd.Series, func(i, j int) bool { return fd.Series[i].Label < fd.Series[j].Label })
 

@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"strings"
 	"testing"
 	"time"
 
@@ -201,74 +199,6 @@ func TestSupernodeSelectionCollapsesNoise(t *testing.T) {
 	if sumSN >= sumDC {
 		t.Fatalf("mean min-over-supernodes latency (%v) not below mean remote-DC latency (%v)",
 			sumSN/trials, sumDC/trials)
-	}
-}
-
-func TestModelSaveLoadRoundTrip(t *testing.T) {
-	m := DefaultModel(12345)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != m {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", got, m)
-	}
-	// Reloaded models produce identical latencies.
-	a := Endpoint{ID: 1, Pos: geo.Point{X: 100, Y: 200}, Class: ClassNode}
-	b := Endpoint{ID: 2, Pos: geo.Point{X: 900, Y: 300}, Class: ClassSupernode}
-	if got.OneWay(a, b) != m.OneWay(a, b) {
-		t.Fatal("reloaded model draws different latencies")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Load(strings.NewReader(`{"unknown_field": 1}`)); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	if _, err := Load(strings.NewReader(`{"seed":1,"noise_sigma":-3}`)); err == nil {
-		t.Fatal("negative sigma accepted")
-	}
-	if _, err := Load(strings.NewReader(`{"seed":1,"noise_median_ns":-3}`)); err == nil {
-		t.Fatal("negative noise median accepted: Within's lower bound needs every term non-negative")
-	}
-}
-
-func TestSaveLoadPreservesPairwiseLatencies(t *testing.T) {
-	// Property over a whole population: a reloaded model reproduces the
-	// full pairwise latency matrix bit-for-bit, across every endpoint
-	// class, because all draws are pure functions of the saved parameters.
-	m := DefaultModel(777)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRand(42)
-	classes := []Class{ClassNode, ClassSupernode, ClassDatacenter}
-	eps := make([]Endpoint, 40)
-	for i := range eps {
-		eps[i] = Endpoint{
-			ID:    NodeID(i + 1),
-			Pos:   geo.Point{X: rng.Float64() * 4000, Y: rng.Float64() * 2500},
-			Class: classes[i%len(classes)],
-		}
-	}
-	for i, a := range eps {
-		for j, b := range eps {
-			if want, have := m.OneWay(a, b), got.OneWay(a, b); want != have {
-				t.Fatalf("latency [%d][%d] diverged after reload: %v vs %v", i, j, want, have)
-			}
-		}
 	}
 }
 

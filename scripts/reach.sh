@@ -60,7 +60,7 @@ done
 step "cloudfog-sim"
 # A QoE figure's horizon must end past the meters' 5 s warm-up (fig9a's
 # points run a third of it), or the figure refuses to run.
-quiet "$bin/cloudfog-sim" -figures all -players 2000 -supernodes 150 -horizon 18s -save-trace "$run/trace.json"
+quiet "$bin/cloudfog-sim" -figures all -players 2000 -supernodes 150 -horizon 18s
 quiet "$bin/cloudfog-sim" -figures fig9a -players 800 -supernodes 50 -shards 4 -horizon 18s
 quiet "$bin/cloudfog-sim" -figures figchurn,figrecovery -faults examples/chaos/profile.json \
 	-players 1500 -supernodes 100 -horizon 10s -report "$run/chaos_report.json"
