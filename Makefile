@@ -133,9 +133,11 @@ latency:
 # tests uncached (the indexed shortlist against the scan-and-sort oracle; the
 # shortlist-, relief-index, registration-order and member-list invariants and
 # Supernodes() against a plain slice after every operation of the random-ops,
-# storm and fleet-wide-failure tests; the member lists' removal cases, a
+# storm and fleet-wide-failure tests, and on CloudFog, Cloud and EdgeCloud
+# fogs a recount of each datacenter's direct players, the cloud bandwidth and
+# where each backup ring lives; the member lists' removal cases, a
 # supernode's list kept in attach order, relief evicting newest-first, and
-# what a warm join allocates; the one limit a probe is held to; the 96-byte
+# what a warm join allocates; the one limit a probe is held to; the 72-byte
 # player; the scaling run's golden and its bytes-allocated-per-player ceiling;
 # a world clone's allocation count, flat in the population; the grid's sorted k-best
 # against brute force, its tie-break on ID, accept asked about entrants only,
@@ -147,7 +149,7 @@ latency:
 # floors; the phi detector's early
 # answer against Phi itself and the monitor's allocation floors — sim-scale is
 # the one workload that runs that detector; the Cloud and EdgeCloud baselines,
-# fogs with no supernodes that share the datacenter member list, and a
+# fogs with no supernodes that share the datacenter count, and a
 # supernode's update source that is never an edge server; both baselines'
 # attachments and CloudFog's, path latencies included, pinned by digest in
 # join order), then a 200 000-player

@@ -67,6 +67,14 @@ type Fog struct {
 
 	// online counts the players that have joined and not left, served or not.
 	online int
+	// cloudRate is the wire rate the main datacenters stream directly, summed
+	// over their direct players: attachCloud adds a player's, detach takes it
+	// back, so CloudBandwidth walks no player.
+	cloudRate int64
+	// orphanRings holds the backup ring of each player a failed supernode
+	// orphaned, from the kill until Failover consumes it or the orphan leaves.
+	// Only kills fill it; a member's ring lives on its member-list entry.
+	orphanRings map[*Player][]*Supernode
 
 	// Scratch buffers reused across assignment-protocol calls.
 	nbrScratch   []spatial.Neighbor
@@ -100,14 +108,15 @@ func BuildFog(cfg Config, dcs []*Datacenter, sns []*Supernode, rng *sim.Rand) (*
 		return nil, fmt.Errorf("core: a fog needs at least one main datacenter")
 	}
 	f := &Fog{
-		cfg:      cfg,
-		rng:      rng,
-		dcs:      dcs,
-		sns:      make(map[int64]*Supernode, len(sns)),
-		snEstPos: make(map[int64]struct{ x, y float64 }, len(sns)),
-		latency:  trace.AsProber(cfg.Latency),
-		snIdx:    spatial.NewGrid(cfg.Region.Width, cfg.Region.Height),
-		roomIdx:  spatial.NewGrid(cfg.Region.Width, cfg.Region.Height),
+		cfg:         cfg,
+		rng:         rng,
+		dcs:         dcs,
+		sns:         make(map[int64]*Supernode, len(sns)),
+		snEstPos:    make(map[int64]struct{ x, y float64 }, len(sns)),
+		orphanRings: make(map[*Player][]*Supernode),
+		latency:     trace.AsProber(cfg.Latency),
+		snIdx:       spatial.NewGrid(cfg.Region.Width, cfg.Region.Height),
+		roomIdx:     spatial.NewGrid(cfg.Region.Width, cfg.Region.Height),
 	}
 	f.notRelieving = f.isNotRelieving
 	for _, sn := range sns {
@@ -215,12 +224,15 @@ func (f *Fog) FailSupernode(id int64) []*Player {
 	}
 	// The departed instance's member list is the answer: the instance keeps
 	// none of it, so nothing that still points at it finds a player there.
-	orphans := []*Player(sn.players)
+	// Each orphan's ring waits in orphanRings for its repair.
+	orphans := make([]*Player, len(sn.players))
+	for i, m := range sn.players {
+		orphans[i] = m.p
+		m.p.Attached = Attachment{}
+		f.orphanRings[m.p] = m.ring
+	}
 	sn.players = nil
 	sort.Slice(orphans, func(i, j int) bool { return orphans[i].ID < orphans[j].ID })
-	for _, p := range orphans {
-		p.Attached = Attachment{}
-	}
 	if f.cfg.Overload != nil {
 		f.cfg.Overload.Forget(id)
 	}
@@ -236,7 +248,9 @@ func (f *Fog) Failover(p *Player) bool {
 	if !p.Online || p.Attached.Served() {
 		return false
 	}
-	f.failover(p)
+	ring := f.orphanRings[p]
+	delete(f.orphanRings, p)
+	f.failover(p, ring)
 	return true
 }
 
@@ -260,16 +274,22 @@ func (f *Fog) Leave(p *Player) {
 	p.Online = false
 	f.online--
 	f.detach(p)
-	p.Backups = nil
 }
 
+// detach takes a leaving player off what serves it, its ring with it; an
+// orphan nothing has repaired yet takes its ring out of orphanRings.
 func (f *Fog) detach(p *Player) {
 	switch p.Attached.Kind() {
 	case AttachSupernode:
-		p.Attached.SN.players.removeOrdered(p)
+		p.Attached.SN.players.remove(p)
 		f.observeOccupancy(p.Attached.SN)
-	case AttachCloud, AttachEdge:
+	case AttachCloud:
+		f.cloudRate -= f.cfg.WireRate(p.Game.Quality().Bitrate)
 		p.Attached.DC.RemoveDirect(p)
+	case AttachEdge:
+		p.Attached.DC.RemoveDirect(p)
+	case AttachNone:
+		delete(f.orphanRings, p)
 	}
 	p.Attached = Attachment{}
 }
@@ -318,11 +338,11 @@ func setMember(g *spatial.Grid, member *bool, want bool, id int64, x, y float64)
 	}
 }
 
-// attachSN commits a supernode attachment: membership at the end of the
-// node's list (its attach order), the attachment record, and the ladder
-// observation.
-func (f *Fog) attachSN(p *Player, sn *Supernode, streamLat time.Duration) {
-	sn.players.add(p)
+// attachSN commits a supernode attachment: membership, with the player's
+// backup ring, at the end of the node's list (its attach order), the
+// attachment record, and the ladder observation.
+func (f *Fog) attachSN(p *Player, sn *Supernode, streamLat time.Duration, ring []*Supernode) {
+	sn.players.add(p, ring)
 	p.Attached = Attachment{DC: sn.DC, SN: sn, StreamLatency: streamLat}
 	f.observeOccupancy(sn)
 }
@@ -380,21 +400,17 @@ func (f *Fog) assign(p *Player) {
 		if pr.sn.Available() <= 0 {
 			continue
 		}
-		f.attachSN(p, pr.sn, pr.delay)
 		rest := probes[i+1:]
-		if cap(p.Backups) < len(rest) {
-			p.Backups = make([]*Supernode, 0, len(rest))
-		} else {
-			p.Backups = p.Backups[:0]
-		}
+		ring := make([]*Supernode, 0, len(rest))
 		for _, b := range rest {
 			// A shedding supernode has stepped off backup duty: recording
 			// it would aim future failovers at an overloaded node.
 			if f.cfg.Overload != nil && !f.cfg.Overload.AllowBackup(b.sn.ID) {
 				continue
 			}
-			p.Backups = append(p.Backups, b.sn)
+			ring = append(ring, b.sn)
 		}
+		f.attachSN(p, pr.sn, pr.delay, ring)
 		if o := f.cfg.Obs; o != nil {
 			o.JoinsFog.Inc()
 		}
@@ -403,13 +419,13 @@ func (f *Fog) assign(p *Player) {
 	f.attachCloud(p, pe, est.X, est.Y)
 }
 
-// failover reattaches an orphaned player, preferring its recorded backups
+// failover reattaches an orphaned player, preferring the backups of its ring
 // (re-probed for liveness, capacity and delay) before rerunning the full
-// protocol.
-func (f *Fog) failover(p *Player) {
+// protocol; what is left of the ring moves to the entry it attaches to.
+func (f *Fog) failover(p *Player, ring []*Supernode) {
 	lmax := f.cfg.Lmax(p.Game.NetworkBudget())
 	pe := f.latency.Resolve(p.Endpoint())
-	for i, sn := range p.Backups {
+	for i, sn := range ring {
 		// The backup must still be the registered machine: a departed
 		// supernode whose contributor later re-registers under the same
 		// ID is a fresh instance, and this stale pointer must not absorb
@@ -427,14 +443,12 @@ func (f *Fog) failover(p *Player) {
 		if !ok {
 			continue
 		}
-		f.attachSN(p, sn, d)
-		p.Backups = p.Backups[i+1:]
+		f.attachSN(p, sn, d, ring[i+1:])
 		if o := f.cfg.Obs; o != nil {
 			o.FailoverBackupHits.Inc()
 		}
 		return
 	}
-	p.Backups = nil
 	if o := f.cfg.Obs; o != nil {
 		o.FailoverReassigns.Inc()
 	}
@@ -462,12 +476,12 @@ func (f *Fog) RelieveOverloaded() int {
 		movedThisPass := 0
 		for _, sn := range f.Supernodes() {
 			for o.ShouldMigrate(sn.ID) && sn.Load() > 0 {
-				// The list is in attach order, so the newest is last.
-				newest := sn.players[len(sn.players)-1]
-				sn.players.removeOrdered(newest)
+				// The list is in attach order, so the newest is last; its
+				// ring goes with its entry.
+				newest := sn.players[len(sn.players)-1].p
+				sn.players.remove(newest)
 				f.observeOccupancy(sn)
 				newest.Attached = Attachment{}
-				newest.Backups = nil
 				f.relieving = sn
 				f.assign(newest)
 				f.relieving = nil
@@ -522,7 +536,10 @@ func (f *Fog) attachCloud(p *Player, pe trace.Endpoint, estX, estY float64) {
 			best, bestDist = dc, d
 		}
 	}
-	best.AddDirect(p)
+	best.direct++
+	if !best.Edge {
+		f.cloudRate += f.cfg.WireRate(p.Game.Quality().Bitrate)
+	}
 	p.Attached = Attachment{DC: best, StreamLatency: f.latency.OneWay(pe, best.Endpoint())}
 	if o := f.cfg.Obs; o != nil {
 		o.JoinsCloud.Inc()
@@ -600,18 +617,10 @@ func (f *Fog) Census(players []*Player) Census {
 // bandwidth consumption of EdgeCloud does not include those of additional
 // servers").
 func (f *Fog) CloudBandwidth() int64 {
-	var total int64
+	total := f.cloudRate
 	for _, sn := range f.Supernodes() {
 		if sn.Load() > 0 {
 			total += f.cfg.UpdateBandwidth
-		}
-	}
-	for _, dc := range f.dcs {
-		if dc.Edge {
-			continue
-		}
-		for _, p := range dc.direct {
-			total += f.cfg.WireRate(p.Game.Quality().Bitrate)
 		}
 	}
 	return total

@@ -150,10 +150,10 @@ func TestJoinRecordsBackups(t *testing.T) {
 	f := buildTestFog(t, cfg, 10)
 	p := testPlayer(3, cfg.Region.Center(), mustGame(t, 5))
 	f.Join(p)
-	if len(p.Backups) == 0 {
+	if len(ringOf(p)) == 0 {
 		t.Fatal("no backups recorded despite several qualified candidates")
 	}
-	for _, b := range p.Backups {
+	for _, b := range ringOf(p) {
 		if b == p.Attached.SN {
 			t.Fatal("serving supernode listed as backup")
 		}
@@ -243,11 +243,11 @@ func TestFailoverReprobesBackupDelay(t *testing.T) {
 
 	p := testPlayer(1, cfg.Region.Center(), g)
 	f.Join(p)
-	if p.Attached.Kind() != AttachSupernode || len(p.Backups) != 2 {
-		t.Fatalf("join attached %v with %d backups, want a supernode and 2", p.Attached.Kind(), len(p.Backups))
+	if p.Attached.Kind() != AttachSupernode || len(ringOf(p)) != 2 {
+		t.Fatalf("join attached %v with %d backups, want a supernode and 2", p.Attached.Kind(), len(ringOf(p)))
 	}
 	src.stream = lmax
-	backup := p.Backups[0]
+	backup := ringOf(p)[0]
 	f.DeregisterSupernode(p.Attached.SN.ID)
 	if p.Attached.SN != backup || p.Attached.StreamLatency != lmax {
 		t.Fatalf("backup at L_max: player on %+v, want backup %d at %v", p.Attached, backup.ID, lmax)
@@ -327,7 +327,7 @@ func TestDeregisterSupernodeFailsOverToBackup(t *testing.T) {
 	p := testPlayer(30, cfg.Region.Center(), mustGame(t, 5))
 	f.Join(p)
 	serving := p.Attached.SN
-	backups := len(p.Backups)
+	backups := len(ringOf(p))
 	if backups == 0 {
 		t.Fatal("test needs backups")
 	}

@@ -19,40 +19,33 @@ import (
 // and each supernode's transition flags say what the grids hold. snOrder holds
 // every registered instance once, at its own slot, and snDead nils that never
 // outnumber the living. It reads snOrder as it lies — Supernodes() would
-// compact it first. Every member list — each registered supernode's, each
-// datacenter's — holds each member at the index the player records and points
-// back at the node through its attachment, no player is on two lists, and the
-// lists together hold no more players than are online (checkCensus makes that
-// an equality for a test that knows who is online and unserved).
+// compact it first. Every registered supernode's member list holds each member
+// at the index the player records and points back at the node through its
+// attachment, no player is on two lists, and the lists together hold no more
+// players than are online (checkCensus makes that an equality for a test that
+// knows who is online and unserved).
 func checkIndex(t testing.TB, f *Fog) {
 	t.Helper()
 	ol := f.cfg.Overload
 	indexed, roomy := make(map[int64]bool), make(map[int64]bool)
 	listed := make(map[*Player]bool)
-	checkList := func(node string, id int64, list members, kind AttachKind, sn *Supernode, dc *Datacenter) {
-		t.Helper()
-		for i, p := range list {
-			switch a := p.Attached; {
-			case int(p.slot) != i:
-				t.Fatalf("%s %d lists player %d at %d, the player records slot %d", node, id, p.ID, i, p.slot)
-			case listed[p]:
-				t.Fatalf("player %d is on two member lists, one of them %s %d's", p.ID, node, id)
-			case !p.Online || a.Kind() != kind || a.SN != sn || a.DC != dc:
-				t.Fatalf("%s %d lists player %d (online=%v), whose attachment is %+v", node, id, p.ID, p.Online, a)
-			}
-			listed[p] = true
-		}
-	}
-	for _, dc := range f.dcs {
-		checkList("datacenter", dc.ID, dc.direct, AttachCloud, nil, dc)
-	}
 	dead := 0
 	for i, sn := range f.snOrder {
 		if sn == nil {
 			dead++
 			continue
 		}
-		checkList("supernode", sn.ID, sn.players, AttachSupernode, sn, sn.DC)
+		for j, m := range sn.players {
+			switch p, a := m.p, m.p.Attached; {
+			case int(p.slot) != j:
+				t.Fatalf("supernode %d lists player %d at %d, the player records slot %d", sn.ID, p.ID, j, p.slot)
+			case listed[p]:
+				t.Fatalf("player %d is on two member lists, one of them supernode %d's", p.ID, sn.ID)
+			case !p.Online || a.SN != sn || a.DC != sn.DC:
+				t.Fatalf("supernode %d lists player %d (online=%v), whose attachment is %+v", sn.ID, p.ID, p.Online, a)
+			}
+			listed[m.p] = true
+		}
 		if sn.slot != i || f.sns[sn.ID] != sn {
 			t.Fatalf("registration order holds supernode %d (slot %d) at %d; registered under that ID: %v",
 				sn.ID, sn.slot, i, f.sns[sn.ID] == sn)
@@ -101,6 +94,94 @@ func checkCensus(t testing.TB, f *Fog, players []*Player) {
 		t.Fatalf("nodes list %d players and %d more are online unserved; the fog counts %d online",
 			served, n-served, f.OnlinePlayers())
 	}
+}
+
+// ringOf returns the backup ring recorded for p's attachment: its entry's on
+// the supernode that serves it, nil for anyone else.
+func ringOf(p *Player) []*Supernode {
+	if sn := p.Attached.SN; sn != nil {
+		return sn.players[p.slot].ring
+	}
+	return nil
+}
+
+// checkLedgers recounts, from players — everyone who ever joined f — what the
+// Fog keeps as running tallies and side stores: each datacenter's
+// DirectPlayers is the players attached to it with no supernode between;
+// CloudBandwidth is Λ per loaded supernode plus the wire rate of every player
+// a main datacenter streams to; and a backup ring exists exactly for the
+// supernodes' members, on their entries, and for the orphans no Failover has
+// repaired yet, in orphanRings — no ring naming the supernode that serves it.
+func checkLedgers(t testing.TB, f *Fog, players []*Player) {
+	t.Helper()
+	direct := make(map[*Datacenter]int)
+	bandwidth, orphans := int64(0), 0
+	for _, sn := range f.Supernodes() {
+		if sn.Load() > 0 {
+			bandwidth += f.cfg.UpdateBandwidth
+		}
+	}
+	for _, p := range players {
+		a := p.Attached
+		switch a.Kind() {
+		case AttachCloud:
+			bandwidth += f.cfg.WireRate(p.Game.Quality().Bitrate)
+			fallthrough
+		case AttachEdge:
+			direct[a.DC]++
+		}
+		ring, stored := f.orphanRings[p]
+		switch orphan := p.Online && !a.Served(); {
+		case orphan && !stored:
+			t.Fatalf("orphan %d waits for repair without its backup ring", p.ID)
+		case !orphan && stored:
+			t.Fatalf("player %d (online=%v, served by %v) has a ring in the orphan store", p.ID, p.Online, a.Kind())
+		case orphan:
+			orphans++
+		case a.SN != nil:
+			ring = ringOf(p)
+		}
+		for _, b := range ring {
+			if b == a.SN {
+				t.Fatalf("player %d's serving supernode %d sits in its own backup ring", p.ID, b.ID)
+			}
+		}
+	}
+	for _, dc := range f.dcs {
+		if dc.DirectPlayers() != direct[dc] {
+			t.Fatalf("datacenter %d counts %d direct players, %d are attached to it", dc.ID, dc.DirectPlayers(), direct[dc])
+		}
+	}
+	if got := f.CloudBandwidth(); got != bandwidth {
+		t.Fatalf("CloudBandwidth() = %d, a recount from the attachments gives %d", got, bandwidth)
+	}
+	if len(f.orphanRings) != orphans {
+		t.Fatalf("the orphan store holds %d rings, %d orphans await repair", len(f.orphanRings), orphans)
+	}
+}
+
+// system names one of the three systems a Fog is, for the property tests that
+// run on each: CloudFog, with supernodes; Cloud, datacenters only; EdgeCloud,
+// capacity-limited edge servers leading the datacenters.
+type system string
+
+const (
+	sysCloudFog  system = "cloudfog"
+	sysCloud     system = "cloud"
+	sysEdgeCloud system = "edgecloud"
+)
+
+// edgeServers returns four small edge servers around the region's center, for
+// an EdgeCloud-shaped fog: few enough slots that players overflow to the
+// datacenters.
+func edgeServers(cfg Config) []*Datacenter {
+	c := cfg.Region.Center()
+	out := make([]*Datacenter, 4)
+	for i := range out {
+		pos := geo.Point{X: c.X + float64(i%2*600-300), Y: c.Y + float64(i/2*400-200)}
+		out[i] = NewEdgeServer(3_000_000+int64(i), pos, cfg.DCEgress/10, 6)
+	}
+	return out
 }
 
 // checkOrder asserts that Supernodes() is the reference: dense, in
@@ -185,21 +266,25 @@ func ladderOf(t testing.TB, cfg health.OverloadConfig) *health.Overload {
 //   - every online player is served (supernode or cloud), every offline
 //     player is detached;
 //   - the serving node's membership agrees with the player's attachment;
-//   - backups never include the serving supernode or departed supernodes'
-//     stale capacity.
+//   - no backup ring names its player's serving supernode.
+//
+// The tallies checkLedgers recounts are checked after every step too, on the
+// CloudFog fogs and on a Cloud and an EdgeCloud one.
 func TestFogInvariantsUnderRandomOps(t *testing.T) {
-	t.Run("ladder=off", func(t *testing.T) { fogInvariantsUnderRandomOps(t, nil) })
-	t.Run("ladder=on", func(t *testing.T) { fogInvariantsUnderRandomOps(t, newLadder(t)) })
-	t.Run("ladder=early", func(t *testing.T) { fogInvariantsUnderRandomOps(t, earlyLadder(t)) })
+	t.Run("ladder=off", func(t *testing.T) { fogInvariantsUnderRandomOps(t, sysCloudFog, nil) })
+	t.Run("ladder=on", func(t *testing.T) { fogInvariantsUnderRandomOps(t, sysCloudFog, newLadder(t)) })
+	t.Run("ladder=early", func(t *testing.T) { fogInvariantsUnderRandomOps(t, sysCloudFog, earlyLadder(t)) })
+	t.Run("cloud", func(t *testing.T) { fogInvariantsUnderRandomOps(t, sysCloud, nil) })
+	t.Run("edgecloud", func(t *testing.T) { fogInvariantsUnderRandomOps(t, sysEdgeCloud, nil) })
 }
 
-func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
+func fogInvariantsUnderRandomOps(t *testing.T, sys system, ladder *health.Overload) {
 	cfg := testConfig()
 	cfg.Overload = ladder
 	rng := sim.NewRand(20260705)
 	placer := geo.DefaultUSPlacer()
 
-	const nSN = 30
+	nSN := 30
 	const nPlayers = 120
 	const steps = 3000
 
@@ -207,6 +292,13 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 	dcs := []*Datacenter{
 		NewDatacenter(2_000_000, geo.Point{X: center.X - 1000, Y: center.Y}, cfg.DCEgress),
 		NewDatacenter(2_000_001, geo.Point{X: center.X + 1000, Y: center.Y}, cfg.DCEgress),
+	}
+	switch sys {
+	case sysCloud:
+		nSN = 0
+	case sysEdgeCloud:
+		nSN = 0
+		dcs = append(edgeServers(cfg), dcs...)
 	}
 	specs := make([]*Supernode, nSN)
 	for i := range specs {
@@ -246,17 +338,12 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 						t.Fatalf("step %d: player %d attached to departed supernode %d", step, p.ID, sn.ID)
 					}
 					attachedCount[sn.ID]++
-					if int(p.slot) >= sn.Load() || sn.players[p.slot] != p {
+					if int(p.slot) >= sn.Load() || sn.players[p.slot].p != p {
 						t.Fatalf("step %d: supernode %d does not list its player %d", step, sn.ID, p.ID)
 					}
-				case AttachCloud:
+				case AttachCloud, AttachEdge:
 					if p.Attached.DC == nil {
-						t.Fatalf("step %d: cloud attachment without datacenter", step)
-					}
-				}
-				for _, b := range p.Backups {
-					if b == p.Attached.SN {
-						t.Fatalf("step %d: serving supernode in backups", step)
+						t.Fatalf("step %d: direct attachment without datacenter", step)
 					}
 				}
 			} else if p.Attached.Served() {
@@ -313,6 +400,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, ladder *health.Overload) {
 		}
 		checkIndex(t, fog)
 		checkCensus(t, fog, players)
+		checkLedgers(t, fog, players)
 		checkOrder(t, fog, order)
 		if step%50 == 0 {
 			check(step)

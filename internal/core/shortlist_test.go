@@ -99,7 +99,7 @@ func seat(f *Fog, sn *Supernode, n int, nextID *int64) []*Player {
 		ps[i].Online = true
 		*nextID++
 		f.online++
-		f.attachSN(ps[i], sn, 0)
+		f.attachSN(ps[i], sn, 0, nil)
 	}
 	return ps
 }
@@ -462,12 +462,12 @@ func TestJoinsRejectedCountsNamedBackupsOnly(t *testing.T) {
 
 	p := testPlayer(1, center, mustGame(t, 5))
 	f.Join(p)
-	if len(p.Backups) == 0 {
+	if len(ringOf(p)) == 0 {
 		t.Fatal("no backups recorded")
 	}
 	// The first backup fills up and loses one player: a slot is free, the
 	// ladder still refuses.
-	backup := p.Backups[0]
+	backup := ringOf(p)[0]
 	pid := int64(1000)
 	f.Leave(occupy(f, backup, &pid)[0])
 	if backup.Available() == 0 || ol.Admit(backup.ID) {
@@ -584,8 +584,8 @@ func TestReliefEvictsNewestFirst(t *testing.T) {
 	if !slices.Equal(spy.order, want) {
 		t.Fatalf("relief re-placed %v, want newest first %v", spy.order, want)
 	}
-	if hot.Load() != 1 || hot.players[0] != ps[0] {
-		t.Fatalf("drained node keeps %v, want only the first player %d", ids(hot.players), ps[0].ID)
+	if hot.Load() != 1 || hot.players[0].p != ps[0] {
+		t.Fatalf("drained node keeps %v, want only the first player %d", ids(listed(hot.players)), ps[0].ID)
 	}
 	checkIndex(t, f)
 }

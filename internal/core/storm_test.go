@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cloudfog/internal/geo"
@@ -10,12 +11,13 @@ import (
 )
 
 // stormInvariants checks the fog's structural invariants after each storm
-// step: every online player is served, no player is served by a departed
-// supernode, and no player's serving supernode also appears in its backup
-// list; and the fog's online count is its member lists plus the unserved.
+// step: every online player is served and no player is served by a departed
+// supernode; the fog's online count is its member lists plus the unserved;
+// and its tallies and rings agree with a recount (checkLedgers).
 func stormInvariants(t *testing.T, f *Fog, players []*Player) {
 	t.Helper()
 	checkCensus(t, f, players)
+	checkLedgers(t, f, players)
 	for _, p := range players {
 		if !p.Online {
 			if p.Attached.Served() {
@@ -34,25 +36,33 @@ func stormInvariants(t *testing.T, f *Fog, players []*Player) {
 		if !ok || live != sn {
 			t.Fatalf("player %d served by departed supernode %d", p.ID, sn.ID)
 		}
-		for _, b := range p.Backups {
-			if b == sn {
-				t.Fatalf("player %d's serving supernode %d sits in its own backup list", p.ID, sn.ID)
-			}
-		}
 	}
 }
 
 // runStorm drives one fog through a randomized Register/Deregister/Join/
 // Leave/RelieveOverloaded storm, checking the failover invariants, the index
 // and registration-order invariants and Supernodes() against a plain
-// reference slice after every step.
-func runStorm(t *testing.T, seed int64, steps int, ladder bool) {
+// reference slice after every step. A kill hands each orphan's ring to the
+// fog's store intact, where checkLedgers finds it before the repairs; the
+// first of several orphans leaves instead of being repaired.
+func runStorm(t *testing.T, seed int64, steps int, sys system, ladder bool) {
 	cfg := testConfig()
 	cfg.Latency = benignModel(cfg)
 	if ladder {
 		cfg.Overload = newLadder(t)
 	}
-	f := buildTestFog(t, cfg, 30)
+	var f *Fog
+	switch sys {
+	case sysCloudFog:
+		f = buildTestFog(t, cfg, 30)
+	case sysCloud:
+		f = buildTestFog(t, cfg, 0)
+	case sysEdgeCloud:
+		var err error
+		if f, err = BuildFog(cfg, append(edgeServers(cfg), twoDCs(cfg)...), nil, sim.NewRand(7)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	center := cfg.Region.Center()
 	g := mustGame(t, 5)
 
@@ -80,16 +90,38 @@ func runStorm(t *testing.T, seed int64, steps int, ladder bool) {
 	rng := sim.NewRand(seed)
 	for step := 0; step < steps; step++ {
 		switch rng.Intn(5) {
-		case 0: // kill a supernode and repair every orphan
-			id := ids[rng.Intn(len(ids))]
-			if _, up := f.Supernode(id); !up {
+		case 0: // kill a supernode and repair every orphan but the first of several
+			if len(ids) == 0 {
 				continue
 			}
+			id := ids[rng.Intn(len(ids))]
+			sn, up := f.Supernode(id)
+			if !up {
+				continue
+			}
+			rings := make(map[*Player][]*Supernode)
+			for _, m := range sn.players {
+				rings[m.p] = m.ring
+			}
 			order = withoutID(order, id)
-			for _, orphan := range f.FailSupernode(id) {
+			orphans := f.FailSupernode(id)
+			checkLedgers(t, f, players)
+			for _, orphan := range orphans {
+				if got, want := f.orphanRings[orphan], rings[orphan]; !slices.Equal(got, want) {
+					t.Fatalf("orphan %d waits with ring %v, it was attached with %v", orphan.ID, got, want)
+				}
+			}
+			for i, orphan := range orphans {
+				if i == 0 && len(orphans) > 1 {
+					f.Leave(orphan)
+					continue
+				}
 				f.Failover(orphan)
 			}
 		case 1: // respawn a downed supernode
+			if len(ids) == 0 {
+				continue
+			}
 			id := ids[rng.Intn(len(ids))]
 			if _, up := f.Supernode(id); up {
 				continue
@@ -122,15 +154,22 @@ func runStorm(t *testing.T, seed int64, steps int, ladder bool) {
 // TestRegisterDeregisterStorm hammers the fog with randomized supernode
 // kills, re-registrations, and player churn, holding the failover
 // invariants after every single step. Four storms run concurrently on
-// independent fogs — the odd ones with the overload ladder on — so the race
-// detector sweeps the shared read-only state (trace model, game ladder,
-// region) while each fog mutates.
+// independent CloudFog fogs — the odd ones with the overload ladder on — so
+// the race detector sweeps the shared read-only state (trace model, game
+// ladder, region) while each fog mutates; a Cloud and an EdgeCloud fog take
+// the player churn alone.
 func TestRegisterDeregisterStorm(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		seed, ladder := int64(9000+i*17), i%2 == 1
 		t.Run(fmt.Sprintf("storm-%d", i), func(t *testing.T) {
 			t.Parallel()
-			runStorm(t, seed, 600, ladder)
+			runStorm(t, seed, 600, sysCloudFog, ladder)
+		})
+	}
+	for _, sys := range []system{sysCloud, sysEdgeCloud} {
+		t.Run(string(sys), func(t *testing.T) {
+			t.Parallel()
+			runStorm(t, 9100, 600, sys, false)
 		})
 	}
 }

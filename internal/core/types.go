@@ -33,7 +33,7 @@ type Datacenter struct {
 	// Edge marks an EdgeCloud-style deployed server.
 	Edge bool
 
-	direct members // players streamed directly from this DC
+	direct int // players streamed directly from this DC
 }
 
 // NewDatacenter returns a datacenter with the given egress capacity.
@@ -65,23 +65,25 @@ func (d *Datacenter) Available() int {
 	if d.Capacity == 0 {
 		return int(^uint(0) >> 1)
 	}
-	return d.Capacity - len(d.direct)
+	return d.Capacity - d.direct
 }
 
 // DirectPlayers returns how many players this datacenter streams directly.
-func (d *Datacenter) DirectPlayers() int { return len(d.direct) }
+func (d *Datacenter) DirectPlayers() int { return d.direct }
 
-// AddDirect registers a directly-streamed player, one no serving node lists.
-func (d *Datacenter) AddDirect(p *Player) { d.direct.add(p) }
-
-// RemoveDirect detaches a directly-streamed player; a player this datacenter
-// does not stream to is left alone.
-func (d *Datacenter) RemoveDirect(p *Player) { d.direct.remove(p) }
+// RemoveDirect uncounts a directly-streamed player before its attachment is
+// cleared; a player this datacenter does not stream to, by that attachment,
+// is left alone.
+func (d *Datacenter) RemoveDirect(p *Player) {
+	if a := p.Attached; a.DC == d && a.SN == nil {
+		d.direct--
+	}
+}
 
 // Share returns the egress bandwidth share (bits/second) available to one
 // directly-streamed player at the datacenter's current load.
 func (d *Datacenter) Share() int64 {
-	n := len(d.direct)
+	n := d.direct
 	if n == 0 {
 		n = 1
 	}
@@ -163,60 +165,50 @@ type Player struct {
 	SupernodeCapable bool
 
 	Online bool
-	// slot is the player's index in its serving node's member list while one
-	// lists it (it sits in the padding the two flags leave).
+	// slot is the player's index in its serving supernode's member list while
+	// one lists it (it sits in the padding the two flags leave).
 	slot     int32
 	Attached Attachment
-	// Backups are fallback supernodes recorded at assignment time
-	// (paper §III-A3), nearest-first.
-	Backups []*Supernode
 }
 
-// members is the set of players one serving node streams to, as a list each
+// member is one entry of a supernode's member list: the player and its backup
+// ring, the fallback supernodes recorded when it attached (paper §III-A3),
+// nearest-first. The ring belongs to the attachment, so it lives and goes
+// with the entry.
+type member struct {
+	p    *Player
+	ring []*Supernode
+}
+
+// members is the set of players one supernode streams to, as a list each
 // member knows its place in: a player is on at most one node's list, so
 // Player.slot is enough to find it, and membership costs no hashing. A
-// supernode's list removes with removeOrdered and so stays in attach order,
-// which is the order overload relief evicts in (newest last); a datacenter's
-// direct list, which can hold thousands, removes with remove, and nothing
-// reads its order.
-type members []*Player
+// removal shifts the later members down, so the list stays in attach order,
+// which is the order overload relief evicts in (newest last).
+type members []member
 
-// add appends p, which no list holds, and records where.
-func (m *members) add(p *Player) {
+// add appends p, which no list holds, with its ring, and records where.
+func (m *members) add(p *Player, ring []*Supernode) {
 	p.slot = int32(len(*m))
-	*m = append(*m, p)
+	*m = append(*m, member{p, ring})
 }
 
-// remove takes p out by moving the last member into its place. A player this
-// list does not hold at p.slot — one that is on another node's list, or on
-// none — is not a member, and the list stays as it is.
+// remove takes p out, its ring with it, by shifting the later members down a
+// slot each, so the others keep their order. A player this list does not hold
+// at p.slot — one that is on another node's list, or on none — is not a
+// member, and the list stays as it is. It costs the length of the list, which
+// a supernode's capacity bounds.
 func (m *members) remove(p *Player) {
 	l := *m
 	i := int(p.slot)
-	if i >= len(l) || l[i] != p {
-		return
-	}
-	last := len(l) - 1
-	l[i] = l[last]
-	l[i].slot = p.slot
-	l[last] = nil
-	*m = l[:last]
-}
-
-// removeOrdered takes p out by shifting the later members down a slot each,
-// so the others keep their order; a non-member is left alone, as by remove.
-// It costs the length of the list, which a supernode's capacity bounds.
-func (m *members) removeOrdered(p *Player) {
-	l := *m
-	i := int(p.slot)
-	if i >= len(l) || l[i] != p {
+	if i >= len(l) || l[i].p != p {
 		return
 	}
 	copy(l[i:], l[i+1:])
 	last := len(l) - 1
-	l[last] = nil
+	l[last] = member{}
 	for ; i < last; i++ {
-		l[i].slot = int32(i)
+		l[i].p.slot = int32(i)
 	}
 	*m = l[:last]
 }

@@ -10,7 +10,9 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -117,6 +119,9 @@ type World struct {
 	dcPts  []geo.Point
 	srvPts []geo.Point
 	snSpec []snSpec
+	// snByID indexes snSpec in ID order, which BuildSupernodes' permutation
+	// order is not, for the respawner's binary search.
+	snByID []int32
 
 	// games is the table players' Game pointers index: built once, written
 	// by nothing, shared by every clone.
@@ -154,9 +159,12 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w.snSpec = make([]snSpec, len(sns))
+	w.snByID = make([]int32, len(sns))
 	for i, sn := range sns {
 		w.snSpec[i] = snSpec{id: sn.ID, pos: sn.Pos, capacity: sn.Capacity, uplink: sn.Uplink}
+		w.snByID[i] = int32(i)
 	}
+	slices.SortFunc(w.snByID, func(a, b int32) int { return cmp.Compare(w.snSpec[a].id, w.snSpec[b].id) })
 	return w, nil
 }
 

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"cloudfog/internal/core"
@@ -147,17 +149,17 @@ func (w *World) FaultTargets() fault.Targets {
 }
 
 // Respawner returns the fault injector's respawn function, minting fresh
-// supernode instances from the world's immutable specs.
+// supernode instances from the world's immutable specs, which it finds by a
+// binary search of the ID index NewWorld built.
 func (w *World) Respawner() func(id int64) *core.Supernode {
-	specs := make(map[int64]snSpec, len(w.snSpec))
-	for _, sp := range w.snSpec {
-		specs[sp.id] = sp
-	}
 	return func(id int64) *core.Supernode {
-		sp, ok := specs[id]
+		i, ok := slices.BinarySearchFunc(w.snByID, id, func(j int32, id int64) int {
+			return cmp.Compare(w.snSpec[j].id, id)
+		})
 		if !ok {
 			return nil
 		}
+		sp := w.snSpec[w.snByID[i]]
 		return core.NewSupernode(sp.id, sp.pos, sp.capacity, sp.uplink)
 	}
 }

@@ -160,3 +160,36 @@ func TestResilienceSerialMatchesParallel(t *testing.T) {
 		}
 	})
 }
+
+// TestRespawnerFindsEverySpec: the respawn function mints each supernode from
+// its own spec, whatever order BuildSupernodes issued the IDs in, a fresh
+// instance per call, and nothing for an ID no spec holds.
+func TestRespawnerFindsEverySpec(t *testing.T) {
+	w := testWorld(t)
+	respawn := w.Respawner()
+	sorted := true
+	for i, sp := range w.snSpec {
+		sn := respawn(sp.id)
+		if sn == nil || sn.ID != sp.id || sn.Pos != sp.pos || sn.Capacity != sp.capacity || sn.Uplink != sp.uplink {
+			t.Fatalf("respawn(%d) = %+v, want spec %+v", sp.id, sn, sp)
+		}
+		if respawn(sp.id) == sn {
+			t.Fatalf("respawn(%d) handed out the same instance twice", sp.id)
+		}
+		if i > 0 && sp.id < w.snSpec[i-1].id {
+			sorted = false
+		}
+	}
+	if sorted {
+		t.Fatal("the world's supernode IDs are in ID order; the index is not exercised")
+	}
+	lo, hi := w.snSpec[0].id, w.snSpec[0].id
+	for _, sp := range w.snSpec {
+		lo, hi = min(lo, sp.id), max(hi, sp.id)
+	}
+	for _, id := range []int64{lo - 1, hi + 1, w.Pop.Players[0].ID} {
+		if sn := respawn(id); sn != nil {
+			t.Fatalf("respawn(%d) = supernode %d, want nil for an ID no spec holds", id, sn.ID)
+		}
+	}
+}

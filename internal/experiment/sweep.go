@@ -13,7 +13,7 @@ import (
 // one allocation, so a sweep worker can join and leave them without touching
 // any other worker's state. Immutable data — the config, infrastructure
 // placements, supernode specs, the game table — is shared; per-player runtime
-// state (Online, Attached, Backups) is reset to the never-joined state, and a
+// state (Online, Attached) is reset to the never-joined state, and a
 // copied Game points at the read-only row it did until the clone's joins
 // re-point it. The node-run pools and groupRun's scratch are per goroutine, so
 // a clone starts without any.
@@ -26,7 +26,6 @@ func (w *World) Clone() *World {
 		p := &pop.Players[i]
 		p.Online = false
 		p.Attached = core.Attachment{}
-		p.Backups = nil
 	}
 	cw.Pop = &pop
 	return &cw

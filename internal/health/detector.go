@@ -146,7 +146,9 @@ func (c DetectorConfig) Bound() time.Duration {
 // monotonic Duration clock — the sim engine's virtual now or a wall-clock
 // offset — which is what lets the sim and live paths share the arithmetic.
 type Detector struct {
-	cfg  DetectorConfig
+	// cfg is read-only and may be shared: a Monitor's detectors all point at
+	// its one copy.
+	cfg  *DetectorConfig
 	last time.Duration
 	// Inter-arrival window, a running ring over the last cfg.Window gaps.
 	gaps  []time.Duration
@@ -161,10 +163,10 @@ type Detector struct {
 	sync bool
 }
 
-// NewDetector returns a detector with the (defaulted) config.
+// NewDetector returns a detector with its own copy of the (defaulted) config.
 func NewDetector(cfg DetectorConfig) *Detector {
 	cfg = cfg.Defaulted()
-	return &Detector{cfg: cfg, gaps: make([]time.Duration, 0, cfg.Window)}
+	return &Detector{cfg: &cfg, gaps: make([]time.Duration, 0, cfg.Window)}
 }
 
 // Reset clears the history and re-bases the silence clock at now — used when

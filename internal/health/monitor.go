@@ -68,7 +68,8 @@ type monBlock struct {
 
 // allocNode hands out the next arena slot with its detector wired to a
 // cap-bounded sub-window of the slab's shared gaps array — the detector
-// ring never grows past Window, so the sub-slice is all it ever needs.
+// ring never grows past Window, so the sub-slice is all it ever needs — and
+// to the monitor's own config, which no detector keeps a copy of.
 func (m *Monitor) allocNode() *monNode {
 	if m.block == nil || m.block.used == monChunk {
 		m.block = &monBlock{gaps: make([]time.Duration, monChunk*m.cfg.Window)}
@@ -77,7 +78,7 @@ func (m *Monitor) allocNode() *monNode {
 	n := &b.nodes[b.used]
 	w := m.cfg.Window
 	lo := b.used * w
-	*n = monNode{det: Detector{cfg: m.cfg, gaps: b.gaps[lo : lo : lo+w]}}
+	*n = monNode{det: Detector{cfg: &m.cfg, gaps: b.gaps[lo : lo : lo+w]}}
 	b.used++
 	return n
 }
