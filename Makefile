@@ -183,7 +183,9 @@ scale:
 # (estimators by stream index), stream (EncodeInto over a dirty segment) and
 # sim (a re-seeded generator against a fresh one) suites; what a warm groupRun
 # allocates on the world's pools, its bytes at any worker count, and that a
-# clone shares none of it; then the repo benchmark's sim-figures workload,
+# clone shares none of it; every registered figure's bytes against its digest
+# row, on the small world (tier-1 runs that too) and on the default world at
+# seed 2026; then the repo benchmark's sim-figures workload,
 # whose op_ms is the wall time of Figures 9(a), 10(a) and 11(a) on the
 # quarter-scale world. The run builds bench/ against this tree and fails if
 # the pinned figure hash moves.
@@ -191,6 +193,7 @@ figures:
 	$(GO) test -count=1 -run 'Golden|Ties|InFlight|Pool|AllocFloor|SizeJitter|StreamInit' ./internal/qoe/
 	$(GO) test -count=1 ./internal/sched/ ./internal/stream/ ./internal/sim/
 	$(GO) test -count=1 -run 'GroupRun|CloneIsolation' ./internal/experiment/
+	$(GO) test -tags figures -count=1 -run 'FigureDigests' ./internal/experiment/
 	bash bench/run.sh --workload sim-figures --seed 2026 --seconds 20 --trace 0
 
 # reach measures which functions of cloudfog/internal/... the product ever
