@@ -137,7 +137,7 @@ latency:
 # fogs a recount of each datacenter's direct players, the cloud bandwidth and
 # where each backup ring lives; the member lists' removal cases, a
 # supernode's list kept in attach order, relief evicting newest-first, and
-# what a warm join allocates; the one limit a probe is held to; the 72-byte
+# what a warm join allocates; the one limit a probe is held to; the 56-byte
 # player; the scaling run's golden and its bytes-allocated-per-player ceiling;
 # a world clone's allocation count, flat in the population; the grid's sorted k-best
 # against brute force, its tie-break on ID, accept asked about entrants only,

@@ -491,9 +491,9 @@ func BenchmarkAblationBackups(b *testing.B) {
 		players := make([]*core.Player, 100)
 		for j := range players {
 			players[j] = &core.Player{
-				ID:       int64(j),
+				ID:       int32(j),
 				Pos:      region.Clamp(geo.Point{X: region.Center().X + float64(j*5), Y: region.Center().Y + 10}),
-				Game:     &g,
+				GameID:   uint8(g.ID),
 				Downlink: 20_000_000,
 			}
 			fog.Join(players[j])

@@ -50,9 +50,9 @@ func main() {
 			metro = geo.Point{X: 4050, Y: 2050}
 		}
 		p := &core.Player{
-			ID:       int64(i),
+			ID:       int32(i),
 			Pos:      region.Clamp(geo.Point{X: metro.X + float64(i)*30, Y: metro.Y}),
-			Game:     &games[i%len(games)],
+			GameID:   uint8(games[i%len(games)].ID),
 			Downlink: 20_000_000,
 		}
 		players = append(players, p)
@@ -67,19 +67,20 @@ func main() {
 			serving = fmt.Sprintf("supernode %d (stream %v + update %v)",
 				a.SN.ID, a.StreamLatency.Round(time.Millisecond), a.UpdateLatency().Round(time.Millisecond))
 		}
+		g := p.Game()
 		ok := "MISSES"
-		if latency <= p.Game.ResponseRequirement() {
+		if latency <= g.ResponseRequirement() {
 			ok = "meets"
 		}
 		fmt.Printf("  player %d (%-10s req %3dms): %-55s response %v — %s requirement\n",
-			p.ID, p.Game.Name, p.Game.ResponseRequirement().Milliseconds(),
+			p.ID, g.Name, g.ResponseRequirement().Milliseconds(),
 			serving, latency.Round(time.Millisecond), ok)
 	}
 
 	fmt.Printf("\ncloud egress with fog: %.1f Mbit/s", float64(fog.CloudBandwidth())/1e6)
 	var direct int64
 	for _, p := range players {
-		direct += cfg.WireRate(p.Game.Quality().Bitrate)
+		direct += cfg.WireRate(p.Game().Quality().Bitrate)
 	}
 	fmt.Printf(" (pure cloud streaming would cost %.1f Mbit/s)\n\n", float64(direct)/1e6)
 

@@ -39,7 +39,7 @@ func twoDCs(cfg core.Config) []*core.Datacenter {
 }
 
 func player(id int64, pos geo.Point, g game.Game) *core.Player {
-	return &core.Player{ID: id, Pos: pos, Game: &g, Downlink: 20_000_000}
+	return &core.Player{ID: int32(id), Pos: pos, GameID: uint8(g.ID), Downlink: 20_000_000}
 }
 
 // The Cloud baseline is a fog with no supernodes: every join takes the

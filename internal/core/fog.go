@@ -284,7 +284,7 @@ func (f *Fog) detach(p *Player) {
 		p.Attached.SN.players.remove(p)
 		f.observeOccupancy(p.Attached.SN)
 	case AttachCloud:
-		f.cloudRate -= f.cfg.WireRate(p.Game.Quality().Bitrate)
+		f.cloudRate -= f.cfg.WireRate(p.Game().Quality().Bitrate)
 		p.Attached.DC.RemoveDirect(p)
 	case AttachEdge:
 		p.Attached.DC.RemoveDirect(p)
@@ -358,13 +358,14 @@ func (f *Fog) assign(p *Player) {
 	pe := f.latency.Resolve(p.Endpoint())
 	est := f.cfg.Locator.Locate(p.Pos, f.rng)
 	cands := f.shortlist(est.X, est.Y, f.cfg.Candidates)
-	lmax := f.cfg.Lmax(p.Game.NetworkBudget())
+	g := p.Game()
+	budget := g.NetworkBudget()
+	lmax := f.cfg.Lmax(budget)
 
-	budget := p.Game.NetworkBudget()
 	// The guaranteed transmission floor: a supernode provisions
 	// UplinkPerSlot per supported player, so one segment at the game's
 	// bitrate takes at least segBytes/perSlot to send.
-	segBits := float64(f.cfg.Stream.SegmentBytes(p.Game.Quality().Bitrate)) * 8
+	segBits := float64(f.cfg.Stream.SegmentBytes(g.Quality().Bitrate)) * 8
 	minTrans := time.Duration(segBits / float64(f.cfg.UplinkPerSlot) * float64(time.Second))
 	probes := f.probeScratch[:0]
 	for _, sn := range cands {
@@ -423,7 +424,7 @@ func (f *Fog) assign(p *Player) {
 // (re-probed for liveness, capacity and delay) before rerunning the full
 // protocol; what is left of the ring moves to the entry it attaches to.
 func (f *Fog) failover(p *Player, ring []*Supernode) {
-	lmax := f.cfg.Lmax(p.Game.NetworkBudget())
+	lmax := f.cfg.Lmax(p.Game().NetworkBudget())
 	pe := f.latency.Resolve(p.Endpoint())
 	for i, sn := range ring {
 		// The backup must still be the registered machine: a departed
@@ -538,7 +539,7 @@ func (f *Fog) attachCloud(p *Player, pe trace.Endpoint, estX, estY float64) {
 	}
 	best.direct++
 	if !best.Edge {
-		f.cloudRate += f.cfg.WireRate(p.Game.Quality().Bitrate)
+		f.cloudRate += f.cfg.WireRate(p.Game().Quality().Bitrate)
 	}
 	p.Attached = Attachment{DC: best, StreamLatency: f.latency.OneWay(pe, best.Endpoint())}
 	if o := f.cfg.Obs; o != nil {
@@ -603,7 +604,7 @@ func (f *Fog) Census(players []*Player) Census {
 		if p.Attached.SN != nil {
 			c.FogServed++
 		}
-		if f.NetworkLatency(p) <= p.Game.NetworkBudget() {
+		if f.NetworkLatency(p) <= p.Game().NetworkBudget() {
 			c.Within++
 		}
 	}
@@ -631,7 +632,7 @@ func (f *Fog) CloudBandwidth() int64 {
 // transmission at the bottleneck share (serving node share vs. player
 // downlink). Unserved players get an effectively infinite latency.
 func FlowLatency(cfg Config, p *Player) time.Duration {
-	return FlowLatencyAt(cfg, p, p.Game.Quality().Bitrate)
+	return FlowLatencyAt(cfg, p, p.Game().Quality().Bitrate)
 }
 
 // FlowLatencyAt is FlowLatency with an explicit encoding bitrate, used to
@@ -649,8 +650,8 @@ func FlowLatencyAt(cfg Config, p *Player, bitrate int64) time.Duration {
 	case AttachCloud, AttachEdge:
 		share = a.DC.Share()
 	}
-	if p.Downlink > 0 && share > p.Downlink {
-		share = p.Downlink
+	if dl := int64(p.Downlink); dl > 0 && share > dl {
+		share = dl
 	}
 	if share <= 0 {
 		return time.Duration(1<<62 - 1)
@@ -667,8 +668,9 @@ func FlowLatencyAt(cfg Config, p *Player, bitrate int64) time.Duration {
 // the receiver-driven rate adaptation when whole-system (rather than
 // per-node event-driven) latency figures are computed.
 func AdaptedFlowLatency(cfg Config, p *Player) time.Duration {
-	budget := p.Game.NetworkBudget()
-	for lvl := p.Game.StartLevel; lvl >= 1; lvl-- {
+	g := p.Game()
+	budget := g.NetworkBudget()
+	for lvl := g.StartLevel; lvl >= 1; lvl-- {
 		l := FlowLatencyAt(cfg, p, mustBitrate(lvl))
 		if l <= budget || lvl == 1 {
 			return l

@@ -52,7 +52,7 @@ func buildTestFog(t *testing.T, cfg Config, nSupernodes int) *Fog {
 }
 
 func testPlayer(id int64, pos geo.Point, g game.Game) *Player {
-	return &Player{ID: id, Pos: pos, Game: &g, Downlink: 20_000_000}
+	return &Player{ID: int32(id), Pos: pos, GameID: uint8(g.ID), Downlink: 20_000_000}
 }
 
 func TestBuildFogValidation(t *testing.T) {
@@ -110,7 +110,7 @@ func TestJoinPrefersNearbySupernode(t *testing.T) {
 		t.Fatalf("supernode load = %d, want 1", a.SN.Load())
 	}
 	// The chosen supernode must satisfy the player's L_max threshold.
-	lmax := cfg.Lmax(p.Game.NetworkBudget())
+	lmax := cfg.Lmax(p.Game().NetworkBudget())
 	if a.StreamLatency > lmax {
 		t.Fatalf("stream latency %v exceeds L_max %v", a.StreamLatency, lmax)
 	}
@@ -132,7 +132,7 @@ func TestJoinChoosesMinTotalPathDelay(t *testing.T) {
 	// No other qualified candidate may beat the chosen total serving-path
 	// delay (stream hop + cloud->supernode update hop). With exact
 	// geolocation and 10 supernodes, every supernode is in the shortlist.
-	lmax := cfg.Lmax(p.Game.NetworkBudget())
+	lmax := cfg.Lmax(p.Game().NetworkBudget())
 	for _, sn := range f.Supernodes() {
 		if sn == a.SN {
 			continue
@@ -385,10 +385,10 @@ func TestNetworkLatencyComposition(t *testing.T) {
 	// With a lightly loaded supernode the transmission time is segment
 	// bytes over min(share, downlink).
 	share := a.SN.Share()
-	if p.Downlink < share {
-		share = p.Downlink
+	if dl := int64(p.Downlink); dl < share {
+		share = dl
 	}
-	segBytes := cfg.Stream.SegmentBytes(p.Game.Quality().Bitrate)
+	segBytes := cfg.Stream.SegmentBytes(p.Game().Quality().Bitrate)
 	wantTrans := time.Duration(float64(segBytes) * 8 / float64(share) * float64(time.Second))
 	if got != a.PathLatency()+wantTrans {
 		t.Fatalf("latency = %v, want %v", got, a.PathLatency()+wantTrans)
@@ -419,7 +419,7 @@ func TestCensusMatchesHandCount(t *testing.T) {
 				want.FogServed++
 			}
 			want.Served++
-			if FlowLatency(cfg, p) <= p.Game.NetworkBudget() {
+			if FlowLatency(cfg, p) <= p.Game().NetworkBudget() {
 				want.Within++
 			}
 		}
@@ -468,7 +468,7 @@ func TestCloudBandwidthAccounting(t *testing.T) {
 	// 2700 km away).
 	p2 := testPlayer(51, geo.Point{X: 0, Y: 0}, mustGame(t, 1))
 	f.Join(p2)
-	want := cfg.UpdateBandwidth + cfg.WireRate(p2.Game.Quality().Bitrate)
+	want := cfg.UpdateBandwidth + cfg.WireRate(p2.Game().Quality().Bitrate)
 	if got := f.CloudBandwidth(); got != want {
 		t.Fatalf("cloud bandwidth = %d, want %d", got, want)
 	}

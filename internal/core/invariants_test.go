@@ -125,7 +125,7 @@ func checkLedgers(t testing.TB, f *Fog, players []*Player) {
 		a := p.Attached
 		switch a.Kind() {
 		case AttachCloud:
-			bandwidth += f.cfg.WireRate(p.Game.Quality().Bitrate)
+			bandwidth += f.cfg.WireRate(p.Game().Quality().Bitrate)
 			fallthrough
 		case AttachEdge:
 			direct[a.DC]++
@@ -314,7 +314,7 @@ func fogInvariantsUnderRandomOps(t *testing.T, sys system, ladder *health.Overlo
 	players := make([]*Player, nPlayers)
 	for i := range players {
 		g, _ := game.ByID(1 + rng.Intn(5))
-		players[i] = &Player{ID: int64(i), Pos: placer.Place(rng), Game: &g, Downlink: 20_000_000}
+		players[i] = &Player{ID: int32(i), Pos: placer.Place(rng), GameID: uint8(g.ID), Downlink: 20_000_000}
 	}
 	registered := make(map[int64]*Supernode)
 	for _, sn := range specs {

@@ -8,12 +8,12 @@ import (
 	"unsafe"
 )
 
-// TestPlayerLayout holds a simulated player to 72 bytes on a 64-bit build: a
+// TestPlayerLayout holds a simulated player to 56 bytes on a 64-bit build: a
 // world keeps one per player, so at ten million players each 8 bytes is 80 MB
 // of resident set. A field added to Player is a decision; the failure prints
 // the budget it broke, field by field.
 func TestPlayerLayout(t *testing.T) {
-	const want = 72
+	const want = 56
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the budget is for 64-bit builds")
 	}

@@ -120,7 +120,7 @@ func listed(list members) []*Player {
 func ids(ps []*Player) []int64 {
 	out := make([]int64, len(ps))
 	for i, p := range ps {
-		out[i] = p.ID
+		out[i] = int64(p.ID)
 	}
 	return out
 }

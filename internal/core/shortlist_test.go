@@ -580,7 +580,7 @@ func TestReliefEvictsNewestFirst(t *testing.T) {
 	if n := f.RelieveOverloaded(); n != 3 {
 		t.Fatalf("relief moved %d players, want 3 (4 of 5 → 1 of 5 lets go of Migrating)", n)
 	}
-	want := []int64{ps[4].ID, ps[3].ID, ps[2].ID}
+	want := []int64{int64(ps[4].ID), int64(ps[3].ID), int64(ps[2].ID)}
 	if !slices.Equal(spy.order, want) {
 		t.Fatalf("relief re-placed %v, want newest first %v", spy.order, want)
 	}

@@ -154,22 +154,29 @@ func (s *Supernode) Share() int64 {
 // Player is one game client. Thin clients cannot render; they send actions
 // and play back a received video stream.
 type Player struct {
-	ID  int64
-	Pos geo.Point
-	// Game points into a game table nothing writes through; nil until a join.
-	Game     *game.Game
-	Downlink int64 // bits/second
+	// ID is the player's index in its population, below 2³¹ (workload's
+	// MaxPlayers); readers widen it to the int64 every other node ID is.
+	ID int32
+	// slot is the player's index in its serving supernode's member list while
+	// one lists it.
+	slot     int32
+	Pos      geo.Point
+	Downlink uint32 // bits/second
+	// GameID names the player's row of game's table (Game returns it); 0
+	// until a join.
+	GameID uint8
 
 	// SupernodeCapable marks players whose hardware could serve as a
 	// supernode (10% of the population in the paper's evaluation).
 	SupernodeCapable bool
 
-	Online bool
-	// slot is the player's index in its serving supernode's member list while
-	// one lists it (it sits in the padding the two flags leave).
-	slot     int32
+	Online   bool
 	Attached Attachment
 }
+
+// Game returns the player's row of game's read-only table, or nil before
+// its first join.
+func (p *Player) Game() *game.Game { return game.Row(p.GameID) }
 
 // member is one entry of a supernode's member list: the player and its backup
 // ring, the fallback supernodes recorded when it attached (paper §III-A3),

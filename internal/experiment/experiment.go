@@ -123,10 +123,6 @@ type World struct {
 	// order is not, for the respawner's binary search.
 	snByID []int32
 
-	// games is the table players' Game pointers index: built once, written
-	// by nothing, shared by every clone.
-	games []game.Game
-
 	runs nodeRuns
 }
 
@@ -148,7 +144,7 @@ func NewWorld(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &World{Cfg: cfg, Pop: pop, games: game.Games()}
+	w := &World{Cfg: cfg, Pop: pop}
 
 	rng := sim.NewRand(cfg.Seed + 100)
 	w.dcPts = geo.SpreadPoints(cfg.Core.Region, max(cfg.Datacenters, 25), rng.Fork())
@@ -181,10 +177,10 @@ func (w *World) Fingerprint() uint32 {
 	b = recfmt.AppendUvarint(b, uint64(len(w.Pop.Players)))
 	for i := range w.Pop.Players {
 		p := &w.Pop.Players[i]
-		b = recfmt.AppendVarint(b, p.ID)
+		b = recfmt.AppendVarint(b, int64(p.ID))
 		b = recfmt.AppendFloat64(b, p.Pos.X)
 		b = recfmt.AppendFloat64(b, p.Pos.Y)
-		b = recfmt.AppendVarint(b, p.Downlink)
+		b = recfmt.AppendVarint(b, int64(p.Downlink))
 		cap := uint64(0)
 		if p.SupernodeCapable {
 			cap = 1
@@ -284,17 +280,23 @@ func (w *World) NewEdgeCloud(nDCs int) (*core.Fog, error) {
 // random, deterministic in the world seed) and joins them to the system in
 // a deterministic shuffled order, returning the joined players.
 func (w *World) JoinAll(sys *core.Fog, n int) []*core.Player {
-	return w.joinAll(sys, n, nil)
+	return w.joinAll(sys, n, 0)
 }
 
 // JoinAllGame is JoinAll with every player assigned the same game — the
 // coverage sweeps' semantics, where each curve is a world whose games share
-// one network latency requirement. The joined players share one copy of g.
+// one network latency requirement. g must be a row of game's table: a player
+// holds its game as that row's ID.
 func (w *World) JoinAllGame(sys *core.Fog, n int, g game.Game) []*core.Player {
-	return w.joinAll(sys, n, &g)
+	if row, err := game.ByID(g.ID); err != nil || row != g {
+		panic(fmt.Sprintf("experiment: JoinAllGame of %+v, which is not a row of game's table", g))
+	}
+	return w.joinAll(sys, n, uint8(g.ID))
 }
 
-func (w *World) joinAll(sys *core.Fog, n int, fixed *game.Game) []*core.Player {
+// joinAll joins the first n players of a shuffled order, each on the game
+// fixed names, or on one drawn at random when fixed is 0.
+func (w *World) joinAll(sys *core.Fog, n int, fixed uint8) []*core.Player {
 	if n > len(w.Pop.Players) {
 		n = len(w.Pop.Players)
 	}
@@ -303,10 +305,10 @@ func (w *World) joinAll(sys *core.Fog, n int, fixed *game.Game) []*core.Player {
 	order := rng.Perm(len(w.Pop.Players))[:n]
 	for i, idx := range order {
 		p := &w.Pop.Players[idx]
-		if fixed != nil {
-			p.Game = fixed
+		if fixed != 0 {
+			p.GameID = fixed
 		} else {
-			p.Game = &w.games[rng.Intn(len(w.games))]
+			p.GameID = uint8(rng.Intn(game.Count) + 1)
 		}
 		players[i] = p
 	}
@@ -528,7 +530,7 @@ func fogEconomics(w *World, n int) ([]econ.Supernode, error) {
 	players := w.JoinAll(cloud, n)
 	covered := make([]bool, len(players))
 	for i, p := range players {
-		covered[i] = cloud.NetworkLatency(p) <= p.Game.NetworkBudget()
+		covered[i] = cloud.NetworkLatency(p) <= p.Game().NetworkBudget()
 	}
 	w.LeaveAll(cloud, players)
 
@@ -554,9 +556,9 @@ func fogEconomics(w *World, n int) ([]econ.Supernode, error) {
 		if !ok {
 			continue
 		}
-		rate := float64(w.Cfg.Core.WireRate(p.Game.Quality().Bitrate))
+		rate := float64(w.Cfg.Core.WireRate(p.Game().Quality().Bitrate))
 		sns[j].Streamed += rate
-		if !covered[i] && fog.NetworkLatency(p) <= p.Game.NetworkBudget() {
+		if !covered[i] && fog.NetworkLatency(p) <= p.Game().NetworkBudget() {
 			sns[j].NewlyCovered += rate
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cloudfog/internal/core"
+	"cloudfog/internal/game"
 	"cloudfog/internal/metrics"
 	"cloudfog/internal/workload"
 )
@@ -98,9 +99,9 @@ func TestQoEFiguresRefuseHorizonInsideWarmup(t *testing.T) {
 // one trace.NodeID would measure a landscape nobody configured. Up to a
 // million players the bases are what they always were (every latency draw,
 // golden and recording keyed by them stands); above it they widen; Validate
-// refuses only where the widening itself runs out of int64.
+// refuses a population a player's 32-bit ID cannot index.
 func TestConfigRefusesAliasedNodeIDs(t *testing.T) {
-	for _, players := range []int{1_000_000, 1_000_001, 10_000_000} {
+	for _, players := range []int{1_000_000, 1_000_001, 10_000_000, workload.MaxPlayers} {
 		cfg := Default(1)
 		cfg.Players = players
 		if err := cfg.Validate(); err != nil {
@@ -350,12 +351,75 @@ func TestJoinAllGameDrawGolden(t *testing.T) {
 	var b [16]byte
 	for _, p := range w.JoinAll(sys, 500) {
 		binary.LittleEndian.PutUint64(b[:8], uint64(p.ID))
-		binary.LittleEndian.PutUint64(b[8:], uint64(p.Game.ID))
+		binary.LittleEndian.PutUint64(b[8:], uint64(p.Game().ID))
 		h.Write(b[:])
 	}
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
 		t.Fatalf("JoinAll's (player, game) digest %s, want %s: the game draw moved", got, want)
 	}
+}
+
+// TestPlayerGameRows checks the one-byte game a player holds: no game before
+// a join, a pointer to one of game's own rows after one (all five turn up
+// under JoinAll, and JoinAllGame gives every player the row it was passed),
+// none again in a clone, and a JoinAllGame panic on a game that is no row.
+func TestPlayerGameRows(t *testing.T) {
+	cfg := Default(2026)
+	cfg.Players = 600
+	cfg.Supernodes = 40
+	cfg.EdgeServers = 5
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.Pop.Players {
+		if g := w.Pop.Players[i].Game(); g != nil {
+			t.Fatalf("player %d plays %s before any join", w.Pop.Players[i].ID, g.Name)
+		}
+	}
+	sys, err := w.NewFog(w.Cfg.Datacenters, w.Cfg.Supernodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	players := w.JoinAll(sys, w.Cfg.Players)
+	for _, p := range players {
+		g := p.Game()
+		if g == nil || g != game.Row(uint8(g.ID)) {
+			t.Fatalf("player %d's game %v is not a row of game's table", p.ID, g)
+		}
+		seen[g.ID] = true
+	}
+	if len(seen) != game.Count {
+		t.Fatalf("JoinAll drew games %v, want all %d", seen, game.Count)
+	}
+	w.LeaveAll(sys, players)
+	for _, want := range game.Games() {
+		players := w.JoinAllGame(sys, w.Cfg.Players, want)
+		for _, p := range players {
+			if g := p.Game(); g == nil || *g != want {
+				t.Fatalf("JoinAllGame(%s) gave player %d %v", want.Name, p.ID, g)
+			}
+		}
+		w.LeaveAll(sys, players)
+	}
+	cw := w.Clone()
+	for i := range cw.Pop.Players {
+		if g := cw.Pop.Players[i].Game(); g != nil {
+			t.Fatalf("a clone's player %d still plays %s", cw.Pop.Players[i].ID, g.Name)
+		}
+		if w.Pop.Players[i].Game() == nil {
+			t.Fatalf("cloning reset the original's player %d", w.Pop.Players[i].ID)
+		}
+	}
+	off := *game.Row(1)
+	off.LatencyReq++
+	defer func() {
+		if recover() == nil {
+			t.Fatal("JoinAllGame joined players on a game that is no row of game's table")
+		}
+	}()
+	w.JoinAllGame(sys, 10, off)
 }
 
 // TestCloudAttachGolden pins the Cloud baseline's attachments: a digest of

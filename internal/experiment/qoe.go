@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cloudfog/internal/core"
+	"cloudfog/internal/game"
 	"cloudfog/internal/metrics"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/qoe"
@@ -275,8 +276,8 @@ func (w *World) SupernodeScenario(k int) (uplink int64, specs []qoe.PlayerSpec) 
 	specs = make([]qoe.PlayerSpec, k)
 	for i := 0; i < k; i++ {
 		specs[i] = qoe.PlayerSpec{
-			ID:           w.Pop.Players[probes[i].idx].ID,
-			Game:         w.games[rng.Intn(len(w.games))],
+			ID:           int64(w.Pop.Players[probes[i].idx].ID),
+			Game:         *game.Row(uint8(rng.Intn(game.Count) + 1)),
 			Latency:      probes[i].l,
 			InboundDelay: inbound,
 		}

@@ -187,7 +187,7 @@ func TestRespawnerFindsEverySpec(t *testing.T) {
 	for _, sp := range w.snSpec {
 		lo, hi = min(lo, sp.id), max(hi, sp.id)
 	}
-	for _, id := range []int64{lo - 1, hi + 1, w.Pop.Players[0].ID} {
+	for _, id := range []int64{lo - 1, hi + 1, int64(w.Pop.Players[0].ID)} {
 		if sn := respawn(id); sn != nil {
 			t.Fatalf("respawn(%d) = supernode %d, want nil for an ID no spec holds", id, sn.ID)
 		}

@@ -327,10 +327,11 @@ func TestBackupRingFailoverAcrossWorkers(t *testing.T) {
 // run builds and never reads shows up as a failure instead of as a profile
 // somebody has to think of taking (make reach counts functions entered; a
 // write-only field lives inside one that is). Measured on this world, bytes
-// per player, NewWorld / one ScaleRun: 88 / 169 with a 72-byte Player (the
-// backup ring on the supernode's member entry, a datacenter's direct players
-// a count) and a respawner that searches an ID index instead of building a
-// map; 112 / 182 with a 96-byte Player (an attachment keeps no kind or update
+// per player, NewWorld / one ScaleRun: 72 / 169 with a 56-byte Player (a
+// 32-bit ID and downlink, a one-byte game); 88 / 169 with a 72-byte Player
+// (the backup ring on the supernode's member entry, a datacenter's direct
+// players a count) and a respawner that searches an ID index instead of
+// building a map; 112 / 182 with a 96-byte Player (an attachment keeps no kind or update
 // latency, a player no attach stamp) and the runner's packet tallies kept
 // only for the players a node simulation sampled; 136 / 195 with a 120-byte Player held by value in one slice; 216 /
 // 213 before that; 216 / 270 before the partition's copy of every player's
@@ -344,7 +345,7 @@ func TestBackupRingFailoverAcrossWorkers(t *testing.T) {
 func TestScaleRunAllocBudget(t *testing.T) {
 	const (
 		players          = 20_000
-		worldBytesPerOne = 110
+		worldBytesPerOne = 90
 		runBytesPerOne   = 211
 	)
 	cfg := Default(2026)

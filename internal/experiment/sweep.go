@@ -25,6 +25,7 @@ func (w *World) Clone() *World {
 	for i := range pop.Players {
 		p := &pop.Players[i]
 		p.Online = false
+		p.GameID = 0
 		p.Attached = core.Attachment{}
 	}
 	cw.Pop = &pop

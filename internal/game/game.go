@@ -116,10 +116,13 @@ type Game struct {
 	StartLevel    int           // ladder level matched to LatencyReq
 }
 
+// Count is the number of evaluated games; their IDs are 1 through Count.
+const Count = 5
+
 // games mirrors the paper's five evaluated games, one per ladder row. Loss
 // tolerances follow the genre ordering of ref [11]: fast-paced games (strict
 // latency) tolerate some loss; slow-paced games tolerate more of both.
-var games = []Game{
+var games = [Count]Game{
 	{ID: 1, Name: "shooter", LatencyReq: 30 * time.Millisecond, RhoLatency: 0.6, LossTolerance: 0.10, StartLevel: 1},
 	{ID: 2, Name: "racing", LatencyReq: 50 * time.Millisecond, RhoLatency: 0.7, LossTolerance: 0.15, StartLevel: 2},
 	{ID: 3, Name: "action-rpg", LatencyReq: 70 * time.Millisecond, RhoLatency: 0.8, LossTolerance: 0.20, StartLevel: 3},
@@ -130,7 +133,7 @@ var games = []Game{
 // Games returns the five evaluated games. The slice is a copy.
 func Games() []Game {
 	out := make([]Game, len(games))
-	copy(out, games)
+	copy(out, games[:])
 	return out
 }
 
@@ -140,6 +143,15 @@ func ByID(id int) (Game, error) {
 		return Game{}, fmt.Errorf("game: id %d out of range [1,%d]", id, len(games))
 	}
 	return games[id-1], nil
+}
+
+// Row returns the game with the given ID as a pointer into this package's
+// own table, which nothing writes through, or nil for ID 0 (no game).
+func Row(id uint8) *Game {
+	if id == 0 {
+		return nil
+	}
+	return &games[id-1]
 }
 
 // NetworkBudget returns the game's network latency budget. The paper's

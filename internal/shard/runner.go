@@ -300,14 +300,14 @@ func (r *Runner) buildTasks(killsAt map[int64]time.Duration, t0, t1 time.Duratio
 // the two latencies of its serving path and, when capOf is set and a
 // supernode serves it, the encoding-level cap that node is held to.
 func PlayerSpec(p *core.Player, capOf func(snID int64, startLevel int) int) qoe.PlayerSpec {
-	a := &p.Attached
+	a, g := &p.Attached, p.Game()
 	levelCap := 0
 	if capOf != nil && a.SN != nil {
-		levelCap = capOf(a.SN.ID, p.Game.StartLevel)
+		levelCap = capOf(a.SN.ID, g.StartLevel)
 	}
 	return qoe.PlayerSpec{
-		ID:           p.ID,
-		Game:         *p.Game,
+		ID:           int64(p.ID),
+		Game:         *g,
 		Latency:      a.StreamLatency,
 		InboundDelay: a.UpdateLatency(),
 		LevelCap:     levelCap,

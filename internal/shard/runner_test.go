@@ -42,11 +42,11 @@ func buildTasksReference(r *Runner, killsAt map[int64]time.Duration, t0, t1 time
 		}
 		levelCap := 0
 		if capOf != nil {
-			levelCap = capOf(a.SN.ID, p.Game.StartLevel)
+			levelCap = capOf(a.SN.ID, p.Game().StartLevel)
 		}
 		t.specs = append(t.specs, qoe.PlayerSpec{
-			ID:           p.ID,
-			Game:         *p.Game,
+			ID:           int64(p.ID),
+			Game:         *p.Game(),
 			Latency:      a.StreamLatency,
 			InboundDelay: a.UpdateLatency(),
 			LevelCap:     levelCap,
@@ -107,7 +107,7 @@ func ladderRunner(t *testing.T, budget int) *Runner {
 		if err != nil {
 			t.Fatal(err)
 		}
-		players[i] = &core.Player{ID: int64(i), Pos: placer.Place(rng), Game: &g, Downlink: 20_000_000}
+		players[i] = &core.Player{ID: int32(i), Pos: placer.Place(rng), GameID: uint8(g.ID), Downlink: 20_000_000}
 		fog.Join(players[i])
 	}
 	return NewRunner(Config{

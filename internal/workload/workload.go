@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"cloudfog/internal/core"
 	"cloudfog/internal/geo"
@@ -19,15 +20,16 @@ import (
 const (
 	PlayerIDBase = 0
 
-	// MaxPlayers is the largest population the layout has room for: the widest
-	// power-of-ten stride whose edge-server range still fits an int64.
-	MaxPlayers int64 = 1_000_000_000_000_000_000
+	// MaxPlayers is the largest population a core.Player's int32 ID can
+	// index.
+	MaxPlayers = math.MaxInt32
 )
 
 // idStride returns the distance between the ID ranges of a population: the
 // smallest power of ten that holds every player, and never less than the
 // 1 000 000 it was when a million players was the limit, so every ID — and
 // every latency draw keyed by one — of a world that fitted then is unchanged.
+// At MaxPlayers it is 10¹⁰.
 func idStride(players int) int64 {
 	stride := int64(1_000_000)
 	for stride < int64(players) && stride < MaxPlayers {
@@ -49,7 +51,8 @@ type Config struct {
 	Players           int
 	SupernodeFraction float64
 	Placer            geo.Placer
-	// Downlink is lognormal across players.
+	// Downlink is lognormal across players, in bits/s; a player holds it in
+	// 32 bits, so the median is at most math.MaxUint32.
 	DownlinkMedian int64
 	DownlinkSigma  float64
 }
@@ -72,14 +75,16 @@ func (c Config) Validate() error {
 	switch {
 	case c.Players < 1:
 		return fmt.Errorf("workload: Players %d < 1", c.Players)
-	case int64(c.Players) > MaxPlayers:
-		return fmt.Errorf("workload: Players %d > %d: the node ID ranges would overflow", c.Players, MaxPlayers)
+	case c.Players > MaxPlayers:
+		return fmt.Errorf("workload: Players %d > %d: a player ID is 32 bits", c.Players, MaxPlayers)
 	case c.SupernodeFraction < 0 || c.SupernodeFraction > 1:
 		return fmt.Errorf("workload: SupernodeFraction %v outside [0,1]", c.SupernodeFraction)
 	case c.Placer == nil:
 		return fmt.Errorf("workload: nil Placer")
 	case c.DownlinkMedian <= 0:
 		return fmt.Errorf("workload: non-positive DownlinkMedian %d", c.DownlinkMedian)
+	case c.DownlinkMedian > math.MaxUint32:
+		return fmt.Errorf("workload: DownlinkMedian %d > %d: a player's downlink is 32 bits", c.DownlinkMedian, uint32(math.MaxUint32))
 	}
 	return nil
 }
@@ -93,7 +98,9 @@ type Population struct {
 	Capable []int
 }
 
-// Generate builds a deterministic population from the configuration.
+// Generate builds a deterministic population from the configuration. A
+// downlink draw above math.MaxUint32 bits/s saturates there; the default
+// (20 Mbit/s median, σ 0.6) reaches that limit only at more than 8σ.
 func Generate(cfg Config) (*Population, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -108,9 +115,9 @@ func Generate(cfg Config) (*Population, error) {
 	for i := range pop.Players {
 		p := &pop.Players[i]
 		*p = core.Player{
-			ID:       PlayerIDBase + int64(i),
+			ID:       PlayerIDBase + int32(i),
 			Pos:      cfg.Placer.Place(placeRng),
-			Downlink: int64(float64(cfg.DownlinkMedian) * lognormMultiplier(linkRng, cfg.DownlinkSigma)),
+			Downlink: downlink(float64(cfg.DownlinkMedian) * lognormMultiplier(linkRng, cfg.DownlinkSigma)),
 		}
 		if capableRng.Float64() < cfg.SupernodeFraction {
 			p.SupernodeCapable = true
@@ -118,6 +125,15 @@ func Generate(cfg Config) (*Population, error) {
 		}
 	}
 	return pop, nil
+}
+
+// downlink truncates a drawn rate to whole bits/s, saturating at the 32-bit
+// limit where a bare conversion would be undefined.
+func downlink(bps float64) uint32 {
+	if bps >= math.MaxUint32 {
+		return math.MaxUint32
+	}
+	return uint32(bps)
 }
 
 func lognormMultiplier(r *sim.Rand, sigma float64) float64 {
@@ -146,7 +162,7 @@ func (pop *Population) BuildSupernodes(n int, uplinkPerSlot int64, rng *sim.Rand
 			capacity = 1
 		}
 		sn := core.NewSupernode(
-			base+p.ID,
+			base+int64(p.ID),
 			p.Pos,
 			capacity,
 			int64(capacity)*uplinkPerSlot,

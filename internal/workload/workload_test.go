@@ -35,6 +35,60 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesNarrowedFields holds Config to what a core.Player can
+// hold: an int32 ID indexes at most MaxPlayers players, and a uint32 downlink
+// has no room for a median above math.MaxUint32 bits/s.
+func TestValidateRefusesNarrowedFields(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Players = MaxPlayers
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("%d players refused: %v", cfg.Players, err)
+	}
+	cfg.Players = MaxPlayers + 1
+	if err := cfg.Validate(); err == nil {
+		t.Fatalf("%d players accepted: their IDs wrap an int32", cfg.Players)
+	}
+	cfg = DefaultConfig(1)
+	cfg.DownlinkMedian = math.MaxUint32
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("DownlinkMedian %d refused: %v", cfg.DownlinkMedian, err)
+	}
+	cfg.DownlinkMedian = math.MaxUint32 + 1
+	if _, err := Generate(cfg); err == nil {
+		t.Fatalf("DownlinkMedian %d accepted: it wraps a uint32", cfg.DownlinkMedian)
+	}
+}
+
+// TestGenerateSaturatesDownlink draws downlinks with a median near the 32-bit
+// limit and σ 3, so about two draws in five land above it: each must read
+// math.MaxUint32, where a bare float-to-uint32 conversion is undefined.
+func TestGenerateSaturatesDownlink(t *testing.T) {
+	for _, c := range []struct {
+		in   float64
+		want uint32
+	}{{12_345.9, 12_345}, {math.MaxUint32 - 0.5, math.MaxUint32 - 1}, {math.MaxUint32, math.MaxUint32}, {1e12, math.MaxUint32}, {math.Inf(1), math.MaxUint32}} {
+		if got := downlink(c.in); got != c.want {
+			t.Errorf("downlink(%g) = %d, want %d", c.in, got, c.want)
+		}
+	}
+	cfg := smallConfig(3)
+	cfg.DownlinkMedian = 2_000_000_000
+	cfg.DownlinkSigma = 3
+	pop, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saturated := 0
+	for _, p := range pop.Players {
+		if p.Downlink == math.MaxUint32 {
+			saturated++
+		}
+	}
+	if saturated < len(pop.Players)*3/10 || saturated > len(pop.Players)/2 {
+		t.Fatalf("%d of %d downlinks at the 32-bit limit, want about two in five", saturated, len(pop.Players))
+	}
+}
+
 func TestGeneratePopulationShape(t *testing.T) {
 	pop, err := Generate(smallConfig(1))
 	if err != nil {
@@ -49,7 +103,7 @@ func TestGeneratePopulationShape(t *testing.T) {
 		t.Fatalf("capable fraction = %v, want ~0.10", frac)
 	}
 	region := geo.USRegion()
-	ids := map[int64]bool{}
+	ids := map[int32]bool{}
 	for _, p := range pop.Players {
 		if !region.Contains(p.Pos) {
 			t.Fatalf("player %d outside region", p.ID)
