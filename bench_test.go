@@ -2,8 +2,8 @@
 // experiment behind one figure or table of the CloudFog paper's evaluation
 // at a reduced scale (so `go test -bench=.` completes in minutes) and
 // reports the figure's headline quantity via b.ReportMetric, giving a
-// recorded shape check alongside the timing. cmd/cloudfog-sim and
-// cmd/cloudfog-testbed print the full-scale tables.
+// recorded shape check alongside the timing. cmd/cloudfog-sim prints the
+// full-scale tables.
 package cloudfog_test
 
 import (
@@ -20,8 +20,6 @@ import (
 	"cloudfog/internal/qoe"
 	"cloudfog/internal/sched"
 	"cloudfog/internal/sim"
-	"cloudfog/internal/testbed"
-	"cloudfog/internal/trace"
 )
 
 // benchWorld is shared across benchmarks: 2,500 players, 200 supernodes,
@@ -137,58 +135,6 @@ func BenchmarkFig5bCoverageVsSupernodes(b *testing.B) {
 	b.ReportMetric(seriesAt(series[len(series)-1], 200), "coverage@200sn/110ms")
 }
 
-// testbedWorld builds a small live-TCP world for the Figure 6-8(b) benches.
-func testbedWorld(b *testing.B) (*experiment.World, *testbed.Cluster) {
-	b.Helper()
-	cfg := experiment.Default(99)
-	cfg.Players = 120
-	cfg.Supernodes = 8
-	cfg.EdgeServers = 4
-	cfg.Datacenters = 2
-	w, err := experiment.NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := cfg.Core.Latency.(trace.Model)
-	cluster, err := testbed.Start(model, w.Endpoints())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cluster.Prewarm(w.ProbePairs(cfg.Core.Candidates*2), 256)
-	w.UseLatencySource(cluster)
-	return w, cluster
-}
-
-func BenchmarkFig6aTestbedCoverageDatacenters(b *testing.B) {
-	w, cluster := testbedWorld(b)
-	defer cluster.Close()
-	b.ResetTimer()
-	var series []metrics.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = experiment.CoverageVsDatacenters(w, []int{1, 2, 8}, benchReqs())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(seriesAt(series[len(series)-1], 2), "coverage@2dc/110ms")
-}
-
-func BenchmarkFig6bTestbedCoverageSupernodes(b *testing.B) {
-	w, cluster := testbedWorld(b)
-	defer cluster.Close()
-	b.ResetTimer()
-	var series []metrics.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = experiment.CoverageVsSupernodes(w, []int{0, 8}, benchReqs())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(seriesAt(series[len(series)-1], 8), "coverage@8sn/110ms")
-}
-
 func BenchmarkFig7aBandwidthSim(b *testing.B) {
 	w := simWorld(b)
 	var series []metrics.Series
@@ -203,41 +149,8 @@ func BenchmarkFig7aBandwidthSim(b *testing.B) {
 	b.ReportMetric(seriesAt(series[2], 2500), "cloudfog-mbps@2500")
 }
 
-func BenchmarkFig7bBandwidthTestbed(b *testing.B) {
-	w, cluster := testbedWorld(b)
-	defer cluster.Close()
-	b.ResetTimer()
-	var series []metrics.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = experiment.BandwidthVsPlayers(w, []int{120})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(seriesAt(series[0], 120), "cloud-mbps@120")
-	b.ReportMetric(seriesAt(series[2], 120), "cloudfog-mbps@120")
-}
-
 func BenchmarkFig8aLatencySim(b *testing.B) {
 	w := simWorld(b)
-	var results []experiment.LatencyResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = experiment.ResponseLatency(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range results {
-		b.ReportMetric(float64(r.Mean.Milliseconds()), r.System+"-ms")
-	}
-}
-
-func BenchmarkFig8bLatencyTestbed(b *testing.B) {
-	w, cluster := testbedWorld(b)
-	defer cluster.Close()
-	b.ResetTimer()
 	var results []experiment.LatencyResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -266,23 +179,6 @@ func BenchmarkFig9aContinuitySim(b *testing.B) {
 	}
 }
 
-func BenchmarkFig9bContinuityTestbed(b *testing.B) {
-	w, cluster := testbedWorld(b)
-	defer cluster.Close()
-	b.ResetTimer()
-	var series []metrics.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = experiment.ContinuityVsPlayers(w, []int{120}, 8*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, s := range series {
-		b.ReportMetric(seriesAt(s, 120), s.Label+"@120")
-	}
-}
-
 func BenchmarkFig10aAdaptationSim(b *testing.B) {
 	w := simWorld(b)
 	var series []metrics.Series
@@ -297,40 +193,8 @@ func BenchmarkFig10aAdaptationSim(b *testing.B) {
 	b.ReportMetric(seriesAt(series[1], 30), "adapt@30")
 }
 
-func BenchmarkFig10bAdaptationTestbed(b *testing.B) {
-	w, cluster := testbedWorld(b)
-	defer cluster.Close()
-	b.ResetTimer()
-	var series []metrics.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = experiment.AdaptationEffect(w, []int{5, 30}, 40*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(seriesAt(series[0], 30), "basic@30")
-	b.ReportMetric(seriesAt(series[1], 30), "adapt@30")
-}
-
 func BenchmarkFig11aSchedulingSim(b *testing.B) {
 	w := simWorld(b)
-	var series []metrics.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = experiment.SchedulingEffect(w, []int{5, 30}, 40*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(seriesAt(series[0], 30), "basic@30")
-	b.ReportMetric(seriesAt(series[1], 30), "sched@30")
-}
-
-func BenchmarkFig11bSchedulingTestbed(b *testing.B) {
-	w, cluster := testbedWorld(b)
-	defer cluster.Close()
-	b.ResetTimer()
 	var series []metrics.Series
 	for i := 0; i < b.N; i++ {
 		var err error

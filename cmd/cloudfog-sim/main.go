@@ -1,9 +1,12 @@
-// Command cloudfog-sim regenerates the CloudFog paper's simulator figures
-// (5a, 5b, 7a, 8a, 9a, 10a, 11a) and prints each as a text table with the
-// same axes the paper plots. Figures come from the experiment package's
-// registry, so -figures accepts any comma-separated subset by name. figecon
-// prices the fog that ran with the paper's economic model (Eqs. 1-6) at each
-// reward rate.
+// Command cloudfog-sim regenerates the CloudFog paper's figures and prints
+// each as a text table with the same axes the paper plots: the simulator
+// panels (5a, 5b, 7a, 8a, 9a, 10a, 11a) on the world the flags describe, and
+// the PlanetLab panels (6a, 6b, 7b, 8b, 9b, 10b, 11b) on the PlanetLab run's
+// own world of 750 players, 300 supernodes and 2 datacenters, to which
+// -players, -supernodes, -datacenters and -horizon do not apply. Figures come
+// from the experiment package's registry, so -figures accepts any
+// comma-separated subset by name. figecon prices the fog that ran with the
+// paper's economic model (Eqs. 1-6) at each reward rate.
 //
 // With -report the run also aggregates the observability counters of every
 // system and QoE simulation it performed (segment lifecycle, drop

@@ -10,7 +10,8 @@
 // buffer scheduling, and the economic model — plus the substrates the
 // paper's evaluation needs: a deterministic discrete-event simulator, a
 // synthetic PlanetLab-like latency landscape, a churn workload generator,
-// the Cloud and EdgeCloud baselines, and a loopback-TCP testbed.
+// and the Cloud and EdgeCloud baselines. The paper's PlanetLab panels run on
+// the simulator at the PlanetLab run's configuration.
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for
 // paper-vs-measured results, and bench_test.go for the per-figure

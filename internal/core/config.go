@@ -14,8 +14,7 @@ import (
 // Config holds the infrastructure parameters of a CloudFog deployment.
 type Config struct {
 	// Latency supplies one-way latencies: the synthetic PlanetLab-like
-	// model in simulation, or measured loopback-TCP latencies on the
-	// testbed.
+	// model, or a test's own source.
 	Latency trace.Source
 	// Region is the deployment area.
 	Region geo.Region

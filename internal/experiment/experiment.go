@@ -13,7 +13,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"cloudfog/internal/core"
@@ -24,7 +23,6 @@ import (
 	"cloudfog/internal/obs"
 	"cloudfog/internal/recfmt"
 	"cloudfog/internal/sim"
-	"cloudfog/internal/trace"
 	"cloudfog/internal/workload"
 )
 
@@ -316,83 +314,6 @@ func (w *World) joinAll(sys *core.Fog, n int, fixed uint8) []*core.Player {
 		sys.Join(p)
 	}
 	return players
-}
-
-// UseLatencySource swaps the latency source the world's systems measure
-// against — the hook that runs every experiment on the loopback-TCP testbed
-// instead of the synthetic model.
-func (w *World) UseLatencySource(src trace.Source) { w.Cfg.Core.Latency = src }
-
-// Endpoints enumerates every node in the world (players, supernodes,
-// datacenter sites, edge servers) for the testbed to host.
-func (w *World) Endpoints() []trace.Endpoint {
-	out := make([]trace.Endpoint, 0, len(w.Pop.Players)+len(w.snSpec)+len(w.dcPts)+len(w.srvPts))
-	for i := range w.Pop.Players {
-		out = append(out, w.Pop.Players[i].Endpoint())
-	}
-	for _, sp := range w.snSpec {
-		out = append(out, trace.Endpoint{ID: trace.NodeID(sp.id), Pos: sp.pos, Class: trace.ClassSupernode})
-	}
-	for i, pt := range w.dcPts {
-		out = append(out, trace.Endpoint{ID: trace.NodeID(w.dcID(i)), Pos: pt, Class: trace.ClassDatacenter})
-	}
-	for i, pt := range w.srvPts {
-		out = append(out, trace.Endpoint{ID: trace.NodeID(w.edgeID(i)), Pos: pt, Class: trace.ClassServer})
-	}
-	return out
-}
-
-// ProbePairs enumerates the endpoint pairs the experiments will measure —
-// every player against every datacenter site and edge server, its k
-// geographically nearest supernodes, and every supernode against every
-// datacenter — so a testbed can prewarm them in parallel.
-func (w *World) ProbePairs(k int) [][2]trace.Endpoint {
-	var pairs [][2]trace.Endpoint
-	sns := make([]trace.Endpoint, len(w.snSpec))
-	for i, sp := range w.snSpec {
-		sns[i] = trace.Endpoint{ID: trace.NodeID(sp.id), Pos: sp.pos, Class: trace.ClassSupernode}
-	}
-	dcs := make([]trace.Endpoint, len(w.dcPts))
-	for i, pt := range w.dcPts {
-		dcs[i] = trace.Endpoint{ID: trace.NodeID(w.dcID(i)), Pos: pt, Class: trace.ClassDatacenter}
-	}
-	srvs := make([]trace.Endpoint, len(w.srvPts))
-	for i, pt := range w.srvPts {
-		srvs[i] = trace.Endpoint{ID: trace.NodeID(w.edgeID(i)), Pos: pt, Class: trace.ClassServer}
-	}
-	for i := range w.Pop.Players {
-		pe := w.Pop.Players[i].Endpoint()
-		for _, dc := range dcs {
-			pairs = append(pairs, [2]trace.Endpoint{pe, dc})
-		}
-		for _, sv := range srvs {
-			pairs = append(pairs, [2]trace.Endpoint{pe, sv})
-		}
-		// k geographically nearest supernodes (a superset of any
-		// shortlist the assignment protocol will build).
-		type cand struct {
-			i int
-			d float64
-		}
-		cands := make([]cand, len(sns))
-		for i, sn := range sns {
-			cands[i] = cand{i, pe.Pos.DistanceTo(sn.Pos)}
-		}
-		sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
-		n := k
-		if n > len(cands) {
-			n = len(cands)
-		}
-		for _, c := range cands[:n] {
-			pairs = append(pairs, [2]trace.Endpoint{pe, sns[c.i]})
-		}
-	}
-	for _, sn := range sns {
-		for _, dc := range dcs {
-			pairs = append(pairs, [2]trace.Endpoint{sn, dc})
-		}
-	}
-	return pairs
 }
 
 // LeaveAll detaches the players (restoring the world for the next system).

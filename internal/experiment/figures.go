@@ -35,7 +35,53 @@ var (
 	churnRates = []float64{0, 1, 2, 4, 8}
 	// detectIntervals is the figdetect heartbeat-interval sweep.
 	detectIntervals = []time.Duration{2 * time.Second, 5 * time.Second, 10 * time.Second, 15 * time.Second, 20 * time.Second}
+
+	// The (b) panels' sweeps, on the planetLab world.
+	plDCCounts     = []int{1, 2, 4, 6, 8}                                       // Figure 6(a)
+	plSNCounts     = []int{0, plSupernodes / 4, plSupernodes / 2, plSupernodes} // Figure 6(b)
+	plPlayerCounts = []int{plPlayers / 4, plPlayers / 2, plPlayers}             // Figures 7(b), 9(b)
+	plLoads        = []int{5, 15, 25, 30}                                       // Figures 10(b), 11(b)
 )
+
+// The paper's PlanetLab run (§IV): 750 nodes, 300 of them supernodes, two
+// main datacenters and eight EdgeCloud servers. Choosing 300 supernodes from
+// 750 nodes needs a capable fraction far above the simulation's 10 %: 45 %.
+const (
+	plPlayers     = 750
+	plSupernodes  = 300
+	plDatacenters = 2
+	plEdgeServers = 8
+	plCapable     = 0.45
+)
+
+// plWorld ends every (b) panel's title: cloudfog-sim's banner prints the flag
+// world, which a (b) panel does not run on.
+var plWorld = fmt.Sprintf(" (PlanetLab run: %d players, %d supernodes, %d datacenters, %d edge servers)",
+	plPlayers, plSupernodes, plDatacenters, plEdgeServers)
+
+// planetLab returns the world of the paper's PlanetLab run, at w's seed and
+// with w's sweep workers, shards and observability registry.
+func planetLab(w *World) (*World, error) {
+	cfg := w.Cfg
+	cfg.Players = plPlayers
+	cfg.Supernodes = plSupernodes
+	cfg.Datacenters = plDatacenters
+	cfg.EdgeServers = plEdgeServers
+	cfg.Workload.SupernodeFraction = plCapable
+	return NewWorld(cfg)
+}
+
+// onPlanetLab runs a (b) panel on the planetLab world. The panel ignores the
+// run's options: the PlanetLab run has one shape and its own horizons.
+func onPlanetLab(run func(pl *World) (FigureResult, error)) func(*World, RunOptions) (FigureResult, error) {
+	return func(w *World, _ RunOptions) (FigureResult, error) {
+		pl, err := planetLab(w)
+		if err != nil {
+			return FigureResult{}, err
+		}
+		return run(pl)
+	}
+}
 
 // RunOptions is the shared knob set every registered figure accepts. The
 // zero value means "paper defaults": a zero horizon, epoch or node budget is
@@ -138,9 +184,10 @@ func trimMax(counts []int, limit int) []int {
 }
 
 // FigureResult is one figure's output: series for the sweep figures, or
-// per-system latency rows for Figure 8(a). Exactly one of Series/Latency is
-// non-empty. Title, when set, is a run-specific caption (e.g. carrying the
-// world's datacenter count) that overrides the Figure's static one.
+// per-system latency rows for Figures 8(a) and 8(b). Exactly one of
+// Series/Latency is non-empty. Title, when set, is a run-specific caption
+// (e.g. carrying the world's datacenter count) that overrides the Figure's
+// static one.
 type FigureResult struct {
 	Name   string
 	Title  string
@@ -187,6 +234,24 @@ var figures = []Figure{
 		},
 	},
 	{
+		Name:   "fig6a",
+		Title:  "Figure 6(a): user coverage vs number of datacenters" + plWorld,
+		XLabel: "#datacenters",
+		Run: onPlanetLab(func(pl *World) (FigureResult, error) {
+			s, err := CoverageVsDatacenters(pl, plDCCounts, coverageReqs)
+			return FigureResult{Series: s}, err
+		}),
+	},
+	{
+		Name:   "fig6b",
+		Title:  "Figure 6(b): user coverage vs number of supernodes" + plWorld,
+		XLabel: "#supernodes",
+		Run: onPlanetLab(func(pl *World) (FigureResult, error) {
+			s, err := CoverageVsSupernodes(pl, plSNCounts, coverageReqs)
+			return FigureResult{Series: s}, err
+		}),
+	},
+	{
 		Name:   "fig7a",
 		Title:  "Figure 7(a): cloud bandwidth consumption (Mbit/s) vs number of players",
 		XLabel: "#players",
@@ -196,6 +261,15 @@ var figures = []Figure{
 		},
 	},
 	{
+		Name:   "fig7b",
+		Title:  "Figure 7(b): cloud bandwidth consumption (Mbit/s) vs number of players" + plWorld,
+		XLabel: "#players",
+		Run: onPlanetLab(func(pl *World) (FigureResult, error) {
+			s, err := BandwidthVsPlayers(pl, plPlayerCounts)
+			return FigureResult{Series: s}, err
+		}),
+	},
+	{
 		Name:   "fig8a",
 		Title:  "Figure 8(a): average response latency per player",
 		XLabel: "system",
@@ -203,6 +277,15 @@ var figures = []Figure{
 			res, err := ResponseLatency(w)
 			return FigureResult{Latency: res}, err
 		},
+	},
+	{
+		Name:   "fig8b",
+		Title:  "Figure 8(b): average response latency per player" + plWorld,
+		XLabel: "system",
+		Run: onPlanetLab(func(pl *World) (FigureResult, error) {
+			res, err := ResponseLatency(pl)
+			return FigureResult{Latency: res}, err
+		}),
 	},
 	{
 		Name:   "fig9a",
@@ -218,6 +301,15 @@ var figures = []Figure{
 		},
 	},
 	{
+		Name:   "fig9b",
+		Title:  "Figure 9(b): average playback continuity vs concurrent players" + plWorld,
+		XLabel: "#players",
+		Run: onPlanetLab(func(pl *World) (FigureResult, error) {
+			s, err := ContinuityVsPlayers(pl, plPlayerCounts, 15*time.Second)
+			return FigureResult{Series: s}, err
+		}),
+	},
+	{
 		Name:   "fig10a",
 		Title:  "Figure 10(a): satisfied players, with/without encoding rate adaptation",
 		XLabel: "players/SN",
@@ -231,6 +323,15 @@ var figures = []Figure{
 		},
 	},
 	{
+		Name:   "fig10b",
+		Title:  "Figure 10(b): satisfied players, with/without encoding rate adaptation" + plWorld,
+		XLabel: "players/SN",
+		Run: onPlanetLab(func(pl *World) (FigureResult, error) {
+			s, err := AdaptationEffect(pl, plLoads, time.Minute)
+			return FigureResult{Series: s}, err
+		}),
+	},
+	{
 		Name:   "fig11a",
 		Title:  "Figure 11(a): satisfied players, with/without deadline-driven scheduling",
 		XLabel: "players/SN",
@@ -242,6 +343,15 @@ var figures = []Figure{
 			s, err := SchedulingEffect(w, loads, h)
 			return FigureResult{Series: s}, err
 		},
+	},
+	{
+		Name:   "fig11b",
+		Title:  "Figure 11(b): satisfied players, with/without deadline-driven scheduling" + plWorld,
+		XLabel: "players/SN",
+		Run: onPlanetLab(func(pl *World) (FigureResult, error) {
+			s, err := SchedulingEffect(pl, plLoads, time.Minute)
+			return FigureResult{Series: s}, err
+		}),
 	},
 	{
 		Name:   "figecon",

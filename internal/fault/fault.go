@@ -9,7 +9,7 @@
 //     (§III-A3: backups exist precisely because supernodes churn).
 //   - RunWall replays it in wall-clock time against the internal/live
 //     runtime (kill/restart supernode processes, impair live links), so
-//     simulated and testbed chaos share one schedule and one set of rules.
+//     simulated and live chaos share one schedule and one set of rules.
 //
 // Determinism contract: every random draw happens at Compile time from a
 // single seed-keyed stream (one Fork per spec, in spec order), so the same

@@ -7,7 +7,7 @@ import (
 	"cloudfog/internal/obs"
 )
 
-// WallHooks are the testbed-side callbacks RunWall drives. All are optional;
+// WallHooks are the live-plane callbacks RunWall drives. All are optional;
 // a nil hook skips its op. Hooks run on RunWall's goroutine in schedule
 // order and must not block for long, or later events slip.
 type WallHooks struct {
@@ -34,7 +34,7 @@ func (h WallHooks) kill(ev Event) bool {
 func (h WallHooks) recover(id int64) bool { return h.Recover != nil && h.Recover(id) }
 
 // RunWall replays a compiled schedule in wall-clock time against the live
-// runtime, through the interpreter the sim Injector uses, so a testbed chaos
+// runtime, through the interpreter the sim Injector uses, so a live chaos
 // run follows the exact event log a simulation of the same profile follows.
 // It returns when the profile horizon elapses or ctx is canceled, and its
 // kills, recoveries and link windows land in stats (required) as it returns.

@@ -4,7 +4,7 @@
 // and the supernode overload-degradation ladder. Every component is a pure
 // function of the timestamps it is fed, so
 // the same code runs on the deterministic sim engine and against wall-clock
-// time on the live testbed.
+// time on the live plane.
 package health
 
 import (

@@ -106,7 +106,9 @@ func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
 
 // Table formats a set of series sharing an x-axis into an aligned text
 // table: one row per x value, one column per series. Series may have
-// different x sets; missing cells print as "-".
+// different x sets; missing cells print as "-". A column is 14 characters
+// wide, or one more than its label where the label needs it, so a label
+// always has a space before it.
 func Table(xLabel string, series []Series) string {
 	xs := map[float64]bool{}
 	for _, s := range series {
@@ -120,14 +122,16 @@ func Table(xLabel string, series []Series) string {
 	}
 	sort.Float64s(sortedXs)
 
+	widths := make([]int, len(series))
 	out := fmt.Sprintf("%-12s", xLabel)
-	for _, s := range series {
-		out += fmt.Sprintf("%14s", s.Label)
+	for i, s := range series {
+		widths[i] = max(14, len(s.Label)+1)
+		out += fmt.Sprintf("%*s", widths[i], s.Label)
 	}
 	out += "\n"
 	for _, x := range sortedXs {
 		out += fmt.Sprintf("%-12g", x)
-		for _, s := range series {
+		for i, s := range series {
 			cell := "-"
 			for _, p := range s.Points {
 				if p.X == x {
@@ -135,7 +139,7 @@ func Table(xLabel string, series []Series) string {
 					break
 				}
 			}
-			out += fmt.Sprintf("%14s", cell)
+			out += fmt.Sprintf("%*s", widths[i], cell)
 		}
 		out += "\n"
 	}

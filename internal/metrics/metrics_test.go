@@ -82,4 +82,15 @@ func TestSeriesTable(t *testing.T) {
 	if !strings.Contains(lines[2], "-") {
 		t.Fatalf("missing cell not dashed:\n%s", out)
 	}
+
+	// A label of 14 characters or more widens its own column: a space
+	// before it, and its cells end where it ends.
+	c := Series{Label: "CloudFog-schedule"}
+	c.Add(5, 0.8)
+	out = Table("players/SN", []Series{b, c})
+	want := "players/SN        CloudFog CloudFog-schedule\n" +
+		"5                     0.65               0.8\n"
+	if out != want {
+		t.Fatalf("long-label table:\n%s\nwant:\n%s", out, want)
+	}
 }

@@ -14,9 +14,8 @@
 // term models great-circle propagation with route inflation. Datacenters and
 // edge servers get a small fixed access delay: their links are provisioned.
 //
-// Every component is a pure function of (Seed, node IDs), so the same
-// "trace" can drive both the simulator and the loopback-TCP testbed, and a
-// run is reproducible without storing an O(n²) matrix.
+// Every component is a pure function of (Seed, node IDs), so a run is
+// reproducible without storing an O(n²) matrix.
 //
 // Two of the four terms belong to a node, not to a pair: access(a) and
 // access(b) depend on (Seed, ID, Class) alone, so a caller that probes one
@@ -170,9 +169,8 @@ type Endpoint struct {
 }
 
 // Source supplies one-way latencies between endpoints. The synthetic Model
-// implements it for simulation; the testbed package implements it with real
-// TCP round-trip measurements over injected delays, so the same CloudFog
-// code runs against both (the paper's PeerSim + PlanetLab split).
+// implements it; a test substitutes its own, and the CloudFog code runs
+// unchanged on either.
 type Source interface {
 	OneWay(a, b Endpoint) time.Duration
 }
@@ -208,8 +206,8 @@ func AsProber(src Source) Prober {
 	return measured{src}
 }
 
-// measured adapts a Source with no per-node terms of its own: a test double,
-// or the testbed's measured latencies.
+// measured adapts a Source with no per-node terms of its own, such as a
+// test double.
 type measured struct{ Source }
 
 func (measured) Resolve(e Endpoint) Endpoint {
@@ -279,12 +277,6 @@ func (m *bound) access(e Endpoint) time.Duration {
 func supernodeBackbone(a, b Class) bool {
 	provisioned := func(c Class) bool { return c == ClassDatacenter || c == ClassServer }
 	return (a == ClassSupernode && provisioned(b)) || (b == ClassSupernode && provisioned(a))
-}
-
-// RTT returns the round-trip latency between a and b (twice the one-way
-// latency; the synthetic landscape is symmetric).
-func (m Model) RTT(a, b Endpoint) time.Duration {
-	return 2 * m.OneWay(a, b)
 }
 
 // splitmix64 is the SplitMix64 mixing function: a fast, high-quality

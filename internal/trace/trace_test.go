@@ -140,15 +140,6 @@ func TestChoyCalibration(t *testing.T) {
 	}
 }
 
-func TestRTTIsTwiceOneWay(t *testing.T) {
-	m := DefaultModel(1)
-	a := Endpoint{ID: 1, Pos: geo.Point{X: 0, Y: 0}, Class: ClassNode}
-	b := Endpoint{ID: 2, Pos: geo.Point{X: 500, Y: 500}, Class: ClassNode}
-	if m.RTT(a, b) != 2*m.OneWay(a, b) {
-		t.Fatal("RTT != 2 * OneWay")
-	}
-}
-
 func TestLatenciesArePositive(t *testing.T) {
 	m := DefaultModel(5)
 	r := sim.NewRand(6)
@@ -329,8 +320,8 @@ func TestWithinAgreesWithOneWay(t *testing.T) {
 	}
 }
 
-// sourceOnly hides a Model's Prober methods, the way a test double or the
-// testbed's measured source has none.
+// sourceOnly hides a Model's Prober methods, the way a test double has
+// none.
 type sourceOnly struct{ m Model }
 
 func (s sourceOnly) OneWay(a, b Endpoint) time.Duration { return s.m.OneWay(a, b) }
