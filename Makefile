@@ -75,15 +75,18 @@ wire:
 	$(GO) run ./cmd/cloudfog-live -players 4 -supernodes 3 -duration 5s \
 		-transport udp -chaos default
 
-# replay is the flight-recorder regression gate: the committed corpus
-# recordings must replay bit-identically (figure bytes, observability
-# deltas, RNG draw counts) with balanced ledgers, the chaos recording
+# replay is the flight-recorder regression gate: cloudfog-sim, run in-process
+# with the two record-corpus invocations, must write the committed corpus
+# byte for byte (TestRecordsCorpus: flags to spec to recording); the
+# committed corpus recordings must replay bit-identically (figure bytes,
+# observability deltas, RNG draw counts) with balanced ledgers, the chaos recording
 # must also verify from its figrecovery checkpoint alone, and the canonical
 # counterfactual — swapping the chaos incident's timeout detector for
 # phi-accrual — must produce a non-empty, ledger-reconciled QoE diff.
 # Any byte or ledger divergence fails the target.
 replay:
 	$(GO) test -race -count=1 ./internal/flight/
+	$(GO) test -race -count=1 -run 'RecordsCorpus' ./cmd/cloudfog-sim/
 	$(GO) run -race ./cmd/cloudfog-replay examples/flight/chaos.flight
 	$(GO) run -race ./cmd/cloudfog-replay examples/flight/sharded.flight
 	$(GO) run -race ./cmd/cloudfog-replay -from figrecovery examples/flight/chaos.flight

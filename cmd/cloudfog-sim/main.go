@@ -23,9 +23,12 @@
 // against the same crash schedule and the -report health ledger reconciles
 // every observed kill against detections.
 //
-// -record captures the run as a flight recording: the launch spec, the
-// compiled fault schedules, canonical figure bytes, per-figure
-// observability deltas, and the scaling run's RNG witness.
+// Every invocation is built from one flight.RunSpec, the launch spec a
+// recording stores, so the flags are checked once and -record runs and
+// refuses exactly what the same flags without it do. -record captures the
+// run as a flight recording: the launch spec, the compiled fault schedules,
+// canonical figure bytes, per-figure observability deltas, and the scaling
+// run's RNG witness.
 // cloudfog-replay re-runs a recording and verifies it bit-identically, or
 // re-runs it with one knob overridden and prints the QoE diff.
 //
@@ -51,7 +54,6 @@ import (
 	"time"
 
 	"cloudfog/internal/experiment"
-	"cloudfog/internal/fault"
 	"cloudfog/internal/flight"
 	"cloudfog/internal/metrics"
 	"cloudfog/internal/obs"
@@ -119,50 +121,32 @@ func withProfiles(fn func() error) error {
 }
 
 func run() error {
-	if *recordFlag != "" {
-		if *scaleFlag {
-			return fmt.Errorf("-scale cannot be recorded; use -figures figscale -record %s", *recordFlag)
-		}
-		return runRecord()
+	if *recordFlag != "" && *scaleFlag {
+		return fmt.Errorf("-scale cannot be recorded; use -figures figscale -record %s", *recordFlag)
 	}
-	figs, err := experiment.SelectFigures(*figuresFlag)
+	spec, err := specFromFlags()
 	if err != nil {
 		return err
 	}
-
-	cfg := experiment.Default(*seedFlag)
-	cfg.Players = *playersFlag
-	cfg.Supernodes = *supernodesFlag
-	cfg.Datacenters = *dcsFlag
-	cfg.SweepWorkers = *workersFlag
-	cfg.Shards = *shardsFlag
+	if *recordFlag != "" {
+		return runRecord(spec)
+	}
+	var reg *obs.Registry
 	if *reportFlag != "" {
-		cfg.Obs = obs.NewRegistry()
+		reg = obs.NewRegistry()
 	}
 
 	fmt.Printf("CloudFog simulator — %d players, %d supernodes, %d datacenters, seed %d\n\n",
-		cfg.Players, cfg.Supernodes, cfg.Datacenters, cfg.Seed)
+		spec.Players, spec.Supernodes, spec.Datacenters, spec.Seed)
 
 	worldStart := time.Now()
-	w, err := experiment.NewWorld(cfg)
+	w, opts, figs, err := spec.Start(reg)
 	if err != nil {
 		return err
 	}
 	worldBuild := time.Since(worldStart)
 
-	opts := experiment.RunOptions{
-		Horizon:         *horizonFlag,
-		Detector:        *detectorFlag,
-		Overload:        *overloadFlag,
-		ScaleEpoch:      *epochFlag,
-		ScaleNodeBudget: *nodeBudgetFlag,
-	}
-	if *faultsFlag != "" {
-		profile, err := fault.Load(*faultsFlag)
-		if err != nil {
-			return err
-		}
-		opts.Faults = profile
+	if profile := opts.Faults; profile != nil {
 		fmt.Printf("fault profile %q loaded from %s (seed %d, %d specs, %v)\n\n",
 			profile.Name, *faultsFlag, profile.Seed, len(profile.Specs), profile.Duration.Duration)
 	}
@@ -182,7 +166,7 @@ func run() error {
 	}
 
 	if *reportFlag != "" {
-		if err := writeReport(*reportFlag, cfg.Obs.Snapshot()); err != nil {
+		if err := writeReport(*reportFlag, reg.Snapshot()); err != nil {
 			return err
 		}
 	}
@@ -217,8 +201,8 @@ func table(xLabel string, series []metrics.Series) string {
 	return metrics.Table(xLabel, series)
 }
 
-// specFromFlags lifts the CLI invocation into a flight.RunSpec — the
-// launch half of a recording.
+// specFromFlags lifts the CLI invocation into a flight.RunSpec, the one
+// description every run starts from and the launch half of a recording.
 func specFromFlags() (flight.RunSpec, error) {
 	spec := flight.RunSpec{
 		Seed:         *seedFlag,
@@ -248,11 +232,7 @@ func specFromFlags() (flight.RunSpec, error) {
 
 // runRecord executes the selected figures under the flight recorder,
 // prints them as usual, and persists the recording.
-func runRecord() error {
-	spec, err := specFromFlags()
-	if err != nil {
-		return err
-	}
+func runRecord(spec flight.RunSpec) error {
 	fmt.Printf("CloudFog flight recorder — %s\n\n", spec.Summary())
 	rec, err := flight.Record(spec)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -129,8 +130,36 @@ func TestScaleRefusesRecord(t *testing.T) {
 	}
 }
 
-// TestRejectsNegativeSettings: a negative worker count, horizon or epoch is
-// refused by name instead of run as the default.
+// refusesAlike runs flags plain and again with -record, and requires both to
+// fail with an error naming want — the recorded one the same error, behind
+// the figure name a recorded figure's error carries — and no recording to be
+// written. A -scale row records as -figures figscale: -scale -record is an
+// error of its own.
+func refusesAlike(t *testing.T, flags map[string]string, want string) {
+	t.Helper()
+	_, plain := runSim(t, flags)
+	if plain == nil || !strings.Contains(plain.Error(), want) {
+		t.Fatalf("%v: err = %v, want one naming %q", flags, plain, want)
+	}
+	path := filepath.Join(t.TempDir(), "refused.flight")
+	recorded := map[string]string{"record": path}
+	for name, value := range flags {
+		recorded[name] = value
+	}
+	if recorded["scale"] == "true" {
+		recorded["scale"], recorded["figures"] = "false", "figscale"
+	}
+	if _, err := runSim(t, recorded); err == nil || !strings.HasSuffix(err.Error(), plain.Error()) {
+		t.Fatalf("%v: err = %v, want the plain run's %q", recorded, err, plain)
+	}
+	if _, err := os.Stat(path); err == nil {
+		t.Fatalf("%v wrote a recording", recorded)
+	}
+}
+
+// TestRejectsNegativeSettings: a negative population, worker count, horizon
+// or epoch is refused by name instead of run as the default, with -record or
+// without.
 func TestRejectsNegativeSettings(t *testing.T) {
 	small := func(name, value string) map[string]string {
 		return map[string]string{"players": "200", "supernodes": "10", "figures": "fig10a", name: value}
@@ -139,30 +168,61 @@ func TestRejectsNegativeSettings(t *testing.T) {
 		flags map[string]string
 		want  string
 	}{
+		{small("players", "-5"), "Players"},
 		{small("shards", "-3"), "Shards"},
 		{small("sweep-workers", "-2"), "SweepWorkers"},
 		{small("horizon", "-1s"), "negative horizon"},
 		{scaleSmoke(map[string]string{"epoch": "-1s"}), "negative scale epoch"},
 	} {
 		t.Run(c.want, func(t *testing.T) { // a subtest puts the flags back after each row
-			if _, err := runSim(t, c.flags); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%v: err = %v, want one naming %q", c.flags, err, c.want)
-			}
+			refusesAlike(t, c.flags, c.want)
 		})
 	}
 }
 
 // TestRejectsWorldWithoutSupernodes: a world needs a supernode to place,
 // and a count below one is refused by name instead of panicking in world
-// generation or the first figure.
+// generation or the first figure, with -record or without.
 func TestRejectsWorldWithoutSupernodes(t *testing.T) {
 	for _, flags := range []map[string]string{
 		{"supernodes": "-1", "players": "100"},
 		{"supernodes": "0", "players": "200", "figures": "fig10a"},
 	} {
-		if _, err := runSim(t, flags); err == nil || !strings.Contains(err.Error(), "Supernodes") {
-			t.Errorf("%v: err = %v, want one naming Supernodes", flags, err)
-		}
+		t.Run(flags["supernodes"], func(t *testing.T) {
+			refusesAlike(t, flags, "Supernodes")
+		})
+	}
+}
+
+// TestRecordsCorpus: the two `make record-corpus` invocations, run
+// in-process, write the committed recordings byte for byte. This pins flags
+// to spec to recording, which replaying an already decoded spec cannot see.
+func TestRecordsCorpus(t *testing.T) {
+	corpus := filepath.Join("..", "..", "examples", "flight")
+	for name, flags := range map[string]map[string]string{
+		"chaos": {"figures": "figchurn,figrecovery", "players": "400", "supernodes": "25",
+			"datacenters": "3", "horizon": "60s", "detector": "timeout", "overload": "true",
+			"faults": filepath.Join(corpus, "profile.json")},
+		"sharded": {"figures": "figscale", "players": "400", "supernodes": "25",
+			"datacenters": "3", "horizon": "90s", "shards": "4", "detector": "phi", "overload": "true"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), name+".flight")
+			flags["record"] = path
+			runWith(t, flags)
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join(corpus, name+".flight"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("re-recorded %s.flight is %d bytes and differs from the committed %d: run make record-corpus and name what moved",
+					name, len(got), len(want))
+			}
+		})
 	}
 }
 

@@ -3,6 +3,8 @@ package flight
 import (
 	"testing"
 	"time"
+
+	"cloudfog/internal/obs"
 )
 
 // benchSpec is the fixed scenario the flight benchmarks run: a bench-scale
@@ -27,7 +29,8 @@ func benchSpec(b *testing.B) RunSpec {
 }
 
 // The three benchmarks measure what the flight recorder costs on top of the
-// run it captures: FlightRun executes the spec without capturing,
+// run it captures: FlightRun starts the spec (RunSpec.Start, on a registry
+// as Record's run has) and runs its figures without capturing,
 // FlightRecordOverhead is the full Record path (canonical encodings,
 // schedule marshalling, chunk framing), FlightReplay is the verification
 // re-run against a prebuilt recording. (Record − Run) / Run is the recording
@@ -40,8 +43,14 @@ func BenchmarkFlightRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := spec.Run(); err != nil {
+		w, opts, figs, err := spec.Start(obs.NewRegistry())
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, fig := range figs {
+			if _, err := fig.Run(w, opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -103,8 +103,8 @@ func TestRecordReplayProperty(t *testing.T) {
 // orphans still pending at the horizon.
 func TestScaleRunFeedsFaultLedger(t *testing.T) {
 	for _, detector := range []string{"", "phi"} {
-		cfg := testSpec(3, 2).config()
-		w, err := experiment.NewWorld(cfg)
+		reg := obs.NewRegistry()
+		w, _, _, err := testSpec(3, 2).Start(reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestScaleRunFeedsFaultLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := Reconcile(cfg.Obs.Snapshot())
+		l := Reconcile(reg.Snapshot())
 		if err := l.Err(); err != nil {
 			t.Fatalf("detector %q: %v", detector, err)
 		}

@@ -46,61 +46,12 @@ func Record(spec RunSpec) (*Recording, error) {
 	return rec, nil
 }
 
-// Run executes the spec's figures with no flight capture at all — no
-// canonical encodings, no schedule marshalling, no snapshot deltas. It is
-// the baseline the recording-overhead benchmark compares Record against,
-// and a dry-run sanity check for specs.
-func (s RunSpec) Run() error {
-	s, err := s.Normalize()
-	if err != nil {
-		return err
-	}
-	figs, err := experiment.SelectFigures(strings.Join(s.Figures, ","))
-	if err != nil {
-		return err
-	}
-	cfg := s.config()
-	w, err := experiment.NewWorld(cfg)
-	if err != nil {
-		return err
-	}
-	opts, err := s.options()
-	if err != nil {
-		return err
-	}
-	for _, fig := range figs {
-		if _, err := fig.Run(w, opts); err != nil {
-			return fmt.Errorf("%s: %w", fig.Name, err)
-		}
-	}
-	return nil
-}
-
-// config builds the experiment configuration the spec pins down.
-func (s RunSpec) config() experiment.Config {
-	cfg := experiment.Default(s.Seed)
-	if s.Players > 0 {
-		cfg.Players = s.Players
-	}
-	if s.Supernodes > 0 {
-		cfg.Supernodes = s.Supernodes
-	}
-	if s.Datacenters > 0 {
-		cfg.Datacenters = s.Datacenters
-	}
-	cfg.Shards = s.Shards
-	cfg.SweepWorkers = s.SweepWorkers
-	if sc := s.BandwidthScale; sc != 0 && sc != 1 {
-		cfg.Core.DCEgress = int64(float64(cfg.Core.DCEgress) * sc)
-		cfg.Core.UplinkPerSlot = int64(float64(cfg.Core.UplinkPerSlot) * sc)
-		cfg.EdgeServerEgress = int64(float64(cfg.EdgeServerEgress) * sc)
-	}
-	cfg.Obs = obs.NewRegistry()
-	return cfg
-}
-
-// options builds the run options the spec pins down.
-func (s RunSpec) options() (experiment.RunOptions, error) {
+// Start builds what the spec runs: the world, instrumented by reg (nil
+// leaves it uninstrumented), the run options and the figure selection. It
+// copies the spec's counts verbatim, so experiment.Config.Validate is the
+// only check a count meets. Every run of a spec starts here: the
+// simulator's plain and scaling runs, Record, Replay and WhatIf.
+func (s RunSpec) Start(reg *obs.Registry) (*experiment.World, experiment.RunOptions, []experiment.Figure, error) {
 	opts := experiment.RunOptions{
 		Horizon:         s.Horizon,
 		Detector:        s.Detector,
@@ -108,14 +59,29 @@ func (s RunSpec) options() (experiment.RunOptions, error) {
 		ScaleEpoch:      s.Epoch,
 		ScaleNodeBudget: s.NodeBudget,
 	}
-	if len(s.FaultProfile) > 0 {
-		p, err := fault.Parse(s.FaultProfile)
-		if err != nil {
-			return opts, err
-		}
-		opts.Faults = p
+	figs, err := experiment.SelectFigures(strings.Join(s.Figures, ","))
+	if err != nil {
+		return nil, opts, nil, err
 	}
-	return opts, nil
+	if len(s.FaultProfile) > 0 {
+		if opts.Faults, err = fault.Parse(s.FaultProfile); err != nil {
+			return nil, opts, nil, err
+		}
+	}
+	cfg := experiment.Default(s.Seed)
+	cfg.Players = s.Players
+	cfg.Supernodes = s.Supernodes
+	cfg.Datacenters = s.Datacenters
+	cfg.Shards = s.Shards
+	cfg.SweepWorkers = s.SweepWorkers
+	if sc := s.BandwidthScale; sc != 0 && sc != 1 {
+		cfg.Core.DCEgress = int64(float64(cfg.Core.DCEgress) * sc)
+		cfg.Core.UplinkPerSlot = int64(float64(cfg.Core.UplinkPerSlot) * sc)
+		cfg.EdgeServerEgress = int64(float64(cfg.EdgeServerEgress) * sc)
+	}
+	cfg.Obs = reg
+	w, err := experiment.NewWorld(cfg)
+	return w, opts, figs, err
 }
 
 // execute runs the spec's figure selection. A non-empty from starts at the
@@ -124,7 +90,8 @@ func (s RunSpec) options() (experiment.RunOptions, error) {
 // deltas of monotonic counters, so every recorded figure is independently
 // verifiable without re-running its predecessors.
 func (s RunSpec) execute(from string) (*runOutput, error) {
-	figs, err := experiment.SelectFigures(strings.Join(s.Figures, ","))
+	reg := obs.NewRegistry()
+	w, opts, figs, err := s.Start(reg)
 	if err != nil {
 		return nil, err
 	}
@@ -140,17 +107,7 @@ func (s RunSpec) execute(from string) (*runOutput, error) {
 			return nil, fmt.Errorf("flight: checkpoint figure %q is not in the selection %v", from, s.Figures)
 		}
 	}
-	cfg := s.config()
-	w, err := experiment.NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
 	out := &runOutput{spec: s, worldFP: w.Fingerprint()}
-
-	opts, err := s.options()
-	if err != nil {
-		return nil, err
-	}
 	if out.schedules, err = compileSchedules(w, opts, figs); err != nil {
 		return nil, err
 	}
@@ -163,7 +120,7 @@ func (s RunSpec) execute(from string) (*runOutput, error) {
 		if skipping {
 			continue
 		}
-		prev := cfg.Obs.Snapshot()
+		prev := reg.Snapshot()
 		var scaleRes *shard.Result
 		opts.ScaleDiag = func(r shard.Result) { scaleRes = &r }
 		res, err := fig.Run(w, opts)
@@ -174,13 +131,13 @@ func (s RunSpec) execute(from string) (*runOutput, error) {
 			Name:     fig.Name,
 			Fig:      res,
 			FigBytes: appendFigure(nil, fig.Name, res),
-			ObsDelta: snapshotDelta(prev, cfg.Obs.Snapshot()),
+			ObsDelta: snapshotDelta(prev, reg.Snapshot()),
 			RNG:      rngWitness(s, scaleRes),
 		}
 		cap.ObsBytes = appendSnapshot(nil, cap.ObsDelta)
 		out.figures = append(out.figures, cap)
 	}
-	out.final = cfg.Obs.Snapshot()
+	out.final = reg.Snapshot()
 	return out, nil
 }
 

@@ -15,9 +15,9 @@ import (
 )
 
 // RunSpec is the launch half of a recording: every input the simulator
-// needs to reproduce a run. Zero/nil fields mean "paper default" and are
-// filled by the experiment package exactly as the CLI's defaults are, so a
-// spec encodes only what the original invocation actually pinned.
+// needs to reproduce a run, as the invocation gave it. Start copies the
+// counts verbatim, so a count below one is refused by the world's
+// validation, recorded or not.
 type RunSpec struct {
 	Seed        int64
 	Players     int
@@ -243,9 +243,8 @@ func setInt(dst *int, v string) error {
 	return nil
 }
 
-// setCount sets a knob that counts what the world is built from. A recorded
-// zero means the default, but a what-if below one is refused by name instead
-// of run as the default.
+// setCount sets a knob that counts what the world is built from, refusing a
+// what-if below one by name.
 func setCount(dst *int, name, v string) error {
 	var n int
 	if err := setInt(&n, v); err != nil {

@@ -83,11 +83,13 @@ done
 quiet "$bin/cloudfog-replay" -describe examples/flight/sharded.flight
 
 # --- The live plane, in-process: the flat-flag demo over TCP with metrics
-# served, and over UDP under the default chaos profile. ---
+# served, over UDP under the default chaos profile, and under a profile file
+# (fault.Load; cloudfog-sim -faults reads its file into the run spec). ---
 port=${REACH_PORT:-19700}
 step "cloudfog-live (flat flags)"
 quiet "$bin/cloudfog-live" -players 4 -supernodes 3 -duration 4s -metrics-addr "127.0.0.1:$port"
 quiet "$bin/cloudfog-live" -players 4 -supernodes 3 -duration 5s -transport udp -chaos default
+quiet "$bin/cloudfog-live" -players 4 -supernodes 3 -duration 4s -chaos examples/chaos/profile.json
 
 # --- The live plane, one process per role: the README's coordinator recipe
 # in its leases variant, plus a static-ring player. Worker 1 is drained by
