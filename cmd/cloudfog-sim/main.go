@@ -196,7 +196,7 @@ func printFigure(fig experiment.Figure, res experiment.FigureResult) {
 // table renders series as -csv asks: comma-separated, or aligned text.
 func table(xLabel string, series []metrics.Series) string {
 	if *csvFlag {
-		return csvTable(xLabel, series)
+		return metrics.CSV(xLabel, series)
 	}
 	return metrics.Table(xLabel, series)
 }
@@ -329,44 +329,4 @@ func writeReport(path string, snap obs.Snapshot) error {
 			hl.HeartbeatsSent, hl.HeartbeatsLost, hl.KillsObserved, hl.Detected, hl.DetectPending, hl.FalsePositives)
 	}
 	return ledgers.Err()
-}
-
-// csvTable renders series as CSV: header then one row per x value.
-func csvTable(xLabel string, series []metrics.Series) string {
-	xs := map[float64]bool{}
-	for _, s := range series {
-		for _, p := range s.Points {
-			xs[p.X] = true
-		}
-	}
-	sorted := make([]float64, 0, len(xs))
-	for x := range xs {
-		sorted = append(sorted, x)
-	}
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	var b strings.Builder
-	b.WriteString(xLabel)
-	for _, s := range series {
-		b.WriteString("," + s.Label)
-	}
-	b.WriteString("\n")
-	for _, x := range sorted {
-		fmt.Fprintf(&b, "%g", x)
-		for _, s := range series {
-			cell := ""
-			for _, p := range s.Points {
-				if p.X == x {
-					cell = fmt.Sprintf("%.6g", p.Y)
-					break
-				}
-			}
-			b.WriteString("," + cell)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

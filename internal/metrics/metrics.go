@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -110,18 +111,6 @@ func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
 // wide, or one more than its label where the label needs it, so a label
 // always has a space before it.
 func Table(xLabel string, series []Series) string {
-	xs := map[float64]bool{}
-	for _, s := range series {
-		for _, p := range s.Points {
-			xs[p.X] = true
-		}
-	}
-	sortedXs := make([]float64, 0, len(xs))
-	for x := range xs {
-		sortedXs = append(sortedXs, x)
-	}
-	sort.Float64s(sortedXs)
-
 	widths := make([]int, len(series))
 	out := fmt.Sprintf("%-12s", xLabel)
 	for i, s := range series {
@@ -129,19 +118,65 @@ func Table(xLabel string, series []Series) string {
 		out += fmt.Sprintf("%*s", widths[i], s.Label)
 	}
 	out += "\n"
-	for _, x := range sortedXs {
+	for _, x := range axis(series) {
 		out += fmt.Sprintf("%-12g", x)
 		for i, s := range series {
 			cell := "-"
-			for _, p := range s.Points {
-				if p.X == x {
-					cell = fmt.Sprintf("%.4g", p.Y)
-					break
-				}
+			if y, ok := s.at(x); ok {
+				cell = fmt.Sprintf("%.4g", y)
 			}
 			out += fmt.Sprintf("%*s", widths[i], cell)
 		}
 		out += "\n"
 	}
 	return out
+}
+
+// CSV formats the same table as comma-separated values: a header of the x
+// label and the series labels, then one row per x value, a missing cell
+// empty.
+func CSV(xLabel string, series []Series) string {
+	var b strings.Builder
+	b.WriteString(xLabel)
+	for _, s := range series {
+		b.WriteString("," + s.Label)
+	}
+	b.WriteString("\n")
+	for _, x := range axis(series) {
+		fmt.Fprintf(&b, "%g", x)
+		for _, s := range series {
+			b.WriteString(",")
+			if y, ok := s.at(x); ok {
+				fmt.Fprintf(&b, "%.6g", y)
+			}
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// axis returns every x any of the series plots, once each, ascending.
+func axis(series []Series) []float64 {
+	xs := map[float64]bool{}
+	for _, s := range series {
+		for _, p := range s.Points {
+			xs[p.X] = true
+		}
+	}
+	sorted := make([]float64, 0, len(xs))
+	for x := range xs {
+		sorted = append(sorted, x)
+	}
+	sort.Float64s(sorted)
+	return sorted
+}
+
+// at returns the y the series plots at x, and whether it plots x.
+func (s Series) at(x float64) (float64, bool) {
+	for _, p := range s.Points {
+		if p.X == x {
+			return p.Y, true
+		}
+	}
+	return 0, false
 }

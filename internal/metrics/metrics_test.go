@@ -94,3 +94,17 @@ func TestSeriesTable(t *testing.T) {
 		t.Fatalf("long-label table:\n%s\nwant:\n%s", out, want)
 	}
 }
+
+// TestSeriesCSV: CSV shares Table's axis, each x once and ascending, and
+// leaves a missing cell empty.
+func TestSeriesCSV(t *testing.T) {
+	a := Series{Label: "Cloud"}
+	a.Add(10, 0.42)
+	a.Add(5, 0.31)
+	b := Series{Label: "CloudFog"}
+	b.Add(5, 0.6543219)
+	want := "#dcs,Cloud,CloudFog\n5,0.31,0.654322\n10,0.42,\n"
+	if got := CSV("#dcs", []Series{a, b}); got != want {
+		t.Fatalf("CSV:\n%s\nwant:\n%s", got, want)
+	}
+}
