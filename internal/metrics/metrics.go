@@ -107,19 +107,21 @@ func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
 
 // Table formats a set of series sharing an x-axis into an aligned text
 // table: one row per x value, one column per series. Series may have
-// different x sets; missing cells print as "-". A column is 14 characters
-// wide, or one more than its label where the label needs it, so a label
-// always has a space before it.
+// different x sets; missing cells print as "-". The x column is 12
+// characters wide, or as wide as its label where that is longer. A series
+// column is 14 characters wide, or one more than its label where the label
+// needs it, so a label always has a space before it.
 func Table(xLabel string, series []Series) string {
+	xWidth := max(12, len(xLabel))
 	widths := make([]int, len(series))
-	out := fmt.Sprintf("%-12s", xLabel)
+	out := fmt.Sprintf("%-*s", xWidth, xLabel)
 	for i, s := range series {
 		widths[i] = max(14, len(s.Label)+1)
 		out += fmt.Sprintf("%*s", widths[i], s.Label)
 	}
 	out += "\n"
 	for _, x := range axis(series) {
-		out += fmt.Sprintf("%-12g", x)
+		out += fmt.Sprintf("%-*g", xWidth, x)
 		for i, s := range series {
 			cell := "-"
 			if y, ok := s.at(x); ok {

@@ -93,6 +93,15 @@ func TestSeriesTable(t *testing.T) {
 	if out != want {
 		t.Fatalf("long-label table:\n%s\nwant:\n%s", out, want)
 	}
+
+	// An x label longer than 12 characters widens the x column, in the
+	// header and in every row, so the first column keeps its place.
+	out = Table("heartbeat interval (s)", []Series{b})
+	want = "heartbeat interval (s)      CloudFog\n" +
+		"5                               0.65\n"
+	if out != want {
+		t.Fatalf("long-x-label table:\n%s\nwant:\n%s", out, want)
+	}
 }
 
 // TestSeriesCSV: CSV shares Table's axis, each x once and ascending, and
