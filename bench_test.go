@@ -215,13 +215,12 @@ func ablationScenario(b *testing.B) (int64, []qoe.PlayerSpec) {
 }
 
 // BenchmarkAblationFIFOvsEDF compares the sender queue disciplines under
-// load: EDF ordering (with deadline drops off, isolating the ordering).
+// load: a plain FIFO against Scheduling's EDF ordering with deadline drops.
 func BenchmarkAblationFIFOvsEDF(b *testing.B) {
 	uplink, specs := ablationScenario(b)
 	run := func(edf bool) float64 {
 		opts := qoe.BasicOptions()
-		opts.Sched.EDF = edf
-		opts.Scheduling = edf // EDF without drops is not reachable via toggles; use full sched
+		opts.Scheduling = edf
 		res, err := qoe.RunNode(opts, uplink, specs, 30*time.Second)
 		if err != nil {
 			b.Fatal(err)

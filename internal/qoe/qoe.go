@@ -47,7 +47,10 @@ type Options struct {
 	// sender is a plain FIFO without drops — the CloudFog/B behavior.
 	Scheduling bool
 
-	Adapt  adapt.Config
+	Adapt adapt.Config
+	// Sched configures the sender buffer. Scheduling owns its EDF and
+	// DropEnabled fields: a sender is built with both set to Scheduling,
+	// whatever Sched holds.
 	Sched  sched.Config
 	Stream stream.Config
 
