@@ -50,6 +50,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,7 +76,7 @@ var (
 	shardsFlag     = flag.Int("shards", 1, "workers that share a run's per-node QoE simulations (figure output is byte-identical at any value)")
 	epochFlag      = flag.Duration("epoch", 0, "scaling-run barrier interval (0 = 15s default)")
 	nodeBudgetFlag = flag.Int("scale-nodes", 0, "scaling run: supernodes sampled for segment-level QoE per epoch (0 = 32 default, negative = all)")
-	scaleFlag      = flag.Bool("scale", false, "run only the scaling experiment (figscale) and print its timing and tallies (to record it, use -figures figscale -record)")
+	scaleFlag      = flag.Bool("scale", false, "run only the scaling experiment (figscale) and print its timing and tallies; -figures must be empty, all or figscale (to record it, use -figures figscale -record)")
 	recordFlag     = flag.String("record", "", "run the selected figures under the flight recorder and write the recording to this file")
 	cpuProfFlag    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -127,6 +128,10 @@ func run() error {
 	spec, err := specFromFlags()
 	if err != nil {
 		return err
+	}
+	if *scaleFlag && !slices.Equal(spec.Figures, []string{"figscale"}) &&
+		!slices.Equal(spec.Figures, experiment.FigureNames()) {
+		return fmt.Errorf("-scale runs figscale alone, not -figures %s; leave -figures empty, all or figscale", *figuresFlag)
 	}
 	if *recordFlag != "" {
 		return runRecord(spec)

@@ -130,6 +130,21 @@ func TestScaleRefusesRecord(t *testing.T) {
 	}
 }
 
+// TestScaleRefusesOtherFigures: -scale runs the scaling experiment alone, so
+// a -figures selection naming any other figure is refused before anything is
+// printed instead of being silently dropped.
+func TestScaleRefusesOtherFigures(t *testing.T) {
+	for _, sel := range []string{"fig5a", "figscale,9a"} {
+		printed, err := runSim(t, scaleSmoke(map[string]string{"figures": sel}))
+		if err == nil || !strings.Contains(err.Error(), "-scale") || !strings.Contains(err.Error(), "figscale") {
+			t.Fatalf("-scale -figures %s: err = %v, want one naming -scale and figscale", sel, err)
+		}
+		if printed != "" {
+			t.Fatalf("-scale -figures %s printed before refusing:\n%s", sel, printed)
+		}
+	}
+}
+
 // refusesAlike runs flags plain and again with -record, and requires both to
 // fail with an error naming want — the recorded one the same error, behind
 // the figure name a recorded figure's error carries — and no recording to be

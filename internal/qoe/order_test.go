@@ -19,10 +19,21 @@ import (
 // bodies but for how a sim is built and advanced: they are what the engine's
 // (at, seq) order computes, and the merge must compute it too.
 
+// newSim builds a node the way Pool.RunNode does: reset, then an arena sized
+// for n players.
+func newSim(opts Options, uplink int64, n int) (*ServerSim, error) {
+	srv := new(ServerSim)
+	if err := srv.reset(opts, uplink); err != nil {
+		return nil, err
+	}
+	srv.sessArena = make([]session, 0, n)
+	return srv, nil
+}
+
 // startSim builds a node over the players and starts it.
 func startSim(t *testing.T, opts Options, uplink int64, players []PlayerSpec) *ServerSim {
 	t.Helper()
-	srv, err := NewServerSim(opts, uplink)
+	srv, err := newSim(opts, uplink, len(players))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +194,7 @@ func TestRunNodeGolden(t *testing.T) {
 	for i, c := range cases {
 		srv := startSim(t, c.opts, c.uplink, c.players)
 		srv.RunUntil(c.horizon)
-		res := srv.Results()
+		res := srv.AppendResults(nil)
 		d.results(res)
 		d.lifecycle(srv)
 		draws += srv.draws()
@@ -310,7 +321,7 @@ func TestMergeBreaksTiesLikeTheEngine(t *testing.T) {
 			srv.RunUntil(at)
 			d.state(srv)
 		}
-		d.results(srv.Results())
+		d.results(srv.AppendResults(nil))
 
 		// The scenario must keep producing the ties it is there for.
 		ties := 0

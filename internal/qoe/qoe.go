@@ -80,8 +80,8 @@ type Options struct {
 	// Obs, when non-nil, receives the node's observability: segment
 	// lifecycle counters, the delivery-latency histogram and, through
 	// Obs.Engine, the event counters (all folded from always-on per-run
-	// tallies at Results), and per-event emission through Obs.Sink. Counter
-	// updates are atomic, so one bundle can aggregate parallel sweep
+	// tallies at AppendResults), and per-event emission through Obs.Sink.
+	// Counter updates are atomic, so one bundle can aggregate parallel sweep
 	// workers. Obs never influences simulation control flow: results are
 	// bit-identical with it on or off.
 	Obs *obs.NodeStats
@@ -169,9 +169,11 @@ type PlayerResult struct {
 // cycle per player per frame) is allocation-free in steady state: segments
 // are recycled through a per-run pool once the buffer or receiver is done
 // with them.
+//
+// A ServerSim is built only by reset, which a Pool runs before every node.
 type ServerSim struct {
 	opts   Options
-	buffer *sched.Buffer
+	buffer sched.Buffer
 
 	// sessions is indexed by stream: a session's position is the number its
 	// encoder stamps on every segment (stream.Segment.Stream), which is how a
@@ -179,7 +181,9 @@ type ServerSim struct {
 	sessions []*session
 	// sessionBy exists for AddPlayer's duplicate check and nothing else.
 	sessionBy map[int64]*session
-	sessArena []session // backing store for sessions; pool-recycled
+	// sessArena is the backing store for sessions, sized for the run's players
+	// before the first AddPlayer: growing it would move live sessions.
+	sessArena []session
 	rng       *sim.Rand
 	// mults holds frame-size multipliers drawn ahead from rng, multBlock at a
 	// time; generate takes mults[multNext]. A run starts with it empty.
@@ -206,12 +210,12 @@ type ServerSim struct {
 	segPool []*stream.Segment
 	// segAll tracks every segment this sim ever allocated, including ones
 	// in flight when the run ends (those never come back through
-	// putSegment). The pool re-deals the full set at the next run's start,
-	// so pooled runs stop allocating segments at peak concurrency.
+	// putSegment). reset re-deals the full set at the next run's start, so
+	// pooled runs stop allocating segments at peak concurrency.
 	segAll []*stream.Segment
 
 	// Always-on per-run lifecycle tallies (plain ints: one increment per
-	// event, no atomics, no allocations). Results folds them into
+	// event, no atomics, no allocations). AppendResults folds them into
 	// opts.Obs when observation is enabled; they also pin the lifecycle
 	// identity generated == delivered + dropped + in-flight.
 	genCount, delivCount, dropCount int64
@@ -299,28 +303,25 @@ type session struct {
 	levelMoves int
 }
 
-// NewServerSim builds a serving-node simulation with the given uplink
-// bandwidth (bits/second).
-func NewServerSim(opts Options, uplink int64) (*ServerSim, error) {
-	return newServerSimIn(opts, uplink, nil, nil, nil)
-}
-
-// newServerSimIn is NewServerSim reusing a pooled sender buffer, generator
-// and multiplier block when they are supplied (Reset and Reseed make the first
-// two indistinguishable from fresh ones; the block starts empty).
-func newServerSimIn(opts Options, uplink int64, buf *sched.Buffer, rng *sim.Rand, mults []float64) (*ServerSim, error) {
+// reset readies the simulation for a node with the given uplink bandwidth
+// (bits/second), as if nothing had run on it, while keeping what earlier runs
+// grew: the sender buffer (Reset), the generator (Reseed), the emptied
+// multiplier block, the session arena with each in-flight list, the session
+// index, and every segment, dealt back into the pool. Every other field
+// starts at its zero value.
+func (s *ServerSim) reset(opts Options, uplink int64) error {
 	if uplink <= 0 {
-		return nil, fmt.Errorf("qoe: non-positive uplink %d", uplink)
+		return fmt.Errorf("qoe: non-positive uplink %d", uplink)
 	}
 	if err := opts.Stream.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	interval := opts.EstimationInterval
 	if interval <= 0 {
 		interval = 10 * opts.Stream.SegmentDuration
 	}
 	if interval < opts.Stream.SegmentDuration {
-		return nil, fmt.Errorf("qoe: estimation interval %v shorter than a %v frame",
+		return fmt.Errorf("qoe: estimation interval %v shorter than a %v frame",
 			interval, opts.Stream.SegmentDuration)
 	}
 	schedCfg := opts.Sched
@@ -329,23 +330,29 @@ func newServerSimIn(opts Options, uplink int64, buf *sched.Buffer, rng *sim.Rand
 	if opts.Obs != nil {
 		schedCfg.Sink = opts.Obs.Sink
 	}
-	if buf == nil {
-		buf = sched.NewBuffer(schedCfg, opts.Stream, uplink)
+	if s.rng == nil {
+		s.rng = sim.NewRand(opts.Seed)
 	} else {
-		buf.Reset(schedCfg, opts.Stream, uplink)
+		s.rng.Reseed(opts.Seed)
 	}
-	if rng == nil {
-		rng = sim.NewRand(opts.Seed)
-	} else {
-		rng.Reseed(opts.Seed)
+	if s.sessionBy == nil {
+		s.sessionBy = make(map[int64]*session)
 	}
-	return &ServerSim{
-		opts:     opts,
-		buffer:   buf,
-		rng:      rng,
-		mults:    mults[:0],
-		interval: interval,
-	}, nil
+	clear(s.sessionBy)
+	*s = ServerSim{
+		opts:      opts,
+		buffer:    s.buffer,
+		sessions:  s.sessions[:0],
+		sessionBy: s.sessionBy,
+		sessArena: s.sessArena[:0],
+		rng:       s.rng,
+		mults:     s.mults[:0],
+		interval:  interval,
+		segPool:   append(s.segPool[:0], s.segAll...),
+		segAll:    s.segAll,
+	}
+	s.buffer.Reset(schedCfg, opts.Stream, uplink)
+	return nil
 }
 
 // multBlock is how many frame-size multipliers one refill draws. Each is an
@@ -417,24 +424,14 @@ func (s *ServerSim) AddPlayer(spec PlayerSpec) error {
 	if s.started {
 		return fmt.Errorf("qoe: AddPlayer after Start")
 	}
-	if s.sessionBy == nil {
-		s.sessionBy = make(map[int64]*session)
-	}
 	if _, dup := s.sessionBy[spec.ID]; dup {
 		return fmt.Errorf("qoe: duplicate player id %d", spec.ID)
 	}
-	// Take the session from the arena while spare capacity remains (the
-	// pool pre-sizes it); the assignment overwrites every field of a
-	// recycled slot but keeps its in-flight list's storage. Growing the
-	// arena would move live sessions, so past its capacity each session
-	// allocates individually.
-	var ss *session
-	if len(s.sessArena) < cap(s.sessArena) {
-		s.sessArena = s.sessArena[:len(s.sessArena)+1]
-		ss = &s.sessArena[len(s.sessArena)-1]
-	} else {
-		ss = new(session)
-	}
+	// Take the next slot of the arena, which was sized for every player; the
+	// assignment overwrites every field of a recycled slot but keeps its
+	// in-flight list's storage.
+	s.sessArena = s.sessArena[:len(s.sessArena)+1]
+	ss := &s.sessArena[len(s.sessArena)-1]
 	*ss = session{spec: spec, inflight: ss.inflight[:0]}
 	ss.Init(s.opts.Stream, s.opts.Adapt, spec.ID, spec.Game, spec.LevelCap)
 	ss.encoder.SetStream(len(s.sessions))
@@ -735,8 +732,8 @@ func (s *ServerSim) Lifecycle() (generated, delivered, dropped, inFlight int64) 
 }
 
 // FlushObs folds the per-run tallies (and the sender buffer's packet-drop
-// counters) into the attached NodeStats. Results calls it once; calling it
-// again is a no-op, so shared registries never double-count a run.
+// counters) into the attached NodeStats. AppendResults calls it once;
+// calling it again is a no-op, so shared registries never double-count a run.
 func (s *ServerSim) FlushObs() {
 	o := s.opts.Obs
 	if o == nil || s.obsFolded {
@@ -762,14 +759,9 @@ func (s *ServerSim) FlushObs() {
 	}
 }
 
-// Results summarizes every player as of the last RunUntil.
-func (s *ServerSim) Results() []PlayerResult {
-	return s.AppendResults(make([]PlayerResult, 0, len(s.sessions)))
-}
-
-// AppendResults appends every player's summary to dst and returns it, so
-// steady-state callers (the pool, the shard runner) keep one result buffer
-// across runs instead of allocating per node.
+// AppendResults appends every player's summary, as of the last RunUntil, to
+// dst and returns it, so the pool keeps one result buffer across runs instead
+// of allocating per node.
 func (s *ServerSim) AppendResults(dst []PlayerResult) []PlayerResult {
 	s.FlushObs()
 	for _, ss := range s.sessions {
@@ -820,43 +812,27 @@ func Summarize(results []PlayerResult) Summary {
 }
 
 // RunNode is the one-call entry: simulate a serving node with the given
-// uplink and players for the duration and return the per-player results.
+// uplink and players for the duration and return the per-player results. It
+// is a one-run Pool.
 func RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Duration) ([]PlayerResult, error) {
-	srv, err := NewServerSim(opts, uplink)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range players {
-		if err := srv.AddPlayer(p); err != nil {
-			return nil, err
-		}
-	}
-	srv.Start()
-	srv.RunUntil(duration)
-	return srv.Results(), nil
+	return NewPool().RunNode(opts, uplink, players, duration)
 }
 
-// Pool recycles the allocation-heavy state of back-to-back node runs: the
-// sender buffer with its Eq. 13 estimators, the session arena with each
-// session's in-flight list, the session index, the segment pool, the result
-// slice, and one generator re-seeded per run with its multiplier block. A
-// figure that simulates hundreds of serving nodes per sweep point pays the
-// setup allocations once instead of per node — once per world, since the pools
+// Pool holds one ServerSim across back-to-back node runs, so the
+// allocation-heavy state reset keeps — the sender buffer with its Eq. 13
+// estimators, the session arena with each session's in-flight list, the
+// session index, the segment pool, and one generator re-seeded per run with
+// its multiplier block — is allocated once, beside the result slice. A figure
+// that simulates hundreds of serving nodes per sweep point pays the setup
+// allocations once instead of per node — once per world, since the pools
 // outlive the point (experiment.World holds them). A Pool serves one
-// goroutine; results are bit-identical to RunNode — recycled sessions and
-// segments are overwritten in full before use, a re-seeded generator is in the
-// state a fresh one starts in, and the block starts empty.
+// goroutine; results are bit-identical to a fresh pool's — recycled sessions
+// and segments are overwritten in full before use, a re-seeded generator is
+// in the state a fresh one starts in, and the block starts empty.
 type Pool struct {
-	buf      *sched.Buffer
-	rng      *sim.Rand
-	mults    []float64
-	arena    []session
-	ptrs     []*session
-	index    map[int64]*session
-	segsAll  []*stream.Segment
-	segsFree []*stream.Segment
-	results  []PlayerResult
-	draws    uint64
+	sim     ServerSim
+	results []PlayerResult
+	draws   uint64
 }
 
 // Draws returns the cumulative RNG draws every run on this pool consumed —
@@ -865,42 +841,29 @@ type Pool struct {
 func (p *Pool) Draws() uint64 { return p.draws }
 
 // NewPool returns an empty pool.
-func NewPool() *Pool {
-	return &Pool{index: make(map[int64]*session)}
-}
+func NewPool() *Pool { return new(Pool) }
 
-// RunNode is qoe.RunNode against the pool's reusable state. The returned
-// slice is valid until the next RunNode call on this pool; callers that
-// keep results across calls must copy them out.
+// RunNode simulates a serving node with the given uplink and players for the
+// duration on the pool's ServerSim. The returned slice is valid until the
+// next RunNode call on this pool; callers that keep results across calls must
+// copy them out.
 func (p *Pool) RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Duration) ([]PlayerResult, error) {
-	srv, err := newServerSimIn(opts, uplink, p.buf, p.rng, p.mults)
-	if err != nil {
+	s := &p.sim
+	if err := s.reset(opts, uplink); err != nil {
 		return nil, err
 	}
-	p.buf, p.rng = srv.buffer, srv.rng
-	if cap(p.arena) < len(players) {
-		p.arena = make([]session, 0, len(players))
+	if cap(s.sessArena) < len(players) {
+		s.sessArena = make([]session, 0, len(players))
 	}
-	srv.sessArena = p.arena[:0]
-	srv.sessions = p.ptrs[:0]
-	clear(p.index)
-	srv.sessionBy = p.index
-	srv.segAll = p.segsAll
-	srv.segPool = append(p.segsFree[:0], p.segsAll...)
 	for _, spec := range players {
-		if err := srv.AddPlayer(spec); err != nil {
+		if err := s.AddPlayer(spec); err != nil {
 			return nil, err
 		}
 	}
-	srv.Start()
-	srv.RunUntil(duration)
-	p.results = srv.AppendResults(p.results[:0])
-	p.draws += srv.draws()
-	p.mults = srv.mults
-	p.arena = srv.sessArena
-	p.ptrs = srv.sessions
-	p.segsAll = srv.segAll
-	p.segsFree = srv.segPool
+	s.Start()
+	s.RunUntil(duration)
+	p.results = s.AppendResults(p.results[:0])
+	p.draws += s.draws()
 	return p.results, nil
 }
 

@@ -210,26 +210,26 @@ func TestLightLoadAllVariantsAgree(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	if _, err := NewServerSim(DefaultOptions(), 0); err == nil {
+	if _, err := newSim(DefaultOptions(), 0, 0); err == nil {
 		t.Fatal("zero uplink accepted")
 	}
 	bad := DefaultOptions()
 	bad.Stream.PacketSize = 0
-	if _, err := NewServerSim(bad, 1_000_000); err == nil {
+	if _, err := newSim(bad, 1_000_000, 0); err == nil {
 		t.Fatal("invalid stream config accepted")
 	}
 	// The estimation stream keeps its cyclic player order only while every
 	// phase is shorter than the interval, so a frame is the shortest one.
 	short := DefaultOptions()
 	short.EstimationInterval = short.Stream.SegmentDuration - 1
-	if _, err := NewServerSim(short, 1_000_000); err == nil {
+	if _, err := newSim(short, 1_000_000, 0); err == nil {
 		t.Fatal("estimation interval shorter than a frame accepted")
 	}
 	short.EstimationInterval = short.Stream.SegmentDuration
-	if _, err := NewServerSim(short, 1_000_000); err != nil {
+	if _, err := newSim(short, 1_000_000, 0); err != nil {
 		t.Fatalf("one-frame estimation interval refused: %v", err)
 	}
-	srv, err := NewServerSim(DefaultOptions(), 1_000_000)
+	srv, err := newSim(DefaultOptions(), 1_000_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +247,13 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestEmptyServerRuns(t *testing.T) {
-	srv, err := NewServerSim(DefaultOptions(), 1_000_000)
+	srv, err := newSim(DefaultOptions(), 1_000_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Start()
 	srv.RunUntil(time.Second)
-	if len(srv.Results()) != 0 {
+	if len(srv.AppendResults(nil)) != 0 {
 		t.Fatal("empty server produced results")
 	}
 }
@@ -354,7 +354,7 @@ func TestObsDoesNotChangeResults(t *testing.T) {
 }
 
 func TestObsFoldsOnce(t *testing.T) {
-	// Calling Results twice must not double-count the per-run tallies.
+	// Calling AppendResults twice must not double-count the per-run tallies.
 	reg := obs.NewRegistry()
 	opts := noJitter(DefaultOptions())
 	opts.Obs = obs.NodeStatsIn(reg)
@@ -366,9 +366,9 @@ func TestObsFoldsOnce(t *testing.T) {
 	}
 	srv := startSim(t, opts, 25_000_000, players)
 	srv.RunUntil(10 * time.Second)
-	srv.Results()
+	srv.AppendResults(nil)
 	first := reg.Snapshot().Counters
-	srv.Results()
+	srv.AppendResults(nil)
 	second := reg.Snapshot().Counters
 	if first["cloudfog_qoe_segments_generated_total"] == 0 || !reflect.DeepEqual(first, second) {
 		t.Fatalf("per-run tallies folded more than once:\n%v\n%v", first, second)
@@ -403,13 +403,14 @@ func TestObsFoldsOnce(t *testing.T) {
 // so the generator's draw count can be read), even back-to-back across nodes
 // that differ in seed, player count (growing and shrinking, so sessions,
 // segments and Eq. 13 estimators are recycled under other players' stream
-// indices), strategies, propagation window and level caps — on a pool whose
-// one generator is re-seeded per run — and the draws the pool counts are the
-// draws the fresh generators made.
+// indices), strategies, drop policy and level caps, and after a run refused
+// partway through adding its players — on a pool whose one generator is
+// re-seeded per run — and the draws the pool counts are the draws the fresh
+// generators made.
 func TestPoolMatchesRunNode(t *testing.T) {
 	pool := NewPool()
-	shortWindow := DefaultOptions()
-	shortWindow.Sched.PropWindow = 3
+	uniform := DefaultOptions()
+	uniform.Sched.UniformDrop = true
 	cases := []struct {
 		opts    Options
 		uplink  int64
@@ -417,17 +418,19 @@ func TestPoolMatchesRunNode(t *testing.T) {
 		mix     int64 // seeds the player set
 		seed    int64 // seeds the run
 		capped  bool
+		dup     bool // repeats the middle player's ID: the run is refused
 	}{
-		{DefaultOptions(), 120_000_000, 14, 11, 1011, false},
-		{BasicOptions(), 40_000_000, 25, 12, 1012, false},
-		{DefaultOptions(), 40_000_000, 25, 12, 1012, false}, // same load, strategies on
-		{BasicOptions(), 200_000_000, 3, 13, 1013, false},
-		{DefaultOptions(), 120_000_000, 14, 11, 1011, false}, // repeat of case 0 on a warm pool
-		{DefaultOptions(), 120_000_000, 14, 11, 77, false},   // same players, another seed
-		{DefaultOptions(), 30_000_000, 40, 15, 1015, true},   // the pool's peak, level caps on
-		{shortWindow, 30_000_000, 9, 16, 1016, false},        // shrinks, Eq. 13 window changes
-		{DefaultOptions(), 30_000_000, 40, 15, 1015, true},   // grows back
-		{BasicOptions(), 8_000_000, 1, 17, 1017, false},
+		{DefaultOptions(), 120_000_000, 14, 11, 1011, false, false},
+		{BasicOptions(), 40_000_000, 25, 12, 1012, false, false},
+		{DefaultOptions(), 40_000_000, 25, 12, 1012, false, false}, // same load, strategies on
+		{BasicOptions(), 200_000_000, 3, 13, 1013, false, false},
+		{DefaultOptions(), 120_000_000, 14, 11, 1011, false, false}, // repeat of case 0 on a warm pool
+		{DefaultOptions(), 120_000_000, 14, 11, 77, false, false},   // same players, another seed
+		{DefaultOptions(), 30_000_000, 40, 15, 1015, true, false},   // the pool's peak, level caps on
+		{uniform, 30_000_000, 9, 16, 1016, false, false},            // shrinks, Eq. 14 weights change
+		{DefaultOptions(), 30_000_000, 40, 15, 1015, true, false},   // grows back
+		{DefaultOptions(), 30_000_000, 20, 18, 1018, false, true},   // refused after ten players
+		{BasicOptions(), 8_000_000, 1, 17, 1017, false, false},
 	}
 	var draws uint64
 	for i, c := range cases {
@@ -439,9 +442,16 @@ func TestPoolMatchesRunNode(t *testing.T) {
 				players[k].LevelCap = k % 4 // every fourth stays uncapped
 			}
 		}
+		if c.dup {
+			players[len(players)/2].ID = players[0].ID
+			if _, err := pool.RunNode(opts, c.uplink, players, 8*time.Second); err == nil {
+				t.Fatalf("case %d: a repeated player ID was accepted", i)
+			}
+			continue
+		}
 		fresh := startSim(t, opts, c.uplink, players)
 		fresh.RunUntil(8 * time.Second)
-		want := fresh.Results()
+		want := fresh.AppendResults(nil)
 		draws += fresh.draws()
 		got, err := pool.RunNode(opts, c.uplink, players, 8*time.Second)
 		if err != nil {
@@ -600,10 +610,9 @@ func TestEachNodeVisitsEveryIndexOnce(t *testing.T) {
 }
 
 // TestPoolAllocFloor records the warm pool's floor: a run on a pool that has
-// seen this load allocates the sim struct and nothing else, whatever the
-// player count — sessions, segments, estimators, the session index and the
-// generator (re-seeded, not rebuilt: a run measured 4 when it was) are the
-// pool's.
+// seen this load allocates nothing, whatever the player count — the sim,
+// sessions, segments, estimators, the session index and the generator
+// (re-seeded, not rebuilt: a run measured 4 when it was) are the pool's.
 func TestPoolAllocFloor(t *testing.T) {
 	pool := NewPool()
 	opts := DefaultOptions()
@@ -618,7 +627,7 @@ func TestPoolAllocFloor(t *testing.T) {
 	warm()
 	allocs := testing.AllocsPerRun(5, warm)
 	// A fresh RunNode costs >100 allocations for this load; a warm pool run
-	// measures 1.
+	// measures 0.
 	const floor = 2
 	if allocs > floor {
 		t.Fatalf("warm pool run allocates %.0f, want <= %d", allocs, floor)
@@ -675,7 +684,7 @@ func TestStreamInitPicksTheLevelAddPlayerPicked(t *testing.T) {
 				t.Errorf("game %d, cap %d: level %d, %d-byte segments; want level %d, %d bytes",
 					g.ID, levelCap, s.Level().Level, seg.Bytes, want.Level, opts.Stream.SegmentBytes(want.Bitrate))
 			}
-			srv, err := NewServerSim(opts, 100_000_000)
+			srv, err := newSim(opts, 100_000_000, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,15 +23,17 @@ import (
 	"cloudfog/internal/stream"
 )
 
-// Config parameterizes the scheduler. Zero-value fields are replaced by
-// defaults in NewBuffer.
+// The paper's §IV settings of Eqs. 13 and 14, which no run varies.
+const (
+	// lambda is the decay rate λ (per second) of φ = e^{-λt} in Eq. 14.
+	lambda = 1
+	// propWindow is m: how many recently sent packets' propagation delays
+	// feed the per-player propagation estimate (Eq. 13).
+	propWindow = 10
+)
+
+// Config parameterizes the scheduler.
 type Config struct {
-	// Lambda is the decay rate λ (per second) of φ = e^{-λt} in Eq. 14.
-	// The paper's default is 1.
-	Lambda float64
-	// PropWindow is m: how many recently sent packets' propagation delays
-	// feed the per-player propagation estimate (Eq. 13). Default 10.
-	PropWindow int
 	// EDF orders the queue by expected arrival time. Disabled, the buffer
 	// degenerates to FIFO — kept as an ablation switch.
 	EDF bool
@@ -54,11 +56,10 @@ type Config struct {
 	Sink obs.EventSink
 }
 
-// DefaultConfig returns the paper's defaults: λ = 1, m = 10, EDF ordering
-// and deadline-driven dropping both enabled.
+// DefaultConfig returns the paper's defaults: EDF ordering and
+// deadline-driven dropping both enabled.
 func DefaultConfig() Config {
-	return Config{Lambda: 1, PropWindow: 10, EDF: true, DropEnabled: true,
-		MaxQueueDelay: 40 * time.Millisecond}
+	return Config{EDF: true, DropEnabled: true, MaxQueueDelay: 40 * time.Millisecond}
 }
 
 // Buffer is one supernode's sender-side segment queue.
@@ -102,45 +103,21 @@ type Buffer struct {
 // NewBuffer returns a sender buffer draining at the given uplink bandwidth
 // (bits per second).
 func NewBuffer(cfg Config, streamCfg stream.Config, bandwidthBits int64) *Buffer {
-	if bandwidthBits <= 0 {
-		panic(fmt.Sprintf("sched: non-positive bandwidth %d", bandwidthBits))
-	}
-	if cfg.Lambda == 0 {
-		cfg.Lambda = 1
-	}
-	if cfg.PropWindow == 0 {
-		cfg.PropWindow = 10
-	}
-	maxBytes := 0
-	if cfg.MaxQueueDelay > 0 {
-		maxBytes = int(float64(bandwidthBits) * cfg.MaxQueueDelay.Seconds() / 8)
-	}
-	return &Buffer{
-		cfg:       cfg,
-		streamCfg: streamCfg,
-		bandwidth: float64(bandwidthBits),
-		nominal:   float64(bandwidthBits),
-		maxBytes:  maxBytes,
-	}
+	b := new(Buffer)
+	b.Reset(cfg, streamCfg, bandwidthBits)
+	return b
 }
 
-// Reset reinitializes the buffer in place for a new run with new
-// parameters, as if freshly built by NewBuffer, while keeping every piece
-// of grown storage: the queue array, the eviction list, the drop scratch,
-// and the estimators with their sample windows (rewound where they stand, so
-// the next run's streams find them by the same indices). A pooled buffer
-// therefore stops allocating once it has seen its peak queue depth and
-// stream count. Behavior is identical to a fresh buffer: estimators are
-// zeroed before reuse and all counters restart at zero.
+// Reset initializes the buffer for a new run with new parameters — NewBuffer
+// is Reset on a zero Buffer — while keeping every piece of grown storage: the
+// queue array, the eviction list, the drop scratch, and the estimators
+// (rewound where they stand, so the next run's streams find them by the same
+// indices). A pooled buffer therefore stops allocating once it has seen its
+// peak queue depth and stream count. Behavior is identical to a fresh buffer:
+// estimators are zeroed before reuse and all counters restart at zero.
 func (b *Buffer) Reset(cfg Config, streamCfg stream.Config, bandwidthBits int64) {
 	if bandwidthBits <= 0 {
 		panic(fmt.Sprintf("sched: non-positive bandwidth %d", bandwidthBits))
-	}
-	if cfg.Lambda == 0 {
-		cfg.Lambda = 1
-	}
-	if cfg.PropWindow == 0 {
-		cfg.PropWindow = 10
 	}
 	maxBytes := 0
 	if cfg.MaxQueueDelay > 0 {
@@ -229,7 +206,7 @@ func (b *Buffer) RecordPropagation(stream int, d time.Duration) {
 	if stream >= len(b.prop) {
 		b.prop = append(b.prop, make([]propEstimator, stream+1-len(b.prop))...)
 	}
-	b.prop[stream].record(b.cfg.PropWindow, d)
+	b.prop[stream].record(d)
 }
 
 // PropagationEstimate returns l_p for a stream: the mean of the last m
@@ -451,7 +428,7 @@ func (b *Buffer) dropAcross(now time.Duration, i, deficit int) {
 			if waited < 0 {
 				waited = 0
 			}
-			phi := math.Exp(-b.cfg.Lambda * waited)
+			phi := math.Exp(-lambda * waited)
 			sc.weights[k] = s.LossTolerance * phi
 		}
 		sc.budgets[k] = s.DropBudget()
@@ -594,36 +571,29 @@ func AllocateDrops(weights []float64, budgets []int, deficit int) []int {
 }
 
 // propEstimator keeps the last m propagation samples (Eq. 13). The zero
-// value has recorded nothing; its window is sized at its first sample.
+// value has recorded nothing.
 type propEstimator struct {
-	samples []time.Duration
+	samples [propWindow]time.Duration
 	next    int
 	full    bool
 	sum     time.Duration
 }
 
-// reset rewinds an estimator for a new run and keeps its window's storage:
-// stale samples are never read before being overwritten, because the mean only
-// covers slots written since the reset.
+// reset rewinds an estimator for a new run: stale samples are never read
+// before being overwritten, because the mean only covers slots written since
+// the reset.
 func (p *propEstimator) reset() {
 	p.next, p.full, p.sum = 0, false, 0
 }
 
-func (p *propEstimator) record(window int, d time.Duration) {
-	if len(p.samples) != window {
-		// The first sample, or the first since a Reset that changed m.
-		if cap(p.samples) < window {
-			p.samples = make([]time.Duration, window)
-		}
-		p.samples = p.samples[:window]
-	}
+func (p *propEstimator) record(d time.Duration) {
 	if p.full {
 		p.sum -= p.samples[p.next]
 	}
 	p.samples[p.next] = d
 	p.sum += d
 	p.next++
-	if p.next == window {
+	if p.next == propWindow {
 		p.next = 0
 		p.full = true
 	}
@@ -632,7 +602,7 @@ func (p *propEstimator) record(window int, d time.Duration) {
 func (p *propEstimator) mean() time.Duration {
 	n := p.next
 	if p.full {
-		n = len(p.samples)
+		n = propWindow
 	}
 	if n == 0 {
 		return 0
