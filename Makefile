@@ -181,8 +181,9 @@ scale:
 # digest, both recorded on the event-engine-backed simulation, and the bound
 # on what a player holds in flight), one pool driven through unlike runs
 # against fresh simulations, the two allocation floors, the block-ahead
-# frame-size draw against one draw per segment and the level a stream's
-# serving state starts at under every cap; the sender buffer
+# frame-size draw against one draw per segment, the level a stream's
+# serving state starts at under every cap, what a run refuses, and two runs
+# on one registry counting twice one run's tallies; the sender buffer
 # (estimators by stream index), stream (EncodeInto over a dirty segment) and
 # sim (a re-seeded generator against a fresh one) suites; what a warm groupRun
 # allocates on the world's pools, its bytes at any worker count, and that a
@@ -193,7 +194,7 @@ scale:
 # quarter-scale world. The run builds bench/ against this tree and fails if
 # the pinned figure hash moves.
 figures:
-	$(GO) test -count=1 -run 'Golden|Ties|InFlight|Pool|AllocFloor|SizeJitter|StreamInit' ./internal/qoe/
+	$(GO) test -count=1 -run 'Golden|Ties|InFlight|Pool|AllocFloor|SizeJitter|StreamInit|Validation|ObsFolds' ./internal/qoe/
 	$(GO) test -count=1 ./internal/sched/ ./internal/stream/ ./internal/sim/
 	$(GO) test -count=1 -run 'GroupRun|CloneIsolation' ./internal/experiment/
 	$(GO) test -tags figures -count=1 -run 'FigureDigests' ./internal/experiment/

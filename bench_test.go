@@ -215,12 +215,12 @@ func ablationScenario(b *testing.B) (int64, []qoe.PlayerSpec) {
 }
 
 // BenchmarkAblationFIFOvsEDF compares the sender queue disciplines under
-// load: a plain FIFO against Scheduling's EDF ordering with deadline drops.
+// load: a plain FIFO against Deadline's EDF ordering with deadline drops.
 func BenchmarkAblationFIFOvsEDF(b *testing.B) {
 	uplink, specs := ablationScenario(b)
 	run := func(edf bool) float64 {
 		opts := qoe.BasicOptions()
-		opts.Scheduling = edf
+		opts.Sched.Deadline = edf
 		res, err := qoe.RunNode(opts, uplink, specs, 30*time.Second)
 		if err != nil {
 			b.Fatal(err)
@@ -242,7 +242,7 @@ func BenchmarkAblationDropPolicy(b *testing.B) {
 	uplink, specs := ablationScenario(b)
 	run := func(uniform bool) float64 {
 		opts := qoe.BasicOptions()
-		opts.Scheduling = true
+		opts.Sched.Deadline = true
 		opts.Sched.UniformDrop = uniform
 		res, err := qoe.RunNode(opts, uplink, specs, 30*time.Second)
 		if err != nil {

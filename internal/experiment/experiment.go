@@ -392,18 +392,25 @@ func CoverageVsSupernodes(w *World, snCounts []int, reqs []time.Duration) ([]met
 	})
 }
 
+// systems are the paper's four systems in the order its figures plot them:
+// the label, the builder on a point's world, and whether the two CloudFog
+// strategies run, which only CloudFog/A's do.
+var systems = []struct {
+	label      string
+	build      func(pw *World) (*core.Fog, error)
+	strategies bool
+}{
+	{"Cloud", func(pw *World) (*core.Fog, error) { return pw.NewCloud(pw.Cfg.Datacenters) }, false},
+	{"EdgeCloud", func(pw *World) (*core.Fog, error) { return pw.NewEdgeCloud(pw.Cfg.Datacenters) }, false},
+	{"CloudFog/B", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, false},
+	{"CloudFog/A", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, true},
+}
+
 // BandwidthVsPlayers reproduces Figure 7(a): the cloud's video egress as
 // the number of concurrent players grows, for Cloud, EdgeCloud and
 // CloudFog/B. Values are in Mbit/s.
 func BandwidthVsPlayers(w *World, playerCounts []int) ([]metrics.Series, error) {
-	builds := []struct {
-		label string
-		build func(pw *World) (*core.Fog, error)
-	}{
-		{"Cloud", func(pw *World) (*core.Fog, error) { return pw.NewCloud(pw.Cfg.Datacenters) }},
-		{"EdgeCloud", func(pw *World) (*core.Fog, error) { return pw.NewEdgeCloud(pw.Cfg.Datacenters) }},
-		{"CloudFog/B", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }},
-	}
+	builds := systems[:3]
 	series := make([]metrics.Series, len(builds))
 	for i, b := range builds {
 		series[i].Label = b.label
@@ -540,16 +547,6 @@ type LatencyResult struct {
 // scale. CloudFog/A uses the flow-level adaptation proxy (encoders step
 // down until the segment fits the game's budget).
 func ResponseLatency(w *World) ([]LatencyResult, error) {
-	systems := []struct {
-		name    string
-		build   func(pw *World) (*core.Fog, error)
-		adapted bool
-	}{
-		{"Cloud", func(pw *World) (*core.Fog, error) { return pw.NewCloud(pw.Cfg.Datacenters) }, false},
-		{"EdgeCloud", func(pw *World) (*core.Fog, error) { return pw.NewEdgeCloud(pw.Cfg.Datacenters) }, false},
-		{"CloudFog/B", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, false},
-		{"CloudFog/A", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, true},
-	}
 	out := make([]LatencyResult, len(systems))
 	err := w.sweepPoints(len(systems), func(pw *World, i int) error {
 		sys, err := systems[i].build(pw)
@@ -560,7 +557,7 @@ func ResponseLatency(w *World) ([]LatencyResult, error) {
 		var ds metrics.DurationSample
 		for _, p := range players {
 			var l time.Duration
-			if systems[i].adapted {
+			if systems[i].strategies {
 				l = core.AdaptedFlowLatency(pw.Cfg.Core, p)
 			} else {
 				l = sys.NetworkLatency(p)
@@ -568,7 +565,7 @@ func ResponseLatency(w *World) ([]LatencyResult, error) {
 			ds.Add(l + game.PlayoutDelay)
 		}
 		out[i] = LatencyResult{
-			System: systems[i].name,
+			System: systems[i].label,
 			Mean:   ds.Mean(),
 			Median: ds.Median(),
 			P90:    ds.Percentile(90),

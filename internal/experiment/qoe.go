@@ -164,16 +164,6 @@ func groupRun(w *World, sys *core.Fog, players []*core.Player, opts qoe.Options,
 // CloudFog/B and CloudFog/A. Each point runs the segment-level simulation
 // for `horizon` of virtual time on every serving node.
 func ContinuityVsPlayers(w *World, counts []int, horizon time.Duration) ([]metrics.Series, error) {
-	systems := []struct {
-		label string
-		build func(pw *World) (*core.Fog, error)
-		opts  qoe.Options
-	}{
-		{"Cloud", func(pw *World) (*core.Fog, error) { return pw.NewCloud(pw.Cfg.Datacenters) }, qoe.BasicOptions()},
-		{"EdgeCloud", func(pw *World) (*core.Fog, error) { return pw.NewEdgeCloud(pw.Cfg.Datacenters) }, qoe.BasicOptions()},
-		{"CloudFog/B", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, qoe.BasicOptions()},
-		{"CloudFog/A", func(pw *World) (*core.Fog, error) { return pw.NewFog(pw.Cfg.Datacenters, pw.Cfg.Supernodes) }, qoe.DefaultOptions()},
-	}
 	series := make([]metrics.Series, len(systems))
 	for i, sys := range systems {
 		series[i].Label = sys.label
@@ -187,7 +177,10 @@ func ContinuityVsPlayers(w *World, counts []int, horizon time.Duration) ([]metri
 			return err
 		}
 		players := pw.JoinAll(sys, n)
-		opts := systems[si].opts
+		opts := qoe.BasicOptions()
+		if systems[si].strategies {
+			opts = qoe.DefaultOptions()
+		}
 		opts.Seed = pw.Cfg.Seed + int64(n)
 		sum, err := groupRun(pw, sys, players, opts, horizon)
 		if err != nil {
@@ -318,7 +311,7 @@ func StrategyEffect(w *World, loads []int, horizon time.Duration, adaptation, sc
 		without.Points[i] = metrics.Point{X: float64(k), Y: qoe.Summarize(resB).SatisfiedFrac}
 
 		opts.Adaptation = adaptation
-		opts.Scheduling = scheduling
+		opts.Sched.Deadline = scheduling
 		resW, err := pool.RunNode(opts, uplink, specs, horizon)
 		if err != nil {
 			return err

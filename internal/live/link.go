@@ -116,7 +116,7 @@ type DatagramLink struct {
 
 // linkCore is the shared machinery behind Link and DatagramLink.
 type linkCore struct {
-	conn          net.Conn
+	conn          io.ReadWriteCloser
 	delay         time.Duration
 	flushDeadline time.Duration // <0: per-frame writes (no coalescing)
 	dgram         bool
@@ -180,7 +180,7 @@ func NewLinkOpts(conn net.Conn, opts LinkOptions) *Link {
 }
 
 // NewDatagramLink wraps a datagram conn (each Write is one datagram).
-func NewDatagramLink(conn net.Conn, opts LinkOptions) *DatagramLink {
+func NewDatagramLink(conn io.ReadWriteCloser, opts LinkOptions) *DatagramLink {
 	l := &DatagramLink{}
 	l.init(conn, opts, true)
 	return l
@@ -199,7 +199,7 @@ var (
 	_ Transport = (*DatagramLink)(nil)
 )
 
-func (l *linkCore) init(conn net.Conn, opts LinkOptions, dgram bool) {
+func (l *linkCore) init(conn io.ReadWriteCloser, opts LinkOptions, dgram bool) {
 	fd := opts.FlushDeadline
 	if fd == 0 {
 		fd = DefaultFlushDeadline
@@ -655,9 +655,9 @@ func (l *linkCore) Close() {
 }
 
 // addrConn adapts one remote address of a shared unconnected UDP socket to
-// net.Conn for DatagramLink's writer. The listener that owns the socket
-// does all reading (demuxing by source address), so Read is unsupported,
-// and Close is a no-op — the socket outlives any one peer.
+// the connection DatagramLink's writer needs. The listener that owns the
+// socket does all reading (demuxing by source address), so Read is
+// unsupported, and Close is a no-op — the socket outlives any one peer.
 type addrConn struct {
 	sock  *net.UDPConn
 	raddr *net.UDPAddr
@@ -666,9 +666,3 @@ type addrConn struct {
 func (c *addrConn) Write(p []byte) (int, error) { return c.sock.WriteToUDP(p, c.raddr) }
 func (c *addrConn) Read(p []byte) (int, error)  { return 0, io.EOF }
 func (c *addrConn) Close() error                { return nil }
-func (c *addrConn) LocalAddr() net.Addr         { return c.sock.LocalAddr() }
-func (c *addrConn) RemoteAddr() net.Addr        { return c.raddr }
-
-func (c *addrConn) SetDeadline(time.Time) error      { return nil }
-func (c *addrConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *addrConn) SetWriteDeadline(time.Time) error { return nil }

@@ -243,7 +243,7 @@ func TestDatagramLinkEndToEnd(t *testing.T) {
 	last := int64(-1)
 	deadline := time.Now().Add(2 * time.Second)
 	for got < n && time.Now().Before(deadline) {
-		receiver.conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		receiver.conn.(net.Conn).SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 		typ, payload, err := receiver.Recv()
 		if err != nil {
 			break // deadline: whatever UDP delivered is what we check

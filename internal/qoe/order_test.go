@@ -19,30 +19,26 @@ import (
 // bodies but for how a sim is built and advanced: they are what the engine's
 // (at, seq) order computes, and the merge must compute it too.
 
-// newSim builds a node the way Pool.RunNode does: reset, then an arena sized
-// for n players.
-func newSim(opts Options, uplink int64, n int) (*ServerSim, error) {
-	srv := new(ServerSim)
+// newSim resets a fresh node the way Pool.RunNode does.
+func newSim(opts Options, uplink int64) (*nodeSim, error) {
+	srv := new(nodeSim)
 	if err := srv.reset(opts, uplink); err != nil {
 		return nil, err
 	}
-	srv.sessArena = make([]session, 0, n)
 	return srv, nil
 }
 
-// startSim builds a node over the players and starts it.
-func startSim(t *testing.T, opts Options, uplink int64, players []PlayerSpec) *ServerSim {
+// startSim builds a node over the players and starts it, as Pool.RunNode
+// does, for a test to step through runUntil.
+func startSim(t *testing.T, opts Options, uplink int64, players []PlayerSpec) *nodeSim {
 	t.Helper()
-	srv, err := newSim(opts, uplink, len(players))
+	srv, err := newSim(opts, uplink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range players {
-		if err := srv.AddPlayer(p); err != nil {
-			t.Fatal(err)
-		}
+	if err := srv.start(players); err != nil {
+		t.Fatal(err)
 	}
-	srv.Start()
 	return srv
 }
 
@@ -74,8 +70,8 @@ func (d digest) results(res []PlayerResult) {
 	}
 }
 
-func (d digest) lifecycle(srv *ServerSim) {
-	gen, del, drop, inflight := srv.Lifecycle()
+func (d digest) lifecycle(srv *nodeSim) {
+	gen, del, drop, inflight := srv.lifecycle()
 	d.ints(gen, del, drop, inflight, int64(srv.draws()))
 }
 
@@ -142,7 +138,7 @@ func goldenCases(t *testing.T) []goldenCase {
 				for variant := 0; variant < 4; variant++ {
 					opts := DefaultOptions()
 					opts.Adaptation = combo&1 != 0
-					opts.Scheduling = combo&2 != 0
+					opts.Sched.Deadline = combo&2 != 0
 					opts.Seed = 1000 + int64(len(cases))
 					opts.Warmup = horizon / 4
 					far := variant == 1 || variant == 3
@@ -183,7 +179,7 @@ func goldenCases(t *testing.T) []goldenCase {
 
 // TestRunNodeGolden pins every observable of 240 node runs — each player's
 // result, the segment lifecycle and the RNG draw count — to the digest the
-// engine-backed simulation produced, through a hand-driven ServerSim, RunNode
+// engine-backed simulation produced, through a hand-driven nodeSim, RunNode
 // and one Pool reused across all of them.
 func TestRunNodeGolden(t *testing.T) {
 	const want = "1d3446e14a2ffb8ff64c01aef711d626e67d0c38d377da8f77e3e1da62a0c036"
@@ -193,8 +189,8 @@ func TestRunNodeGolden(t *testing.T) {
 	cases := goldenCases(t)
 	for i, c := range cases {
 		srv := startSim(t, c.opts, c.uplink, c.players)
-		srv.RunUntil(c.horizon)
-		res := srv.AppendResults(nil)
+		srv.runUntil(c.horizon)
+		res := srv.appendResults(nil)
 		d.results(res)
 		d.lifecycle(srv)
 		draws += srv.draws()
@@ -228,7 +224,7 @@ func TestRunNodeGolden(t *testing.T) {
 // state digests what the engine order decides inside a node at a stopping
 // point: each player's estimator, download tally, meters and receiver, and
 // the node's lifecycle.
-func (d digest) state(srv *ServerSim) {
+func (d digest) state(srv *nodeSim) {
 	for _, ss := range srv.sessions {
 		d.float(ss.est.Bytes())
 		d.float(ss.recv.BufferedBytes())
@@ -276,8 +272,8 @@ func TestMergeBreaksTiesLikeTheEngine(t *testing.T) {
 		// transmission completes on the next player's generation instant,
 		// which was scheduled first and fires first. 960 kbit/s takes 50 ms,
 		// longer than a frame: the completion was scheduled first.
-		uplink     int64
-		scheduling bool
+		uplink   int64
+		deadline bool
 		// interval 10 frames: an arrival on an estimate instant was stamped
 		// after that estimate and lands after it. One frame: the 70 and
 		// 110 ms arrivals were stamped before it and land first, and every
@@ -298,7 +294,7 @@ func TestMergeBreaksTiesLikeTheEngine(t *testing.T) {
 		opts.Stream.SegmentDuration = frame
 		opts.Warmup = 500 * time.Millisecond
 		opts.Sched.MaxQueueDelay = 100 * time.Millisecond // two segments on the slow uplink
-		opts.Scheduling = sc.scheduling
+		opts.Sched.Deadline = sc.deadline
 		opts.Adaptation = sc.interval > 0
 		opts.EstimationInterval = sc.interval
 		opts.Impair = sc.impair
@@ -318,10 +314,10 @@ func TestMergeBreaksTiesLikeTheEngine(t *testing.T) {
 		}
 		srv := startSim(t, opts, sc.uplink, players)
 		for at := 10 * time.Millisecond; at <= 4*time.Second; at += 10 * time.Millisecond {
-			srv.RunUntil(at)
+			srv.runUntil(at)
 			d.state(srv)
 		}
-		d.results(srv.AppendResults(nil))
+		d.results(srv.appendResults(nil))
 
 		// The scenario must keep producing the ties it is there for.
 		ties := 0
@@ -366,7 +362,7 @@ func TestInFlightStaysBounded(t *testing.T) {
 	}
 	footprint := func(horizon time.Duration) (segments, deepest int) {
 		srv := startSim(t, opts, 40_000_000, players)
-		srv.RunUntil(horizon)
+		srv.runUntil(horizon)
 		for _, ss := range srv.sessions {
 			deepest = max(deepest, cap(ss.inflight))
 		}

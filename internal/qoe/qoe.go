@@ -42,23 +42,19 @@ type Impairment interface {
 type Options struct {
 	// Adaptation enables receiver-driven encoding rate adaptation.
 	Adaptation bool
-	// Scheduling enables deadline-driven sender buffer scheduling
-	// (EDF ordering + tolerance-weighted packet dropping). Disabled, the
-	// sender is a plain FIFO without drops — the CloudFog/B behavior.
-	Scheduling bool
 
 	Adapt adapt.Config
-	// Sched configures the sender buffer. Scheduling owns its EDF and
-	// DropEnabled fields: a sender is built with both set to Scheduling,
-	// whatever Sched holds.
+	// Sched configures the sender buffer; its Deadline switch is the
+	// deadline-driven scheduling strategy (EDF ordering + Eq. 14 drops).
+	// When Obs is set, Obs.Sink replaces its Sink.
 	Sched  sched.Config
 	Stream stream.Config
 
 	// EstimationInterval is the receiver's occupancy-calculation cadence
 	// (§III-B does not fix one; estimating every video frame makes the
 	// h₁/h₂ streaks elapse in seconds and synchronizes bitrate
-	// oscillation across players). Default: 10 frame intervals; an interval
-	// shorter than one frame is an error.
+	// oscillation across players). DefaultOptions sets 10 frame intervals;
+	// with Adaptation on, an interval shorter than one frame is an error.
 	EstimationInterval time.Duration
 	// Warmup excludes the startup transient from the meters.
 	Warmup time.Duration
@@ -80,7 +76,7 @@ type Options struct {
 	// Obs, when non-nil, receives the node's observability: segment
 	// lifecycle counters, the delivery-latency histogram and, through
 	// Obs.Engine, the event counters (all folded from always-on per-run
-	// tallies at AppendResults), and per-event emission through Obs.Sink.
+	// tallies once the run ends), and per-event emission through Obs.Sink.
 	// Counter updates are atomic, so one bundle can aggregate parallel sweep
 	// workers. Obs never influences simulation control flow: results are
 	// bit-identical with it on or off.
@@ -92,7 +88,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Adaptation:         true,
-		Scheduling:         true,
 		Adapt:              adapt.DefaultConfig(),
 		Sched:              sched.DefaultConfig(),
 		Stream:             stream.DefaultConfig(),
@@ -109,7 +104,7 @@ func DefaultOptions() Options {
 func BasicOptions() Options {
 	o := DefaultOptions()
 	o.Adaptation = false
-	o.Scheduling = false
+	o.Sched.Deadline = false
 	return o
 }
 
@@ -148,7 +143,7 @@ type PlayerResult struct {
 	PacketsTotal  int64
 }
 
-// ServerSim simulates one serving node streaming to its players.
+// nodeSim simulates one serving node streaming to its players.
 //
 // It keeps its own virtual clock and needs no event queue, because its events
 // come from sources that are each already in time order. Generation visits
@@ -158,7 +153,7 @@ type PlayerResult struct {
 // its interval, which is why that may not be shorter than a frame. The uplink
 // has at most one transmission pending. So the next event is the least of two
 // cursors and one slot under (at, stamp), where stamp counts scheduling acts
-// in program order exactly as the event engine's seq would — RunUntil computes
+// in program order exactly as the event engine's seq would — runUntil computes
 // that engine's (at, seq) total order without a heap. Arrivals take no part in
 // that order: landing a segment touches only its own player's receiver and
 // meters (and commutative node tallies), which only that player's estimate
@@ -170,8 +165,9 @@ type PlayerResult struct {
 // are recycled through a per-run pool once the buffer or receiver is done
 // with them.
 //
-// A ServerSim is built only by reset, which a Pool runs before every node.
-type ServerSim struct {
+// Pool.RunNode drives every run: reset, start, runUntil, flushObs and
+// appendResults.
+type nodeSim struct {
 	opts   Options
 	buffer sched.Buffer
 
@@ -179,26 +175,24 @@ type ServerSim struct {
 	// encoder stamps on every segment (stream.Segment.Stream), which is how a
 	// segment coming back out of the sender buffer finds its player.
 	sessions []*session
-	// sessionBy exists for AddPlayer's duplicate check and nothing else.
+	// sessionBy exists for start's duplicate check and nothing else.
 	sessionBy map[int64]*session
 	// sessArena is the backing store for sessions, sized for the run's players
-	// before the first AddPlayer: growing it would move live sessions.
+	// before start takes a slot: growing it would move live sessions.
 	sessArena []session
 	rng       *sim.Rand
 	// mults holds frame-size multipliers drawn ahead from rng, multBlock at a
 	// time; generate takes mults[multNext]. A run starts with it empty.
 	mults    []float64
 	multNext int
-	started  bool
 
 	now time.Duration
 	// stamp is the next scheduling stamp (nextStamp), so it also counts
 	// events scheduled; fired counts merge events fired plus arrivals landed.
 	stamp, fired uint64
 	// genCur and estCur index the session whose generation / estimate is
-	// next in its stream; interval separates one player's estimates.
+	// next in its stream.
 	genCur, estCur int
-	interval       time.Duration
 	// The uplink's one pending completion: while busy, txSeg leaves the wire
 	// for player txTo at (txAt, txStamp).
 	busy    bool
@@ -215,13 +209,12 @@ type ServerSim struct {
 	segAll []*stream.Segment
 
 	// Always-on per-run lifecycle tallies (plain ints: one increment per
-	// event, no atomics, no allocations). AppendResults folds them into
-	// opts.Obs when observation is enabled; they also pin the lifecycle
-	// identity generated == delivered + dropped + in-flight.
+	// event, no atomics, no allocations). flushObs folds them into opts.Obs
+	// when observation is enabled; they also pin the lifecycle identity
+	// generated == delivered + dropped + in-flight.
 	genCount, delivCount, dropCount int64
 	onTimeCount, lateCount          int64
 	levelUpCount, levelDownCount    int64
-	obsFolded                       bool
 }
 
 // arrival is one segment on the wire to its player, landing at (at, stamp).
@@ -309,24 +302,18 @@ type session struct {
 // multiplier block, the session arena with each in-flight list, the session
 // index, and every segment, dealt back into the pool. Every other field
 // starts at its zero value.
-func (s *ServerSim) reset(opts Options, uplink int64) error {
+func (s *nodeSim) reset(opts Options, uplink int64) error {
 	if uplink <= 0 {
 		return fmt.Errorf("qoe: non-positive uplink %d", uplink)
 	}
 	if err := opts.Stream.Validate(); err != nil {
 		return err
 	}
-	interval := opts.EstimationInterval
-	if interval <= 0 {
-		interval = 10 * opts.Stream.SegmentDuration
-	}
-	if interval < opts.Stream.SegmentDuration {
+	if opts.Adaptation && opts.EstimationInterval < opts.Stream.SegmentDuration {
 		return fmt.Errorf("qoe: estimation interval %v shorter than a %v frame",
-			interval, opts.Stream.SegmentDuration)
+			opts.EstimationInterval, opts.Stream.SegmentDuration)
 	}
 	schedCfg := opts.Sched
-	schedCfg.EDF = opts.Scheduling
-	schedCfg.DropEnabled = opts.Scheduling
 	if opts.Obs != nil {
 		schedCfg.Sink = opts.Obs.Sink
 	}
@@ -339,7 +326,7 @@ func (s *ServerSim) reset(opts Options, uplink int64) error {
 		s.sessionBy = make(map[int64]*session)
 	}
 	clear(s.sessionBy)
-	*s = ServerSim{
+	*s = nodeSim{
 		opts:      opts,
 		buffer:    s.buffer,
 		sessions:  s.sessions[:0],
@@ -347,7 +334,6 @@ func (s *ServerSim) reset(opts Options, uplink int64) error {
 		sessArena: s.sessArena[:0],
 		rng:       s.rng,
 		mults:     s.mults[:0],
-		interval:  interval,
 		segPool:   append(s.segPool[:0], s.segAll...),
 		segAll:    s.segAll,
 	}
@@ -364,7 +350,7 @@ const multBlock = 128
 
 // sizeMult returns the next mean-one lognormal frame-size multiplier,
 // E[e^(N(-s²/2, s))] = 1, refilling the block when it is spent.
-func (s *ServerSim) sizeMult(sigma float64) float64 {
+func (s *nodeSim) sizeMult(sigma float64) float64 {
 	if s.multNext == len(s.mults) {
 		s.mults = slices.Grow(s.mults[:0], multBlock)[:multBlock]
 		for i := range s.mults {
@@ -379,14 +365,14 @@ func (s *ServerSim) sizeMult(sigma float64) float64 {
 
 // draws is the RNG draws the run consumed: the generator's count less the
 // block's unused tail.
-func (s *ServerSim) draws() uint64 {
+func (s *nodeSim) draws() uint64 {
 	return s.rng.Draws() - uint64(len(s.mults)-s.multNext)
 }
 
 // getSegment takes a segment from the per-run pool (or allocates the pool's
 // first copies); putSegment returns one once no queue, meter, or receiver
 // will touch it again.
-func (s *ServerSim) getSegment() *stream.Segment {
+func (s *nodeSim) getSegment() *stream.Segment {
 	if n := len(s.segPool); n > 0 {
 		seg := s.segPool[n-1]
 		s.segPool[n-1] = nil
@@ -398,14 +384,14 @@ func (s *ServerSim) getSegment() *stream.Segment {
 	return seg
 }
 
-func (s *ServerSim) putSegment(seg *stream.Segment) {
+func (s *nodeSim) putSegment(seg *stream.Segment) {
 	s.segPool = append(s.segPool, seg)
 }
 
 // emit sends a structured event when a sink is attached. One nil-check per
 // call site when observation is off; the Event is a value, so an enabled
 // emission still costs no allocation.
-func (s *ServerSim) emit(kind obs.EventKind, at time.Duration, player, a, b int64) {
+func (s *nodeSim) emit(kind obs.EventKind, at time.Duration, player, a, b int64) {
 	if s.opts.Obs == nil || s.opts.Obs.Sink == nil {
 		return
 	}
@@ -414,65 +400,56 @@ func (s *ServerSim) emit(kind obs.EventKind, at time.Duration, player, a, b int6
 
 // dropSegment accounts a segment lost in full: the always-on tally plus the
 // optional drop event carrying the packets lost.
-func (s *ServerSim) dropSegment(now time.Duration, seg *stream.Segment) {
+func (s *nodeSim) dropSegment(now time.Duration, seg *stream.Segment) {
 	s.dropCount++
 	s.emit(obs.EventSegmentDropped, now, seg.PlayerID, int64(seg.RemainingPackets()), 0)
 }
 
-// AddPlayer attaches a player before Start.
-func (s *ServerSim) AddPlayer(spec PlayerSpec) error {
-	if s.started {
-		return fmt.Errorf("qoe: AddPlayer after Start")
+// start attaches the players to a freshly reset sim, player i on stream i,
+// and schedules each one's first generation (and estimate). Phases are
+// staggered across the frame interval so segments do not arrive in lockstep
+// bursts. A repeated player ID refuses the run.
+func (s *nodeSim) start(players []PlayerSpec) error {
+	if cap(s.sessArena) < len(players) {
+		s.sessArena = make([]session, 0, len(players))
 	}
-	if _, dup := s.sessionBy[spec.ID]; dup {
-		return fmt.Errorf("qoe: duplicate player id %d", spec.ID)
-	}
-	// Take the next slot of the arena, which was sized for every player; the
-	// assignment overwrites every field of a recycled slot but keeps its
-	// in-flight list's storage.
-	s.sessArena = s.sessArena[:len(s.sessArena)+1]
-	ss := &s.sessArena[len(s.sessArena)-1]
-	*ss = session{spec: spec, inflight: ss.inflight[:0]}
-	ss.Init(s.opts.Stream, s.opts.Adapt, spec.ID, spec.Game, spec.LevelCap)
-	ss.encoder.SetStream(len(s.sessions))
-	bitrate := ss.Level().Bitrate
-	ss.recv = *stream.NewReceiverBuffer(s.opts.Stream, bitrate)
-	ss.recv.SetPrebuffer(float64(s.opts.PrebufferSegments * s.opts.Stream.SegmentBytes(bitrate)))
-	s.sessions = append(s.sessions, ss)
-	s.sessionBy[spec.ID] = ss
-	return nil
-}
-
-// Start schedules segment generation for every player. Generation phases
-// are staggered across the frame interval so segments do not arrive in
-// lockstep bursts.
-func (s *ServerSim) Start() {
-	if s.started {
-		return
-	}
-	s.started = true
-	n := len(s.sessions)
 	frame := s.opts.Stream.SegmentDuration
-	for i, ss := range s.sessions {
-		offset := time.Duration(int64(frame) * int64(i) / int64(n))
-		ss.genAt, ss.genStamp = s.now+offset, s.nextStamp()
+	for i, spec := range players {
+		if _, dup := s.sessionBy[spec.ID]; dup {
+			return fmt.Errorf("qoe: duplicate player id %d", spec.ID)
+		}
+		// Take the next slot of the arena; the assignment overwrites every
+		// field of a recycled slot but keeps its in-flight list's storage.
+		s.sessArena = s.sessArena[:i+1]
+		ss := &s.sessArena[i]
+		*ss = session{spec: spec, inflight: ss.inflight[:0]}
+		ss.Init(s.opts.Stream, s.opts.Adapt, spec.ID, spec.Game, spec.LevelCap)
+		ss.encoder.SetStream(i)
+		bitrate := ss.Level().Bitrate
+		ss.recv = *stream.NewReceiverBuffer(s.opts.Stream, bitrate)
+		ss.recv.SetPrebuffer(float64(s.opts.PrebufferSegments * s.opts.Stream.SegmentBytes(bitrate)))
+		offset := time.Duration(int64(frame) * int64(i) / int64(len(players)))
+		ss.genAt, ss.genStamp = offset, s.nextStamp()
 		if s.opts.Adaptation {
 			// Periodic receiver-side occupancy estimation (§III-B: the
 			// client calculates r a number of times consecutively).
-			ss.estAt, ss.estStamp = s.now+offset, s.nextStamp()
+			ss.estAt, ss.estStamp = offset, s.nextStamp()
 		}
+		s.sessions = append(s.sessions, ss)
+		s.sessionBy[spec.ID] = ss
 	}
+	return nil
 }
 
-// RunUntil fires every event due at or before deadline in (at, stamp) order,
+// runUntil fires every event due at or before deadline in (at, stamp) order,
 // advances the clock to deadline, and lands every arrival due by then.
-func (s *ServerSim) RunUntil(deadline time.Duration) {
+func (s *nodeSim) runUntil(deadline time.Duration) {
 	const (
 		generation = iota
 		estimation
 		transmission
 	)
-	for s.started && len(s.sessions) > 0 {
+	for len(s.sessions) > 0 {
 		ss := s.sessions[s.genCur]
 		at, stamp, source := ss.genAt, ss.genStamp, generation
 		if s.opts.Adaptation {
@@ -505,16 +482,16 @@ func (s *ServerSim) RunUntil(deadline time.Duration) {
 	}
 }
 
-// nextStamp stamps one scheduling act: the two in Start, the re-arm in
+// nextStamp stamps one scheduling act: the two in start, the re-arm in
 // generate and in estimate, the transmission in pump, the arrival in
 // transmitted — where the engine-backed simulation scheduled an event.
-func (s *ServerSim) nextStamp() uint64 {
+func (s *nodeSim) nextStamp() uint64 {
 	s.stamp++
 	return s.stamp - 1
 }
 
 // next advances a stream's cursor to the following player.
-func (s *ServerSim) next(cur int) int {
+func (s *nodeSim) next(cur int) int {
 	if cur++; cur == len(s.sessions) {
 		return 0
 	}
@@ -522,7 +499,7 @@ func (s *ServerSim) next(cur int) int {
 }
 
 // land delivers the player's arrivals that sort ahead of (at, stamp).
-func (s *ServerSim) land(ss *session, at time.Duration, stamp uint64) {
+func (s *nodeSim) land(ss *session, at time.Duration, stamp uint64) {
 	q := ss.inflight
 	k := 0
 	for k < len(q) && before(q[k].at, q[k].stamp, at, stamp) {
@@ -538,7 +515,7 @@ func (s *ServerSim) land(ss *session, at time.Duration, stamp uint64) {
 // buffered-size estimate integrates download rate minus playback rate) and
 // applies any resulting encoding-level change, then schedules the next
 // calculation.
-func (s *ServerSim) estimate(ss *session) {
+func (s *nodeSim) estimate(ss *session) {
 	now := s.now
 	s.land(ss, now, ss.estStamp)
 	ss.recv.Advance(now)
@@ -568,7 +545,7 @@ func (s *ServerSim) estimate(ss *session) {
 		}
 		s.emit(obs.EventLevelChange, now, ss.spec.ID, int64(lvl.Level), dir)
 	}
-	ss.estAt, ss.estStamp = now+s.interval, s.nextStamp()
+	ss.estAt, ss.estStamp = now+s.opts.EstimationInterval, s.nextStamp()
 	s.estCur = s.next(s.estCur)
 }
 
@@ -576,7 +553,7 @@ func (s *ServerSim) estimate(ss *session) {
 // following one a frame interval later. It lands the player's due arrivals
 // first — nothing here reads them, but a player without adaptation has no
 // other event of its own, and would otherwise hold every segment of the run.
-func (s *ServerSim) generate(ss *session) {
+func (s *nodeSim) generate(ss *session) {
 	now := s.now
 	s.land(ss, now, ss.genStamp)
 	actionTime := now - ss.spec.InboundDelay
@@ -612,7 +589,7 @@ func (s *ServerSim) generate(ss *session) {
 // pump starts a transmission if the uplink is idle and segments are queued.
 // Fully-dropped segments never transmit, but their packets still count as
 // lost for continuity purposes.
-func (s *ServerSim) pump() {
+func (s *nodeSim) pump() {
 	if s.busy {
 		return
 	}
@@ -644,7 +621,7 @@ func (s *ServerSim) pump() {
 
 // transmitted completes the pending uplink transmission: the segment reaches
 // its player after the propagation latency, and the uplink moves on.
-func (s *ServerSim) transmitted(ss *session) {
+func (s *nodeSim) transmitted(ss *session) {
 	seg := s.txSeg
 	s.busy = false
 	now := s.now
@@ -689,7 +666,7 @@ func (s *ServerSim) transmitted(ss *session) {
 // deliver lands a segment at its player at its arrival time at: meters record
 // on-time packets and the receiver buffer absorbs the bytes, which the
 // player's next estimate turns into its download rate.
-func (s *ServerSim) deliver(ss *session, at time.Duration, seg *stream.Segment) {
+func (s *nodeSim) deliver(ss *session, at time.Duration, seg *stream.Segment) {
 	s.fired++
 	onTime := at <= seg.ExpectedArrival()
 	s.delivCount++
@@ -722,24 +699,23 @@ func (s *ServerSim) deliver(ss *session, at time.Duration, seg *stream.Segment) 
 	s.putSegment(seg)
 }
 
-// Lifecycle returns the always-on per-run segment tallies. The identity
+// lifecycle returns the always-on per-run segment tallies. The identity
 // generated == delivered + dropped + inFlight holds at any stopping point:
 // every generated segment is eventually delivered, discarded, or still
 // queued/in transit when the horizon hits.
-func (s *ServerSim) Lifecycle() (generated, delivered, dropped, inFlight int64) {
+func (s *nodeSim) lifecycle() (generated, delivered, dropped, inFlight int64) {
 	return s.genCount, s.delivCount, s.dropCount,
 		s.genCount - s.delivCount - s.dropCount
 }
 
-// FlushObs folds the per-run tallies (and the sender buffer's packet-drop
-// counters) into the attached NodeStats. AppendResults calls it once;
-// calling it again is a no-op, so shared registries never double-count a run.
-func (s *ServerSim) FlushObs() {
+// flushObs folds the per-run tallies (and the sender buffer's packet-drop
+// counters) into the attached NodeStats. Pool.RunNode calls it once per run,
+// so a registry shared by many runs counts each exactly once.
+func (s *nodeSim) flushObs() {
 	o := s.opts.Obs
-	if o == nil || s.obsFolded {
+	if o == nil {
 		return
 	}
-	s.obsFolded = true
 	o.SegmentsGenerated.Add(s.genCount)
 	o.SegmentsDelivered.Add(s.delivCount)
 	o.SegmentsDropped.Add(s.dropCount)
@@ -759,11 +735,10 @@ func (s *ServerSim) FlushObs() {
 	}
 }
 
-// AppendResults appends every player's summary, as of the last RunUntil, to
+// appendResults appends every player's summary, as of the last runUntil, to
 // dst and returns it, so the pool keeps one result buffer across runs instead
 // of allocating per node.
-func (s *ServerSim) AppendResults(dst []PlayerResult) []PlayerResult {
-	s.FlushObs()
+func (s *nodeSim) appendResults(dst []PlayerResult) []PlayerResult {
 	for _, ss := range s.sessions {
 		r := PlayerResult{
 			ID:            ss.spec.ID,
@@ -818,7 +793,7 @@ func RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Dur
 	return NewPool().RunNode(opts, uplink, players, duration)
 }
 
-// Pool holds one ServerSim across back-to-back node runs, so the
+// Pool holds one node simulation across back-to-back node runs, so the
 // allocation-heavy state reset keeps — the sender buffer with its Eq. 13
 // estimators, the session arena with each session's in-flight list, the
 // session index, the segment pool, and one generator re-seeded per run with
@@ -830,7 +805,7 @@ func RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Dur
 // and segments are overwritten in full before use, a re-seeded generator is
 // in the state a fresh one starts in, and the block starts empty.
 type Pool struct {
-	sim     ServerSim
+	sim     nodeSim
 	results []PlayerResult
 	draws   uint64
 }
@@ -844,7 +819,7 @@ func (p *Pool) Draws() uint64 { return p.draws }
 func NewPool() *Pool { return new(Pool) }
 
 // RunNode simulates a serving node with the given uplink and players for the
-// duration on the pool's ServerSim. The returned slice is valid until the
+// duration on the pool's simulation. The returned slice is valid until the
 // next RunNode call on this pool; callers that keep results across calls must
 // copy them out.
 func (p *Pool) RunNode(opts Options, uplink int64, players []PlayerSpec, duration time.Duration) ([]PlayerResult, error) {
@@ -852,17 +827,12 @@ func (p *Pool) RunNode(opts Options, uplink int64, players []PlayerSpec, duratio
 	if err := s.reset(opts, uplink); err != nil {
 		return nil, err
 	}
-	if cap(s.sessArena) < len(players) {
-		s.sessArena = make([]session, 0, len(players))
+	if err := s.start(players); err != nil {
+		return nil, err
 	}
-	for _, spec := range players {
-		if err := s.AddPlayer(spec); err != nil {
-			return nil, err
-		}
-	}
-	s.Start()
-	s.RunUntil(duration)
-	p.results = s.AppendResults(p.results[:0])
+	s.runUntil(duration)
+	s.flushObs()
+	p.results = s.appendResults(p.results[:0])
 	p.draws += s.draws()
 	return p.results, nil
 }

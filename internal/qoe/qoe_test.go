@@ -163,7 +163,7 @@ func TestSchedulingImprovesOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := BasicOptions()
-	opts.Scheduling = true
+	opts.Sched.Deadline = true
 	sched, err := RunNode(opts, 20_000_000, players, 40*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -210,50 +210,48 @@ func TestLightLoadAllVariantsAgree(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	if _, err := newSim(DefaultOptions(), 0, 0); err == nil {
+	if _, err := newSim(DefaultOptions(), 0); err == nil {
 		t.Fatal("zero uplink accepted")
 	}
 	bad := DefaultOptions()
 	bad.Stream.PacketSize = 0
-	if _, err := newSim(bad, 1_000_000, 0); err == nil {
+	if _, err := newSim(bad, 1_000_000); err == nil {
 		t.Fatal("invalid stream config accepted")
 	}
 	// The estimation stream keeps its cyclic player order only while every
-	// phase is shorter than the interval, so a frame is the shortest one.
+	// phase is shorter than the interval, so a frame is the shortest one. No
+	// default stands in for a zero interval; without adaptation nothing reads
+	// it.
 	short := DefaultOptions()
-	short.EstimationInterval = short.Stream.SegmentDuration - 1
-	if _, err := newSim(short, 1_000_000, 0); err == nil {
-		t.Fatal("estimation interval shorter than a frame accepted")
+	for _, interval := range []time.Duration{short.Stream.SegmentDuration - 1, 0} {
+		short.EstimationInterval = interval
+		if _, err := newSim(short, 1_000_000); err == nil {
+			t.Fatalf("estimation interval %v shorter than a frame accepted", interval)
+		}
 	}
+	short.Adaptation = false
+	if _, err := newSim(short, 1_000_000); err != nil {
+		t.Fatalf("zero interval refused without adaptation: %v", err)
+	}
+	short = DefaultOptions()
 	short.EstimationInterval = short.Stream.SegmentDuration
-	if _, err := newSim(short, 1_000_000, 0); err != nil {
+	if _, err := newSim(short, 1_000_000); err != nil {
 		t.Fatalf("one-frame estimation interval refused: %v", err)
 	}
-	srv, err := newSim(DefaultOptions(), 1_000_000, 2)
+	srv, err := newSim(DefaultOptions(), 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := PlayerSpec{ID: 1, Game: mustGame(t, 3)}
-	if err := srv.AddPlayer(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.AddPlayer(p); err == nil {
+	if err := srv.start([]PlayerSpec{p, p}); err == nil {
 		t.Fatal("duplicate player accepted")
-	}
-	srv.Start()
-	if err := srv.AddPlayer(PlayerSpec{ID: 2, Game: mustGame(t, 3)}); err == nil {
-		t.Fatal("AddPlayer after Start accepted")
 	}
 }
 
 func TestEmptyServerRuns(t *testing.T) {
-	srv, err := newSim(DefaultOptions(), 1_000_000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	srv.RunUntil(time.Second)
-	if len(srv.AppendResults(nil)) != 0 {
+	srv := startSim(t, DefaultOptions(), 1_000_000, nil)
+	srv.runUntil(time.Second)
+	if len(srv.appendResults(nil)) != 0 {
 		t.Fatal("empty server produced results")
 	}
 }
@@ -353,8 +351,9 @@ func TestObsDoesNotChangeResults(t *testing.T) {
 	}
 }
 
+// TestObsFoldsOnce: two runs on one registry count exactly twice one run's
+// lifecycle, so each run's tallies are folded once.
 func TestObsFoldsOnce(t *testing.T) {
-	// Calling AppendResults twice must not double-count the per-run tallies.
 	reg := obs.NewRegistry()
 	opts := noJitter(DefaultOptions())
 	opts.Obs = obs.NodeStatsIn(reg)
@@ -364,18 +363,27 @@ func TestObsFoldsOnce(t *testing.T) {
 	for i := range players {
 		players[i].Latency += 40 * time.Millisecond
 	}
-	srv := startSim(t, opts, 25_000_000, players)
-	srv.RunUntil(10 * time.Second)
-	srv.AppendResults(nil)
-	first := reg.Snapshot().Counters
-	srv.AppendResults(nil)
-	second := reg.Snapshot().Counters
-	if first["cloudfog_qoe_segments_generated_total"] == 0 || !reflect.DeepEqual(first, second) {
-		t.Fatalf("per-run tallies folded more than once:\n%v\n%v", first, second)
+	pool := NewPool()
+	for range 2 {
+		if _, err := pool.RunNode(opts, 25_000_000, players, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
-	gen, del, drop, inflight := srv.Lifecycle()
-	if gen != del+drop+inflight {
-		t.Fatalf("Lifecycle does not balance: %d vs %d+%d+%d", gen, del, drop, inflight)
+	srv := &pool.sim
+	gen, del, drop, inflight := srv.lifecycle()
+	if gen == 0 || gen != del+drop+inflight {
+		t.Fatalf("lifecycle does not balance: %d vs %d+%d+%d", gen, del, drop, inflight)
+	}
+	c := reg.Snapshot().Counters
+	for name, one := range map[string]int64{
+		"cloudfog_qoe_segments_generated_total":    gen,
+		"cloudfog_qoe_segments_delivered_total":    del,
+		"cloudfog_qoe_segments_dropped_total":      drop,
+		"cloudfog_qoe_segments_inflight_end_total": inflight,
+	} {
+		if c[name] != 2*one {
+			t.Errorf("%s = %d after two runs, want 2×%d", name, c[name], one)
+		}
 	}
 	// The event counters are what an engine would have counted: everything
 	// scheduled and not yet executed is still pending at the horizon — one
@@ -391,10 +399,10 @@ func TestObsFoldsOnce(t *testing.T) {
 		}
 		pending += int64(len(ss.inflight))
 	}
-	scheduled := first["cloudfog_engine_events_scheduled_total"]
-	executed := first["cloudfog_engine_events_executed_total"]
-	if executed == 0 || scheduled-executed != pending {
-		t.Fatalf("scheduled %d - executed %d != %d pending", scheduled, executed, pending)
+	scheduled := c["cloudfog_engine_events_scheduled_total"]
+	executed := c["cloudfog_engine_events_executed_total"]
+	if executed == 0 || scheduled-executed != 2*pending {
+		t.Fatalf("scheduled %d - executed %d != 2×%d pending", scheduled, executed, pending)
 	}
 }
 
@@ -450,8 +458,8 @@ func TestPoolMatchesRunNode(t *testing.T) {
 			continue
 		}
 		fresh := startSim(t, opts, c.uplink, players)
-		fresh.RunUntil(8 * time.Second)
-		want := fresh.AppendResults(nil)
+		fresh.runUntil(8 * time.Second)
+		want := fresh.appendResults(nil)
 		draws += fresh.draws()
 		got, err := pool.RunNode(opts, c.uplink, players, 8*time.Second)
 		if err != nil {
@@ -506,7 +514,7 @@ func TestSizeJitterDrawsInOrder(t *testing.T) {
 			}
 
 			srv := startSim(t, opts, 25_000_000, player)
-			srv.RunUntil(horizon)
+			srv.runUntil(horizon)
 			if !reflect.DeepEqual(sizes, want) {
 				t.Fatalf("sigma %g, %d segments, fresh: sizes differ from one draw per segment", sigma, n)
 			}
@@ -665,7 +673,7 @@ func TestRunNodeAllocFloor(t *testing.T) {
 // none, the bottom rung, one below the game's level, the game's level and one
 // past the ladder, Init starts where AddPlayer started a player before the
 // serving state was a type of its own — the game's level, lowered to a
-// positive cap below it — and a player added to a node starts there too. The
+// positive cap below it — and a player a node starts begins there too. The
 // controller never adapts above that level, and a step down moves the
 // segment size with it.
 func TestStreamInitPicksTheLevelAddPlayerPicked(t *testing.T) {
@@ -684,15 +692,9 @@ func TestStreamInitPicksTheLevelAddPlayerPicked(t *testing.T) {
 				t.Errorf("game %d, cap %d: level %d, %d-byte segments; want level %d, %d bytes",
 					g.ID, levelCap, s.Level().Level, seg.Bytes, want.Level, opts.Stream.SegmentBytes(want.Bitrate))
 			}
-			srv, err := newSim(opts, 100_000_000, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.AddPlayer(PlayerSpec{ID: 1, Game: g, LevelCap: levelCap}); err != nil {
-				t.Fatal(err)
-			}
+			srv := startSim(t, opts, 100_000_000, []PlayerSpec{{ID: 1, Game: g, LevelCap: levelCap}})
 			if got := srv.sessions[0].Level(); got != want {
-				t.Errorf("game %d, cap %d: AddPlayer starts at level %d, want %d", g.ID, levelCap, got.Level, want.Level)
+				t.Errorf("game %d, cap %d: start begins at level %d, want %d", g.ID, levelCap, got.Level, want.Level)
 			}
 
 			for range 10 * opts.Adapt.UpStreak {

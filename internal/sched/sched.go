@@ -34,12 +34,12 @@ const (
 
 // Config parameterizes the scheduler.
 type Config struct {
-	// EDF orders the queue by expected arrival time. Disabled, the buffer
-	// degenerates to FIFO — kept as an ablation switch.
-	EDF bool
-	// DropEnabled enables deadline-driven packet dropping. Disabled, the
-	// buffer only reorders — the second ablation switch.
-	DropEnabled bool
+	// Deadline is the paper's strategy 3: the queue is ordered by expected
+	// arrival time (EDF), a full buffer evicts its latest deadlines first,
+	// and late segments are repaired by Eq. 14 drops. Off, the buffer is
+	// CloudFog/B's FIFO, which tail-drops arrivals at a full buffer and
+	// never drops packets.
+	Deadline bool
 	// UniformDrop replaces Eq. 14's tolerance-and-decay weighting with
 	// equal weights across segments — an ablation of the drop policy.
 	UniformDrop bool
@@ -56,10 +56,9 @@ type Config struct {
 	Sink obs.EventSink
 }
 
-// DefaultConfig returns the paper's defaults: EDF ordering and
-// deadline-driven dropping both enabled.
+// DefaultConfig returns the paper's defaults: deadline-driven scheduling on.
 func DefaultConfig() Config {
-	return Config{EDF: true, DropEnabled: true, MaxQueueDelay: 40 * time.Millisecond}
+	return Config{Deadline: true, MaxQueueDelay: 40 * time.Millisecond}
 }
 
 // Buffer is one supernode's sender-side segment queue.
@@ -218,12 +217,12 @@ func (b *Buffer) PropagationEstimate(stream int) time.Duration {
 	return 0
 }
 
-// Enqueue inserts a segment (EDF by expected arrival time, or FIFO when the
-// ablation switch is off) and, if dropping is enabled, repairs any deadline
-// violations the insertion reveals by dropping packets per Eq. 14.
+// Enqueue inserts a segment (EDF by expected arrival time with Deadline on,
+// FIFO with it off) and, with Deadline on, repairs any deadline violations
+// the insertion reveals by dropping packets per Eq. 14.
 //
 // A full buffer sheds load: in FIFO mode the arriving segment is
-// tail-dropped; in EDF mode the buffer evicts latest-deadline segments
+// tail-dropped; in deadline mode the buffer evicts latest-deadline segments
 // first (urgent video is worth more than lenient video that would miss its
 // deadline anyway), which may or may not include the arriving segment.
 // Enqueue reports whether the arriving segment was accepted; evicted
@@ -236,7 +235,7 @@ func (b *Buffer) Enqueue(now time.Duration, seg *stream.Segment) bool {
 	if b.maxBytes > 0 {
 		for b.queuedBytes+segBytes > b.maxBytes {
 			last := len(b.queue) - 1
-			if !b.cfg.EDF || last < b.head ||
+			if !b.cfg.Deadline || last < b.head ||
 				b.queue[last].ExpectedArrival() <= seg.ExpectedArrival() {
 				// The arrival is the most expendable segment.
 				b.tailDropped++
@@ -263,7 +262,7 @@ func (b *Buffer) Enqueue(now time.Duration, seg *stream.Segment) bool {
 	}
 	q := b.live()
 	at := len(q)
-	if b.cfg.EDF {
+	if b.cfg.Deadline {
 		// Insert in ascending order of expected arrival time; ties keep
 		// insertion order (stable with respect to earlier segments).
 		at = sort.Search(len(q), func(i int) bool {
@@ -275,7 +274,7 @@ func (b *Buffer) Enqueue(now time.Duration, seg *stream.Segment) bool {
 	copy(q[at+1:], q[at:])
 	q[at] = seg
 	b.queuedBytes += segBytes
-	if b.cfg.DropEnabled {
+	if b.cfg.Deadline {
 		b.repairDeadlines(now, at)
 	}
 	return true

@@ -64,7 +64,7 @@ func TestEDFUsesActionTimeToo(t *testing.T) {
 
 func TestFIFOAblation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.EDF = false
+	cfg.Deadline = false
 	b := NewBuffer(cfg, cfg100(), 100_000_000)
 	slow := testSegment(t, 1, 5, 0)
 	fast := testSegment(t, 2, 1, 0)
@@ -84,7 +84,7 @@ func TestTransmissionTime(t *testing.T) {
 }
 
 func TestEstimateResponseLatencyComponents(t *testing.T) {
-	b := NewBuffer(Config{EDF: true}, cfg100(), 8_000_000)
+	b := NewBuffer(Config{}, cfg100(), 8_000_000)
 	first := testSegment(t, 1, 3, 0)
 	second := testSegment(t, 2, 3, 0)
 	second.Stream = 1 // the sender's second stream: what the sample is recorded under
@@ -294,9 +294,12 @@ func TestDeadlineRepairDropsPackets(t *testing.T) {
 	}
 }
 
+// TestDropDisabledAblation: with Deadline off the hopeless tight-deadline
+// segment of TestDeadlineRepairDropsPackets neither drops packets nor runs a
+// repair.
 func TestDropDisabledAblation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DropEnabled = false
+	cfg.Deadline = false
 	cfg.MaxQueueDelay = 0
 	b := NewBuffer(cfg, cfg100(), 2_000_000)
 	for i := 0; i < 4; i++ {
@@ -305,7 +308,7 @@ func TestDropDisabledAblation(t *testing.T) {
 	b.Enqueue(0, testSegment(t, 99, 1, 0))
 	_, _, dropped, _, repairs := b.Stats()
 	if dropped != 0 || repairs != 0 {
-		t.Fatalf("drops ran with DropEnabled=false: dropped=%d repairs=%d", dropped, repairs)
+		t.Fatalf("drops ran with Deadline=false: dropped=%d repairs=%d", dropped, repairs)
 	}
 }
 
@@ -353,7 +356,7 @@ func TestFullyDroppedSegmentsSkippedOnDequeue(t *testing.T) {
 
 func TestQueuedBytesTracksDrops(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DropEnabled = false // drive the drop path by hand
+	cfg.Deadline = false // drive the drop path by hand
 	b := NewBuffer(cfg, cfg100(), 8_000_000)
 	s := testSegment(t, 1, 5, 0) // 40% loss tolerance: budget covers 2 drops
 	b.Enqueue(0, s)
@@ -488,8 +491,8 @@ func TestEstimatePanicsOutOfRange(t *testing.T) {
 // (smaller φ = e^{-λt}) absorbs fewer drops than a fresh one.
 func TestPhiProtectsOlderSegments(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DropEnabled = false // drive the allocation by hand
-	cfg.MaxQueueDelay = 0   // keep both segments queued
+	cfg.Deadline = false  // drive the allocation by hand
+	cfg.MaxQueueDelay = 0 // keep both segments queued
 	b := NewBuffer(cfg, cfg100(), 8_000_000)
 	old := testSegment(t, 1, 5, 0)
 	fresh := testSegment(t, 2, 5, 950*time.Millisecond)
@@ -511,7 +514,7 @@ func TestPhiProtectsOlderSegments(t *testing.T) {
 func TestTailDropBoundsQueue(t *testing.T) {
 	// 2 Mbps with an explicit 100ms bound => at most 25,000 queued bytes.
 	cfg := DefaultConfig()
-	cfg.DropEnabled = false
+	cfg.Deadline = false
 	cfg.MaxQueueDelay = 100 * time.Millisecond
 	b := NewBuffer(cfg, cfg100(), 2_000_000)
 	accepted := 0
@@ -539,7 +542,7 @@ func TestTailDropBoundsQueue(t *testing.T) {
 func TestUnboundedQueueNeverTailDrops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxQueueDelay = 0
-	cfg.DropEnabled = false
+	cfg.Deadline = false
 	b := NewBuffer(cfg, cfg100(), 500_000)
 	for i := 0; i < 200; i++ {
 		if !b.Enqueue(0, testSegment(t, int64(i), 5, 0)) {
